@@ -29,16 +29,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bridge import ProportionalityReport, inverse_weierstrass
+from .bridge import ProportionalityReport, grid_proportionality, inverse_weierstrass
 from .coupling import Coupling
 from .fockeng import (
     FockBasis,
     FockOperator,
     InteriorMask,
+    _hidden_ladder_matrix,
+    _validate_hidden,
     commutator,
     exact_energy,
-    hidden_coefficient,
     ladder,
+    ladder_orbits,
+    level_sets,
     operator_norm,
 )
 from .phasealg import (
@@ -268,14 +271,11 @@ def hidden_operator(
     sign="-" returns the adjoint.  Matrix elements agree with
     :func:`riaho.fockeng.hidden_coefficient` at orders (l1, l2).
     """
-    if kind not in ("L", "J"):
-        raise ValueError("kind must be 'L' or 'J'")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     l1, l2 = _require_labels(freq)
-    up1 = ladder(basis, 1, "+").matrix
-    mode2 = ladder(basis, 2, "-" if kind == "L" else "+").matrix
-    mat = np.linalg.matrix_power(up1, l1) @ np.linalg.matrix_power(mode2, l2)
+    _validate_hidden(kind, l1, l2)
+    mat = _hidden_ladder_matrix(basis, kind, l1, l2)
     if sign == "-":
         mat = mat.conj().T
     return FockOperator(basis, mat, f"{kind}{sign}({l1},{l2})")
@@ -296,28 +296,10 @@ def hidden_orbits(
     are single arithmetic progressions, and a rectangular pool only cuts
     their head or tail).
     """
-    if kind not in ("L", "J"):
-        raise ValueError("kind must be 'L' or 'J'")
     l1, l2 = _require_labels(freq)
+    _validate_hidden(kind, l1, l2)
     step = (l1, -l2) if kind == "L" else (l1, l2)
-    pool = set(basis.states() if mask is None else mask.states())
-    seen: set[tuple[int, int]] = set()
-    orbits = []
-    for start in sorted(pool):
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            n1, n2 = frontier.pop()
-            for fwd in (1, -1):
-                nxt = (n1 + fwd * step[0], n2 + fwd * step[1])
-                if nxt in pool and nxt not in comp:
-                    comp.add(nxt)
-                    frontier.append(nxt)
-        seen |= comp
-        orbits.append(frozenset(comp))
-    return sorted(orbits, key=lambda c: min(c))
+    return ladder_orbits(basis.states() if mask is None else mask.states(), step)
 
 
 def degeneracy_partition(
@@ -335,10 +317,7 @@ def degeneracy_partition(
     if not freq.is_exact:
         raise ValueError("degeneracy grouping needs exact rational frequencies")
     pool = basis.states() if mask is None else mask.states()
-    levels: dict[Fraction, set] = {}
-    for n1, n2 in pool:
-        levels.setdefault(spectrum(freq, sign, n1, n2), set()).add((n1, n2))
-    return sorted((frozenset(s) for s in levels.values()), key=lambda c: min(c))
+    return level_sets(pool, lambda n1, n2: spectrum(freq, sign, n1, n2))
 
 
 # ---------------------------------------------------------------------------
@@ -595,25 +574,12 @@ def aniso_proportionality(
     """
     bridged = aniso_cbt_apply((n1, n2), freq, m, hbar)
     eigen = hermite_eigenstate(n1, n2, freq, m, hbar)
-    xs = np.linspace(-half_width, half_width, grid_points)
-    x1, x2 = np.meshgrid(xs, xs, indexing="ij")
-    psi = eigen.evaluate(x1, x2)
-    phi = bridged.evaluate(x1, x2)
-    keep = np.abs(psi) > floor
-    ratios = phi[keep] / psi[keep]
-    mean = np.mean(ratios)
-    spread = float(np.max(np.abs(ratios - mean)) / abs(mean))
     expected = mode_constant(n1, float(freq.omega1), m, hbar) * mode_constant(
         n2, float(freq.omega2), m, hbar
     )
-    return ProportionalityReport(
-        n1=n1,
-        n2=n2,
-        constant=complex(mean),
-        reduced_constant=complex(mean / expected),
-        spread=spread,
-        points_used=int(np.count_nonzero(keep)),
-        passed=bool(spread <= tol),
+    return grid_proportionality(
+        n1, n2, bridged.evaluate, eigen.evaluate, expected,
+        grid_points, half_width, floor, tol,
     )
 
 

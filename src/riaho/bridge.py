@@ -41,6 +41,7 @@ __all__ = [
     "overlap_matrix",
     "ProportionalityReport",
     "verify_bridge_proportionality",
+    "grid_proportionality",
     "WeierstrassReport",
     "inverse_weierstrass",
     "coherent_state",
@@ -529,23 +530,37 @@ def verify_bridge_proportionality(
     """
     bridged = cbt_apply(monomial_state(n1, n2), units)
     ladder_state = eigenstate(n1, n2, units)
+    expected = units.length_sq ** ((n1 + n2) / 2) * math.sqrt(
+        math.factorial(n1) * math.factorial(n2)
+    )
+    return grid_proportionality(
+        n1, n2, bridged.evaluate_grid, ladder_state.evaluate_grid, expected,
+        grid_points, half_width, floor, tol,
+    )
+
+
+def grid_proportionality(
+    n1: int, n2: int, phi, psi, expected, grid_points: int,
+    half_width: float, floor: float, tol: float,
+) -> ProportionalityReport:
+    """Grid-constancy of phi/psi, both evaluated on meshgrid arrays.
+
+    Points where |psi| <= floor are excluded; the reduced constant is the
+    mean ratio divided by ``expected``.
+    """
     xs = np.linspace(-half_width, half_width, grid_points)
     x1, x2 = np.meshgrid(xs, xs, indexing="ij")
-    psi = ladder_state.evaluate_grid(x1, x2)
-    phi = bridged.evaluate_grid(x1, x2)
-    keep = np.abs(psi) > floor
-    ratios = phi[keep] / psi[keep]
+    psi_vals = psi(x1, x2)
+    phi_vals = phi(x1, x2)
+    keep = np.abs(psi_vals) > floor
+    ratios = phi_vals[keep] / psi_vals[keep]
     mean = np.mean(ratios)
     spread = float(np.max(np.abs(ratios - mean)) / abs(mean))
-    reduced = mean / (
-        units.length_sq ** ((n1 + n2) / 2)
-        * math.sqrt(math.factorial(n1) * math.factorial(n2))
-    )
     return ProportionalityReport(
         n1=n1,
         n2=n2,
         constant=complex(mean),
-        reduced_constant=complex(reduced),
+        reduced_constant=complex(mean / expected),
         spread=spread,
         points_used=int(np.count_nonzero(keep)),
         passed=bool(spread <= tol),
@@ -666,7 +681,10 @@ def coherent_checks(
     (alpha e^{-i omega l1 t}, beta e^{-i omega l2 t}) times the zero-point
     phase.  Rotation by gamma maps (alpha, beta) -> (alpha e^{i gamma},
     beta e^{-i gamma}) and is compared coefficient-by-coefficient.
+    ``cutoff`` above 170 raises ValueError: 171! exceeds the float range.
     """
+    if cutoff > 170:
+        raise ValueError(f"cutoff {cutoff} above 170: 171! exceeds the float range")
     report = VerificationReport(suite="coherent-checks")
     state = coherent_state(alpha, beta, units)
     lam1, lam2 = coherent_eigenvalues(alpha, beta, units)

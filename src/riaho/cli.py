@@ -206,6 +206,11 @@ def _frac_dict(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
+def _float_rows(*columns) -> list:
+    """Rows of Python floats from equally shaped arrays, one row per element in C order."""
+    return np.stack(columns, axis=-1).reshape(-1, len(columns)).tolist()
+
+
 def _out_stem(config: RunConfig, out: str | None, default: str) -> Path:
     stem = out if out else default
     for suffix in (".csv", ".json"):
@@ -238,8 +243,22 @@ def write_dataset(stem: Path, columns: list, rows: list, config: RunConfig) -> P
     return path
 
 
-def _sidecar_path(stem: Path) -> Path:
-    return stem.with_name(stem.name + ".meta.json")
+def emit_dataset(
+    config: RunConfig, out: str | None, command: str, columns: list, rows: list, meta: dict
+) -> int:
+    """Write the dataset and a sidecar: schema_version, command, meta, columns, dataset."""
+    stem = _out_stem(config, out, command)
+    data_path = write_dataset(stem, columns, rows, config)
+    sidecar = stem.with_name(stem.name + ".meta.json")
+    write_json_file(sidecar, {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        **meta,
+        "columns": columns,
+        "dataset": data_path.name,
+    })
+    print(f"wrote {data_path} and {sidecar}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +290,10 @@ def cmd_trajectory(args, config: RunConfig) -> int:
     gw = coupling.as_float() * config.omega
     p1 = config.m * (v1 + gw * x2)
     p2 = config.m * (v2 - gw * x1)
-    rows = [
-        [float(ts[k]), float(x1[k]), float(x2[k]), float(p1[k]), float(p2[k])]
-        for k in range(args.samples)
-    ]
+    rows = _float_rows(ts, x1, x2, p1, p2)
 
-    stem = _out_stem(config, args.out, "trajectory")
-    columns = ["t", "x1", "x2", "p1", "p2"]
-    data_path = write_dataset(stem, columns, rows, config)
     conserved = classdyn.conserved_values(params)
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "trajectory",
+    return emit_dataset(config, args.out, "trajectory", ["t", "x1", "x2", "p1", "p2"], rows, {
         "g": _frac_dict(g),
         "ell1": _frac_dict(coupling.ell1),
         "ell2": _frac_dict(coupling.ell2),
@@ -299,12 +310,7 @@ def cmd_trajectory(args, config: RunConfig) -> int:
         "cusp": classdyn.is_cusped(params),
         "origin_crossing": classdyn.pass_through_origin(params),
         "conserved": {name: _pair(value) for name, value in conserved.items()},
-        "columns": columns,
-        "dataset": data_path.name,
-    }
-    write_json_file(_sidecar_path(stem), meta)
-    print(f"wrote {data_path} and {_sidecar_path(stem)}")
-    return 0
+    })
 
 
 def cmd_lissajous(args, config: RunConfig) -> int:
@@ -327,14 +333,9 @@ def cmd_lissajous(args, config: RunConfig) -> int:
 
     ts = np.linspace(0.0, horizon, args.samples)
     x1, x2 = aniso.lissajous(args.a1, args.b1, args.a2, args.b2, freq, ts)
-    rows = [[float(ts[k]), float(x1[k]), float(x2[k])] for k in range(args.samples)]
+    rows = _float_rows(ts, x1, x2)
 
-    stem = _out_stem(config, args.out, "lissajous")
-    columns = ["t", "x1", "x2"]
-    data_path = write_dataset(stem, columns, rows, config)
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "lissajous",
+    return emit_dataset(config, args.out, "lissajous", ["t", "x1", "x2"], rows, {
         "omega1": float(freq.omega1),
         "omega2": float(freq.omega2),
         "exact_frequencies": freq.is_exact,
@@ -349,12 +350,7 @@ def cmd_lissajous(args, config: RunConfig) -> int:
         "closed": closed,
         "period": horizon if closed else None,
         "window": None if closed else horizon,
-        "columns": columns,
-        "dataset": data_path.name,
-    }
-    write_json_file(_sidecar_path(stem), meta)
-    print(f"wrote {data_path} and {_sidecar_path(stem)}")
-    return 0
+    })
 
 
 def cmd_spectrum(args, config: RunConfig) -> int:
@@ -367,11 +363,7 @@ def cmd_spectrum(args, config: RunConfig) -> int:
     columns = ["n1", "n2", "E_exact_num", "E_exact_den", "class_id"]
     rows = [[r[c] for c in columns] for r in rows_dicts]
 
-    stem = _out_stem(config, args.out, "spectrum")
-    data_path = write_dataset(stem, columns, rows, config)
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectrum",
+    return emit_dataset(config, args.out, "spectrum", columns, rows, {
         "g": _frac_dict(g),
         "nmax": args.nmax,
         "energy_unit": "hbar*omega",
@@ -379,12 +371,7 @@ def cmd_spectrum(args, config: RunConfig) -> int:
         "omega": config.omega,
         "states": len(rows),
         "classes": 1 + max(r["class_id"] for r in rows_dicts),
-        "columns": columns,
-        "dataset": data_path.name,
-    }
-    write_json_file(_sidecar_path(stem), meta)
-    print(f"wrote {data_path} and {_sidecar_path(stem)}")
-    return 0
+    })
 
 
 def cmd_degeneracy(args, config: RunConfig) -> int:
@@ -405,11 +392,7 @@ def cmd_degeneracy(args, config: RunConfig) -> int:
              len(cls.states), cls.complete, infinite, states]
         )
 
-    stem = _out_stem(config, args.out, "degeneracy")
-    data_path = write_dataset(stem, columns, rows, config)
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "degeneracy",
+    return emit_dataset(config, args.out, "degeneracy", columns, rows, {
         "g": _frac_dict(g),
         "emax": _frac_dict(emax),
         "energy_unit": "hbar*omega",
@@ -418,39 +401,29 @@ def cmd_degeneracy(args, config: RunConfig) -> int:
         "infinite_classes": infinite,
         "note": "complete=false marks levels whose members extend past the grid; "
                 "with a non-positive mode weight those levels are infinitely degenerate",
-        "columns": columns,
-        "dataset": data_path.name,
-    }
-    write_json_file(_sidecar_path(stem), meta)
-    print(f"wrote {data_path} and {_sidecar_path(stem)}")
-    return 0
+    })
+
+
+def _square_grid(args) -> tuple:
+    """ij meshgrid of --points samples per axis over [-extent, extent]."""
+    if args.points < 2:
+        raise ConfigError("points must be at least 2")
+    if args.extent <= 0:
+        raise ConfigError("extent must be positive")
+    xs = np.linspace(-args.extent, args.extent, args.points)
+    return np.meshgrid(xs, xs, indexing="ij")
 
 
 def cmd_eigenstate(args, config: RunConfig) -> int:
     if args.n1 < 0 or args.n2 < 0:
         raise ConfigError("quantum numbers must be non-negative")
-    if args.points < 2:
-        raise ConfigError("points must be at least 2")
-    if args.extent <= 0:
-        raise ConfigError("extent must be positive")
+    x1, x2 = _square_grid(args)
     units = config.units
     psi = bridge.eigenstate(args.n1, args.n2, units)
-    xs = np.linspace(-args.extent, args.extent, args.points)
-    x1, x2 = np.meshgrid(xs, xs, indexing="ij")
     values = psi.evaluate_grid(x1, x2)
-    rows = []
-    for i in range(args.points):
-        for j in range(args.points):
-            v = values[i, j]
-            rows.append([float(x1[i, j]), float(x2[i, j]), float(v.real), float(v.imag)])
-
-    stem = _out_stem(config, args.out, "eigenstate")
-    columns = ["x1", "x2", "re_psi", "im_psi"]
-    data_path = write_dataset(stem, columns, rows, config)
+    rows = _float_rows(x1, x2, values.real, values.imag)
     norm = bridge.inner_product(psi, psi).real
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "eigenstate",
+    return emit_dataset(config, args.out, "eigenstate", ["x1", "x2", "re_psi", "im_psi"], rows, {
         "n1": args.n1,
         "n2": args.n2,
         "m": config.m,
@@ -459,12 +432,7 @@ def cmd_eigenstate(args, config: RunConfig) -> int:
         "extent": args.extent,
         "points": args.points,
         "norm_quadrature": float(norm),
-        "columns": columns,
-        "dataset": data_path.name,
-    }
-    write_json_file(_sidecar_path(stem), meta)
-    print(f"wrote {data_path} and {_sidecar_path(stem)}")
-    return 0
+    })
 
 
 def cmd_coherent(args, config: RunConfig) -> int:
@@ -472,10 +440,7 @@ def cmd_coherent(args, config: RunConfig) -> int:
     beta = parse_complex(args.beta, "beta")
     g = parse_rational(args.g, "g")
     coupling = Coupling(g)
-    if args.points < 2:
-        raise ConfigError("points must be at least 2")
-    if args.extent <= 0:
-        raise ConfigError("extent must be positive")
+    x1, x2 = _square_grid(args)
     if args.cutoff < 4:
         raise ConfigError("cutoff must be at least 4")
     units = config.units
@@ -489,33 +454,21 @@ def cmd_coherent(args, config: RunConfig) -> int:
     zero_point = complex(np.exp(-1j * w * t))
     rotated = bridge.rotate(state, args.gamma)
 
-    xs = np.linspace(-args.extent, args.extent, args.points)
-    x1, x2 = np.meshgrid(xs, xs, indexing="ij")
     base = state.evaluate_grid(x1, x2)
     evo = zero_point * evolved.evaluate_grid(x1, x2)
     rot = rotated.evaluate_grid(x1, x2)
-    rows = []
-    for i in range(args.points):
-        for j in range(args.points):
-            rows.append(
-                [float(x1[i, j]), float(x2[i, j]),
-                 float(base[i, j].real), float(base[i, j].imag),
-                 float(evo[i, j].real), float(evo[i, j].imag),
-                 float(rot[i, j].real), float(rot[i, j].imag)]
-            )
-
-    stem = _out_stem(config, args.out, "coherent")
+    rows = _float_rows(x1, x2, base.real, base.imag, evo.real, evo.imag, rot.real, rot.imag)
     columns = ["x1", "x2", "re_phi", "im_phi", "re_evolved", "im_evolved",
                "re_rotated", "im_rotated"]
-    data_path = write_dataset(stem, columns, rows, config)
     lam1, lam2 = bridge.coherent_eigenvalues(alpha, beta, units)
-    report = bridge.coherent_checks(
-        alpha, beta, args.t, args.gamma, coupling=coupling, units=units,
-        cutoff=args.cutoff,
-    )
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "coherent",
+    try:
+        report = bridge.coherent_checks(
+            alpha, beta, args.t, args.gamma, coupling=coupling, units=units,
+            cutoff=args.cutoff,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    return emit_dataset(config, args.out, "coherent", columns, rows, {
         "alpha": _pair(alpha),
         "beta": _pair(beta),
         "t": args.t,
@@ -529,12 +482,7 @@ def cmd_coherent(args, config: RunConfig) -> int:
         "points": args.points,
         "expansion_cutoff": args.cutoff,
         "checks": report.to_dict(),
-        "columns": columns,
-        "dataset": data_path.name,
-    }
-    write_json_file(_sidecar_path(stem), meta)
-    print(f"wrote {data_path} and {_sidecar_path(stem)}")
-    return 0
+    })
 
 
 def cmd_landau(args, config: RunConfig) -> int:
@@ -701,10 +649,9 @@ def suite_fock(config: RunConfig) -> VerificationReport:
             identity=f"[H_g, {kind}+_{s1}{s2}] = 0",
         ))
         orbits = fockeng.hidden_orbit_partition(basis, coupling, kind, s1, s2, mask)
-        groups: dict = {}
-        for n1, n2 in mask.states():
-            groups.setdefault(fockeng.exact_energy(coupling, n1, n2), []).append((n1, n2))
-        partition = sorted((frozenset(v) for v in groups.values()), key=min)
+        partition = fockeng.level_sets(
+            mask.states(), lambda n1, n2: fockeng.exact_energy(coupling, n1, n2)
+        )
         report.add(CheckRow(
             check_id=f"orbits-match-degeneracy:g={gtext}",
             identity=f"{kind}+_{s1}{s2} orbits = exact energy classes on the interior",
@@ -859,6 +806,16 @@ def suite_aniso(config: RunConfig) -> VerificationReport:
     return report
 
 
+def _phase_row(check_id: str, result, phase, g) -> CheckRow:
+    return CheckRow(
+        check_id=check_id,
+        identity=f"phase = {phase}" + ("" if g is None else f", g = {g}"),
+        passed=result.phase == phase and result.g == g,
+        residual=None,
+        detail=f"got {result.phase}, g = {result.g}",
+    )
+
+
 def suite_landau(config: RunConfig) -> VerificationReport:
     """Parameter-map round trips, phase boundaries, rotating-frame table."""
     report = VerificationReport(suite="landau")
@@ -883,15 +840,7 @@ def suite_landau(config: RunConfig) -> VerificationReport:
          landau.CRITICAL, None),
     )
     for check_id, ext, phase, g in boundary:
-        result = landau.landau_to_g(ext)
-        passed = result.phase == phase and result.g == g
-        report.add(CheckRow(
-            check_id=check_id,
-            identity=f"phase = {phase}" + ("" if g is None else f", g = {g}"),
-            passed=passed,
-            residual=None,
-            detail=f"got {result.phase}, g = {result.g}",
-        ))
+        report.add(_phase_row(check_id, landau.landau_to_g(ext), phase, g))
 
     probes = (
         ("4", "1", "1", landau.Phase.EUCLIDEAN, Fraction(1, 2)),
@@ -906,15 +855,8 @@ def suite_landau(config: RunConfig) -> VerificationReport:
     )
     for k, mass, Omega, phase, g in probes:
         frame = RotatingFrame(Fraction(k), Fraction(mass), Fraction(Omega))
-        result = landau.rotating_frame_to_g(frame)
-        passed = result.phase == phase and result.g == g
-        report.add(CheckRow(
-            check_id=f"rotating-frame:k={k},m={mass},Omega={Omega}",
-            identity=f"phase = {phase}" + ("" if g is None else f", g = {g}"),
-            passed=passed,
-            residual=None,
-            detail=f"got {result.phase}, g = {result.g}",
-        ))
+        report.add(_phase_row(f"rotating-frame:k={k},m={mass},Omega={Omega}",
+                              landau.rotating_frame_to_g(frame), phase, g))
     return report
 
 

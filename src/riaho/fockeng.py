@@ -40,6 +40,8 @@ __all__ = [
     "hidden_operator",
     "hidden_coefficient",
     "hidden_orbit_partition",
+    "ladder_orbits",
+    "level_sets",
     "commutator",
     "verify_commutes",
     "operator_norm",
@@ -69,7 +71,7 @@ class FockBasis:
     cutoff: int
 
     def __post_init__(self):
-        if not isinstance(self.cutoff, int) or self.cutoff < 1:
+        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, int) or self.cutoff < 1:
             raise ValueError("cutoff must be a positive integer")
 
     @property
@@ -215,19 +217,12 @@ def ladder(basis: FockBasis, mode: int, direction: str) -> FockOperator:
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
     side = basis.cutoff + 1
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for n1 in range(side):
-        for n2 in range(side):
-            j = basis.index(n1, n2)
-            n = n1 if mode == 1 else n2
-            if direction == "+":
-                if n < basis.cutoff:
-                    tgt = (n1 + 1, n2) if mode == 1 else (n1, n2 + 1)
-                    mat[basis.index(*tgt), j] = math.sqrt(n + 1)
-            else:
-                if n > 0:
-                    tgt = (n1 - 1, n2) if mode == 1 else (n1, n2 - 1)
-                    mat[basis.index(*tgt), j] = math.sqrt(n)
+    # raising |n> -> sqrt(n+1) |n+1>; complex so the kron product is the final matrix
+    one_mode = np.diag(np.sqrt(np.arange(1.0, side)), -1).astype(complex)
+    if direction == "-":
+        one_mode = one_mode.T
+    eye = np.eye(side)
+    mat = np.kron(one_mode, eye) if mode == 1 else np.kron(eye, one_mode)
     return FockOperator(basis, mat, f"b{mode}{direction}")
 
 
@@ -319,9 +314,9 @@ def degeneracy_classes(
     energies = sorted(groups)
     out = []
     for energy in energies:
-        if lo is not None and float(energy) < float(lo):
+        if lo is not None and energy < lo:
             continue
-        if hi is not None and float(energy) > float(hi):
+        if hi is not None and energy > hi:
             continue
         states = tuple(sorted(groups[energy]))
         out.append(
@@ -361,11 +356,25 @@ def spectrum_rows(coupling: Coupling, basis: FockBasis) -> list[dict]:
 # hidden symmetry operators
 
 
-def _validate_orders(s1: int, s2: int):
+def _validate_hidden(kind: str, s1: int, s2: int, coupling: Coupling | None = None):
+    """Kind and orders of a hidden ladder; with ``coupling``, also its resonance."""
+    if kind not in ("L", "J"):
+        raise ValueError("kind must be 'L' or 'J'")
     if not (isinstance(s1, int) and isinstance(s2, int)):
         raise ValueError("orders must be integers")
     if s1 < 0 or s2 < 0 or (s1 == 0 and s2 == 0):
         raise ValueError("orders must be non-negative and not both zero")
+    if coupling is not None and not is_true_integral(coupling, kind, s1, s2):
+        raise ValueError(
+            f"orders ({s1}, {s2}) are not resonant with coupling {coupling}"
+        )
+
+
+def _hidden_ladder_matrix(basis: FockBasis, kind: str, s1: int, s2: int) -> np.ndarray:
+    """(b1+)^s1 (b2-)^s2 for kind "L", (b1+)^s1 (b2+)^s2 for kind "J"."""
+    up1 = ladder(basis, 1, "+").matrix
+    m2 = ladder(basis, 2, "-" if kind == "L" else "+").matrix
+    return np.linalg.matrix_power(up1, s1) @ np.linalg.matrix_power(m2, s2)
 
 
 def hidden_operator(
@@ -383,19 +392,10 @@ def hidden_operator(
     raisings on both modes and requires s1*l1 + s2*l2 = 0.  A coupling that
     does not satisfy the matching resonance raises ValueError.
     """
-    if kind not in ("L", "J"):
-        raise ValueError("kind must be 'L' or 'J'")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    _validate_orders(s1, s2)
-    if not is_true_integral(coupling, kind, s1, s2):
-        raise ValueError(
-            f"orders ({s1}, {s2}) are not resonant with coupling {coupling}"
-        )
-    up1 = ladder(basis, 1, "+").matrix
-    m2 = ladder(basis, 2, "-" if kind == "L" else "+").matrix
-    mat = np.linalg.matrix_power(up1, s1) @ np.linalg.matrix_power(m2, s2)
-    op = FockOperator(basis, mat, f"{kind}+_{s1}{s2}")
+    _validate_hidden(kind, s1, s2, coupling)
+    op = FockOperator(basis, _hidden_ladder_matrix(basis, kind, s1, s2), f"{kind}+_{s1}{s2}")
     if sign == "-":
         op = FockOperator(basis, op.matrix.conj().T, f"{kind}-_{s1}{s2}")
     return op
@@ -407,10 +407,9 @@ def hidden_coefficient(kind: str, s1: int, s2: int, n1: int, n2: int) -> float:
     Kind "L" sends (n1, n2) to (n1+s1, n2-s2) with amplitude
     sqrt(n2! (n1+s1)! / (n1! (n2-s2)!)), zero when n2 < s2; kind "J" sends
     it to (n1+s1, n2+s2) with amplitude sqrt((n1+s1)! (n2+s2)! / (n1! n2!)).
+    An amplitude beyond the float range raises ValueError.
     """
-    if kind not in ("L", "J"):
-        raise ValueError("kind must be 'L' or 'J'")
-    _validate_orders(s1, s2)
+    _validate_hidden(kind, s1, s2)
     if kind == "L":
         if n2 - s2 < 0:
             return 0.0
@@ -421,7 +420,11 @@ def hidden_coefficient(kind: str, s1: int, s2: int, n1: int, n2: int) -> float:
         ratio = Fraction(math.factorial(n1 + s1), math.factorial(n1)) * Fraction(
             math.factorial(n2 + s2), math.factorial(n2)
         )
-    return math.sqrt(ratio)
+    try:
+        return math.sqrt(ratio)
+    except OverflowError:
+        raise ValueError(f"amplitude of {kind}+_{s1}{s2} on ({n1}, {n2}) exceeds the "
+                         "float range (squared amplitude above 1.8e308)") from None
 
 
 def hidden_orbit_partition(
@@ -438,15 +441,14 @@ def hidden_orbit_partition(
     both endpoints on the grid (or inside ``mask`` when given).  Returns
     the connected components as frozensets, sorted by their minimal state.
     """
-    if kind not in ("L", "J"):
-        raise ValueError("kind must be 'L' or 'J'")
-    _validate_orders(s1, s2)
-    if not is_true_integral(coupling, kind, s1, s2):
-        raise ValueError(
-            f"orders ({s1}, {s2}) are not resonant with coupling {coupling}"
-        )
+    _validate_hidden(kind, s1, s2, coupling)
     step = (s1, -s2) if kind == "L" else (s1, s2)
-    pool = set(basis.states() if mask is None else mask.states())
+    return ladder_orbits(basis.states() if mask is None else mask.states(), step)
+
+
+def ladder_orbits(pool, step: tuple[int, int]) -> list[frozenset]:
+    """Components of ``pool`` under the shift n -> n +/- step, sorted by minimal state."""
+    pool = set(pool)
     seen: set[tuple[int, int]] = set()
     orbits = []
     for start in sorted(pool):
@@ -463,7 +465,15 @@ def hidden_orbit_partition(
                     frontier.append(nxt)
         seen |= comp
         orbits.append(frozenset(comp))
-    return sorted(orbits, key=lambda c: min(c))
+    return sorted(orbits, key=min)
+
+
+def level_sets(pool, energy) -> list[frozenset]:
+    """States of ``pool`` grouped by exact ``energy(n1, n2)``, ordered like ladder_orbits."""
+    levels: dict = {}
+    for n1, n2 in pool:
+        levels.setdefault(energy(n1, n2), set()).add((n1, n2))
+    return sorted((frozenset(s) for s in levels.values()), key=min)
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +747,11 @@ def one_mode_bridge(cutoff: int) -> np.ndarray:
 
     Entries are S[i, j] = 2^(1/4) * ring(i, j) * sqrt(i! j!) where
     ring(i, j) = S'[i, j]/j! is exact; each float entry therefore carries
-    only a few ulp of rounding.
+    only a few ulp of rounding.  sqrt(i! j!) leaves the float range above
+    cutoff 98, which raises ValueError.
     """
+    if cutoff > 98:
+        raise ValueError(f"cutoff {cutoff} above 98: sqrt(99! 99!) exceeds the float range")
     size = cutoff + 1
     s_un = one_mode_bridge_unnormalized(size)
     out = np.zeros((size, size))
@@ -758,19 +771,6 @@ def one_mode_bridge(cutoff: int) -> np.ndarray:
     return out
 
 
-def _kron_ops(cutoff: int):
-    """Per-mode float ladders assembled into the two-mode Cartesian grid."""
-    size = cutoff + 1
-    up1 = np.diag(np.sqrt(np.arange(1, size)), -1)
-    dn1 = up1.T.copy()
-    eye = np.eye(size)
-    up_a = np.kron(up1, eye)
-    dn_a = np.kron(dn1, eye)
-    up_b = np.kron(eye, up1)
-    dn_b = np.kron(eye, dn1)
-    return up_a, dn_a, up_b, dn_b
-
-
 def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:
     """Intertwining checks for the two-mode bridge, floating point.
 
@@ -780,8 +780,12 @@ def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:
     """
     s1 = one_mode_bridge(cutoff)
     s = np.kron(s1, s1)
-    up_a, dn_a, up_b, dn_b = _kron_ops(cutoff)
-    size = cutoff + 1
+    basis = FockBasis(cutoff)
+    # contiguous real copies keep the products below on real BLAS
+    up_a, dn_a, up_b, dn_b = (
+        ladder(basis, mode, direction).matrix.real.copy()
+        for mode in (1, 2) for direction in ("+", "-")
+    )
 
     def quad(up, dn, sign):
         d = up + sign * dn
@@ -792,13 +796,9 @@ def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:
     i_d = 0.25 * ((dn_a @ dn_a - up_a @ up_a) + (dn_b @ dn_b - up_b @ up_b))
     j_minus = 0.5 * (dn_a @ dn_a + dn_b @ dn_b)
     j_plus = 0.5 * (up_a @ up_a + up_b @ up_b)
-    j0 = 0.5 * (up_a @ dn_a + up_b @ dn_b + np.eye(size * size))
+    j0 = 0.5 * (up_a @ dn_a + up_b @ dn_b + np.eye(basis.dim))
 
-    keep = [
-        i * size + j
-        for i in range(size - margin)
-        for j in range(size - margin)
-    ]
+    keep = InteriorMask(basis, margin1=margin, margin2=margin).indices()
     grid = np.ix_(keep, keep)
     pairs = [
         ("bridge-two-mode-H", "S H_free = -J_- S", h_free, -j_minus),

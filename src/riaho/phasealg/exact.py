@@ -76,9 +76,6 @@ class ExactComplex:
     def is_zero(self) -> bool:
         return not (self.ar or self.ai or self.br or self.bi)
 
-    def is_rational(self) -> bool:
-        return not (self.ai or self.br or self.bi)
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 

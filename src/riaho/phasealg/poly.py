@@ -141,10 +141,6 @@ class PhasePoly:
     def degree(self) -> int:
         return max((sum(k[:4]) for k in self.terms), default=0)
 
-    def max_abs_coeff(self) -> float:
-        """Float magnitude of the largest coefficient (0.0 for the zero poly)."""
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     def frequencies(self) -> set:
         return {k[4] for k in self.terms}
 

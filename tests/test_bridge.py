@@ -307,6 +307,10 @@ class TestCoherent:
         for row in rep.rows:
             assert row.residual <= 1e-10
 
+    def test_cutoff_beyond_factorial_range_raises(self):
+        with pytest.raises(ValueError, match="170"):
+            br.coherent_checks(0.1, 0.1, t=0.0, gamma=0.0, cutoff=171)
+
 
 class TestWaveState:
     def test_envelope_mismatch(self):

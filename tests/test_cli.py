@@ -316,6 +316,12 @@ class TestCoherent:
     def test_malformed_complex_exits_2(self, tmp_path):
         assert run(tmp_path, "coherent", "--alpha", "1", "--beta", "0,0") == 2
 
+    def test_cutoff_beyond_float_range_exits_2(self, tmp_path, capsys):
+        assert run(tmp_path, "coherent", "--alpha", "0.1,0", "--beta", "0.1,0",
+                   "--cutoff", "200") == 2
+        assert "170" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestLandau:
     def payload(self, capsys):

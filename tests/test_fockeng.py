@@ -41,6 +41,8 @@ class TestBasis:
             b.state(16)
         with pytest.raises(ValueError):
             fe.FockBasis(0)
+        with pytest.raises(ValueError):
+            fe.FockBasis(True)
 
     def test_vector(self):
         b = fe.FockBasis(2)
@@ -81,6 +83,19 @@ class TestLadders:
             fe.ladder(b, 3, "+")
         with pytest.raises(ValueError):
             fe.ladder(b, 1, "up")
+
+    @pytest.mark.parametrize("mode", [1, 2])
+    @pytest.mark.parametrize("direction", ["+", "-"])
+    def test_matches_state_by_state_construction(self, mode, direction):
+        b = fe.FockBasis(3)
+        ref = np.zeros((b.dim, b.dim), dtype=complex)
+        step = 1 if direction == "+" else -1
+        for n1, n2 in b.states():
+            n = (n1, n2)[mode - 1]
+            tgt = (n1 + step, n2) if mode == 1 else (n1, n2 + step)
+            if 0 <= n + step <= b.cutoff:
+                ref[b.index(*tgt), b.index(n1, n2)] = math.sqrt(n + 1 if step > 0 else n)
+        assert np.array_equal(fe.ladder(b, mode, direction).matrix, ref)
 
     def test_number_operator(self):
         b = fe.FockBasis(4)
@@ -205,6 +220,13 @@ class TestDegeneracy:
         assert [k.energy for k in classes] == [F(2), F(3)]
         assert classes[0].class_id == 0
 
+    def test_energy_window_compares_exactly(self):
+        # E = 2 + 10^-17 rounds to 2.0 as a float but lies above the window
+        g = F(1, 10**17)
+        classes = fe.degeneracy_classes(Coupling(g), fe.FockBasis(4), energy_window=(None, 2))
+        assert classes[-1].energy == 2 - g
+        assert all(k.energy <= 2 for k in classes)
+
     def test_spectrum_rows(self):
         rows = fe.spectrum_rows(Coupling(F(1, 3)), fe.FockBasis(3))
         assert len(rows) == 16
@@ -261,6 +283,10 @@ class TestHiddenOperators:
                 assert fe.hidden_coefficient("J", 1, 2, n1, n2) == pytest.approx(
                     expected, rel=1e-12
                 )
+
+    def test_coefficient_beyond_float_range_raises(self):
+        with pytest.raises(ValueError, match="float range"):
+            fe.hidden_coefficient("J", 100, 100, 100, 100)
 
     def test_adjoint_pair(self):
         b = fe.FockBasis(6)
@@ -506,6 +532,10 @@ class TestQuantumBridgeFloat:
     def test_symmetric(self):
         s = fe.one_mode_bridge(6)
         assert np.max(np.abs(s - s.T)) < 1e-12
+
+    def test_cutoff_beyond_float_range_raises(self):
+        with pytest.raises(ValueError, match="98"):
+            fe.one_mode_bridge(99)
 
     def test_two_mode_intertwining(self):
         for row in fe.verify_quantum_bridge(10, margin=3):
