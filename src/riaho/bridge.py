@@ -673,15 +673,19 @@ def coherent_checks(
     units: Units = _UNIT,
     cutoff: int = 30,
 ) -> VerificationReport:
-    """Eigenvalue, evolution, and rotation contracts for one coherent state.
+    """Eigenvalue, evolution, truncation and rotation contracts for one
+    coherent state.
 
     Evolution is checked by expanding over eigenstates, phasing each term by
     its exact level, resumming, and comparing on sample points against the
     closed form with mapped labels (alpha, beta) ->
     (alpha e^{-i omega l1 t}, beta e^{-i omega l2 t}) times the zero-point
     phase.  Rotation by gamma maps (alpha, beta) -> (alpha e^{i gamma},
-    beta e^{-i gamma}) and is compared coefficient-by-coefficient.
-    ``cutoff`` above 170 raises ValueError: 171! exceeds the float range.
+    beta e^{-i gamma}) and is compared coefficient-by-coefficient.  The
+    truncation row holds the expansion weight sum |c_{n1,n2}|^2 over
+    n1 + n2 <= cutoff to 1, so an expansion that is cut short or underflows
+    fails instead of passing at residual 0.  ``cutoff`` above 170 raises
+    ValueError: 171! exceeds the float range.
     """
     if cutoff > 170:
         raise ValueError(f"cutoff {cutoff} above 170: 171! exceeds the float range")
@@ -712,9 +716,11 @@ def coherent_checks(
     target = coherent_state(alpha_t, beta_t, units)
     pts = [(x, y) for x in (-1.1, 0.3, 0.9) for y in (-0.7, 0.2, 1.3)]
     evolved = np.zeros(len(pts), dtype=complex)
+    weight = 0.0  # sum of |c|^2 over the cutoff triangle, skipped terms included
     for n1 in range(cutoff + 1):
         for n2 in range(cutoff + 1 - n1):
             coeff = expansion_coefficient(alpha, beta, n1, n2, units)
+            weight += abs(coeff) ** 2
             if abs(coeff) < 1e-18:
                 continue
             phase = np.exp(-1j * omega * (l1f * n1 + l2f * n2 + 1) * t)
@@ -731,6 +737,17 @@ def coherent_checks(
             identity="exp(-itH/hbar) Phi(a,b) = Phi(a e^{-i w l1 t}, b e^{-i w l2 t})",
             passed=bool(resid_evo <= 1e-10),
             residual=resid_evo,
+        )
+    )
+    # the coefficients are normalized, so a weight short of 1 is expansion
+    # lost past the cutoff or to underflow, which the evolution row cannot see
+    resid_trunc = abs(1.0 - weight)
+    report.add(
+        CheckRow(
+            check_id="coherent-truncation",
+            identity="retained expansion weight = 1 within 1e-10",
+            passed=bool(resid_trunc <= 1e-10),
+            residual=resid_trunc,
         )
     )
 

@@ -19,6 +19,7 @@ completeness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -150,23 +151,35 @@ def integrate(state0, coupling, omega: float, T: float, steps: int = 4096,
     """Fixed-step RK4 over [0, T]; returns (times, states[steps+1, 4]).
 
     Deterministic cross-check oracle for the closed form, not a production
-    integrator.
+    integrator.  H_g is quadratic, so Hamilton's equations are linear,
+    y' = A y, and one classical RK4 step is the matrix
+    P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  A is read off
+    :func:`hamiltonian_flow_rhs` column by column and P is applied
+    ``steps`` times; the truncation error of RK4 is kept, not the exact
+    flow.  ``steps`` must be an int >= 1, ``T`` and ``omega`` finite and
+    ``m`` finite and positive; anything else raises ValueError.
     """
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an int, got {steps!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    for name, value in (("T", T), ("omega", omega), ("m", m)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if m <= 0:
+        raise ValueError(f"m must be positive, got {m!r}")
     c = Coupling.coerce(coupling)
     y = state0.as_array() if isinstance(state0, PhaseState) else \
         np.asarray(state0, dtype=float).copy()
     h = T / steps
+    eye = np.eye(4)
+    hA = h * np.column_stack([hamiltonian_flow_rhs(e, c, omega, m) for e in eye])
+    step = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4) / 3) / 2)
     ts = np.linspace(0.0, T, steps + 1)
     out = np.empty((steps + 1, 4))
     out[0] = y
     for n in range(steps):
-        k1 = hamiltonian_flow_rhs(y, c, omega, m)
-        k2 = hamiltonian_flow_rhs(y + 0.5 * h * k1, c, omega, m)
-        k3 = hamiltonian_flow_rhs(y + 0.5 * h * k2, c, omega, m)
-        k4 = hamiltonian_flow_rhs(y + h * k3, c, omega, m)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = step @ y
         out[n + 1] = y
     return ts, out
 

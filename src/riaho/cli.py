@@ -468,7 +468,7 @@ def cmd_coherent(args, config: RunConfig) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
-    return emit_dataset(config, args.out, "coherent", columns, rows, {
+    emit_dataset(config, args.out, "coherent", columns, rows, {
         "alpha": _pair(alpha),
         "beta": _pair(beta),
         "t": args.t,
@@ -483,6 +483,7 @@ def cmd_coherent(args, config: RunConfig) -> int:
         "expansion_cutoff": args.cutoff,
         "checks": report.to_dict(),
     })
+    return _exit_code(report)
 
 
 def cmd_landau(args, config: RunConfig) -> int:
@@ -885,6 +886,11 @@ def cmd_verify(args, config: RunConfig) -> int:
 
     ok, total = report.counts
     print(f"{report.suite}: {ok}/{total} checks passed ({path})")
+    return _exit_code(report)
+
+
+def _exit_code(report: VerificationReport) -> int:
+    """Print a FAIL line per failed row; 0 when every row passed, else 1."""
     for row in report.rows:
         if not row.passed:
             print(f"  FAIL {row.check_id}"

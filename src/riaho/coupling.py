@@ -17,6 +17,7 @@ not a finite rational.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -34,6 +35,17 @@ class Phase:
     ISOTROPIC_MINK = "isotropic-minkowskian"  # |g| -> inf limit (flag only)
 
 
+def _check_exact_float(x: float) -> None:
+    """Reject a float that is not exactly the rational its repr names."""
+    if not math.isfinite(x):
+        raise ValueError(f"coupling must be finite, got {x!r}")
+    meant = Fraction(repr(float(x)))
+    if Fraction(x) != meant:
+        raise ValueError(
+            f"float coupling {x!r} is not exact in binary; pass "
+            f'"{meant}" or Fraction({meant.numerator}, {meant.denominator})')
+
+
 @dataclass(frozen=True)
 class Coupling:
     """Exact rational anisotropy coupling g.
@@ -42,8 +54,9 @@ class Coupling:
     ----------
     g : Fraction
         Coerced to an exact rational; strings like ``"2/3"``, ints and
-        floats with exact binary representation are accepted by
-        :meth:`coerce`.
+        floats with exact binary representation are accepted.  A float
+        whose binary value differs from its decimal repr (``0.1``) raises
+        ValueError naming the exact alternative, as does a non-finite one.
     isotropic_mink : bool
         Marks the |g| -> infinity limit.  The stored g is then only a
         direction sign and must not be used numerically.
@@ -53,6 +66,8 @@ class Coupling:
     isotropic_mink: bool = False
 
     def __post_init__(self):
+        if isinstance(self.g, float):
+            _check_exact_float(self.g)
         if not isinstance(self.g, Fraction):
             object.__setattr__(self, "g", Fraction(self.g))
 
@@ -60,9 +75,7 @@ class Coupling:
     def coerce(cls, value) -> "Coupling":
         if isinstance(value, Coupling):
             return value
-        if isinstance(value, str):
-            return cls(Fraction(value))
-        return cls(Fraction(value))
+        return cls(value)
 
     @property
     def ell1(self) -> Fraction:

@@ -194,3 +194,15 @@ class TestCouplingPhases:
         j_hit = is_true_integral(g, "J", s1, s2)
         assert l_hit != j_hit
         assert l_hit == (abs(g) < 1)
+
+    @pytest.mark.parametrize("x,want", [(0.5, F(1, 2)), (2.0, F(2)),
+                                        (-0.25, F(-1, 4))])
+    def test_exact_float_accepted(self, x, want):
+        assert Coupling(x).g == want
+        assert Coupling.coerce(x).g == want
+
+    @pytest.mark.parametrize("make", [Coupling, Coupling.coerce])
+    def test_inexact_float_rejected_with_exact_alternative(self, make):
+        # 0.1 is 3602879701896397/36028797018963968 in binary
+        with pytest.raises(ValueError, match=r'"1/10"|Fraction\(1, 10\)'):
+            make(0.1)

@@ -19,6 +19,24 @@ def orbit(g, R1=1.0, R2=0.0, g1=0.0, g2=0.0, w=1.0):
                             coupling=Coupling.coerce(g))
 
 
+def _rk4_stagewise(state0, coupling, omega, T, steps, m=1.0):
+    """Reference RK4: four stages of hamiltonian_flow_rhs per step."""
+    c = Coupling.coerce(coupling)
+    y = state0.as_array() if isinstance(state0, PhaseState) else \
+        np.asarray(state0, dtype=float).copy()
+    h = T / steps
+    out = np.empty((steps + 1, 4))
+    out[0] = y
+    for n in range(steps):
+        k1 = hamiltonian_flow_rhs(y, c, omega, m)
+        k2 = hamiltonian_flow_rhs(y + 0.5 * h * k1, c, omega, m)
+        k3 = hamiltonian_flow_rhs(y + 0.5 * h * k2, c, omega, m)
+        k4 = hamiltonian_flow_rhs(y + h * k3, c, omega, m)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[n + 1] = y
+    return out
+
+
 class TestClosedForm:
     def test_single_mode_landau_circle_rate(self):
         # g=1, R2=0: radius R1, angular rate 2w
@@ -109,6 +127,15 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate(PhaseState(1, 0, 0, 0), "0", 1.0, 1.0, steps=0)
 
+    @pytest.mark.parametrize("bad", [
+        {"steps": True}, {"steps": 2.5}, {"T": math.inf}, {"omega": math.nan},
+        {"m": math.inf}, {"m": 0.0}, {"m": -1.0},
+    ])
+    def test_rejects_bad_input(self, bad):
+        kwargs = {"omega": 1.0, "T": 1.0, "steps": 8, "m": 1.0, **bad}
+        with pytest.raises(ValueError):
+            integrate(PhaseState(1, 0, 0, 0), "1/2", **kwargs)
+
     @pytest.mark.parametrize("label,params", ORBIT_GALLERY + CUSP_GALLERY)
     def test_closed_form_matches_integration_everywhere(self, label, params):
         T = closure_period(params.coupling, params.omega)
@@ -117,6 +144,42 @@ class TestIntegration:
         x1, x2 = position(params, ts)
         dev = np.hypot(states[:, 0] - x1, states[:, 1] - x2)
         assert dev.max() <= 1e-6
+
+
+class TestPropagatorMatchesStagewise:
+    """The precomputed step matrix against the four-stage reference loop."""
+
+    @staticmethod
+    def check(state0, coupling, omega, T, steps, tol, m=1.0):
+        ts, states = integrate(state0, coupling, omega, T, steps=steps, m=m)
+        ref = _rk4_stagewise(state0, coupling, omega, T, steps, m=m)
+        assert len(ts) == steps + 1 and ts[-1] == T
+        assert np.max(np.abs(states - ref)) <= tol
+
+    @pytest.mark.parametrize("label,params", ORBIT_GALLERY + CUSP_GALLERY)
+    def test_gallery(self, label, params):
+        T = closure_period(params.coupling, params.omega)
+        self.check(state_from_params(params), params.coupling, params.omega,
+                   T, 2048, 1e-12 * (params.R1 + params.R2))
+
+    def test_isotropic_mink(self):
+        c = Coupling(F(1), isotropic_mink=True)
+        state = PhaseState(1.0, -0.5, 0.3, 0.8)
+        self.check(state, c, 1.0, 2 * math.pi, 2048, 1e-12 * 3.0)
+
+    def test_mass_two(self):
+        p = orbit("2/3", R1=1.0, R2=2.0, g1=0.3, g2=-0.2)
+        state = state_from_params(p, m=2.0)
+        self.check(state, p.coupling, p.omega, closure_period(p.coupling),
+                   2048, 1e-12 * 3.0, m=2.0)
+
+    @pytest.mark.parametrize("label,params", ORBIT_GALLERY + CUSP_GALLERY)
+    def test_single_step(self, label, params):
+        h = closure_period(params.coupling, params.omega) / 2048
+        state = state_from_params(params)
+        _, states = integrate(state, params.coupling, params.omega, h, steps=1)
+        ref = _rk4_stagewise(state, params.coupling, params.omega, h, 1)
+        assert np.max(np.abs(states - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestClosure:

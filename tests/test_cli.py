@@ -313,6 +313,16 @@ class TestCoherent:
         assert ids["coherent-evolution"]["status"] == "pass"
         assert ids["coherent-evolution"]["residual"] <= 1e-10
 
+    def test_underflowed_expansion_fails_truncation(self, tmp_path):
+        # exp(-|alpha|^2/2) underflows, so every expansion coefficient is 0
+        assert run(tmp_path, "coherent", "--alpha", "1000,0", "--beta", "0,0",
+                   "--points", "3", "--cutoff", "30", "--out", "cohu") == 1
+        checks = read_meta(tmp_path, "cohu")["checks"]
+        ids = {c["check_id"]: c for c in checks["checks"]}
+        assert checks["passed"] is False
+        assert ids["coherent-truncation"]["status"] == "fail"
+        assert ids["coherent-truncation"]["residual"] == 1.0
+
     def test_malformed_complex_exits_2(self, tmp_path):
         assert run(tmp_path, "coherent", "--alpha", "1", "--beta", "0,0") == 2
 

@@ -133,7 +133,7 @@ class TestGToLandau:
         assert isinstance(res.g, Fraction)
 
     def test_round_trip_float(self):
-        res = landau_to_g(g_to_landau(Coupling.coerce(0.3), 1.7))
+        res = landau_to_g(g_to_landau(Coupling.coerce("3/10"), 1.7))
         assert res.g == pytest.approx(0.3, abs=1e-12)
         assert res.omega == pytest.approx(1.7, abs=1e-12)
 
