@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +51,7 @@ from .phasealg import (
     poisson_bracket,
     rational_sqrt,
 )
+from .phasealg.exact import coerce_real
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -74,20 +75,12 @@ __all__ = [
     "rescale_map",
     "rescale_canonical_check",
     "composite_spectrum_check",
+    "suite_aniso",
 ]
 
 
 # ---------------------------------------------------------------------------
 # frequencies
-
-
-def _coerce_frequency(value):
-    """Exact rationals stay exact, everything else becomes a float."""
-    if isinstance(value, bool):
-        raise TypeError("frequency must be a number")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return float(value)
 
 
 def detect_commensurability(omega1, omega2, max_den: int = 64, tol: float = 1e-9):
@@ -97,16 +90,20 @@ def detect_commensurability(omega1, omega2, max_den: int = 64, tol: float = 1e-9
     never fails for them (and no denominator cap applies).  Float inputs are
     rationalized by continued fractions with denominators capped at
     ``max_den`` and accepted only when the resonance mismatch
-    |l1*w1 - l2*w2| stays below ``tol`` relative to the common value.
+    |l1*w1 - l2*w2| stays below ``tol`` relative to the common value; a
+    ratio outside the float range is not commensurate either.
     """
-    w1 = _coerce_frequency(omega1)
-    w2 = _coerce_frequency(omega2)
+    w1 = coerce_real(omega1, "frequency")
+    w2 = coerce_real(omega2, "frequency")
     if w1 <= 0 or w2 <= 0:
         raise ValueError("frequencies must be positive")
     if isinstance(w1, Fraction) and isinstance(w2, Fraction):
         ratio = w1 / w2
         return ratio.denominator, ratio.numerator
-    ratio = Fraction(float(w1) / float(w2)).limit_denominator(max_den)
+    try:
+        ratio = Fraction(float(w1) / float(w2)).limit_denominator(max_den)
+    except OverflowError:
+        return None
     if ratio <= 0:
         return None
     l1, l2 = ratio.denominator, ratio.numerator
@@ -122,7 +119,8 @@ class FrequencyPair:
 
     The coprime labels (l1, l2) satisfy w1/w2 = l2/l1, i.e. l1*w1 == l2*w2
     (exactly for rational frequencies, to 1e-12 relative for floats).
-    Integer and Fraction frequencies are kept exact; floats stay floats.
+    Integer and Fraction frequencies are kept exact; floats stay floats and
+    must be finite (ValueError otherwise).
     """
 
     omega1: Fraction | float
@@ -131,8 +129,8 @@ class FrequencyPair:
     l2: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "omega1", _coerce_frequency(self.omega1))
-        object.__setattr__(self, "omega2", _coerce_frequency(self.omega2))
+        object.__setattr__(self, "omega1", coerce_real(self.omega1, "frequency"))
+        object.__setattr__(self, "omega2", coerce_real(self.omega2, "frequency"))
         if self.omega1 <= 0 or self.omega2 <= 0:
             raise ValueError("frequencies must be positive")
         if (self.l1 is None) != (self.l2 is None):
@@ -237,12 +235,10 @@ def verify_signed_spectrum(
         + sigma * w2 * num2
         + 0.5 * (w1 + sigma * w2) * np.eye(basis.dim)
     )
-    residual = operator_norm(built - signed_hamiltonian(basis, freq, sign, hbar).matrix)
-    return CheckRow(
-        check_id="signed-spectrum",
-        identity="diag(H^(sigma)) = hbar*(w1 n1 + sigma w2 n2 + (w1+sigma w2)/2)",
-        passed=bool(residual <= 1e-12),
-        residual=residual,
+    return CheckRow.within(
+        "signed-spectrum",
+        "diag(H^(sigma)) = hbar*(w1 n1 + sigma w2 n2 + (w1+sigma w2)/2)",
+        operator_norm(built - signed_hamiltonian(basis, freq, sign, hbar).matrix), 1e-12,
         detail=f"sign={sign}, cutoff={basis.cutoff}",
     )
 
@@ -362,62 +358,28 @@ def so11_invariant_check(
     sp = math.sqrt(hbar * w / 2.0)
     x1, p1 = sx * (up1 + dn1), 1j * sp * (up1 - dn1)
     x2, p2 = sx * (up2 + dn2), 1j * sp * (up2 - dn2)
-    quad_residual = operator_norm(x1 @ p2 + x2 @ p1 - l11)
 
     mask = InteriorMask(basis, margin1=1, margin2=1)
     report = VerificationReport(suite="so11-invariant")
-    report.add(
-        CheckRow(
-            check_id="so11-quadrature-form",
-            identity="x1 p2 + x2 p1 = i hbar (J+ - J-)",
-            passed=bool(quad_residual <= 1e-12),
-            residual=quad_residual,
-        )
-    )
-    inv = operator_norm(
-        mask.restrict_columns(hminus.matrix @ l11 - l11 @ hminus.matrix)
-    )
-    report.add(
-        CheckRow(
-            check_id="so11-invariance",
-            identity="[H(-), L11] = 0",
-            passed=bool(inv <= 1e-12),
-            residual=inv,
-        )
-    )
+    report.add(CheckRow.within("so11-quadrature-form", "x1 p2 + x2 p1 = i hbar (J+ - J-)",
+                               operator_norm(x1 @ p2 + x2 @ p1 - l11), 1e-12))
+    report.add(CheckRow.within(
+        "so11-invariance", "[H(-), L11] = 0",
+        operator_norm(mask.restrict_columns(hminus.matrix @ l11 - l11 @ hminus.matrix)), 1e-12))
     # shifted grading generator used in the invariance statement
     j0_shift = (hosc.matrix - hbar * w * np.eye(basis.dim)) / (2.0 * w * hbar)
-    for name, mat, sgn in (("raise", jplus, +1), ("lower", jminus, -1)):
-        res = operator_norm(j0_shift @ mat - mat @ j0_shift - sgn * mat)
-        report.add(
-            CheckRow(
-                check_id=f"sl2-{name}",
-                identity=f"[J0, J{'+' if sgn > 0 else '-'}] = {'+' if sgn > 0 else '-'}J{'+' if sgn > 0 else '-'}",
-                passed=bool(res <= 1e-12),
-                residual=res,
-            )
-        )
-    ladder_bracket = operator_norm(
-        mask.restrict_columns(jminus @ jplus - jplus @ jminus - hosc.matrix / (w * hbar))
-    )
-    report.add(
-        CheckRow(
-            check_id="sl2-ladder-bracket",
-            identity="[J-, J+] = H_osc/(hbar w) = 2 J0 + 1",
-            passed=bool(ladder_bracket <= 1e-12),
-            residual=ladder_bracket,
-            detail="closes on the unshifted grading H_osc/(2 hbar w)",
-        )
-    )
-    diag = operator_norm(commutator(hminus, hosc).matrix)
-    report.add(
-        CheckRow(
-            check_id="diagonal-pair",
-            identity="[H(-), H_osc] = 0",
-            passed=bool(diag == 0.0),
-            residual=diag,
-        )
-    )
+    for name, mat, sgn, s in (("raise", jplus, +1, "+"), ("lower", jminus, -1, "-")):
+        report.add(CheckRow.within(
+            f"sl2-{name}", f"[J0, J{s}] = {s}J{s}",
+            operator_norm(j0_shift @ mat - mat @ j0_shift - sgn * mat), 1e-12))
+    report.add(CheckRow.within(
+        "sl2-ladder-bracket", "[J-, J+] = H_osc/(hbar w) = 2 J0 + 1",
+        operator_norm(
+            mask.restrict_columns(jminus @ jplus - jplus @ jminus - hosc.matrix / (w * hbar))),
+        1e-12, detail="closes on the unshifted grading H_osc/(2 hbar w)"))
+    # the two diagonals commute exactly, so the residual must be exactly 0
+    report.add(CheckRow.within("diagonal-pair", "[H(-), H_osc] = 0",
+                               operator_norm(commutator(hminus, hosc).matrix), 0.0))
     return report
 
 
@@ -608,11 +570,14 @@ def closure_period(freq: FrequencyPair):
 
     With l1*w1 == l2*w2 coprime, this T makes w1*T and w2*T the coprime
     multiples 2 pi l2 and 2 pi l1 of a full turn, so no shorter closure
-    exists.
+    exists.  inf when the period exceeds the float range.
     """
     if not freq.commensurate:
         return None
-    return 2.0 * math.pi * freq.l2 / float(freq.omega1)
+    try:
+        return 2.0 * math.pi * freq.l2 / float(freq.omega1)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -727,13 +692,8 @@ def rescale_canonical_check(coupling) -> CheckRow:
                 expected = canon.get((i, j), zero)
                 if poisson_bracket(prim[i], prim[j]) != expected:
                     ok = False
-    return CheckRow(
-        check_id="rescale-canonical",
-        identity="{x_i', p_j'} = delta_ij, {x', x'} = {p', p'} = 0",
-        passed=ok,
-        residual=0.0 if ok else None,
-        detail=detail,
-    )
+    return CheckRow.exact("rescale-canonical",
+                          "{x_i', p_j'} = delta_ij, {x', x'} = {p', p'} = 0", ok, detail)
 
 
 def composite_spectrum_check(coupling, cutoff: int = 8) -> CheckRow:
@@ -759,10 +719,55 @@ def composite_spectrum_check(coupling, cutoff: int = 8) -> CheckRow:
             pair = (n2, n1) if swapped else (n1, n2)
             image.append(spectrum(freq, sign, *pair))
     ok = sorted(source) == sorted(image)
-    return CheckRow(
-        check_id="composite-spectrum",
-        identity="spec(H_g) = spec(H^(sigma), Omega_i=|ell_i| w) with multiplicity",
-        passed=ok,
-        residual=0.0 if ok else None,
-        detail=f"g={coupling.g}, grid (cutoff+1)^2 = {(cutoff + 1) ** 2} states",
-    )
+    return CheckRow.exact(
+        "composite-spectrum", "spec(H_g) = spec(H^(sigma), Omega_i=|ell_i| w) with multiplicity",
+        ok, detail=f"g={coupling.g}, grid (cutoff+1)^2 = {(cutoff + 1) ** 2} states")
+
+
+def suite_aniso(config) -> VerificationReport:
+    """Signed two-frequency engine: spectra, hidden pairs, Lissajous, rescaling.
+
+    Reads ``config.tol_fock``.
+    """
+    report = VerificationReport(suite="aniso")
+    report.extend(so11_invariant_check(omega=1.0, cutoff=8).rows)
+
+    basis = FockBasis(8)
+    for w1, w2 in ((1, 3), (3, 5)):
+        freq = FrequencyPair.detect(Fraction(w1), Fraction(w2))
+        for sign in ("+", "-"):
+            report.add(replace(
+                verify_signed_spectrum(basis, freq, sign),
+                check_id=f"signed-spectrum:{w1}:{w2}:{sign}",
+            ))
+        for sign, kind in (("+", "L"), ("-", "J")):
+            h = signed_hamiltonian(basis, freq, sign)
+            op = hidden_operator(basis, freq, kind, "+")
+            report.add(CheckRow.within(
+                f"hidden-commutes:{kind}({w1},{w2})", f"[H^({sign}), {kind}+] = 0",
+                operator_norm(commutator(h, op).matrix), config.tol_fock))
+            orbits = hidden_orbits(basis, freq, kind)
+            partition = degeneracy_partition(basis, freq, sign)
+            report.add(CheckRow(
+                check_id=f"orbits-match-degeneracy:{kind}({w1},{w2})",
+                identity=f"{kind} orbits = H^({sign}) degeneracy classes",
+                passed=orbits == partition,
+                detail=f"{len(orbits)} orbits",
+            ))
+
+    for w1, w2 in ((1, 3), (1, 4), (3, 5)):
+        freq = FrequencyPair.detect(Fraction(w1), Fraction(w2))
+        period = closure_period(freq)
+        a0 = lissajous(1.0, 0.3, 0.7, 1.0, freq, 0.0)
+        a1 = lissajous(1.0, 0.3, 0.7, 1.0, freq, period)
+        report.add(CheckRow.within(
+            f"lissajous-closure:{w1}:{w2}", "curve closes at 2 pi l2 / omega1",
+            math.hypot(a1[0] - a0[0], a1[1] - a0[1]) / 2.0, 1e-9))
+
+    for gtext in ("1/3", "1/2", "3"):
+        coupling = Coupling(Fraction(gtext))
+        report.add(replace(
+            rescale_canonical_check(coupling), check_id=f"rescale-canonical:g={gtext}"))
+        report.add(replace(
+            composite_spectrum_check(coupling), check_id=f"composite-spectrum:g={gtext}"))
+    return report

@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import Coupling
+from .fockeng import verify_one_mode_bridge, verify_quantum_bridge
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "coherent_eigenvalues",
     "expansion_coefficient",
     "coherent_checks",
+    "suite_bridge",
 ]
 
 
@@ -622,17 +624,27 @@ def inverse_weierstrass(n: int) -> WeierstrassReport:
 # coherent states
 
 
+def _label_weight(alpha: complex, beta: complex) -> float:
+    """|alpha|^2 + |beta|^2; ValueError when it leaves the float range."""
+    try:
+        return abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:
+        raise ValueError(f"coherent labels {alpha}, {beta}: |alpha|^2 + |beta|^2 "
+                         "exceeds the float range") from None
+
+
 def coherent_state(alpha: complex, beta: complex, units: Units = _UNIT) -> WaveState:
     """Normalized joint eigenstate of the two lowering operators.
 
     Phi proportional to exp(-(m omega/2 hbar) z zbar + alpha z + beta zbar
     - (hbar/m omega) alpha beta); eigenvalues sqrt(hbar/(m omega)) alpha
-    and sqrt(hbar/(m omega)) beta for modes 1 and 2.
+    and sqrt(hbar/(m omega)) beta for modes 1 and 2.  Labels whose
+    |alpha|^2 + |beta|^2 overflows raise ValueError.
     """
     alpha = complex(alpha)
     beta = complex(beta)
     ratio = units.hbar / (units.m * units.omega)
-    norm_log = -(ratio / 2) * (abs(alpha) ** 2 + abs(beta) ** 2)
+    norm_log = -(ratio / 2) * _label_weight(alpha, beta)
     amp = math.sqrt(units.m * units.omega / (math.pi * units.hbar))
     return WaveState(
         ZPolynomial.monomial(0, 0, amp),
@@ -652,10 +664,15 @@ def coherent_eigenvalues(alpha: complex, beta: complex, units: Units = _UNIT):
 def expansion_coefficient(
     alpha: complex, beta: complex, n1: int, n2: int, units: Units = _UNIT
 ) -> complex:
-    """Closed-form overlap of the coherent state with eigenstate (n1, n2)."""
+    """Closed-form overlap of the coherent state with eigenstate (n1, n2).
+
+    0 once the vacuum factor underflows, without forming lambda^n.
+    """
     lam1, lam2 = coherent_eigenvalues(alpha, beta, units)
     ratio = units.hbar / (units.m * units.omega)
-    vacuum = math.exp(-(ratio / 2) * (abs(alpha) ** 2 + abs(beta) ** 2))
+    vacuum = math.exp(-(ratio / 2) * _label_weight(alpha, beta))
+    if vacuum == 0.0:
+        return 0j
     return (
         lam1**n1
         * lam2**n2
@@ -699,14 +716,8 @@ def coherent_checks(
         resid = math.sqrt(abs(inner_product(resid_state, resid_state).real)) / max(
             norm, 1e-300
         )
-        report.add(
-            CheckRow(
-                check_id=f"coherent-eigenvalue-b{mode}",
-                identity=f"b{mode}- Phi = lambda{mode} Phi",
-                passed=bool(resid <= 1e-10),
-                residual=float(resid),
-            )
-        )
+        report.add(CheckRow.within(f"coherent-eigenvalue-b{mode}",
+                                   f"b{mode}- Phi = lambda{mode} Phi", resid, 1e-10))
 
     # time evolution via the eigenstate expansion
     omega = units.omega
@@ -730,39 +741,66 @@ def coherent_checks(
     # the label map, since every level includes the +1
     closed = np.exp(-1j * omega * t) * np.array([target.evaluate(*p) for p in pts])
     scale = max(np.max(np.abs(closed)), 1e-300)
-    resid_evo = float(np.max(np.abs(evolved - closed)) / scale)
-    report.add(
-        CheckRow(
-            check_id="coherent-evolution",
-            identity="exp(-itH/hbar) Phi(a,b) = Phi(a e^{-i w l1 t}, b e^{-i w l2 t})",
-            passed=bool(resid_evo <= 1e-10),
-            residual=resid_evo,
-        )
-    )
+    report.add(CheckRow.within(
+        "coherent-evolution",
+        "exp(-itH/hbar) Phi(a,b) = Phi(a e^{-i w l1 t}, b e^{-i w l2 t})",
+        np.max(np.abs(evolved - closed)) / scale, 1e-10))
     # the coefficients are normalized, so a weight short of 1 is expansion
     # lost past the cutoff or to underflow, which the evolution row cannot see
-    resid_trunc = abs(1.0 - weight)
-    report.add(
-        CheckRow(
-            check_id="coherent-truncation",
-            identity="retained expansion weight = 1 within 1e-10",
-            passed=bool(resid_trunc <= 1e-10),
-            residual=resid_trunc,
-        )
-    )
+    report.add(CheckRow.within("coherent-truncation",
+                               "retained expansion weight = 1 within 1e-10",
+                               abs(1.0 - weight), 1e-10))
 
     # rotation as an exact label map
     rotated = rotate(state, gamma)
     target_rot = coherent_state(
         alpha * np.exp(1j * gamma), beta * np.exp(-1j * gamma), units
     )
-    resid_rot = wave_distance(rotated, target_rot)
-    report.add(
-        CheckRow(
-            check_id="coherent-rotation",
-            identity="R(gamma) Phi(a,b) = Phi(a e^{i gamma}, b e^{-i gamma})",
-            passed=bool(resid_rot <= 1e-12),
-            residual=float(resid_rot),
-        )
+    report.add(CheckRow.within("coherent-rotation",
+                               "R(gamma) Phi(a,b) = Phi(a e^{i gamma}, b e^{-i gamma})",
+                               wave_distance(rotated, target_rot), 1e-12))
+    return report
+
+
+def suite_bridge(config) -> VerificationReport:
+    """Bridge eigenfunctions, overlaps, Weierstrass identity, coherent states.
+
+    Reads ``config.units`` and ``config.tol_quad``.
+    """
+    report = VerificationReport(suite="bridge")
+    report.extend(verify_one_mode_bridge(size=11))
+    report.extend(verify_quantum_bridge(cutoff=10))
+
+    units = config.units
+    reduced = []
+    for n1, n2 in ((0, 0), (1, 0), (2, 1), (3, 3)):
+        rep = verify_bridge_proportionality(n1, n2, units)
+        reduced.append(rep.reduced_constant)
+        report.add(CheckRow(
+            check_id=f"proportionality:{n1}{n2}",
+            identity="bridged monomial is grid-proportional to the eigenfunction",
+            passed=rep.passed,
+            residual=rep.spread,
+        ))
+    base = reduced[0]
+    report.add(CheckRow.within(
+        "reduced-constant", "reduced proportionality constant is state-independent",
+        max(abs(c - base) / abs(base) for c in reduced), 1e-9))
+
+    overlap = overlap_matrix(3, units)
+    report.add(CheckRow.within(
+        "overlap-identity", "eigenfunction Gram matrix = identity by quadrature",
+        np.max(np.abs(overlap - np.eye(overlap.shape[0]))), config.tol_quad))
+
+    report.add(CheckRow(
+        check_id="inverse-weierstrass",
+        identity="exp(-(1/4) d^2) eta^n = 2^-n H_n(eta) exactly for n <= 10",
+        passed=all(inverse_weierstrass(n).passed for n in range(11)),
+    ))
+
+    coherent = coherent_checks(
+        complex(0.8, -0.5), complex(0.4, 0.7), t=0.9, gamma=2.1,
+        coupling=Coupling(Fraction(1, 2)), units=units, cutoff=24,
     )
+    report.extend(coherent.rows)
     return report

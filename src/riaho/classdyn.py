@@ -29,19 +29,24 @@ import numpy as np
 from .coupling import Coupling
 from .phasealg.catalog import GENERATOR_NAMES, generator
 from .phasealg.poly import Params
+from .reports import CheckRow, VerificationReport
 
 __all__ = [
-    "TrajectoryParams", "PhaseState", "position", "velocity",
+    "TrajectoryParams", "PhaseState", "position", "velocity", "momentum",
     "state_from_params", "hamiltonian_flow_rhs", "hamiltonian_value",
     "integrate", "closure_turns", "closure_period", "is_cusped",
     "pass_through_origin", "minkowski_radius_sq", "conserved_values",
-    "ORBIT_GALLERY", "CUSP_GALLERY", "gallery_params",
+    "ORBIT_GALLERY", "CUSP_GALLERY", "gallery_params", "suite_classical",
 ]
 
 
 @dataclass(frozen=True)
 class TrajectoryParams:
-    """Two-mode orbit data: radii, phases, frequency, coupling."""
+    """Two-mode orbit data: radii, phases, frequency, coupling.
+
+    Radii, phases and omega must be finite, radii non-negative and omega
+    positive; anything else raises ValueError.
+    """
 
     R1: float
     R2: float
@@ -51,6 +56,9 @@ class TrajectoryParams:
     coupling: Coupling = Coupling(Fraction(0))
 
     def __post_init__(self):
+        for name in ("R1", "R2", "gamma1", "gamma2", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.R1 < 0 or self.R2 < 0:
             raise ValueError("radii must be non-negative")
         if self.omega <= 0:
@@ -96,16 +104,21 @@ def velocity(params: TrajectoryParams, t):
     return zdot.real, zdot.imag
 
 
-def state_from_params(params: TrajectoryParams, t: float = 0.0,
-                      m: float = 1.0) -> PhaseState:
-    """Canonical state on the orbit; momenta include the rotational shift
-    p1 = m(dx1/dt + g w x2), p2 = m(dx2/dt - g w x1)."""
+def momentum(params: TrajectoryParams, t, m: float = 1.0):
+    """Closed-form canonical momenta (p1, p2); they include the rotational
+    shift p1 = m(dx1/dt + g w x2), p2 = m(dx2/dt - g w x1)."""
     x1, x2 = position(params, t)
     v1, v2 = velocity(params, t)
     gw = params.coupling.as_float() * params.omega
-    return PhaseState(float(x1), float(x2),
-                      m * (float(v1) + gw * float(x2)),
-                      m * (float(v2) - gw * float(x1)))
+    return m * (v1 + gw * x2), m * (v2 - gw * x1)
+
+
+def state_from_params(params: TrajectoryParams, t: float = 0.0,
+                      m: float = 1.0) -> PhaseState:
+    """Canonical state on the orbit at time t (see :func:`momentum`)."""
+    x1, x2 = position(params, t)
+    p1, p2 = momentum(params, t, m)
+    return PhaseState(float(x1), float(x2), float(p1), float(p2))
 
 
 def hamiltonian_flow_rhs(state, coupling, omega: float, m: float = 1.0):
@@ -205,8 +218,12 @@ def closure_turns(coupling) -> Fraction:
 
 
 def closure_period(coupling, omega: float = 1.0) -> float:
-    """Smallest positive orbit period, in the same time units as 1/omega."""
-    return float(closure_turns(coupling)) * 2.0 * math.pi / omega
+    """Smallest positive orbit period, in the same time units as 1/omega;
+    inf when it exceeds the float range."""
+    try:
+        return float(closure_turns(coupling)) * 2.0 * math.pi / omega
+    except OverflowError:
+        return math.inf
 
 
 def is_cusped(params: TrajectoryParams, rel_tol: float = 1e-9) -> bool:
@@ -239,7 +256,8 @@ def conserved_values(params: TrajectoryParams, t: float = 0.0) -> dict:
     """All catalog integrals evaluated on the orbit at time t.
 
     Each value includes the generator's e^{i*mu*w*t} prefactor, so the
-    returned numbers are time-independent; J0 and L2 are real.
+    returned numbers are time-independent; J0 and L2 are real.  A value
+    outside the float range raises ValueError.
     """
     b1p, b2m = _mode_values(params, t)
     point = {
@@ -251,9 +269,12 @@ def conserved_values(params: TrajectoryParams, t: float = 0.0) -> dict:
     for name in GENERATOR_NAMES:
         gen = generator(name, params.coupling, alg_params)
         out[name] = gen.evaluate(point, t)
-    out["H_g"] = params.omega * (
-        float(params.coupling.ell1) * params.R1 ** 2
-        + float(params.coupling.ell2) * params.R2 ** 2)
+    try:
+        out["H_g"] = params.omega * (
+            float(params.coupling.ell1) * params.R1 ** 2
+            + float(params.coupling.ell2) * params.R2 ** 2)
+    except OverflowError:
+        raise ValueError("H_g of this orbit leaves the float range") from None
     return out
 
 
@@ -295,3 +316,41 @@ def gallery_params(which: str = "orbits") -> tuple:
     if which == "cusps":
         return CUSP_GALLERY
     raise ValueError(f"unknown gallery {which!r}")
+
+
+def suite_classical(config) -> VerificationReport:
+    """Trajectory gallery: closure, integrator cross-check, cusp/origin flags.
+
+    Reads ``config.tol_traj``.
+    """
+    report = VerificationReport(suite="classical")
+    flag_specs = (
+        ("orbits", pass_through_origin, "origin", {"b", "e", "h"}),
+        ("cusps", is_cusped, "cusp", {"a", "d"}),
+    )
+    for which, flag_fn, flag_name, expected in flag_specs:
+        flagged = set()
+        for label, params in gallery_params(which):
+            period = closure_period(params.coupling, params.omega)
+            scale = max(params.R1 + params.R2, 1e-300)
+            x1a, x2a = position(params, 0.0)
+            x1b, x2b = position(params, period)
+            report.add(CheckRow.within(
+                f"closure:{which}:{label}", "x(T) = x(0) at the closure period",
+                math.hypot(float(x1b) - float(x1a), float(x2b) - float(x2a)) / scale, 1e-9))
+
+            ts, states = integrate(state_from_params(params, 0.0), params.coupling,
+                                   params.omega, period, steps=2048)
+            closed = np.stack([*position(params, ts), *momentum(params, ts)], axis=1)
+            report.add(CheckRow.within(
+                f"integrate:{which}:{label}", "closed form matches fixed-step RK4",
+                np.max(np.abs(states - closed)) / scale, config.tol_traj))
+            if flag_fn(params):
+                flagged.add(label)
+        report.add(CheckRow(
+            check_id=f"{flag_name}-flags:{which}",
+            identity=f"{flag_name} flags match {sorted(expected)}",
+            passed=flagged == expected,
+            detail=f"flagged {sorted(flagged)}",
+        ))
+    return report

@@ -1,5 +1,8 @@
 """Command-line front end: dataset emission and verification suites.
 
+This module parses arguments, routes them to the library and writes the
+files; each verify suite is built beside the math it checks.
+
 Subcommands
 -----------
 trajectory   closed-form orbit of the rotating oscillator over one closure period
@@ -21,7 +24,7 @@ configuration yields byte-identical files (fixed sampling, fixed ordering,
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import cmath
 import json
 import math
 import os
@@ -35,21 +38,18 @@ import numpy as np
 
 from . import aniso, bridge, classdyn, fockeng, landau
 from .coupling import Coupling
-from .fockeng import FockBasis, InteriorMask
+from .fockeng import FockBasis
 from .landau import LandauExtension, RotatingFrame
-from .phasealg import (Params, classical_cbt, conformal_k0, dilation_id0,
-                       free_hamiltonian, generator, verify_casimirs,
-                       verify_dynamical_integrals, verify_sp4_table)
-from .phasealg.poly import CIRCULAR
-from .reports import CheckRow, VerificationReport
+from .phasealg.verify import suite_algebra
+from .reports import VerificationReport
 
 SCHEMA_VERSION = 1
 
 VERIFY_SUITES = ("algebra", "classical", "fock", "bridge", "aniso", "landau")
 
 
-class ConfigError(Exception):
-    """Invalid configuration or command parameters; maps to exit code 2."""
+class ConfigError(ValueError):
+    """Invalid configuration or parameters; main maps it, like any ValueError, to exit 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +146,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def parse_rational(text: str, name: str = "value") -> Fraction:
-    """Exact rational from "num/den", integer, or decimal strings."""
+    """Exact rational from "num/den", integer, or decimal strings, within the float range."""
     try:
-        return Fraction(str(text).strip())
+        value = Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{name} must be rational ('num/den', integer or decimal), got {text!r}")
+    if abs(value) > sys.float_info.max or (value and not float(value)):
+        raise ConfigError(f"{name} must lie within the float range, got {text!r}")
+    return value
 
 
 def parse_real(text: str, name: str = "value"):
@@ -163,10 +166,7 @@ def parse_real(text: str, name: str = "value"):
     """
     stripped = str(text).strip()
     if re.fullmatch(r"[+-]?\d+(/\d+)?", stripped):
-        try:
-            return Fraction(stripped)
-        except ZeroDivisionError:
-            raise ConfigError(f"{name} has a zero denominator: {text!r}")
+        return parse_rational(stripped, name)
     try:
         value = float(stripped)
     except ValueError:
@@ -182,9 +182,12 @@ def parse_complex(text: str, name: str = "value") -> complex:
     if len(parts) != 2:
         raise ConfigError(f"{name} must be a 're,im' pair, got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        z = complex(float(parts[0]), float(parts[1]))
     except ValueError:
         raise ConfigError(f"{name} must be a 're,im' pair of reals, got {text!r}")
+    if not cmath.isfinite(z):
+        raise ConfigError(f"{name} must be finite, got {text!r}")
+    return z
 
 
 def _fmt(value) -> str:
@@ -208,7 +211,10 @@ def _frac_dict(q: Fraction) -> dict:
 
 def _float_rows(*columns) -> list:
     """Rows of Python floats from equally shaped arrays, one row per element in C order."""
-    return np.stack(columns, axis=-1).reshape(-1, len(columns)).tolist()
+    table = np.stack(columns, axis=-1).reshape(-1, len(columns))
+    if not np.isfinite(table).all():
+        raise ConfigError("the samples leave the float range for these parameters")
+    return table.tolist()
 
 
 def _out_stem(config: RunConfig, out: str | None, default: str) -> Path:
@@ -265,34 +271,42 @@ def emit_dataset(
 # dataset commands
 
 
+def _sample_times(args, period) -> tuple:
+    """--samples times over --window, else over the closure ``period``.
+
+    Returns the times and their sidecar fields; ``period`` None means the
+    motion does not close, so --window is required.
+    """
+    if args.samples < 2:
+        raise ConfigError("samples must be at least 2")
+    if args.window is not None:
+        if not args.window > 0:  # also rejects nan; an infinite window fails as samples
+            raise ConfigError("window must be positive")
+        horizon, closed = float(args.window), False
+    elif period is None:
+        raise ConfigError("frequencies are not commensurate; give --window")
+    else:
+        horizon, closed = period, True
+    return np.linspace(0.0, horizon, args.samples), {
+        "samples": args.samples,
+        "closed": closed,
+        "period": horizon if closed else None,
+        "window": None if closed else horizon,
+    }
+
+
 def cmd_trajectory(args, config: RunConfig) -> int:
     g = parse_rational(args.g, "g")
     coupling = Coupling(g)
-    if args.samples < 2:
-        raise ConfigError("samples must be at least 2")
-    try:
-        params = classdyn.TrajectoryParams(
-            R1=args.r1, R2=args.r2, gamma1=args.gamma1, gamma2=args.gamma2,
-            omega=config.omega, coupling=coupling,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    if args.window is not None:
-        if args.window <= 0:
-            raise ConfigError("window must be positive")
-        horizon, closed = float(args.window), False
-    else:
-        horizon, closed = classdyn.closure_period(coupling, config.omega), True
-
-    ts = np.linspace(0.0, horizon, args.samples)
-    x1, x2 = classdyn.position(params, ts)
-    v1, v2 = classdyn.velocity(params, ts)
-    gw = coupling.as_float() * config.omega
-    p1 = config.m * (v1 + gw * x2)
-    p2 = config.m * (v2 - gw * x1)
-    rows = _float_rows(ts, x1, x2, p1, p2)
-
+    params = classdyn.TrajectoryParams(
+        R1=args.r1, R2=args.r2, gamma1=args.gamma1, gamma2=args.gamma2,
+        omega=config.omega, coupling=coupling,
+    )
     conserved = classdyn.conserved_values(params)
+    ts, window = _sample_times(args, classdyn.closure_period(coupling, config.omega))
+    x1, x2 = classdyn.position(params, ts)
+    p1, p2 = classdyn.momentum(params, ts, config.m)
+    rows = _float_rows(ts, x1, x2, p1, p2)
     return emit_dataset(config, args.out, "trajectory", ["t", "x1", "x2", "p1", "p2"], rows, {
         "g": _frac_dict(g),
         "ell1": _frac_dict(coupling.ell1),
@@ -303,10 +317,7 @@ def cmd_trajectory(args, config: RunConfig) -> int:
         "R2": args.r2,
         "gamma1": args.gamma1,
         "gamma2": args.gamma2,
-        "samples": args.samples,
-        "closed": closed,
-        "period": horizon if closed else None,
-        "window": None if closed else horizon,
+        **window,
         "cusp": classdyn.is_cusped(params),
         "origin_crossing": classdyn.pass_through_origin(params),
         "conserved": {name: _pair(value) for name, value in conserved.items()},
@@ -316,22 +327,8 @@ def cmd_trajectory(args, config: RunConfig) -> int:
 def cmd_lissajous(args, config: RunConfig) -> int:
     w1 = parse_real(args.omega1, "omega1")
     w2 = parse_real(args.omega2, "omega2")
-    if args.samples < 2:
-        raise ConfigError("samples must be at least 2")
-    try:
-        freq = aniso.FrequencyPair.detect(w1, w2)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    if args.window is not None:
-        if args.window <= 0:
-            raise ConfigError("window must be positive")
-        horizon, closed = float(args.window), False
-    elif freq.commensurate:
-        horizon, closed = aniso.closure_period(freq), True
-    else:
-        raise ConfigError("frequencies are not commensurate; give --window")
-
-    ts = np.linspace(0.0, horizon, args.samples)
+    freq = aniso.FrequencyPair.detect(w1, w2)
+    ts, window = _sample_times(args, aniso.closure_period(freq))
     x1, x2 = aniso.lissajous(args.a1, args.b1, args.a2, args.b2, freq, ts)
     rows = _float_rows(ts, x1, x2)
 
@@ -346,10 +343,7 @@ def cmd_lissajous(args, config: RunConfig) -> int:
         "B1": args.b1,
         "A2": args.a2,
         "B2": args.b2,
-        "samples": args.samples,
-        "closed": closed,
-        "period": horizon if closed else None,
-        "window": None if closed else horizon,
+        **window,
     })
 
 
@@ -444,6 +438,9 @@ def cmd_coherent(args, config: RunConfig) -> int:
     if args.cutoff < 4:
         raise ConfigError("cutoff must be at least 4")
     units = config.units
+    report = bridge.coherent_checks(
+        alpha, beta, args.t, args.gamma, coupling=coupling, units=units, cutoff=args.cutoff,
+    )
 
     state = bridge.coherent_state(alpha, beta, units)
     l1, l2 = float(coupling.ell1), float(coupling.ell2)
@@ -461,13 +458,6 @@ def cmd_coherent(args, config: RunConfig) -> int:
     columns = ["x1", "x2", "re_phi", "im_phi", "re_evolved", "im_evolved",
                "re_rotated", "im_rotated"]
     lam1, lam2 = bridge.coherent_eigenvalues(alpha, beta, units)
-    try:
-        report = bridge.coherent_checks(
-            alpha, beta, args.t, args.gamma, coupling=coupling, units=units,
-            cutoff=args.cutoff,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     emit_dataset(config, args.out, "coherent", columns, rows, {
         "alpha": _pair(alpha),
         "beta": _pair(beta),
@@ -491,25 +481,21 @@ def cmd_landau(args, config: RunConfig) -> int:
     frame_mode = args.k is not None or args.mass is not None or args.omega_cap is not None
     if extension_mode == frame_mode:
         raise ConfigError("give either --omega-b with --lambda, or --k --mass --omega-cap")
-    try:
-        if extension_mode:
-            if args.omega_b is None or args.lam is None:
-                raise ConfigError("extension input needs both --omega-b and --lambda")
-            result = landau.landau_to_g(
-                LandauExtension(parse_real(args.omega_b, "omega_b"),
-                                parse_real(args.lam, "lambda"))
-            )
-            source = "extension"
-        else:
-            if args.k is None or args.mass is None or args.omega_cap is None:
-                raise ConfigError("rotating-frame input needs --k, --mass and --omega-cap")
-            result = landau.rotating_frame_to_g(
-                RotatingFrame(parse_real(args.k, "k"), parse_real(args.mass, "mass"),
-                              parse_real(args.omega_cap, "omega_cap"))
-            )
-            source = "rotating-frame"
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if extension_mode:
+        if args.omega_b is None or args.lam is None:
+            raise ConfigError("extension input needs both --omega-b and --lambda")
+        result = landau.landau_to_g(
+            LandauExtension(parse_real(args.omega_b, "omega_b"), parse_real(args.lam, "lambda"))
+        )
+        source = "extension"
+    else:
+        if args.k is None or args.mass is None or args.omega_cap is None:
+            raise ConfigError("rotating-frame input needs --k, --mass and --omega-cap")
+        result = landau.rotating_frame_to_g(
+            RotatingFrame(parse_real(args.k, "k"), parse_real(args.mass, "mass"),
+                          parse_real(args.omega_cap, "omega_cap"))
+        )
+        source = "rotating-frame"
 
     payload: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -536,338 +522,13 @@ def cmd_landau(args, config: RunConfig) -> int:
 # verification suites
 
 
-def _bracket_row(prefix: str, chk) -> CheckRow:
-    return CheckRow(
-        check_id=f"{prefix}:{chk.identity_name}",
-        identity=f"{chk.identity_name} = {chk.rhs}",
-        passed=chk.passed,
-        residual=None,
-        detail="" if chk.passed else f"residual polynomial {chk.residual}",
-    )
-
-
-def _symbolic_row(check_id: str, identity: str, got, want) -> CheckRow:
-    passed = got == want
-    return CheckRow(
-        check_id=check_id,
-        identity=identity,
-        passed=passed,
-        residual=None,
-        detail="" if passed else f"difference {got - want}",
-    )
-
-
-def suite_algebra(config: RunConfig) -> VerificationReport:
-    """Exact symbolic checks: bracket table, Casimirs, integrals, bridge triple."""
-    report = VerificationReport(suite="algebra")
-    g = Fraction(1, 3)
-    for chk in verify_sp4_table(g):
-        report.add(_bracket_row("sp4", chk))
-    for chk in verify_casimirs(g):
-        report.add(_bracket_row("casimir", chk))
-    for label, gv in (("g=1/3", g), ("g=3", Fraction(3))):
-        for chk in verify_dynamical_integrals(gv):
-            report.add(_bracket_row(f"integral[{label}]", chk))
-
-    params = Params()
-    w = params.omega
-    triple = (
-        ("cbt-H", "T(H) = -w J-",
-         classical_cbt(free_hamiltonian(params)).to_basis(CIRCULAR),
-         (-w) * generator("J-", 0, params).at_time_zero()),
-        ("cbt-iD0", "T(iD0) = J0",
-         classical_cbt(dilation_id0(params)).to_basis(CIRCULAR),
-         generator("J0", 0, params)),
-        ("cbt-K0", "T(K0) = J+/w",
-         classical_cbt(conformal_k0(params)).to_basis(CIRCULAR),
-         (Fraction(1) / w) * generator("J+", 0, params).at_time_zero()),
-    )
-    for check_id, identity, got, want in triple:
-        report.add(_symbolic_row(check_id, identity, got, want))
-    return report
-
-
-def suite_classical(config: RunConfig) -> VerificationReport:
-    """Trajectory gallery: closure, integrator cross-check, cusp/origin flags."""
-    report = VerificationReport(suite="classical")
-    flag_specs = (
-        ("orbits", classdyn.pass_through_origin, "origin", {"b", "e", "h"}),
-        ("cusps", classdyn.is_cusped, "cusp", {"a", "d"}),
-    )
-    for which, flag_fn, flag_name, expected in flag_specs:
-        flagged = set()
-        for label, params in classdyn.gallery_params(which):
-            period = classdyn.closure_period(params.coupling, params.omega)
-            scale = max(params.R1 + params.R2, 1e-300)
-            x1a, x2a = classdyn.position(params, 0.0)
-            x1b, x2b = classdyn.position(params, period)
-            resid = math.hypot(float(x1b) - float(x1a), float(x2b) - float(x2a)) / scale
-            report.add(CheckRow(
-                check_id=f"closure:{which}:{label}",
-                identity="x(T) = x(0) at the closure period",
-                passed=bool(resid <= 1e-9),
-                residual=resid,
-            ))
-
-            state0 = classdyn.state_from_params(params, 0.0)
-            ts, states = classdyn.integrate(state0, params.coupling, params.omega,
-                                            period, steps=2048)
-            x1c, x2c = classdyn.position(params, ts)
-            v1c, v2c = classdyn.velocity(params, ts)
-            gw = params.coupling.as_float() * params.omega
-            closed = np.stack([x1c, x2c, v1c + gw * x2c, v2c - gw * x1c], axis=1)
-            resid2 = float(np.max(np.abs(states - closed)) / scale)
-            report.add(CheckRow(
-                check_id=f"integrate:{which}:{label}",
-                identity="closed form matches fixed-step RK4",
-                passed=bool(resid2 <= config.tol_traj),
-                residual=resid2,
-            ))
-            if flag_fn(params):
-                flagged.add(label)
-        report.add(CheckRow(
-            check_id=f"{flag_name}-flags:{which}",
-            identity=f"{flag_name} flags match {sorted(expected)}",
-            passed=flagged == expected,
-            residual=None,
-            detail=f"flagged {sorted(flagged)}",
-        ))
-    return report
-
-
-def suite_fock(config: RunConfig) -> VerificationReport:
-    """Hidden integrals, degeneracy orbits, and the Cartesian/circular unitary."""
-    report = VerificationReport(suite="fock")
-    basis = FockBasis(config.truncation)
-    for gtext, kind, s1, s2 in (("1/3", "L", 1, 2), ("3", "J", 1, 2)):
-        coupling = Coupling(Fraction(gtext))
-        h = fockeng.hamiltonian(basis, coupling)
-        op = fockeng.hidden_operator(basis, coupling, kind, s1, s2, "+")
-        mask = InteriorMask(basis, margin1=s1, margin2=s2)
-        report.add(fockeng.verify_commutes(
-            h, op, mask, tol=config.tol_fock,
-            check_id=f"hidden-commutes:g={gtext}",
-            identity=f"[H_g, {kind}+_{s1}{s2}] = 0",
-        ))
-        orbits = fockeng.hidden_orbit_partition(basis, coupling, kind, s1, s2, mask)
-        partition = fockeng.level_sets(
-            mask.states(), lambda n1, n2: fockeng.exact_energy(coupling, n1, n2)
-        )
-        report.add(CheckRow(
-            check_id=f"orbits-match-degeneracy:g={gtext}",
-            identity=f"{kind}+_{s1}{s2} orbits = exact energy classes on the interior",
-            passed=partition == orbits,
-            residual=None,
-            detail=f"{len(orbits)} orbits",
-        ))
-
-    u = fockeng.unitary_bridge(basis)
-    ud = u.dagger().matrix
-    mask_u = InteriorMask(basis, total=basis.cutoff - 2)
-    idx = mask_u.indices()
-
-    def conj_resid(matrix, target):
-        return fockeng.operator_norm((u.matrix @ matrix @ ud - target)[:, idx])
-
-    cart = fockeng.cartesian_modes(basis)
-    phase = complex(np.exp(-1j * math.pi / 4))
-    for name, mode, direction, ph in (
-        ("a1-", 1, "-", phase), ("a2-", 2, "-", phase),
-        ("a1+", 1, "+", phase.conjugate()), ("a2+", 2, "+", phase.conjugate()),
-    ):
-        target = ph * fockeng.ladder(basis, mode, direction).matrix
-        resid = conj_resid(cart[name].matrix, target)
-        report.add(CheckRow(
-            check_id=f"unitary-mode:{name}",
-            identity=f"U {name} U+ = e^{{{'+' if direction == '+' else '-'}i pi/4}} b{mode}{direction}",
-            passed=bool(resid <= 1e-10),
-            residual=resid,
-        ))
-    for gtext in ("0", "1/3", "1/2", "3"):
-        coupling = Coupling(Fraction(gtext))
-        h_rni = fockeng.rni_hamiltonian(basis, coupling)
-        h_g = fockeng.hamiltonian(basis, coupling)
-        resid = conj_resid(h_rni.matrix, h_g.matrix)
-        report.add(CheckRow(
-            check_id=f"unitary-hamiltonian:g={gtext}",
-            identity="U H_rni U+ = H_g",
-            passed=bool(resid <= 1e-10),
-            residual=resid,
-        ))
-    return report
-
-
-def suite_bridge(config: RunConfig) -> VerificationReport:
-    """Bridge eigenfunctions, overlaps, Weierstrass identity, coherent states."""
-    report = VerificationReport(suite="bridge")
-    report.extend(fockeng.verify_one_mode_bridge(size=11))
-    report.extend(fockeng.verify_quantum_bridge(cutoff=10))
-
-    units = config.units
-    reduced = []
-    for n1, n2 in ((0, 0), (1, 0), (2, 1), (3, 3)):
-        rep = bridge.verify_bridge_proportionality(n1, n2, units)
-        reduced.append(rep.reduced_constant)
-        report.add(CheckRow(
-            check_id=f"proportionality:{n1}{n2}",
-            identity="bridged monomial is grid-proportional to the eigenfunction",
-            passed=rep.passed,
-            residual=rep.spread,
-        ))
-    base = reduced[0]
-    drift = max(abs(c - base) / abs(base) for c in reduced)
-    report.add(CheckRow(
-        check_id="reduced-constant",
-        identity="reduced proportionality constant is state-independent",
-        passed=bool(drift <= 1e-9),
-        residual=float(drift),
-    ))
-
-    overlap = bridge.overlap_matrix(3, units)
-    resid = float(np.max(np.abs(overlap - np.eye(overlap.shape[0]))))
-    report.add(CheckRow(
-        check_id="overlap-identity",
-        identity="eigenfunction Gram matrix = identity by quadrature",
-        passed=bool(resid <= config.tol_quad),
-        residual=resid,
-    ))
-
-    weier_ok = all(bridge.inverse_weierstrass(n).passed for n in range(11))
-    report.add(CheckRow(
-        check_id="inverse-weierstrass",
-        identity="exp(-(1/4) d^2) eta^n = 2^-n H_n(eta) exactly for n <= 10",
-        passed=weier_ok,
-        residual=None,
-    ))
-
-    coherent = bridge.coherent_checks(
-        complex(0.8, -0.5), complex(0.4, 0.7), t=0.9, gamma=2.1,
-        coupling=Coupling(Fraction(1, 2)), units=units, cutoff=24,
-    )
-    report.extend(coherent.rows)
-    return report
-
-
-def suite_aniso(config: RunConfig) -> VerificationReport:
-    """Signed two-frequency engine: spectra, hidden pairs, Lissajous, rescaling."""
-    report = VerificationReport(suite="aniso")
-    report.extend(aniso.so11_invariant_check(omega=1.0, cutoff=8).rows)
-
-    basis = FockBasis(8)
-    for w1, w2 in ((1, 3), (3, 5)):
-        freq = aniso.FrequencyPair.detect(Fraction(w1), Fraction(w2))
-        for sign in ("+", "-"):
-            report.add(dataclasses.replace(
-                aniso.verify_signed_spectrum(basis, freq, sign),
-                check_id=f"signed-spectrum:{w1}:{w2}:{sign}",
-            ))
-        for sign, kind in (("+", "L"), ("-", "J")):
-            h = aniso.signed_hamiltonian(basis, freq, sign)
-            op = aniso.hidden_operator(basis, freq, kind, "+")
-            resid = fockeng.operator_norm(fockeng.commutator(h, op).matrix)
-            report.add(CheckRow(
-                check_id=f"hidden-commutes:{kind}({w1},{w2})",
-                identity=f"[H^({sign}), {kind}+] = 0",
-                passed=bool(resid <= config.tol_fock),
-                residual=resid,
-            ))
-            orbits = aniso.hidden_orbits(basis, freq, kind)
-            partition = aniso.degeneracy_partition(basis, freq, sign)
-            report.add(CheckRow(
-                check_id=f"orbits-match-degeneracy:{kind}({w1},{w2})",
-                identity=f"{kind} orbits = H^({sign}) degeneracy classes",
-                passed=orbits == partition,
-                residual=None,
-                detail=f"{len(orbits)} orbits",
-            ))
-
-    for w1, w2 in ((1, 3), (1, 4), (3, 5)):
-        freq = aniso.FrequencyPair.detect(Fraction(w1), Fraction(w2))
-        period = aniso.closure_period(freq)
-        a0 = aniso.lissajous(1.0, 0.3, 0.7, 1.0, freq, 0.0)
-        a1 = aniso.lissajous(1.0, 0.3, 0.7, 1.0, freq, period)
-        resid = math.hypot(a1[0] - a0[0], a1[1] - a0[1]) / 2.0
-        report.add(CheckRow(
-            check_id=f"lissajous-closure:{w1}:{w2}",
-            identity="curve closes at 2 pi l2 / omega1",
-            passed=bool(resid <= 1e-9),
-            residual=resid,
-        ))
-
-    for gtext in ("1/3", "1/2", "3"):
-        coupling = Coupling(Fraction(gtext))
-        report.add(dataclasses.replace(
-            aniso.rescale_canonical_check(coupling),
-            check_id=f"rescale-canonical:g={gtext}",
-        ))
-        report.add(dataclasses.replace(
-            aniso.composite_spectrum_check(coupling),
-            check_id=f"composite-spectrum:g={gtext}",
-        ))
-    return report
-
-
-def _phase_row(check_id: str, result, phase, g) -> CheckRow:
-    return CheckRow(
-        check_id=check_id,
-        identity=f"phase = {phase}" + ("" if g is None else f", g = {g}"),
-        passed=result.phase == phase and result.g == g,
-        residual=None,
-        detail=f"got {result.phase}, g = {result.g}",
-    )
-
-
-def suite_landau(config: RunConfig) -> VerificationReport:
-    """Parameter-map round trips, phase boundaries, rotating-frame table."""
-    report = VerificationReport(suite="landau")
-    for gtext, wtext in (("1/2", "1"), ("3", "2"), ("-2/3", "5/7"), ("1", "3"), ("0", "2")):
-        g, w = Fraction(gtext), Fraction(wtext)
-        ext = landau.g_to_landau(Coupling(g), w)
-        result = landau.landau_to_g(ext)
-        passed = result.g == g and result.omega == w
-        report.add(CheckRow(
-            check_id=f"roundtrip:g={gtext},omega={wtext}",
-            identity="landau_to_g(g_to_landau(g, w)) = (g, w) exactly",
-            passed=passed,
-            residual=0.0 if passed else float(abs(result.g - g) + abs(result.omega - w)),
-        ))
-
-    boundary = (
-        ("boundary-landau:+", LandauExtension(Fraction(3), Fraction(0)),
-         landau.Phase.LANDAU, Fraction(1)),
-        ("boundary-landau:-", LandauExtension(Fraction(-2), Fraction(0)),
-         landau.Phase.LANDAU, Fraction(-1)),
-        ("boundary-critical", LandauExtension(Fraction(2), Fraction(-4)),
-         landau.CRITICAL, None),
-    )
-    for check_id, ext, phase, g in boundary:
-        report.add(_phase_row(check_id, landau.landau_to_g(ext), phase, g))
-
-    probes = (
-        ("4", "1", "1", landau.Phase.EUCLIDEAN, Fraction(1, 2)),
-        ("1", "1", "1", landau.Phase.LANDAU, Fraction(1)),
-        ("1", "1", "-1", landau.Phase.LANDAU, Fraction(-1)),
-        ("1", "4", "1", landau.Phase.MINKOWSKIAN, Fraction(2)),
-        ("1", "4", "-1", landau.Phase.MINKOWSKIAN, Fraction(-2)),
-        ("9", "1", "1", landau.Phase.EUCLIDEAN, Fraction(1, 3)),
-        ("9", "1", "0", landau.Phase.EUCLIDEAN, Fraction(0)),
-        ("0", "1", "2", landau.CRITICAL, None),
-        ("0", "1", "0", landau.CRITICAL, None),
-    )
-    for k, mass, Omega, phase, g in probes:
-        frame = RotatingFrame(Fraction(k), Fraction(mass), Fraction(Omega))
-        report.add(_phase_row(f"rotating-frame:k={k},m={mass},Omega={Omega}",
-                              landau.rotating_frame_to_g(frame), phase, g))
-    return report
-
-
 _SUITE_BUILDERS = {
     "algebra": suite_algebra,
-    "classical": suite_classical,
-    "fock": suite_fock,
-    "bridge": suite_bridge,
-    "aniso": suite_aniso,
-    "landau": suite_landau,
+    "classical": classdyn.suite_classical,
+    "fock": fockeng.suite_fock,
+    "bridge": bridge.suite_bridge,
+    "aniso": aniso.suite_aniso,
+    "landau": landau.suite_landau,
 }
 
 
@@ -1031,7 +692,7 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args)
         return args.handler(args, config)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and rejected library inputs
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ import scipy.linalg
 from .coupling import Coupling
 from .phasealg.exact import ExactComplex
 from .phasealg.catalog import is_true_integral
-from .reports import CheckRow
+from .reports import CheckRow, VerificationReport
 
 __all__ = [
     "FockBasis",
@@ -54,6 +54,7 @@ __all__ = [
     "one_mode_bridge",
     "verify_one_mode_bridge",
     "verify_quantum_bridge",
+    "suite_fock",
 ]
 
 
@@ -502,13 +503,7 @@ def verify_commutes(
     comm = commutator(a, b).matrix
     if mask is not None:
         comm = mask.restrict_columns(comm)
-    residual = operator_norm(comm)
-    return CheckRow(
-        check_id=check_id,
-        identity=identity,
-        passed=bool(residual <= tol),
-        residual=residual,
-    )
+    return CheckRow.within(check_id, identity, operator_norm(comm), tol)
 
 
 def matrix_exponential(op: FockOperator | np.ndarray) -> FockOperator | np.ndarray:
@@ -731,14 +726,7 @@ def verify_one_mode_bridge(size: int = 11) -> list[CheckRow]:
             for i in range(size - 2):
                 if lhs[i][j] != rhs[i][j]:
                     ok = False
-        rows.append(
-            CheckRow(
-                check_id=check_id,
-                identity=identity,
-                passed=ok,
-                residual=0.0 if ok else None,
-            )
-        )
+        rows.append(CheckRow.exact(check_id, identity, ok))
     return rows
 
 
@@ -809,13 +797,58 @@ def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:
     for check_id, identity, x, y in pairs:
         resid = (s @ x - y @ s)[grid]
         scale = max(operator_norm((s @ x)[grid]), 1.0)
-        residual = operator_norm(resid) / scale
-        rows.append(
-            CheckRow(
-                check_id=check_id,
-                identity=identity,
-                passed=bool(residual <= 1e-10),
-                residual=residual,
-            )
-        )
+        rows.append(CheckRow.within(check_id, identity, operator_norm(resid) / scale, 1e-10))
     return rows
+
+
+def suite_fock(config) -> VerificationReport:
+    """Hidden integrals, degeneracy orbits, and the Cartesian/circular unitary.
+
+    Reads ``config.truncation`` and ``config.tol_fock``.
+    """
+    report = VerificationReport(suite="fock")
+    basis = FockBasis(config.truncation)
+    for gtext, kind, s1, s2 in (("1/3", "L", 1, 2), ("3", "J", 1, 2)):
+        coupling = Coupling(Fraction(gtext))
+        h = hamiltonian(basis, coupling)
+        op = hidden_operator(basis, coupling, kind, s1, s2, "+")
+        mask = InteriorMask(basis, margin1=s1, margin2=s2)
+        report.add(verify_commutes(
+            h, op, mask, tol=config.tol_fock,
+            check_id=f"hidden-commutes:g={gtext}",
+            identity=f"[H_g, {kind}+_{s1}{s2}] = 0",
+        ))
+        orbits = hidden_orbit_partition(basis, coupling, kind, s1, s2, mask)
+        partition = level_sets(mask.states(), lambda n1, n2: exact_energy(coupling, n1, n2))
+        report.add(CheckRow(
+            check_id=f"orbits-match-degeneracy:g={gtext}",
+            identity=f"{kind}+_{s1}{s2} orbits = exact energy classes on the interior",
+            passed=partition == orbits,
+            detail=f"{len(orbits)} orbits",
+        ))
+
+    u = unitary_bridge(basis)
+    ud = u.dagger().matrix
+    idx = InteriorMask(basis, total=basis.cutoff - 2).indices()
+
+    def conj_resid(matrix, target):
+        return operator_norm((u.matrix @ matrix @ ud - target)[:, idx])
+
+    cart = cartesian_modes(basis)
+    phase = complex(np.exp(-1j * math.pi / 4))
+    for name, mode, direction, ph in (
+        ("a1-", 1, "-", phase), ("a2-", 2, "-", phase),
+        ("a1+", 1, "+", phase.conjugate()), ("a2+", 2, "+", phase.conjugate()),
+    ):
+        target = ph * ladder(basis, mode, direction).matrix
+        report.add(CheckRow.within(
+            f"unitary-mode:{name}",
+            f"U {name} U+ = e^{{{'+' if direction == '+' else '-'}i pi/4}} b{mode}{direction}",
+            conj_resid(cart[name].matrix, target), 1e-10))
+    for gtext in ("0", "1/3", "1/2", "3"):
+        coupling = Coupling(Fraction(gtext))
+        report.add(CheckRow.within(
+            f"unitary-hamiltonian:g={gtext}", "U H_rni U+ = H_g",
+            conj_resid(rni_hamiltonian(basis, coupling).matrix,
+                       hamiltonian(basis, coupling).matrix), 1e-10))
+    return report

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coupling import Coupling, Phase
-from .phasealg.exact import rational_sqrt
+from .reports import CheckRow, VerificationReport
+from .phasealg.exact import coerce_real, rational_sqrt
 
 __all__ = [
     "CRITICAL",
@@ -36,22 +37,11 @@ __all__ = [
     "g_to_landau",
     "rotating_frame_to_g",
     "classify",
+    "suite_landau",
 ]
 
 CRITICAL = "critical"
 SUPERCRITICAL = "supercritical"
-
-
-def _coerce_real(value, name: str):
-    """Ints and Fractions stay exact; all other numbers become floats."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be a number")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite")
-    return value
 
 
 def _sqrt(value):
@@ -71,8 +61,8 @@ class LandauExtension:
     Lambda: Fraction | float
 
     def __post_init__(self):
-        object.__setattr__(self, "omegaB", _coerce_real(self.omegaB, "omegaB"))
-        object.__setattr__(self, "Lambda", _coerce_real(self.Lambda, "Lambda"))
+        object.__setattr__(self, "omegaB", coerce_real(self.omegaB, "omegaB"))
+        object.__setattr__(self, "Lambda", coerce_real(self.Lambda, "Lambda"))
 
     @property
     def is_exact(self) -> bool:
@@ -88,9 +78,9 @@ class RotatingFrame:
     Omega: Fraction | float
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _coerce_real(self.k, "k"))
-        object.__setattr__(self, "m", _coerce_real(self.m, "m"))
-        object.__setattr__(self, "Omega", _coerce_real(self.Omega, "Omega"))
+        object.__setattr__(self, "k", coerce_real(self.k, "k"))
+        object.__setattr__(self, "m", coerce_real(self.m, "m"))
+        object.__setattr__(self, "Omega", coerce_real(self.Omega, "Omega"))
         if self.k < 0:
             raise ValueError("spring constant k must be non-negative")
         if self.m <= 0:
@@ -115,6 +105,13 @@ class PhaseResult:
 
     @property
     def coupling(self) -> Coupling:
+        """``g`` as a Coupling; ValueError when it is None or an inexact float.
+
+        A float ``g`` from float inputs converts only when its binary value
+        is the decimal it prints as (0.5), as in ``Coupling(0.5)``: for
+        ``landau_to_g(g_to_landau(Coupling("3/10"), 1.7))`` it is a float
+        near 0.3 and this raises ValueError.  Use exact inputs for an exact g.
+        """
         if self.g is None:
             raise ValueError(f"{self.phase} branch carries no finite coupling")
         return Coupling.coerce(self.g)
@@ -158,7 +155,7 @@ def g_to_landau(coupling, omega) -> LandauExtension:
     coupling = Coupling.coerce(coupling)
     if coupling.isotropic_mink:
         raise ValueError("isotropic-Minkowskian limit has no finite coupling")
-    w = _coerce_real(omega, "omega")
+    w = coerce_real(omega, "omega")
     if w <= 0:
         raise ValueError("omega must be positive")
     g = coupling.g
@@ -187,3 +184,56 @@ def classify(Lambda, omegaB) -> str:
     euclidean (it is the g = 0 interior point of that phase).
     """
     return landau_to_g(LandauExtension(omegaB, Lambda)).phase
+
+
+def _phase_row(check_id: str, result: PhaseResult, phase, g) -> CheckRow:
+    return CheckRow(
+        check_id=check_id,
+        identity=f"phase = {phase}" + ("" if g is None else f", g = {g}"),
+        passed=result.phase == phase and result.g == g,
+        detail=f"got {result.phase}, g = {result.g}",
+    )
+
+
+def suite_landau(config) -> VerificationReport:
+    """Parameter-map round trips, phase boundaries, rotating-frame table.
+
+    Exact throughout, so no setting of the run ``config`` applies.
+    """
+    report = VerificationReport(suite="landau")
+    for gtext, wtext in (("1/2", "1"), ("3", "2"), ("-2/3", "5/7"), ("1", "3"), ("0", "2")):
+        g, w = Fraction(gtext), Fraction(wtext)
+        result = landau_to_g(g_to_landau(Coupling(g), w))
+        passed = result.g == g and result.omega == w
+        report.add(CheckRow(
+            check_id=f"roundtrip:g={gtext},omega={wtext}",
+            identity="landau_to_g(g_to_landau(g, w)) = (g, w) exactly",
+            passed=passed,
+            residual=0.0 if passed else float(abs(result.g - g) + abs(result.omega - w)),
+        ))
+
+    boundary = (
+        ("boundary-landau:+", LandauExtension(Fraction(3), Fraction(0)), Phase.LANDAU, Fraction(1)),
+        ("boundary-landau:-", LandauExtension(Fraction(-2), Fraction(0)),
+         Phase.LANDAU, Fraction(-1)),
+        ("boundary-critical", LandauExtension(Fraction(2), Fraction(-4)), CRITICAL, None),
+    )
+    for check_id, ext, phase, g in boundary:
+        report.add(_phase_row(check_id, landau_to_g(ext), phase, g))
+
+    probes = (
+        ("4", "1", "1", Phase.EUCLIDEAN, Fraction(1, 2)),
+        ("1", "1", "1", Phase.LANDAU, Fraction(1)),
+        ("1", "1", "-1", Phase.LANDAU, Fraction(-1)),
+        ("1", "4", "1", Phase.MINKOWSKIAN, Fraction(2)),
+        ("1", "4", "-1", Phase.MINKOWSKIAN, Fraction(-2)),
+        ("9", "1", "1", Phase.EUCLIDEAN, Fraction(1, 3)),
+        ("9", "1", "0", Phase.EUCLIDEAN, Fraction(0)),
+        ("0", "1", "2", CRITICAL, None),
+        ("0", "1", "0", CRITICAL, None),
+    )
+    for k, mass, Omega, phase, g in probes:
+        frame = RotatingFrame(Fraction(k), Fraction(mass), Fraction(Omega))
+        report.add(_phase_row(f"rotating-frame:k={k},m={mass},Omega={Omega}",
+                              rotating_frame_to_g(frame), phase, g))
+    return report

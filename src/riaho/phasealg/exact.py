@@ -14,9 +14,9 @@ testing and equality are exact dictionary comparisons.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, sqrt as _fsqrt
+from math import isfinite, isqrt, sqrt as _fsqrt
 
-__all__ = ["ExactComplex", "rational_sqrt"]
+__all__ = ["ExactComplex", "coerce_real", "rational_sqrt"]
 
 _SQRT2 = _fsqrt(2.0)
 _F0 = Fraction(0)
@@ -28,6 +28,21 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def coerce_real(value, name: str):
+    """Ints and Fractions stay exact; other numbers become finite floats.
+
+    A bool raises TypeError and a non-finite value ValueError.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    value = float(value)
+    if not isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
 
 
 def rational_sqrt(q: Fraction):

@@ -274,20 +274,24 @@ class PhasePoly:
     # -- numerics ------------------------------------------------------------
     def evaluate(self, point: dict, t: float = 0.0) -> complex:
         """Numeric evaluation; `point` maps this basis's variable names to
-        complex values.  Time factors use the params' omega."""
+        complex values.  Time factors use the params' omega.  A power or
+        time factor outside the float range raises ValueError."""
         import cmath
         w = float(self.params.omega)
         names = _VARS[self.basis]
         vals = [complex(point[n]) for n in names]
         total = 0j
-        for key, coeff in self.terms.items():
-            v = coeff.to_complex()
-            for i in range(4):
-                if key[i]:
-                    v *= vals[i] ** key[i]
-            if key[4]:
-                v *= cmath.exp(1j * float(key[4]) * w * t)
-            total += v
+        try:
+            for key, coeff in self.terms.items():
+                v = coeff.to_complex()
+                for i in range(4):
+                    if key[i]:
+                        v *= vals[i] ** key[i]
+                if key[4] and t:  # the time factor is exactly 1 at t = 0
+                    v *= cmath.exp(1j * float(key[4]) * w * t)
+                total += v
+        except OverflowError as exc:
+            raise ValueError(f"polynomial value leaves the float range: {exc}") from None
         return total
 
     def __str__(self) -> str:

@@ -3,7 +3,9 @@
 Every identity is evaluated in the exact coefficient ring, so a "pass" means
 the residual polynomial is literally zero, not small.  Each check is
 reported as :class:`BracketCheck`, serializable to
-``{identity_name, lhs, rhs, residual, pass}``.
+``{identity_name, lhs, rhs, residual, pass}``.  :func:`suite_algebra`
+collects them, with the classical bridge triple, into the ``algebra``
+verify suite.
 """
 from __future__ import annotations
 
@@ -11,13 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..coupling import Coupling
+from ..reports import CheckRow, VerificationReport
 from .catalog import GENERATOR_NAMES, catalog, generator, hamiltonian
+from .cbt import classical_cbt, conformal_k0, dilation_id0, free_hamiltonian
 from .exact import ExactComplex
-from .poly import PhasePoly, poisson_bracket, total_time_derivative
+from .poly import (CIRCULAR, Params, PhasePoly, poisson_bracket,
+                   total_time_derivative)
 
 __all__ = [
     "BracketCheck", "SP4_TABLE",
     "verify_sp4_table", "verify_casimirs", "verify_dynamical_integrals",
+    "suite_algebra",
 ]
 
 _I = ExactComplex.I
@@ -140,3 +146,47 @@ def verify_dynamical_integrals(coupling, params=None) -> list[BracketCheck]:
         checks.append(_check(f"d/dt {name}", lhs,
                              PhasePoly.zero(h.basis, h.params), "0"))
     return checks
+
+
+def _bracket_row(prefix: str, chk: BracketCheck) -> CheckRow:
+    return CheckRow(
+        check_id=f"{prefix}:{chk.identity_name}",
+        identity=f"{chk.identity_name} = {chk.rhs}",
+        passed=chk.passed,
+        detail="" if chk.passed else f"residual polynomial {chk.residual}",
+    )
+
+
+def suite_algebra(config) -> VerificationReport:
+    """Exact symbolic checks: bracket table, Casimirs, integrals, bridge triple.
+
+    Exact throughout, so no setting of the run ``config`` applies.
+    """
+    report = VerificationReport(suite="algebra")
+    g = Fraction(1, 3)
+    for chk in verify_sp4_table(g):
+        report.add(_bracket_row("sp4", chk))
+    for chk in verify_casimirs(g):
+        report.add(_bracket_row("casimir", chk))
+    for label, gv in (("g=1/3", g), ("g=3", Fraction(3))):
+        for chk in verify_dynamical_integrals(gv):
+            report.add(_bracket_row(f"integral[{label}]", chk))
+
+    params = Params()
+    w = params.omega
+    triple = (
+        ("cbt-H", "T(H) = -w J-",
+         classical_cbt(free_hamiltonian(params)).to_basis(CIRCULAR),
+         (-w) * generator("J-", 0, params).at_time_zero()),
+        ("cbt-iD0", "T(iD0) = J0",
+         classical_cbt(dilation_id0(params)).to_basis(CIRCULAR),
+         generator("J0", 0, params)),
+        ("cbt-K0", "T(K0) = J+/w",
+         classical_cbt(conformal_k0(params)).to_basis(CIRCULAR),
+         (Fraction(1) / w) * generator("J+", 0, params).at_time_zero()),
+    )
+    for check_id, identity, got, want in triple:
+        passed = got == want
+        report.add(CheckRow(check_id=check_id, identity=identity, passed=passed,
+                            detail="" if passed else f"difference {got - want}"))
+    return report

@@ -23,6 +23,19 @@ class CheckRow:
     elapsed: float = 0.0
     detail: str = ""
 
+    @classmethod
+    def within(cls, check_id: str, identity: str, residual, tol: float,
+               detail: str = "") -> "CheckRow":
+        """Row that passes when ``residual <= tol``; a NaN residual fails."""
+        return cls(check_id=check_id, identity=identity, passed=bool(residual <= tol),
+                   residual=float(residual), detail=detail)
+
+    @classmethod
+    def exact(cls, check_id: str, identity: str, passed: bool, detail: str = "") -> "CheckRow":
+        """Row of a check decided in exact arithmetic: residual 0.0 if it passed, else None."""
+        return cls(check_id=check_id, identity=identity, passed=passed,
+                   residual=0.0 if passed else None, detail=detail)
+
     @property
     def status(self) -> str:
         return "pass" if self.passed else "fail"

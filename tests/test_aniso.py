@@ -67,6 +67,20 @@ class TestFrequencyPair:
         with pytest.raises(ValueError):
             FrequencyPair(1, -2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequencies_rejected(self, bad):
+        for pair in ((bad, 1.0), (1.0, bad), (bad, Fraction(1))):
+            with pytest.raises(ValueError, match="frequency must be finite"):
+                FrequencyPair(*pair)
+            with pytest.raises(ValueError, match="frequency must be finite"):
+                FrequencyPair.detect(*pair)
+
+    def test_overflowing_float_ratio_is_not_commensurate(self):
+        # 1e308 / 1e-308 is inf as a float; it used to raise OverflowError
+        assert detect_commensurability(1e308, 1e-308) is None
+        assert detect_commensurability(1e-308, 1e308) is None
+        assert not FrequencyPair.detect(1e308, 1e-308).commensurate
+
     def test_labels_must_come_in_pairs(self):
         with pytest.raises(ValueError):
             FrequencyPair(1, 3, l1=3)

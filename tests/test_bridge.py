@@ -311,6 +311,19 @@ class TestCoherent:
         with pytest.raises(ValueError, match="170"):
             br.coherent_checks(0.1, 0.1, t=0.0, gamma=0.0, cutoff=171)
 
+    def test_labels_beyond_float_range_raise(self):
+        # |alpha|^2 overflowed with an OverflowError before
+        for alpha in (1e308, complex(-1, -1e308), 2e154):
+            with pytest.raises(ValueError, match="float range"):
+                br.coherent_state(alpha, 0)
+            with pytest.raises(ValueError, match="float range"):
+                br.expansion_coefficient(alpha, 0, 1, 0)
+
+    def test_underflowed_vacuum_gives_zero_coefficient(self):
+        # lambda^4 = 1e400 would overflow; the vacuum factor is 0 first
+        assert br.expansion_coefficient(1e100, 0, 4, 0) == 0j
+        assert br.expansion_coefficient(1000, 0, 3, 0) == 0j
+
 
 class TestWaveState:
     def test_envelope_mismatch(self):

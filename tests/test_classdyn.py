@@ -9,8 +9,9 @@ from riaho.classdyn import (CUSP_GALLERY, ORBIT_GALLERY, PhaseState,
                             TrajectoryParams, closure_period, closure_turns,
                             conserved_values, hamiltonian_flow_rhs,
                             hamiltonian_value, integrate, is_cusped,
-                            minkowski_radius_sq, pass_through_origin,
-                            position, state_from_params, velocity)
+                            minkowski_radius_sq, momentum,
+                            pass_through_origin, position, state_from_params,
+                            velocity)
 from riaho.coupling import Coupling
 
 
@@ -301,3 +302,25 @@ class TestValidation:
     def test_nonpositive_omega_rejected(self):
         with pytest.raises(ValueError):
             TrajectoryParams(R1=1.0, R2=0.0, omega=0.0)
+
+    @pytest.mark.parametrize("field", ["R1", "R2", "gamma1", "gamma2", "omega"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, field, value):
+        # NaN slips past R1 < 0 and omega <= 0, so finiteness is checked first
+        kwargs = {"R1": 1.0, "R2": 0.5, **{field: value}}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrajectoryParams(**kwargs)
+
+
+class TestMomentum:
+    def test_matches_state_from_params_and_rotational_shift(self):
+        p = orbit("2/3", R1=1.0, R2=2.0, g1=0.3, g2=-0.2, w=1.5)
+        ts = np.linspace(0.0, 4.0, 9)
+        p1, p2 = momentum(p, ts, m=2.0)
+        x1, x2 = position(p, ts)
+        v1, v2 = velocity(p, ts)
+        gw = 2 / 3 * 1.5
+        assert np.array_equal(p1, 2.0 * (v1 + gw * x2))
+        assert np.array_equal(p2, 2.0 * (v2 - gw * x1))
+        s = state_from_params(p, ts[3], m=2.0)
+        assert (s.p1, s.p2) == (p1[3], p2[3])

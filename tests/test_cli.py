@@ -1,13 +1,19 @@
 """Command-line interface: outputs, exit codes, config layering, reports."""
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from riaho import cli
+from riaho import aniso, bridge, classdyn, cli, fockeng, landau
+from riaho.phasealg.verify import suite_algebra
 from riaho.cli import ConfigError, RunConfig, main, parse_complex, parse_rational, parse_real
 from riaho.reports import CheckRow, VerificationReport
 
@@ -42,11 +48,20 @@ class TestParsers:
         with pytest.raises(ConfigError):
             parse_rational("1/0")
 
+    @pytest.mark.parametrize("parse,text", [
+        (parse_rational, "1e400"), (parse_rational, "-1e-400"),
+        (parse_real, "1" + "0" * 400), (parse_real, "1/" + "1" * 400),
+    ], ids=["1e400", "-1e-400", "10^400", "1/1..1"])
+    def test_exact_values_outside_float_range_rejected(self, parse, text):
+        # exact, but the numeric paths would overflow or divide by 0.0
+        with pytest.raises(ConfigError, match="float range"):
+            parse(text)
+
     def test_complex_pairs(self):
         assert parse_complex("1,-2") == complex(1, -2)
         assert parse_complex("0.5,0") == complex(0.5, 0)
 
-    @pytest.mark.parametrize("text", ["1", "1,2,3", "a,b"])
+    @pytest.mark.parametrize("text", ["1", "1,2,3", "a,b", "nan,0", "0,inf"])
     def test_complex_rejects(self, text):
         with pytest.raises(ConfigError):
             parse_complex(text)
@@ -180,9 +195,20 @@ class TestTrajectory:
         ("trajectory", "--g", "1/2", "--samples", "1"),
         ("trajectory", "--g", "1/2", "--r1", "-1"),
         ("trajectory", "--g", "1/2", "--window", "0"),
+        ("trajectory", "--g", "1/2", "--r1", "nan"),
+        ("trajectory", "--g", "1/2", "--gamma2", "inf"),
+        ("trajectory", "--g", "1/2", "--window", "nan"),
+        ("trajectory", "--g", "1/2", "--window", "inf"),
+        # the closure period 2 pi * 10^308 leaves the float range
+        ("trajectory", "--g", "1e-308"),
+        # so does J0 ~ R1^2 among the conserved values
+        ("trajectory", "--g", "1/2", "--r1", "1e200"),
+        # w ell1 t overflows, so every sample past t = 0 is nan
+        ("trajectory", "--g", "1e308"),
     ])
     def test_invalid_inputs_exit_2(self, tmp_path, argv):
         assert run(tmp_path, *argv) == 2
+        assert not list(tmp_path.iterdir())
 
 
 class TestLissajous:
@@ -205,6 +231,11 @@ class TestLissajous:
         meta = read_meta(tmp_path, "open")
         assert meta["commensurate"] is False
         assert meta["closed"] is False and meta["window"] == 10.0
+
+    def test_overflowing_ratio_needs_window(self, tmp_path, capsys):
+        # the float ratio 1e308 / 1e-308 overflows: not commensurate, not a crash
+        assert run(tmp_path, "lissajous", "--omega1", "1e308", "--omega2", "1e-308") == 2
+        assert "not commensurate; give --window" in capsys.readouterr().err
 
     def test_json_dataset_format(self, tmp_path):
         run(tmp_path, "lissajous", "--omega1", "1", "--omega2", "4",
@@ -326,6 +357,12 @@ class TestCoherent:
     def test_malformed_complex_exits_2(self, tmp_path):
         assert run(tmp_path, "coherent", "--alpha", "1", "--beta", "0,0") == 2
 
+    @pytest.mark.parametrize("alpha", ["nan,0", "1e308,0"])
+    def test_non_finite_or_overflowing_label_exits_2(self, tmp_path, alpha):
+        # nan used to fail deep in the checks, 1e308 raised OverflowError
+        assert run(tmp_path, "coherent", "--alpha", alpha, "--beta", "0,0") == 2
+        assert not list(tmp_path.iterdir())
+
     def test_cutoff_beyond_float_range_exits_2(self, tmp_path, capsys):
         assert run(tmp_path, "coherent", "--alpha", "0.1,0", "--beta", "0.1,0",
                    "--cutoff", "200") == 2
@@ -433,3 +470,56 @@ class TestVerify:
 
     def test_unknown_suite_exits_2(self, tmp_path):
         assert run(tmp_path, "verify", "spectra") == 2
+
+    def test_suites_live_beside_their_math(self):
+        assert cli._SUITE_BUILDERS == {
+            "algebra": suite_algebra,
+            "classical": classdyn.suite_classical,
+            "fock": fockeng.suite_fock,
+            "bridge": bridge.suite_bridge,
+            "aniso": aniso.suite_aniso,
+            "landau": landau.suite_landau,
+        }
+
+    def test_math_modules_do_not_import_cli(self):
+        code = ("import sys, riaho.aniso, riaho.bridge, riaho.classdyn, riaho.fockeng, "
+                "riaho.landau, riaho.phasealg; assert 'riaho.cli' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+# Argument text the CLI must accept or reject with exit 2, never with a
+# traceback: non-finite and extreme floats, zero, negatives and garbage.
+AWKWARD = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "-1e-308", "1e400", "-1e-400",
+           "5e-324", "0", "-0", "-1", "-2/3", "1/0", "", "abc", "1/2", "3")
+TEXT = st.one_of(st.sampled_from(AWKWARD), st.text(max_size=6))
+PAIR = st.one_of(st.tuples(TEXT, TEXT).map(",".join), TEXT)
+SIZE = st.integers(-2, 64)  # small sizes only: a huge grid is slow, not malformed
+
+# command -> (required flags, optional flags), each flag -> value strategy
+COMMANDS = {
+    "trajectory": ({"--g": TEXT}, {"--r1": TEXT, "--gamma1": TEXT, "--window": TEXT,
+                                   "--samples": SIZE}),
+    "lissajous": ({"--omega1": TEXT, "--omega2": TEXT}, {"--window": TEXT, "--samples": SIZE}),
+    "spectrum": ({"--g": TEXT}, {"--nmax": SIZE}),
+    "degeneracy": ({"--g": TEXT, "--emax": TEXT}, {}),
+    "eigenstate": ({"--n1": st.integers(-1, 4), "--n2": st.integers(-1, 4)}, {"--points": SIZE}),
+    "coherent": ({"--alpha": PAIR, "--beta": PAIR}, {"--g": TEXT, "--points": SIZE,
+                                                     "--cutoff": SIZE}),
+    "landau": ({}, {"--omega-b": TEXT, "--lambda": TEXT}),
+}
+
+
+@st.composite
+def malformed_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[command]
+    flags = [*required, *(f for f in optional if draw(st.booleans()))]
+    return [command, *(f"{flag}={draw((required | optional)[flag])}" for flag in flags)]
+
+
+@given(argv=malformed_argv())
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_arguments_exit_cleanly(tmp_path, argv):
+    assert run(tmp_path, *argv) in (0, 1, 2)

@@ -137,6 +137,17 @@ class TestGToLandau:
         assert res.g == pytest.approx(0.3, abs=1e-12)
         assert res.omega == pytest.approx(1.7, abs=1e-12)
 
+    def test_float_branch_coupling_raises(self):
+        # the float g near 0.3 is not exact in binary, so it is no Coupling
+        res = landau_to_g(g_to_landau(Coupling("3/10"), 1.7))
+        assert isinstance(res.g, float)
+        with pytest.raises(ValueError, match="not exact in binary"):
+            res.coupling
+
+    def test_exact_branch_coupling(self):
+        res = landau_to_g(g_to_landau(Coupling("3/10"), Fraction(17, 10)))
+        assert res.coupling == Coupling(Fraction(3, 10))
+
     @given(
         num=st.integers(min_value=-12, max_value=12),
         den=st.integers(min_value=1, max_value=9),

@@ -139,3 +139,15 @@ def test_evaluate_with_time_factor():
                      t=0.3)
     want = (0.5 + 0.25j) * cmath.exp(-2j * 0.3)
     assert abs(got - want) < 1e-14
+
+
+def test_evaluate_outside_float_range_raises_valueerror():
+    p = PhasePoly(CIRCULAR, {(3, 0, 0, 0, F(0)): ExactComplex(1)})
+    with pytest.raises(ValueError, match="float range"):
+        p.evaluate({"b1+": 1e200, "b1-": 0, "b2+": 0, "b2-": 0})
+
+
+def test_evaluate_time_factor_is_one_at_time_zero():
+    # mu = 10^400 has no float; at t = 0 its factor is exactly 1
+    p = PhasePoly(CIRCULAR, {(1, 0, 0, 0, F(10) ** 400): ExactComplex(1)})
+    assert p.evaluate({"b1+": 0.5j, "b1-": 0, "b2+": 0, "b2-": 0}) == 0.5j
