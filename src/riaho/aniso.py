@@ -557,7 +557,10 @@ def lissajous(A1, B1, A2, B2, freq: FrequencyPair, t):
     x_i'' = -w_i^2 x_i, so the configuration-space curves coincide.
     """
     t = np.asarray(t, dtype=float)
-    w1, w2 = float(freq.omega1), float(freq.omega2)
+    try:
+        w1, w2 = float(freq.omega1), float(freq.omega2)
+    except OverflowError:
+        raise ValueError("frequencies lie outside the float range") from None
     x1 = A1 * np.cos(w1 * t) + B1 * np.sin(w1 * t)
     x2 = A2 * np.cos(w2 * t) + B2 * np.sin(w2 * t)
     if t.shape:

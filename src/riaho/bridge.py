@@ -60,8 +60,8 @@ class Units:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.m <= 0 or self.omega <= 0 or self.hbar <= 0:
-            raise ValueError("units must be positive")
+        if not all(0 < v < math.inf for v in (self.m, self.omega, self.hbar)):
+            raise ValueError("units must be positive and finite")
 
     @property
     def gauss(self) -> float:

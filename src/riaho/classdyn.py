@@ -81,7 +81,10 @@ def _mode_values(params: TrajectoryParams, t):
     """(b1plus, b2minus) along the orbit; z = b1plus + b2minus."""
     c = params.coupling
     w = params.omega
-    l1, l2 = float(c.ell1), float(c.ell2)
+    try:
+        l1, l2 = float(c.ell1), float(c.ell2)
+    except OverflowError:
+        raise ValueError("mode weights ell1, ell2 lie outside the float range") from None
     t = np.asarray(t, dtype=float)
     b1p = params.R1 * np.exp(1j * (params.gamma1 + w * l1 * t))
     b2m = params.R2 * np.exp(-1j * (params.gamma2 + w * l2 * t))

@@ -76,13 +76,13 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.m <= 0 or self.omega <= 0 or self.hbar <= 0:
-            raise ConfigError("units m, omega, hbar must be positive")
+        if not all(0 < v < math.inf for v in (self.m, self.omega, self.hbar)):
+            raise ConfigError("units m, omega, hbar must be positive and finite")
         if self.truncation < 4:
             raise ConfigError("truncation must be at least 4")
         for name in ("tol_fock", "tol_quad", "tol_traj"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
 
@@ -303,9 +303,10 @@ def cmd_trajectory(args, config: RunConfig) -> int:
         omega=config.omega, coupling=coupling,
     )
     conserved = classdyn.conserved_values(params)
-    ts, window = _sample_times(args, classdyn.closure_period(coupling, config.omega))
-    x1, x2 = classdyn.position(params, ts)
-    p1, p2 = classdyn.momentum(params, ts, config.m)
+    with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
+        ts, window = _sample_times(args, classdyn.closure_period(coupling, config.omega))
+        x1, x2 = classdyn.position(params, ts)
+        p1, p2 = classdyn.momentum(params, ts, config.m)
     rows = _float_rows(ts, x1, x2, p1, p2)
     return emit_dataset(config, args.out, "trajectory", ["t", "x1", "x2", "p1", "p2"], rows, {
         "g": _frac_dict(g),
@@ -328,8 +329,9 @@ def cmd_lissajous(args, config: RunConfig) -> int:
     w1 = parse_real(args.omega1, "omega1")
     w2 = parse_real(args.omega2, "omega2")
     freq = aniso.FrequencyPair.detect(w1, w2)
-    ts, window = _sample_times(args, aniso.closure_period(freq))
-    x1, x2 = aniso.lissajous(args.a1, args.b1, args.a2, args.b2, freq, ts)
+    with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
+        ts, window = _sample_times(args, aniso.closure_period(freq))
+        x1, x2 = aniso.lissajous(args.a1, args.b1, args.a2, args.b2, freq, ts)
     rows = _float_rows(ts, x1, x2)
 
     return emit_dataset(config, args.out, "lissajous", ["t", "x1", "x2"], rows, {

@@ -4,8 +4,9 @@ The basis is the number basis of the circular modes, in which the rotating
 oscillator Hamiltonian is diagonal with exact rational spectrum
 ``E/(hbar*omega) = l1*n1 + l2*n2 + 1`` where ``l1 = 1+g`` and ``l2 = 1-g``.
 Everything here is dense numpy on a finite grid ``0 <= n1, n2 <= cutoff``;
-exact statements (energies, degeneracy grouping) use Fractions so equality
-of levels is never a floating-point question.
+exact statements use Fractions (energies, degeneracy grouping) or integer
+and Fraction object arrays (the one-mode conformal bridge), so equality is
+never a floating-point question.
 
 Truncation corrupts matrix elements near the grid edge, so checks that
 involve raising operators are restricted to interior columns via
@@ -21,7 +22,6 @@ import numpy as np
 import scipy.linalg
 
 from .coupling import Coupling
-from .phasealg.exact import ExactComplex
 from .phasealg.catalog import is_true_integral
 from .reports import CheckRow, VerificationReport
 
@@ -211,6 +211,11 @@ class InteriorMask:
 # elementary operators
 
 
+def _raising(side: int) -> np.ndarray:
+    """One-mode raising operator |n> -> sqrt(n+1) |n+1> on ``side`` levels, real."""
+    return np.diag(np.sqrt(np.arange(1.0, side)), -1)
+
+
 def ladder(basis: FockBasis, mode: int, direction: str) -> FockOperator:
     """Raising ("+") or lowering ("-") operator for mode 1 or 2."""
     if mode not in (1, 2):
@@ -218,8 +223,8 @@ def ladder(basis: FockBasis, mode: int, direction: str) -> FockOperator:
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
     side = basis.cutoff + 1
-    # raising |n> -> sqrt(n+1) |n+1>; complex so the kron product is the final matrix
-    one_mode = np.diag(np.sqrt(np.arange(1.0, side)), -1).astype(complex)
+    # complex so the kron product is the final matrix
+    one_mode = _raising(side).astype(complex)
     if direction == "-":
         one_mode = one_mode.T
     eye = np.eye(side)
@@ -596,208 +601,113 @@ def rni_hamiltonian(
 # one-mode oscillator bridge, exact and floating
 
 
-def _exact_zero(n: int) -> list[list[ExactComplex]]:
-    return [[ExactComplex.ZERO for _ in range(n)] for _ in range(n)]
+# check-id suffix and identity of each _conformal_pairs pair: one mode, two modes
+_BRIDGE_ROWS = (
+    ("H", "S H = -K_- S", "S H_free = -J_- S"),
+    ("iD", "S iD = K_0 S", "S iD = J_0 S"),
+    ("K", "S K = K_+ S", "S K = J_+ S"),
+)
 
 
-def _exact_matmul(a, b):
-    n = len(a)
-    out = _exact_zero(n)
-    for i in range(n):
-        for k in range(n):
-            aik = a[i][k]
-            if aik.is_zero():
-                continue
-            row = b[k]
-            for j in range(n):
-                if not row[j].is_zero():
-                    out[i][j] = out[i][j] + aik * row[j]
-    return out
+def _conformal_pairs(up, dn):
+    """The bridge pairs (4X, 4Y) from one mode's ladders, so that S X = Y S.
 
-
-def _exact_unnorm_ladders(n: int):
-    """One-mode ladders in the unnormalized basis |n)' = (a+)^n |0)."""
-    up = _exact_zero(n)
-    dn = _exact_zero(n)
-    one = ExactComplex.ONE
-    for k in range(n - 1):
-        up[k + 1][k] = one
-        dn[k][k + 1] = ExactComplex.coerce(k + 1)
-    return up, dn
-
-
-def one_mode_bridge_unnormalized(size: int) -> list[list[ExactComplex]]:
-    """Exact one-mode bridge matrix, unnormalized basis, 2^(1/4) factored out.
-
-    S' = exp(-a+^2/2) * diag(2^(n/2)) * exp(-a^2/2) evaluated entrywise:
-    S'[i, j] = sum over k = i-2a = j-2b >= 0 of
-    (-1)^a/(2^a a!) * 2^(k/2) * (-1)^b j!/(2^b b! k!), which lies in the
-    quadratic ring Q(i)[sqrt 2].  S'[0, 0] = 1.
+    X runs over the free-particle triple H = -(a+ - a)^2/4,
+    iD = (a^2 - a+^2)/4, K = (a+ + a)^2/4 and Y over the oscillator's
+    -K- = -a^2/2, K0 = (2 a+ a + 1)/4, K+ = a+^2/2.  Only products, sums,
+    integer scalars and an identity of the ladders' dtype appear, so integer
+    object arrays and float arrays both work.
     """
-    s = _exact_zero(size)
-    for i in range(size):
-        for j in range(size):
-            if (i - j) % 2:
-                continue
-            acc = ExactComplex.ZERO
-            k = min(i, j)
-            while k >= 0:
-                a = (i - k) // 2
-                b = (j - k) // 2
-                coeff = Fraction((-1) ** (a + b), 2**a * math.factorial(a)) * Fraction(
-                    math.factorial(j), 2**b * math.factorial(b) * math.factorial(k)
-                )
-                # diag factor 2^(k/2): exact power of 2 for even k, extra sqrt2 for odd
-                term = coeff * Fraction(2) ** (k // 2)
-                if k % 2:
-                    acc = acc + ExactComplex(Fraction(0), Fraction(0), term, Fraction(0))
-                else:
-                    acc = acc + ExactComplex(term, Fraction(0), Fraction(0), Fraction(0))
-                k -= 2
-            s[i][j] = acc
-    return s
+    minus, plus, up2, dn2 = up - dn, up + dn, up @ up, dn @ dn
+    return ((-(minus @ minus), -2 * dn2),
+            (dn2 - up2, 2 * (up @ dn) + np.eye(len(up), dtype=up.dtype)),
+            (plus @ plus, 2 * up2))
 
 
-def _one_mode_conformal_exact(size: int):
-    """Exact one-mode generator pairs for the bridge intertwining check.
+def one_mode_bridge_unnormalized(size: int) -> np.ndarray:
+    """Rational part R of the exact one-mode bridge, unnormalized basis.
 
-    Returns ((H, iD, K), (Kminus, K0, Kplus)) as unnormalized-basis exact
-    matrices: H = -(a+ - a)^2/4, iD = (a^2 - a+^2)/4, K = (a+ + a)^2/4,
-    and K- = a^2/2, K0 = (n + 1/2)/2, K+ = a+^2/2.
+    S' = exp(-a+^2/2) * diag(2^(n/2)) * exp(-a^2/2) with 2^(1/4) factored
+    out, evaluated entrywise: S'[i, j] = sum over k = i-2a = j-2b >= 0 of
+    (-1)^a/(2^a a!) * 2^(k/2) * (-1)^b j!/(2^b b! k!).  Entries vanish
+    unless i = j (mod 2), so the sqrt 2 of an odd k always falls on an odd
+    row: S' = diag(sqrt2^(i mod 2)) R, with R an object array of Fractions.
+    R[0, 0] = 1.
     """
-    up, dn = _exact_unnorm_ladders(size)
-    quarter = ExactComplex.coerce(Fraction(1, 4))
-    half = ExactComplex.coerce(Fraction(1, 2))
-
-    def add(a, b, ca=ExactComplex.ONE, cb=ExactComplex.ONE):
-        return [
-            [ca * a[i][j] + cb * b[i][j] for j in range(size)] for i in range(size)
-        ]
-
-    def scale(a, c):
-        return [[c * a[i][j] for j in range(size)] for i in range(size)]
-
-    up2 = _exact_matmul(up, up)
-    dn2 = _exact_matmul(dn, dn)
-    num = _exact_matmul(up, dn)
-    minus = ExactComplex.coerce(-1)
-    # H = -(up^2 + dn^2 - 2n - 1)/4,  K = (up^2 + dn^2 + 2n + 1)/4
-    ident = _exact_zero(size)
+    fact = math.factorial
+    r = np.full((size, size), Fraction(0), dtype=object)
     for i in range(size):
-        ident[i][i] = ExactComplex.ONE
-    sym = add(up2, dn2)
-    two_n_plus_1 = add(scale(num, ExactComplex.coerce(2)), ident)
-    h = scale(add(sym, two_n_plus_1, minus, ExactComplex.ONE), quarter)
-    kk = scale(add(sym, two_n_plus_1), quarter)
-    i_d = scale(add(dn2, up2, ExactComplex.ONE, minus), quarter)
-    k_minus = scale(dn2, half)
-    k_plus = scale(up2, half)
-    k0 = _exact_zero(size)
-    for n in range(size):
-        k0[n][n] = ExactComplex.coerce(Fraction(2 * n + 1, 4))
-    return (h, i_d, kk), (k_minus, k0, k_plus)
+        for j in range(i % 2, size, 2):
+            for k in range(min(i, j), -1, -2):
+                a, b = (i - k) // 2, (j - k) // 2
+                r[i, j] += Fraction((-1) ** (a + b) * fact(j) * 2 ** (k // 2),
+                                    2 ** (a + b) * fact(a) * fact(b) * fact(k))
+    return r
 
 
 def verify_one_mode_bridge(size: int = 11) -> list[CheckRow]:
     """Exact intertwining S'X = YS' for the one-mode conformal triple.
 
-    Checks (X, Y) in {(H, -K-), (iD, K0), (K, K+)} entrywise over the
-    quadratic ring on columns 0..size-3 (the raising parts of X corrupt the
-    last two columns of the truncated product).  Residual is exactly zero
-    or the check fails.
+    X and Y preserve parity, so the sqrt 2 row factor of S' commutes
+    through them and S'X = YS' holds iff RX = YR.  That identity is checked
+    on integers (R times the lcm of its denominators; ladders a+|n) = |n+1),
+    a|n) = n|n-1)) on rows and columns 0..size-3: the raising parts of X
+    corrupt the last two columns of the truncated RX, and the lowering Y
+    pulls truncated rows into YR.  Residual is exactly zero or the check fails.
     """
-    s = one_mode_bridge_unnormalized(size)
-    (h, i_d, kk), (k_minus, k0, k_plus) = _one_mode_conformal_exact(size)
-    minus = ExactComplex.coerce(-1)
-    neg_k_minus = [[minus * k_minus[i][j] for j in range(size)] for i in range(size)]
-    pairs = [
-        ("bridge-one-mode-H", "S H = -K_- S", h, neg_k_minus),
-        ("bridge-one-mode-iD", "S iD = K_0 S", i_d, k0),
-        ("bridge-one-mode-K", "S K = K_+ S", kk, k_plus),
+    r = one_mode_bridge_unnormalized(size)
+    lcm = math.lcm(*(q.denominator for q in r.flat))
+    r_int = np.array([int(q * lcm) for q in r.flat], dtype=object).reshape(r.shape)
+    up = np.eye(size, k=-1, dtype=int).astype(object)
+    dn = up.T * np.arange(size, dtype=object)  # column n scaled by n
+    block = np.s_[: size - 2, : size - 2]
+    return [
+        CheckRow.exact(f"bridge-one-mode-{name}", identity,
+                       np.array_equal((r_int @ x)[block], (y @ r_int)[block]))
+        for (name, identity, _), (x, y) in zip(_BRIDGE_ROWS, _conformal_pairs(up, dn))
     ]
-    rows = []
-    for check_id, identity, x, y in pairs:
-        lhs = _exact_matmul(s, x)
-        rhs = _exact_matmul(y, s)
-        ok = True
-        # raising parts of X corrupt the last two columns of SX; the
-        # lowering Y pulls truncated rows into YS, so trim both edges
-        for j in range(size - 2):
-            for i in range(size - 2):
-                if lhs[i][j] != rhs[i][j]:
-                    ok = False
-        rows.append(CheckRow.exact(check_id, identity, ok))
-    return rows
 
 
 def one_mode_bridge(cutoff: int) -> np.ndarray:
     """One-mode bridge matrix in the normalized number basis, as floats.
 
     Entries are S[i, j] = 2^(1/4) * ring(i, j) * sqrt(i! j!) where
-    ring(i, j) = S'[i, j]/j! is exact; each float entry therefore carries
-    only a few ulp of rounding.  sqrt(i! j!) leaves the float range above
-    cutoff 98, which raises ValueError.
+    ring(i, j) = S'[i, j]/j!, i.e. R[i, j]/j! times sqrt 2 on odd rows, is
+    exact; each float entry therefore carries only a few ulp of rounding.
+    sqrt(i! j!) leaves the float range above cutoff 98, which raises
+    ValueError.
     """
     if cutoff > 98:
         raise ValueError(f"cutoff {cutoff} above 98: sqrt(99! 99!) exceeds the float range")
     size = cutoff + 1
-    s_un = one_mode_bridge_unnormalized(size)
+    r = one_mode_bridge_unnormalized(size)
     out = np.zeros((size, size))
-    quarter_two = 2.0**0.25
     for i in range(size):
-        for j in range(size):
-            entry = s_un[i][j]
-            if entry.is_zero():
-                continue
-            ring = entry * ExactComplex.coerce(Fraction(1, math.factorial(j)))
-            val = ring.to_complex().real
-            out[i, j] = (
-                quarter_two
-                * val
-                * math.sqrt(math.factorial(i) * math.factorial(j))
-            )
+        for j in range(i % 2, size, 2):
+            ring = float(r[i, j] / math.factorial(j)) * (math.sqrt(2.0) if i % 2 else 1.0)
+            out[i, j] = 2.0**0.25 * ring * math.sqrt(math.factorial(i) * math.factorial(j))
     return out
 
 
 def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:
     """Intertwining checks for the two-mode bridge, floating point.
 
-    Builds S = S1 (x) S1 on the Cartesian product grid and verifies
+    Builds S = S1 (x) S1 on the Cartesian product grid, each two-mode
+    operator as (m (x) 1 + 1 (x) m)/4 from the one-mode pairs, and verifies
     S H_free = -J_- S, S iD = J_0 S, S K = J_+ S with operator-norm
     residuals on columns with both occupation numbers <= cutoff - margin.
     """
     s1 = one_mode_bridge(cutoff)
     s = np.kron(s1, s1)
-    basis = FockBasis(cutoff)
-    # contiguous real copies keep the products below on real BLAS
-    up_a, dn_a, up_b, dn_b = (
-        ladder(basis, mode, direction).matrix.real.copy()
-        for mode in (1, 2) for direction in ("+", "-")
-    )
-
-    def quad(up, dn, sign):
-        d = up + sign * dn
-        return d @ d
-
-    h_free = -0.25 * (quad(up_a, dn_a, -1) + quad(up_b, dn_b, -1))
-    k_op = 0.25 * (quad(up_a, dn_a, +1) + quad(up_b, dn_b, +1))
-    i_d = 0.25 * ((dn_a @ dn_a - up_a @ up_a) + (dn_b @ dn_b - up_b @ up_b))
-    j_minus = 0.5 * (dn_a @ dn_a + dn_b @ dn_b)
-    j_plus = 0.5 * (up_a @ up_a + up_b @ up_b)
-    j0 = 0.5 * (up_a @ dn_a + up_b @ dn_b + np.eye(basis.dim))
-
-    keep = InteriorMask(basis, margin1=margin, margin2=margin).indices()
+    up, eye = _raising(cutoff + 1), np.eye(cutoff + 1)
+    keep = InteriorMask(FockBasis(cutoff), margin1=margin, margin2=margin).indices()
     grid = np.ix_(keep, keep)
-    pairs = [
-        ("bridge-two-mode-H", "S H_free = -J_- S", h_free, -j_minus),
-        ("bridge-two-mode-iD", "S iD = J_0 S", i_d, j0),
-        ("bridge-two-mode-K", "S K = J_+ S", k_op, j_plus),
-    ]
     rows = []
-    for check_id, identity, x, y in pairs:
-        resid = (s @ x - y @ s)[grid]
-        scale = max(operator_norm((s @ x)[grid]), 1.0)
-        rows.append(CheckRow.within(check_id, identity, operator_norm(resid) / scale, 1e-10))
+    for (name, _, identity), pair in zip(_BRIDGE_ROWS, _conformal_pairs(up, up.T)):
+        x, y = ((np.kron(m, eye) + np.kron(eye, m)) / 4 for m in pair)
+        sx = s @ x
+        resid = operator_norm((sx - y @ s)[grid]) / max(operator_norm(sx[grid]), 1.0)
+        rows.append(CheckRow.within(f"bridge-two-mode-{name}", identity, resid, 1e-10))
     return rows
 
 

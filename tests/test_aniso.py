@@ -438,6 +438,11 @@ class TestLissajous:
         assert isinstance(x1, float) and isinstance(x2, float)
         assert (x1, x2) == (1.0, 0.0)
 
+    def test_exact_frequency_beyond_float_range_raises_value_error(self):
+        freq = FrequencyPair(10**400, Fraction(1, 2))
+        with pytest.raises(ValueError, match="float range"):
+            lissajous(1, 0, 0, 1, freq, 0.5)
+
 
 class TestRescaleMap:
     def test_euclidean_example(self):

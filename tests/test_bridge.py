@@ -250,6 +250,15 @@ class TestInverseWeierstrass:
             br.inverse_weierstrass(-1)
 
 
+class TestUnits:
+    @pytest.mark.parametrize("kwargs", [
+        {"hbar": float("nan")}, {"m": float("inf")}, {"omega": float("nan")}, {"hbar": 0.0},
+    ])
+    def test_non_positive_or_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="positive and finite"):
+            br.Units(**kwargs)
+
+
 class TestRotation:
     def test_eigenstate_picks_up_phase(self):
         psi = br.eigenstate(2, 1)

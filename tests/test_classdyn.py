@@ -311,6 +311,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrajectoryParams(**kwargs)
 
+    def test_exact_coupling_beyond_float_range_raises_value_error(self):
+        # ell1 = 1 + 10^400 is a valid exact weight whose float overflows
+        p = TrajectoryParams(R1=1, R2=1, coupling=Coupling(10**400))
+        with pytest.raises(ValueError, match="float range"):
+            position(p, 0.5)
+
 
 class TestMomentum:
     def test_matches_state_from_params_and_rotational_shift(self):

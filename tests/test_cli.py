@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 
 import jsonschema
@@ -96,10 +97,28 @@ class TestRunConfig:
         {"tol_traj": -1e-6},
         {"m": 0.0},
         {"format": "xml"},
+        # NaN passes every "<= 0" test, so finiteness is checked explicitly
+        {"hbar": math.nan}, {"m": math.inf}, {"omega": math.nan},
+        {"tol_fock": math.nan}, {"tol_quad": math.inf}, {"tol_traj": math.nan},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "aniso", "--tol-fock", "nan"),
+        ("spectrum", "--g", "1/3", "--hbar", "nan"),
+    ])
+    def test_non_finite_flag_exits_2_without_output(self, tmp_path, argv):
+        assert run(tmp_path, *argv) == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_non_finite_config_file_value_exits_2(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol_quad=inf\n")
+        monkeypatch.setenv("RIAHO_CONFIG", str(cfg))
+        assert run(tmp_path, "verify", "bridge") == 2
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_config_file_layering(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -209,6 +228,23 @@ class TestTrajectory:
     def test_invalid_inputs_exit_2(self, tmp_path, argv):
         assert run(tmp_path, *argv) == 2
         assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("trajectory", "--g", "1e308"),
+    ("trajectory", "--g", "1/2", "--window", "inf"),
+    ("trajectory", "--g", "1e-308"),
+    ("lissajous", "--omega1", "1", "--omega2", "1", "--a1", "1e308", "--b1", "1.7e308"),
+    ("lissajous", "--omega1", "1", "--omega2", "2", "--window", "inf"),
+])
+def test_overflowing_samples_print_only_the_error_line(tmp_path, capsys, argv):
+    # numpy would warn about the overflow before the samples are rejected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the samples leave the float range for these parameters"]
+    assert not list(tmp_path.iterdir())
 
 
 class TestLissajous:

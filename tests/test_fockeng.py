@@ -505,23 +505,103 @@ class TestMatrixExponential:
         assert fe.operator_norm(out.matrix - np.eye(b.dim)) < 1e-14
 
 
+def _reference_bridge(size):
+    """S' of the one-mode bridge as ExactComplex entries over Q(i)[sqrt 2].
+
+    The closed form evaluated term by term, the sqrt 2 of each odd k kept
+    as a ring element instead of factored onto the rows.
+    """
+    s = [[ExactComplex.ZERO for _ in range(size)] for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if (i - j) % 2:
+                continue
+            acc = ExactComplex.ZERO
+            k = min(i, j)
+            while k >= 0:
+                a = (i - k) // 2
+                b = (j - k) // 2
+                coeff = Fraction((-1) ** (a + b), 2**a * math.factorial(a)) * Fraction(
+                    math.factorial(j), 2**b * math.factorial(b) * math.factorial(k)
+                )
+                term = coeff * Fraction(2) ** (k // 2)
+                if k % 2:
+                    acc = acc + ExactComplex(0, 0, term, 0)
+                else:
+                    acc = acc + ExactComplex(term)
+                k -= 2
+            s[i][j] = acc
+    return s
+
+
+@pytest.fixture(scope="module")
+def reference_bridge_99():
+    # entries do not depend on the size, so smaller sizes are leading blocks
+    return _reference_bridge(99)
+
+
 class TestOneModeBridgeExact:
     def test_frozen_entries(self):
-        s = fe.one_mode_bridge_unnormalized(5)
-        one = ExactComplex.ONE
-        sqrt2 = ExactComplex.sqrt2()
-        assert s[0][0] == one
-        assert s[1][1] == sqrt2
-        assert s[0][2] == ExactComplex.coerce(-1)
-        assert s[2][0] == ExactComplex.coerce(F(-1, 2))
-        assert s[2][2] == ExactComplex.coerce(F(5, 2))
+        # S' = diag(sqrt2^(i mod 2)) R: R[1, 1] = 1 is the entry sqrt 2 of S'
+        r = fe.one_mode_bridge_unnormalized(5)
+        assert r[0, 0] == 1
+        assert r[1, 1] == 1
+        assert r[0, 2] == -1
+        assert r[2, 0] == F(-1, 2)
+        assert r[2, 2] == F(5, 2)
         # opposite parity never couples
-        assert s[1][0].is_zero() and s[0][3].is_zero()
+        assert r[1, 0] == 0 and r[0, 3] == 0
+
+    def test_entries_are_fractions(self):
+        r = fe.one_mode_bridge_unnormalized(6)
+        assert r.dtype == object and r.shape == (6, 6)
+        assert all(isinstance(q, Fraction) for q in r.flat)
+
+    def test_parity_factored_matches_reference(self, reference_bridge_99):
+        sqrt2 = ExactComplex.sqrt2()
+        for size in range(1, 32):
+            r = fe.one_mode_bridge_unnormalized(size)
+            for i in range(size):
+                for j in range(size):
+                    expected = reference_bridge_99[i][j]
+                    entry = ExactComplex.coerce(r[i, j])
+                    assert (sqrt2 * entry if i % 2 else entry) == expected, (size, i, j)
+
+    @pytest.mark.parametrize("cutoff", [4, 10, 16, 40, 98])
+    def test_float_bridge_bit_identical_to_reference(self, cutoff, reference_bridge_99):
+        size = cutoff + 1
+        expected = np.zeros((size, size))
+        for i in range(size):
+            for j in range(size):
+                entry = reference_bridge_99[i][j]
+                if entry.is_zero():
+                    continue
+                ring = entry * ExactComplex.coerce(F(1, math.factorial(j)))
+                expected[i, j] = (2.0**0.25 * ring.to_complex().real
+                                  * math.sqrt(math.factorial(i) * math.factorial(j)))
+        assert fe.one_mode_bridge(cutoff).tobytes() == expected.tobytes()
 
     def test_intertwining_exact(self):
         for row in fe.verify_one_mode_bridge(11):
             assert row.passed, row.check_id
             assert row.residual == 0.0
+
+    @pytest.mark.parametrize("entry", [(2, 2), (3, 1), (8, 4)])
+    def test_perturbed_bridge_fails_every_row(self, monkeypatch, entry):
+        exact = fe.one_mode_bridge_unnormalized
+
+        def perturbed(size):
+            r = exact(size)
+            r[entry] += F(1, 3)
+            return r
+
+        monkeypatch.setattr(fe, "one_mode_bridge_unnormalized", perturbed)
+        rows = fe.verify_one_mode_bridge(11)
+        assert [row.check_id for row in rows] == [
+            "bridge-one-mode-H", "bridge-one-mode-iD", "bridge-one-mode-K"]
+        for row in rows:
+            assert not row.passed, row.check_id
+            assert row.residual is None
 
 
 class TestQuantumBridgeFloat:
