@@ -49,9 +49,8 @@ from .phasealg import (
     ExactComplex,
     PhasePoly,
     poisson_bracket,
-    rational_sqrt,
 )
-from .phasealg.exact import coerce_real
+from .phasealg.exact import coerce_real, ring_sqrt
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -645,17 +644,6 @@ def rescale_map(coupling) -> RescaleMap:
     )
 
 
-def _ring_sqrt(q: Fraction):
-    """Exact square root in Q(i)[sqrt2] when q = r^2 or 2 r^2, else None."""
-    root = rational_sqrt(q)
-    if root is not None:
-        return ExactComplex.coerce(root)
-    root = rational_sqrt(q / 2)
-    if root is not None:
-        return ExactComplex.coerce(root) * ExactComplex.sqrt2()
-    return None
-
-
 def rescale_canonical_check(coupling) -> CheckRow:
     """Symbolic canonical-bracket table for the rescaling map.
 
@@ -667,8 +655,8 @@ def rescale_canonical_check(coupling) -> CheckRow:
     identity because every bracket is w-independent: {w x, p/w} = {x, p}.
     """
     the_map = rescale_map(coupling)
-    exact1 = _ring_sqrt(the_map.weight_sq[0])
-    exact2 = _ring_sqrt(the_map.weight_sq[1])
+    exact1 = ring_sqrt(the_map.weight_sq[0])
+    exact2 = ring_sqrt(the_map.weight_sq[1])
     if exact1 is not None and exact2 is not None:
         weight_pairs = [(exact1, exact2)]
         detail = "weights sqrt|ell_i| exact in the coefficient ring"

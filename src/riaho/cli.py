@@ -400,13 +400,21 @@ def cmd_degeneracy(args, config: RunConfig) -> int:
     })
 
 
+def _require_finite(args, *names):
+    for name in names:
+        if not math.isfinite(getattr(args, name)):
+            raise ConfigError(f"{name} must be finite")
+
+
 def _square_grid(args) -> tuple:
     """ij meshgrid of --points samples per axis over [-extent, extent]."""
     if args.points < 2:
         raise ConfigError("points must be at least 2")
+    _require_finite(args, "extent")
     if args.extent <= 0:
         raise ConfigError("extent must be positive")
-    xs = np.linspace(-args.extent, args.extent, args.points)
+    with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
+        xs = np.linspace(-args.extent, args.extent, args.points)
     return np.meshgrid(xs, xs, indexing="ij")
 
 
@@ -416,7 +424,8 @@ def cmd_eigenstate(args, config: RunConfig) -> int:
     x1, x2 = _square_grid(args)
     units = config.units
     psi = bridge.eigenstate(args.n1, args.n2, units)
-    values = psi.evaluate_grid(x1, x2)
+    with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
+        values = psi.evaluate_grid(x1, x2)
     rows = _float_rows(x1, x2, values.real, values.imag)
     norm = bridge.inner_product(psi, psi).real
     return emit_dataset(config, args.out, "eigenstate", ["x1", "x2", "re_psi", "im_psi"], rows, {
@@ -436,6 +445,7 @@ def cmd_coherent(args, config: RunConfig) -> int:
     beta = parse_complex(args.beta, "beta")
     g = parse_rational(args.g, "g")
     coupling = Coupling(g)
+    _require_finite(args, "t", "gamma")
     x1, x2 = _square_grid(args)
     if args.cutoff < 4:
         raise ConfigError("cutoff must be at least 4")
@@ -453,9 +463,10 @@ def cmd_coherent(args, config: RunConfig) -> int:
     zero_point = complex(np.exp(-1j * w * t))
     rotated = bridge.rotate(state, args.gamma)
 
-    base = state.evaluate_grid(x1, x2)
-    evo = zero_point * evolved.evaluate_grid(x1, x2)
-    rot = rotated.evaluate_grid(x1, x2)
+    with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
+        base = state.evaluate_grid(x1, x2)
+        evo = zero_point * evolved.evaluate_grid(x1, x2)
+        rot = rotated.evaluate_grid(x1, x2)
     rows = _float_rows(x1, x2, base.real, base.imag, evo.real, evo.imag, rot.real, rot.imag)
     columns = ["x1", "x2", "re_phi", "im_phi", "re_evolved", "im_evolved",
                "re_rotated", "im_rotated"]

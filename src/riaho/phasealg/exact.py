@@ -1,25 +1,43 @@
-"""Exact scalar arithmetic over Q(i)[sqrt2].
+"""Exact scalar arithmetic over Q(i)[sqrt2] = Q(zeta), zeta = exp(i*pi/4).
 
 Coefficients of phase-space polynomials live in the ring of complex numbers
-a + b*sqrt2 with a, b Gaussian rationals.  This is the smallest ring closed
+A + B*sqrt2 with A, B Gaussian rationals.  This is the smallest ring closed
 under every operation the symmetry-algebra engine performs: Poisson brackets
 keep coefficients Gaussian rational, the circular<->canonical mode conversion
 introduces d = sqrt(m*omega)/2 (rational, or rational*sqrt2, for the unit
 systems supported), and the grading flow of the conformal bridge introduces
 half-integer powers of 2.
 
-Representation is canonical (1 and sqrt2 are independent over Q), so zero
-testing and equality are exact dictionary comparisons.
+That ring is the 8th cyclotomic field Q(zeta): zeta^4 = -1, i = zeta^2 and
+sqrt2 = zeta - zeta^3.  zeta is the e^{+-i pi/4} phase that the
+Cartesian-to-circular unitary puts on each mode.  An element is stored as
+four ints over one denominator,
+
+    (c0 + c1*zeta + c2*zeta^2 + c3*zeta^3) / d,    d > 0,
+    gcd(c0, c1, c2, c3, d) = 1,
+
+which is canonical (1, zeta, zeta^2, zeta^3 are independent over Q), so
+equality and hashing compare five ints.  With A = ar + ai*i and
+B = br + bi*i the two coordinate systems are related by
+
+    c/d = (ar, br + bi, ai, bi - br)
+    ar = c0/d, ai = c2/d, br = (c1 - c3)/(2d), bi = (c1 + c3)/(2d).
+
+The constructor and the read-only ``ar/ai/br/bi`` properties speak the
+(A, B) coordinates; the arithmetic runs on the integers.  A product is a
+negacyclic length-4 convolution (zeta^4 = -1) and one gcd; the inverse is
+the product of the Galois conjugates zeta -> zeta^3, zeta^5, zeta^7 over the
+rational norm; complex conjugation is zeta -> zeta^7.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite, isqrt, sqrt as _fsqrt
+from math import gcd, isfinite, isqrt, lcm, sqrt as _fsqrt
 
-__all__ = ["ExactComplex", "coerce_real", "rational_sqrt"]
+__all__ = ["ExactComplex", "coerce_real", "rational_sqrt", "ring_sqrt"]
 
 _SQRT2 = _fsqrt(2.0)
-_F0 = Fraction(0)
+_new_object = object.__new__
 
 
 def _as_fraction(x) -> Fraction:
@@ -59,16 +77,63 @@ def rational_sqrt(q: Fraction):
     return None
 
 
-class ExactComplex:
-    """Element (ar + ai*i) + (br + bi*i)*sqrt2 with Fraction components."""
+def _make(c0, c1, c2, c3, d):
+    """Element (c0 + c1 z + c2 z^2 + c3 z^3)/d, reduced to canonical form.
 
-    __slots__ = ("ar", "ai", "br", "bi")
+    d must be positive.
+    """
+    if d != 1:
+        g = gcd(c0, c1, c2, c3, d)
+        if g != 1:
+            c0 //= g
+            c1 //= g
+            c2 //= g
+            c3 //= g
+            d //= g
+    z = _new_object(ExactComplex)
+    z._c0 = c0
+    z._c1 = c1
+    z._c2 = c2
+    z._c3 = c3
+    z._d = d
+    return z
+
+
+def _from_rational(x) -> "ExactComplex":
+    return _make(x.numerator, 0, 0, 0, x.denominator)
+
+
+class ExactComplex:
+    """Element (ar + ai*i) + (br + bi*i)*sqrt2 of Q(zeta), stored on ints."""
+
+    __slots__ = ("_c0", "_c1", "_c2", "_c3", "_d")
 
     def __init__(self, ar=0, ai=0, br=0, bi=0):
-        self.ar = _as_fraction(ar)
-        self.ai = _as_fraction(ai)
-        self.br = _as_fraction(br)
-        self.bi = _as_fraction(bi)
+        ar, ai = _as_fraction(ar), _as_fraction(ai)
+        br, bi = _as_fraction(br), _as_fraction(bi)
+        parts = (ar, br + bi, ai, bi - br)
+        # the lcm of reduced denominators leaves the form already canonical
+        d = lcm(*(p.denominator for p in parts))
+        self._c0, self._c1, self._c2, self._c3 = (
+            p.numerator * (d // p.denominator) for p in parts)
+        self._d = d
+
+    # -- (A, B) coordinates -----------------------------------------------
+    @property
+    def ar(self) -> Fraction:
+        return Fraction(self._c0, self._d)
+
+    @property
+    def ai(self) -> Fraction:
+        return Fraction(self._c2, self._d)
+
+    @property
+    def br(self) -> Fraction:
+        return Fraction(self._c1 - self._c3, 2 * self._d)
+
+    @property
+    def bi(self) -> Fraction:
+        return Fraction(self._c1 + self._c3, 2 * self._d)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -76,7 +141,7 @@ class ExactComplex:
         if isinstance(value, ExactComplex):
             return value
         if isinstance(value, (int, Fraction)):
-            return cls(value)
+            return _from_rational(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to ExactComplex")
 
     @classmethod
@@ -89,34 +154,42 @@ class ExactComplex:
 
     # -- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
-        return not (self.ar or self.ai or self.br or self.bi)
+        return not (self._c0 or self._c1 or self._c2 or self._c3)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, ExactComplex):
+            return (self._c0 == other._c0 and self._c1 == other._c1
+                    and self._c2 == other._c2 and self._c3 == other._c3
+                    and self._d == other._d)
         if isinstance(other, (int, Fraction)):
-            other = ExactComplex(other)
-        if not isinstance(other, ExactComplex):
-            return NotImplemented
-        return (self.ar == other.ar and self.ai == other.ai
-                and self.br == other.br and self.bi == other.bi)
+            return (not (self._c1 or self._c2 or self._c3)
+                    and self._c0 * other.denominator == other.numerator * self._d)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.ar, self.ai, self.br, self.bi))
+        return hash((self._c0, self._c1, self._c2, self._c3, self._d))
 
     # -- ring operations -----------------------------------------------
     def __add__(self, other):
-        if not isinstance(other, (ExactComplex, int, Fraction)):
-            return NotImplemented
-        other = ExactComplex.coerce(other)
-        return ExactComplex(self.ar + other.ar, self.ai + other.ai,
-                            self.br + other.br, self.bi + other.bi)
+        if not isinstance(other, ExactComplex):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _from_rational(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._c0 + other._c0, self._c1 + other._c1,
+                         self._c2 + other._c2, self._c3 + other._c3, d)
+        return _make(self._c0 * e + other._c0 * d, self._c1 * e + other._c1 * d,
+                     self._c2 * e + other._c2 * d, self._c3 * e + other._c3 * d,
+                     d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactComplex(-self.ar, -self.ai, -self.br, -self.bi)
+        return _make(-self._c0, -self._c1, -self._c2, -self._c3, self._d)
 
     def __sub__(self, other):
         if not isinstance(other, (ExactComplex, int, Fraction)):
@@ -129,76 +202,69 @@ class ExactComplex:
         return ExactComplex.coerce(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, (ExactComplex, int, Fraction)):
-            return NotImplemented
-        other = ExactComplex.coerce(other)
-        # complex parts: a = ar+i*ai, b = br+i*bi for each factor
-        ar, ai, br, bi = self.ar, self.ai, self.br, self.bi
-        cr, ci, dr, di = other.ar, other.ai, other.br, other.bi
-        # (a + b*s)(c + d*s) = (ac + 2bd) + (ad + bc)*s   with s^2 = 2;
-        # skip the zero blocks, coefficients are sparse in practice
-        or_ = oi = sr = si = _F0
-        if (ar or ai) and (cr or ci):
-            or_ = ar * cr - ai * ci
-            oi = ar * ci + ai * cr
-        if (br or bi) and (dr or di):
-            or_ = or_ + 2 * (br * dr - bi * di)
-            oi = oi + 2 * (br * di + bi * dr)
-        if (ar or ai) and (dr or di):
-            sr = ar * dr - ai * di
-            si = ar * di + ai * dr
-        if (br or bi) and (cr or ci):
-            sr = sr + br * cr - bi * ci
-            si = si + br * ci + bi * cr
-        return ExactComplex(or_, oi, sr, si)
+        if not isinstance(other, ExactComplex):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _from_rational(other)
+        a0, a1, a2, a3 = self._c0, self._c1, self._c2, self._c3
+        b0, b1, b2, b3 = other._c0, other._c1, other._c2, other._c3
+        # negacyclic convolution: z^4 = -1
+        return _make(a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+                     a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+                     a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+                     self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactComplex":
-        """Multiplicative inverse: 1/(a+b*s) = (a-b*s)/(a^2-2b^2)."""
+        """Multiplicative inverse: the product of the three Galois
+        conjugates (zeta -> zeta^3, zeta^5, zeta^7) over the rational norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        a2_r = self.ar * self.ar - self.ai * self.ai
-        a2_i = 2 * self.ar * self.ai
-        b2_r = self.br * self.br - self.bi * self.bi
-        b2_i = 2 * self.br * self.bi
-        den_r = a2_r - 2 * b2_r   # a^2 - 2 b^2, Gaussian rational
-        den_i = a2_i - 2 * b2_i
-        nrm = den_r * den_r + den_i * den_i
-        if nrm == 0:
-            raise ZeroDivisionError("non-invertible element")
-        inv_r, inv_i = den_r / nrm, -den_i / nrm
-        conj = ExactComplex(self.ar, self.ai, -self.br, -self.bi)
-        return conj * ExactComplex(inv_r, inv_i)
+        a0, a1, a2, a3 = self._c0, self._c1, self._c2, self._c3
+        # u = a * sigma5(a) = x0 + x2 z^2 lies in Q(i); sigma3(u) = x0 - x2 z^2
+        # and sigma3(a) sigma7(a) = sigma3(u), so 1/a = sigma5(a) sigma3(u) / N
+        # with N = u sigma3(u) = x0^2 + x2^2.
+        x0 = a0 * a0 - a2 * a2 + 2 * a1 * a3
+        x2 = 2 * a0 * a2 - a1 * a1 + a3 * a3
+        b0, b1, b2, b3 = a0, -a1, a2, -a3
+        d = self._d
+        return _make(d * (b0 * x0 + b2 * x2), d * (b1 * x0 + b3 * x2),
+                     d * (b2 * x0 - b0 * x2), d * (b3 * x0 - b1 * x2),
+                     x0 * x0 + x2 * x2)
 
     def conjugate(self) -> "ExactComplex":
-        """Complex conjugation (sqrt2 is real, so only i flips)."""
-        return ExactComplex(self.ar, -self.ai, self.br, -self.bi)
+        """Complex conjugation, the automorphism zeta -> zeta^7 = 1/zeta."""
+        return _make(self._c0, -self._c3, -self._c2, -self._c1, self._d)
 
     # -- numerics / display ---------------------------------------------
     def to_complex(self) -> complex:
-        return complex(float(self.ar) + _SQRT2 * float(self.br),
-                       float(self.ai) + _SQRT2 * float(self.bi))
+        # int / int is correctly rounded, as float() of the reduced Fraction
+        d, d2 = self._d, 2 * self._d
+        return complex(self._c0 / d + _SQRT2 * ((self._c1 - self._c3) / d2),
+                       self._c2 / d + _SQRT2 * ((self._c1 + self._c3) / d2))
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
 
     def __repr__(self) -> str:
+        ar, ai, br, bi = self.ar, self.ai, self.br, self.bi
         parts = []
-        if self.ar or self.ai:
-            if self.ai == 0:
-                parts.append(str(self.ar))
-            elif self.ar == 0:
-                parts.append(f"{self.ai}i")
+        if ar or ai:
+            if ai == 0:
+                parts.append(str(ar))
+            elif ar == 0:
+                parts.append(f"{ai}i")
             else:
-                parts.append(f"({self.ar}{'+' if self.ai > 0 else ''}{self.ai}i)")
-        if self.br or self.bi:
-            if self.bi == 0:
-                coef = str(self.br)
-            elif self.br == 0:
-                coef = f"{self.bi}i"
+                parts.append(f"({ar}{'+' if ai > 0 else ''}{ai}i)")
+        if br or bi:
+            if bi == 0:
+                coef = str(br)
+            elif br == 0:
+                coef = f"{bi}i"
             else:
-                coef = f"({self.br}{'+' if self.bi > 0 else ''}{self.bi}i)"
+                coef = f"({br}{'+' if bi > 0 else ''}{bi}i)"
             parts.append(f"{coef}*sqrt2")
         return " + ".join(parts) if parts else "0"
 
@@ -206,3 +272,14 @@ class ExactComplex:
 ExactComplex.ZERO = ExactComplex(0)
 ExactComplex.ONE = ExactComplex(1)
 ExactComplex.I = ExactComplex(0, 1)
+
+
+def ring_sqrt(q: Fraction):
+    """sqrt(q) as an ExactComplex when q = r^2 or 2 r^2 (r rational), else None."""
+    root = rational_sqrt(q)
+    if root is not None:
+        return _from_rational(root)
+    root = rational_sqrt(q / 2)
+    if root is not None:
+        return ExactComplex(0, 0, root)
+    return None

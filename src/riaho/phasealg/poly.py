@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactComplex, rational_sqrt
+from .exact import ExactComplex, ring_sqrt
 
 __all__ = [
     "CANONICAL", "CIRCULAR", "CANONICAL_VARS", "CIRCULAR_VARS",
@@ -70,12 +70,9 @@ class Params:
         since the conversion would leave the coefficient ring.
         """
         mw = self.m * self.omega
-        r = rational_sqrt(mw)
-        if r is not None:
-            return ExactComplex(r / 2)
-        r = rational_sqrt(mw / 2)
-        if r is not None:
-            return ExactComplex(0, 0, r / 2)  # sqrt(m w) = sqrt2 * r
+        root = ring_sqrt(mw)
+        if root is not None:
+            return root * Fraction(1, 2)
         raise ValueError(
             f"m*omega = {mw} is neither a rational square nor twice one; "
             "exact mode conversion is unavailable for these units")
@@ -245,31 +242,29 @@ class PhasePoly:
     def to_basis(self, basis: str) -> "PhasePoly":
         if basis == self.basis:
             return self
-        images = _conversion_images(self.basis, basis, self.params)
-        one = PhasePoly.constant(1, basis, self.params)
-        pows: dict = {name: [one, images[name]] for name in _VARS[self.basis]}
-
-        def power(name, n):
-            lst = pows[name]
-            while len(lst) <= n:
-                lst.append(lst[-1] * lst[1])
-            return lst[n]
-
-        acc: dict = {}
+        # substitute on exponent-only keys: the degree-1 images carry no time
+        # tag, so each source term's mu is attached once, to its whole image
+        pows = [[image] for image in
+                _conversion_images(self.basis, basis, self.params)]
+        by_mu: dict = {}  # mu -> {exponents: coefficient}
         for key, coeff in self.terms.items():
-            term = one
-            for i, name in enumerate(_VARS[self.basis]):
-                if key[i]:
-                    term = term * power(name, key[i])
-            mu = key[4]
-            for k2, c2 in term.terms.items():
-                k = (k2[0], k2[1], k2[2], k2[3], mu)
-                prod = coeff * c2
-                if k in acc:
-                    acc[k] = acc[k] + prod
+            term = _UNIT
+            for i in range(4):
+                n = key[i]
+                if n:
+                    lst = pows[i]
+                    while len(lst) < n:
+                        lst.append(_product(lst[-1], lst[0]))
+                    term = lst[n - 1] if term is _UNIT else _product(term, lst[n - 1])
+            acc = by_mu.setdefault(key[4], {})
+            for e, c in term.items():
+                prod = coeff * c
+                if e in acc:
+                    acc[e] = acc[e] + prod
                 else:
-                    acc[k] = prod
-        return PhasePoly(basis, acc, self.params)
+                    acc[e] = prod
+        return PhasePoly(basis, {(*e, mu): c for mu, acc in by_mu.items()
+                                 for e, c in acc.items()}, self.params)
 
     # -- numerics ------------------------------------------------------------
     def evaluate(self, point: dict, t: float = 0.0) -> complex:
@@ -315,42 +310,59 @@ class PhasePoly:
     __repr__ = __str__
 
 
-def _conversion_images(src: str, dst: str, params: Params) -> dict:
-    """Degree-1 images of src variables inside the dst basis."""
+_UNIT = {(0, 0, 0, 0): ExactComplex.ONE}
+
+
+def _product(a: dict, b: dict) -> dict:
+    """Product of two polynomials given as {exponent 4-tuple: coefficient}."""
+    out = {}
+    for (i0, i1, i2, i3), c1 in a.items():
+        for (j0, j1, j2, j3), c2 in b.items():
+            key = (i0 + j0, i1 + j1, i2 + j2, i3 + j3)
+            prod = c1 * c2
+            if key in out:
+                out[key] = out[key] + prod
+            else:
+                out[key] = prod
+    return {k: c for k, c in out.items() if c}
+
+
+def _conversion_images(src: str, dst: str, params: Params) -> list:
+    """Degree-1 images of the src variables, in src variable order, as
+    {dst exponent 4-tuple: coefficient} dicts."""
     d = params.conversion_factor()
     dinv = d.inverse()
     i = _I
-
-    def poly(pairs):
-        return PhasePoly(dst, {(*e, _ZERO): c for e, c in pairs}, params)
 
     if src == CANONICAL and dst == CIRCULAR:
         # b1- = d(x1 - i x2) + (i/4d)(p1 - i p2), b2- = d(x1 + i x2) + (i/4d)(p1 + i p2)
         # inverses actually needed here:
         q = Fraction(1, 4) * dinv
-        return {
-            "x1": poly([((0, 1, 0, 0), q), ((0, 0, 0, 1), q),
-                        ((1, 0, 0, 0), q), ((0, 0, 1, 0), q)]),
-            "x2": poly([((0, 0, 0, 1), -i * q), ((0, 1, 0, 0), i * q),
-                        ((1, 0, 0, 0), -i * q), ((0, 0, 1, 0), i * q)]),
-            "p1": poly([((0, 1, 0, 0), -i * d), ((0, 0, 0, 1), -i * d),
-                        ((1, 0, 0, 0), i * d), ((0, 0, 1, 0), i * d)]),
-            "p2": poly([((0, 1, 0, 0), d), ((0, 0, 0, 1), -d),
-                        ((1, 0, 0, 0), d), ((0, 0, 1, 0), -d)]),
+        images = {
+            "x1": {(0, 1, 0, 0): q, (0, 0, 0, 1): q,
+                   (1, 0, 0, 0): q, (0, 0, 1, 0): q},
+            "x2": {(0, 0, 0, 1): -i * q, (0, 1, 0, 0): i * q,
+                   (1, 0, 0, 0): -i * q, (0, 0, 1, 0): i * q},
+            "p1": {(0, 1, 0, 0): -i * d, (0, 0, 0, 1): -i * d,
+                   (1, 0, 0, 0): i * d, (0, 0, 1, 0): i * d},
+            "p2": {(0, 1, 0, 0): d, (0, 0, 0, 1): -d,
+                   (1, 0, 0, 0): d, (0, 0, 1, 0): -d},
         }
-    if src == CIRCULAR and dst == CANONICAL:
+    elif src == CIRCULAR and dst == CANONICAL:
         q = Fraction(1, 4) * dinv
-        return {
-            "b1-": poly([((1, 0, 0, 0), d), ((0, 1, 0, 0), -i * d),
-                         ((0, 0, 1, 0), i * q), ((0, 0, 0, 1), q)]),
-            "b2-": poly([((1, 0, 0, 0), d), ((0, 1, 0, 0), i * d),
-                         ((0, 0, 1, 0), i * q), ((0, 0, 0, 1), -q)]),
-            "b1+": poly([((1, 0, 0, 0), d), ((0, 1, 0, 0), i * d),
-                         ((0, 0, 1, 0), -i * q), ((0, 0, 0, 1), q)]),
-            "b2+": poly([((1, 0, 0, 0), d), ((0, 1, 0, 0), -i * d),
-                         ((0, 0, 1, 0), -i * q), ((0, 0, 0, 1), -q)]),
+        images = {
+            "b1-": {(1, 0, 0, 0): d, (0, 1, 0, 0): -i * d,
+                    (0, 0, 1, 0): i * q, (0, 0, 0, 1): q},
+            "b2-": {(1, 0, 0, 0): d, (0, 1, 0, 0): i * d,
+                    (0, 0, 1, 0): i * q, (0, 0, 0, 1): -q},
+            "b1+": {(1, 0, 0, 0): d, (0, 1, 0, 0): i * d,
+                    (0, 0, 1, 0): -i * q, (0, 0, 0, 1): q},
+            "b2+": {(1, 0, 0, 0): d, (0, 1, 0, 0): -i * d,
+                    (0, 0, 1, 0): -i * q, (0, 0, 0, 1): -q},
         }
-    raise ValueError(f"no conversion {src} -> {dst}")
+    else:
+        raise ValueError(f"no conversion {src} -> {dst}")
+    return [images[name] for name in _VARS[src]]
 
 
 def poisson_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:

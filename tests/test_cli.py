@@ -236,6 +236,8 @@ class TestTrajectory:
     ("trajectory", "--g", "1e-308"),
     ("lissajous", "--omega1", "1", "--omega2", "1", "--a1", "1e308", "--b1", "1.7e308"),
     ("lissajous", "--omega1", "1", "--omega2", "2", "--window", "inf"),
+    ("eigenstate", "--n1", "1", "--n2", "0", "--extent", "1e308"),
+    ("coherent", "--alpha", "0.1,0", "--beta", "0,0", "--extent", "1e308"),
 ])
 def test_overflowing_samples_print_only_the_error_line(tmp_path, capsys, argv):
     # numpy would warn about the overflow before the samples are rejected
@@ -244,6 +246,27 @@ def test_overflowing_samples_print_only_the_error_line(tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: the samples leave the float range for these parameters"]
+    assert not list(tmp_path.iterdir())
+
+
+_COHERENT = ("coherent", "--alpha", "0.1,0", "--beta", "0,0")
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("eigenstate", "--n1", "1", "--n2", "0", "--extent", "nan"), "extent"),
+    (("eigenstate", "--n1", "1", "--n2", "0", "--extent", "inf"), "extent"),
+    (_COHERENT + ("--extent", "nan"), "extent"),
+    (_COHERENT + ("--extent=-inf",), "extent"),
+    (_COHERENT + ("--t", "inf"), "t"),
+    (_COHERENT + ("--t", "nan"), "t"),
+    (_COHERENT + ("--gamma", "inf"), "gamma"),
+    (_COHERENT + ("--gamma", "nan"), "gamma"),
+])
+def test_non_finite_grid_and_angles_print_only_the_error_line(tmp_path, capsys, argv, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {name} must be finite"]
     assert not list(tmp_path.iterdir())
 
 
