@@ -29,14 +29,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bridge import ProportionalityReport, grid_proportionality, inverse_weierstrass
+from .bridge import ProportionalityReport, ZPolynomial, grid_proportionality, inverse_weierstrass
 from .coupling import Coupling
 from .fockeng import (
     FockBasis,
     FockOperator,
     InteriorMask,
     _hidden_ladder_matrix,
-    _validate_hidden,
     commutator,
     exact_energy,
     ladder,
@@ -50,6 +49,7 @@ from .phasealg import (
     PhasePoly,
     poisson_bracket,
 )
+from .phasealg.catalog import hidden_shift
 from .phasealg.exact import coerce_real, ring_sqrt
 from .reports import CheckRow, VerificationReport
 
@@ -269,8 +269,7 @@ def hidden_operator(
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     l1, l2 = _require_labels(freq)
-    _validate_hidden(kind, l1, l2)
-    mat = _hidden_ladder_matrix(basis, kind, l1, l2)
+    mat = _hidden_ladder_matrix(basis, hidden_shift(kind, l1, l2))
     if sign == "-":
         mat = mat.conj().T
     return FockOperator(basis, mat, f"{kind}{sign}({l1},{l2})")
@@ -284,16 +283,15 @@ def hidden_orbits(
 ) -> list[frozenset]:
     """Connected components of the grid under the resonant ladder pair.
 
-    The step is (l1, -l2) for kind "L" and (l1, l2) for kind "J"; two pool
-    states are linked when one ladder application maps one onto the other.
+    The step is ``hidden_shift(kind, l1, l2)``, (l1, -l2) for kind "L" and
+    (l1, l2) for kind "J"; two states of the (convex) pool are linked when
+    one ladder application maps one onto the other.
     For commensurable frequencies these orbits coincide with the exact
     degeneracy classes of the matching signed Hamiltonian (the level sets
     are single arithmetic progressions, and a rectangular pool only cuts
     their head or tail).
     """
-    l1, l2 = _require_labels(freq)
-    _validate_hidden(kind, l1, l2)
-    step = (l1, -l2) if kind == "L" else (l1, l2)
+    step = hidden_shift(kind, *_require_labels(freq))
     return ladder_orbits(basis.states() if mask is None else mask.states(), step)
 
 
@@ -390,41 +388,30 @@ def so11_invariant_check(
 class SeparableState:
     """Polynomial times a product Gaussian exp(-r1 x1^2 - r2 x2^2).
 
-    ``poly`` maps (p1, p2) exponent pairs to complex coefficients.  The
-    envelope is separable by construction; the polynomial factorizes for
-    monomial input but is kept joint so sums of monomials stay closed.
+    ``poly`` is a :class:`ZPolynomial` whose (p1, p2) exponents are those of
+    x1 and x2 (a term dict is converted).  The envelope is separable by
+    construction; the polynomial factorizes for monomial input but is kept
+    joint so sums of monomials stay closed.
     """
 
-    poly: dict
+    poly: ZPolynomial
     rate1: float
     rate2: float
 
     def __post_init__(self):
-        clean = {}
-        for key, coeff in self.poly.items():
-            p1, p2 = int(key[0]), int(key[1])
-            if p1 < 0 or p2 < 0:
-                raise ValueError("negative exponent")
-            c = complex(coeff)
-            if c != 0:
-                clean[(p1, p2)] = c
-        object.__setattr__(self, "poly", clean)
+        if not isinstance(self.poly, ZPolynomial):
+            object.__setattr__(self, "poly", ZPolynomial(self.poly))
         if self.rate1 <= 0 or self.rate2 <= 0:
             raise ValueError("Gaussian rates must be positive")
 
     def evaluate(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        total = np.zeros(np.broadcast(x1, x2).shape, dtype=complex)
-        for (p1, p2), coeff in self.poly.items():
-            total = total + coeff * x1**p1 * x2**p2
-        out = total * np.exp(-self.rate1 * x1**2 - self.rate2 * x2**2)
-        return out if out.shape else complex(out)
+        out = self.poly.at(x1, x2) * np.exp(-self.rate1 * x1**2 - self.rate2 * x2**2)
+        return out if np.ndim(out) else complex(out)
 
     def scale(self, factor) -> "SeparableState":
-        return SeparableState(
-            {k: factor * c for k, c in self.poly.items()}, self.rate1, self.rate2
-        )
+        return SeparableState(self.poly.scale(factor), self.rate1, self.rate2)
 
 
 def _mode_bridge_poly(n: int, omega: float, m: float, hbar: float) -> dict:

@@ -133,9 +133,16 @@ class ZPolynomial:
             {(n1, n2 - 1): n2 * c for (n1, n2), c in self.terms.items() if n2 > 0}
         )
 
+    def at(self, u, v):
+        """Sum of c u^n1 v^n2 (the value at z = u, zbar = v); scalars or broadcast arrays."""
+        shape = np.broadcast(u, v).shape
+        total = np.zeros(shape, dtype=complex) if shape else 0j  # scalars stay Python complex
+        for (n1, n2), c in self.terms.items():
+            total += c * u**n1 * v**n2
+        return total
+
     def evaluate(self, z: complex) -> complex:
-        zb = z.conjugate()
-        return sum(c * z**n1 * zb**n2 for (n1, n2), c in self.terms.items())
+        return self.at(z, z.conjugate())
 
     def conjugate(self) -> "ZPolynomial":
         return ZPolynomial(
@@ -225,16 +232,13 @@ class WaveState:
         z = complex(x1) + 1j * complex(x2)
         zb = z.conjugate()
         expo = self.exp_zzbar * z * zb + self.exp_z * z + self.exp_zbar * zb + self.exp_const
-        return self.prefactor.evaluate(z) * np.exp(expo)
+        return self.prefactor.at(z, zb) * np.exp(expo)
 
     def evaluate_grid(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         z = np.asarray(x1) + 1j * np.asarray(x2)
         zb = np.conj(z)
         expo = self.exp_zzbar * z * zb + self.exp_z * z + self.exp_zbar * zb + self.exp_const
-        vals = np.zeros_like(z, dtype=complex)
-        for (n1, n2), c in self.prefactor.terms.items():
-            vals += c * z**n1 * zb**n2
-        return vals * np.exp(expo)
+        return self.prefactor.at(z, zb) * np.exp(expo)
 
     def _same_envelope(self, other: "WaveState", tol=1e-12) -> bool:
         return (
@@ -249,19 +253,13 @@ class WaveState:
             return NotImplemented
         if not self._same_envelope(other):
             raise ValueError("cannot add states with different exponents")
-        return WaveState(
-            self.prefactor + other.prefactor,
-            self.exp_zzbar, self.exp_z, self.exp_zbar, self.exp_const, self.units,
-        )
+        return self.with_prefactor(self.prefactor + other.prefactor)
 
     def __sub__(self, other: "WaveState") -> "WaveState":
         return self + other.scale(-1.0)
 
     def scale(self, factor) -> "WaveState":
-        return WaveState(
-            self.prefactor.scale(factor),
-            self.exp_zzbar, self.exp_z, self.exp_zbar, self.exp_const, self.units,
-        )
+        return self.with_prefactor(self.prefactor.scale(factor))
 
     def with_prefactor(self, poly: ZPolynomial) -> "WaveState":
         return WaveState(
@@ -455,12 +453,8 @@ def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
     z = x1 + 1j * x2
     zb = np.conj(z)
     # polynomial parts and the leftover (linear + constant) exponent
-    pa = np.zeros_like(z, dtype=complex)
-    for (m_, n_), c in a.prefactor.terms.items():
-        pa += c.conjugate() * zb**m_ * z**n_
-    pb = np.zeros_like(z, dtype=complex)
-    for (m_, n_), c in b.prefactor.terms.items():
-        pb += c * z**m_ * zb**n_
+    pa = np.conj(a.prefactor.at(z, zb))
+    pb = b.prefactor.at(z, zb)
     lin = (
         (a.exp_z.conjugate() + b.exp_zbar) * zb
         + (a.exp_zbar.conjugate() + b.exp_z) * z
@@ -703,9 +697,21 @@ def coherent_checks(
     n1 + n2 <= cutoff to 1, so an expansion that is cut short or underflows
     fails instead of passing at residual 0.  ``cutoff`` above 170 raises
     ValueError: 171! exceeds the float range.
+
+    The evolution row also measures the float rounding of the level phases,
+    about eps*omega*max|l|*cutoff*|t|: at g = 1/3 and the suite's labels it
+    reads 1.2e-12 at |t| = 1e4 and 1.4e-10 at 1e6, so it fails by design from
+    |t| ~ 1e6.  A largest phase omega*(max|l|*cutoff + 1)*|t| past the float
+    range, or an ell past it, raises ValueError.
     """
     if cutoff > 170:
         raise ValueError(f"cutoff {cutoff} above 170: 171! exceeds the float range")
+    try:
+        reach = max(abs(float(coupling.ell1)), abs(float(coupling.ell2))) * cutoff + 1
+    except OverflowError:  # an exact ell past the float range
+        reach = math.inf
+    if not math.isfinite(units.omega * reach * abs(t)):
+        raise ValueError(f"time {t}: the evolution phase leaves the float range")
     report = VerificationReport(suite="coherent-checks")
     state = coherent_state(alpha, beta, units)
     lam1, lam2 = coherent_eigenvalues(alpha, beta, units)

@@ -664,7 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coherent state with evolved and rotated images")
     p.add_argument("--alpha", required=True, help="label, 're,im' pair")
     p.add_argument("--beta", required=True, help="label, 're,im' pair")
-    p.add_argument("--t", type=float, default=0.0, help="evolution time")
+    p.add_argument("--t", type=float, default=0.0,
+                   help="evolution time; at g = 1/3 the evolution check fails by design from "
+                        "|t| ~ 1e6 (float phase rounding); a phase past the float range exits 2")
     p.add_argument("--gamma", type=float, default=0.0, help="rotation angle")
     p.add_argument("--g", default="0", help="coupling for the evolution (default 0)")
     p.add_argument("--extent", type=float, default=3.0, help="grid half-width")

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .coupling import Coupling
-from .phasealg.catalog import is_true_integral
+from .phasealg.catalog import hidden_shift, is_true_integral
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -362,25 +362,19 @@ def spectrum_rows(coupling: Coupling, basis: FockBasis) -> list[dict]:
 # hidden symmetry operators
 
 
-def _validate_hidden(kind: str, s1: int, s2: int, coupling: Coupling | None = None):
-    """Kind and orders of a hidden ladder; with ``coupling``, also its resonance."""
-    if kind not in ("L", "J"):
-        raise ValueError("kind must be 'L' or 'J'")
-    if not (isinstance(s1, int) and isinstance(s2, int)):
-        raise ValueError("orders must be integers")
-    if s1 < 0 or s2 < 0 or (s1 == 0 and s2 == 0):
-        raise ValueError("orders must be non-negative and not both zero")
-    if coupling is not None and not is_true_integral(coupling, kind, s1, s2):
-        raise ValueError(
-            f"orders ({s1}, {s2}) are not resonant with coupling {coupling}"
-        )
+def _resonant_shift(coupling: Coupling, kind: str, s1: int, s2: int) -> tuple[int, int]:
+    """:func:`hidden_shift` of a ladder that must commute with H_g, else ValueError."""
+    if not is_true_integral(coupling, kind, s1, s2):
+        raise ValueError(f"orders ({s1}, {s2}) are not resonant with coupling {coupling}")
+    return hidden_shift(kind, s1, s2)
 
 
-def _hidden_ladder_matrix(basis: FockBasis, kind: str, s1: int, s2: int) -> np.ndarray:
-    """(b1+)^s1 (b2-)^s2 for kind "L", (b1+)^s1 (b2+)^s2 for kind "J"."""
+def _hidden_ladder_matrix(basis: FockBasis, shift: tuple[int, int]) -> np.ndarray:
+    """(b1+)^Delta1 (b2+-)^|Delta2|: the ladder shifting (n1, n2) by Delta = ``shift``."""
+    d1, d2 = shift
     up1 = ladder(basis, 1, "+").matrix
-    m2 = ladder(basis, 2, "-" if kind == "L" else "+").matrix
-    return np.linalg.matrix_power(up1, s1) @ np.linalg.matrix_power(m2, s2)
+    m2 = ladder(basis, 2, "+" if d2 > 0 else "-").matrix
+    return np.linalg.matrix_power(up1, d1) @ np.linalg.matrix_power(m2, abs(d2))
 
 
 def hidden_operator(
@@ -400,8 +394,8 @@ def hidden_operator(
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    _validate_hidden(kind, s1, s2, coupling)
-    op = FockOperator(basis, _hidden_ladder_matrix(basis, kind, s1, s2), f"{kind}+_{s1}{s2}")
+    shift = _resonant_shift(coupling, kind, s1, s2)
+    op = FockOperator(basis, _hidden_ladder_matrix(basis, shift), f"{kind}+_{s1}{s2}")
     if sign == "-":
         op = FockOperator(basis, op.matrix.conj().T, f"{kind}-_{s1}{s2}")
     return op
@@ -410,22 +404,19 @@ def hidden_operator(
 def hidden_coefficient(kind: str, s1: int, s2: int, n1: int, n2: int) -> float:
     """Amplitude of the '+' hidden operator on state (n1, n2).
 
-    Kind "L" sends (n1, n2) to (n1+s1, n2-s2) with amplitude
-    sqrt(n2! (n1+s1)! / (n1! (n2-s2)!)), zero when n2 < s2; kind "J" sends
-    it to (n1+s1, n2+s2) with amplitude sqrt((n1+s1)! (n2+s2)! / (n1! n2!)).
-    An amplitude beyond the float range raises ValueError.
+    It sends (n1, n2) to (n1, n2) + Delta, Delta = :func:`hidden_shift`, with
+    amplitude sqrt(prod_j max(n_j, n_j + Delta_j)! / min(n_j, n_j + Delta_j)!),
+    zero when a mode number would turn negative.  Negative n1 or n2, or an
+    amplitude beyond the float range, raises ValueError.
     """
-    _validate_hidden(kind, s1, s2)
-    if kind == "L":
-        if n2 - s2 < 0:
+    shift = hidden_shift(kind, s1, s2)
+    if n1 < 0 or n2 < 0:
+        raise ValueError("quantum numbers must be non-negative")
+    ratio = Fraction(1)
+    for n, d in zip((n1, n2), shift):
+        if n + d < 0:
             return 0.0
-        ratio = Fraction(math.factorial(n1 + s1), math.factorial(n1)) * Fraction(
-            math.factorial(n2), math.factorial(n2 - s2)
-        )
-    else:
-        ratio = Fraction(math.factorial(n1 + s1), math.factorial(n1)) * Fraction(
-            math.factorial(n2 + s2), math.factorial(n2)
-        )
+        ratio *= Fraction(math.factorial(max(n, n + d)), math.factorial(min(n, n + d)))
     try:
         return math.sqrt(ratio)
     except OverflowError:
@@ -447,35 +438,28 @@ def hidden_orbit_partition(
     both endpoints on the grid (or inside ``mask`` when given).  Returns
     the connected components as frozensets, sorted by their minimal state.
     """
-    _validate_hidden(kind, s1, s2, coupling)
-    step = (s1, -s2) if kind == "L" else (s1, s2)
+    step = _resonant_shift(coupling, kind, s1, s2)
     return ladder_orbits(basis.states() if mask is None else mask.states(), step)
 
 
 def ladder_orbits(pool, step: tuple[int, int]) -> list[frozenset]:
-    """Components of ``pool`` under the shift n -> n +/- step, sorted by minimal state."""
-    pool = set(pool)
-    seen: set[tuple[int, int]] = set()
-    orbits = []
-    for start in sorted(pool):
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            n1, n2 = frontier.pop()
-            for fwd in (1, -1):
-                nxt = (n1 + fwd * step[0], n2 + fwd * step[1])
-                if nxt in pool and nxt not in comp:
-                    comp.add(nxt)
-                    frontier.append(nxt)
-        seen |= comp
-        orbits.append(frozenset(comp))
-    return sorted(orbits, key=min)
+    """Components of a convex ``pool`` under n -> n +/- step, sorted by minimal state.
+
+    In a convex pool (the grid, or an :class:`InteriorMask`: a rectangle cut
+    by n1 + n2 <= total) two states are linked exactly when they differ by a
+    whole multiple of ``step``, so the components are the cosets modulo step.
+    """
+    axis = 0 if step[0] else 1  # a non-zero component, e.g. step[1] for (0, -1)
+
+    def coset(n1, n2):
+        k = (n1, n2)[axis] // step[axis] if step[axis] else 0
+        return (n1 - k * step[0], n2 - k * step[1])
+
+    return level_sets(pool, coset)
 
 
 def level_sets(pool, energy) -> list[frozenset]:
-    """States of ``pool`` grouped by exact ``energy(n1, n2)``, ordered like ladder_orbits."""
+    """States of ``pool`` grouped by exact ``energy(n1, n2)``, sorted by minimal state."""
     levels: dict = {}
     for n1, n2 in pool:
         levels.setdefault(energy(n1, n2), set()).add((n1, n2))
@@ -632,16 +616,18 @@ def one_mode_bridge_unnormalized(size: int) -> np.ndarray:
     (-1)^a/(2^a a!) * 2^(k/2) * (-1)^b j!/(2^b b! k!).  Entries vanish
     unless i = j (mod 2), so the sqrt 2 of an odd k always falls on an odd
     row: S' = diag(sqrt2^(i mod 2)) R, with R an object array of Fractions.
-    R[0, 0] = 1.
+    R[0, 0] = 1.  Entries are summed over the denominator 2^((i+j)/2) i! j!.
     """
-    fact = math.factorial
+    fact = [math.factorial(n) for n in range(size)]
     r = np.full((size, size), Fraction(0), dtype=object)
     for i in range(size):
         for j in range(i % 2, size, 2):
+            num = 0
             for k in range(min(i, j), -1, -2):
                 a, b = (i - k) // 2, (j - k) // 2
-                r[i, j] += Fraction((-1) ** (a + b) * fact(j) * 2 ** (k // 2),
-                                    2 ** (a + b) * fact(a) * fact(b) * fact(k))
+                num += ((-1) ** (a + b) * 2 ** (k + k // 2) * fact[j]
+                        * (fact[i] // (fact[a] * fact[k])) * (fact[j] // fact[b]))
+            r[i, j] = Fraction(num, 2 ** ((i + j) // 2) * fact[i] * fact[j])
     return r
 
 

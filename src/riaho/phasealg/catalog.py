@@ -19,8 +19,8 @@ J^+-_{s1,s2}                  (b1^+-)^s1(b2^+-)^s2  -+(s1*ell1+s2*ell2)
 ============================  ====================  ==================
 
 A member is a *true* (time-independent) integral exactly when its mu
-vanishes, which for the hidden families is the commensurability condition
-on (s1, s2) against g.
+vanishes.  A hidden '+' member shifts the mode numbers by Delta = (s1, -s2)
+(L) or (s1, s2) (J) and has mu = -Delta.ell, so its resonance is Delta.ell = 0.
 """
 from __future__ import annotations
 
@@ -32,17 +32,18 @@ from .poly import CIRCULAR, Params, PhasePoly
 
 __all__ = [
     "hamiltonian", "angular_momentum", "generator", "catalog",
-    "hidden_integral", "is_true_integral", "true_integral_coupling",
+    "hidden_shift", "hidden_integral", "is_true_integral", "true_integral_coupling",
     "GENERATOR_NAMES",
 ]
 
-_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
-# (exponent tuple b1+,b1-,b2+,b2-) -> named monomial content
 GENERATOR_NAMES = ("J0", "J+", "J-", "L2", "L+", "L-",
                    "B1+", "B1-", "B2+", "B2-",
                    "beta1+", "beta1-", "beta2+", "beta2-")
+# the ladder generators are low-order hidden ladders: name -> (kind, s1, s2)
+_LADDERS = {"J": ("J", 1, 1), "L": ("L", 1, 1), "B1": ("J", 2, 0), "B2": ("J", 0, 2),
+            "beta1": ("J", 1, 0), "beta2": ("J", 0, 1)}
 
 
 def _mono(e, coeff, mu, params) -> PhasePoly:
@@ -69,30 +70,12 @@ def generator(name: str, coupling, params=None) -> PhasePoly:
     """One catalog generator with its exact time-frequency tag."""
     c = Coupling.coerce(coupling)
     params = Params.coerce(params)
-    l1, l2 = c.ell1, c.ell2
-    table = {
-        "J0":  ((1, 1, 0, 0), _HALF, _ZERO, (0, 0, 1, 1), _HALF),
-        "L2":  ((1, 1, 0, 0), _HALF, _ZERO, (0, 0, 1, 1), -_HALF),
-        "J+":  ((1, 0, 1, 0), 1, -(l1 + l2), None, None),
-        "J-":  ((0, 1, 0, 1), 1, l1 + l2, None, None),
-        "L+":  ((1, 0, 0, 1), 1, -(l1 - l2), None, None),
-        "L-":  ((0, 1, 1, 0), 1, l1 - l2, None, None),
-        "B1+": ((2, 0, 0, 0), 1, -2 * l1, None, None),
-        "B1-": ((0, 2, 0, 0), 1, 2 * l1, None, None),
-        "B2+": ((0, 0, 2, 0), 1, -2 * l2, None, None),
-        "B2-": ((0, 0, 0, 2), 1, 2 * l2, None, None),
-        "beta1+": ((1, 0, 0, 0), 1, -l1, None, None),
-        "beta1-": ((0, 1, 0, 0), 1, l1, None, None),
-        "beta2+": ((0, 0, 1, 0), 1, -l2, None, None),
-        "beta2-": ((0, 0, 0, 1), 1, l2, None, None),
-    }
-    if name not in table:
+    if name not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {name!r}")
-    e, coeff, mu, e2, coeff2 = table[name]
-    out = _mono(e, coeff, mu, params)
-    if e2 is not None:
-        out = out + _mono(e2, coeff2, mu, params)
-    return out
+    if name in ("J0", "L2"):  # (N1 +- N2)/2
+        coeff2 = _HALF if name == "J0" else -_HALF
+        return _mono((1, 1, 0, 0), _HALF, 0, params) + _mono((0, 0, 1, 1), coeff2, 0, params)
+    return hidden_integral(c, *_LADDERS[name[:-1]], name[-1], params)
 
 
 def catalog(coupling, params=None) -> dict:
@@ -100,52 +83,48 @@ def catalog(coupling, params=None) -> dict:
     return {n: generator(n, coupling, params) for n in GENERATOR_NAMES}
 
 
+def hidden_shift(kind: str, s1: int, s2: int) -> tuple[int, int]:
+    """Mode-number shift of the '+' ladder: (s1, -s2) for L, (s1, s2) for J.
+
+    The one validator of kind and orders (integers, non-negative, not both zero).
+    """
+    if kind not in ("L", "J"):
+        raise ValueError(f"kind must be 'L' or 'J', got {kind!r}")
+    if not (isinstance(s1, int) and isinstance(s2, int)):
+        raise ValueError(f"orders must be integers, got ({s1!r}, {s2!r})")
+    if s1 < 0 or s2 < 0 or (s1 == 0 and s2 == 0):
+        raise ValueError("orders must be non-negative and not both zero")
+    return (s1, -s2) if kind == "L" else (s1, s2)
+
+
 def hidden_integral(coupling, kind: str, s1: int, s2: int, sign: str = "+",
                     params=None) -> PhasePoly:
     """Higher-order ladder product L^sign_{s1,s2} or J^sign_{s1,s2}.
 
-    kind "L": (b1^+)^s1 (b2^-)^s2 with mu = -(s1*ell1 - s2*ell2);
-    kind "J": (b1^+)^s1 (b2^+)^s2 with mu = -(s1*ell1 + s2*ell2);
-    sign "-" gives the complex conjugate (mu flips).
+    The '+' member moves mode j by Delta_j = :func:`hidden_shift` quanta and
+    has mu = -Delta.ell; sign "-" gives the complex conjugate (mu flips).
     """
-    if s1 < 0 or s2 < 0 or (s1 == 0 and s2 == 0):
-        raise ValueError("orders must be non-negative and not both zero")
-    if kind not in ("L", "J"):
-        raise ValueError(f"kind must be 'L' or 'J', got {kind!r}")
+    d1, d2 = hidden_shift(kind, s1, s2)
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     c = Coupling.coerce(coupling)
-    params = Params.coerce(params)
-    if kind == "L":
-        e = (s1, 0, 0, s2)
-        mu = -(s1 * c.ell1 - s2 * c.ell2)
-    else:
-        e = (s1, 0, s2, 0)
-        mu = -(s1 * c.ell1 + s2 * c.ell2)
-    out = _mono(e, 1, mu, params)
+    e = (max(d1, 0), max(-d1, 0), max(d2, 0), max(-d2, 0))
+    out = _mono(e, 1, -(d1 * c.ell1 + d2 * c.ell2), Params.coerce(params))
     return out.conjugate() if sign == "-" else out
 
 
 def is_true_integral(coupling, kind: str, s1: int, s2: int) -> bool:
-    """mu = 0 test: s1*ell1 = s2*ell2 (L) or s1*ell1 = -s2*ell2 (J)."""
+    """mu = 0 test: Delta.ell = 0, i.e. s1*ell1 = s2*ell2 (L) or s1*ell1 = -s2*ell2 (J)."""
+    d1, d2 = hidden_shift(kind, s1, s2)
     c = Coupling.coerce(coupling)
-    if kind == "L":
-        return s1 * c.ell1 == s2 * c.ell2
-    if kind == "J":
-        return s1 * c.ell1 == -s2 * c.ell2
-    raise ValueError(f"kind must be 'L' or 'J', got {kind!r}")
+    return d1 * c.ell1 + d2 * c.ell2 == 0
 
 
 def true_integral_coupling(kind: str, s1: int, s2: int) -> Fraction | None:
     """The unique g making L^pm_{s1,s2} (or J^pm_{s1,s2}) time-independent.
 
-    L-type: g = (s2 - s1)/(s1 + s2); J-type: g = (s1 + s2)/(s2 - s1),
-    undefined (None) when s1 = s2.
+    Delta.ell = 0 at g = (Delta1 + Delta2)/(Delta2 - Delta1): (s2 - s1)/(s1 + s2)
+    for L, (s1 + s2)/(s2 - s1) for J, undefined (None) when Delta1 = Delta2.
     """
-    if kind == "L":
-        return Fraction(s2 - s1, s1 + s2)
-    if kind == "J":
-        if s1 == s2:
-            return None
-        return Fraction(s1 + s2, s2 - s1)
-    raise ValueError(f"kind must be 'L' or 'J', got {kind!r}")
+    d1, d2 = hidden_shift(kind, s1, s2)
+    return None if d1 == d2 else Fraction(d1 + d2, d2 - d1)

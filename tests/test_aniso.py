@@ -304,23 +304,23 @@ class TestAnisoBridge:
 
     def test_ground_monomial(self):
         state = aniso_cbt_apply((0, 0), self.f12)
-        assert set(state.poly) == {(0, 0)}
-        assert state.poly[(0, 0)] == pytest.approx(math.sqrt(2))
+        assert set(state.poly.terms) == {(0, 0)}
+        assert state.poly.terms[(0, 0)] == pytest.approx(math.sqrt(2))
         assert state.rate1 == pytest.approx(0.5)
         assert state.rate2 == pytest.approx(1.0)
 
     def test_first_excited_monomial(self):
         state = aniso_cbt_apply((1, 0), self.f12)
         # 2^(3/4) from mode 1 times 2^(1/4) from the mode-2 ground factor
-        assert set(state.poly) == {(1, 0)}
-        assert state.poly[(1, 0)] == pytest.approx(2.0)
+        assert set(state.poly.terms) == {(1, 0)}
+        assert state.poly.terms[(1, 0)] == pytest.approx(2.0)
 
     def test_quadratic_monomial_produces_hermite_pair(self):
         freq = FrequencyPair(1, 1, 1, 1)
         state = aniso_cbt_apply((2, 0), freq)
         # 2^(1/4)*2*(x^2 - 1/2) times the 2^(1/4) ground factor
-        assert state.poly[(2, 0)] == pytest.approx(2 ** 1.5)
-        assert state.poly[(0, 0)] == pytest.approx(-(2 ** 0.5))
+        assert state.poly.terms[(2, 0)] == pytest.approx(2 ** 1.5)
+        assert state.poly.terms[(0, 0)] == pytest.approx(-(2 ** 0.5))
 
     @pytest.mark.parametrize("n1,n2", [(0, 0), (1, 0), (2, 1), (3, 3)])
     def test_proportional_to_product_eigenfunction(self, n1, n2):

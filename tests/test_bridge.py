@@ -5,6 +5,7 @@ composition (grading, finite free-Hamiltonian series, Gaussian) and the
 first-order ladder operators.
 """
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -319,6 +320,16 @@ class TestCoherent:
     def test_cutoff_beyond_factorial_range_raises(self):
         with pytest.raises(ValueError, match="170"):
             br.coherent_checks(0.1, 0.1, t=0.0, gamma=0.0, cutoff=171)
+
+    @pytest.mark.parametrize("t,g", [
+        (1e307, F(1, 3)), (1e308, F(2)), (-1e308, F(0)), (1.0, F(10**400))])
+    def test_time_with_phase_beyond_float_range_raises(self, t, g):
+        # the level phases overflowed to inf and numpy warned about nan, and an
+        # ell past the float range raised OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float range"):
+                br.coherent_checks(0.1, 0, t, 0, Coupling(g))
 
     def test_labels_beyond_float_range_raise(self):
         # |alpha|^2 overflowed with an OverflowError before

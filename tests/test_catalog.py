@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from riaho.coupling import Coupling, Phase
+from riaho.fockeng import hidden_coefficient
+from riaho.phasealg.catalog import hidden_shift
 from riaho.phasealg import (CIRCULAR, ExactComplex, PhasePoly,
                             angular_momentum, catalog, generator, hamiltonian,
                             hidden_integral, is_true_integral,
@@ -151,6 +153,63 @@ class TestHiddenIntegrals:
             n2 = (pt["b2+"] * pt["b2-"]).real
             want = -1j * n2 ** 2 + 4j * n1 * n2
             assert abs(br.evaluate(pt) - want) < 1e-12
+
+
+class TestHiddenShift:
+    def test_shift_per_kind(self):
+        assert hidden_shift("L", 1, 2) == (1, -2)
+        assert hidden_shift("J", 1, 2) == (1, 2)
+        assert hidden_shift("L", 0, 1) == (0, -1)
+
+    @pytest.mark.parametrize("kind", ["L", "J"])
+    @pytest.mark.parametrize("s1,s2", [(0, 1), (1, 0), (1, 2), (2, 1), (3, 1), (2, 2)])
+    def test_exponents_and_resonance_follow_the_shift(self, kind, s1, s2):
+        d1, d2 = hidden_shift(kind, s1, s2)
+        g = true_integral_coupling(kind, s1, s2)
+        if g is None:  # Delta1 = Delta2 fixes Delta.ell = 2*Delta1 for every g
+            assert d1 == d2 and not is_true_integral(F(1, 3), kind, s1, s2)
+            return
+        c = Coupling(g)
+        assert d1 * c.ell1 + d2 * c.ell2 == 0
+        assert is_true_integral(g, kind, s1, s2)
+        e = (s1, 0, 0, s2) if kind == "L" else (s1, 0, s2, 0)
+        assert list(hidden_integral(g, kind, s1, s2).terms) == [(*e, F(0))]
+
+    @pytest.mark.parametrize("kind,s1,s2", [
+        ("L", 0, 0), ("L", -1, -2), ("L", -1, 2), ("J", 1, -1),
+        ("J", 1.5, 2), ("L", 1.5, 1), ("L", F(1), 2), ("X", 1, 2),
+    ])
+    def test_bad_kind_or_orders_raise_value_error_everywhere(self, kind, s1, s2):
+        calls = [
+            lambda: hidden_shift(kind, s1, s2),
+            lambda: is_true_integral(F(1, 3), kind, s1, s2),
+            lambda: true_integral_coupling(kind, s1, s2),
+            lambda: hidden_integral(F(1, 3), kind, s1, s2),
+            lambda: hidden_coefficient(kind, s1, s2, 2, 2),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
+    def test_regressions(self):
+        # each of these used to pass or fail with another error
+        for s1, s2 in ((0, 0), (-1, -2)):
+            with pytest.raises(ValueError):
+                is_true_integral(F(1, 3), "L", s1, s2)  # returned True
+        with pytest.raises(ValueError):
+            true_integral_coupling("L", 0, 0)  # ZeroDivisionError
+        with pytest.raises(ValueError):
+            true_integral_coupling("L", -1, 2)  # returned 3
+        with pytest.raises(ValueError):
+            true_integral_coupling("J", 1.5, 2)  # TypeError
+        with pytest.raises(ValueError):
+            hidden_integral(F(1, 3), "L", 1.5, 1)  # a binary-float mu tag
+
+    @pytest.mark.parametrize("kind", ["L", "J"])
+    def test_coefficient_rejects_negative_numbers(self, kind):
+        for n1, n2 in ((-1, 0), (0, -1), (-1, -1), (3, -1)):
+            with pytest.raises(ValueError):
+                hidden_coefficient(kind, 1, 2, n1, n2)
 
 
 class TestCouplingPhases:

@@ -252,6 +252,20 @@ def test_overflowing_samples_print_only_the_error_line(tmp_path, capsys, argv):
 _COHERENT = ("coherent", "--alpha", "0.1,0", "--beta", "0,0")
 
 
+@pytest.mark.parametrize("argv", [
+    _COHERENT + ("--t", "1e308", "--g", "2"),
+    _COHERENT + ("--t", "1e307", "--g", "1/3"),
+])
+def test_time_with_overflowing_phase_prints_only_the_error_line(tmp_path, capsys, argv):
+    # the phase omega*ell*t overflowed and numpy warned before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "float range" in err[0]
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv,name", [
     (("eigenstate", "--n1", "1", "--n2", "0", "--extent", "nan"), "extent"),
     (("eigenstate", "--n1", "1", "--n2", "0", "--extent", "inf"), "extent"),

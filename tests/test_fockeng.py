@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from riaho.coupling import Coupling
+from riaho.phasealg.catalog import hidden_shift
 from riaho.phasealg.exact import ExactComplex
 from riaho import fockeng as fe
 
@@ -373,6 +374,46 @@ class TestOrbitStructure:
         b = fe.FockBasis(4)
         with pytest.raises(ValueError):
             fe.hidden_orbit_partition(b, Coupling(F(1, 3)), "J", 1, 2)
+
+
+def _bfs_orbits(pool, step):
+    """Reference: components of ``pool`` under n -> n +/- step, by graph search."""
+    pool = set(pool)
+    seen = set()
+    orbits = []
+    for start in sorted(pool):
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            n1, n2 = frontier.pop()
+            for fwd in (1, -1):
+                nxt = (n1 + fwd * step[0], n2 + fwd * step[1])
+                if nxt in pool and nxt not in comp:
+                    comp.add(nxt)
+                    frontier.append(nxt)
+        seen |= comp
+        orbits.append(frozenset(comp))
+    return sorted(orbits, key=min)
+
+
+class TestLadderOrbitsAgainstSearch:
+    STEPS = [hidden_shift(kind, s1, s2) for kind in "LJ"
+             for s1, s2 in ((0, 1), (1, 0), (1, 2), (2, 1), (3, 1))]
+
+    @pytest.mark.parametrize("cutoff", range(4, 13))
+    def test_cosets_equal_searched_components(self, cutoff):
+        b = fe.FockBasis(cutoff)
+        pools = [b.states()] + [
+            fe.InteriorMask(b, **kw).states()
+            for kw in ({"margin1": 1, "margin2": 2}, {"margin1": 3},
+                       {"total": cutoff - 2}, {"total": 0},
+                       {"margin1": 1, "margin2": 1, "total": cutoff // 2})
+        ]
+        for pool in pools:
+            for step in self.STEPS + [(0, 0)]:
+                assert fe.ladder_orbits(pool, step) == _bfs_orbits(pool, step), (pool, step)
 
 
 class TestCartesianModes:
