@@ -35,13 +35,15 @@ from .fockeng import (
     FockBasis,
     FockOperator,
     InteriorMask,
+    _diagonal,
     _hidden_ladder_matrix,
-    commutator,
+    _orbit_row,
     exact_energy,
     ladder,
     ladder_orbits,
     level_sets,
     operator_norm,
+    verify_commutes,
 )
 from .phasealg import (
     CANONICAL,
@@ -82,15 +84,25 @@ __all__ = [
 # frequencies
 
 
-def detect_commensurability(omega1, omega2, max_den: int = 64, tol: float = 1e-9):
+def _float_resonant(l1: int, l2: int, w1, w2) -> bool:
+    """The one float resonance rule: l1*w1 == l2*w2 to 1e-9 relative to the larger side.
+
+    Decided exactly on the frequencies' binary values, so no product
+    l_i*w_i can overflow, however large the frequency or the label.
+    """
+    lhs, rhs = l1 * Fraction(w1), l2 * Fraction(w2)
+    return abs(lhs - rhs) <= Fraction(1, 10**9) * max(lhs, rhs)
+
+
+def detect_commensurability(omega1, omega2):
     """Coprime (l1, l2) with l1*w1 == l2*w2, or None.
 
     Exact rational frequencies always have a rational ratio, so detection
     never fails for them (and no denominator cap applies).  Float inputs are
-    rationalized by continued fractions with denominators capped at
-    ``max_den`` and accepted only when the resonance mismatch
-    |l1*w1 - l2*w2| stays below ``tol`` relative to the common value; a
-    ratio outside the float range is not commensurate either.
+    rationalized by continued fractions with denominators capped at 64 and
+    accepted only when the resonance mismatch |l1*w1 - l2*w2| stays within
+    1e-9 relative to the common value; a ratio outside the float range is
+    not commensurate either.
     """
     w1 = coerce_real(omega1, "frequency")
     w2 = coerce_real(omega2, "frequency")
@@ -100,16 +112,13 @@ def detect_commensurability(omega1, omega2, max_den: int = 64, tol: float = 1e-9
         ratio = w1 / w2
         return ratio.denominator, ratio.numerator
     try:
-        ratio = Fraction(float(w1) / float(w2)).limit_denominator(max_den)
+        ratio = Fraction(float(w1) / float(w2)).limit_denominator(64)
     except OverflowError:
         return None
     if ratio <= 0:
         return None
     l1, l2 = ratio.denominator, ratio.numerator
-    lhs, rhs = l1 * float(w1), l2 * float(w2)
-    if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs)):
-        return None
-    return l1, l2
+    return (l1, l2) if _float_resonant(l1, l2, w1, w2) else None
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,7 @@ class FrequencyPair:
     """Pair of positive mode frequencies with optional commensurability.
 
     The coprime labels (l1, l2) satisfy w1/w2 = l2/l1, i.e. l1*w1 == l2*w2
-    (exactly for rational frequencies, to 1e-12 relative for floats).
+    (exactly for rational frequencies, to 1e-9 relative for floats).
     Integer and Fraction frequencies are kept exact; floats stay floats and
     must be finite (ValueError otherwise).
     """
@@ -143,21 +152,15 @@ class FrequencyPair:
             raise ValueError("commensurability labels must be positive")
         if math.gcd(l1, l2) != 1:
             raise ValueError("commensurability labels must be coprime")
-        if self.is_exact:
-            if l1 * self.omega1 != l2 * self.omega2:
-                raise ValueError("labels do not satisfy l1*w1 == l2*w2")
-        else:
-            lhs, rhs = l1 * float(self.omega1), l2 * float(self.omega2)
-            if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs)):
-                raise ValueError("labels do not satisfy l1*w1 == l2*w2")
+        if not (l1 * self.omega1 == l2 * self.omega2 if self.is_exact
+                else _float_resonant(l1, l2, self.omega1, self.omega2)):
+            raise ValueError("labels do not satisfy l1*w1 == l2*w2")
 
     @classmethod
-    def detect(cls, omega1, omega2, max_den: int = 64, tol: float = 1e-9):
-        """Pair with labels filled in when a resonance is detected."""
-        labels = detect_commensurability(omega1, omega2, max_den, tol)
-        if labels is None:
-            return cls(omega1, omega2)
-        return cls(omega1, omega2, labels[0], labels[1])
+    def detect(cls, omega1, omega2):
+        """Pair with labels filled in when :func:`detect_commensurability` finds a resonance."""
+        labels = detect_commensurability(omega1, omega2) or (None, None)
+        return cls(omega1, omega2, *labels)
 
     @property
     def is_exact(self) -> bool:
@@ -210,10 +213,8 @@ def signed_hamiltonian(
     in :func:`verify_signed_spectrum`.
     """
     sigma = _sign_value(sign)
-    diag = [float(spectrum(freq, sigma, n1, n2, hbar)) for (n1, n2) in basis.states()]
-    return FockOperator(
-        basis, np.diag(np.array(diag, dtype=complex)), f"H({'+' if sigma > 0 else '-'})"
-    )
+    return _diagonal(basis, lambda n1, n2: float(spectrum(freq, sigma, n1, n2, hbar)),
+                     f"H({'+' if sigma > 0 else '-'})")
 
 
 def verify_signed_spectrum(
@@ -266,12 +267,8 @@ def hidden_operator(
     sign="-" returns the adjoint.  Matrix elements agree with
     :func:`riaho.fockeng.hidden_coefficient` at orders (l1, l2).
     """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
     l1, l2 = _require_labels(freq)
-    mat = _hidden_ladder_matrix(basis, hidden_shift(kind, l1, l2))
-    if sign == "-":
-        mat = mat.conj().T
+    mat = _hidden_ladder_matrix(basis, hidden_shift(kind, l1, l2), sign)
     return FockOperator(basis, mat, f"{kind}{sign}({l1},{l2})")
 
 
@@ -345,8 +342,8 @@ def so11_invariant_check(
     hosc = signed_hamiltonian(basis, freq, "+", hbar)
     up1, dn1 = ladder(basis, 1, "+").matrix, ladder(basis, 1, "-").matrix
     up2, dn2 = ladder(basis, 2, "+").matrix, ladder(basis, 2, "-").matrix
-    jplus = up1 @ up2
-    jminus = dn1 @ dn2
+    jplus = hidden_operator(basis, freq, "J", "+").matrix
+    jminus = hidden_operator(basis, freq, "J", "-").matrix
     l11 = 1j * hbar * (jplus - jminus)
 
     # quadrature realization; the cross terms cancel identically because
@@ -360,9 +357,8 @@ def so11_invariant_check(
     report = VerificationReport(suite="so11-invariant")
     report.add(CheckRow.within("so11-quadrature-form", "x1 p2 + x2 p1 = i hbar (J+ - J-)",
                                operator_norm(x1 @ p2 + x2 @ p1 - l11), 1e-12))
-    report.add(CheckRow.within(
-        "so11-invariance", "[H(-), L11] = 0",
-        operator_norm(mask.restrict_columns(hminus.matrix @ l11 - l11 @ hminus.matrix)), 1e-12))
+    report.add(verify_commutes(hminus, FockOperator(basis, l11), mask,
+                               check_id="so11-invariance", identity="[H(-), L11] = 0"))
     # shifted grading generator used in the invariance statement
     j0_shift = (hosc.matrix - hbar * w * np.eye(basis.dim)) / (2.0 * w * hbar)
     for name, mat, sgn, s in (("raise", jplus, +1, "+"), ("lower", jminus, -1, "-")):
@@ -375,8 +371,8 @@ def so11_invariant_check(
             mask.restrict_columns(jminus @ jplus - jplus @ jminus - hosc.matrix / (w * hbar))),
         1e-12, detail="closes on the unshifted grading H_osc/(2 hbar w)"))
     # the two diagonals commute exactly, so the residual must be exactly 0
-    report.add(CheckRow.within("diagonal-pair", "[H(-), H_osc] = 0",
-                               operator_norm(commutator(hminus, hosc).matrix), 0.0))
+    report.add(verify_commutes(hminus, hosc, tol=0.0,
+                               check_id="diagonal-pair", identity="[H(-), H_osc] = 0"))
     return report
 
 
@@ -505,30 +501,21 @@ def mode_constant(n: int, omega: float, m: float = 1.0, hbar: float = 1.0) -> fl
 
 
 def aniso_proportionality(
-    n1: int,
-    n2: int,
-    freq: FrequencyPair,
-    m: float = 1.0,
-    hbar: float = 1.0,
-    grid_points: int = 21,
-    half_width: float = 3.0,
-    floor: float = 1e-6,
-    tol: float = 1e-9,
+    n1: int, n2: int, freq: FrequencyPair, m: float = 1.0, hbar: float = 1.0
 ) -> ProportionalityReport:
     """Grid-constancy of aniso_cbt_apply(x1^n1 x2^n2) / eigenfunction.
 
-    The reduced constant divides out the closed-form per-mode product, so
-    it must equal 1 for every (n1, n2) and frequency pair.
+    The grid, nodal floor and spread tolerance are those of
+    :func:`riaho.bridge.grid_proportionality`.  The reduced constant divides
+    out the closed-form per-mode product, so it must equal 1 for every
+    (n1, n2) and frequency pair.
     """
     bridged = aniso_cbt_apply((n1, n2), freq, m, hbar)
     eigen = hermite_eigenstate(n1, n2, freq, m, hbar)
     expected = mode_constant(n1, float(freq.omega1), m, hbar) * mode_constant(
         n2, float(freq.omega2), m, hbar
     )
-    return grid_proportionality(
-        n1, n2, bridged.evaluate, eigen.evaluate, expected,
-        grid_points, half_width, floor, tol,
-    )
+    return grid_proportionality(n1, n2, bridged.evaluate, eigen.evaluate, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -719,19 +706,13 @@ def suite_aniso(config) -> VerificationReport:
                 check_id=f"signed-spectrum:{w1}:{w2}:{sign}",
             ))
         for sign, kind in (("+", "L"), ("-", "J")):
-            h = signed_hamiltonian(basis, freq, sign)
-            op = hidden_operator(basis, freq, kind, "+")
-            report.add(CheckRow.within(
-                f"hidden-commutes:{kind}({w1},{w2})", f"[H^({sign}), {kind}+] = 0",
-                operator_norm(commutator(h, op).matrix), config.tol_fock))
-            orbits = hidden_orbits(basis, freq, kind)
-            partition = degeneracy_partition(basis, freq, sign)
-            report.add(CheckRow(
-                check_id=f"orbits-match-degeneracy:{kind}({w1},{w2})",
-                identity=f"{kind} orbits = H^({sign}) degeneracy classes",
-                passed=orbits == partition,
-                detail=f"{len(orbits)} orbits",
-            ))
+            report.add(verify_commutes(
+                signed_hamiltonian(basis, freq, sign), hidden_operator(basis, freq, kind, "+"),
+                tol=config.tol_fock, check_id=f"hidden-commutes:{kind}({w1},{w2})",
+                identity=f"[H^({sign}), {kind}+] = 0"))
+            report.add(_orbit_row(
+                f"{kind}({w1},{w2})", f"{kind} orbits = H^({sign}) degeneracy classes",
+                hidden_orbits(basis, freq, kind), degeneracy_partition(basis, freq, sign)))
 
     for w1, w2 in ((1, 3), (1, 4), (3, 5)):
         freq = FrequencyPair.detect(Fraction(w1), Fraction(w2))

@@ -240,12 +240,13 @@ class WaveState:
         expo = self.exp_zzbar * z * zb + self.exp_z * z + self.exp_zbar * zb + self.exp_const
         return self.prefactor.at(z, zb) * np.exp(expo)
 
-    def _same_envelope(self, other: "WaveState", tol=1e-12) -> bool:
+    def _same_envelope(self, other: "WaveState") -> bool:
+        """Every exponent coefficient agrees with ``other``'s to 1e-12."""
         return (
-            abs(self.exp_zzbar - other.exp_zzbar) <= tol
-            and abs(self.exp_z - other.exp_z) <= tol
-            and abs(self.exp_zbar - other.exp_zbar) <= tol
-            and abs(self.exp_const - other.exp_const) <= tol
+            abs(self.exp_zzbar - other.exp_zzbar) <= 1e-12
+            and abs(self.exp_z - other.exp_z) <= 1e-12
+            and abs(self.exp_zbar - other.exp_zbar) <= 1e-12
+            and abs(self.exp_const - other.exp_const) <= 1e-12
         )
 
     def __add__(self, other: "WaveState") -> "WaveState":
@@ -363,11 +364,10 @@ def apply_ladder(state: WaveState, mode: int, direction: str) -> WaveState:
 def hamiltonian_action(state: WaveState, coupling: Coupling) -> WaveState:
     """Apply hbar*omega*(l1 n1 + l2 n2 + 1) via ladder differential operators."""
     u = state.units
+    l1, l2 = coupling.float_ells()
     n1 = apply_ladder(apply_ladder(state, 1, "-"), 1, "+")
     n2 = apply_ladder(apply_ladder(state, 2, "-"), 2, "+")
-    return (
-        n1.scale(float(coupling.ell1)) + n2.scale(float(coupling.ell2)) + state
-    ).scale(u.hbar * u.omega)
+    return (n1.scale(l1) + n2.scale(l2) + state).scale(u.hbar * u.omega)
 
 
 def angular_momentum_action(state: WaveState) -> WaveState:
@@ -430,6 +430,14 @@ def rotate(state: WaveState, gamma: float) -> WaveState:
 # quadrature inner products
 
 
+@lru_cache(maxsize=None)
+def _gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights of ``order``, computed once, read-only."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
     """2D Gauss-Hermite quadrature of conj(a) * b.
 
@@ -442,7 +450,7 @@ def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
         raise ValueError("combined envelope does not decay")
     lam = -rate.real
     scale = math.sqrt(lam)
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = _gauss_hermite(order)
     deg = a.prefactor.degree() + b.prefactor.degree()
     if deg > 2 * order - 1:
         raise ValueError(
@@ -466,18 +474,17 @@ def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
 
 
 def orthonormality(
-    n1: int, n2: int, l1: int, l2: int, units: Units = _UNIT,
-    order: int = 40, max_index: int = 6,
+    n1: int, n2: int, l1: int, l2: int, units: Units = _UNIT, order: int = 40
 ) -> complex:
-    """Quadrature overlap of eigenfunctions; contract: Kronecker delta to 1e-8."""
+    """Quadrature overlap of eigenfunctions, indices in [0, 6]; Kronecker delta to 1e-8."""
     for idx in (n1, n2, l1, l2):
-        if idx < 0 or idx > max_index:
-            raise ValueError(f"index {idx} outside [0, {max_index}]")
+        if idx < 0 or idx > 6:
+            raise ValueError(f"index {idx} outside [0, 6]")
     return inner_product(eigenstate(n1, n2, units), eigenstate(l1, l2, units), order)
 
 
-def overlap_matrix(nmax: int, units: Units = _UNIT, order: int = 40) -> np.ndarray:
-    """Gram matrix of all eigenfunctions with n1, n2 <= nmax, by quadrature."""
+def overlap_matrix(nmax: int, units: Units = _UNIT) -> np.ndarray:
+    """Gram matrix of all eigenfunctions with n1, n2 <= nmax, by order-40 quadrature."""
     states = [
         eigenstate(n1, n2, units)
         for n1 in range(nmax + 1)
@@ -487,7 +494,7 @@ def overlap_matrix(nmax: int, units: Units = _UNIT, order: int = 40) -> np.ndarr
     gram = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
         for j in range(i, dim):
-            val = inner_product(states[i], states[j], order)
+            val = inner_product(states[i], states[j])
             gram[i, j] = val
             gram[j, i] = val.conjugate()
     return gram
@@ -508,21 +515,12 @@ class ProportionalityReport:
     passed: bool
 
 
-def verify_bridge_proportionality(
-    n1: int,
-    n2: int,
-    units: Units = _UNIT,
-    grid_points: int = 21,
-    half_width: float = 3.0,
-    floor: float = 1e-6,
-    tol: float = 1e-9,
-) -> ProportionalityReport:
+def verify_bridge_proportionality(n1: int, n2: int, units: Units = _UNIT) -> ProportionalityReport:
     """Pointwise ratio of the bridged monomial to the ladder eigenfunction.
 
-    The ratio must be grid-constant (relative spread <= tol); dividing by
-    (2 hbar/(m omega))^((n1+n2)/2) sqrt(n1! n2!) gives a reduced constant
-    that is the same for every (n1, n2).  Points where the eigenfunction is
-    within `floor` of zero are excluded (nodal lines).
+    The ratio must be grid-constant (see :func:`grid_proportionality`);
+    dividing by (2 hbar/(m omega))^((n1+n2)/2) sqrt(n1! n2!) gives a reduced
+    constant that is the same for every (n1, n2).
     """
     bridged = cbt_apply(monomial_state(n1, n2), units)
     ladder_state = eigenstate(n1, n2, units)
@@ -530,25 +528,21 @@ def verify_bridge_proportionality(
         math.factorial(n1) * math.factorial(n2)
     )
     return grid_proportionality(
-        n1, n2, bridged.evaluate_grid, ladder_state.evaluate_grid, expected,
-        grid_points, half_width, floor, tol,
-    )
+        n1, n2, bridged.evaluate_grid, ladder_state.evaluate_grid, expected)
 
 
-def grid_proportionality(
-    n1: int, n2: int, phi, psi, expected, grid_points: int,
-    half_width: float, floor: float, tol: float,
-) -> ProportionalityReport:
+def grid_proportionality(n1: int, n2: int, phi, psi, expected) -> ProportionalityReport:
     """Grid-constancy of phi/psi, both evaluated on meshgrid arrays.
 
-    Points where |psi| <= floor are excluded; the reduced constant is the
-    mean ratio divided by ``expected``.
+    The grid has 21 x 21 points on [-3, 3]^2 and skips the nodal points
+    |psi| <= 1e-6; it passes when max |ratio - mean| <= 1e-9 |mean|.  The
+    reduced constant is the mean ratio divided by ``expected``.
     """
-    xs = np.linspace(-half_width, half_width, grid_points)
+    xs = np.linspace(-3.0, 3.0, 21)
     x1, x2 = np.meshgrid(xs, xs, indexing="ij")
     psi_vals = psi(x1, x2)
     phi_vals = phi(x1, x2)
-    keep = np.abs(psi_vals) > floor
+    keep = np.abs(psi_vals) > 1e-6
     ratios = phi_vals[keep] / psi_vals[keep]
     mean = np.mean(ratios)
     spread = float(np.max(np.abs(ratios - mean)) / abs(mean))
@@ -559,7 +553,7 @@ def grid_proportionality(
         reduced_constant=complex(mean / expected),
         spread=spread,
         points_used=int(np.count_nonzero(keep)),
-        passed=bool(spread <= tol),
+        passed=bool(spread <= 1e-9),
     )
 
 
@@ -706,10 +700,8 @@ def coherent_checks(
     """
     if cutoff > 170:
         raise ValueError(f"cutoff {cutoff} above 170: 171! exceeds the float range")
-    try:
-        reach = max(abs(float(coupling.ell1)), abs(float(coupling.ell2))) * cutoff + 1
-    except OverflowError:  # an exact ell past the float range
-        reach = math.inf
+    l1f, l2f = coupling.float_ells()
+    reach = max(abs(l1f), abs(l2f)) * cutoff + 1
     if not math.isfinite(units.omega * reach * abs(t)):
         raise ValueError(f"time {t}: the evolution phase leaves the float range")
     report = VerificationReport(suite="coherent-checks")
@@ -727,7 +719,6 @@ def coherent_checks(
 
     # time evolution via the eigenstate expansion
     omega = units.omega
-    l1f, l2f = float(coupling.ell1), float(coupling.ell2)
     alpha_t = alpha * np.exp(-1j * omega * l1f * t)
     beta_t = beta * np.exp(-1j * omega * l2f * t)
     target = coherent_state(alpha_t, beta_t, units)

@@ -79,12 +79,8 @@ class PhaseState:
 
 def _mode_values(params: TrajectoryParams, t):
     """(b1plus, b2minus) along the orbit; z = b1plus + b2minus."""
-    c = params.coupling
     w = params.omega
-    try:
-        l1, l2 = float(c.ell1), float(c.ell2)
-    except OverflowError:
-        raise ValueError("mode weights ell1, ell2 lie outside the float range") from None
+    l1, l2 = params.coupling.float_ells()
     t = np.asarray(t, dtype=float)
     b1p = params.R1 * np.exp(1j * (params.gamma1 + w * l1 * t))
     b2m = params.R2 * np.exp(-1j * (params.gamma2 + w * l2 * t))
@@ -100,10 +96,10 @@ def position(params: TrajectoryParams, t):
 
 def velocity(params: TrajectoryParams, t):
     """Closed-form (dx1/dt, dx2/dt)."""
-    c = params.coupling
     w = params.omega
     b1p, b2m = _mode_values(params, t)
-    zdot = 1j * w * (float(c.ell1) * b1p - float(c.ell2) * b2m)
+    l1, l2 = params.coupling.float_ells()
+    zdot = 1j * w * (l1 * b1p - l2 * b2m)
     return zdot.real, zdot.imag
 
 
@@ -139,7 +135,7 @@ def hamiltonian_flow_rhs(state, coupling, omega: float, m: float = 1.0):
         eps = 1.0 if c.g >= 0 else -1.0
         ew = eps * omega
         return np.array([-ew * x2, ew * x1, -ew * p2, ew * p1])
-    g = float(c.g)
+    g = c.as_float()
     return np.array([
         p1 / m - g * omega * x2,
         p2 / m + g * omega * x1,
@@ -156,7 +152,7 @@ def hamiltonian_value(state, coupling, omega: float, m: float = 1.0) -> float:
     if c.isotropic_mink:
         eps = 1.0 if c.g >= 0 else -1.0
         return eps * omega * (x1 * p2 - x2 * p1)
-    g = float(c.g)
+    g = c.as_float()
     return ((p1 ** 2 + p2 ** 2) / (2 * m)
             + m * omega ** 2 * (x1 ** 2 + x2 ** 2) / 2
             + g * omega * (x1 * p2 - x2 * p1))
@@ -229,16 +225,14 @@ def closure_period(coupling, omega: float = 1.0) -> float:
         return math.inf
 
 
-def is_cusped(params: TrajectoryParams, rel_tol: float = 1e-9) -> bool:
-    """True when the orbit has velocity zeros: R1|ell1| = R2|ell2|."""
-    c = params.coupling
-    a = params.R1 * abs(float(c.ell1))
-    b = params.R2 * abs(float(c.ell2))
-    return math.isclose(a, b, rel_tol=rel_tol, abs_tol=0.0)
+def is_cusped(params: TrajectoryParams) -> bool:
+    """True when the orbit has velocity zeros: R1|ell1| = R2|ell2| to 1e-9 relative."""
+    l1, l2 = params.coupling.float_ells()
+    return math.isclose(params.R1 * abs(l1), params.R2 * abs(l2), rel_tol=1e-9, abs_tol=0.0)
 
 
-def pass_through_origin(params: TrajectoryParams, rel_tol: float = 1e-9) -> bool:
-    """True when the orbit reaches z = 0, i.e. R1 = R2 (p_phi = 0).
+def pass_through_origin(params: TrajectoryParams) -> bool:
+    """True when the orbit reaches z = 0, i.e. R1 = R2 (p_phi = 0) to 1e-9 relative.
 
     The relative phase of the two epicycle terms winds monotonically
     (at rate w*(ell1 + ell2) = 2w), so equal radii always produce an exact
@@ -246,7 +240,7 @@ def pass_through_origin(params: TrajectoryParams, rel_tol: float = 1e-9) -> bool
     """
     if params.R1 == params.R2 == 0.0:
         return True
-    return math.isclose(params.R1, params.R2, rel_tol=rel_tol, abs_tol=0.0)
+    return math.isclose(params.R1, params.R2, rel_tol=1e-9, abs_tol=0.0)
 
 
 def minkowski_radius_sq(R1: float, R2: float, gamma1: float,

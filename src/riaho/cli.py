@@ -455,7 +455,7 @@ def cmd_coherent(args, config: RunConfig) -> int:
     )
 
     state = bridge.coherent_state(alpha, beta, units)
-    l1, l2 = float(coupling.ell1), float(coupling.ell2)
+    l1, l2 = coupling.float_ells()
     w, t = config.omega, args.t
     alpha_t = alpha * complex(np.exp(-1j * w * l1 * t))
     beta_t = beta * complex(np.exp(-1j * w * l2 * t))

@@ -35,6 +35,14 @@ class Phase:
     ISOTROPIC_MINK = "isotropic-minkowskian"  # |g| -> inf limit (flag only)
 
 
+def _to_float(value: Fraction, name: str) -> float:
+    """float(value); ValueError naming ``name`` when it lies outside the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} lies outside the float range") from None
+
+
 def _check_exact_float(x: float) -> None:
     """Reject a float that is not exactly the rational its repr names."""
     if not math.isfinite(x):
@@ -131,9 +139,14 @@ class Coupling:
         return None if orders is None else orders[1]
 
     def as_float(self) -> float:
+        """g as a float; ValueError in the |g| -> inf limit or past the float range."""
         if self.isotropic_mink:
             raise ValueError("isotropic minkowskian limit has no finite g")
-        return float(self.g)
+        return _to_float(self.g, "coupling g")
+
+    def float_ells(self) -> tuple[float, float]:
+        """(ell1, ell2) as floats; ValueError when one lies past the float range."""
+        return _to_float(self.ell1, "mode weight ell1"), _to_float(self.ell2, "mode weight ell2")
 
     def __str__(self) -> str:
         if self.isotropic_mink:

@@ -232,13 +232,19 @@ def ladder(basis: FockBasis, mode: int, direction: str) -> FockOperator:
     return FockOperator(basis, mat, f"b{mode}{direction}")
 
 
+def _diagonal(basis: FockBasis, value, label: str) -> FockOperator:
+    """Diagonal operator with float entries ``value(n1, n2)``; ValueError past the float range."""
+    try:
+        diag = np.array([value(n1, n2) for (n1, n2) in basis.states()], dtype=float)
+    except OverflowError:
+        raise ValueError(f"a diagonal entry of {label} lies outside the float range") from None
+    return FockOperator(basis, np.diag(diag).astype(complex), label)
+
+
 def number_operator(basis: FockBasis, mode: int) -> FockOperator:
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    diag = np.array(
-        [n1 if mode == 1 else n2 for (n1, n2) in basis.states()], dtype=float
-    )
-    return FockOperator(basis, np.diag(diag).astype(complex), f"n{mode}")
+    return _diagonal(basis, lambda n1, n2: float(n1 if mode == 1 else n2), f"n{mode}")
 
 
 def exact_energy(coupling: Coupling, n1: int, n2: int) -> Fraction:
@@ -252,16 +258,13 @@ def hamiltonian(
     basis: FockBasis, coupling: Coupling, hbar_omega: float = 1.0
 ) -> FockOperator:
     """Diagonal rotating-oscillator Hamiltonian, entries hbar*omega*(l1 n1 + l2 n2 + 1)."""
-    diag = np.array(
-        [float(exact_energy(coupling, n1, n2)) for (n1, n2) in basis.states()]
-    )
-    return FockOperator(basis, np.diag(hbar_omega * diag).astype(complex), "H_g")
+    return _diagonal(
+        basis, lambda n1, n2: hbar_omega * float(exact_energy(coupling, n1, n2)), "H_g")
 
 
 def angular_momentum(basis: FockBasis, hbar: float = 1.0) -> FockOperator:
     """Conserved angular momentum, diagonal with entries hbar*(n1 - n2)."""
-    diag = np.array([float(n1 - n2) for (n1, n2) in basis.states()])
-    return FockOperator(basis, np.diag(hbar * diag).astype(complex), "p_phi")
+    return _diagonal(basis, lambda n1, n2: hbar * float(n1 - n2), "p_phi")
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +372,15 @@ def _resonant_shift(coupling: Coupling, kind: str, s1: int, s2: int) -> tuple[in
     return hidden_shift(kind, s1, s2)
 
 
-def _hidden_ladder_matrix(basis: FockBasis, shift: tuple[int, int]) -> np.ndarray:
-    """(b1+)^Delta1 (b2+-)^|Delta2|: the ladder shifting (n1, n2) by Delta = ``shift``."""
+def _hidden_ladder_matrix(basis: FockBasis, shift: tuple[int, int], sign: str) -> np.ndarray:
+    """(b1+)^Delta1 (b2+-)^|Delta2|, shifting (n1, n2) by Delta = ``shift``; adjoint for "-"."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
     d1, d2 = shift
     up1 = ladder(basis, 1, "+").matrix
     m2 = ladder(basis, 2, "+" if d2 > 0 else "-").matrix
-    return np.linalg.matrix_power(up1, d1) @ np.linalg.matrix_power(m2, abs(d2))
+    mat = np.linalg.matrix_power(up1, d1) @ np.linalg.matrix_power(m2, abs(d2))
+    return mat if sign == "+" else mat.conj().T
 
 
 def hidden_operator(
@@ -392,13 +398,8 @@ def hidden_operator(
     raisings on both modes and requires s1*l1 + s2*l2 = 0.  A coupling that
     does not satisfy the matching resonance raises ValueError.
     """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
     shift = _resonant_shift(coupling, kind, s1, s2)
-    op = FockOperator(basis, _hidden_ladder_matrix(basis, shift), f"{kind}+_{s1}{s2}")
-    if sign == "-":
-        op = FockOperator(basis, op.matrix.conj().T, f"{kind}-_{s1}{s2}")
-    return op
+    return FockOperator(basis, _hidden_ladder_matrix(basis, shift, sign), f"{kind}{sign}_{s1}{s2}")
 
 
 def hidden_coefficient(kind: str, s1: int, s2: int, n1: int, n2: int) -> float:
@@ -406,12 +407,13 @@ def hidden_coefficient(kind: str, s1: int, s2: int, n1: int, n2: int) -> float:
 
     It sends (n1, n2) to (n1, n2) + Delta, Delta = :func:`hidden_shift`, with
     amplitude sqrt(prod_j max(n_j, n_j + Delta_j)! / min(n_j, n_j + Delta_j)!),
-    zero when a mode number would turn negative.  Negative n1 or n2, or an
-    amplitude beyond the float range, raises ValueError.
+    zero when a mode number would turn negative.  An n1 or n2 that is not a
+    non-negative int (bools included), or an amplitude beyond the float
+    range, raises ValueError.
     """
     shift = hidden_shift(kind, s1, s2)
-    if n1 < 0 or n2 < 0:
-        raise ValueError("quantum numbers must be non-negative")
+    if not (type(n1) is int and type(n2) is int) or n1 < 0 or n2 < 0:  # no bools
+        raise ValueError(f"quantum numbers must be non-negative integers, got ({n1!r}, {n2!r})")
     ratio = Fraction(1)
     for n, d in zip((n1, n2), shift):
         if n + d < 0:
@@ -464,6 +466,12 @@ def level_sets(pool, energy) -> list[frozenset]:
     for n1, n2 in pool:
         levels.setdefault(energy(n1, n2), set()).add((n1, n2))
     return sorted((frozenset(s) for s in levels.values()), key=min)
+
+
+def _orbit_row(tag: str, identity: str, orbits: list, classes: list) -> CheckRow:
+    """Row ``orbits-match-degeneracy:<tag>``: the ladder orbits are the level classes."""
+    return CheckRow(check_id=f"orbits-match-degeneracy:{tag}", identity=identity,
+                    passed=orbits == classes, detail=f"{len(orbits)} orbits")
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +583,9 @@ def rni_hamiltonian(
     [H, p_phi] = 0 away from g = 0.
     """
     a = cartesian_modes(basis)
-    mat = float(coupling.ell1) * (a["a1+"].matrix @ a["a1-"].matrix)
-    mat = mat + float(coupling.ell2) * (a["a2+"].matrix @ a["a2-"].matrix)
+    l1, l2 = coupling.float_ells()
+    mat = l1 * (a["a1+"].matrix @ a["a1-"].matrix)
+    mat = mat + l2 * (a["a2+"].matrix @ a["a2-"].matrix)
     mat = mat + np.eye(basis.dim)
     return FockOperator(basis, hbar_omega * mat, "H_rni")
 
@@ -714,14 +723,10 @@ def suite_fock(config) -> VerificationReport:
             check_id=f"hidden-commutes:g={gtext}",
             identity=f"[H_g, {kind}+_{s1}{s2}] = 0",
         ))
-        orbits = hidden_orbit_partition(basis, coupling, kind, s1, s2, mask)
-        partition = level_sets(mask.states(), lambda n1, n2: exact_energy(coupling, n1, n2))
-        report.add(CheckRow(
-            check_id=f"orbits-match-degeneracy:g={gtext}",
-            identity=f"{kind}+_{s1}{s2} orbits = exact energy classes on the interior",
-            passed=partition == orbits,
-            detail=f"{len(orbits)} orbits",
-        ))
+        report.add(_orbit_row(
+            f"g={gtext}", f"{kind}+_{s1}{s2} orbits = exact energy classes on the interior",
+            hidden_orbit_partition(basis, coupling, kind, s1, s2, mask),
+            level_sets(mask.states(), lambda n1, n2: exact_energy(coupling, n1, n2))))
 
     u = unitary_bridge(basis)
     ud = u.dagger().matrix

@@ -161,7 +161,7 @@ def g_to_landau(coupling, omega) -> LandauExtension:
     g = coupling.g
     if isinstance(w, Fraction):
         return LandauExtension(g * w, (1 - g * g) * w * w)
-    gf = float(g)
+    gf = coupling.as_float()
     return LandauExtension(gf * w, (1.0 - gf * gf) * w * w)
 
 

@@ -86,11 +86,12 @@ def catalog(coupling, params=None) -> dict:
 def hidden_shift(kind: str, s1: int, s2: int) -> tuple[int, int]:
     """Mode-number shift of the '+' ladder: (s1, -s2) for L, (s1, s2) for J.
 
-    The one validator of kind and orders (integers, non-negative, not both zero).
+    The one validator of kind and orders (ints but not bools, non-negative,
+    not both zero).
     """
     if kind not in ("L", "J"):
         raise ValueError(f"kind must be 'L' or 'J', got {kind!r}")
-    if not (isinstance(s1, int) and isinstance(s2, int)):
+    if not (type(s1) is int and type(s2) is int):  # isinstance would let bools in
         raise ValueError(f"orders must be integers, got ({s1!r}, {s2!r})")
     if s1 < 0 or s2 < 0 or (s1 == 0 and s2 == 0):
         raise ValueError("orders must be non-negative and not both zero")

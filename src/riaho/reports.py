@@ -81,5 +81,6 @@ class VerificationReport:
             "checks": [r.to_dict() for r in self.rows],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+    def to_json(self) -> str:
+        """The report as JSON, indented by 2 spaces, keys in schema order."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=False)

@@ -52,6 +52,25 @@ class TestFrequencyPair:
         scaled = FrequencyPair.detect(2 * math.pi, 6 * math.pi)
         assert (scaled.l1, scaled.l2) == (3, 1)
 
+    def test_detected_float_labels_pass_the_constructor(self):
+        # detection and the label check share one tolerance; at a relative
+        # mismatch of 1e-10 the constructor used to reject the detected labels
+        fp = FrequencyPair.detect(1.0, 3.0000000003)
+        assert (fp.l1, fp.l2) == (3, 1)
+        assert FrequencyPair(1.0, 3.0000000003, 3, 1).commensurate
+        with pytest.raises(ValueError, match="labels do not satisfy"):
+            FrequencyPair(1.0, 3.00001, 3, 1)
+
+    def test_detection_near_the_top_of_the_float_range(self):
+        # l_i * w_i overflowed to inf, inf - inf is nan, and a nan mismatch
+        # passed: an irrational ratio was labelled 29:41
+        assert not FrequencyPair.detect(1.5e308, 1.5e308 / math.sqrt(2)).commensurate
+        fp = FrequencyPair.detect(1.7e308, 0.6e308)
+        assert (fp.l1, fp.l2) == (6, 17)
+        # a label past the float range raised OverflowError in l2 * float(w2)
+        with pytest.raises(ValueError, match="labels do not satisfy"):
+            FrequencyPair(1.0, 1e-300, 1, 10**400)
+
     def test_float_detection_rejects_irrational(self):
         fp = FrequencyPair.detect(1.0, math.sqrt(2))
         assert not fp.commensurate

@@ -191,6 +191,16 @@ class TestOrthonormality:
         with pytest.raises(ValueError):
             br.orthonormality(7, 0, 0, 0)
 
+    def test_quadrature_rule_is_cached_read_only(self):
+        nodes, weights = br._gauss_hermite(40)
+        assert br._gauss_hermite(40)[0] is nodes
+        ref_nodes, ref_weights = np.polynomial.hermite.hermgauss(40)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
     def test_insufficient_order_flagged(self):
         with pytest.raises(ValueError):
             br.orthonormality(6, 6, 6, 6, order=10)

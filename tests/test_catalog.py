@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from riaho import bridge, classdyn, fockeng, landau
 from riaho.coupling import Coupling, Phase
 from riaho.fockeng import hidden_coefficient
 from riaho.phasealg.catalog import hidden_shift
@@ -205,6 +206,17 @@ class TestHiddenShift:
         with pytest.raises(ValueError):
             hidden_integral(F(1, 3), "L", 1.5, 1)  # a binary-float mu tag
 
+    @pytest.mark.parametrize("call", [
+        lambda: hidden_coefficient("L", 1, 2, 2.0, 2),  # TypeError from math.factorial
+        lambda: hidden_coefficient("J", 1, 2, 2, 2.5),
+        lambda: hidden_coefficient("L", 1, 2, True, 2),
+        lambda: hidden_shift("J", True, False),  # bools are ints, and were accepted
+        lambda: hidden_coefficient("L", True, 2, 1, 2),  # returned 2.0
+    ], ids=["float_n1", "float_n2", "bool_n1", "bool_orders", "bool_order_coefficient"])
+    def test_non_integer_and_bool_inputs_raise_value_error(self, call):
+        with pytest.raises(ValueError):
+            call()
+
     @pytest.mark.parametrize("kind", ["L", "J"])
     def test_coefficient_rejects_negative_numbers(self, kind):
         for n1, n2 in ((-1, 0), (0, -1), (-1, -1), (3, -1)):
@@ -265,3 +277,28 @@ class TestCouplingPhases:
         # 0.1 is 3602879701896397/36028797018963968 in binary
         with pytest.raises(ValueError, match=r'"1/10"|Fraction\(1, 10\)'):
             make(0.1)
+
+
+BIG = Coupling(10**400)  # exact, but g and both ell leave the float range
+ORBIT_START = [1.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BIG.as_float(),
+    lambda: classdyn.is_cusped(classdyn.TrajectoryParams(R1=1, R2=1, coupling=BIG)),
+    lambda: classdyn.hamiltonian_flow_rhs(ORBIT_START, BIG, 1.0),
+    lambda: classdyn.hamiltonian_value(ORBIT_START, BIG, 1.0),
+    lambda: classdyn.integrate(ORBIT_START, BIG, 1.0, 1.0),
+    lambda: fockeng.hamiltonian(fockeng.FockBasis(2), BIG),
+    # ell1 = 1 + 10^308 is a float, the level 2*ell1 + 1 of state (2, 0) is not
+    lambda: fockeng.hamiltonian(fockeng.FockBasis(2), Coupling(10**308)),
+    lambda: fockeng.rni_hamiltonian(fockeng.FockBasis(2), BIG),
+    lambda: landau.g_to_landau(BIG, 1.5),
+    lambda: bridge.hamiltonian_action(bridge.ground_state(), BIG),
+], ids=["as_float", "is_cusped", "flow_rhs", "hamiltonian_value", "integrate",
+        "fock_hamiltonian", "fock_hamiltonian_1e308", "rni_hamiltonian", "g_to_landau",
+        "hamiltonian_action"])
+def test_coupling_past_float_range_raises_value_error(call):
+    # each of these raised OverflowError from float() of an exact Fraction
+    with pytest.raises(ValueError, match="float range"):
+        call()

@@ -296,6 +296,13 @@ class TestLissajous:
         assert abs(float(rows[0][1]) - float(rows[-1][1])) < 1e-9
         assert abs(float(rows[0][2]) - float(rows[-1][2])) < 1e-9
 
+    def test_near_resonant_float_pair_is_detected(self, tmp_path):
+        # exited 2 with "labels do not satisfy l1*w1 == l2*w2"
+        assert run(tmp_path, "lissajous", "--omega1", "1.0", "--omega2", "3.0000000003",
+                   "--samples", "16", "--out", "near") == 0
+        meta = read_meta(tmp_path, "near")
+        assert (meta["l1"], meta["l2"]) == (3, 1)
+
     def test_open_pair_requires_window(self, tmp_path):
         assert run(tmp_path, "lissajous", "--omega1", "1",
                    "--omega2", "3.14159265358979", "--out", "open") == 2
