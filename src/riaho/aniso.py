@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bridge import ProportionalityReport, ZPolynomial, grid_proportionality, inverse_weierstrass
-from .coupling import Coupling
+from .coupling import Coupling, _to_float
 from .fockeng import (
     FockBasis,
     FockOperator,
@@ -174,6 +174,13 @@ class FrequencyPair:
     def equal(self) -> bool:
         return self.omega1 == self.omega2
 
+    def float_omegas(self) -> tuple[float, float]:
+        """(w1, w2) as floats; ValueError when one overflows or underflows to 0.0."""
+        out = _to_float(self.omega1, "frequency omega1"), _to_float(self.omega2, "frequency omega2")
+        if 0.0 in out:
+            raise ValueError("a frequency underflows to 0.0 as a float")
+        return out
+
 
 def _sign_value(sign) -> int:
     if sign in ("+", 1, +1):
@@ -227,7 +234,7 @@ def verify_signed_spectrum(
     only residual is float squaring of sqrt(n) amplitudes.
     """
     sigma = _sign_value(sign)
-    w1, w2 = float(freq.omega1), float(freq.omega2)
+    w1, w2 = freq.float_omegas()
     num1 = ladder(basis, 1, "+").matrix @ ladder(basis, 1, "-").matrix
     num2 = ladder(basis, 2, "+").matrix @ ladder(basis, 2, "-").matrix
     built = hbar * (
@@ -327,14 +334,11 @@ def so11_invariant_check(
     but picks up the identity in the lowering-raising bracket, which the
     report records explicitly.
     """
-    if isinstance(omega, FrequencyPair):
-        if not omega.equal:
-            raise ValueError("so(1,1) invariant needs equal frequencies")
-        w = float(omega.omega1)
-    else:
-        w = float(omega)
-        if w <= 0:
-            raise ValueError("frequency must be positive")
+    if not isinstance(omega, FrequencyPair):
+        omega = FrequencyPair(omega, omega)
+    if not omega.equal:
+        raise ValueError("so(1,1) invariant needs equal frequencies")
+    w = omega.float_omegas()[0]
 
     basis = FockBasis(cutoff)
     freq = FrequencyPair(w, w, 1, 1)
@@ -438,7 +442,7 @@ def aniso_cbt_apply(
         phi = {phi: 1.0}
     if not isinstance(phi, dict):
         raise ValueError("input must be a monomial pair or exponent-to-coefficient dict")
-    w1, w2 = float(freq.omega1), float(freq.omega2)
+    w1, w2 = freq.float_omegas()
     joint: dict = {}
     for key, coeff in phi.items():
         try:
@@ -475,7 +479,7 @@ def hermite_eigenstate(
     """Normalized product eigenfunction psi_n1(x1; w1) psi_n2(x2; w2)."""
     if n1 < 0 or n2 < 0:
         raise ValueError("quantum numbers must be non-negative")
-    w1, w2 = float(freq.omega1), float(freq.omega2)
+    w1, w2 = freq.float_omegas()
     poly1 = _mode_eigen_poly(n1, w1, m, hbar)
     poly2 = _mode_eigen_poly(n2, w2, m, hbar)
     joint = {
@@ -512,9 +516,8 @@ def aniso_proportionality(
     """
     bridged = aniso_cbt_apply((n1, n2), freq, m, hbar)
     eigen = hermite_eigenstate(n1, n2, freq, m, hbar)
-    expected = mode_constant(n1, float(freq.omega1), m, hbar) * mode_constant(
-        n2, float(freq.omega2), m, hbar
-    )
+    w1, w2 = freq.float_omegas()
+    expected = mode_constant(n1, w1, m, hbar) * mode_constant(n2, w2, m, hbar)
     return grid_proportionality(n1, n2, bridged.evaluate, eigen.evaluate, expected)
 
 
@@ -530,10 +533,7 @@ def lissajous(A1, B1, A2, B2, freq: FrequencyPair, t):
     x_i'' = -w_i^2 x_i, so the configuration-space curves coincide.
     """
     t = np.asarray(t, dtype=float)
-    try:
-        w1, w2 = float(freq.omega1), float(freq.omega2)
-    except OverflowError:
-        raise ValueError("frequencies lie outside the float range") from None
+    w1, w2 = freq.float_omegas()
     x1 = A1 * np.cos(w1 * t) + B1 * np.sin(w1 * t)
     x2 = A2 * np.cos(w2 * t) + B2 * np.sin(w2 * t)
     if t.shape:
@@ -546,14 +546,12 @@ def closure_period(freq: FrequencyPair):
 
     With l1*w1 == l2*w2 coprime, this T makes w1*T and w2*T the coprime
     multiples 2 pi l2 and 2 pi l1 of a full turn, so no shorter closure
-    exists.  inf when the period exceeds the float range.
+    exists.  inf when the period exceeds the float range; ValueError when a
+    frequency or label does not fit in a float.
     """
     if not freq.commensurate:
         return None
-    try:
-        return 2.0 * math.pi * freq.l2 / float(freq.omega1)
-    except OverflowError:
-        return math.inf
+    return 2.0 * math.pi * _to_float(freq.l2, "label l2") / freq.float_omegas()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +573,10 @@ class RescaleMap:
 
     @property
     def weights(self) -> tuple[float, float]:
-        return (math.sqrt(self.weight_sq[0]), math.sqrt(self.weight_sq[1]))
+        return tuple(math.sqrt(w) for w in self.omegas())
 
     def omegas(self, omega: float = 1.0) -> tuple[float, float]:
-        return (float(self.weight_sq[0]) * omega, float(self.weight_sq[1]) * omega)
+        return tuple(_to_float(w, "rescaled frequency |ell_i|") * omega for w in self.weight_sq)
 
     def omega_factors(self) -> tuple[Fraction, Fraction]:
         """Exact frequency magnifications |ell_1|, |ell_2|."""

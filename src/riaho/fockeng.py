@@ -6,7 +6,9 @@ oscillator Hamiltonian is diagonal with exact rational spectrum
 Everything here is dense numpy on a finite grid ``0 <= n1, n2 <= cutoff``;
 exact statements use Fractions (energies, degeneracy grouping) or integer
 and Fraction object arrays (the one-mode conformal bridge), so equality is
-never a floating-point question.
+never a floating-point question.  The Cartesian-to-circular unitary is built
+in closed form from its 2x2 one-particle block, block by block in N = n1 + n2,
+with no matrix exponential.
 
 Truncation corrupts matrix elements near the grid edge, so checks that
 involve raising operators are restricted to interior columns via
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .coupling import Coupling
 from .phasealg.catalog import hidden_shift, is_true_integral
@@ -45,7 +46,6 @@ __all__ = [
     "commutator",
     "verify_commutes",
     "operator_norm",
-    "matrix_exponential",
     "cartesian_modes",
     "su2_generators",
     "unitary_bridge",
@@ -232,13 +232,20 @@ def ladder(basis: FockBasis, mode: int, direction: str) -> FockOperator:
     return FockOperator(basis, mat, f"b{mode}{direction}")
 
 
+def _finite(matrix: np.ndarray, label: str) -> np.ndarray:
+    """``matrix`` unchanged; ValueError when an entry is inf or nan."""
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"an entry of {label} is not finite (inf or nan)")
+    return matrix
+
+
 def _diagonal(basis: FockBasis, value, label: str) -> FockOperator:
     """Diagonal operator with float entries ``value(n1, n2)``; ValueError past the float range."""
     try:
         diag = np.array([value(n1, n2) for (n1, n2) in basis.states()], dtype=float)
     except OverflowError:
         raise ValueError(f"a diagonal entry of {label} lies outside the float range") from None
-    return FockOperator(basis, np.diag(diag).astype(complex), label)
+    return FockOperator(basis, np.diag(_finite(diag, label)).astype(complex), label)
 
 
 def number_operator(basis: FockBasis, mode: int) -> FockOperator:
@@ -503,20 +510,6 @@ def verify_commutes(
     return CheckRow.within(check_id, identity, operator_norm(comm), tol)
 
 
-def matrix_exponential(op: FockOperator | np.ndarray) -> FockOperator | np.ndarray:
-    """Dense matrix exponential with overflow and finiteness guards."""
-    mat = op.matrix if isinstance(op, FockOperator) else np.asarray(op, dtype=complex)
-    norm = operator_norm(mat)
-    if norm > 700.0:
-        raise ValueError(f"exponential argument norm {norm:.3g} would overflow")
-    out = scipy.linalg.expm(mat)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("matrix exponential produced non-finite entries")
-    if isinstance(op, FockOperator):
-        return FockOperator(op.basis, out, f"exp({op.label})")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Cartesian modes, su(2) bridge, and the non-invariant form
 
@@ -566,10 +559,24 @@ def unitary_bridge(basis: FockBasis) -> FockOperator:
     diagonal su(2) axis, cycling L1 -> L3 -> L2 -> L1 and conjugating each
     Cartesian ladder into the matching circular ladder times exp(+/- i pi/4).
     All conjugation identities hold on a total-number interior mask.
+
+    U fixes |0) and N = n1 + n2, so U|n1, n2) = (c1+)^n1 (c2+)^n2 |0)/sqrt(n1! n2!) with
+    c_k+ = sum_j u_jk b_j+, u = [[z, z], [z^3, z^-1]]/sqrt2 and z = exp(i pi/4).  Its row
+    (m1, N - m1) is z^(4 n1 + 2 m1 - N) K sqrt(C(N, n1)/(C(N, m1) 2^N)), K the integer x^m1
+    coefficient of (1 - x)^n1 (1 + x)^(N - n1).  Blocks N > cutoff lie partly off the grid;
+    U is the identity there, so it stays exactly unitary on the whole grid.
     """
-    l1, l2, l3 = su2_generators(basis)
-    axis = (l1.matrix + l2.matrix + l3.matrix) / math.sqrt(3)
-    u = matrix_exponential(1j * (2 * math.pi / 3) * axis)
+    side = basis.cutoff + 1
+    plus = [np.array([math.comb(n, k) for k in range(n + 1)], dtype=object) for n in range(side)]
+    minus = [np.array([(-1) ** k * c for k, c in enumerate(p)], dtype=object) for p in plus]
+    u = np.eye(basis.dim, dtype=complex)
+    for total in range(side):
+        m = np.arange(total + 1)
+        kraw = np.array([np.convolve(minus[n], plus[total - n]) for n in m]).T.astype(float)
+        scale = np.sqrt((plus[total] / plus[total][:, None] / 2**total).astype(float))
+        phase = np.exp(1j * np.pi / 4 * ((4 * m + 2 * m[:, None] - total) % 8))
+        idx = m * side + total - m  # states (m1, total - m1)
+        u[np.ix_(idx, idx)] = kraw * scale * phase
     return FockOperator(basis, u, "U")
 
 
@@ -580,14 +587,16 @@ def rni_hamiltonian(
 
     H = hbar*omega*(l1 a1+ a1- + l2 a2+ a2- + 1) on the Cartesian modes;
     unitarily equivalent to the rotating-oscillator Hamiltonian but lacking
-    [H, p_phi] = 0 away from g = 0.
+    [H, p_phi] = 0 away from g = 0.  An entry past the float range raises
+    ValueError.
     """
     a = cartesian_modes(basis)
     l1, l2 = coupling.float_ells()
-    mat = l1 * (a["a1+"].matrix @ a["a1-"].matrix)
-    mat = mat + l2 * (a["a2+"].matrix @ a["a2-"].matrix)
-    mat = mat + np.eye(basis.dim)
-    return FockOperator(basis, hbar_omega * mat, "H_rni")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = l1 * (a["a1+"].matrix @ a["a1-"].matrix)
+        mat = mat + l2 * (a["a2+"].matrix @ a["a2-"].matrix)
+        mat = hbar_omega * (mat + np.eye(basis.dim))
+    return FockOperator(basis, _finite(mat, "H_rni"), "H_rni")
 
 
 # ---------------------------------------------------------------------------

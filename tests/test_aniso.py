@@ -285,6 +285,62 @@ class TestOrbitsMatchDegeneracy:
             degeneracy_partition(basis, freq, "+")
 
 
+# exact frequencies that FrequencyPair accepts but no float can hold
+HUGE = FrequencyPair(10**400, 10**400, 1, 1)
+OVER = FrequencyPair(10**400, Fraction(1, 2))
+UNDER = FrequencyPair(1, Fraction(1, 10**400))
+TINY = FrequencyPair(Fraction(1, 10**400), Fraction(1, 10**400), 1, 1)
+FLOAT_CALLS = {
+    "verify_signed_spectrum": lambda f: verify_signed_spectrum(FockBasis(2), f, "+"),
+    "aniso_cbt_apply": lambda f: aniso_cbt_apply((1, 0), f),
+    "hermite_eigenstate": lambda f: hermite_eigenstate(1, 0, f),
+    "aniso_proportionality": lambda f: aniso_proportionality(1, 0, f),
+    "lissajous": lambda f: lissajous(1, 0, 0, 1, f, 0.5),
+}
+
+
+class TestFloatFrequencies:
+    def test_float_omegas(self):
+        assert FrequencyPair(Fraction(1, 2), 3).float_omegas() == (0.5, 3.0)
+        assert FrequencyPair(1.5, 2.5).float_omegas() == (1.5, 2.5)
+
+    @pytest.mark.parametrize("call", [None, *FLOAT_CALLS], ids=str)
+    @pytest.mark.parametrize("freq, match", [
+        (OVER, "omega1 lies outside the float range"), (HUGE, "float range"),
+        (UNDER, "underflows to 0.0"), (TINY, "underflows to 0.0"),
+    ])
+    def test_out_of_range_pairs_raise_value_error(self, freq, match, call):
+        with pytest.raises(ValueError, match=match):
+            FLOAT_CALLS[call](freq) if call else freq.float_omegas()
+
+    @pytest.mark.parametrize("freq", [HUGE, TINY])
+    def test_closure_period_out_of_range(self, freq):
+        # the periods 2 pi 10^-400 and 2 pi 10^400 have no float value, not even inf
+        with pytest.raises(ValueError):
+            closure_period(freq)
+
+    def test_closure_period_past_the_float_range_is_inf(self):
+        freq = FrequencyPair(Fraction(1, 10**308), Fraction(1, 10**308), 1, 1)
+        assert closure_period(freq) == math.inf
+
+    @pytest.mark.parametrize("omega", [HUGE, TINY, Fraction(10**400), Fraction(1, 10**400)])
+    def test_so11_out_of_range_frequency(self, omega):
+        with pytest.raises(ValueError):
+            so11_invariant_check(omega, cutoff=3)
+
+    def test_rescale_map_past_the_float_range(self):
+        the_map = rescale_map(Coupling(10**400))
+        with pytest.raises(ValueError, match="float range"):
+            the_map.omegas()
+        with pytest.raises(ValueError, match="float range"):
+            the_map.weights
+
+    def test_exact_checks_keep_working(self):
+        # such pairs are accepted at construction: exact code paths never need floats
+        assert composite_spectrum_check(Coupling(10**400)).passed
+        assert spectrum(HUGE, "+", 1, 0) == 2 * 10**400
+
+
 class TestSo11Invariant:
     def test_report_passes(self):
         report = so11_invariant_check(1.0, cutoff=9)

@@ -5,6 +5,7 @@ Frozen amplitudes below were derived by hand from the ladder algebra
 factored one-mode bridge to low unnormalized states.
 """
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,24 @@ class TestSpectrum:
         b = fe.FockBasis(3)
         pphi = fe.angular_momentum(b, hbar=1.0)
         assert pphi.matrix[b.index(3, 1), b.index(3, 1)] == 2
+
+
+class TestNonFiniteEntries:
+    """An operator whose float entries leave the float range raises ValueError, not inf or nan."""
+
+    @pytest.mark.parametrize("build", [
+        lambda b: fe.hamiltonian(b, Coupling(F(1, 3)), 1e308),
+        lambda b: fe.hamiltonian(b, Coupling(0), float("nan")),
+        lambda b: fe.angular_momentum(b, 1e308),
+        lambda b: fe.angular_momentum(b, float("nan")),
+        lambda b: fe.rni_hamiltonian(b, Coupling(10**308)),
+        lambda b: fe.rni_hamiltonian(b, Coupling(1), float("inf")),
+    ])
+    def test_rejected_without_warnings(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                build(fe.FockBasis(2))
 
 
 class TestDegeneracy:
@@ -527,23 +546,46 @@ class TestRniHamiltonian:
         assert fe.operator_norm(h3.matrix - 3.0 * h1.matrix) < 1e-13
 
 
-class TestMatrixExponential:
-    def test_diagonal_case(self):
+def _reference_unitary_bridge(basis):
+    """U = exp(i (2 pi/3)/sqrt(3) (L1 + L2 + L3)) as a dense scipy expm of the truncated generator."""
+    import scipy.linalg
+
+    l1, l2, l3 = fe.su2_generators(basis)
+    axis = (l1.matrix + l2.matrix + l3.matrix) / math.sqrt(3)
+    return scipy.linalg.expm(1j * (2 * math.pi / 3) * axis)
+
+
+class TestUnitaryBridgeClosedForm:
+    @pytest.mark.parametrize("cutoff", [12, 20, 30])
+    def test_matches_expm_on_full_blocks(self, cutoff):
+        # a block N = n1 + n2 <= cutoff lies wholly on the grid, so the truncated
+        # generator leaves it invariant and its exponential is exact there
+        b = fe.FockBasis(cutoff)
+        full = [b.index(n1, n2) for n1, n2 in b.states() if n1 + n2 <= cutoff]
+        diff = fe.unitary_bridge(b).matrix - _reference_unitary_bridge(b)
+        assert np.max(np.abs(diff[:, full])) <= 1e-13
+
+    @pytest.mark.parametrize("cutoff", [1, 5, 12])
+    def test_identity_on_partial_blocks(self, cutoff):
+        b = fe.FockBasis(cutoff)
+        partial = [b.index(n1, n2) for n1, n2 in b.states() if n1 + n2 > cutoff]
+        u = fe.unitary_bridge(b).matrix
+        assert np.array_equal(u[:, partial], np.eye(b.dim)[:, partial])
+
+    def test_one_particle_block(self):
+        # U b_k+ |0) = sum_j u_jk b_j+ |0) with u = [[1+i, 1+i], [-1+i, 1-i]]/2
         b = fe.FockBasis(3)
-        n1 = fe.number_operator(b, 1)
-        e = fe.matrix_exponential(1j * math.pi * n1.matrix)
-        expected = np.diag([np.exp(1j * math.pi * s[0]) for s in b.states()])
-        assert fe.operator_norm(e - expected) < 1e-12
+        u = fe.unitary_bridge(b).matrix
+        one = [b.index(1, 0), b.index(0, 1)]
+        expected = np.array([[1 + 1j, 1 + 1j], [-1 + 1j, 1 - 1j]]) / 2
+        assert np.max(np.abs(u[np.ix_(one, one)] - expected)) <= 1e-15
+        assert u[b.index(0, 0), b.index(0, 0)] == 1
 
-    def test_norm_guard(self):
-        with pytest.raises(ValueError):
-            fe.matrix_exponential(np.eye(3) * 1e4)
-
-    def test_operator_wrapper(self):
-        b = fe.FockBasis(2)
-        out = fe.matrix_exponential(fe.number_operator(b, 2) * 0.0)
-        assert isinstance(out, fe.FockOperator)
-        assert fe.operator_norm(out.matrix - np.eye(b.dim)) < 1e-14
+    def test_conserves_total_number(self):
+        b = fe.FockBasis(9)
+        u = fe.unitary_bridge(b).matrix
+        total = np.array([n1 + n2 for n1, n2 in b.states()])
+        assert not np.any(u[total[:, None] != total[None, :]])
 
 
 def _reference_bridge(size):
