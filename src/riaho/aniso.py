@@ -176,10 +176,7 @@ class FrequencyPair:
 
     def float_omegas(self) -> tuple[float, float]:
         """(w1, w2) as floats; ValueError when one overflows or underflows to 0.0."""
-        out = _to_float(self.omega1, "frequency omega1"), _to_float(self.omega2, "frequency omega2")
-        if 0.0 in out:
-            raise ValueError("a frequency underflows to 0.0 as a float")
-        return out
+        return _to_float(self.omega1, "frequency omega1"), _to_float(self.omega2, "frequency omega2")
 
 
 def _sign_value(sign) -> int:
@@ -275,7 +272,7 @@ def hidden_operator(
     :func:`riaho.fockeng.hidden_coefficient` at orders (l1, l2).
     """
     l1, l2 = _require_labels(freq)
-    mat = _hidden_ladder_matrix(basis, hidden_shift(kind, l1, l2), sign)
+    mat = _hidden_ladder_matrix(basis, kind, l1, l2, sign)
     return FockOperator(basis, mat, f"{kind}{sign}({l1},{l2})")
 
 

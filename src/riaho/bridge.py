@@ -11,6 +11,7 @@ Complex coordinates: z = x1 + i x2, zbar = x1 - i x2.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,6 +63,8 @@ class Units:
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.m, self.omega, self.hbar)):
             raise ValueError("units must be positive and finite")
+        if not (0 < self.gauss < math.inf and 0 < self.length_sq < math.inf):
+            raise ValueError("m*omega/(2*hbar) or its inverse leaves the float range")
 
     @property
     def gauss(self) -> float:
@@ -79,7 +82,7 @@ _UNIT = Units()
 
 @dataclass(frozen=True)
 class ZPolynomial:
-    """Complex polynomial in (z, zbar) as a pruned term map (n1, n2) -> coeff."""
+    """Complex polynomial in (z, zbar) as a pruned term map (n1, n2) -> finite coeff."""
 
     terms: dict = field(default_factory=dict)
 
@@ -89,6 +92,8 @@ class ZPolynomial:
             if not (isinstance(n1, int) and isinstance(n2, int)) or n1 < 0 or n2 < 0:
                 raise ValueError(f"bad exponents ({n1}, {n2})")
             c = complex(coeff)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient of z^{n1} zbar^{n2} is not finite ({c})")
             if c != 0:
                 clean[(n1, n2)] = c
         object.__setattr__(self, "terms", clean)

@@ -36,11 +36,14 @@ class Phase:
 
 
 def _to_float(value: Fraction, name: str) -> float:
-    """float(value); ValueError naming ``name`` when it lies outside the float range."""
+    """float(value); ValueError naming ``name`` past the float range or on underflow to 0.0."""
     try:
-        return float(value)
+        out = float(value)
     except OverflowError:
         raise ValueError(f"{name} lies outside the float range") from None
+    if out == 0.0 and value != 0:
+        raise ValueError(f"{name} underflows to 0.0 as a float")
+    return out
 
 
 def _check_exact_float(x: float) -> None:

@@ -335,6 +335,15 @@ class TestFloatFrequencies:
         with pytest.raises(ValueError, match="float range"):
             the_map.weights
 
+    def test_rescale_map_weight_underflow(self):
+        # ell2 = 10^-400 is exact and non-zero but has no float value except 0.0
+        coupling = Coupling(1 - Fraction(1, 10**400))
+        the_map = rescale_map(coupling)
+        for call in (the_map.omegas, lambda: the_map.weights,
+                     lambda: the_map.apply(1.0, 1.0, 1.0, 1.0), coupling.float_ells):
+            with pytest.raises(ValueError, match="underflows to 0.0"):
+                call()
+
     def test_exact_checks_keep_working(self):
         # such pairs are accepted at construction: exact code paths never need floats
         assert composite_spectrum_check(Coupling(10**400)).passed

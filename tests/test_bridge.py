@@ -269,6 +269,15 @@ class TestUnits:
         with pytest.raises(ValueError, match="positive and finite"):
             br.Units(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"m": 1e-308, "omega": 1e-308}, {"m": 1e-308}, {"hbar": 1e308},
+        {"m": 1e300, "omega": 1e300}, {"m": 1e300, "hbar": 1e-300},
+    ])
+    def test_derived_scales_outside_the_float_range_rejected(self, kwargs):
+        # m*omega = 0.0 used to raise ZeroDivisionError in length_sq
+        with pytest.raises(ValueError, match="float range"):
+            br.Units(**kwargs)
+
 
 class TestRotation:
     def test_eigenstate_picks_up_phase(self):

@@ -4,13 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riaho import aniso, bridge, classdyn, cli, fockeng, landau
@@ -443,6 +445,15 @@ class TestCoherent:
         assert run(tmp_path, "coherent", "--alpha", alpha, "--beta", "0,0") == 2
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("units", [("--m", "1e300"), ("--m", "1e308"), ("--hbar", "1e-308"),
+                                       ("--m", "1e-308"), ("--omega", "1e-308")])
+    def test_units_that_overflow_the_state_exit_2(self, tmp_path, capsys, units):
+        # an inf state coefficient, then a nan one, used to reach the sidecar as bare NaN
+        assert run(tmp_path, "coherent", "--alpha", "1,0", "--beta", "0,0", *units) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not list(tmp_path.iterdir())
+
     def test_cutoff_beyond_float_range_exits_2(self, tmp_path, capsys):
         assert run(tmp_path, "coherent", "--alpha", "0.1,0", "--beta", "0.1,0",
                    "--cutoff", "200") == 2
@@ -578,28 +589,39 @@ SIZE = st.integers(-2, 64)  # small sizes only: a huge grid is slow, not malform
 
 # command -> (required flags, optional flags), each flag -> value strategy
 COMMANDS = {
-    "trajectory": ({"--g": TEXT}, {"--r1": TEXT, "--gamma1": TEXT, "--window": TEXT,
-                                   "--samples": SIZE}),
-    "lissajous": ({"--omega1": TEXT, "--omega2": TEXT}, {"--window": TEXT, "--samples": SIZE}),
+    "trajectory": ({"--g": TEXT}, {"--r1": TEXT, "--r2": TEXT, "--gamma1": TEXT,
+                                   "--gamma2": TEXT, "--window": TEXT, "--samples": SIZE}),
+    "lissajous": ({"--omega1": TEXT, "--omega2": TEXT}, {"--a1": TEXT, "--b1": TEXT, "--a2": TEXT,
+                                                         "--b2": TEXT, "--window": TEXT,
+                                                         "--samples": SIZE}),
     "spectrum": ({"--g": TEXT}, {"--nmax": SIZE}),
     "degeneracy": ({"--g": TEXT, "--emax": TEXT}, {}),
     "eigenstate": ({"--n1": st.integers(-1, 4), "--n2": st.integers(-1, 4)}, {"--points": SIZE}),
-    "coherent": ({"--alpha": PAIR, "--beta": PAIR}, {"--g": TEXT, "--points": SIZE,
+    "coherent": ({"--alpha": PAIR, "--beta": PAIR}, {"--g": TEXT, "--t": TEXT, "--gamma": TEXT,
+                                                     "--extent": TEXT, "--points": SIZE,
                                                      "--cutoff": SIZE}),
     "landau": ({}, {"--omega-b": TEXT, "--lambda": TEXT}),
 }
+UNITS = {"--m": TEXT, "--omega": TEXT, "--hbar": TEXT}  # run configuration, on every command
 
 
 @st.composite
 def malformed_argv(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     required, optional = COMMANDS[command]
+    optional = optional | UNITS
     flags = [*required, *(f for f in optional if draw(st.booleans()))]
     return [command, *(f"{flag}={draw((required | optional)[flag])}" for flag in flags)]
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 @given(argv=malformed_argv())
-@settings(max_examples=50, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_malformed_arguments_exit_cleanly(tmp_path, argv):
-    assert run(tmp_path, *argv) in (0, 1, 2)
+@settings(max_examples=50, deadline=None)
+def test_malformed_arguments_exit_cleanly(argv):
+    with tempfile.TemporaryDirectory() as out:
+        assert run(Path(out), *argv) in (0, 1, 2)
+        for path in Path(out).glob("*.json"):
+            json.loads(path.read_text(), parse_constant=reject_constant)

@@ -7,6 +7,7 @@ factored one-mode bridge to low unnormalized states.
 import math
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -364,6 +365,28 @@ class TestHiddenOperators:
                 assert np.linalg.norm(jp[:, b.index(n1, n2)]) > 0
 
 
+def _matrix_power_hidden_ladder(basis, kind, s1, s2, sign):
+    """Reference: (b1+)^Delta1 (b2+-)^|Delta2| as matrix powers of the dense truncated ladders."""
+    d1, d2 = hidden_shift(kind, s1, s2)
+    up1 = fe.ladder(basis, 1, "+").matrix
+    m2 = fe.ladder(basis, 2, "+" if d2 > 0 else "-").matrix
+    mat = np.linalg.matrix_power(up1, d1) @ np.linalg.matrix_power(m2, abs(d2))
+    return mat if sign == "+" else mat.conj().T
+
+
+class TestHiddenLadderAgainstMatrixPower:
+    @pytest.mark.parametrize("cutoff", [4, 8, 12])
+    @pytest.mark.parametrize("kind", ["L", "J"])
+    @pytest.mark.parametrize("orders", [(1, 2), (2, 1), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_same_sparsity_and_entries(self, cutoff, kind, orders, sign):
+        b = fe.FockBasis(cutoff)
+        got = fe._hidden_ladder_matrix(b, kind, *orders, sign)
+        ref = _matrix_power_hidden_ladder(b, kind, *orders, sign)
+        assert np.array_equal(got != 0, ref != 0)
+        assert np.allclose(got, ref, rtol=1e-12, atol=0)
+
+
 class TestOrbitStructure:
     @pytest.mark.parametrize(
         "g,kind,s1,s2",
@@ -546,6 +569,26 @@ class TestRniHamiltonian:
         assert fe.operator_norm(h3.matrix - 3.0 * h1.matrix) < 1e-13
 
 
+def _cartesian_rni_hamiltonian(basis, coupling):
+    """Reference: l1 a1+ a1- + l2 a2+ a2- + 1 from dense products of the Cartesian ladders."""
+    a = fe.cartesian_modes(basis)
+    l1, l2 = coupling.float_ells()
+    return (l1 * (a["a1+"].matrix @ a["a1-"].matrix) + l2 * (a["a2+"].matrix @ a["a2-"].matrix)
+            + np.eye(basis.dim))
+
+
+class TestRniHamiltonianAgainstCartesianProducts:
+    @pytest.mark.parametrize("cutoff", [4, 12, 22])
+    @pytest.mark.parametrize("coupling", [Coupling(0), Coupling(F(1, 3)), Coupling(3),
+                                          Coupling(F(-1, 2)), Coupling(1, isotropic_mink=True)],
+                             ids=str)
+    def test_whole_grid(self, cutoff, coupling):
+        b = fe.FockBasis(cutoff)
+        ref = _cartesian_rni_hamiltonian(b, coupling)
+        diff = fe.rni_hamiltonian(b, coupling).matrix - ref
+        assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def _reference_unitary_bridge(basis):
     """U = exp(i (2 pi/3)/sqrt(3) (L1 + L2 + L3)) as a dense scipy expm of the truncated generator."""
     import scipy.linalg
@@ -704,3 +747,66 @@ class TestQuantumBridgeFloat:
         for row in fe.verify_quantum_bridge(10, margin=3):
             assert row.passed, row.check_id
             assert row.residual <= 1e-10
+
+
+def _dense_unitary_rows(basis, u):
+    """Reference: every unitary-* residual of suite_fock as the norm of a dense U M U+ - T."""
+    ud = u.conj().T
+    idx = fe.InteriorMask(basis, total=basis.cutoff - 2).indices()
+    cart = fe.cartesian_modes(basis)
+    phase = np.exp(-1j * math.pi / 4)
+    rows = {}
+    for name, mode, direction, ph in (("a1-", 1, "-", phase), ("a2-", 2, "-", phase),
+                                      ("a1+", 1, "+", phase.conjugate()),
+                                      ("a2+", 2, "+", phase.conjugate())):
+        target = ph * fe.ladder(basis, mode, direction).matrix
+        rows[f"unitary-mode:{name}"] = fe.operator_norm(
+            (u @ cart[name].matrix @ ud - target)[:, idx])
+    for gtext in ("0", "1/3", "1/2", "3"):
+        c = Coupling(F(gtext))
+        conj = u @ fe.rni_hamiltonian(basis, c).matrix @ ud
+        rows[f"unitary-hamiltonian:g={gtext}"] = fe.operator_norm(
+            (conj - fe.hamiltonian(basis, c).matrix)[:, idx])
+    return rows
+
+
+class TestSuiteFockAgainstDenseProducts:
+    def suite(self, cutoff):
+        return {row.check_id: row for row in fe.suite_fock(
+            SimpleNamespace(truncation=cutoff, tol_fock=1e-12)).rows}
+
+    @pytest.mark.parametrize("cutoff", [6, 12])
+    def test_perturbed_unitary_block_residuals(self, monkeypatch, cutoff):
+        # one entry of the full block N = 2 scaled by 1 + 1e-6 moves every unitary-* row
+        exact = fe.unitary_bridge
+        b = fe.FockBasis(cutoff)
+
+        def perturbed(basis):
+            u = exact(basis).matrix.copy()
+            u[basis.index(1, 1), basis.index(0, 2)] *= 1 + 1e-6
+            return fe.FockOperator(basis, u, "U")
+
+        monkeypatch.setattr(fe, "unitary_bridge", perturbed)
+        rows = self.suite(cutoff)
+        for check_id, want in _dense_unitary_rows(b, perturbed(b).matrix).items():
+            assert want > 1e-8, check_id
+            assert rows[check_id].residual == pytest.approx(want, rel=1e-9), check_id
+
+    def test_non_commuting_ladder_matches_dense_commutator(self, monkeypatch):
+        # the other kind's ladder joins states of different energy, so the elementwise
+        # commutator of the suite must equal the dense one, and be far from zero
+        def swapped(basis, coupling, kind, s1, s2, sign="+"):
+            other = "J" if kind == "L" else "L"
+            return fe.FockOperator(basis, fe._hidden_ladder_matrix(basis, other, s1, s2, sign))
+
+        monkeypatch.setattr(fe, "hidden_operator", swapped)
+        b = fe.FockBasis(8)
+        rows = self.suite(8)
+        for gtext, kind in (("1/3", "L"), ("3", "J")):
+            c = Coupling(F(gtext))
+            dense = fe.verify_commutes(fe.hamiltonian(b, c), swapped(b, c, kind, 1, 2),
+                                       fe.InteriorMask(b, margin1=1, margin2=2))
+            got = rows[f"hidden-commutes:g={gtext}"]
+            assert dense.residual > 1
+            assert got.residual == pytest.approx(dense.residual, rel=1e-12)
+            assert not got.passed
