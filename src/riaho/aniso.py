@@ -33,7 +33,6 @@ from .bridge import ProportionalityReport, ZPolynomial, grid_proportionality, in
 from .coupling import Coupling, _to_float
 from .fockeng import (
     FockBasis,
-    FockOperator,
     InteriorMask,
     _diagonal,
     _hidden_ladder_matrix,
@@ -208,7 +207,7 @@ def spectrum(freq: FrequencyPair, sign, n1: int, n2: int, hbar=1):
 
 def signed_hamiltonian(
     basis: FockBasis, freq: FrequencyPair, sign, hbar: float = 1.0
-) -> FockOperator:
+) -> np.ndarray:
     """Diagonal H^(sigma) with the closed-formula spectrum.
 
     The diagonal entries are floats of the exact values, so commutators
@@ -232,8 +231,8 @@ def verify_signed_spectrum(
     """
     sigma = _sign_value(sign)
     w1, w2 = freq.float_omegas()
-    num1 = ladder(basis, 1, "+").matrix @ ladder(basis, 1, "-").matrix
-    num2 = ladder(basis, 2, "+").matrix @ ladder(basis, 2, "-").matrix
+    num1 = ladder(basis, 1, "+") @ ladder(basis, 1, "-")
+    num2 = ladder(basis, 2, "+") @ ladder(basis, 2, "-")
     built = hbar * (
         w1 * num1
         + sigma * w2 * num2
@@ -242,7 +241,7 @@ def verify_signed_spectrum(
     return CheckRow.within(
         "signed-spectrum",
         "diag(H^(sigma)) = hbar*(w1 n1 + sigma w2 n2 + (w1+sigma w2)/2)",
-        operator_norm(built - signed_hamiltonian(basis, freq, sign, hbar).matrix), 1e-12,
+        operator_norm(built - signed_hamiltonian(basis, freq, sign, hbar)), 1e-12,
         detail=f"sign={sign}, cutoff={basis.cutoff}",
     )
 
@@ -262,7 +261,7 @@ def _require_labels(freq: FrequencyPair) -> tuple[int, int]:
 
 def hidden_operator(
     basis: FockBasis, freq: FrequencyPair, kind: str, sign: str = "+"
-) -> FockOperator:
+) -> np.ndarray:
     """Resonant ladder L+ = (a1+)^l1 (a2-)^l2 or J+ = (a1+)^l1 (a2+)^l2.
 
     Kind "L" commutes with the sign=+ Hamiltonian, kind "J" with sign=-;
@@ -271,9 +270,7 @@ def hidden_operator(
     sign="-" returns the adjoint.  Matrix elements agree with
     :func:`riaho.fockeng.hidden_coefficient` at orders (l1, l2).
     """
-    l1, l2 = _require_labels(freq)
-    mat = _hidden_ladder_matrix(basis, kind, l1, l2, sign)
-    return FockOperator(basis, mat, f"{kind}{sign}({l1},{l2})")
+    return _hidden_ladder_matrix(basis, kind, *_require_labels(freq), sign)
 
 
 def hidden_orbits(
@@ -341,10 +338,10 @@ def so11_invariant_check(
     freq = FrequencyPair(w, w, 1, 1)
     hminus = signed_hamiltonian(basis, freq, "-", hbar)
     hosc = signed_hamiltonian(basis, freq, "+", hbar)
-    up1, dn1 = ladder(basis, 1, "+").matrix, ladder(basis, 1, "-").matrix
-    up2, dn2 = ladder(basis, 2, "+").matrix, ladder(basis, 2, "-").matrix
-    jplus = hidden_operator(basis, freq, "J", "+").matrix
-    jminus = hidden_operator(basis, freq, "J", "-").matrix
+    up1, dn1 = ladder(basis, 1, "+"), ladder(basis, 1, "-")
+    up2, dn2 = ladder(basis, 2, "+"), ladder(basis, 2, "-")
+    jplus = hidden_operator(basis, freq, "J", "+")
+    jminus = hidden_operator(basis, freq, "J", "-")
     l11 = 1j * hbar * (jplus - jminus)
 
     # quadrature realization; the cross terms cancel identically because
@@ -358,10 +355,10 @@ def so11_invariant_check(
     report = VerificationReport(suite="so11-invariant")
     report.add(CheckRow.within("so11-quadrature-form", "x1 p2 + x2 p1 = i hbar (J+ - J-)",
                                operator_norm(x1 @ p2 + x2 @ p1 - l11), 1e-12))
-    report.add(verify_commutes(hminus, FockOperator(basis, l11), mask,
+    report.add(verify_commutes(hminus, l11, mask,
                                check_id="so11-invariance", identity="[H(-), L11] = 0"))
     # shifted grading generator used in the invariance statement
-    j0_shift = (hosc.matrix - hbar * w * np.eye(basis.dim)) / (2.0 * w * hbar)
+    j0_shift = (hosc - hbar * w * np.eye(basis.dim)) / (2.0 * w * hbar)
     for name, mat, sgn, s in (("raise", jplus, +1, "+"), ("lower", jminus, -1, "-")):
         report.add(CheckRow.within(
             f"sl2-{name}", f"[J0, J{s}] = {s}J{s}",
@@ -369,7 +366,7 @@ def so11_invariant_check(
     report.add(CheckRow.within(
         "sl2-ladder-bracket", "[J-, J+] = H_osc/(hbar w) = 2 J0 + 1",
         operator_norm(
-            mask.restrict_columns(jminus @ jplus - jplus @ jminus - hosc.matrix / (w * hbar))),
+            mask.restrict_columns(jminus @ jplus - jplus @ jminus - hosc / (w * hbar))),
         1e-12, detail="closes on the unshifted grading H_osc/(2 hbar w)"))
     # the two diagonals commute exactly, so the residual must be exactly 0
     report.add(verify_commutes(hminus, hosc, tol=0.0,

@@ -443,12 +443,11 @@ def _gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
-    """2D Gauss-Hermite quadrature of conj(a) * b.
+def _quadrature_grid(a: WaveState, b: WaveState, order: int):
+    """(z, zbar, weight, lam) of the order-``order`` rule for conj(a) * b on the 2D node grid.
 
-    The combined envelope must decay; nodes are rescaled so the quadratic
-    part matches the Gauss-Hermite weight exactly, and any residual linear
-    exponent rides along as part of the integrand.
+    The combined envelope exp(-lam z zbar) must decay; nodes are rescaled so it matches
+    the Gauss-Hermite weight exactly, and the rule must integrate the prefactors' degree.
     """
     rate = (a.exp_zzbar.conjugate() + b.exp_zzbar)
     if abs(rate.imag) > 1e-12 or rate.real >= 0:
@@ -464,7 +463,18 @@ def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
     x = nodes / scale
     x1, x2 = np.meshgrid(x, x, indexing="ij")
     z = x1 + 1j * x2
-    zb = np.conj(z)
+    w1, w2 = np.meshgrid(weights, weights, indexing="ij")
+    return z, np.conj(z), w1 * w2, lam
+
+
+def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
+    """2D Gauss-Hermite quadrature of conj(a) * b.
+
+    The combined envelope must decay; nodes are rescaled so the quadratic
+    part matches the Gauss-Hermite weight exactly, and any residual linear
+    exponent rides along as part of the integrand.
+    """
+    z, zb, weight, lam = _quadrature_grid(a, b, order)
     # polynomial parts and the leftover (linear + constant) exponent
     pa = np.conj(a.prefactor.at(z, zb))
     pb = b.prefactor.at(z, zb)
@@ -473,8 +483,7 @@ def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
         + (a.exp_zbar.conjugate() + b.exp_z) * z
         + (a.exp_const.conjugate() + b.exp_const)
     )
-    w1, w2 = np.meshgrid(weights, weights, indexing="ij")
-    total = np.sum(w1 * w2 * pa * pb * np.exp(lin))
+    total = np.sum(weight * pa * pb * np.exp(lin))
     return complex(total / lam)
 
 
@@ -489,20 +498,19 @@ def orthonormality(
 
 
 def overlap_matrix(nmax: int, units: Units = _UNIT) -> np.ndarray:
-    """Gram matrix of all eigenfunctions with n1, n2 <= nmax, by order-40 quadrature."""
+    """Gram matrix of all eigenfunctions with n1, n2 <= nmax, by order-40 quadrature.
+
+    The eigenfunctions share one Gaussian envelope and no linear exponent, so with P the
+    prefactors on the node grid and W the weights the Gram matrix is P^H (W P) / lam.
+    """
     states = [
         eigenstate(n1, n2, units)
         for n1 in range(nmax + 1)
         for n2 in range(nmax + 1)
     ]
-    dim = len(states)
-    gram = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(i, dim):
-            val = inner_product(states[i], states[j])
-            gram[i, j] = val
-            gram[j, i] = val.conjugate()
-    return gram
+    z, zb, weight, lam = _quadrature_grid(states[-1], states[-1], 40)  # the highest degree
+    prefactors = np.stack([s.prefactor.at(z, zb).ravel() for s in states], axis=1)
+    return prefactors.conj().T @ (weight.reshape(-1, 1) * prefactors) / lam
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def load_config_file(path: str) -> dict:
     values = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -225,12 +225,23 @@ def _out_stem(config: RunConfig, out: str | None, default: str) -> Path:
     path = Path(stem)
     if not path.is_absolute():
         path = Path(config.outdir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path.parent}: {exc}") from None
     return path
 
 
+def _write_text(path: Path, text: str):
+    """Write ``text`` to ``path``; ConfigError naming the path when that fails."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def write_json_file(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def write_dataset(stem: Path, columns: list, rows: list, config: RunConfig) -> Path:
@@ -239,7 +250,7 @@ def write_dataset(stem: Path, columns: list, rows: list, config: RunConfig) -> P
         path = stem.with_name(stem.name + ".csv")
         lines = [",".join(columns)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
+        _write_text(path, "\n".join(lines) + "\n")
         return path
     path = stem.with_name(stem.name + ".json")
     write_json_file(
@@ -527,7 +538,7 @@ def cmd_landau(args, config: RunConfig) -> int:
     if args.out:
         stem = _out_stem(config, args.out, "landau")
         path = stem.with_name(stem.name + ".json")
-        path.write_text(text + "\n")
+        _write_text(path, text + "\n")
     return 0
 
 
@@ -556,7 +567,7 @@ def cmd_verify(args, config: RunConfig) -> int:
 
     stem = _out_stem(config, args.out, f"verify_{suite}")
     path = stem.with_name(stem.name + ".json")
-    path.write_text(report.to_json() + "\n")
+    _write_text(path, report.to_json() + "\n")
 
     ok, total = report.counts
     print(f"{report.suite}: {ok}/{total} checks passed ({path})")

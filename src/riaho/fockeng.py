@@ -3,12 +3,14 @@
 The basis is the number basis of the circular modes, in which the rotating
 oscillator Hamiltonian is diagonal with exact rational spectrum
 ``E/(hbar*omega) = l1*n1 + l2*n2 + 1`` where ``l1 = 1+g`` and ``l2 = 1-g``.
-The builders return dense numpy matrices on a finite grid
-``0 <= n1, n2 <= cutoff``; the checks of :func:`suite_fock` are evaluated one
-block of N = n1 + n2 at a time, since every operator they involve keeps N or
-shifts it by a constant.  Exact statements use Fractions (energies,
-degeneracy grouping) or integer and Fraction object arrays (the one-mode
-conformal bridge), so equality is never a floating-point question.  The
+Every operator builder returns a plain dense ``np.ndarray`` on the finite grid
+``0 <= n1, n2 <= cutoff``, indexed row-major over (n1, n2) as in :class:`FockBasis`:
+float64, except the complex a2+-, su(2) generators and unitary.  The checks of
+:func:`suite_fock` are evaluated one block of N = n1 + n2 at a time, since every
+operator they involve keeps N or shifts it by a constant.  Exact statements use
+Fractions or integers (energies, degeneracy grouping) or integer and Fraction
+object arrays (the one-mode conformal bridge), so equality is never a
+floating-point question.  The
 Cartesian-to-circular unitary is built in closed form from its 2x2
 one-particle block, block by block in N, with no matrix exponential.
 
@@ -30,7 +32,6 @@ from .reports import CheckRow, VerificationReport
 
 __all__ = [
     "FockBasis",
-    "FockOperator",
     "InteriorMask",
     "DegeneracyClass",
     "ladder",
@@ -103,41 +104,6 @@ class FockBasis:
 
 
 @dataclass(frozen=True)
-class FockOperator:
-    """Dense operator on a :class:`FockBasis`."""
-
-    basis: FockBasis
-    matrix: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.basis.dim, self.basis.dim):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match basis dim {self.basis.dim}"
-            )
-        object.__setattr__(self, "matrix", mat)
-
-    def _check(self, other: "FockOperator"):
-        if self.basis != other.basis:
-            raise ValueError("operators live on different bases")
-
-    def __matmul__(self, other):
-        if isinstance(other, FockOperator):
-            self._check(other)
-            return FockOperator(self.basis, self.matrix @ other.matrix)
-        if isinstance(other, np.ndarray):
-            return self.matrix @ other
-        return NotImplemented
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.basis, self.matrix.conj().T, self.label + "^+")
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
-
-@dataclass(frozen=True)
 class InteriorMask:
     """Column selector keeping states safely away from the truncation edge.
 
@@ -199,20 +165,16 @@ def _block(basis: FockBasis, total: int) -> np.ndarray:
     return m * (basis.cutoff + 1) + total - m
 
 
-def ladder(basis: FockBasis, mode: int, direction: str) -> FockOperator:
+def ladder(basis: FockBasis, mode: int, direction: str) -> np.ndarray:
     """Raising ("+") or lowering ("-") operator for mode 1 or 2."""
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
     side = basis.cutoff + 1
-    # complex so the kron product is the final matrix
-    one_mode = _raising(side).astype(complex)
-    if direction == "-":
-        one_mode = one_mode.T
+    one_mode = _raising(side) if direction == "+" else _raising(side).T
     eye = np.eye(side)
-    mat = np.kron(one_mode, eye) if mode == 1 else np.kron(eye, one_mode)
-    return FockOperator(basis, mat, f"b{mode}{direction}")
+    return np.kron(one_mode, eye) if mode == 1 else np.kron(eye, one_mode)
 
 
 def _finite(matrix: np.ndarray, label: str) -> np.ndarray:
@@ -222,16 +184,16 @@ def _finite(matrix: np.ndarray, label: str) -> np.ndarray:
     return matrix
 
 
-def _diagonal(basis: FockBasis, value, label: str) -> FockOperator:
+def _diagonal(basis: FockBasis, value, label: str) -> np.ndarray:
     """Diagonal operator with float entries ``value(n1, n2)``; ValueError past the float range."""
     try:
         diag = np.array([value(n1, n2) for (n1, n2) in basis.states()], dtype=float)
     except OverflowError:
         raise ValueError(f"a diagonal entry of {label} lies outside the float range") from None
-    return FockOperator(basis, np.diag(_finite(diag, label)).astype(complex), label)
+    return np.diag(_finite(diag, label))
 
 
-def number_operator(basis: FockBasis, mode: int) -> FockOperator:
+def number_operator(basis: FockBasis, mode: int) -> np.ndarray:
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
     return _diagonal(basis, lambda n1, n2: float(n1 if mode == 1 else n2), f"n{mode}")
@@ -244,15 +206,26 @@ def exact_energy(coupling: Coupling, n1: int, n2: int) -> Fraction:
     return coupling.ell1 * n1 + coupling.ell2 * n2 + 1
 
 
+def _integer_weights(coupling: Coupling) -> tuple[int, int, int]:
+    """Integers (a, b, d) with l1 = a/d and l2 = b/d, d the lcm of the two denominators."""
+    l1, l2 = coupling.ell1, coupling.ell2
+    d = math.lcm(l1.denominator, l2.denominator)
+    return l1.numerator * (d // l1.denominator), l2.numerator * (d // l2.denominator), d
+
+
 def hamiltonian(
     basis: FockBasis, coupling: Coupling, hbar_omega: float = 1.0
-) -> FockOperator:
-    """Diagonal rotating-oscillator Hamiltonian, entries hbar*omega*(l1 n1 + l2 n2 + 1)."""
-    return _diagonal(
-        basis, lambda n1, n2: hbar_omega * float(exact_energy(coupling, n1, n2)), "H_g")
+) -> np.ndarray:
+    """Diagonal rotating-oscillator Hamiltonian, entries hbar*omega*(l1 n1 + l2 n2 + 1).
+
+    Each level is the int quotient (a n1 + b n2 + d)/d with l1 = a/d and l2 = b/d, which
+    rounds exactly as the float of its :func:`exact_energy` Fraction does.
+    """
+    a, b, d = _integer_weights(coupling)
+    return _diagonal(basis, lambda n1, n2: hbar_omega * ((a * n1 + b * n2 + d) / d), "H_g")
 
 
-def angular_momentum(basis: FockBasis, hbar: float = 1.0) -> FockOperator:
+def angular_momentum(basis: FockBasis, hbar: float = 1.0) -> np.ndarray:
     """Conserved angular momentum, diagonal with entries hbar*(n1 - n2)."""
     return _diagonal(basis, lambda n1, n2: hbar * float(n1 - n2), "p_phi")
 
@@ -386,7 +359,7 @@ def hidden_operator(
     s1: int,
     s2: int,
     sign: str = "+",
-) -> FockOperator:
+) -> np.ndarray:
     """Ladder-composed integral of motion L^(+/-)_{s1,s2} or J^(+/-)_{s1,s2}.
 
     Kind "L" composes s1 raisings of mode 1 with s2 lowerings of mode 2 and
@@ -395,8 +368,7 @@ def hidden_operator(
     does not satisfy the matching resonance raises ValueError.
     """
     _resonant_shift(coupling, kind, s1, s2)
-    return FockOperator(basis, _hidden_ladder_matrix(basis, kind, s1, s2, sign),
-                        f"{kind}{sign}_{s1}{s2}")
+    return _hidden_ladder_matrix(basis, kind, s1, s2, sign)
 
 
 def hidden_coefficient(kind: str, s1: int, s2: int, n1: int, n2: int) -> float:
@@ -475,9 +447,8 @@ def _orbit_row(tag: str, identity: str, orbits: list, classes: list) -> CheckRow
 # commutators and norms
 
 
-def commutator(a: FockOperator, b: FockOperator) -> FockOperator:
-    a._check(b)
-    return FockOperator(a.basis, a.matrix @ b.matrix - b.matrix @ a.matrix)
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
 
 
 def operator_norm(matrix: np.ndarray) -> float:
@@ -486,15 +457,15 @@ def operator_norm(matrix: np.ndarray) -> float:
 
 
 def verify_commutes(
-    a: FockOperator,
-    b: FockOperator,
+    a: np.ndarray,
+    b: np.ndarray,
     mask: InteriorMask | None = None,
     tol: float = 1e-12,
     check_id: str = "commutator",
     identity: str = "[A, B] = 0",
 ) -> CheckRow:
     """Check [a, b] = 0 on interior columns, returning a report row."""
-    comm = commutator(a, b).matrix
+    comm = commutator(a, b)
     if mask is not None:
         comm = mask.restrict_columns(comm)
     return CheckRow.within(check_id, identity, operator_norm(comm), tol)
@@ -504,45 +475,32 @@ def verify_commutes(
 # Cartesian modes, su(2) bridge, and the non-invariant form
 
 
-def cartesian_modes(basis: FockBasis) -> dict[str, FockOperator]:
+def cartesian_modes(basis: FockBasis) -> dict[str, np.ndarray]:
     """Cartesian-mode ladders expressed in the circular number basis.
 
     a1- = (b1- + b2-)/sqrt(2) and a2- = i (b1- - b2-)/sqrt(2), with the
     raisings their adjoints.  These satisfy the standard two-mode ladder
     algebra on the interior of the grid.
     """
-    b1m = ladder(basis, 1, "-").matrix
-    b2m = ladder(basis, 2, "-").matrix
+    b1m, b2m = ladder(basis, 1, "-"), ladder(basis, 2, "-")
     a1m = (b1m + b2m) / math.sqrt(2)
     a2m = 1j * (b1m - b2m) / math.sqrt(2)
-    return {
-        "a1-": FockOperator(basis, a1m, "a1-"),
-        "a1+": FockOperator(basis, a1m.conj().T, "a1+"),
-        "a2-": FockOperator(basis, a2m, "a2-"),
-        "a2+": FockOperator(basis, a2m.conj().T, "a2+"),
-    }
+    return {"a1-": a1m, "a1+": a1m.T, "a2-": a2m, "a2+": a2m.conj().T}
 
 
-def su2_generators(basis: FockBasis) -> tuple[FockOperator, FockOperator, FockOperator]:
+def su2_generators(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Schwinger su(2) generators built on the Cartesian modes.
 
     L1 = (a1+ a2- + a2+ a1-)/2, L2 = (a1+ a2- - a2+ a1-)/(2i),
     L3 = (a1+ a1- - a2+ a2-)/2.  The conserved angular momentum is 2*hbar*L2.
     """
     a = cartesian_modes(basis)
-    up1, dn1 = a["a1+"].matrix, a["a1-"].matrix
-    up2, dn2 = a["a2+"].matrix, a["a2-"].matrix
-    l1 = (up1 @ dn2 + up2 @ dn1) / 2
-    l2 = (up1 @ dn2 - up2 @ dn1) / 2j
-    l3 = (up1 @ dn1 - up2 @ dn2) / 2
-    return (
-        FockOperator(basis, l1, "L1"),
-        FockOperator(basis, l2, "L2"),
-        FockOperator(basis, l3, "L3"),
-    )
+    up1, dn1, up2, dn2 = a["a1+"], a["a1-"], a["a2+"], a["a2-"]
+    return ((up1 @ dn2 + up2 @ dn1) / 2, (up1 @ dn2 - up2 @ dn1) / 2j,
+            (up1 @ dn1 - up2 @ dn2) / 2)
 
 
-def unitary_bridge(basis: FockBasis) -> FockOperator:
+def unitary_bridge(basis: FockBasis) -> np.ndarray:
     """Unitary rotating the Cartesian modes into the circular modes.
 
     U = exp(i (2 pi/3)/sqrt(3) (L1 + L2 + L3)): a 2pi/3 rotation about the
@@ -567,12 +525,12 @@ def unitary_bridge(basis: FockBasis) -> FockOperator:
         phase = np.exp(1j * np.pi / 4 * ((4 * m + 2 * m[:, None] - total) % 8))
         idx = _block(basis, total)
         u[np.ix_(idx, idx)] = kraw * scale * phase
-    return FockOperator(basis, u, "U")
+    return u
 
 
 def rni_hamiltonian(
     basis: FockBasis, coupling: Coupling, hbar_omega: float = 1.0
-) -> FockOperator:
+) -> np.ndarray:
     """Rotationally non-invariant anisotropic form of the same spectrum.
 
     H = hbar*omega*(l1 a1+ a1- + l2 a2+ a2- + 1) on the Cartesian modes, which in the
@@ -587,7 +545,7 @@ def rni_hamiltonian(
     with np.errstate(over="ignore", invalid="ignore"):
         mat = (l1 - l2) / 2 * (np.kron(up, up.T) + np.kron(up.T, up))
         mat = hbar_omega * (mat + np.diag((l1 + l2) / 2 * total + 1))
-    return FockOperator(basis, _finite(mat, "H_rni"), "H_rni")
+    return _finite(mat, "H_rni")
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +673,9 @@ def suite_fock(config) -> VerificationReport:
     basis = FockBasis(config.truncation)
     for gtext, kind, s1, s2 in (("1/3", "L", 1, 2), ("3", "J", 1, 2)):
         coupling = Coupling(Fraction(gtext))
-        h = np.diag(hamiltonian(basis, coupling).matrix)
-        op = hidden_operator(basis, coupling, kind, s1, s2, "+").matrix
+        a, b, _ = _integer_weights(coupling)
+        h = np.diag(hamiltonian(basis, coupling))
+        op = hidden_operator(basis, coupling, kind, s1, s2, "+")
         mask = InteriorMask(basis, margin1=s1, margin2=s2)
         # [H_g, X]_ij = (h_i - h_j) X_ij.  X has at most one nonzero per row and per
         # column, so the spectral norm of its column restriction is its largest |entry|.
@@ -727,9 +686,9 @@ def suite_fock(config) -> VerificationReport:
         report.add(_orbit_row(
             f"g={gtext}", f"{kind}+_{s1}{s2} orbits = exact energy classes on the interior",
             hidden_orbit_partition(basis, coupling, kind, s1, s2, mask),
-            level_sets(mask.states(), lambda n1, n2: exact_energy(coupling, n1, n2))))
+            level_sets(mask.states(), lambda n1, n2: a * n1 + b * n2)))
 
-    u = unitary_bridge(basis).matrix
+    u = unitary_bridge(basis)
 
     def conj_resid(matrix, target, shift):
         # ||(U M U+ - T)[:, N <= cutoff - 2]||_2 for M, T taking block N to N + shift.  U keeps
@@ -744,14 +703,13 @@ def suite_fock(config) -> VerificationReport:
     cart = cartesian_modes(basis)
     for mode, direction in ((1, "-"), (2, "-"), (1, "+"), (2, "+")):
         name, shift = f"a{mode}{direction}", 1 if direction == "+" else -1
-        target = complex(np.exp(1j * math.pi / 4 * shift)) * ladder(basis, mode, direction).matrix
+        target = complex(np.exp(1j * math.pi / 4 * shift)) * ladder(basis, mode, direction)
         report.add(CheckRow.within(
             f"unitary-mode:{name}", f"U {name} U+ = e^{{{direction}i pi/4}} b{mode}{direction}",
-            conj_resid(cart[name].matrix, target, shift), 1e-10))
+            conj_resid(cart[name], target, shift), 1e-10))
     for gtext in ("0", "1/3", "1/2", "3"):
         coupling = Coupling(Fraction(gtext))
         report.add(CheckRow.within(
             f"unitary-hamiltonian:g={gtext}", "U H_rni U+ = H_g",
-            conj_resid(rni_hamiltonian(basis, coupling).matrix,
-                       hamiltonian(basis, coupling).matrix, 0), 1e-10))
+            conj_resid(rni_hamiltonian(basis, coupling), hamiltonian(basis, coupling), 0), 1e-10))
     return report

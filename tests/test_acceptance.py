@@ -194,11 +194,11 @@ def test_criterion_05_spectrum_and_degeneracy():
 def test_criterion_06_unitary_equivalence():
     basis = FockBasis(12)
     u = fockeng.unitary_bridge(basis)
-    ud = u.dagger().matrix
+    ud = u.conj().T
     idx = InteriorMask(basis, total=basis.cutoff - 2).indices()
 
     def resid(mat, target):
-        return fockeng.operator_norm((u.matrix @ mat @ ud - target)[:, idx])
+        return fockeng.operator_norm((u @ mat @ ud - target)[:, idx])
 
     ok = True
     details = []
@@ -209,15 +209,14 @@ def test_criterion_06_unitary_equivalence():
         ("a1-", 1, "-", phase), ("a2-", 2, "-", phase),
         ("a1+", 1, "+", phase.conjugate()), ("a2+", 2, "+", phase.conjugate()),
     ):
-        r = resid(cart[name].matrix, ph * fockeng.ladder(basis, mode, direction).matrix)
+        r = resid(cart[name], ph * fockeng.ladder(basis, mode, direction))
         worst = max(worst, r)
         if r > 1e-10:
             ok = False
             details.append(f"mode {name}")
     for gtext in ("0", "1/3", "1/2", "3"):
         c = Coupling(F(gtext))
-        r = resid(fockeng.rni_hamiltonian(basis, c).matrix,
-                  fockeng.hamiltonian(basis, c).matrix)
+        r = resid(fockeng.rni_hamiltonian(basis, c), fockeng.hamiltonian(basis, c))
         worst = max(worst, r)
         if r > 1e-10:
             ok = False
@@ -305,7 +304,7 @@ def test_criterion_09_signed_oscillator():
         freq = aniso.FrequencyPair.detect(F(w1), F(w2))
         for sign in ("+", "-"):
             h = aniso.signed_hamiltonian(basis, freq, sign)
-            diag = np.real(np.diag(h.matrix))
+            diag = np.real(np.diag(h))
             want = np.array([
                 float(aniso.spectrum(freq, sign, n1, n2))
                 for n1, n2 in basis.states()
@@ -328,7 +327,7 @@ def test_criterion_09_signed_oscillator():
     l1, l2 = freq.l1, freq.l2
     worst = 0.0
     for kind in ("L", "J"):
-        op = aniso.hidden_operator(basis, freq, kind, "+").matrix
+        op = aniso.hidden_operator(basis, freq, kind, "+")
         for j, (n1, n2) in enumerate(basis.states()):
             tgt = (n1 + l1, n2 - l2) if kind == "L" else (n1 + l1, n2 + l2)
             want = fockeng.hidden_coefficient(kind, l1, l2, n1, n2)

@@ -189,21 +189,21 @@ class TestHiddenOperators:
     def test_j_one_one_maps_ground_to_diagonal(self):
         freq = FrequencyPair(1, 1, 1, 1)
         op = hidden_operator(self.basis, freq, "J")
-        amp = op.matrix[self.basis.index(1, 1), self.basis.index(0, 0)]
+        amp = op[self.basis.index(1, 1), self.basis.index(0, 0)]
         assert amp == 1.0
 
     def test_l_adjoint_annihilates_below_order(self):
         op = hidden_operator(self.basis, self.f13, "L", "-")
-        col = op.matrix[:, self.basis.index(2, 0)]
+        col = op[:, self.basis.index(2, 0)]
         assert np.all(col == 0)
 
     def test_amplitudes_match_closed_form(self):
         lp = hidden_operator(self.basis, self.f13, "L")
         jp = hidden_operator(self.basis, self.f13, "J")
         for n1, n2 in [(0, 1), (1, 2), (2, 3), (4, 1)]:
-            got = lp.matrix[self.basis.index(n1 + 3, n2 - 1), self.basis.index(n1, n2)]
+            got = lp[self.basis.index(n1 + 3, n2 - 1), self.basis.index(n1, n2)]
             assert got == pytest.approx(hidden_coefficient("L", 3, 1, n1, n2), rel=1e-12)
-            got = jp.matrix[self.basis.index(n1 + 3, n2 + 1), self.basis.index(n1, n2)]
+            got = jp[self.basis.index(n1 + 3, n2 + 1), self.basis.index(n1, n2)]
             assert got == pytest.approx(hidden_coefficient("J", 3, 1, n1, n2), rel=1e-12)
 
     @pytest.mark.parametrize("pair,kind,sign", [
@@ -216,19 +216,19 @@ class TestHiddenOperators:
         freq = FrequencyPair.detect(*pair)
         ham = signed_hamiltonian(self.basis, freq, sign)
         op = hidden_operator(self.basis, freq, kind)
-        comm = ham.matrix @ op.matrix - op.matrix @ ham.matrix
+        comm = ham @ op - op @ ham
         assert np.max(np.abs(comm)) <= 1e-12
 
     def test_mismatched_pairing_does_not_commute(self):
         ham = signed_hamiltonian(self.basis, self.f13, "+")
         op = hidden_operator(self.basis, self.f13, "J")
-        comm = ham.matrix @ op.matrix - op.matrix @ ham.matrix
+        comm = ham @ op - op @ ham
         assert np.max(np.abs(comm)) > 1.0
 
     def test_minus_is_adjoint_of_plus(self):
         plus = hidden_operator(self.basis, self.f13, "L", "+")
         minus = hidden_operator(self.basis, self.f13, "L", "-")
-        assert np.array_equal(minus.matrix, plus.matrix.conj().T)
+        assert np.array_equal(minus, plus.conj().T)
 
     def test_requires_commensurability(self):
         loose = FrequencyPair(1.0, math.sqrt(2))

@@ -187,6 +187,14 @@ class TestOrthonormality:
         gram = br.overlap_matrix(4)
         assert np.max(np.abs(gram - np.eye(25))) < 1e-8
 
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("units", [br.Units(), br.Units(2.0, 0.5, 3.0)],
+                             ids=["unit", "scaled"])
+    def test_overlap_matrix_matches_pairwise_quadrature(self, nmax, units):
+        states = [br.eigenstate(n1, n2, units) for n1 in range(nmax + 1) for n2 in range(nmax + 1)]
+        pairwise = np.array([[br.inner_product(a, b) for b in states] for a in states])
+        assert np.max(np.abs(br.overlap_matrix(nmax, units) - pairwise)) <= 1e-14
+
     def test_index_cap(self):
         with pytest.raises(ValueError):
             br.orthonormality(7, 0, 0, 0)

@@ -8,6 +8,7 @@ import tempfile
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -151,6 +152,49 @@ class TestRunConfig:
 
     def test_unknown_subcommand_exits_2(self, tmp_path):
         assert main(["no-such-command"]) == 2
+
+    def test_config_file_that_is_not_utf8_is_named(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfeomega=2.0\n")
+        monkeypatch.setenv("RIAHO_CONFIG", str(cfg))
+        assert run(tmp_path, "verify", "landau") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read config file {cfg}")
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be created or written exits 2 with one line naming it."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "a-file"
+        path.write_text("")
+        return path
+
+    def _assert_one_error_line(self, capsys, path):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--g", "1/3", "--nmax", "2"),
+        ("verify", "landau"),
+        ("landau", "--omega-b", "1", "--lambda", "1", "--out", "phase"),
+    ])
+    def test_outdir_that_is_a_file(self, blocker, capsys, argv):
+        assert main([*argv, "--outdir", str(blocker)]) == 2
+        self._assert_one_error_line(capsys, blocker)
+
+    def test_config_outdir_that_is_a_file(self, tmp_path, blocker, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"outdir={blocker}\n")
+        monkeypatch.setenv("RIAHO_CONFIG", str(cfg))
+        assert main(["spectrum", "--g", "1/3", "--nmax", "2"]) == 2
+        self._assert_one_error_line(capsys, blocker)
+
+    def test_dataset_path_that_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "levels.csv").mkdir()
+        assert run(tmp_path, "spectrum", "--g", "1/3", "--nmax", "2", "--out", "levels") == 2
+        self._assert_one_error_line(capsys, tmp_path / "levels.csv")
 
 
 class TestTrajectory:
@@ -624,4 +668,33 @@ def test_malformed_arguments_exit_cleanly(argv):
     with tempfile.TemporaryDirectory() as out:
         assert run(Path(out), *argv) in (0, 1, 2)
         for path in Path(out).glob("*.json"):
+            json.loads(path.read_text(), parse_constant=reject_constant)
+
+
+# RIAHO_CONFIG lines: known keys and junk keys with awkward values.  An outdir is always a
+# path inside the example's temporary directory ("@" stands for it), so nothing is written
+# elsewhere; "a-file" there is a regular file, so an outdir through it cannot be created.
+OUTDIR = st.one_of(st.sampled_from(["", "new", "new/sub", "a-file", "a-file/sub"]),
+                   st.text(alphabet="ab/ ", max_size=6)).map(lambda rel: f"@/{rel}")
+JUNK_KEYS = st.one_of(st.sampled_from(["bogus", "", "M", "#m", "outdir x"]), st.text(max_size=4))
+CONFIG_LINE = st.one_of(
+    st.just("outdir").flatmap(lambda key: OUTDIR.map(lambda value: f"{key}={value}")),
+    st.tuples(st.sampled_from(sorted(set(cli._CONFIG_CASTS) - {"outdir"})) | JUNK_KEYS,
+              TEXT | OUTDIR).map("=".join),
+)
+
+
+@given(lines=st.lists(CONFIG_LINE, max_size=6),
+       argv=st.sampled_from([("spectrum", "--g", "1/3", "--nmax", "2"), ("verify", "landau")]))
+@settings(max_examples=50, deadline=None)
+def test_config_files_exit_cleanly(lines, argv):
+    with tempfile.TemporaryDirectory() as out:
+        (Path(out) / "a-file").write_text("")
+        cfg = Path(out) / "run.cfg"
+        body = "\n".join(line.replace("=@/", f"={out}/", 1) for line in lines)
+        # the first line keeps outputs in the temporary directory when no line names one
+        cfg.write_text(f"outdir={out}\n{body}\n", encoding="utf-8")
+        with mock.patch.dict(os.environ, {"RIAHO_CONFIG": str(cfg)}):
+            assert main(list(argv)) in (0, 1, 2)
+        for path in Path(out).rglob("*.json"):
             json.loads(path.read_text(), parse_constant=reject_constant)

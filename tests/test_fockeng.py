@@ -15,7 +15,7 @@ import pytest
 from riaho.coupling import Coupling
 from riaho.phasealg.catalog import hidden_shift
 from riaho.phasealg.exact import ExactComplex
-from riaho import fockeng as fe
+from riaho import aniso, fockeng as fe
 
 F = Fraction
 
@@ -54,31 +54,64 @@ class TestBasis:
         assert np.count_nonzero(v) == 1
 
 
+_BUILDERS = {
+    "ladder": (lambda b: fe.ladder(b, 2, "-"), np.float64),
+    "number_operator": (lambda b: fe.number_operator(b, 1), np.float64),
+    "hamiltonian": (lambda b: fe.hamiltonian(b, Coupling(F(1, 3))), np.float64),
+    "angular_momentum": (fe.angular_momentum, np.float64),
+    "hidden_operator": (lambda b: fe.hidden_operator(b, Coupling(3), "J", 1, 2, "-"), np.float64),
+    "rni_hamiltonian": (lambda b: fe.rni_hamiltonian(b, Coupling(F(1, 2))), np.float64),
+    "aniso.signed_hamiltonian": (
+        lambda b: aniso.signed_hamiltonian(b, aniso.FrequencyPair.detect(1, 3), "-"), np.float64),
+    "aniso.hidden_operator": (
+        lambda b: aniso.hidden_operator(b, aniso.FrequencyPair.detect(1, 3), "L"), np.float64),
+    "cartesian_modes:a1-": (lambda b: fe.cartesian_modes(b)["a1-"], np.float64),
+    "cartesian_modes:a1+": (lambda b: fe.cartesian_modes(b)["a1+"], np.float64),
+    "cartesian_modes:a2-": (lambda b: fe.cartesian_modes(b)["a2-"], np.complex128),
+    "cartesian_modes:a2+": (lambda b: fe.cartesian_modes(b)["a2+"], np.complex128),
+    "su2_generators:L1": (lambda b: fe.su2_generators(b)[0], np.complex128),
+    "su2_generators:L2": (lambda b: fe.su2_generators(b)[1], np.complex128),
+    "su2_generators:L3": (lambda b: fe.su2_generators(b)[2], np.complex128),
+    "unitary_bridge": (fe.unitary_bridge, np.complex128),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_builders_return_plain_arrays(name):
+    # operators are plain ndarrays on the row-major (n1, n2) grid, complex only where needed
+    build, dtype = _BUILDERS[name]
+    b = fe.FockBasis(3)
+    op = build(b)
+    assert type(op) is np.ndarray
+    assert op.shape == (b.dim, b.dim)
+    assert op.dtype == dtype
+
+
 class TestLadders:
     def test_raising_amplitude(self):
         b = fe.FockBasis(4)
         up = fe.ladder(b, 1, "+")
-        v = up.apply(b.vector(2, 1))
+        v = up @ b.vector(2, 1)
         assert v[b.index(3, 1)] == pytest.approx(math.sqrt(3))
 
     def test_lowering_amplitude_and_vacuum(self):
         b = fe.FockBasis(4)
         dn = fe.ladder(b, 2, "-")
-        v = dn.apply(b.vector(1, 3))
+        v = dn @ b.vector(1, 3)
         assert v[b.index(1, 2)] == pytest.approx(math.sqrt(3))
-        assert np.allclose(dn.apply(b.vector(2, 0)), 0.0)
+        assert np.allclose(dn @ b.vector(2, 0), 0.0)
 
     def test_canonical_commutator_interior(self):
         b = fe.FockBasis(6)
         mask = fe.InteriorMask(b, margin1=1)
         comm = fe.commutator(fe.ladder(b, 1, "-"), fe.ladder(b, 1, "+"))
-        block = mask.restrict_columns(comm.matrix - np.eye(b.dim))
+        block = mask.restrict_columns(comm - np.eye(b.dim))
         assert fe.operator_norm(block) < 1e-14
 
     def test_modes_commute(self):
         b = fe.FockBasis(5)
         comm = fe.commutator(fe.ladder(b, 1, "+"), fe.ladder(b, 2, "-"))
-        assert fe.operator_norm(comm.matrix) < 1e-14
+        assert fe.operator_norm(comm) < 1e-14
 
     def test_validation(self):
         b = fe.FockBasis(3)
@@ -98,14 +131,14 @@ class TestLadders:
             tgt = (n1 + step, n2) if mode == 1 else (n1, n2 + step)
             if 0 <= n + step <= b.cutoff:
                 ref[b.index(*tgt), b.index(n1, n2)] = math.sqrt(n + 1 if step > 0 else n)
-        assert np.array_equal(fe.ladder(b, mode, direction).matrix, ref)
+        assert np.array_equal(fe.ladder(b, mode, direction), ref)
 
     def test_number_operator(self):
         b = fe.FockBasis(4)
         n1 = fe.number_operator(b, 1)
         up, dn = fe.ladder(b, 1, "+"), fe.ladder(b, 1, "-")
         # a+ a- equals the number operator exactly, even at the edge
-        assert fe.operator_norm((up @ dn).matrix - n1.matrix) < 1e-14
+        assert fe.operator_norm(up @ dn - n1) < 1e-14
 
 
 class TestInteriorMask:
@@ -156,28 +189,28 @@ class TestSpectrum:
         b = fe.FockBasis(5)
         c = Coupling(F(2, 3))
         h = fe.hamiltonian(b, c)
-        off = h.matrix - np.diag(np.diag(h.matrix))
+        off = h - np.diag(np.diag(h))
         assert fe.operator_norm(off) == 0.0
         for n1, n2 in b.states():
             i = b.index(n1, n2)
-            assert h.matrix[i, i] == pytest.approx(float(fe.exact_energy(c, n1, n2)))
+            assert h[i, i] == pytest.approx(float(fe.exact_energy(c, n1, n2)))
 
     def test_hbar_omega_scaling(self):
         b = fe.FockBasis(3)
         h1 = fe.hamiltonian(b, Coupling(F(1, 2)), hbar_omega=1.0)
         h2 = fe.hamiltonian(b, Coupling(F(1, 2)), hbar_omega=2.5)
-        assert fe.operator_norm(h2.matrix - 2.5 * h1.matrix) < 1e-14
+        assert fe.operator_norm(h2 - 2.5 * h1) < 1e-14
 
     def test_angular_momentum_conserved(self):
         b = fe.FockBasis(6)
         for g in (0, F(1, 3), 3):
             comm = fe.commutator(fe.hamiltonian(b, Coupling(F(g))), fe.angular_momentum(b))
-            assert fe.operator_norm(comm.matrix) == 0.0
+            assert fe.operator_norm(comm) == 0.0
 
     def test_angular_momentum_values(self):
         b = fe.FockBasis(3)
         pphi = fe.angular_momentum(b, hbar=1.0)
-        assert pphi.matrix[b.index(3, 1), b.index(3, 1)] == 2
+        assert pphi[b.index(3, 1), b.index(3, 1)] == 2
 
 
 class TestNonFiniteEntries:
@@ -268,19 +301,19 @@ class TestHiddenOperators:
         b = fe.FockBasis(8)
         c = Coupling(F(1, 3))
         lp = fe.hidden_operator(b, c, "L", 1, 2)
-        v = lp.apply(b.vector(0, 2))
+        v = lp @ b.vector(0, 2)
         assert v[b.index(1, 0)] == pytest.approx(math.sqrt(2))
         assert np.count_nonzero(np.abs(v) > 1e-14) == 1
         lm = fe.hidden_operator(b, c, "L", 1, 2, sign="-")
-        assert np.allclose(lm.apply(b.vector(0, 2)), 0.0)
+        assert np.allclose(lm @ b.vector(0, 2), 0.0)
         jp = fe.hidden_operator(b, Coupling(3), "J", 1, 2)
-        w = jp.apply(b.vector(0, 0))
+        w = jp @ b.vector(0, 0)
         assert w[b.index(1, 2)] == pytest.approx(math.sqrt(2))
 
     def test_coefficient_formula_matches_matrix(self):
         b = fe.FockBasis(7)
         c = Coupling(F(1, 3))
-        lp = fe.hidden_operator(b, c, "L", 1, 2).matrix
+        lp = fe.hidden_operator(b, c, "L", 1, 2)
         for n1, n2 in b.states():
             coeff = fe.hidden_coefficient("L", 1, 2, n1, n2)
             j = b.index(n1, n2)
@@ -292,7 +325,7 @@ class TestHiddenOperators:
 
     def test_j_coefficient_formula(self):
         b = fe.FockBasis(7)
-        jp = fe.hidden_operator(b, Coupling(3), "J", 1, 2).matrix
+        jp = fe.hidden_operator(b, Coupling(3), "J", 1, 2)
         for n1, n2 in b.states():
             if n1 + 1 <= b.cutoff and n2 + 2 <= b.cutoff:
                 expected = math.sqrt(
@@ -314,7 +347,7 @@ class TestHiddenOperators:
         c = Coupling(F(1, 3))
         lp = fe.hidden_operator(b, c, "L", 1, 2)
         lm = fe.hidden_operator(b, c, "L", 1, 2, sign="-")
-        assert fe.operator_norm(lm.matrix - lp.matrix.conj().T) == 0.0
+        assert fe.operator_norm(lm - lp.conj().T) == 0.0
 
     def test_commutes_with_hamiltonian(self):
         # the commutator of the resonant ladder with the diagonal H vanishes
@@ -351,7 +384,7 @@ class TestHiddenOperators:
 
     def test_raising_chain_terminates_only_for_l(self):
         b = fe.FockBasis(9)
-        lp = fe.hidden_operator(b, Coupling(F(1, 3)), "L", 1, 2).matrix
+        lp = fe.hidden_operator(b, Coupling(F(1, 3)), "L", 1, 2)
         # walk the E = 13/3 chain: (0,4) -> (1,2) -> (2,0) -> annihilated
         v = b.vector(0, 4)
         for _ in range(2):
@@ -359,7 +392,7 @@ class TestHiddenOperators:
             assert np.linalg.norm(v) > 0
         assert np.allclose(lp @ v, 0.0)
         # the J ladder never annihilates a grid state with room to grow
-        jp = fe.hidden_operator(b, Coupling(3), "J", 1, 2).matrix
+        jp = fe.hidden_operator(b, Coupling(3), "J", 1, 2)
         for n1, n2 in b.states():
             if n1 + 1 <= b.cutoff and n2 + 2 <= b.cutoff:
                 assert np.linalg.norm(jp[:, b.index(n1, n2)]) > 0
@@ -368,8 +401,8 @@ class TestHiddenOperators:
 def _matrix_power_hidden_ladder(basis, kind, s1, s2, sign):
     """Reference: (b1+)^Delta1 (b2+-)^|Delta2| as matrix powers of the dense truncated ladders."""
     d1, d2 = hidden_shift(kind, s1, s2)
-    up1 = fe.ladder(basis, 1, "+").matrix
-    m2 = fe.ladder(basis, 2, "+" if d2 > 0 else "-").matrix
+    up1 = fe.ladder(basis, 1, "+")
+    m2 = fe.ladder(basis, 2, "+" if d2 > 0 else "-")
     mat = np.linalg.matrix_power(up1, d1) @ np.linalg.matrix_power(m2, abs(d2))
     return mat if sign == "+" else mat.conj().T
 
@@ -464,23 +497,16 @@ class TestCartesianModes:
         a = fe.cartesian_modes(b)
         mask = fe.InteriorMask(b, margin1=1, margin2=1)
         for j in ("1", "2"):
-            comm = (
-                a[f"a{j}-"].matrix @ a[f"a{j}+"].matrix
-                - a[f"a{j}+"].matrix @ a[f"a{j}-"].matrix
-            )
+            comm = a[f"a{j}-"] @ a[f"a{j}+"] - a[f"a{j}+"] @ a[f"a{j}-"]
             assert fe.operator_norm(mask.restrict_columns(comm - np.eye(b.dim))) < 1e-13
-        cross = (
-            a["a1-"].matrix @ a["a2+"].matrix - a["a2+"].matrix @ a["a1-"].matrix
-        )
+        cross = a["a1-"] @ a["a2+"] - a["a2+"] @ a["a1-"]
         assert fe.operator_norm(mask.restrict_columns(cross)) < 1e-13
 
     def test_total_number_preserved(self):
         b = fe.FockBasis(6)
         a = fe.cartesian_modes(b)
-        n_tot_a = a["a1+"].matrix @ a["a1-"].matrix + a["a2+"].matrix @ a["a2-"].matrix
-        n_tot_b = (
-            fe.number_operator(b, 1).matrix + fe.number_operator(b, 2).matrix
-        )
+        n_tot_a = a["a1+"] @ a["a1-"] + a["a2+"] @ a["a2-"]
+        n_tot_b = fe.number_operator(b, 1) + fe.number_operator(b, 2)
         mask = fe.InteriorMask(b, total=b.cutoff - 1)
         assert fe.operator_norm(mask.restrict_columns(n_tot_a - n_tot_b)) < 1e-13
 
@@ -490,14 +516,14 @@ class TestCartesianModes:
         mask = fe.InteriorMask(b, total=b.cutoff - 2)
         triples = [(l1, l2, l3), (l2, l3, l1), (l3, l1, l2)]
         for x, y, z in triples:
-            comm = fe.commutator(x, y).matrix - 1j * z.matrix
+            comm = fe.commutator(x, y) - 1j * z
             assert fe.operator_norm(mask.restrict_columns(comm)) < 1e-12
 
     def test_angular_momentum_is_2l2(self):
         b = fe.FockBasis(7)
         _, l2, _ = fe.su2_generators(b)
         mask = fe.InteriorMask(b, total=b.cutoff - 1)
-        diff = fe.angular_momentum(b).matrix - 2 * l2.matrix
+        diff = fe.angular_momentum(b) - 2 * l2
         assert fe.operator_norm(mask.restrict_columns(diff)) < 1e-12
 
 
@@ -505,7 +531,7 @@ class TestUnitaryBridge:
     def setup_method(self):
         self.b = fe.FockBasis(12)
         self.u = fe.unitary_bridge(self.b)
-        self.ud = self.u.dagger()
+        self.ud = self.u.conj().T
         self.mask = fe.InteriorMask(self.b, total=self.b.cutoff - 2)
         self.idx = self.mask.indices()
 
@@ -513,10 +539,10 @@ class TestUnitaryBridge:
         return fe.operator_norm((lhs - rhs)[:, self.idx])
 
     def _conj(self, op):
-        return self.u.matrix @ op @ self.ud.matrix
+        return self.u @ op @ self.ud
 
     def test_unitarity(self):
-        eye = self.u.matrix @ self.ud.matrix
+        eye = self.u @ self.ud
         assert fe.operator_norm(eye - np.eye(self.b.dim)) < 1e-12
 
     def test_mode_rotation(self):
@@ -529,20 +555,20 @@ class TestUnitaryBridge:
             ("a2+", fe.ladder(self.b, 2, "+"), ph.conjugate()),
         ]
         for name, target, phase in pairs:
-            assert self._resid(self._conj(a[name].matrix), phase * target.matrix) < 1e-10
+            assert self._resid(self._conj(a[name]), phase * target) < 1e-10
 
     def test_su2_cycling(self):
         l1, l2, l3 = fe.su2_generators(self.b)
-        assert self._resid(self._conj(l1.matrix), l3.matrix) < 1e-10
-        assert self._resid(self._conj(l2.matrix), l1.matrix) < 1e-10
-        assert self._resid(self._conj(l3.matrix), l2.matrix) < 1e-10
+        assert self._resid(self._conj(l1), l3) < 1e-10
+        assert self._resid(self._conj(l2), l1) < 1e-10
+        assert self._resid(self._conj(l3), l2) < 1e-10
 
     @pytest.mark.parametrize("g", [0, F(1, 3), F(1, 2), 3])
     def test_hamiltonian_equivalence(self, g):
         c = Coupling(F(g))
         h_rni = fe.rni_hamiltonian(self.b, c)
         h_g = fe.hamiltonian(self.b, c)
-        assert self._resid(self._conj(h_rni.matrix), h_g.matrix) < 1e-10
+        assert self._resid(self._conj(h_rni), h_g) < 1e-10
 
 
 class TestRniHamiltonian:
@@ -552,7 +578,7 @@ class TestRniHamiltonian:
         comm = fe.commutator(
             fe.rni_hamiltonian(b, Coupling(F(1, 2))), fe.angular_momentum(b)
         )
-        assert fe.operator_norm(mask.restrict_columns(comm.matrix)) > 0.1
+        assert fe.operator_norm(mask.restrict_columns(comm)) > 0.1
 
     def test_isotropic_point_is_symmetric(self):
         b = fe.FockBasis(10)
@@ -560,20 +586,20 @@ class TestRniHamiltonian:
         comm = fe.commutator(
             fe.rni_hamiltonian(b, Coupling(0)), fe.angular_momentum(b)
         )
-        assert fe.operator_norm(mask.restrict_columns(comm.matrix)) < 1e-12
+        assert fe.operator_norm(mask.restrict_columns(comm)) < 1e-12
 
     def test_hbar_omega_scaling(self):
         b = fe.FockBasis(4)
         h1 = fe.rni_hamiltonian(b, Coupling(F(1, 3)), hbar_omega=1.0)
         h3 = fe.rni_hamiltonian(b, Coupling(F(1, 3)), hbar_omega=3.0)
-        assert fe.operator_norm(h3.matrix - 3.0 * h1.matrix) < 1e-13
+        assert fe.operator_norm(h3 - 3.0 * h1) < 1e-13
 
 
 def _cartesian_rni_hamiltonian(basis, coupling):
     """Reference: l1 a1+ a1- + l2 a2+ a2- + 1 from dense products of the Cartesian ladders."""
     a = fe.cartesian_modes(basis)
     l1, l2 = coupling.float_ells()
-    return (l1 * (a["a1+"].matrix @ a["a1-"].matrix) + l2 * (a["a2+"].matrix @ a["a2-"].matrix)
+    return (l1 * (a["a1+"] @ a["a1-"]) + l2 * (a["a2+"] @ a["a2-"])
             + np.eye(basis.dim))
 
 
@@ -585,7 +611,7 @@ class TestRniHamiltonianAgainstCartesianProducts:
     def test_whole_grid(self, cutoff, coupling):
         b = fe.FockBasis(cutoff)
         ref = _cartesian_rni_hamiltonian(b, coupling)
-        diff = fe.rni_hamiltonian(b, coupling).matrix - ref
+        diff = fe.rni_hamiltonian(b, coupling) - ref
         assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -594,7 +620,7 @@ def _reference_unitary_bridge(basis):
     import scipy.linalg
 
     l1, l2, l3 = fe.su2_generators(basis)
-    axis = (l1.matrix + l2.matrix + l3.matrix) / math.sqrt(3)
+    axis = (l1 + l2 + l3) / math.sqrt(3)
     return scipy.linalg.expm(1j * (2 * math.pi / 3) * axis)
 
 
@@ -605,20 +631,20 @@ class TestUnitaryBridgeClosedForm:
         # generator leaves it invariant and its exponential is exact there
         b = fe.FockBasis(cutoff)
         full = [b.index(n1, n2) for n1, n2 in b.states() if n1 + n2 <= cutoff]
-        diff = fe.unitary_bridge(b).matrix - _reference_unitary_bridge(b)
+        diff = fe.unitary_bridge(b) - _reference_unitary_bridge(b)
         assert np.max(np.abs(diff[:, full])) <= 1e-13
 
     @pytest.mark.parametrize("cutoff", [1, 5, 12])
     def test_identity_on_partial_blocks(self, cutoff):
         b = fe.FockBasis(cutoff)
         partial = [b.index(n1, n2) for n1, n2 in b.states() if n1 + n2 > cutoff]
-        u = fe.unitary_bridge(b).matrix
+        u = fe.unitary_bridge(b)
         assert np.array_equal(u[:, partial], np.eye(b.dim)[:, partial])
 
     def test_one_particle_block(self):
         # U b_k+ |0) = sum_j u_jk b_j+ |0) with u = [[1+i, 1+i], [-1+i, 1-i]]/2
         b = fe.FockBasis(3)
-        u = fe.unitary_bridge(b).matrix
+        u = fe.unitary_bridge(b)
         one = [b.index(1, 0), b.index(0, 1)]
         expected = np.array([[1 + 1j, 1 + 1j], [-1 + 1j, 1 - 1j]]) / 2
         assert np.max(np.abs(u[np.ix_(one, one)] - expected)) <= 1e-15
@@ -626,7 +652,7 @@ class TestUnitaryBridgeClosedForm:
 
     def test_conserves_total_number(self):
         b = fe.FockBasis(9)
-        u = fe.unitary_bridge(b).matrix
+        u = fe.unitary_bridge(b)
         total = np.array([n1 + n2 for n1, n2 in b.states()])
         assert not np.any(u[total[:, None] != total[None, :]])
 
@@ -759,14 +785,14 @@ def _dense_unitary_rows(basis, u):
     for name, mode, direction, ph in (("a1-", 1, "-", phase), ("a2-", 2, "-", phase),
                                       ("a1+", 1, "+", phase.conjugate()),
                                       ("a2+", 2, "+", phase.conjugate())):
-        target = ph * fe.ladder(basis, mode, direction).matrix
+        target = ph * fe.ladder(basis, mode, direction)
         rows[f"unitary-mode:{name}"] = fe.operator_norm(
-            (u @ cart[name].matrix @ ud - target)[:, idx])
+            (u @ cart[name] @ ud - target)[:, idx])
     for gtext in ("0", "1/3", "1/2", "3"):
         c = Coupling(F(gtext))
-        conj = u @ fe.rni_hamiltonian(basis, c).matrix @ ud
+        conj = u @ fe.rni_hamiltonian(basis, c) @ ud
         rows[f"unitary-hamiltonian:g={gtext}"] = fe.operator_norm(
-            (conj - fe.hamiltonian(basis, c).matrix)[:, idx])
+            (conj - fe.hamiltonian(basis, c))[:, idx])
     return rows
 
 
@@ -782,13 +808,13 @@ class TestSuiteFockAgainstDenseProducts:
         b = fe.FockBasis(cutoff)
 
         def perturbed(basis):
-            u = exact(basis).matrix.copy()
+            u = exact(basis)
             u[basis.index(1, 1), basis.index(0, 2)] *= 1 + 1e-6
-            return fe.FockOperator(basis, u, "U")
+            return u
 
         monkeypatch.setattr(fe, "unitary_bridge", perturbed)
         rows = self.suite(cutoff)
-        for check_id, want in _dense_unitary_rows(b, perturbed(b).matrix).items():
+        for check_id, want in _dense_unitary_rows(b, perturbed(b)).items():
             assert want > 1e-8, check_id
             assert rows[check_id].residual == pytest.approx(want, rel=1e-9), check_id
 
@@ -797,7 +823,7 @@ class TestSuiteFockAgainstDenseProducts:
         # commutator of the suite must equal the dense one, and be far from zero
         def swapped(basis, coupling, kind, s1, s2, sign="+"):
             other = "J" if kind == "L" else "L"
-            return fe.FockOperator(basis, fe._hidden_ladder_matrix(basis, other, s1, s2, sign))
+            return fe._hidden_ladder_matrix(basis, other, s1, s2, sign)
 
         monkeypatch.setattr(fe, "hidden_operator", swapped)
         b = fe.FockBasis(8)
