@@ -36,6 +36,7 @@ from .fockeng import (
     InteriorMask,
     _diagonal,
     _hidden_ladder_matrix,
+    _integer_weights,
     _orbit_row,
     exact_energy,
     ladder,
@@ -212,18 +213,23 @@ def signed_hamiltonian(
 
     The diagonal entries are floats of the exact values, so commutators
     with resonant ladders vanish identically (degenerate levels share the
-    same float).  The ladder-product construction is compared against this
-    in :func:`verify_signed_spectrum`.
+    same float).  For exact frequencies each entry is hbar times the int
+    quotient (2(a n1 + b n2) + a + b)/(2d), with w1 = a/d and sigma*w2 = b/d,
+    which rounds exactly as the float of the :func:`spectrum` Fraction does;
+    float frequencies go through :func:`spectrum`.  The ladder-product
+    construction is compared against this in :func:`verify_signed_spectrum`.
     """
     sigma = _sign_value(sign)
-    return _diagonal(basis, lambda n1, n2: float(spectrum(freq, sigma, n1, n2, hbar)),
-                     f"H({'+' if sigma > 0 else '-'})")
+    label = f"H({'+' if sigma > 0 else '-'})"
+    if not freq.is_exact:
+        return _diagonal(basis, lambda n1, n2: float(spectrum(freq, sigma, n1, n2, hbar)), label)
+    a, b, d = _integer_weights(freq.omega1, sigma * freq.omega2)
+    return _diagonal(basis, lambda n1, n2: hbar * ((2 * (a * n1 + b * n2) + a + b) / (2 * d)),
+                     label)
 
 
-def verify_signed_spectrum(
-    basis: FockBasis, freq: FrequencyPair, sign, hbar: float = 1.0
-) -> CheckRow:
-    """H^(sigma) assembled from ladder products matches the closed formula.
+def verify_signed_spectrum(basis: FockBasis, freq: FrequencyPair, sign) -> CheckRow:
+    """H^(sigma) assembled from ladder products matches the closed formula, at hbar = 1.
 
     Number operators built as a+ a- are exact on the whole grid (lowering
     first never leaves the truncation), so no interior mask is needed; the
@@ -233,15 +239,11 @@ def verify_signed_spectrum(
     w1, w2 = freq.float_omegas()
     num1 = ladder(basis, 1, "+") @ ladder(basis, 1, "-")
     num2 = ladder(basis, 2, "+") @ ladder(basis, 2, "-")
-    built = hbar * (
-        w1 * num1
-        + sigma * w2 * num2
-        + 0.5 * (w1 + sigma * w2) * np.eye(basis.dim)
-    )
+    built = w1 * num1 + sigma * w2 * num2 + 0.5 * (w1 + sigma * w2) * np.eye(basis.dim)
     return CheckRow.within(
         "signed-spectrum",
         "diag(H^(sigma)) = hbar*(w1 n1 + sigma w2 n2 + (w1+sigma w2)/2)",
-        operator_norm(built - signed_hamiltonian(basis, freq, sign, hbar)), 1e-12,
+        operator_norm(built - signed_hamiltonian(basis, freq, sign)), 1e-12,
         detail=f"sign={sign}, cutoff={basis.cutoff}",
     )
 
@@ -302,23 +304,23 @@ def degeneracy_partition(
     """Grid states grouped by exact energy of H^(sigma).
 
     Requires exact rational frequencies; grouping floats by equality would
-    silently split classes.  Sorted by the minimal member, like
+    silently split classes.  Equal levels share the integer key a*n1 + b*n2,
+    w1 = a/d and sigma*w2 = b/d.  Sorted by the minimal member, like
     :func:`hidden_orbits`, so the two partitions compare directly.
     """
     if not freq.is_exact:
         raise ValueError("degeneracy grouping needs exact rational frequencies")
+    a, b, _ = _integer_weights(freq.omega1, _sign_value(sign) * freq.omega2)
     pool = basis.states() if mask is None else mask.states()
-    return level_sets(pool, lambda n1, n2: spectrum(freq, sign, n1, n2))
+    return level_sets(pool, lambda n1, n2: a * n1 + b * n2)
 
 
 # ---------------------------------------------------------------------------
 # so(1,1) invariant of the equal-frequency sign=- oscillator
 
 
-def so11_invariant_check(
-    omega=1.0, cutoff: int = 10, hbar: float = 1.0
-) -> VerificationReport:
-    """Invariance and bracket checks around L11 = x1 p2 + x2 p1.
+def so11_invariant_check(omega=1.0, cutoff: int = 10) -> VerificationReport:
+    """Invariance and bracket checks around L11 = x1 p2 + x2 p1, at hbar = 1.
 
     With equal frequencies the sign=- Hamiltonian commutes with
     L11 = i*hbar*(J+ - J-), J+- = a1+- a2+-, and {J0, J+-} closes on
@@ -336,18 +338,18 @@ def so11_invariant_check(
 
     basis = FockBasis(cutoff)
     freq = FrequencyPair(w, w, 1, 1)
-    hminus = signed_hamiltonian(basis, freq, "-", hbar)
-    hosc = signed_hamiltonian(basis, freq, "+", hbar)
+    hminus = signed_hamiltonian(basis, freq, "-")
+    hosc = signed_hamiltonian(basis, freq, "+")
     up1, dn1 = ladder(basis, 1, "+"), ladder(basis, 1, "-")
     up2, dn2 = ladder(basis, 2, "+"), ladder(basis, 2, "-")
     jplus = hidden_operator(basis, freq, "J", "+")
     jminus = hidden_operator(basis, freq, "J", "-")
-    l11 = 1j * hbar * (jplus - jminus)
+    l11 = 1j * (jplus - jminus)
 
     # quadrature realization; the cross terms cancel identically because
     # mode-1 and mode-2 matrices are kron factors and commute exactly.
-    sx = math.sqrt(hbar / (2.0 * w))
-    sp = math.sqrt(hbar * w / 2.0)
+    sx = math.sqrt(1.0 / (2.0 * w))
+    sp = math.sqrt(w / 2.0)
     x1, p1 = sx * (up1 + dn1), 1j * sp * (up1 - dn1)
     x2, p2 = sx * (up2 + dn2), 1j * sp * (up2 - dn2)
 
@@ -358,15 +360,14 @@ def so11_invariant_check(
     report.add(verify_commutes(hminus, l11, mask,
                                check_id="so11-invariance", identity="[H(-), L11] = 0"))
     # shifted grading generator used in the invariance statement
-    j0_shift = (hosc - hbar * w * np.eye(basis.dim)) / (2.0 * w * hbar)
+    j0_shift = (hosc - w * np.eye(basis.dim)) / (2.0 * w)
     for name, mat, sgn, s in (("raise", jplus, +1, "+"), ("lower", jminus, -1, "-")):
         report.add(CheckRow.within(
             f"sl2-{name}", f"[J0, J{s}] = {s}J{s}",
             operator_norm(j0_shift @ mat - mat @ j0_shift - sgn * mat), 1e-12))
     report.add(CheckRow.within(
         "sl2-ladder-bracket", "[J-, J+] = H_osc/(hbar w) = 2 J0 + 1",
-        operator_norm(
-            mask.restrict_columns(jminus @ jplus - jplus @ jminus - hosc / (w * hbar))),
+        operator_norm(mask.restrict_columns(jminus @ jplus - jplus @ jminus - hosc / w)),
         1e-12, detail="closes on the unshifted grading H_osc/(2 hbar w)"))
     # the two diagonals commute exactly, so the residual must be exactly 0
     report.add(verify_commutes(hminus, hosc, tol=0.0,

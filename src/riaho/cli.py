@@ -267,13 +267,12 @@ def emit_dataset(
     stem = _out_stem(config, out, command)
     data_path = write_dataset(stem, columns, rows, config)
     sidecar = stem.with_name(stem.name + ".meta.json")
-    write_json_file(sidecar, {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        **meta,
-        "columns": columns,
-        "dataset": data_path.name,
-    })
+    try:
+        write_json_file(sidecar, {"schema_version": SCHEMA_VERSION, "command": command, **meta,
+                                  "columns": columns, "dataset": data_path.name})
+    except ConfigError:  # leave no dataset without its sidecar
+        data_path.unlink()
+        raise
     print(f"wrote {data_path} and {sidecar}")
     return 0
 

@@ -206,11 +206,10 @@ def exact_energy(coupling: Coupling, n1: int, n2: int) -> Fraction:
     return coupling.ell1 * n1 + coupling.ell2 * n2 + 1
 
 
-def _integer_weights(coupling: Coupling) -> tuple[int, int, int]:
-    """Integers (a, b, d) with l1 = a/d and l2 = b/d, d the lcm of the two denominators."""
-    l1, l2 = coupling.ell1, coupling.ell2
-    d = math.lcm(l1.denominator, l2.denominator)
-    return l1.numerator * (d // l1.denominator), l2.numerator * (d // l2.denominator), d
+def _integer_weights(w1: Fraction, w2: Fraction) -> tuple[int, int, int]:
+    """Integers (a, b, d) with w1 = a/d and w2 = b/d, d > 0 the lcm of the two denominators."""
+    d = math.lcm(w1.denominator, w2.denominator)
+    return w1.numerator * (d // w1.denominator), w2.numerator * (d // w2.denominator), d
 
 
 def hamiltonian(
@@ -221,7 +220,7 @@ def hamiltonian(
     Each level is the int quotient (a n1 + b n2 + d)/d with l1 = a/d and l2 = b/d, which
     rounds exactly as the float of its :func:`exact_energy` Fraction does.
     """
-    a, b, d = _integer_weights(coupling)
+    a, b, d = _integer_weights(coupling.ell1, coupling.ell2)
     return _diagonal(basis, lambda n1, n2: hbar_omega * ((a * n1 + b * n2 + d) / d), "H_g")
 
 
@@ -238,32 +237,18 @@ def angular_momentum(basis: FockBasis, hbar: float = 1.0) -> np.ndarray:
 class DegeneracyClass:
     """One exact energy level with all grid states belonging to it.
 
-    ``complete`` is True when the grid holds every state of the level;
-    levels of infinite multiplicity (which occur whenever some mode
-    frequency is non-positive) are never complete.
+    ``complete`` is True when the grid holds every state of the level.  With
+    both mode weights positive a level is a run of the L step (s1, -s2),
+    (s1, s2) = ``coupling.mode_orders``, cut by the grid; it is complete when
+    neither neighbour of the run, (n1 - s1, n2 + s2) before its first state
+    or (n1 + s1, n2 - s2) after its last, is a non-negative state.  Levels of
+    infinite multiplicity (some mode weight non-positive) are never complete.
     """
 
     energy: Fraction
     states: tuple[tuple[int, int], ...]
     class_id: int
     complete: bool
-
-
-def _level_is_complete(coupling: Coupling, energy: Fraction, cutoff: int) -> bool:
-    l1, l2 = coupling.ell1, coupling.ell2
-    if l1 <= 0 or l2 <= 0:
-        return False
-    c = energy - 1
-    n1_max = int(c / l1)  # Fraction floor division toward zero; c/l1 >= 0 here
-    for n1 in range(n1_max + 1):
-        rem = (c - l1 * n1) / l2
-        if rem < 0:
-            continue
-        if rem.denominator == 1:
-            n2 = int(rem)
-            if n1 > cutoff or n2 > cutoff:
-                return False
-    return True
 
 
 def degeneracy_classes(
@@ -273,32 +258,29 @@ def degeneracy_classes(
 ) -> list[DegeneracyClass]:
     """Group grid states into exact-energy classes, ascending in energy.
 
-    ``energy_window`` is an optional inclusive (lo, hi) pair in units of
-    hbar*omega; either end may be None.  States within a class are ordered
-    by ascending n1, and ``class_id`` numbers the returned classes from 0
-    in ascending energy order.
+    States of a level share the integer key a*n1 + b*n2 (l1 = a/d, l2 = b/d,
+    d > 0); the level is (key + d)/d.  ``energy_window`` is an optional
+    inclusive (lo, hi) pair in units of hbar*omega; either end may be None.
+    States within a class ascend in n1, and ``class_id`` numbers the returned
+    classes from 0 in ascending energy.  ``complete`` reads the orbit ends:
+    l1, l2 > 0, the first state has n1 < s1 and the last n2 < s2.
     """
-    groups: dict[Fraction, list[tuple[int, int]]] = {}
-    for n1, n2 in basis.states():
-        groups.setdefault(exact_energy(coupling, n1, n2), []).append((n1, n2))
-
+    a, b, d = _integer_weights(coupling.ell1, coupling.ell2)
+    # orders (0, 0) leave no class complete, as a non-positive weight requires
+    s1, s2 = coupling.mode_orders if coupling.ell1 > 0 and coupling.ell2 > 0 else (0, 0)
     lo, hi = (None, None) if energy_window is None else energy_window
-    energies = sorted(groups)
+
+    def key(n1, n2):
+        return a * n1 + b * n2
+
     out = []
-    for energy in energies:
-        if lo is not None and energy < lo:
+    for group in sorted(level_sets(basis.states(), key), key=lambda group: key(*min(group))):
+        states = tuple(sorted(group))
+        energy = Fraction(key(*states[0]) + d, d)
+        if (lo is not None and energy < lo) or (hi is not None and energy > hi):
             continue
-        if hi is not None and energy > hi:
-            continue
-        states = tuple(sorted(groups[energy]))
-        out.append(
-            DegeneracyClass(
-                energy=energy,
-                states=states,
-                class_id=len(out),
-                complete=_level_is_complete(coupling, energy, basis.cutoff),
-            )
-        )
+        out.append(DegeneracyClass(energy=energy, states=states, class_id=len(out),
+                                   complete=states[0][0] < s1 and states[-1][1] < s2))
     return out
 
 
@@ -673,7 +655,7 @@ def suite_fock(config) -> VerificationReport:
     basis = FockBasis(config.truncation)
     for gtext, kind, s1, s2 in (("1/3", "L", 1, 2), ("3", "J", 1, 2)):
         coupling = Coupling(Fraction(gtext))
-        a, b, _ = _integer_weights(coupling)
+        a, b, _ = _integer_weights(coupling.ell1, coupling.ell2)
         h = np.diag(hamiltonian(basis, coupling))
         op = hidden_operator(basis, coupling, kind, s1, s2, "+")
         mask = InteriorMask(basis, margin1=s1, margin2=s2)

@@ -93,9 +93,9 @@ def _named(cat: dict, label: str) -> PhasePoly:
     return cat[label]
 
 
-def verify_sp4_table(coupling, params=None) -> list[BracketCheck]:
-    """Evaluate the full nonzero bracket table of the quadratic algebra."""
-    cat = catalog(coupling, params)
+def verify_sp4_table(coupling) -> list[BracketCheck]:
+    """Evaluate the full nonzero bracket table of the quadratic algebra, at m = omega = 1."""
+    cat = catalog(coupling)
     checks = []
     for a, b, scale, targets in SP4_TABLE:
         lhs = poisson_bracket(cat[a], cat[b])
@@ -112,15 +112,15 @@ def verify_sp4_table(coupling, params=None) -> list[BracketCheck]:
     return checks
 
 
-def verify_casimirs(coupling=0, params=None) -> list[BracketCheck]:
-    """The four quadratic Casimir identities of the su(2) and sl(2,R) pieces.
+def verify_casimirs(coupling=0) -> list[BracketCheck]:
+    """The four quadratic Casimir identities of the su(2) and sl(2,R) pieces, at m = omega = 1.
 
     S1: L2^2 + L+L- = J0^2
     S2: -J0^2 + J+J- = -L2^2
     S3: -(1/2(J0 - L2))^2 + 1/4 B2+ B2- = 0
     S4: -(1/2(J0 + L2))^2 + 1/4 B1+ B1- = 0
     """
-    cat = catalog(coupling, params)
+    cat = catalog(coupling)
     J0, L2 = cat["J0"], cat["L2"]
     quarter = Fraction(1, 4)
     half = Fraction(1, 2)
@@ -135,13 +135,13 @@ def verify_casimirs(coupling=0, params=None) -> list[BracketCheck]:
     return [s1, s2, s3, s4]
 
 
-def verify_dynamical_integrals(coupling, params=None) -> list[BracketCheck]:
-    """total_time_derivative(G, H_g) = 0 for every catalog generator."""
+def verify_dynamical_integrals(coupling) -> list[BracketCheck]:
+    """total_time_derivative(G, H_g) = 0 for every catalog generator, at m = omega = 1."""
     c = Coupling.coerce(coupling)
-    h = hamiltonian(c, params)
+    h = hamiltonian(c)
     checks = []
     for name in GENERATOR_NAMES:
-        gen = generator(name, c, params)
+        gen = generator(name, c)
         lhs = total_time_derivative(gen, h)
         checks.append(_check(f"d/dt {name}", lhs,
                              PhasePoly.zero(h.basis, h.params), "0"))

@@ -181,6 +181,39 @@ class TestSpectrum:
         assert row.residual <= 1e-12
 
 
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestSignedHamiltonianBits:
+    """The exact path of signed_hamiltonian is float(spectrum(...)) bit for bit."""
+
+    @staticmethod
+    def _random_pairs(count):
+        rng = np.random.default_rng(20260417)
+        pairs = [FrequencyPair(1, Fraction(1, 10**400)), FrequencyPair(Fraction(10**30 + 1, 3), 7)]
+        for _ in range(count):
+            digits = int(rng.integers(1, 25))
+            num = [int(rng.integers(1, 10**6)) * 10 ** int(rng.integers(0, digits)) + 1
+                   for _ in range(2)]
+            den = [int(rng.integers(1, 10**6)) for _ in range(2)]
+            pairs.append(FrequencyPair(Fraction(num[0], den[0]), Fraction(num[1], den[1])))
+        return pairs
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.37, 2.5])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_matches_float_of_spectrum(self, sign, hbar):
+        basis = FockBasis(6)
+        for freq in self._random_pairs(40):
+            got = np.diag(signed_hamiltonian(basis, freq, sign, hbar))
+            want = [float(spectrum(freq, sign, n1, n2, hbar)) for n1, n2 in basis.states()]
+            assert np.array_equal(_bits(got), _bits(want)), freq
+
+    def test_level_past_the_float_range_raises(self):
+        with pytest.raises(ValueError, match="float range"):
+            signed_hamiltonian(FockBasis(2), FrequencyPair(10**400, 1), "+")
+
+
 class TestHiddenOperators:
     def setup_method(self):
         self.basis = FockBasis(8)

@@ -196,6 +196,14 @@ class TestUnwritableOutput:
         assert run(tmp_path, "spectrum", "--g", "1/3", "--nmax", "2", "--out", "levels") == 2
         self._assert_one_error_line(capsys, tmp_path / "levels.csv")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_sidecar_leaves_no_dataset(self, tmp_path, capsys, fmt):
+        (tmp_path / "levels.meta.json").mkdir()
+        assert run(tmp_path, "spectrum", "--g", "1/3", "--nmax", "2", "--out", "levels",
+                   "--format", fmt) == 2
+        self._assert_one_error_line(capsys, tmp_path / "levels.meta.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["levels.meta.json"]
+
 
 class TestTrajectory:
     def test_period_matches_figure_caption(self, tmp_path):

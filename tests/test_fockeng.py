@@ -296,6 +296,61 @@ class TestDegeneracy:
             )
 
 
+def _level_is_complete(coupling, energy, cutoff):
+    """Search every non-negative state of ``energy`` for one off the grid."""
+    l1, l2 = coupling.ell1, coupling.ell2
+    if l1 <= 0 or l2 <= 0:
+        return False
+    c = energy - 1
+    for n1 in range(int(c / l1) + 1):
+        rem = (c - l1 * n1) / l2
+        if rem >= 0 and rem.denominator == 1 and (n1 > cutoff or int(rem) > cutoff):
+            return False
+    return True
+
+
+def _reference_classes(coupling, basis, energy_window=None):
+    """Oracle: one exact_energy Fraction per state, grouped in a dict, completeness by search."""
+    groups = {}
+    for n1, n2 in basis.states():
+        groups.setdefault(fe.exact_energy(coupling, n1, n2), []).append((n1, n2))
+    lo, hi = (None, None) if energy_window is None else energy_window
+    out = []
+    for energy in sorted(groups):
+        if (lo is not None and energy < lo) or (hi is not None and energy > hi):
+            continue
+        out.append(fe.DegeneracyClass(energy, tuple(sorted(groups[energy])), len(out),
+                                      _level_is_complete(coupling, energy, basis.cutoff)))
+    return out
+
+
+# g = p/q with |p| <= 20, q <= 8, each value once; includes g = 0 and g = +-1
+SWEEP = sorted({F(p, q) for p in range(-20, 21) for q in range(1, 9)})
+
+
+class TestDegeneracyOracle:
+    """degeneracy_classes (integer keys, orbit-end completeness) against the Fraction oracle."""
+
+    @pytest.mark.parametrize("window", [None, (F(3, 2), F(9, 2))])
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 5, 8])
+    def test_rational_sweep(self, cutoff, window):
+        basis = fe.FockBasis(cutoff)
+        for g in SWEEP:
+            coupling = Coupling(g)
+            assert fe.degeneracy_classes(coupling, basis, window) == _reference_classes(
+                coupling, basis, window), g
+
+    @pytest.mark.parametrize("window", [None, (0, 2), (F(5, 2), None)])
+    @pytest.mark.parametrize("coupling", [
+        Coupling(1), Coupling(-1), Coupling(1, isotropic_mink=True),
+        Coupling(-1, isotropic_mink=True)])
+    def test_special_couplings(self, coupling, window):
+        basis = fe.FockBasis(6)
+        got = fe.degeneracy_classes(coupling, basis, window)
+        assert got == _reference_classes(coupling, basis, window)
+        assert not any(k.complete for k in got)
+
+
 class TestHiddenOperators:
     def test_frozen_examples(self):
         b = fe.FockBasis(8)
