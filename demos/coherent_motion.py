@@ -28,15 +28,12 @@ def main():
     # packet center <z> = (hbar/m w)(conj(alpha_t) + beta_t) traces the
     # classical two-circle orbit; labels rotate at w*l1 and w*l2
     units = bridge.Units()
-    l1, l2 = float(coupling.ell1), float(coupling.ell2)
-    w = units.omega
-    period = classdyn.closure_period(coupling, w)
-    scale = units.hbar / (units.m * w)
+    period = classdyn.closure_period(coupling, units.omega)
+    scale = units.hbar / (units.m * units.omega)
     print(f"\npacket center over one closure period T = {period:.4f} (g = 1/3):")
     for t in np.linspace(0.0, period, 7):
-        a_t = alpha * np.exp(-1j * w * l1 * t)
-        b_t = beta * np.exp(-1j * w * l2 * t)
-        z = scale * (np.conj(a_t) + b_t)
+        a_t, b_t = bridge.evolved_labels(alpha, beta, t, coupling, units)
+        z = scale * (a_t.conjugate() + b_t)
         print(f"  t = {t:7.4f}: <x1> = {z.real:+.4f}, <x2> = {z.imag:+.4f}")
 
 

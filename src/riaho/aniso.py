@@ -22,6 +22,7 @@ w2*T are then the coprime multiples 2*pi*l2 and 2*pi*l1 of a full turn).
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -29,7 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bridge import ProportionalityReport, ZPolynomial, grid_proportionality, inverse_weierstrass
+from .bridge import (ProportionalityReport, Units, ZPolynomial, grid_proportionality,
+                     inverse_weierstrass)
 from .coupling import Coupling, _to_float
 from .fockeng import (
     FockBasis,
@@ -409,19 +411,33 @@ class SeparableState:
         return SeparableState(self.poly.scale(factor), self.rate1, self.rate2)
 
 
-def _mode_bridge_poly(n: int, omega: float, m: float, hbar: float) -> dict:
+def _float_range(fn):
+    """``fn`` with an OverflowError of its float arithmetic turned into ValueError."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError:
+            raise ValueError(f"{fn.__name__}: a coefficient leaves the float range") from None
+
+    return checked
+
+
+def _mode_bridge_poly(n: int, units: Units) -> dict:
     """One-coordinate bridge of x^n: grading, finite heat series, in x units.
 
     The grading rescale contributes 2^((n + 1/2)/2); the heat factor
     e^{d^2-operator} reduces to the exact inverse-Weierstrass series in the
     dimensionless variable x/lambda, lambda^2 = hbar/(m omega).
     """
-    lam_sq = hbar / (m * omega)
+    lam_sq = units.length_sq / 2
     series = inverse_weierstrass(n).series
     pref = 2.0**0.25 * 2.0 ** (n / 2.0)
     return {p: pref * float(c) * lam_sq ** ((n - p) / 2.0) for p, c in series.items()}
 
 
+@_float_range
 def aniso_cbt_apply(
     phi, freq: FrequencyPair, m: float = 1.0, hbar: float = 1.0
 ) -> SeparableState:
@@ -431,13 +447,14 @@ def aniso_cbt_apply(
     pairs to coefficients.  Each coordinate passes independently through
     grading rescale, the finite heat series at its own frequency, and the
     Gaussian e^{-m w_i x_i^2 / 2 hbar}; a monomial lands on a multiple of
-    the product Hermite function psi_n1(x1) psi_n2(x2).
+    the product Hermite function psi_n1(x1) psi_n2(x2).  Units that are not
+    positive and finite, or a coefficient past the float range, raise ValueError.
     """
     if isinstance(phi, tuple) and len(phi) == 2:
         phi = {phi: 1.0}
     if not isinstance(phi, dict):
         raise ValueError("input must be a monomial pair or exponent-to-coefficient dict")
-    w1, w2 = freq.float_omegas()
+    u1, u2 = (Units(m, w, hbar) for w in freq.float_omegas())
     joint: dict = {}
     for key, coeff in phi.items():
         try:
@@ -449,18 +466,16 @@ def aniso_cbt_apply(
         c = complex(coeff)
         if c == 0:
             continue
-        poly1 = _mode_bridge_poly(n1, w1, m, hbar)
-        poly2 = _mode_bridge_poly(n2, w2, m, hbar)
+        poly1 = _mode_bridge_poly(n1, u1)
+        poly2 = _mode_bridge_poly(n2, u2)
         for p1, c1 in poly1.items():
             for p2, c2 in poly2.items():
                 joint[(p1, p2)] = joint.get((p1, p2), 0j) + c * c1 * c2
-    rate1 = m * w1 / (2.0 * hbar)
-    rate2 = m * w2 / (2.0 * hbar)
-    return SeparableState(joint, rate1, rate2)
+    return SeparableState(joint, u1.gauss, u2.gauss)
 
 
-def _mode_eigen_poly(n: int, omega: float, m: float, hbar: float) -> dict:
-    lam_sq = hbar / (m * omega)
+def _mode_eigen_poly(n: int, units: Units) -> dict:
+    lam_sq = units.length_sq / 2
     norm = (math.pi * lam_sq) ** -0.25 / math.sqrt(2.0**n * math.factorial(n))
     series = inverse_weierstrass(n).series
     return {
@@ -468,35 +483,45 @@ def _mode_eigen_poly(n: int, omega: float, m: float, hbar: float) -> dict:
     }
 
 
+@_float_range
 def hermite_eigenstate(
     n1: int, n2: int, freq: FrequencyPair, m: float = 1.0, hbar: float = 1.0
 ) -> SeparableState:
-    """Normalized product eigenfunction psi_n1(x1; w1) psi_n2(x2; w2)."""
+    """Normalized product eigenfunction psi_n1(x1; w1) psi_n2(x2; w2).
+
+    Units that are not positive and finite, or a coefficient past the float
+    range, raise ValueError.
+    """
     if n1 < 0 or n2 < 0:
         raise ValueError("quantum numbers must be non-negative")
-    w1, w2 = freq.float_omegas()
-    poly1 = _mode_eigen_poly(n1, w1, m, hbar)
-    poly2 = _mode_eigen_poly(n2, w2, m, hbar)
+    u1, u2 = (Units(m, w, hbar) for w in freq.float_omegas())
+    poly1 = _mode_eigen_poly(n1, u1)
+    poly2 = _mode_eigen_poly(n2, u2)
     joint = {
         (p1, p2): c1 * c2 for p1, c1 in poly1.items() for p2, c2 in poly2.items()
     }
-    return SeparableState(joint, m * w1 / (2.0 * hbar), m * w2 / (2.0 * hbar))
+    return SeparableState(joint, u1.gauss, u2.gauss)
 
 
+@_float_range
 def mode_constant(n: int, omega: float, m: float = 1.0, hbar: float = 1.0) -> float:
     """Per-coordinate proportionality constant of the bridge.
 
     S x^n = c_n(omega) psi_n with c_n = 2^(1/4) (pi lam^2)^(1/4) lam^n
     sqrt(n!), lam^2 = hbar/(m omega); the two-coordinate constant is the
-    product over modes.
+    product over modes.  Units that are not positive and finite, or a c_n
+    past the float range, raise ValueError.
     """
-    lam_sq = hbar / (m * omega)
-    return (
+    lam_sq = Units(m, omega, hbar).length_sq / 2
+    value = (
         2.0**0.25
         * (math.pi * lam_sq) ** 0.25
         * lam_sq ** (n / 2.0)
         * math.sqrt(math.factorial(n))
     )
+    if math.isinf(value):
+        raise ValueError(f"mode_constant: c_{n} leaves the float range")
+    return value
 
 
 def aniso_proportionality(
@@ -660,8 +685,11 @@ def composite_spectrum_check(coupling, cutoff: int = 8) -> CheckRow:
     The unitary mode change (module fockeng) and the rescaling map send
     H_g onto H^(sigma) at Omega_i = |ell_i| omega; in units of hbar*omega
     the energies ell_1 n_1 + ell_2 n_2 + 1 must reappear as the signed-mode
-    formula state by state, hence as equal multisets over any grid.
+    formula state by state, hence as equal multisets over any grid.  A
+    negative cutoff (an empty grid) raises ValueError.
     """
+    if cutoff < 0:
+        raise ValueError(f"cutoff {cutoff} is negative: the grid would be empty")
     coupling = Coupling.coerce(coupling)
     if coupling.isotropic_mink:
         raise ValueError("finite rational coupling required")

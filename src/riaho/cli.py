@@ -435,7 +435,7 @@ def cmd_eigenstate(args, config: RunConfig) -> int:
     units = config.units
     psi = bridge.eigenstate(args.n1, args.n2, units)
     with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
-        values = psi.evaluate_grid(x1, x2)
+        values = psi.evaluate(x1, x2)
     rows = _float_rows(x1, x2, values.real, values.imag)
     norm = bridge.inner_product(psi, psi).real
     return emit_dataset(config, args.out, "eigenstate", ["x1", "x2", "re_psi", "im_psi"], rows, {
@@ -465,18 +465,15 @@ def cmd_coherent(args, config: RunConfig) -> int:
     )
 
     state = bridge.coherent_state(alpha, beta, units)
-    l1, l2 = coupling.float_ells()
-    w, t = config.omega, args.t
-    alpha_t = alpha * complex(np.exp(-1j * w * l1 * t))
-    beta_t = beta * complex(np.exp(-1j * w * l2 * t))
+    alpha_t, beta_t = bridge.evolved_labels(alpha, beta, args.t, coupling, units)
     evolved = bridge.coherent_state(alpha_t, beta_t, units)
-    zero_point = complex(np.exp(-1j * w * t))
+    zero_point = complex(np.exp(-1j * units.omega * args.t))
     rotated = bridge.rotate(state, args.gamma)
 
     with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
-        base = state.evaluate_grid(x1, x2)
-        evo = zero_point * evolved.evaluate_grid(x1, x2)
-        rot = rotated.evaluate_grid(x1, x2)
+        base = state.evaluate(x1, x2)
+        evo = zero_point * evolved.evaluate(x1, x2)
+        rot = rotated.evaluate(x1, x2)
     rows = _float_rows(x1, x2, base.real, base.imag, evo.real, evo.imag, rot.real, rot.imag)
     columns = ["x1", "x2", "re_phi", "im_phi", "re_evolved", "im_evolved",
                "re_rotated", "im_rotated"]

@@ -589,7 +589,10 @@ def verify_one_mode_bridge(size: int = 11) -> list[CheckRow]:
     a|n) = n|n-1)) on rows and columns 0..size-3: the raising parts of X
     corrupt the last two columns of the truncated RX, and the lowering Y
     pulls truncated rows into YR.  Residual is exactly zero or the check fails.
+    A size below 3 leaves no row to compare and raises ValueError.
     """
+    if size < 3:
+        raise ValueError(f"size {size} below 3: rows 0..size-3 are empty")
     r = one_mode_bridge_unnormalized(size)
     lcm = math.lcm(*(q.denominator for q in r.flat))
     r_int = np.array([int(q * lcm) for q in r.flat], dtype=object).reshape(r.shape)

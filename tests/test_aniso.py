@@ -323,13 +323,16 @@ HUGE = FrequencyPair(10**400, 10**400, 1, 1)
 OVER = FrequencyPair(10**400, Fraction(1, 2))
 UNDER = FrequencyPair(1, Fraction(1, 10**400))
 TINY = FrequencyPair(Fraction(1, 10**400), Fraction(1, 10**400), 1, 1)
+# the per-coordinate bridge calls also take a mode order n and the units m, hbar
 FLOAT_CALLS = {
     "verify_signed_spectrum": lambda f: verify_signed_spectrum(FockBasis(2), f, "+"),
-    "aniso_cbt_apply": lambda f: aniso_cbt_apply((1, 0), f),
-    "hermite_eigenstate": lambda f: hermite_eigenstate(1, 0, f),
-    "aniso_proportionality": lambda f: aniso_proportionality(1, 0, f),
+    "aniso_cbt_apply": lambda f, n=1, **units: aniso_cbt_apply((n, 0), f, **units),
+    "hermite_eigenstate": lambda f, n=1, **units: hermite_eigenstate(n, 0, f, **units),
+    "aniso_proportionality": lambda f, n=1, **units: aniso_proportionality(n, 0, f, **units),
+    "mode_constant": lambda f, n=1, **units: mode_constant(n, f.float_omegas()[0], **units),
     "lissajous": lambda f: lissajous(1, 0, 0, 1, f, 0.5),
 }
+UNIT_CALLS = ["aniso_cbt_apply", "hermite_eigenstate", "aniso_proportionality", "mode_constant"]
 
 
 class TestFloatFrequencies:
@@ -345,6 +348,31 @@ class TestFloatFrequencies:
     def test_out_of_range_pairs_raise_value_error(self, freq, match, call):
         with pytest.raises(ValueError, match=match):
             FLOAT_CALLS[call](freq) if call else freq.float_omegas()
+
+    @pytest.mark.parametrize("call", UNIT_CALLS)
+    @pytest.mark.parametrize("kwargs, match", [
+        # m = 0 raised ZeroDivisionError, m = -1 returned a complex constant
+        ({"m": 0.0}, "positive and finite"), ({"m": -1.0}, "positive and finite"),
+        ({"hbar": 0.0}, "positive and finite"), ({"hbar": math.inf}, "positive and finite"),
+        ({"m": math.nan}, "positive and finite"), ({"m": 1e-300, "hbar": 1e300}, "float range"),
+        # 400! and the series coefficients of x^400 raised OverflowError
+        ({"n": 400}, "float range"), ({"n": 200, "m": 1e-200}, "float range"),
+    ])
+    def test_bad_units_and_orders_raise_value_error(self, kwargs, match, call):
+        with pytest.raises(ValueError, match=match):
+            FLOAT_CALLS[call](FrequencyPair(1, Fraction(3, 2)), **kwargs)
+
+    def test_proportionality_without_grid_points_raises(self):
+        # psi_170 is below the 1e-6 floor on all of [-3, 3]: numpy warned about the
+        # mean of an empty slice, then raised on the empty maximum
+        with pytest.raises(ValueError, match="no grid point"):
+            aniso_proportionality(170, 0, FrequencyPair(1, Fraction(3, 2)))
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan])
+    def test_mode_constant_rejects_bad_frequency(self, omega):
+        # omega = 0 raised ZeroDivisionError
+        with pytest.raises(ValueError, match="positive and finite"):
+            mode_constant(1, omega)
 
     @pytest.mark.parametrize("freq", [HUGE, TINY])
     def test_closure_period_out_of_range(self, freq):
@@ -630,3 +658,9 @@ class TestRescaleMap:
     def test_composite_rejects_isotropic_limit_flag(self):
         with pytest.raises(ValueError):
             composite_spectrum_check(Coupling(1, isotropic_mink=True))
+
+    @pytest.mark.parametrize("cutoff", [-1, -5])
+    def test_composite_rejects_empty_grid(self, cutoff):
+        # cutoff -1 sorted two empty lists and passed
+        with pytest.raises(ValueError, match="negative"):
+            composite_spectrum_check(Coupling(Fraction(1, 3)), cutoff=cutoff)

@@ -4,6 +4,7 @@ Frozen closed forms were hand-traced through the three-factor bridge
 composition (grading, finite free-Hamiltonian series, Gaussian) and the
 first-order ladder operators.
 """
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -172,6 +173,37 @@ class TestEigenstates:
         with pytest.raises(ValueError):
             br.eigenstate(-1, 0)
 
+    @pytest.mark.parametrize("mode, direction", [(1, "-"), (1, "+"), (2, "-"), (2, "+")])
+    def test_ladder_rule_matches_the_four_formulas(self, mode, direction):
+        # b1- = s(zbar + c d/dz), b1+ = s(z - c d/dzbar), b2- = s(z + c d/dzbar),
+        # b2+ = s(zbar - c d/dz), written out branch by branch, bit for bit
+        u = br.Units(m=2.0, omega=0.75, hbar=1.5)
+        state = br.coherent_state(0.4 - 0.2j, -0.3 + 0.6j, u).with_prefactor(
+            br.ZPolynomial({(0, 0): 0.5, (2, 1): 1.5 - 0.25j, (0, 3): -0.5j}))
+        s, c = math.sqrt(u.m * u.omega / (4 * u.hbar)), u.length_sq
+        p = state.prefactor
+        d_z = p.diff_z() + p.shift(0, 1).scale(state.exp_zzbar) + p.scale(state.exp_z)
+        d_zbar = p.diff_zbar() + p.shift(1, 0).scale(state.exp_zzbar) + p.scale(state.exp_zbar)
+        expected = {
+            (1, "-"): p.shift(0, 1) + d_z.scale(c), (1, "+"): p.shift(1, 0) + d_zbar.scale(-c),
+            (2, "-"): p.shift(1, 0) + d_zbar.scale(c), (2, "+"): p.shift(0, 1) + d_z.scale(-c),
+        }[(mode, direction)].scale(s)
+        out = br.apply_ladder(state, mode, direction)
+        assert out.prefactor.terms == expected.terms
+        assert out.with_prefactor(p) == state
+
+    def test_ladder_commutators_on_a_displaced_state(self):
+        # [b_i-, b_j+] = delta_ij and [b1-, b2-] = 0 with linear exponents present
+        state = br.coherent_state(0.5 + 0.1j, 0.2 - 0.7j).with_prefactor(
+            br.ZPolynomial({(1, 0): 1.0, (1, 2): 0.3j}))
+        lad = br.apply_ladder
+        for i in (1, 2):
+            for j in (1, 2):
+                comm = lad(lad(state, j, "+"), i, "-") - lad(lad(state, i, "-"), j, "+")
+                assert br.wave_distance(comm, state.scale(float(i == j))) < 1e-13
+        comm = lad(lad(state, 2, "-"), 1, "-") - lad(lad(state, 1, "-"), 2, "-")
+        assert comm.prefactor.max_abs() < 1e-13
+
     def test_lowering_annihilates_ground(self):
         out = br.apply_ladder(br.ground_state(), 1, "-")
         assert out.prefactor.max_abs() < 1e-15
@@ -182,6 +214,11 @@ class TestOrthonormality:
         assert br.orthonormality(0, 0, 0, 0) == pytest.approx(1.0, abs=1e-10)
         assert abs(br.orthonormality(1, 0, 0, 1)) < 1e-10
         assert br.orthonormality(2, 1, 2, 1) == pytest.approx(1.0, abs=1e-8)
+
+    def test_negative_overlap_size_raises(self):
+        # nmax = -1 raised IndexError on the empty state list
+        with pytest.raises(ValueError, match="negative"):
+            br.overlap_matrix(-1)
 
     def test_overlap_matrix_identity(self):
         gram = br.overlap_matrix(4)
@@ -298,6 +335,12 @@ class TestRotation:
         psi = br.eigenstate(1, 2)
         assert br.wave_distance(br.rotate(psi, 2 * math.pi), psi) < 1e-13
 
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_raises(self, gamma):
+        # inf emitted a numpy RuntimeWarning, nan gave nan exponents
+        with pytest.raises(ValueError, match="not finite"):
+            br.rotate(br.ground_state(), gamma)
+
 
 class TestCoherent:
     def test_vacuum_limit(self):
@@ -371,6 +414,34 @@ class TestCoherent:
         assert br.expansion_coefficient(1e100, 0, 4, 0) == 0j
         assert br.expansion_coefficient(1000, 0, 3, 0) == 0j
 
+    @pytest.mark.parametrize("n1, n2, alpha", [(200, 0, 0.5), (0, 171, 0.5), (100, 100, 0.5),
+                                               (400, 0, 30.0)])
+    def test_coefficient_past_the_float_range_raises(self, n1, n2, alpha):
+        # sqrt(200!) and lambda^400 raised OverflowError
+        with pytest.raises(ValueError, match="float range"):
+            br.expansion_coefficient(alpha, 0.5, n1, n2)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (complex("nan"), 0), (0, complex(0, float("nan"))), (float("inf"), 0), (0, -math.inf)])
+    def test_non_finite_labels_raise(self, alpha, beta):
+        # a nan label gave a state with nan exponents
+        with pytest.raises(ValueError, match="finite"):
+            br.coherent_state(alpha, beta)
+        with pytest.raises(ValueError, match="finite"):
+            br.expansion_coefficient(alpha, beta, 1, 0)
+
+    def test_evolved_labels_rotate_each_mode_at_its_frequency(self):
+        alpha, beta, t = 0.8 - 0.5j, 0.4 + 0.7j, 0.9
+        coupling = Coupling(F(1, 3))
+        l1, l2 = coupling.float_ells()
+        u = br.Units(omega=1.5)
+        a_t, b_t = br.evolved_labels(alpha, beta, t, coupling, u)
+        assert type(a_t) is complex and type(b_t) is complex
+        # the same bits as the numpy-scalar product
+        assert a_t == alpha * np.exp(-1j * 1.5 * l1 * t)
+        assert b_t == beta * np.exp(-1j * 1.5 * l2 * t)
+        assert br.evolved_labels(alpha, beta, 0.0, coupling) == (alpha, beta)
+
 
 class TestWaveState:
     def test_envelope_mismatch(self):
@@ -378,6 +449,29 @@ class TestWaveState:
         b = br.WaveState(br.ZPolynomial.monomial(0, 0, 1.0), exp_zzbar=-1.0)
         with pytest.raises(ValueError):
             a + b
+
+    @pytest.mark.parametrize("name", ["exp_zzbar", "exp_z", "exp_zbar", "exp_const"])
+    def test_nan_exponent_refuses_addition(self, name):
+        a = br.coherent_state(0.3, -0.2j)
+        b = dataclasses.replace(a, **{name: math.nan})
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="different exponents"):
+                x + y
+            # a nan gap past the first field used to read as distance 0
+            assert math.isnan(br.wave_distance(x, y))
+
+    def test_one_evaluator_for_scalars_and_arrays(self):
+        psi = br.coherent_state(0.4 - 0.1j, 0.2 + 0.3j).with_prefactor(
+            br.ZPolynomial({(2, 1): 1.5, (0, 3): -0.5j}))
+        assert br.WaveState.evaluate_grid is br.WaveState.evaluate
+        value = psi.evaluate(0.3, -1.2)
+        assert type(value) is complex
+        assert type(psi.evaluate(np.float64(0.3), np.float64(-1.2))) is complex
+        x1 = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        grid = psi.evaluate(x1, x1[:, :1])  # (3, 4) against (3, 1)
+        assert isinstance(grid, np.ndarray) and grid.shape == (3, 4)
+        assert psi.evaluate(np.array([0.3]), np.array([-1.2])).shape == (1,)
+        assert psi.evaluate(np.array([0.3]), np.array([-1.2]))[0] == pytest.approx(value, rel=1e-15)
 
     def test_grid_matches_scalar_evaluate(self):
         psi = br.eigenstate(2, 1)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riaho import aniso, bridge, classdyn, cli, fockeng, landau
+from riaho.coupling import Coupling
 from riaho.phasealg.verify import suite_algebra
 from riaho.cli import ConfigError, RunConfig, main, parse_complex, parse_rational, parse_real
 from riaho.reports import CheckRow, VerificationReport
@@ -468,6 +469,31 @@ class TestCoherent:
         for row in rows:
             assert row[header.index("re_phi")] == row[header.index("re_evolved")]
             assert row[header.index("im_phi")] == row[header.index("im_evolved")]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_evolved_columns_come_from_the_shared_label_map(self, tmp_path, fmt):
+        # re/im_evolved are e^{-i w t} Phi(evolved_labels(...)) bit for bit, and the
+        # sidecar records those labels
+        assert run(tmp_path, "coherent", "--alpha", "0.5,-0.3", "--beta", "0.2,0.6",
+                   "--t", "1.0", "--gamma", "0.5", "--g", "1/2", "--points", "11",
+                   "--omega", "1.25", "--format", fmt, "--out", "cohl") == 0
+        units = bridge.Units(omega=1.25)
+        labels = bridge.evolved_labels(0.5 - 0.3j, 0.2 + 0.6j, 1.0, Coupling(F(1, 2)), units)
+        meta = read_meta(tmp_path, "cohl")
+        assert [meta["evolved_alpha"], meta["evolved_beta"]] == [[z.real, z.imag] for z in labels]
+        xs = np.linspace(-3.0, 3.0, 11)
+        x1, x2 = np.meshgrid(xs, xs, indexing="ij")
+        want = (complex(np.exp(-1j * 1.25 * 1.0))
+                * bridge.coherent_state(*labels, units).evaluate(x1, x2)).ravel()
+        if fmt == "csv":
+            header, rows = read_csv(tmp_path / "cohl.csv")
+            rows = [[float(v) for v in row] for row in rows]
+        else:
+            payload = json.loads((tmp_path / "cohl.json").read_text())
+            header, rows = payload["columns"], payload["rows"]
+        got = np.array(rows)
+        assert np.array_equal(got[:, header.index("re_evolved")], want.real)
+        assert np.array_equal(got[:, header.index("im_evolved")], want.imag)
 
     def test_evolution_residual_recorded(self, tmp_path):
         run(tmp_path, "coherent", "--alpha", "0.8,-0.5", "--beta", "0.4,0.7",

@@ -793,6 +793,12 @@ class TestOneModeBridgeExact:
             assert row.passed, row.check_id
             assert row.residual == 0.0
 
+    @pytest.mark.parametrize("size", [-1, 0, 1, 2])
+    def test_size_without_rows_raises(self, size):
+        # sizes 1 and 2 compared empty blocks and passed all three rows
+        with pytest.raises(ValueError, match="below 3"):
+            fe.verify_one_mode_bridge(size)
+
     @pytest.mark.parametrize("entry", [(2, 2), (3, 1), (8, 4)])
     def test_perturbed_bridge_fails_every_row(self, monkeypatch, entry):
         exact = fe.one_mode_bridge_unnormalized
