@@ -345,22 +345,30 @@ def ground_state(units: Units = _UNIT) -> WaveState:
     )
 
 
-@lru_cache(maxsize=None)
-def _eigenstate_cached(n1: int, n2: int, units: Units) -> WaveState:
-    if n1 == 0 and n2 == 0:
-        return ground_state(units)
-    if n1 > 0:
-        below = _eigenstate_cached(n1 - 1, n2, units)
-        return apply_ladder(below, 1, "+").scale(1.0 / math.sqrt(n1))
-    below = _eigenstate_cached(0, n2 - 1, units)
-    return apply_ladder(below, 2, "+").scale(1.0 / math.sqrt(n2))
+_EIGENSTATES: dict[tuple[int, int, Units], WaveState] = {}
 
 
 def eigenstate(n1: int, n2: int, units: Units = _UNIT) -> WaveState:
-    """Normalized eigenfunction (b1+)^n1 (b2+)^n2 ground / sqrt(n1! n2!)."""
+    """Normalized eigenfunction (b1+)^n1 (b2+)^n2 ground / sqrt(n1! n2!), climbed and cached
+    up the chain (0, 0) -> (0, n2) -> (n1, n2); ValueError once a term underflows."""
     if n1 < 0 or n2 < 0:
         raise ValueError("indices must be non-negative")
-    return _eigenstate_cached(n1, n2, units)
+    if (0, 0, units) not in _EIGENSTATES:
+        _EIGENSTATES[0, 0, units] = ground_state(units)
+    todo, key = [], (n1, n2, units)
+    while key not in _EIGENSTATES:  # walk down to the nearest cached state, then climb back
+        todo.append(key)
+        key = (key[0] - 1, n2, units) if key[0] > 0 else (0, key[1] - 1, units)
+    state = _EIGENSTATES[key]
+    for k1, k2, _ in reversed(todo):
+        mode, n = (1, k1) if k1 > 0 else (2, k2)
+        state = apply_ladder(state, mode, "+").scale(1.0 / math.sqrt(n))
+        coeffs = [abs(c) for c in state.prefactor.terms.values()]
+        # the min(k1, k2) + 1 terms z^(k1-j) zbar^(k2-j) stay present and normal
+        if len(coeffs) != min(k1, k2) + 1 or min(coeffs) < np.finfo(float).smallest_normal:
+            raise ValueError(f"eigenstate ({k1}, {k2}) leaves the float range: a term underflows")
+        _EIGENSTATES[k1, k2, units] = state
+    return state
 
 
 def rotate(state: WaveState, gamma: float) -> WaveState:
@@ -413,12 +421,13 @@ def _quadrature_grid(a: WaveState, b: WaveState, order: int):
     return z, np.conj(z), w1 * w2, lam
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
     """2D Gauss-Hermite quadrature of conj(a) * b.
 
-    The combined envelope must decay; nodes are rescaled so the quadratic
-    part matches the Gauss-Hermite weight exactly, and any residual linear
-    exponent rides along as part of the integrand.
+    The combined envelope must decay; nodes are rescaled so the quadratic part matches the
+    Gauss-Hermite weight exactly, and any residual linear exponent rides along as part of the
+    integrand.  A sum past the float range raises ValueError.
     """
     z, zb, weight, lam = _quadrature_grid(a, b, order)
     # polynomial parts and the leftover (linear + constant) exponent
@@ -429,8 +438,10 @@ def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
         + (a.exp_zbar.conjugate() + b.exp_z) * z
         + (a.exp_const.conjugate() + b.exp_const)
     )
-    total = np.sum(weight * pa * pb * np.exp(lin))
-    return complex(total / lam)
+    total = complex(np.sum(weight * pa * pb * np.exp(lin)) / lam)
+    if not cmath.isfinite(total):
+        raise ValueError(f"the order-{order} quadrature leaves the float range")
+    return total
 
 
 def orthonormality(

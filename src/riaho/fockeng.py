@@ -5,14 +5,13 @@ oscillator Hamiltonian is diagonal with exact rational spectrum
 ``E/(hbar*omega) = l1*n1 + l2*n2 + 1`` where ``l1 = 1+g`` and ``l2 = 1-g``.
 Every operator builder returns a plain dense ``np.ndarray`` on the finite grid
 ``0 <= n1, n2 <= cutoff``, indexed row-major over (n1, n2) as in :class:`FockBasis`:
-float64, except the complex a2+-, su(2) generators and unitary.  The checks of
-:func:`suite_fock` are evaluated one block of N = n1 + n2 at a time, since every
-operator they involve keeps N or shifts it by a constant.  Exact statements use
-Fractions or integers (energies, degeneracy grouping) or integer and Fraction
-object arrays (the one-mode conformal bridge), so equality is never a
-floating-point question.  The
-Cartesian-to-circular unitary is built in closed form from its 2x2
-one-particle block, block by block in N, with no matrix exponential.
+float64, except the complex a2+-, su(2) generators and unitary.  Each operator keeps
+N = n1 + n2 or shifts it by one, and the builders assemble private per-block forms (the
+unitary's closed form, ladders, tridiagonal H_rni, the levels of H_g, hidden-ladder
+entries) that :func:`suite_fock` reads directly, forming no grid-sized matrix.  Exact
+statements use Fractions or integers (energies, degeneracy grouping) or integer and
+Fraction object arrays (the one-mode conformal bridge), so equality is never a
+floating-point question.
 
 Truncation corrupts matrix elements near the grid edge, so checks that
 involve raising operators are restricted to interior columns via
@@ -159,10 +158,25 @@ def _raising(side: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, side)), -1)
 
 
-def _block(basis: FockBasis, total: int) -> np.ndarray:
-    """Grid indices of the states (m, total - m), m = 0..total, of a block N = total <= cutoff."""
-    m = np.arange(total + 1)
-    return m * (basis.cutoff + 1) + total - m
+def _block(basis: FockBasis, total: int) -> tuple[slice, slice]:
+    """Slices of n1 = m and of the grid index m*cutoff + total of the grid states (m, total - m)."""
+    lo, hi, step = max(0, total - basis.cutoff), min(total, basis.cutoff), basis.cutoff
+    return slice(lo, hi + 1), slice(lo * step + total, hi * step + total + 1, step)
+
+
+def _assemble(basis: FockBasis, block, shift: int, dtype=float) -> np.ndarray:
+    """Grid operator taking N to N + shift from ``block(N)`` (indexed by n1), cut to the grid."""
+    out = np.zeros((basis.dim, basis.dim), dtype)
+    for total in range(max(0, -shift), 2 * basis.cutoff + 1 - max(0, shift)):
+        (m_col, col), (m_row, row) = _block(basis, total), _block(basis, total + shift)
+        out[row, col] = block(total)[m_row, m_col]
+    return out
+
+
+def _lowering(total: int, mode: int) -> np.ndarray:
+    """Block N = total -> N - 1 of b_mode-, rows and columns indexed by n1: sqrt(n_mode) entries."""
+    n = np.arange(total + 1.0)
+    return np.diag(np.sqrt(n[1:] if mode == 1 else total - n), 2 - mode)[:-1]
 
 
 def ladder(basis: FockBasis, mode: int, direction: str) -> np.ndarray:
@@ -171,10 +185,8 @@ def ladder(basis: FockBasis, mode: int, direction: str) -> np.ndarray:
         raise ValueError("mode must be 1 or 2")
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
-    side = basis.cutoff + 1
-    one_mode = _raising(side) if direction == "+" else _raising(side).T
-    eye = np.eye(side)
-    return np.kron(one_mode, eye) if mode == 1 else np.kron(eye, one_mode)
+    lowering = _assemble(basis, lambda total: _lowering(total, mode), -1)
+    return lowering if direction == "-" else lowering.T
 
 
 def _finite(matrix: np.ndarray, label: str) -> np.ndarray:
@@ -184,13 +196,18 @@ def _finite(matrix: np.ndarray, label: str) -> np.ndarray:
     return matrix
 
 
-def _diagonal(basis: FockBasis, value, label: str) -> np.ndarray:
-    """Diagonal operator with float entries ``value(n1, n2)``; ValueError past the float range."""
+def _entries(basis: FockBasis, value, label: str) -> np.ndarray:
+    """Float vector of ``value(n1, n2)`` in grid order; ValueError past the float range."""
     try:
         diag = np.array([value(n1, n2) for (n1, n2) in basis.states()], dtype=float)
     except OverflowError:
         raise ValueError(f"a diagonal entry of {label} lies outside the float range") from None
-    return np.diag(_finite(diag, label))
+    return _finite(diag, label)
+
+
+def _diagonal(basis: FockBasis, value, label: str) -> np.ndarray:
+    """Diagonal operator with the entries of :func:`_entries`."""
+    return np.diag(_entries(basis, value, label))
 
 
 def number_operator(basis: FockBasis, mode: int) -> np.ndarray:
@@ -220,8 +237,13 @@ def hamiltonian(
     Each level is the int quotient (a n1 + b n2 + d)/d with l1 = a/d and l2 = b/d, which
     rounds exactly as the float of its :func:`exact_energy` Fraction does.
     """
+    return np.diag(_levels(basis, coupling, hbar_omega))
+
+
+def _levels(basis: FockBasis, coupling: Coupling, hbar_omega: float = 1.0) -> np.ndarray:
+    """Diagonal of :func:`hamiltonian` in grid order."""
     a, b, d = _integer_weights(coupling.ell1, coupling.ell2)
-    return _diagonal(basis, lambda n1, n2: hbar_omega * ((a * n1 + b * n2 + d) / d), "H_g")
+    return _entries(basis, lambda n1, n2: hbar_omega * ((a * n1 + b * n2 + d) / d), "H_g")
 
 
 def angular_momentum(basis: FockBasis, hbar: float = 1.0) -> np.ndarray:
@@ -317,20 +339,24 @@ def _resonant_shift(coupling: Coupling, kind: str, s1: int, s2: int) -> tuple[in
     return hidden_shift(kind, s1, s2)
 
 
-def _hidden_ladder_matrix(basis: FockBasis, kind: str, s1: int, s2: int, sign: str) -> np.ndarray:
-    """(b1+)^Delta1 (b2+-)^|Delta2|, shifting (n1, n2) by Delta = ``hidden_shift(kind, s1, s2)``.
+def _hidden_entries(basis: FockBasis, kind: str, s1: int, s2: int):
+    """(rows, cols, values) of the '+' hidden ladder: column (n1, n2) holds the
+    :func:`hidden_coefficient` at row (n1, n2) + ``hidden_shift`` when that lies on the grid."""
+    d1, d2 = hidden_shift(kind, s1, s2)
+    states = [(n1, n2) for n1, n2 in basis.states()
+              if 0 <= n1 + d1 <= basis.cutoff and 0 <= n2 + d2 <= basis.cutoff]
+    cols = np.array([basis.index(n1, n2) for n1, n2 in states], dtype=int)
+    values = np.array([hidden_coefficient(kind, s1, s2, n1, n2) for n1, n2 in states])
+    return cols + d1 * (basis.cutoff + 1) + d2, cols, values
 
-    Column (n1, n2) holds the :func:`hidden_coefficient` at row (n1, n2) + Delta when that
-    state is on the grid, as the product of truncated ladders does.  Adjoint for sign "-".
-    """
+
+def _hidden_ladder_matrix(basis: FockBasis, kind: str, s1: int, s2: int, sign: str) -> np.ndarray:
+    """Dense (b1+)^Delta1 (b2+-)^|Delta2| from :func:`_hidden_entries`; its adjoint for sign "-"."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    d1, d2 = hidden_shift(kind, s1, s2)
+    rows, cols, values = _hidden_entries(basis, kind, s1, s2)
     mat = np.zeros((basis.dim, basis.dim))
-    for n1, n2 in basis.states():
-        if 0 <= n1 + d1 <= basis.cutoff and 0 <= n2 + d2 <= basis.cutoff:
-            mat[basis.index(n1 + d1, n2 + d2), basis.index(n1, n2)] = hidden_coefficient(
-                kind, s1, s2, n1, n2)
+    mat[rows, cols] = values
     return mat if sign == "+" else mat.T
 
 
@@ -433,9 +459,18 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def operator_norm(matrix: np.ndarray) -> float:
-    """Spectral norm."""
-    return float(np.linalg.norm(np.asarray(matrix), 2))
+def operator_norm(matrix) -> float:
+    """Spectral norm of a matrix, or of the direct sum of a list of blocks (0 for none):
+    the largest block norm, in one call on the blocks zero-padded to one shape."""
+    if isinstance(matrix, np.ndarray):
+        return float(np.linalg.norm(matrix, 2))
+    if not matrix:
+        return 0.0
+    shape = np.max([block.shape for block in matrix], axis=0)
+    stack = np.zeros((len(matrix), *shape), np.result_type(*matrix))
+    for layer, block in zip(stack, matrix):
+        layer[: block.shape[0], : block.shape[1]] = block
+    return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2))))
 
 
 def verify_commutes(
@@ -464,10 +499,13 @@ def cartesian_modes(basis: FockBasis) -> dict[str, np.ndarray]:
     raisings their adjoints.  These satisfy the standard two-mode ladder
     algebra on the interior of the grid.
     """
-    b1m, b2m = ladder(basis, 1, "-"), ladder(basis, 2, "-")
-    a1m = (b1m + b2m) / math.sqrt(2)
-    a2m = 1j * (b1m - b2m) / math.sqrt(2)
+    a1m, a2m = _cartesian(ladder(basis, 1, "-"), ladder(basis, 2, "-"))
     return {"a1-": a1m, "a1+": a1m.T, "a2-": a2m, "a2+": a2m.conj().T}
+
+
+def _cartesian(b1m: np.ndarray, b2m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a1-, a2-) from the circular lowerings, on the grid or on one block."""
+    return (b1m + b2m) / math.sqrt(2), 1j * (b1m - b2m) / math.sqrt(2)
 
 
 def su2_generators(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -490,24 +528,29 @@ def unitary_bridge(basis: FockBasis) -> np.ndarray:
     Cartesian ladder into the matching circular ladder times exp(+/- i pi/4).
     All conjugation identities hold on a total-number interior mask.
 
-    U fixes |0) and N = n1 + n2, so U|n1, n2) = (c1+)^n1 (c2+)^n2 |0)/sqrt(n1! n2!) with
-    c_k+ = sum_j u_jk b_j+, u = [[z, z], [z^3, z^-1]]/sqrt2 and z = exp(i pi/4).  Its row
-    (m1, N - m1) is z^(4 n1 + 2 m1 - N) K sqrt(C(N, n1)/(C(N, m1) 2^N)), K the integer x^m1
-    coefficient of (1 - x)^n1 (1 + x)^(N - n1).  Blocks N > cutoff lie partly off the grid;
-    U is the identity there, so it stays exactly unitary on the whole grid.
+    U is :func:`_unitary_block` on each N <= cutoff and the identity on the blocks N > cutoff,
+    partly off the grid, so it stays exactly unitary on the whole grid.
     """
-    side = basis.cutoff + 1
-    plus = [np.array([math.comb(n, k) for k in range(n + 1)], dtype=object) for n in range(side)]
-    minus = [np.array([(-1) ** k * c for k, c in enumerate(p)], dtype=object) for p in plus]
-    u = np.eye(basis.dim, dtype=complex)
-    for total in range(side):
-        m = np.arange(total + 1)
-        kraw = np.array([np.convolve(minus[n], plus[total - n]) for n in m]).T.astype(float)
-        scale = np.sqrt((plus[total] / plus[total][:, None] / 2**total).astype(float))
-        phase = np.exp(1j * np.pi / 4 * ((4 * m + 2 * m[:, None] - total) % 8))
-        idx = _block(basis, total)
-        u[np.ix_(idx, idx)] = kraw * scale * phase
-    return u
+    return _assemble(basis, lambda total: _unitary_block(total) if total <= basis.cutoff
+                     else np.eye(total + 1), 0, complex)
+
+
+def _unitary_block(total: int) -> np.ndarray:
+    """Block N = total of :func:`unitary_bridge`, indexed by n1.  U fixes |0), so
+    U|n1, n2) = (c1+)^n1 (c2+)^n2 |0)/sqrt(n1! n2!) with c_k+ = sum_j u_jk b_j+,
+    u = [[z, z], [z^3, z^-1]]/sqrt2 and z = exp(i pi/4).  Its row (m1, N - m1) is
+    z^(4 n1 + 2 m1 - N) K sqrt(C(N, n1)/(C(N, m1) 2^N)), K the integer x^m1 coefficient of
+    G = (1 - x)^n1 (1 + x)^(N - n1).
+    """
+    m = np.arange(total + 1)
+    # rows: (m+1) K_m+1 = (N - 2 n1) K_m - (N - m + 1) K_m-1, as (1 - x^2) G' = (N - 2 n1 - N x) G
+    k = [np.ones(total + 1, dtype=object), (total - 2 * m).astype(object)]
+    for row in range(1, total):
+        k.append(((total - 2 * m) * k[row] - (total - row + 1) * k[row - 1]) // (row + 1))
+    binom = np.array([math.comb(total, j) for j in m], dtype=object)
+    scale = np.sqrt((binom / binom[:, None] / 2**total).astype(float))
+    phase = np.exp(1j * np.pi / 4 * ((4 * m + 2 * m[:, None] - total) % 8))
+    return np.array(k[: total + 1]).astype(float) * scale * phase
 
 
 def rni_hamiltonian(
@@ -522,12 +565,16 @@ def rni_hamiltonian(
     ValueError.
     """
     l1, l2 = coupling.float_ells()
-    up, n = _raising(basis.cutoff + 1), np.arange(basis.cutoff + 1)
-    total = np.add.outer(n, n).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = (l1 - l2) / 2 * (np.kron(up, up.T) + np.kron(up.T, up))
-        mat = hbar_omega * (mat + np.diag((l1 + l2) / 2 * total + 1))
+        mat = _assemble(basis, lambda total: _rni_block(total, l1, l2, hbar_omega), 0)
     return _finite(mat, "H_rni")
+
+
+def _rni_block(total: int, l1: float, l2: float, hbar_omega: float = 1.0) -> np.ndarray:
+    """Block N = total of :func:`rni_hamiltonian`; b1+ b2- is sqrt(m+1) sqrt(N-m) at [m+1, m]."""
+    hop = (l1 - l2) / 2 * (np.sqrt(np.arange(1.0, total + 1)) * np.sqrt(np.arange(total, 0.0, -1)))
+    level = np.full(total + 1, (l1 + l2) / 2 * total + 1)
+    return hbar_omega * (np.diag(hop, -1) + np.diag(hop, 1) + np.diag(level))
 
 
 # ---------------------------------------------------------------------------
@@ -634,67 +681,81 @@ def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:
     operator as (m (x) 1 + 1 (x) m)/4 from the one-mode pairs, and verifies
     S H_free = -J_- S, S iD = J_0 S, S K = J_+ S with operator-norm
     residuals on columns with both occupation numbers <= cutoff - margin.
+    S1 and the generators keep each n's parity, so only each parity class's block is formed.
     """
-    s1 = one_mode_bridge(cutoff)
-    s = np.kron(s1, s1)
-    up, eye = _raising(cutoff + 1), np.eye(cutoff + 1)
-    keep = InteriorMask(FockBasis(cutoff), margin1=margin, margin2=margin).indices()
-    grid = np.ix_(keep, keep)
-    rows = []
-    for (name, _, identity), pair in zip(_BRIDGE_ROWS, _conformal_pairs(up, up.T)):
-        x, y = ((np.kron(m, eye) + np.kron(eye, m)) / 4 for m in pair)
-        sx = s @ x
-        resid = operator_norm((sx - y @ s)[grid]) / max(operator_norm(sx[grid]), 1.0)
-        rows.append(CheckRow.within(f"bridge-two-mode-{name}", identity, resid, 1e-10))
-    return rows
+    InteriorMask(FockBasis(cutoff), margin1=margin, margin2=margin)  # ValueError on bad sizes
+    s1, side = one_mode_bridge(cutoff), cutoff + 1
+    up, eye = _raising(side), np.eye(side)
+
+    def part(one, other, rows, cols):  # the (rows, cols) part of one (x) other
+        return np.kron(one[np.ix_(rows[0], cols[0])], other[np.ix_(rows[1], cols[1])])
+
+    def two_mode(one, rows, cols):  # the (rows, cols) part of (one (x) 1 + 1 (x) one)/4
+        return (part(one, eye, rows, cols) + part(eye, one, rows, cols)) / 4
+
+    # per parity class (n1, n2 mod 2): all its levels (summed over), then the kept ones
+    classes = [[(np.arange(p1, end, 2), np.arange(p2, end, 2)) for end in (side, side - margin)]
+               for p1 in (0, 1) for p2 in (0, 1)]
+    checks = []
+    for (name, _, identity), (x, y) in zip(_BRIDGE_ROWS, _conformal_pairs(up, up.T)):
+        sx, diff = [], []
+        for every, kept in classes:
+            sx.append(part(s1, s1, kept, every) @ two_mode(x, every, kept))
+            diff.append(sx[-1] - two_mode(y, kept, every) @ part(s1, s1, every, kept))
+        resid = operator_norm(diff) / max(operator_norm(sx), 1.0)
+        checks.append(CheckRow.within(f"bridge-two-mode-{name}", identity, resid, 1e-10))
+    return checks
 
 
 def suite_fock(config) -> VerificationReport:
     """Hidden integrals, degeneracy orbits, and the Cartesian/circular unitary.
 
-    Reads ``config.truncation`` and ``config.tol_fock``.
+    Reads ``config.truncation`` and ``config.tol_fock``.  Every check is evaluated on the
+    blocks of N = n1 + n2; no grid-sized matrix is formed.
     """
     report = VerificationReport(suite="fock")
     basis = FockBasis(config.truncation)
     for gtext, kind, s1, s2 in (("1/3", "L", 1, 2), ("3", "J", 1, 2)):
         coupling = Coupling(Fraction(gtext))
         a, b, _ = _integer_weights(coupling.ell1, coupling.ell2)
-        h = np.diag(hamiltonian(basis, coupling))
-        op = hidden_operator(basis, coupling, kind, s1, s2, "+")
         mask = InteriorMask(basis, margin1=s1, margin2=s2)
-        # [H_g, X]_ij = (h_i - h_j) X_ij.  X has at most one nonzero per row and per
-        # column, so the spectral norm of its column restriction is its largest |entry|.
-        idx = mask.indices()
-        comm = (h[:, None] - h[idx]) * op[:, idx]
+        orbits = hidden_orbit_partition(basis, coupling, kind, s1, s2, mask)  # checks resonance
+        h = _levels(basis, coupling)
+        rows, cols, values = _hidden_entries(basis, kind, s1, s2)
+        # [H_g, X] has the entries (h_row - h_col) x of X.  X has at most one per row and per
+        # column, so the spectral norm of its interior columns is their largest |entry|.
+        comm = ((h[rows] - h[cols]) * values)[np.isin(cols, mask.indices())]
         report.add(CheckRow.within(f"hidden-commutes:g={gtext}", f"[H_g, {kind}+_{s1}{s2}] = 0",
-                                   float(np.max(np.abs(comm))), config.tol_fock))
+                                   float(np.max(np.abs(comm), initial=0.0)), config.tol_fock))
         report.add(_orbit_row(
             f"g={gtext}", f"{kind}+_{s1}{s2} orbits = exact energy classes on the interior",
-            hidden_orbit_partition(basis, coupling, kind, s1, s2, mask),
-            level_sets(mask.states(), lambda n1, n2: a * n1 + b * n2)))
+            orbits, level_sets(mask.states(), lambda n1, n2: a * n1 + b * n2)))
 
-    u = unitary_bridge(basis)
+    # Columns N <= cutoff - 2 (the total-number interior); rows reach N = cutoff - 1.
+    top = basis.cutoff - 2
+    u = [_unitary_block(total) for total in range(top + 2)]
+    low = [None] + [(_lowering(total, 1), _lowering(total, 2)) for total in range(1, top + 2)]
+    cart = [None] + [_cartesian(*pair) for pair in low[1:]]
 
-    def conj_resid(matrix, target, shift):
-        # ||(U M U+ - T)[:, N <= cutoff - 2]||_2 for M, T taking block N to N + shift.  U keeps
-        # each block, so the restriction is a direct sum of blocks; its norm is their largest.
-        worst = 0.0
-        for total in range(max(0, -shift), basis.cutoff - 1):
-            col, row = _block(basis, total), _block(basis, total + shift)
-            conj = u[np.ix_(row, row)] @ matrix[np.ix_(row, col)] @ u[np.ix_(col, col)].conj().T
-            worst = max(worst, operator_norm(conj - target[np.ix_(row, col)]))
-        return worst
+    def conj_resid(pairs, shift):
+        # ||(U M U+ - T)[:, N <= cutoff - 2]||_2, a direct sum of the (M, T) blocks N -> N + shift
+        return operator_norm([u[n + shift] @ m @ u[n].conj().T - t
+                              for n, (m, t) in enumerate(pairs, start=max(0, -shift))])
 
-    cart = cartesian_modes(basis)
     for mode, direction in ((1, "-"), (2, "-"), (1, "+"), (2, "+")):
-        name, shift = f"a{mode}{direction}", 1 if direction == "+" else -1
-        target = complex(np.exp(1j * math.pi / 4 * shift)) * ladder(basis, mode, direction)
+        name, shift, k = f"a{mode}{direction}", 1 if direction == "+" else -1, mode - 1
+        phase = complex(np.exp(1j * math.pi / 4 * shift))
+        if direction == "-":
+            pairs = [(cart[n][k], phase * low[n][k]) for n in range(1, top + 1)]
+        else:  # the adjoints of the lowering blocks N + 1 -> N
+            pairs = [(cart[n][k].conj().T, phase * low[n][k].T) for n in range(1, top + 2)]
         report.add(CheckRow.within(
             f"unitary-mode:{name}", f"U {name} U+ = e^{{{direction}i pi/4}} b{mode}{direction}",
-            conj_resid(cart[name], target, shift), 1e-10))
+            conj_resid(pairs, shift), 1e-10))
     for gtext in ("0", "1/3", "1/2", "3"):
         coupling = Coupling(Fraction(gtext))
+        ells, h = coupling.float_ells(), _levels(basis, coupling)
+        pairs = [(_rni_block(n, *ells), np.diag(h[_block(basis, n)[1]])) for n in range(top + 1)]
         report.add(CheckRow.within(
-            f"unitary-hamiltonian:g={gtext}", "U H_rni U+ = H_g",
-            conj_resid(rni_hamiltonian(basis, coupling), hamiltonian(basis, coupling), 0), 1e-10))
+            f"unitary-hamiltonian:g={gtext}", "U H_rni U+ = H_g", conj_resid(pairs, 0), 1e-10))
     return report

@@ -208,6 +208,41 @@ class TestEigenstates:
         out = br.apply_ladder(br.ground_state(), 1, "-")
         assert out.prefactor.max_abs() < 1e-15
 
+    @pytest.mark.parametrize("n1, n2", [(0, 0), (3, 0), (0, 4), (6, 5), (25, 15)])
+    def test_chain_matches_ladder_products(self, n1, n2):
+        # (b2+)^n2 then (b1+)^n1 on the ground state, one normalized step at a time
+        state = br.ground_state()
+        for k in range(1, n2 + 1):
+            state = br.apply_ladder(state, 2, "+").scale(1.0 / math.sqrt(k))
+        for k in range(1, n1 + 1):
+            state = br.apply_ladder(state, 1, "+").scale(1.0 / math.sqrt(k))
+        psi = br.eigenstate(n1, n2)
+        assert psi.prefactor.terms == state.prefactor.terms
+        assert br.eigenstate(n1, n2) is psi
+
+    def test_chain_climbs_from_the_nearest_cached_state(self, monkeypatch):
+        units = br.Units(m=1.0, omega=1.0, hbar=0.37)  # no state of these units is cached yet
+        br.eigenstate(5, 3, units)
+        steps, ladder = [], br.apply_ladder
+        monkeypatch.setattr(br, "apply_ladder",
+                            lambda state, mode, direction: steps.append((mode, direction))
+                            or ladder(state, mode, direction))
+        psi = br.eigenstate(7, 3, units)
+        assert steps == [(1, "+"), (1, "+")]
+        assert br.eigenstate(7, 3, units) is psi and len(steps) == 2
+
+    def test_last_state_before_underflow_is_built(self):
+        # the single coefficient of (300, 0) is still a normal float, 3.2e-308
+        psi = br.eigenstate(300, 0)
+        assert list(psi.prefactor.terms) == [(300, 0)]
+
+    @pytest.mark.parametrize("n1, n2", [(400, 0), (0, 400), (1000, 0), (200, 200)])
+    def test_underflowing_prefactor_raises(self, n1, n2):
+        # past n1 + n2 ~ 300 the prefactor underflowed to the empty polynomial, a zero
+        # state; at 1000 the recursive ladder chain ended in RecursionError
+        with pytest.raises(ValueError, match="leaves the float range"):
+            br.eigenstate(n1, n2)
+
 
 class TestOrthonormality:
     def test_frozen_cases(self):
@@ -249,6 +284,14 @@ class TestOrthonormality:
     def test_insufficient_order_flagged(self):
         with pytest.raises(ValueError):
             br.orthonormality(6, 6, 6, 6, order=10)
+
+    def test_quadrature_past_the_float_range_raises(self):
+        # the order-251 sum for |psi_250,0|^2 overflowed and returned nan with numpy warnings
+        psi = br.eigenstate(250, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float range"):
+                br.inner_product(psi, psi, order=251)
 
     def test_combined_envelope_guard(self):
         grow = br.WaveState(br.ZPolynomial.monomial(0, 0, 1.0), exp_zzbar=+0.5)

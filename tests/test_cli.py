@@ -445,6 +445,31 @@ class TestEigenstate:
     def test_negative_index_exits_2(self, tmp_path):
         assert run(tmp_path, "eigenstate", "--n1", "-1", "--n2", "0") == 2
 
+    def test_quadrature_order_follows_the_degree(self, tmp_path):
+        # a fixed order 40 integrates degree <= 79 only, so n1 + n2 = 40 used to exit 2
+        assert run(tmp_path, "eigenstate", "--n1", "25", "--n2", "15", "--points", "5",
+                   "--out", "eig") == 0
+        assert read_meta(tmp_path, "eig")["norm_quadrature"] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("n1, n2", [("30", "30"), ("45", "45")])
+    def test_norm_off_by_more_than_tol_quad_exits_2(self, tmp_path, capsys, n1, n2):
+        # the prefactor cancels at the outer quadrature nodes: the norm reads 1.00097 at
+        # (30, 30) and 3.9e9 at (45, 45), so neither the norm nor the samples are trustworthy
+        assert run(tmp_path, "eigenstate", "--n1", n1, "--n2", n2, "--points", "5") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "tol_quad" in err[0]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("n1", ["250", "400", "1000"])
+    def test_states_past_the_float_range_exit_2(self, tmp_path, capsys, n1):
+        # 400 wrote a zero state with norm 0.0, 1000 ended in a RecursionError traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "eigenstate", "--n1", n1, "--n2", "0", "--points", "5") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "float range" in err[0]
+        assert not list(tmp_path.iterdir())
+
 
 class TestCoherent:
     def test_gamma_pi_flips_labels(self, tmp_path):

@@ -864,36 +864,190 @@ class TestSuiteFockAgainstDenseProducts:
 
     @pytest.mark.parametrize("cutoff", [6, 12])
     def test_perturbed_unitary_block_residuals(self, monkeypatch, cutoff):
-        # one entry of the full block N = 2 scaled by 1 + 1e-6 moves every unitary-* row
-        exact = fe.unitary_bridge
+        # entry (row (1, 1), column (0, 2)) of the full block N = 2 scaled by 1 + 1e-6 moves
+        # every unitary-* row; the dense U assembled from the same blocks carries it too
+        exact = fe._unitary_block
         b = fe.FockBasis(cutoff)
 
-        def perturbed(basis):
-            u = exact(basis)
-            u[basis.index(1, 1), basis.index(0, 2)] *= 1 + 1e-6
+        def perturbed(total):
+            u = exact(total)
+            if total == 2:
+                u[1, 0] *= 1 + 1e-6
             return u
 
-        monkeypatch.setattr(fe, "unitary_bridge", perturbed)
+        monkeypatch.setattr(fe, "_unitary_block", perturbed)
         rows = self.suite(cutoff)
-        for check_id, want in _dense_unitary_rows(b, perturbed(b)).items():
+        u = fe.unitary_bridge(b)
+        assert u[b.index(1, 1), b.index(0, 2)] == exact(2)[1, 0] * (1 + 1e-6)
+        for check_id, want in _dense_unitary_rows(b, u).items():
             assert want > 1e-8, check_id
             assert rows[check_id].residual == pytest.approx(want, rel=1e-9), check_id
 
     def test_non_commuting_ladder_matches_dense_commutator(self, monkeypatch):
         # the other kind's ladder joins states of different energy, so the elementwise
         # commutator of the suite must equal the dense one, and be far from zero
-        def swapped(basis, coupling, kind, s1, s2, sign="+"):
-            other = "J" if kind == "L" else "L"
-            return fe._hidden_ladder_matrix(basis, other, s1, s2, sign)
+        exact = fe._hidden_entries
 
-        monkeypatch.setattr(fe, "hidden_operator", swapped)
+        def swapped(basis, kind, s1, s2):
+            return exact(basis, "J" if kind == "L" else "L", s1, s2)
+
+        monkeypatch.setattr(fe, "_hidden_entries", swapped)
         b = fe.FockBasis(8)
         rows = self.suite(8)
         for gtext, kind in (("1/3", "L"), ("3", "J")):
             c = Coupling(F(gtext))
-            dense = fe.verify_commutes(fe.hamiltonian(b, c), swapped(b, c, kind, 1, 2),
+            other = "J" if kind == "L" else "L"
+            ladder = _state_by_state_hidden_ladder(b, other, 1, 2)
+            dense = fe.verify_commutes(fe.hamiltonian(b, c), ladder,
                                        fe.InteriorMask(b, margin1=1, margin2=2))
             got = rows[f"hidden-commutes:g={gtext}"]
             assert dense.residual > 1
             assert got.residual == pytest.approx(dense.residual, rel=1e-12)
             assert not got.passed
+
+    @pytest.mark.parametrize("cutoff", [4, 9])
+    def test_calls_no_dense_builder(self, monkeypatch, cutoff):
+        # the suite reads the private block forms only; every dense builder is off limits
+        def forbidden(*args, **kwargs):
+            raise AssertionError("suite_fock called a dense grid builder")
+
+        want = self.suite(cutoff)
+        for name in ("ladder", "hamiltonian", "rni_hamiltonian", "cartesian_modes",
+                     "su2_generators", "unitary_bridge", "hidden_operator",
+                     "_hidden_ladder_matrix", "_assemble", "number_operator", "angular_momentum"):
+            monkeypatch.setattr(fe, name, forbidden)
+        got = self.suite(cutoff)
+        assert [(r.check_id, r.passed, r.residual) for r in got.values()] == [
+            (r.check_id, r.passed, r.residual) for r in want.values()]
+
+
+def _state_by_state_hidden_ladder(basis, kind, s1, s2):
+    """Reference '+' hidden ladder filled one grid state at a time from hidden_coefficient."""
+    d1, d2 = hidden_shift(kind, s1, s2)
+    mat = np.zeros((basis.dim, basis.dim))
+    for n1, n2 in basis.states():
+        if 0 <= n1 + d1 <= basis.cutoff and 0 <= n2 + d2 <= basis.cutoff:
+            mat[basis.index(n1 + d1, n2 + d2), basis.index(n1, n2)] = fe.hidden_coefficient(
+                kind, s1, s2, n1, n2)
+    return mat
+
+
+def _dense_bridge_residuals(s1, margin):
+    """Reference: each bridge-two-mode-* residual from the dense S = S1 (x) S1 on the whole grid."""
+    cutoff = len(s1) - 1
+    s = np.kron(s1, s1)
+    up, eye = fe._raising(cutoff + 1), np.eye(cutoff + 1)
+    keep = fe.InteriorMask(fe.FockBasis(cutoff), margin1=margin, margin2=margin).indices()
+    grid = np.ix_(keep, keep)
+    out = []
+    for pair in fe._conformal_pairs(up, up.T):
+        x, y = ((np.kron(m, eye) + np.kron(eye, m)) / 4 for m in pair)
+        sx = s @ x
+        out.append(fe.operator_norm((sx - y @ s)[grid]) / max(fe.operator_norm(sx[grid]), 1.0))
+    return out
+
+
+class TestQuantumBridgeAgainstDenseProducts:
+    @pytest.mark.parametrize("cutoff,margin,entry", [
+        (10, 3, (2, 0)), (10, 3, (3, 5)), (10, 3, (6, 6)), (16, 3, (9, 13)), (9, 0, (8, 8))])
+    def test_perturbed_bridge_entry_matches_dense_residual(self, monkeypatch, cutoff, margin,
+                                                           entry):
+        # a parity-preserving entry of S1 scaled by 1 + 1e-6 keeps the parity blocks valid;
+        # the rows must then read the dense grid residual, far above rounding
+        exact = fe.one_mode_bridge
+
+        def perturbed(size):
+            s1 = exact(size)
+            s1[entry] *= 1 + 1e-6
+            return s1
+
+        monkeypatch.setattr(fe, "one_mode_bridge", perturbed)
+        rows = fe.verify_quantum_bridge(cutoff, margin)
+        wants = _dense_bridge_residuals(perturbed(cutoff), margin)
+        assert [row.check_id for row in rows] == [
+            "bridge-two-mode-H", "bridge-two-mode-iD", "bridge-two-mode-K"]
+        for row, want in zip(rows, wants):
+            assert want > 1e-10, row.check_id
+            assert row.residual == pytest.approx(want, rel=1e-9), row.check_id
+            assert not row.passed, row.check_id
+
+    @pytest.mark.parametrize("cutoff,margin", [(5, 6), (5, -1), (0, 0)])
+    def test_bad_sizes_raise(self, cutoff, margin):
+        with pytest.raises(ValueError):
+            fe.verify_quantum_bridge(cutoff, margin)
+
+
+def _kron_ladder(basis, mode, direction):
+    """Reference: the one-mode ladder kron the identity."""
+    side = basis.cutoff + 1
+    up = fe._raising(side)
+    one, eye = (up if direction == "+" else up.T), np.eye(side)
+    return np.kron(one, eye) if mode == 1 else np.kron(eye, one)
+
+
+def _kron_cartesian_modes(basis):
+    b1m, b2m = _kron_ladder(basis, 1, "-"), _kron_ladder(basis, 2, "-")
+    a1m, a2m = (b1m + b2m) / math.sqrt(2), 1j * (b1m - b2m) / math.sqrt(2)
+    return {"a1-": a1m, "a1+": a1m.T, "a2-": a2m, "a2+": a2m.conj().T}
+
+
+def _kron_rni_hamiltonian(basis, coupling, hbar_omega=1.0):
+    """Reference: the hopping b1+ b2- + b2+ b1- as krons of one-mode ladders."""
+    l1, l2 = coupling.float_ells()
+    up, n = fe._raising(basis.cutoff + 1), np.arange(basis.cutoff + 1)
+    total = np.add.outer(n, n).ravel()
+    mat = (l1 - l2) / 2 * (np.kron(up, up.T) + np.kron(up.T, up))
+    return hbar_omega * (mat + np.diag((l1 + l2) / 2 * total + 1))
+
+
+def _diag_hamiltonian(basis, coupling, hbar_omega=1.0):
+    """Reference: np.diag of the exact levels (a n1 + b n2 + d)/d, one grid state at a time."""
+    a, b, d = fe._integer_weights(coupling.ell1, coupling.ell2)
+    return np.diag([hbar_omega * ((a * n1 + b * n2 + d) / d) for n1, n2 in basis.states()])
+
+
+_COUPLINGS = (Coupling(0), Coupling(F(1, 3)), Coupling(3), Coupling(F(-1, 2)),
+              Coupling(1, isotropic_mink=True))
+
+# _BUILDERS name -> [(block assembly, kron / np.diag reference)]
+_KRON_ORACLES = {
+    "ladder": [(lambda b, m=m, d=d: fe.ladder(b, m, d), lambda b, m=m, d=d: _kron_ladder(b, m, d))
+               for m in (1, 2) for d in ("+", "-")],
+    "hamiltonian": [(lambda b, c=c, w=w: fe.hamiltonian(b, c, w),
+                     lambda b, c=c, w=w: _diag_hamiltonian(b, c, w))
+                    for c in _COUPLINGS for w in (1.0, 2.5)],
+    "rni_hamiltonian": [(lambda b, c=c, w=w: fe.rni_hamiltonian(b, c, w),
+                         lambda b, c=c, w=w: _kron_rni_hamiltonian(b, c, w))
+                        for c in _COUPLINGS for w in (1.0, 2.5)],
+    **{f"cartesian_modes:{name}": [(lambda b, name=name: fe.cartesian_modes(b)[name],
+                                    lambda b, name=name: _kron_cartesian_modes(b)[name])]
+       for name in ("a1-", "a1+", "a2-", "a2+")},
+}
+
+
+@pytest.mark.parametrize("cutoff", [1, 4, 7, 12])
+@pytest.mark.parametrize("name", sorted(_KRON_ORACLES))
+def test_block_assemblies_equal_kron_forms(name, cutoff):
+    b = fe.FockBasis(cutoff)
+    for build, reference in _KRON_ORACLES[name]:
+        got, want = build(b), reference(b)
+        assert got.dtype == want.dtype == _BUILDERS[name][1]
+        assert np.array_equal(got, want)
+
+
+class TestOperatorNormOfBlocks:
+    def test_direct_sum_equals_dense_block_diagonal(self):
+        import scipy.linalg
+
+        rng = np.random.default_rng(7)
+        blocks = [rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                  for shape in ((3, 4), (1, 1), (5, 2), (4, 4), (2, 6))]
+        dense = scipy.linalg.block_diag(*blocks)
+        assert fe.operator_norm(blocks) == pytest.approx(fe.operator_norm(dense), rel=1e-13)
+        assert fe.operator_norm(blocks) == pytest.approx(
+            max(fe.operator_norm(block) for block in blocks), rel=1e-13)
+
+    def test_real_blocks_and_empty_sum(self):
+        blocks = [np.diag([3.0, -1.0]), np.array([[0.5]]), np.zeros((0, 3))]
+        assert fe.operator_norm(blocks) == pytest.approx(3.0, rel=1e-15)
+        assert fe.operator_norm([]) == 0.0
