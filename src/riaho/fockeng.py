@@ -27,6 +27,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .phasealg.catalog import hidden_shift, is_true_integral
+from .phasealg.poly import krawtchouk_rows
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -540,17 +541,13 @@ def _unitary_block(total: int) -> np.ndarray:
     U|n1, n2) = (c1+)^n1 (c2+)^n2 |0)/sqrt(n1! n2!) with c_k+ = sum_j u_jk b_j+,
     u = [[z, z], [z^3, z^-1]]/sqrt2 and z = exp(i pi/4).  Its row (m1, N - m1) is
     z^(4 n1 + 2 m1 - N) K sqrt(C(N, n1)/(C(N, m1) 2^N)), K the integer x^m1 coefficient of
-    G = (1 - x)^n1 (1 + x)^(N - n1).
+    G = (1 - x)^n1 (1 + x)^(N - n1), which is row n1 of :func:`krawtchouk_rows`.
     """
     m = np.arange(total + 1)
-    # rows: (m+1) K_m+1 = (N - 2 n1) K_m - (N - m + 1) K_m-1, as (1 - x^2) G' = (N - 2 n1 - N x) G
-    k = [np.ones(total + 1, dtype=object), (total - 2 * m).astype(object)]
-    for row in range(1, total):
-        k.append(((total - 2 * m) * k[row] - (total - row + 1) * k[row - 1]) // (row + 1))
     binom = np.array([math.comb(total, j) for j in m], dtype=object)
     scale = np.sqrt((binom / binom[:, None] / 2**total).astype(float))
     phase = np.exp(1j * np.pi / 4 * ((4 * m + 2 * m[:, None] - total) % 8))
-    return np.array(k[: total + 1]).astype(float) * scale * phase
+    return np.array(krawtchouk_rows(total), dtype=object).T.astype(float) * scale * phase
 
 
 def rni_hamiltonian(

@@ -203,7 +203,10 @@ class ExactComplex:
 
     def __mul__(self, other):
         if not isinstance(other, ExactComplex):
-            if not isinstance(other, (int, Fraction)):
+            if isinstance(other, int):  # scale the numerators, skip the convolution
+                return _make(self._c0 * other, self._c1 * other, self._c2 * other,
+                             self._c3 * other, self._d)
+            if not isinstance(other, Fraction):
                 return NotImplemented
             other = _from_rational(other)
         a0, a1, a2, a3 = self._c0, self._c1, self._c2, self._c3

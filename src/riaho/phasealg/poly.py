@@ -21,11 +21,20 @@ Brackets are generated by {x_i, p_j} = delta_ij, equivalently
 conversion uses d = sqrt(m*omega)/2 and is exact for unit systems in which
 m*omega is a rational square or twice one (the default m = omega = 1 in
 particular).
+
+The conversion is four pair transforms.  With q = 1/(4d), w = x1 + i x2 and
+pi = p1 + i p2: w = 2q (b1+ + b2-), pi = 2id (b1+ - b2-), wbar = 2q (b1- + b2+)
+and pibar = 2id (b2+ - b1-), so canonical -> circular maps (x1, x2) -> (w, wbar),
+(p1, p2) -> (pi, pibar), (w, pi) -> (b1+, b2-), (wbar, pibar) -> (b2+, b1-), and
+the inverse maps (b1+, b2-) -> (d w, iq pi), (b1-, b2+) -> (d wbar, iq pibar),
+then those to (x1, x2) and (p1, p2).  Each step expands (s + t)^a (s - t)^b
+with the integer rows of :func:`krawtchouk_rows`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .exact import ExactComplex, ring_sqrt
 
@@ -33,6 +42,7 @@ __all__ = [
     "CANONICAL", "CIRCULAR", "CANONICAL_VARS", "CIRCULAR_VARS",
     "Params", "PhasePoly", "CartanForm",
     "poisson_bracket", "total_time_derivative", "reduce_to_cartan",
+    "krawtchouk_rows",
 ]
 
 CANONICAL = "canonical"
@@ -45,14 +55,50 @@ _VARS = {CANONICAL: CANONICAL_VARS, CIRCULAR: CIRCULAR_VARS}
 
 _ZERO = Fraction(0)
 _I = ExactComplex.I
+_HALF = Fraction(1, 2)
+
+
+def _is_exact(value) -> bool:
+    return type(value) is int or isinstance(value, Fraction)  # no bool, no float
+
+
+def _checked_key(key) -> tuple:
+    """(e1, e2, e3, e4, mu) from a 4- or 5-entry key: int exponents >= 0 and
+    an int or Fraction mu (0 when left out); anything else raises ValueError."""
+    if len(key) not in (4, 5):
+        raise ValueError(f"a term key is (e1, e2, e3, e4[, mu]), got {key!r}")
+    mu = key[4] if len(key) == 5 else _ZERO
+    if not all(type(v) is int and v >= 0 for v in key[:4]) or not _is_exact(mu):
+        raise ValueError(f"a term key needs int exponents >= 0 and an exact mu, got {key!r}")
+    return (*key[:4], Fraction(mu))
+
+
+def _drop_zeros(terms: dict) -> dict:
+    for key in [key for key, c in terms.items() if not c]:
+        del terms[key]
+    return terms
+
+
+def _make(basis: str, terms: dict, params: "Params") -> "PhasePoly":
+    """A ring operation's result; it owns `terms`, whose keys are already checked."""
+    out = object.__new__(PhasePoly)
+    out.basis, out.params, out.terms = basis, params, _drop_zeros(terms)
+    return out
 
 
 @dataclass(frozen=True)
 class Params:
-    """Exact unit parameters (mass, frequency)."""
+    """Exact unit parameters (mass, frequency): positive ints or Fractions, else ValueError."""
 
     m: Fraction = Fraction(1)
     omega: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        for name in ("m", "omega"):
+            value = getattr(self, name)
+            if not _is_exact(value) or value.numerator <= 0:
+                raise ValueError(f"{name} must be a positive int or Fraction, got {value!r}")
+            object.__setattr__(self, name, Fraction(value))
 
     @classmethod
     def coerce(cls, value) -> "Params":
@@ -61,7 +107,7 @@ class Params:
         if isinstance(value, Params):
             return value
         m, omega = value
-        return cls(Fraction(m), Fraction(omega))
+        return cls(m, omega)
 
     def conversion_factor(self) -> ExactComplex:
         """d = sqrt(m*omega)/2 as a ring element.
@@ -79,7 +125,11 @@ class Params:
 
 
 class PhasePoly:
-    """Polynomial over Q(i)[sqrt2] with per-term exact time frequency."""
+    """Polynomial over Q(i)[sqrt2] with per-term exact time frequency.
+
+    `terms` maps (e1, e2, e3, e4[, mu]) to coefficients: int exponents >= 0 in
+    the basis's variable order and an int or Fraction mu; other keys raise ValueError.
+    """
 
     __slots__ = ("basis", "params", "terms")
 
@@ -90,16 +140,10 @@ class PhasePoly:
         self.params = Params.coerce(params)
         clean = {}
         for key, coeff in (terms or {}).items():
+            key = _checked_key(key)
             coeff = ExactComplex.coerce(coeff)
-            if coeff.is_zero():
-                continue
-            e = tuple(int(v) for v in key[:4])
-            mu = key[4] if len(key) > 4 else _ZERO
-            if not isinstance(mu, Fraction):
-                mu = Fraction(mu)
-            if any(v < 0 for v in e):
-                raise ValueError("negative exponent")
-            clean[(*e, mu)] = coeff
+            if not coeff.is_zero():
+                clean[key] = coeff
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
@@ -120,7 +164,7 @@ class PhasePoly:
             raise ValueError(f"{name!r} is not a {basis} variable")
         e = [0, 0, 0, 0]
         e[names.index(name)] = 1
-        return cls(basis, {(*e, Fraction(mu)): ExactComplex.ONE}, params)
+        return cls(basis, {(*e, mu): ExactComplex.ONE}, params)
 
     # -- inspection -------------------------------------------------------
     def is_zero(self) -> bool:
@@ -147,7 +191,7 @@ class PhasePoly:
         for key, coeff in self.terms.items():
             k0 = (*key[:4], _ZERO)
             out[k0] = out.get(k0, ExactComplex.ZERO) + coeff
-        return PhasePoly(self.basis, out, self.params)
+        return _make(self.basis, out, self.params)
 
     # -- ring operations ---------------------------------------------------
     def _compat(self, other: "PhasePoly"):
@@ -163,13 +207,12 @@ class PhasePoly:
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, ExactComplex.ZERO) + coeff
-        return PhasePoly(self.basis, out, self.params)
+        return _make(self.basis, out, self.params)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PhasePoly(self.basis,
-                         {k: -c for k, c in self.terms.items()}, self.params)
+        return _make(self.basis, {k: -c for k, c in self.terms.items()}, self.params)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, ExactComplex)):
@@ -182,9 +225,8 @@ class PhasePoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactComplex)):
             c = ExactComplex.coerce(other)
-            return PhasePoly(self.basis,
-                             {k: v * c for k, v in self.terms.items()},
-                             self.params)
+            return _make(self.basis, {k: v * c for k, v in self.terms.items()},
+                         self.params)
         self._compat(other)
         out = {}
         for k1, c1 in self.terms.items():
@@ -196,7 +238,7 @@ class PhasePoly:
                     out[key] = out[key] + prod
                 else:
                     out[key] = prod
-        return PhasePoly(self.basis, out, self.params)
+        return _make(self.basis, out, self.params)
 
     __rmul__ = __mul__
 
@@ -221,7 +263,7 @@ class PhasePoly:
                 e = (e[1], e[0], e[3], e[2])
             k = (*e, -key[4])
             out[k] = out.get(k, ExactComplex.ZERO) + coeff.conjugate()
-        return PhasePoly(self.basis, out, self.params)
+        return _make(self.basis, out, self.params)
 
     def diff(self, name: str) -> "PhasePoly":
         """Formal partial derivative with respect to one variable."""
@@ -236,35 +278,43 @@ class PhasePoly:
             k = (*e, key[4])
             add = coeff * n
             out[k] = out.get(k, ExactComplex.ZERO) + add
-        return PhasePoly(self.basis, out, self.params)
+        return _make(self.basis, out, self.params)
 
     # -- basis conversion ---------------------------------------------------
     def to_basis(self, basis: str) -> "PhasePoly":
+        """The same polynomial in the other variable set, by four pair steps.
+
+        Canonical -> circular: x1 = (w + wbar)/2, x2 = -i/2 (w - wbar), the same
+        for (p1, p2) -> (pi, pibar); then w = 2q (b1+ + b2-), pi = 2id (b1+ - b2-),
+        wbar = 2q (b2+ + b1-), pibar = 2id (b2+ - b1-), with q = 1/(4d).
+        Circular -> canonical, with S = d w and T = iq pi: b2- = S + T, b1+ = S - T,
+        b1- = Sbar + Tbar, b2+ = Sbar - Tbar; then S, Sbar = d (x1 +- i x2) and
+        T, Tbar = iq (p1 +- i p2).  Units outside the ring raise ValueError.
+        """
         if basis == self.basis:
             return self
-        # substitute on exponent-only keys: the degree-1 images carry no time
-        # tag, so each source term's mu is attached once, to its whole image
-        pows = [[image] for image in
-                _conversion_images(self.basis, basis, self.params)]
-        by_mu: dict = {}  # mu -> {exponents: coefficient}
+        if basis not in _VARS:
+            raise ValueError(f"unknown basis {basis!r}")
+        d = self.params.conversion_factor()
+        # _pair_step arguments (i, j, s_slot, t_slot, alpha, beta, phase)
+        if basis == CIRCULAR:  # x1 x2 p1 p2 -> w wbar pibar pi -> b1+ b1- b2+ b2-
+            half, neg_half_i = ExactComplex.coerce(_HALF), -_I * _HALF
+            q2, id2 = d.inverse() * _HALF, _I * d * 2
+            steps = ((0, 1, 0, 1, half, neg_half_i, False), (2, 3, 3, 2, half, neg_half_i, False),
+                     (0, 3, 0, 3, q2, id2, False), (1, 2, 2, 1, q2, id2, False))
+        else:  # b1+ b1- b2+ b2- -> S Sbar Tbar T -> x1 x2 p1 p2
+            one, iq = ExactComplex.ONE, _I * d.inverse() * Fraction(1, 4)
+            steps = ((3, 0, 0, 3, one, one, False), (1, 2, 1, 2, one, one, False),
+                     (0, 1, 0, 1, d, d, True), (3, 2, 2, 3, iq, iq, True))
+        by_mu: dict = {}  # the steps run on exponent-only keys, one time tag at a time
         for key, coeff in self.terms.items():
-            term = _UNIT
-            for i in range(4):
-                n = key[i]
-                if n:
-                    lst = pows[i]
-                    while len(lst) < n:
-                        lst.append(_product(lst[-1], lst[0]))
-                    term = lst[n - 1] if term is _UNIT else _product(term, lst[n - 1])
-            acc = by_mu.setdefault(key[4], {})
-            for e, c in term.items():
-                prod = coeff * c
-                if e in acc:
-                    acc[e] = acc[e] + prod
-                else:
-                    acc[e] = prod
-        return PhasePoly(basis, {(*e, mu): c for mu, acc in by_mu.items()
-                                 for e, c in acc.items()}, self.params)
+            by_mu.setdefault(key[4], {})[key[:4]] = coeff
+        out = {}
+        for mu, terms in by_mu.items():
+            for step in steps:
+                terms = _pair_step(terms, *step)
+            out.update({(*e, mu): c for e, c in terms.items()})
+        return _make(basis, out, self.params)
 
     # -- numerics ------------------------------------------------------------
     def evaluate(self, point: dict, t: float = 0.0) -> complex:
@@ -310,59 +360,46 @@ class PhasePoly:
     __repr__ = __str__
 
 
-_UNIT = {(0, 0, 0, 0): ExactComplex.ONE}
+@cache
+def krawtchouk_rows(n: int) -> tuple:
+    """Integer kernel of degree n: row r holds the coefficients of x^0 .. x^n in
+    G = (1 - x)^r (1 + x)^(n - r), i.e. of s^(n-m) t^m in (s + t)^(n-r) (s - t)^r,
+    from (m+1) K_m+1 = (n - 2r) K_m - (n - m + 1) K_m-1, as (1 - x^2) G' = (n - 2r - n x) G.
+    """
+    cols = [[1] * (n + 1), [n - 2 * r for r in range(n + 1)]]
+    for m in range(1, n):
+        cols.append([((n - 2 * r) * k1 - (n - m + 1) * k0) // (m + 1)
+                     for r, k0, k1 in zip(range(n + 1), cols[m - 1], cols[m])])
+    return tuple(zip(*cols[: n + 1]))
 
 
-def _product(a: dict, b: dict) -> dict:
-    """Product of two polynomials given as {exponent 4-tuple: coefficient}."""
+def _pair_step(terms: dict, i: int, j: int, s_slot: int, t_slot: int,
+               alpha: ExactComplex, beta: ExactComplex, phase: bool) -> dict:
+    """Substitute v_i = alpha (s + t), v_j = beta (s - t) into {exponent 4-tuple:
+    coefficient}, the exponents of s and t going to slots s_slot, t_slot (i and j).
+    With `phase`, t = i u and the result is in u (u^m gains i^m).  A term costs
+    one scalar power product, an output coefficient one ExactComplex times an int.
+    """
+    apow, bpow = [ExactComplex.ONE], [ExactComplex.ONE]
     out = {}
-    for (i0, i1, i2, i3), c1 in a.items():
-        for (j0, j1, j2, j3), c2 in b.items():
-            key = (i0 + j0, i1 + j1, i2 + j2, i3 + j3)
-            prod = c1 * c2
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod
-    return {k: c for k, c in out.items() if c}
-
-
-def _conversion_images(src: str, dst: str, params: Params) -> list:
-    """Degree-1 images of the src variables, in src variable order, as
-    {dst exponent 4-tuple: coefficient} dicts."""
-    d = params.conversion_factor()
-    dinv = d.inverse()
-    i = _I
-
-    if src == CANONICAL and dst == CIRCULAR:
-        # b1- = d(x1 - i x2) + (i/4d)(p1 - i p2), b2- = d(x1 + i x2) + (i/4d)(p1 + i p2)
-        # inverses actually needed here:
-        q = Fraction(1, 4) * dinv
-        images = {
-            "x1": {(0, 1, 0, 0): q, (0, 0, 0, 1): q,
-                   (1, 0, 0, 0): q, (0, 0, 1, 0): q},
-            "x2": {(0, 0, 0, 1): -i * q, (0, 1, 0, 0): i * q,
-                   (1, 0, 0, 0): -i * q, (0, 0, 1, 0): i * q},
-            "p1": {(0, 1, 0, 0): -i * d, (0, 0, 0, 1): -i * d,
-                   (1, 0, 0, 0): i * d, (0, 0, 1, 0): i * d},
-            "p2": {(0, 1, 0, 0): d, (0, 0, 0, 1): -d,
-                   (1, 0, 0, 0): d, (0, 0, 1, 0): -d},
-        }
-    elif src == CIRCULAR and dst == CANONICAL:
-        q = Fraction(1, 4) * dinv
-        images = {
-            "b1-": {(1, 0, 0, 0): d, (0, 1, 0, 0): -i * d,
-                    (0, 0, 1, 0): i * q, (0, 0, 0, 1): q},
-            "b2-": {(1, 0, 0, 0): d, (0, 1, 0, 0): i * d,
-                    (0, 0, 1, 0): i * q, (0, 0, 0, 1): -q},
-            "b1+": {(1, 0, 0, 0): d, (0, 1, 0, 0): i * d,
-                    (0, 0, 1, 0): -i * q, (0, 0, 0, 1): q},
-            "b2+": {(1, 0, 0, 0): d, (0, 1, 0, 0): -i * d,
-                    (0, 0, 1, 0): -i * q, (0, 0, 0, 1): -q},
-        }
-    else:
-        raise ValueError(f"no conversion {src} -> {dst}")
-    return [images[name] for name in _VARS[src]]
+    for key, coeff in terms.items():
+        a, b = key[i], key[j]
+        n = a + b
+        while len(apow) <= a:
+            apow.append(apow[-1] * alpha)
+        while len(bpow) <= b:
+            bpow.append(bpow[-1] * beta)
+        c = coeff * (apow[a] * bpow[b])
+        coeffs = (c, c * _I) if phase else (c, c)
+        e = list(key)
+        for m, kernel in enumerate(krawtchouk_rows(n)[b]):
+            if not kernel:
+                continue
+            e[s_slot], e[t_slot] = n - m, m
+            new = tuple(e)
+            prod = coeffs[m & 1] * (-kernel if phase and m & 2 else kernel)
+            out[new] = out[new] + prod if new in out else prod
+    return _drop_zeros(out)
 
 
 def poisson_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
@@ -398,7 +435,7 @@ def total_time_derivative(a: PhasePoly, h: PhasePoly) -> PhasePoly:
         mu = key[4]
         if mu:
             explicit[key] = coeff * (_I * (mu * w))
-    return out + PhasePoly(a.basis, explicit, a.params)
+    return out + _make(a.basis, explicit, a.params)
 
 
 @dataclass
@@ -431,4 +468,4 @@ def reduce_to_cartan(a: PhasePoly) -> CartanForm:
         else:
             rem[key] = coeff
     diagonal = {k: c for k, c in diagonal.items() if not c.is_zero()}
-    return CartanForm(diagonal, PhasePoly(a.basis, rem, a.params))
+    return CartanForm(diagonal, _make(a.basis, rem, a.params))

@@ -711,6 +711,20 @@ class TestUnitaryBridgeClosedForm:
         total = np.array([n1 + n2 for n1, n2 in b.states()])
         assert not np.any(u[total[:, None] != total[None, :]])
 
+    @pytest.mark.parametrize("total", range(31))
+    def test_block_equals_numpy_recurrence(self, total):
+        # the block before its integer rows came from phasealg's kernel: the same
+        # recurrence on object arrays over n1, one row per m
+        m = np.arange(total + 1)
+        k = [np.ones(total + 1, dtype=object), (total - 2 * m).astype(object)]
+        for row in range(1, total):
+            k.append(((total - 2 * m) * k[row] - (total - row + 1) * k[row - 1]) // (row + 1))
+        binom = np.array([math.comb(total, j) for j in m], dtype=object)
+        scale = np.sqrt((binom / binom[:, None] / 2**total).astype(float))
+        phase = np.exp(1j * np.pi / 4 * ((4 * m + 2 * m[:, None] - total) % 8))
+        want = np.array(k[: total + 1]).astype(float) * scale * phase
+        assert np.array_equal(fe._unitary_block(total), want)
+
 
 def _reference_bridge(size):
     """S' of the one-mode bridge as ExactComplex entries over Q(i)[sqrt 2].

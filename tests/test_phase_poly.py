@@ -1,16 +1,26 @@
-"""Bracket engine against an independent sympy oracle, plus conversions."""
+"""Bracket engine and basis conversion against independent oracles: sympy,
+and the variable-by-variable substitution that ``to_basis`` used to run."""
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import ring
 
 from riaho.phasealg import (CANONICAL, CIRCULAR, ExactComplex, Params,
                             PhasePoly, poisson_bracket, reduce_to_cartan,
                             total_time_derivative)
+from riaho.phasealg.poly import krawtchouk_rows
+from test_phasealg_properties import canonical_polys, circular_polys
 
 X1, X2, P1, P2 = sp.symbols("x1 x2 p1 p2")
 _SYMS = (X1, X2, P1, P2)
+
+# the (m, omega) pairs of the conversion tests
+UNIT_PAIRS = [(F(1), F(1)), (F(1), F(4)), (F(2), F(1)),
+              (F(1), F(2)), (F(1, 2), F(1)), (F(9), F(2))]
 
 
 def to_sympy(poly: PhasePoly):
@@ -71,8 +81,7 @@ def test_circular_fundamental_bracket():
     assert poisson_bracket(b1m, b2p).is_zero()
 
 
-@pytest.mark.parametrize("m,w", [(F(1), F(1)), (F(1), F(4)), (F(2), F(1)),
-                                 (F(1), F(2)), (F(1, 2), F(1)), (F(9), F(2))])
+@pytest.mark.parametrize("m,w", UNIT_PAIRS)
 def test_conversion_round_trip(m, w):
     params = Params(m, w)
     rng = random.Random(17)
@@ -87,6 +96,194 @@ def test_conversion_unavailable_units():
     p = PhasePoly.variable("x1", CANONICAL, params=(F(3), F(1)))
     with pytest.raises(ValueError):
         p.to_basis(CIRCULAR)
+    with pytest.raises(ValueError):
+        Params(3, 1).conversion_factor()
+
+
+def test_to_basis_rejects_unknown_basis():
+    with pytest.raises(ValueError):
+        PhasePoly.variable("x1", CANONICAL).to_basis("polar")
+
+
+# sympy's own exact arithmetic: polynomials over Q(sqrt2, i)
+_K = sp.QQ.algebraic_field(sp.sqrt(2), sp.I)
+_R, *_GENS = ring("x1 x2 p1 p2 b1p b1m b2p b2m", _K)
+_RING_VARS = {CANONICAL: tuple(_GENS[:4]), CIRCULAR: tuple(_GENS[4:])}
+_KI, _KSQRT2 = _K.from_sympy(sp.I), _K.from_sympy(sp.sqrt(2))
+
+
+def sympy_images(m, w) -> dict:
+    """basis -> the images of its variables in the other basis: the circular
+    modes written out with d = sqrt(m w)/2 and q = 1/(4d), and the canonical
+    variables from sympy's inverse of that linear map."""
+    d = _K.from_sympy(sp.sqrt(sp.Rational(m.numerator, m.denominator)
+                              * sp.Rational(w.numerator, w.denominator)) / 2)
+    q, i = _K.one / (4 * d), _KI
+    x1, x2, p1, p2 = _RING_VARS[CANONICAL]
+    circular = [  # b1+, b1-, b2+, b2-
+        d * (x1 + i * x2) - i * q * (p1 + i * p2),
+        d * (x1 - i * x2) + i * q * (p1 - i * p2),
+        d * (x1 - i * x2) - i * q * (p1 - i * p2),
+        d * (x1 + i * x2) + i * q * (p1 + i * p2),
+    ]
+    mat = DomainMatrix([[b.coeff(v) for v in (x1, x2, p1, p2)] for b in circular], (4, 4), _K)
+    canonical = [sum((c * b for c, b in zip(row, _RING_VARS[CIRCULAR])), _R.zero)
+                 for row in mat.inv().to_list()]
+    return {CANONICAL: canonical, CIRCULAR: circular}
+
+
+def in_sympy_ring(poly: PhasePoly, images=None) -> dict:
+    """{mu: sympy ring element} of poly, with its variables replaced by `images`."""
+    def rational(f):
+        return _K.convert(sp.Rational(f.numerator, f.denominator))
+
+    out = {}
+    for key, c in poly.terms.items():
+        term = _R(rational(c.ar) + rational(c.ai) * _KI
+                  + (rational(c.br) + rational(c.bi) * _KI) * _KSQRT2)
+        for v, e in zip(images or _RING_VARS[poly.basis], key[:4]):
+            term *= v ** e
+        out[key[4]] = out.get(key[4], _R.zero) + term
+    return {mu: p for mu, p in out.items() if p}
+
+
+def _oracle_poly(rng, basis, params, degrees=(8, 5, 2)):
+    """Terms of the given total degrees, random exponents, coefficients and time tags."""
+    terms = {}
+    for deg in degrees:
+        e = [0, 0, 0, 0]
+        for _ in range(deg):
+            e[rng.randrange(4)] += 1
+        mu = rng.choice([F(0), F(1), F(-2), F(1, 3)])
+        terms[(*e, mu)] = ExactComplex(F(rng.randint(-3, 3)), F(rng.randint(-3, 3)),
+                                       F(rng.randint(-2, 2), 2), F(rng.randint(-1, 1), 3))
+    return PhasePoly(basis, terms, params)
+
+
+@pytest.mark.parametrize("basis", [CANONICAL, CIRCULAR])
+@pytest.mark.parametrize("m,w", UNIT_PAIRS)
+def test_to_basis_matches_sympy_substitution(m, w, basis):
+    other = CIRCULAR if basis == CANONICAL else CANONICAL
+    poly = _oracle_poly(random.Random(f"{m}/{w}/{basis}"), basis, Params(m, w))
+    want = in_sympy_ring(poly, sympy_images(m, w)[basis])
+    assert in_sympy_ring(poly.to_basis(other)) == want
+
+
+_UNIT = {(0, 0, 0, 0): ExactComplex.ONE}
+
+
+def _product(a: dict, b: dict) -> dict:
+    """Product of two polynomials given as {exponent 4-tuple: coefficient}."""
+    out = {}
+    for (i0, i1, i2, i3), c1 in a.items():
+        for (j0, j1, j2, j3), c2 in b.items():
+            key = (i0 + j0, i1 + j1, i2 + j2, i3 + j3)
+            prod = c1 * c2
+            if key in out:
+                out[key] = out[key] + prod
+            else:
+                out[key] = prod
+    return {k: c for k, c in out.items() if c}
+
+
+def _conversion_images(src: str, params: Params) -> list:
+    """Degree-1 images of the src variables, in src variable order, as
+    {other-basis exponent 4-tuple: coefficient} dicts."""
+    d = params.conversion_factor()
+    q = F(1, 4) * d.inverse()
+    i = ExactComplex.I
+    if src == CANONICAL:  # onto b1+, b1-, b2+, b2-
+        return [
+            {(0, 1, 0, 0): q, (0, 0, 0, 1): q, (1, 0, 0, 0): q, (0, 0, 1, 0): q},
+            {(0, 0, 0, 1): -i * q, (0, 1, 0, 0): i * q, (1, 0, 0, 0): -i * q, (0, 0, 1, 0): i * q},
+            {(0, 1, 0, 0): -i * d, (0, 0, 0, 1): -i * d, (1, 0, 0, 0): i * d, (0, 0, 1, 0): i * d},
+            {(0, 1, 0, 0): d, (0, 0, 0, 1): -d, (1, 0, 0, 0): d, (0, 0, 1, 0): -d},
+        ]
+    return [  # b1+, b1-, b2+, b2- onto x1, x2, p1, p2
+        {(1, 0, 0, 0): d, (0, 1, 0, 0): i * d, (0, 0, 1, 0): -i * q, (0, 0, 0, 1): q},
+        {(1, 0, 0, 0): d, (0, 1, 0, 0): -i * d, (0, 0, 1, 0): i * q, (0, 0, 0, 1): q},
+        {(1, 0, 0, 0): d, (0, 1, 0, 0): -i * d, (0, 0, 1, 0): -i * q, (0, 0, 0, 1): -q},
+        {(1, 0, 0, 0): d, (0, 1, 0, 0): i * d, (0, 0, 1, 0): i * q, (0, 0, 0, 1): -q},
+    ]
+
+
+def substituted(poly: PhasePoly, basis: str) -> PhasePoly:
+    """poly in `basis` by substituting each variable's degree-1 image and
+    multiplying the powers out, one source term at a time."""
+    pows = [[image] for image in _conversion_images(poly.basis, poly.params)]
+    out = {}
+    for key, coeff in poly.terms.items():
+        term = _UNIT
+        for i in range(4):
+            n = key[i]
+            if n:
+                lst = pows[i]
+                while len(lst) < n:
+                    lst.append(_product(lst[-1], lst[0]))
+                term = _product(term, lst[n - 1])
+        for e, c in term.items():
+            k = (*e, key[4])
+            out[k] = out.get(k, ExactComplex.ZERO) + coeff * c
+    return PhasePoly(basis, out, poly.params)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(canonical_polys, circular_polys), st.sampled_from(UNIT_PAIRS))
+def test_to_basis_matches_substitution(poly, units):
+    poly = PhasePoly(poly.basis, poly.terms, units)
+    other = CIRCULAR if poly.basis == CANONICAL else CANONICAL
+    assert poly.to_basis(other) == substituted(poly, other)
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_krawtchouk_rows_expand_pair_products(n):
+    # row r: the coefficients of s^(n-m) t^m in (s + t)^(n-r) (s - t)^r,
+    # multiplied out one linear factor at a time
+    def times(p, sign):  # p * (s + sign t) on coefficient lists in t
+        return [x + sign * y for x, y in zip(p + [0], [0] + p)]
+
+    for r, row in enumerate(krawtchouk_rows(n)):
+        p = [1]
+        for sign in [1] * (n - r) + [-1] * r:
+            p = times(p, sign)
+        assert list(row) == p
+
+
+@pytest.mark.parametrize("key", [
+    (F(3, 2), 0, 0, 0),        # a non-integral exponent is not truncated
+    (1.5, 0, 0, 0),
+    (1, 0, 0),                 # a 3-entry key does not shift mu into p2
+    (1, 0, 0, 0, F(0), 0),
+    (1, 0, 0, 0, 0.1),         # a float mu would carry a 2^-55 denominator
+    (-1, 0, 0, 0),
+    (True, 0, 0, 0),
+])
+def test_bad_term_key_raises(key):
+    with pytest.raises(ValueError):
+        PhasePoly(CANONICAL, {key: 1})
+
+
+def test_term_keys_take_int_or_fraction_mu():
+    p = PhasePoly(CIRCULAR, {(1, 0, 0, 0): 1, (0, 1, 0, 0, 2): 1, (0, 0, 1, 0, F(1, 3)): 1})
+    assert set(p.terms) == {(1, 0, 0, 0, F(0)), (0, 1, 0, 0, F(2)), (0, 0, 1, 0, F(1, 3))}
+    with pytest.raises(ValueError):
+        PhasePoly.variable("b1+", CIRCULAR, mu=0.1)
+    assert PhasePoly.variable("b1+", CIRCULAR, mu=-2).frequencies() == {F(-2)}
+
+
+@pytest.mark.parametrize("m,w", [(0, 3), (-1, -4), (F(1), 0), (F(1, 2), F(-1)),
+                                 (0.5, 2), (1, 1.0), (True, 1), ("1", 1)])
+def test_params_reject_unusable_units(m, w):
+    with pytest.raises(ValueError):
+        Params(m, w)
+    with pytest.raises(ValueError):
+        PhasePoly.variable("x1", CANONICAL, params=(m, w))
+
+
+def test_params_hold_fractions():
+    p = Params(2, F(1, 2))
+    assert (type(p.m), type(p.omega)) == (F, F)
+    assert p == Params(F(2), F(1, 2)) == Params.coerce((2, F(1, 2)))
 
 
 def test_conversion_preserves_brackets():
