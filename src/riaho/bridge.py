@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import Coupling
-from .fockeng import verify_one_mode_bridge, verify_quantum_bridge
+from .fockeng import hermite_rows, verify_one_mode_bridge, verify_quantum_bridge
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -350,9 +351,10 @@ _EIGENSTATES: dict[tuple[int, int, Units], WaveState] = {}
 
 def eigenstate(n1: int, n2: int, units: Units = _UNIT) -> WaveState:
     """Normalized eigenfunction (b1+)^n1 (b2+)^n2 ground / sqrt(n1! n2!), climbed and cached
-    up the chain (0, 0) -> (0, n2) -> (n1, n2); ValueError once a term underflows."""
-    if n1 < 0 or n2 < 0:
-        raise ValueError("indices must be non-negative")
+    up the chain (0, 0) -> (0, n2) -> (n1, n2); ValueError for an index that is not an int >= 0
+    and once a term underflows."""
+    if type(n1) is not int or type(n2) is not int or n1 < 0 or n2 < 0:
+        raise ValueError(f"indices ({n1!r}, {n2!r}) must be non-negative integers")
     if (0, 0, units) not in _EIGENSTATES:
         _EIGENSTATES[0, 0, units] = ground_state(units)
     todo, key = [], (n1, n2, units)
@@ -447,10 +449,10 @@ def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
 def orthonormality(
     n1: int, n2: int, l1: int, l2: int, units: Units = _UNIT, order: int = 40
 ) -> complex:
-    """Quadrature overlap of eigenfunctions, indices in [0, 6]; Kronecker delta to 1e-8."""
+    """Quadrature overlap of eigenfunctions, int indices in [0, 6]; Kronecker delta to 1e-8."""
     for idx in (n1, n2, l1, l2):
-        if idx < 0 or idx > 6:
-            raise ValueError(f"index {idx} outside [0, 6]")
+        if type(idx) is not int or not 0 <= idx <= 6:
+            raise ValueError(f"index {idx!r} is not an integer in [0, 6]")
     return inner_product(eigenstate(n1, n2, units), eigenstate(l1, l2, units), order)
 
 
@@ -459,10 +461,10 @@ def overlap_matrix(nmax: int, units: Units = _UNIT) -> np.ndarray:
 
     The eigenfunctions share one Gaussian envelope and no linear exponent, so with P the
     prefactors on the node grid and W the weights the Gram matrix is P^H (W P) / lam.
-    A negative nmax raises ValueError.
+    An nmax that is not a non-negative int raises ValueError.
     """
-    if nmax < 0:
-        raise ValueError(f"nmax {nmax} is negative")
+    if type(nmax) is not int or nmax < 0:
+        raise ValueError(f"nmax {nmax!r} is not a non-negative integer")
     states = [
         eigenstate(n1, n2, units)
         for n1 in range(nmax + 1)
@@ -545,28 +547,12 @@ class WeierstrassReport:
     passed: bool
 
 
-def _hermite_coeffs(n: int) -> dict:
-    """Integer coefficient maps of the physicists' Hermite polynomials."""
-    h_prev = {0: Fraction(1)}
-    if n == 0:
-        return h_prev
-    h_cur = {1: Fraction(2)}
-    for k in range(1, n):
-        nxt: dict = {}
-        for p, c in h_cur.items():
-            nxt[p + 1] = nxt.get(p + 1, Fraction(0)) + 2 * c
-        for p, c in h_prev.items():
-            nxt[p] = nxt.get(p, Fraction(0)) - 2 * k * c
-        h_prev, h_cur = h_cur, {p: c for p, c in nxt.items() if c}
-    return h_cur
-
-
 def inverse_weierstrass(n: int) -> WeierstrassReport:
     """Exact identity e^{-(1/4) d^2/d eta^2} eta^n = 2^{-n} H_n(eta).
 
     The left side is the finite series sum_k (-1/4)^k/k! * n!/(n-2k)!
-    eta^(n-2k) with exact rational coefficients; the right side uses the
-    Hermite recursion.  Equality is exact, not approximate.
+    eta^(n-2k) with exact rational coefficients; the right side is the last
+    row of :func:`~riaho.fockeng.hermite_rows`.  Equality is exact, not approximate.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -578,9 +564,8 @@ def inverse_weierstrass(n: int) -> WeierstrassReport:
         )
         if coeff:
             series[n - 2 * k] = coeff
-    scaled = {
-        p: c / Fraction(2) ** n for p, c in _hermite_coeffs(n).items()
-    }
+    top = deque(hermite_rows(n), maxlen=1).pop()
+    scaled = {p: Fraction(c, 2**n) for p, c in enumerate(top) if c}
     return WeierstrassReport(n=n, series=series, scaled_hermite=scaled, passed=series == scaled)
 
 

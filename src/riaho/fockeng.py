@@ -9,9 +9,9 @@ float64, except the complex a2+-, su(2) generators and unitary.  Each operator k
 N = n1 + n2 or shifts it by one, and the builders assemble private per-block forms (the
 unitary's closed form, ladders, tridiagonal H_rni, the levels of H_g, hidden-ladder
 entries) that :func:`suite_fock` reads directly, forming no grid-sized matrix.  Exact
-statements use Fractions or integers (energies, degeneracy grouping) or integer and
-Fraction object arrays (the one-mode conformal bridge), so equality is never a
-floating-point question.
+statements use Fractions or integers (energies, degeneracy grouping) or an integer object
+array over one known scale (the one-mode conformal bridge, from :func:`hermite_rows`), so
+equality is never a floating-point question.
 
 Truncation corrupts matrix elements near the grid edge, so checks that
 involve raising operators are restricted to interior columns via
@@ -53,6 +53,7 @@ __all__ = [
     "su2_generators",
     "unitary_bridge",
     "rni_hamiltonian",
+    "hermite_rows",
     "one_mode_bridge_unnormalized",
     "one_mode_bridge",
     "verify_one_mode_bridge",
@@ -111,7 +112,9 @@ class InteriorMask:
     ``n2 + margin2 <= cutoff``; if ``total`` is set it must additionally
     satisfy ``n1 + n2 <= total``.  The total budget is the right notion for
     number-conserving conjugation checks, the per-mode margins for ladder
-    compositions with a known per-mode reach.
+    compositions with a known per-mode reach.  Margins and total are
+    non-negative ints, else ValueError: a negative total keeps no state, and a
+    check over no state passes vacuously.
     """
 
     basis: FockBasis
@@ -120,8 +123,10 @@ class InteriorMask:
     total: int | None = None
 
     def __post_init__(self):
-        if self.margin1 < 0 or self.margin2 < 0:
-            raise ValueError("margins must be non-negative")
+        if any(type(v) is not int or v < 0 for v in (self.margin1, self.margin2)):
+            raise ValueError("margins must be non-negative integers")
+        if self.total is not None and (type(self.total) is not int or self.total < 0):
+            raise ValueError(f"total {self.total!r} is not a non-negative integer")
         if self.margin1 > self.basis.cutoff or self.margin2 > self.basis.cutoff:
             raise ValueError("margin exceeds cutoff, interior is empty")
 
@@ -601,51 +606,69 @@ def _conformal_pairs(up, dn):
             (plus @ plus, 2 * up2))
 
 
-def one_mode_bridge_unnormalized(size: int) -> np.ndarray:
-    """Rational part R of the exact one-mode bridge, unnormalized basis.
+def hermite_rows(n: int):
+    """Rows ([x^0] H_j, ..., [x^j] H_j), j = 0..n, of the physicists' Hermite polynomials.
 
-    S' = exp(-a+^2/2) * diag(2^(n/2)) * exp(-a^2/2) with 2^(1/4) factored
-    out, evaluated entrywise: S'[i, j] = sum over k = i-2a = j-2b >= 0 of
-    (-1)^a/(2^a a!) * 2^(k/2) * (-1)^b j!/(2^b b! k!).  Entries vanish
-    unless i = j (mod 2), so the sqrt 2 of an odd k always falls on an odd
-    row: S' = diag(sqrt2^(i mod 2)) R, with R an object array of Fractions.
-    R[0, 0] = 1.  Entries are summed over the denominator 2^((i+j)/2) i! j!.
+    Integer tuples from H_{j+1} = 2x H_j - 2j H_{j-1}, two rows held at a time, nothing
+    cached.  A negative n raises ValueError.
     """
-    fact = [math.factorial(n) for n in range(size)]
-    r = np.full((size, size), Fraction(0), dtype=object)
-    for i in range(size):
-        for j in range(i % 2, size, 2):
-            num = 0
-            for k in range(min(i, j), -1, -2):
-                a, b = (i - k) // 2, (j - k) // 2
-                num += ((-1) ** (a + b) * 2 ** (k + k // 2) * fact[j]
-                        * (fact[i] // (fact[a] * fact[k])) * (fact[j] // fact[b]))
-            r[i, j] = Fraction(num, 2 ** ((i + j) // 2) * fact[i] * fact[j])
-    return r
+    if n < 0:
+        raise ValueError(f"n {n} is negative")
+    prev, row = (), (1,)
+    yield row
+    for j in range(n):
+        prev, row = row, tuple(2 * a - 2 * j * b for a, b in zip((0, *row), (*prev, 0, 0)))
+        yield row
+
+
+def one_mode_bridge_unnormalized(size: int) -> tuple[np.ndarray, int]:
+    """Rational part R of the exact one-mode bridge as (M, scale), R = M / scale.
+
+    In the picture |n) = x^n, a+ = x, a = d/dx, the bridge S' = exp(-a+^2/2)
+    diag(2^(n/2)) exp(-a^2/2) (2^(1/4) factored out) sends x^j to 2^(-j/2) e^(-x^2/2) H_j(x):
+    with eta = x/sqrt 2, exp(-a^2/2) x^j = 2^(j/2) e^(-(1/4) d^2/d eta^2) eta^j =
+    2^(-j/2) H_j(x/sqrt 2) (inverse Weierstrass), the grading substitutes x -> sqrt 2 x and
+    exp(-a+^2/2) multiplies by e^(-x^2/2).  Only i = j (mod 2) couples, so the sqrt 2 of an
+    odd j falls on an odd row: S' = diag(sqrt2^(i mod 2)) R with
+    R[i, j] = 2^(-ceil(j/2)) sum_a (-1)^a/(2^a a!) [x^(i-2a)] H_j, and R[0, 0] = 1.
+    With s = size and A = (s-1)//2, scale = 2^(s-1) A! and M = G Hm E, integer object arrays
+    with G[i, i-2a] = (-1)^a 2^(A-a) A!/a!, Hm[k, j] = [x^k] H_j from :func:`hermite_rows`
+    and E = diag(2^(s//2 - ceil(j/2))).  A size that is not an int >= 1 raises ValueError.
+    """
+    if type(size) is not int or size < 1:
+        raise ValueError(f"size {size!r} is not an integer >= 1")
+    top, index = (size - 1) // 2, np.arange(size)
+    gauss = np.zeros((size, size), dtype=object)
+    for a in range(top + 1):
+        gauss[index[2 * a:], index[: size - 2 * a]] = (
+            (-1) ** a * 2 ** (top - a) * (math.factorial(top) // math.factorial(a)))
+    hermite = np.zeros((size, size), dtype=object)
+    for j, row in enumerate(hermite_rows(size - 1)):
+        hermite[: j + 1, j] = row
+    grading = np.array([2 ** (size // 2 - (j + 1) // 2) for j in range(size)], dtype=object)
+    return gauss @ hermite * grading, 2 ** (size - 1) * math.factorial(top)
 
 
 def verify_one_mode_bridge(size: int = 11) -> list[CheckRow]:
     """Exact intertwining S'X = YS' for the one-mode conformal triple.
 
     X and Y preserve parity, so the sqrt 2 row factor of S' commutes
-    through them and S'X = YS' holds iff RX = YR.  That identity is checked
-    on integers (R times the lcm of its denominators; ladders a+|n) = |n+1),
+    through them and S'X = YS' holds iff RX = YR, i.e. MX = YM for the integer
+    M = scale * R.  That identity is checked on integers (ladders a+|n) = |n+1),
     a|n) = n|n-1)) on rows and columns 0..size-3: the raising parts of X
-    corrupt the last two columns of the truncated RX, and the lowering Y
-    pulls truncated rows into YR.  Residual is exactly zero or the check fails.
-    A size below 3 leaves no row to compare and raises ValueError.
+    corrupt the last two columns of the truncated MX, and the lowering Y
+    pulls truncated rows into YM.  Residual is exactly zero or the check fails.
+    A size below 3 leaves no row to compare; it raises ValueError, as does a non-int.
     """
-    if size < 3:
-        raise ValueError(f"size {size} below 3: rows 0..size-3 are empty")
-    r = one_mode_bridge_unnormalized(size)
-    lcm = math.lcm(*(q.denominator for q in r.flat))
-    r_int = np.array([int(q * lcm) for q in r.flat], dtype=object).reshape(r.shape)
+    if type(size) is not int or size < 3:
+        raise ValueError(f"size {size!r} not an integer or below 3: rows 0..size-3 are empty")
+    m, _ = one_mode_bridge_unnormalized(size)
     up = np.eye(size, k=-1, dtype=int).astype(object)
     dn = up.T * np.arange(size, dtype=object)  # column n scaled by n
     block = np.s_[: size - 2, : size - 2]
     return [
         CheckRow.exact(f"bridge-one-mode-{name}", identity,
-                       np.array_equal((r_int @ x)[block], (y @ r_int)[block]))
+                       np.array_equal((m @ x)[block], (y @ m)[block]))
         for (name, identity, _), (x, y) in zip(_BRIDGE_ROWS, _conformal_pairs(up, dn))
     ]
 
@@ -655,20 +678,18 @@ def one_mode_bridge(cutoff: int) -> np.ndarray:
 
     Entries are S[i, j] = 2^(1/4) * ring(i, j) * sqrt(i! j!) where
     ring(i, j) = S'[i, j]/j!, i.e. R[i, j]/j! times sqrt 2 on odd rows, is
-    exact; each float entry therefore carries only a few ulp of rounding.
-    sqrt(i! j!) leaves the float range above cutoff 98, which raises
-    ValueError.
+    exact; R[i, j]/j! is the int quotient M[i, j]/(scale j!), correctly rounded,
+    so each float entry carries only a few ulp of rounding.  A cutoff that is
+    not an int in 0..98 raises ValueError: above 98, sqrt(i! j!) leaves the float range.
     """
-    if cutoff > 98:
-        raise ValueError(f"cutoff {cutoff} above 98: sqrt(99! 99!) exceeds the float range")
-    size = cutoff + 1
-    r = one_mode_bridge_unnormalized(size)
-    out = np.zeros((size, size))
-    for i in range(size):
-        for j in range(i % 2, size, 2):
-            ring = float(r[i, j] / math.factorial(j)) * (math.sqrt(2.0) if i % 2 else 1.0)
-            out[i, j] = 2.0**0.25 * ring * math.sqrt(math.factorial(i) * math.factorial(j))
-    return out
+    if type(cutoff) is not int or not 0 <= cutoff <= 98:
+        raise ValueError(f"cutoff {cutoff!r} is not an integer in 0..98: "
+                         "sqrt(99! 99!) exceeds the float range")
+    m, scale = one_mode_bridge_unnormalized(cutoff + 1)
+    fact = np.array([math.factorial(n) for n in range(cutoff + 1)], dtype=object)
+    odd_rows = np.where(np.arange(cutoff + 1) % 2, math.sqrt(2.0), 1.0)[:, None]
+    ring = (m / (scale * fact)).astype(float) * odd_rows
+    return 2.0**0.25 * ring * np.sqrt(np.outer(fact, fact).astype(float))
 
 
 def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:

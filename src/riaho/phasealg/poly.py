@@ -128,7 +128,8 @@ class PhasePoly:
     """Polynomial over Q(i)[sqrt2] with per-term exact time frequency.
 
     `terms` maps (e1, e2, e3, e4[, mu]) to coefficients: int exponents >= 0 in
-    the basis's variable order and an int or Fraction mu; other keys raise ValueError.
+    the basis's variable order and an int or Fraction mu; other keys, and two keys
+    that name one term (a 4-entry key and its 5-entry form with mu = 0), raise ValueError.
     """
 
     __slots__ = ("basis", "params", "terms")
@@ -138,9 +139,12 @@ class PhasePoly:
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
         self.params = Params.coerce(params)
-        clean = {}
-        for key, coeff in (terms or {}).items():
-            key = _checked_key(key)
+        clean, seen = {}, set()
+        for raw, coeff in (terms or {}).items():
+            key = _checked_key(raw)
+            if key in seen:
+                raise ValueError(f"term key {raw!r} names the same term as an earlier key")
+            seen.add(key)
             coeff = ExactComplex.coerce(coeff)
             if not coeff.is_zero():
                 clean[key] = coeff

@@ -8,12 +8,13 @@ import dataclasses
 import math
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from riaho.coupling import Coupling
-from riaho import bridge as br
+from riaho import bridge as br, fockeng as fe
 
 F = Fraction
 SQ2 = math.sqrt(2)
@@ -173,6 +174,14 @@ class TestEigenstates:
         with pytest.raises(ValueError):
             br.eigenstate(-1, 0)
 
+    @pytest.mark.parametrize("n1, n2", [(1.5, 0), (0, 0.5), (2.0, 1), (1, "2"), (None, 0)])
+    def test_non_int_index_raises(self, n1, n2):
+        # (1.5, 0) walked (0.5, 0) -> (0, -1) -> (0, -2) -> ... and never returned
+        with pytest.raises(ValueError, match="non-negative integers"):
+            br.eigenstate(n1, n2)
+        with pytest.raises(ValueError, match="not an integer"):
+            br.orthonormality(n1, n2, 0, 0)
+
     @pytest.mark.parametrize("mode, direction", [(1, "-"), (1, "+"), (2, "-"), (2, "+")])
     def test_ladder_rule_matches_the_four_formulas(self, mode, direction):
         # b1- = s(zbar + c d/dz), b1+ = s(z - c d/dzbar), b2- = s(z + c d/dzbar),
@@ -254,6 +263,12 @@ class TestOrthonormality:
         # nmax = -1 raised IndexError on the empty state list
         with pytest.raises(ValueError, match="negative"):
             br.overlap_matrix(-1)
+
+    @pytest.mark.parametrize("nmax", [1.5, 2.0, "3"])
+    def test_non_int_overlap_size_raises(self, nmax):
+        # 1.5 raised TypeError from range
+        with pytest.raises(ValueError, match="non-negative integer"):
+            br.overlap_matrix(nmax)
 
     def test_overlap_matrix_identity(self):
         gram = br.overlap_matrix(4)
@@ -347,6 +362,73 @@ class TestInverseWeierstrass:
     def test_negative(self):
         with pytest.raises(ValueError):
             br.inverse_weierstrass(-1)
+
+
+def _hermite_coeffs(n: int) -> dict:
+    """Integer coefficient maps of the physicists' Hermite polynomials."""
+    h_prev = {0: Fraction(1)}
+    if n == 0:
+        return h_prev
+    h_cur = {1: Fraction(2)}
+    for k in range(1, n):
+        nxt: dict = {}
+        for p, c in h_cur.items():
+            nxt[p + 1] = nxt.get(p + 1, Fraction(0)) + 2 * c
+        for p, c in h_prev.items():
+            nxt[p] = nxt.get(p, Fraction(0)) - 2 * k * c
+        h_prev, h_cur = h_cur, {p: c for p, c in nxt.items() if c}
+    return h_cur
+
+
+def _mutant_rows(step):
+    """hermite_rows with H_{j+1}[k] = step(H_j[k-1], H_{j-1}[k], j) in place of the recurrence."""
+    def rows(n):
+        prev, row = (), (1,)
+        yield row
+        for j in range(n):
+            prev, row = row, tuple(step(a, b, j) for a, b in zip((0, *row), (*prev, 0, 0)))
+            yield row
+    return rows
+
+
+class TestHermiteRows:
+    def test_matches_dict_recurrence(self):
+        rows = list(fe.hermite_rows(40))
+        assert len(rows) == 41
+        for n, row in enumerate(rows):
+            assert len(row) == n + 1 and all(type(c) is int for c in row)
+            assert {p: c for p, c in enumerate(row) if c} == _hermite_coeffs(n), n
+            assert rows[: n + 1] == list(fe.hermite_rows(n))
+
+    def test_derivative_identity(self):
+        # H_j' = 2j H_{j-1}, coefficient by coefficient
+        prev = None
+        for j, row in enumerate(fe.hermite_rows(40)):
+            deriv = [k * c for k, c in enumerate(row)][1:]
+            assert deriv == ([2 * j * c for c in prev] if j else []), j
+            prev = row
+
+    def test_frozen_rows(self):
+        assert list(fe.hermite_rows(3)) == [(1,), (0, 2), (-2, 0, 4), (0, -12, 0, 8)]
+
+    def test_negative_raises(self):
+        with pytest.raises(ValueError):
+            next(fe.hermite_rows(-1))
+
+    @pytest.mark.parametrize("step", [
+        lambda a, b, j: 2 * a - 2 * (j + 1) * b,
+        lambda a, b, j: a - 2 * j * b,
+        lambda a, b, j: 2 * a - 2 * j * b + (j == 6),
+    ], ids=["lower-coefficient", "raising-factor", "one-entry"])
+    def test_mutated_recurrence_fails_the_suite_rows(self, monkeypatch, step):
+        # bridge reads hermite_rows through its own import, so both names are patched
+        monkeypatch.setattr(fe, "hermite_rows", _mutant_rows(step))
+        monkeypatch.setattr(br, "hermite_rows", _mutant_rows(step))
+        rows = {row.check_id: row for row in br.suite_bridge(
+            SimpleNamespace(units=br.Units(), tol_quad=1e-8)).rows}
+        for check_id in ("inverse-weierstrass", "bridge-one-mode-H", "bridge-one-mode-iD",
+                         "bridge-one-mode-K"):
+            assert not rows[check_id].passed, check_id
 
 
 class TestUnits:

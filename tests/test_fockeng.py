@@ -168,6 +168,18 @@ class TestInteriorMask:
         with pytest.raises(ValueError):
             fe.InteriorMask(b, margin2=4)
 
+    @pytest.mark.parametrize("kw", [{"total": -1}, {"total": -5}, {"total": 1.5},
+                                    {"total": "2"}, {"margin1": 0.5}, {"margin2": 1.0},
+                                    {"margin1": True}])
+    def test_negative_total_or_non_int_raises(self, kw):
+        # total=-1 kept no state, so verify_commutes passed with residual 0.0;
+        # margin1=0.5 was read as "n1 + 0.5 <= cutoff"
+        with pytest.raises(ValueError, match="non-negative integer"):
+            fe.InteriorMask(fe.FockBasis(4), **kw)
+
+    def test_total_zero_keeps_the_vacuum(self):
+        assert fe.InteriorMask(fe.FockBasis(4), total=0).states() == [(0, 0)]
+
 
 class TestSpectrum:
     def test_ground_state_energy(self):
@@ -755,6 +767,26 @@ def _reference_bridge(size):
     return s
 
 
+def _triple_sum_bridge(size):
+    """R of the one-mode bridge as Fractions, from the entrywise closed form.
+
+    S'[i, j] = sum over k = i-2a = j-2b >= 0 of (-1)^a/(2^a a!) * 2^(k/2) *
+    (-1)^b j!/(2^b b! k!), with the sqrt 2 of an odd k factored onto the odd
+    rows, summed over the denominator 2^((i+j)/2) i! j!.
+    """
+    fact = [math.factorial(n) for n in range(size)]
+    r = np.full((size, size), Fraction(0), dtype=object)
+    for i in range(size):
+        for j in range(i % 2, size, 2):
+            num = 0
+            for k in range(min(i, j), -1, -2):
+                a, b = (i - k) // 2, (j - k) // 2
+                num += ((-1) ** (a + b) * 2 ** (k + k // 2) * fact[j]
+                        * (fact[i] // (fact[a] * fact[k])) * (fact[j] // fact[b]))
+            r[i, j] = Fraction(num, 2 ** ((i + j) // 2) * fact[i] * fact[j])
+    return r
+
+
 @pytest.fixture(scope="module")
 def reference_bridge_99():
     # entries do not depend on the size, so smaller sizes are leading blocks
@@ -764,28 +796,36 @@ def reference_bridge_99():
 class TestOneModeBridgeExact:
     def test_frozen_entries(self):
         # S' = diag(sqrt2^(i mod 2)) R: R[1, 1] = 1 is the entry sqrt 2 of S'
-        r = fe.one_mode_bridge_unnormalized(5)
-        assert r[0, 0] == 1
-        assert r[1, 1] == 1
-        assert r[0, 2] == -1
-        assert r[2, 0] == F(-1, 2)
-        assert r[2, 2] == F(5, 2)
+        m, scale = fe.one_mode_bridge_unnormalized(5)
+        assert F(m[0, 0], scale) == 1
+        assert F(m[1, 1], scale) == 1
+        assert F(m[0, 2], scale) == -1
+        assert F(m[2, 0], scale) == F(-1, 2)
+        assert F(m[2, 2], scale) == F(5, 2)
         # opposite parity never couples
-        assert r[1, 0] == 0 and r[0, 3] == 0
+        assert m[1, 0] == 0 and m[0, 3] == 0
 
-    def test_entries_are_fractions(self):
-        r = fe.one_mode_bridge_unnormalized(6)
-        assert r.dtype == object and r.shape == (6, 6)
-        assert all(isinstance(q, Fraction) for q in r.flat)
+    def test_entries_are_integers_over_one_scale(self):
+        # R = M/scale with scale = 2^(size-1) * ((size-1)//2)!
+        m, scale = fe.one_mode_bridge_unnormalized(6)
+        assert m.dtype == object and m.shape == (6, 6)
+        assert all(type(q) is int for q in m.flat)
+        assert type(scale) is int and scale == 2**5 * math.factorial(2)
+
+    def test_matches_triple_sum(self):
+        oracle = _triple_sum_bridge(60)
+        for size in range(1, 61):
+            m, scale = fe.one_mode_bridge_unnormalized(size)
+            assert np.array_equal(m, oracle[:size, :size] * scale), size
 
     def test_parity_factored_matches_reference(self, reference_bridge_99):
         sqrt2 = ExactComplex.sqrt2()
         for size in range(1, 32):
-            r = fe.one_mode_bridge_unnormalized(size)
+            m, scale = fe.one_mode_bridge_unnormalized(size)
             for i in range(size):
                 for j in range(size):
                     expected = reference_bridge_99[i][j]
-                    entry = ExactComplex.coerce(r[i, j])
+                    entry = ExactComplex.coerce(F(m[i, j], scale))
                     assert (sqrt2 * entry if i % 2 else entry) == expected, (size, i, j)
 
     @pytest.mark.parametrize("cutoff", [4, 10, 16, 40, 98])
@@ -813,14 +853,27 @@ class TestOneModeBridgeExact:
         with pytest.raises(ValueError, match="below 3"):
             fe.verify_one_mode_bridge(size)
 
+    @pytest.mark.parametrize("size", [3.5, 11.0, "11", True, None])
+    def test_size_not_an_int_raises(self, size):
+        # 3.5 raised TypeError from np.eye
+        with pytest.raises(ValueError, match="not an integer"):
+            fe.verify_one_mode_bridge(size)
+
+    @pytest.mark.parametrize("size", [0, -1, 2.5, 3.0, True])
+    def test_unnormalized_size_raises(self, size):
+        with pytest.raises(ValueError, match="not an integer >= 1"):
+            fe.one_mode_bridge_unnormalized(size)
+
     @pytest.mark.parametrize("entry", [(2, 2), (3, 1), (8, 4)])
     def test_perturbed_bridge_fails_every_row(self, monkeypatch, entry):
         exact = fe.one_mode_bridge_unnormalized
 
         def perturbed(size):
-            r = exact(size)
-            r[entry] += F(1, 3)
-            return r
+            # R[entry] += 1/3, i.e. M[entry] += scale/3
+            m, scale = exact(size)
+            assert scale % 3 == 0
+            m[entry] += scale // 3
+            return m, scale
 
         monkeypatch.setattr(fe, "one_mode_bridge_unnormalized", perturbed)
         rows = fe.verify_one_mode_bridge(11)
@@ -843,6 +896,12 @@ class TestQuantumBridgeFloat:
     def test_cutoff_beyond_float_range_raises(self):
         with pytest.raises(ValueError, match="98"):
             fe.one_mode_bridge(99)
+
+    @pytest.mark.parametrize("cutoff", [-1, -5, 1.5, 4.0, True])
+    def test_cutoff_not_a_non_negative_int_raises(self, cutoff):
+        # -1 returned an empty array, 1.5 raised TypeError
+        with pytest.raises(ValueError, match="not an integer in 0..98"):
+            fe.one_mode_bridge(cutoff)
 
     def test_two_mode_intertwining(self):
         for row in fe.verify_quantum_bridge(10, margin=3):

@@ -263,6 +263,17 @@ def test_bad_term_key_raises(key):
         PhasePoly(CANONICAL, {key: 1})
 
 
+@pytest.mark.parametrize("terms", [
+    {(1, 0, 0, 0): 1, (1, 0, 0, 0, 0): 2},
+    {(1, 0, 0, 0, F(0)): 1, (1, 0, 0, 0): 0},
+    {(0, 2, 0, 1, 0): 3, (0, 2, 0, 1): 3},
+])
+def test_two_keys_naming_one_term_raise(terms):
+    # {(1,0,0,0): 1, (1,0,0,0,0): 2} came out as 2*x1
+    with pytest.raises(ValueError, match="same term"):
+        PhasePoly(CANONICAL, terms)
+
+
 def test_term_keys_take_int_or_fraction_mu():
     p = PhasePoly(CIRCULAR, {(1, 0, 0, 0): 1, (0, 1, 0, 0, 2): 1, (0, 0, 1, 0, F(1, 3)): 1})
     assert set(p.terms) == {(1, 0, 0, 0, F(0)), (0, 1, 0, 0, F(2)), (0, 0, 1, 0, F(1, 3))}
