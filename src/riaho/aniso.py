@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -40,7 +39,6 @@ from .fockeng import (
     _hidden_ladder_matrix,
     _integer_weights,
     _orbit_row,
-    exact_energy,
     ladder,
     ladder_orbits,
     level_sets,
@@ -54,7 +52,7 @@ from .phasealg import (
     poisson_bracket,
 )
 from .phasealg.catalog import hidden_shift
-from .phasealg.exact import coerce_real, ring_sqrt
+from .phasealg.exact import coerce_real, require_int, ring_sqrt
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -147,11 +145,7 @@ class FrequencyPair:
             raise ValueError("give both commensurability labels or neither")
         if self.l1 is None:
             return
-        l1, l2 = int(self.l1), int(self.l2)
-        object.__setattr__(self, "l1", l1)
-        object.__setattr__(self, "l2", l2)
-        if l1 <= 0 or l2 <= 0:
-            raise ValueError("commensurability labels must be positive")
+        l1, l2 = require_int(self.l1, "l1", 1), require_int(self.l2, "l2", 1)
         if math.gcd(l1, l2) != 1:
             raise ValueError("commensurability labels must be coprime")
         if not (l1 * self.omega1 == l2 * self.omega2 if self.is_exact
@@ -198,11 +192,14 @@ def spectrum(freq: FrequencyPair, sign, n1: int, n2: int, hbar=1):
 
     Exact (Fraction) when the frequencies and hbar are exact rationals,
     float otherwise.  sign=+ spectra are positive; sign=- is unbounded
-    below and vanishes on the diagonal n1 == n2 at equal frequencies.
+    below and vanishes on the diagonal n1 == n2 at equal frequencies.  An n1
+    or n2 that is not an int >= 0 raises ValueError.
     """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("quantum numbers must be non-negative")
-    sigma = _sign_value(sign)
+    return _level(freq, _sign_value(sign), require_int(n1, "n1"), require_int(n2, "n2"), hbar)
+
+
+def _level(freq: FrequencyPair, sigma: int, n1: int, n2: int, hbar=1):
+    """:func:`spectrum` at sigma = +-1, nothing checked."""
     w1, w2 = freq.omega1, freq.omega2
     half = Fraction(1, 2) if freq.is_exact else 0.5
     return hbar * (w1 * n1 + sigma * w2 * n2 + (w1 + sigma * w2) * half)
@@ -224,7 +221,7 @@ def signed_hamiltonian(
     sigma = _sign_value(sign)
     label = f"H({'+' if sigma > 0 else '-'})"
     if not freq.is_exact:
-        return _diagonal(basis, lambda n1, n2: float(spectrum(freq, sigma, n1, n2, hbar)), label)
+        return _diagonal(basis, lambda n1, n2: float(_level(freq, sigma, n1, n2, hbar)), label)
     a, b, d = _integer_weights(freq.omega1, sigma * freq.omega2)
     return _diagonal(basis, lambda n1, n2: hbar * ((2 * (a * n1 + b * n2) + a + b) / (2 * d)),
                      label)
@@ -457,12 +454,9 @@ def aniso_cbt_apply(
     u1, u2 = (Units(m, w, hbar) for w in freq.float_omegas())
     joint: dict = {}
     for key, coeff in phi.items():
-        try:
-            n1, n2 = operator.index(key[0]), operator.index(key[1])
-        except (TypeError, ValueError, IndexError):
-            raise ValueError("exponents must be integer pairs") from None
-        if n1 < 0 or n2 < 0:
-            raise ValueError("negative exponent is not polynomial")
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise ValueError(f"exponents {key!r} are not a pair")
+        n1, n2 = require_int(key[0], "exponent n1"), require_int(key[1], "exponent n2")
         c = complex(coeff)
         if c == 0:
             continue
@@ -489,11 +483,10 @@ def hermite_eigenstate(
 ) -> SeparableState:
     """Normalized product eigenfunction psi_n1(x1; w1) psi_n2(x2; w2).
 
-    Units that are not positive and finite, or a coefficient past the float
-    range, raise ValueError.
+    Units that are not positive and finite, an n1 or n2 that is not an int
+    >= 0, or a coefficient past the float range, raise ValueError.
     """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("quantum numbers must be non-negative")
+    n1, n2 = require_int(n1, "n1"), require_int(n2, "n2")
     u1, u2 = (Units(m, w, hbar) for w in freq.float_omegas())
     poly1 = _mode_eigen_poly(n1, u1)
     poly2 = _mode_eigen_poly(n2, u2)
@@ -509,9 +502,10 @@ def mode_constant(n: int, omega: float, m: float = 1.0, hbar: float = 1.0) -> fl
 
     S x^n = c_n(omega) psi_n with c_n = 2^(1/4) (pi lam^2)^(1/4) lam^n
     sqrt(n!), lam^2 = hbar/(m omega); the two-coordinate constant is the
-    product over modes.  Units that are not positive and finite, or a c_n
-    past the float range, raise ValueError.
+    product over modes.  Units that are not positive and finite, an n that
+    is not an int >= 0, or a c_n past the float range, raise ValueError.
     """
+    require_int(n, "n")
     lam_sq = Units(m, omega, hbar).length_sq / 2
     value = (
         2.0**0.25
@@ -685,11 +679,10 @@ def composite_spectrum_check(coupling, cutoff: int = 8) -> CheckRow:
     The unitary mode change (module fockeng) and the rescaling map send
     H_g onto H^(sigma) at Omega_i = |ell_i| omega; in units of hbar*omega
     the energies ell_1 n_1 + ell_2 n_2 + 1 must reappear as the signed-mode
-    formula state by state, hence as equal multisets over any grid.  A
-    negative cutoff (an empty grid) raises ValueError.
+    formula state by state, at (n2, n1) when the pair is swapped; every state
+    of the grid is compared.  A cutoff that is not an int >= 0 raises ValueError.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff {cutoff} is negative: the grid would be empty")
+    require_int(cutoff, "cutoff")
     coupling = Coupling.coerce(coupling)
     if coupling.isotropic_mink:
         raise ValueError("finite rational coupling required")
@@ -697,14 +690,10 @@ def composite_spectrum_check(coupling, cutoff: int = 8) -> CheckRow:
     freq, sign, swapped = the_map.signed_form()
     if not freq.is_exact:
         raise ValueError("exact rational coupling required")
-    source = []
-    image = []
-    for n1 in range(cutoff + 1):
-        for n2 in range(cutoff + 1):
-            source.append(exact_energy(coupling, n1, n2))
-            pair = (n2, n1) if swapped else (n1, n2)
-            image.append(spectrum(freq, sign, *pair))
-    ok = sorted(source) == sorted(image)
+    sigma, grid = _sign_value(sign), range(cutoff + 1)
+    ok = all(coupling.ell1 * n1 + coupling.ell2 * n2 + 1  # exact_energy(coupling, n1, n2)
+             == _level(freq, sigma, *((n2, n1) if swapped else (n1, n2)))
+             for n1 in grid for n2 in grid)
     return CheckRow.exact(
         "composite-spectrum", "spec(H_g) = spec(H^(sigma), Omega_i=|ell_i| w) with multiplicity",
         ok, detail=f"g={coupling.g}, grid (cutoff+1)^2 = {(cutoff + 1) ** 2} states")

@@ -22,6 +22,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .fockeng import hermite_rows, verify_one_mode_bridge, verify_quantum_bridge
+from .phasealg.exact import require_int
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -91,7 +92,7 @@ class ZPolynomial:
     def __post_init__(self):
         clean = {}
         for (n1, n2), coeff in self.terms.items():
-            if not (isinstance(n1, int) and isinstance(n2, int)) or n1 < 0 or n2 < 0:
+            if not (type(n1) is int and type(n2) is int) or n1 < 0 or n2 < 0:  # no bools
                 raise ValueError(f"bad exponents ({n1}, {n2})")
             c = complex(coeff)
             if not cmath.isfinite(c):
@@ -190,9 +191,7 @@ def act_free(generator: str, s: ZPolynomial, units: Units = _UNIT) -> ZPolynomia
 
 def monomial_state(n1: int, n2: int) -> ZPolynomial:
     """phi_{n1,n2} = z^n1 zbar^n2."""
-    if n1 < 0 or n2 < 0:
-        raise ValueError("indices must be non-negative")
-    return ZPolynomial.monomial(n1, n2)
+    return ZPolynomial.monomial(require_int(n1, "n1"), require_int(n2, "n2"))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +301,7 @@ def apply_ladder(state: WaveState, mode: int, direction: str) -> WaveState:
     One rule: b1- and b2+ pair zbar with d/dz, b1+ and b2- pair z with
     d/dzbar, and the derivative enters with + for lowering, - for raising.
     """
-    if mode not in (1, 2):
-        raise ValueError("mode must be 1 or 2")
+    require_int(mode, "mode", 1, 2)
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
     u = state.units
@@ -353,11 +351,9 @@ def eigenstate(n1: int, n2: int, units: Units = _UNIT) -> WaveState:
     """Normalized eigenfunction (b1+)^n1 (b2+)^n2 ground / sqrt(n1! n2!), climbed and cached
     up the chain (0, 0) -> (0, n2) -> (n1, n2); ValueError for an index that is not an int >= 0
     and once a term underflows."""
-    if type(n1) is not int or type(n2) is not int or n1 < 0 or n2 < 0:
-        raise ValueError(f"indices ({n1!r}, {n2!r}) must be non-negative integers")
+    todo, key = [], (require_int(n1, "n1"), require_int(n2, "n2"), units)
     if (0, 0, units) not in _EIGENSTATES:
         _EIGENSTATES[0, 0, units] = ground_state(units)
-    todo, key = [], (n1, n2, units)
     while key not in _EIGENSTATES:  # walk down to the nearest cached state, then climb back
         todo.append(key)
         key = (key[0] - 1, n2, units) if key[0] > 0 else (0, key[1] - 1, units)
@@ -429,9 +425,9 @@ def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
 
     The combined envelope must decay; nodes are rescaled so the quadratic part matches the
     Gauss-Hermite weight exactly, and any residual linear exponent rides along as part of the
-    integrand.  A sum past the float range raises ValueError.
+    integrand.  A sum past the float range, or an order that is not an int >= 1, raises ValueError.
     """
-    z, zb, weight, lam = _quadrature_grid(a, b, order)
+    z, zb, weight, lam = _quadrature_grid(a, b, require_int(order, "order", 1))
     # polynomial parts and the leftover (linear + constant) exponent
     pa = np.conj(a.prefactor.at(z, zb))
     pb = b.prefactor.at(z, zb)
@@ -450,9 +446,8 @@ def orthonormality(
     n1: int, n2: int, l1: int, l2: int, units: Units = _UNIT, order: int = 40
 ) -> complex:
     """Quadrature overlap of eigenfunctions, int indices in [0, 6]; Kronecker delta to 1e-8."""
-    for idx in (n1, n2, l1, l2):
-        if type(idx) is not int or not 0 <= idx <= 6:
-            raise ValueError(f"index {idx!r} is not an integer in [0, 6]")
+    for name, idx in zip(("n1", "n2", "l1", "l2"), (n1, n2, l1, l2)):
+        require_int(idx, name, 0, 6)
     return inner_product(eigenstate(n1, n2, units), eigenstate(l1, l2, units), order)
 
 
@@ -463,8 +458,7 @@ def overlap_matrix(nmax: int, units: Units = _UNIT) -> np.ndarray:
     prefactors on the node grid and W the weights the Gram matrix is P^H (W P) / lam.
     An nmax that is not a non-negative int raises ValueError.
     """
-    if type(nmax) is not int or nmax < 0:
-        raise ValueError(f"nmax {nmax!r} is not a non-negative integer")
+    require_int(nmax, "nmax")
     states = [
         eigenstate(n1, n2, units)
         for n1 in range(nmax + 1)
@@ -553,9 +547,9 @@ def inverse_weierstrass(n: int) -> WeierstrassReport:
     The left side is the finite series sum_k (-1/4)^k/k! * n!/(n-2k)!
     eta^(n-2k) with exact rational coefficients; the right side is the last
     row of :func:`~riaho.fockeng.hermite_rows`.  Equality is exact, not approximate.
+    An n that is not an int >= 0 raises ValueError.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    require_int(n, "n")
     series: dict = {}
     for k in range(n // 2 + 1):
         coeff = (
@@ -623,22 +617,27 @@ def expansion_coefficient(
     """Closed-form overlap of the coherent state with eigenstate (n1, n2).
 
     0 once the vacuum factor underflows, without forming lambda^n; ValueError
-    when lambda^n or sqrt(n1! n2!) leaves the float range.
+    when lambda^n or sqrt(n1! n2!) leaves the float range, or for an n1 or n2
+    that is not an int >= 0.
     """
+    return _coefficients(alpha, beta, units)(require_int(n1, "n1"), require_int(n2, "n2"))
+
+
+def _coefficients(alpha: complex, beta: complex, units: Units):
+    """(n1, n2) -> :func:`expansion_coefficient` of one coherent state, indices unchecked."""
     lam1, lam2 = coherent_eigenvalues(alpha, beta, units)
     ratio = units.hbar / (units.m * units.omega)
     vacuum = math.exp(-(ratio / 2) * _label_weight(alpha, beta))
-    if vacuum == 0.0:
-        return 0j
-    try:
-        return (
-            lam1**n1
-            * lam2**n2
-            / math.sqrt(math.factorial(n1) * math.factorial(n2))
-            * vacuum
-        )
-    except OverflowError:
-        raise ValueError(f"expansion coefficient ({n1}, {n2}) leaves the float range") from None
+
+    def coefficient(n1: int, n2: int) -> complex:
+        if vacuum == 0.0:
+            return 0j
+        try:
+            return lam1**n1 * lam2**n2 / math.sqrt(math.factorial(n1) * math.factorial(n2)) * vacuum
+        except OverflowError:
+            raise ValueError(f"expansion coefficient ({n1}, {n2}) leaves the float range") from None
+
+    return coefficient
 
 
 def coherent_checks(
@@ -661,8 +660,8 @@ def coherent_checks(
     beta e^{-i gamma}) and is compared coefficient-by-coefficient.  The
     truncation row holds the expansion weight sum |c_{n1,n2}|^2 over
     n1 + n2 <= cutoff to 1, so an expansion that is cut short or underflows
-    fails instead of passing at residual 0.  ``cutoff`` above 170 raises
-    ValueError: 171! exceeds the float range.
+    fails instead of passing at residual 0.  A ``cutoff`` that is not an int
+    in 0..170 raises ValueError: 171! exceeds the float range.
 
     The evolution row also measures the float rounding of the level phases,
     about eps*omega*max|l|*cutoff*|t|: at g = 1/3 and the suite's labels it
@@ -670,8 +669,7 @@ def coherent_checks(
     |t| ~ 1e6.  A largest phase omega*(max|l|*cutoff + 1)*|t| past the float
     range, or an ell past it, raises ValueError.
     """
-    if cutoff > 170:
-        raise ValueError(f"cutoff {cutoff} above 170: 171! exceeds the float range")
+    require_int(cutoff, "cutoff", 0, 170)
     l1f, l2f = coupling.float_ells()
     reach = max(abs(l1f), abs(l2f)) * cutoff + 1
     if not math.isfinite(units.omega * reach * abs(t)):
@@ -695,9 +693,10 @@ def coherent_checks(
     x1, x2 = np.meshgrid((-1.1, 0.3, 0.9), (-0.7, 0.2, 1.3), indexing="ij")
     evolved = np.zeros(x1.shape, dtype=complex)
     weight = 0.0  # sum of |c|^2 over the cutoff triangle, skipped terms included
+    coefficient = _coefficients(alpha, beta, units)
     for n1 in range(cutoff + 1):
         for n2 in range(cutoff + 1 - n1):
-            coeff = expansion_coefficient(alpha, beta, n1, n2, units)
+            coeff = coefficient(n1, n2)
             weight += abs(coeff) ** 2
             if abs(coeff) < 1e-18:
                 continue

@@ -19,7 +19,6 @@ completeness.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -28,6 +27,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .phasealg.catalog import GENERATOR_NAMES, generator
+from .phasealg.exact import require_int
 from .phasealg.poly import Params
 from .reports import CheckRow, VerificationReport
 
@@ -171,10 +171,7 @@ def integrate(state0, coupling, omega: float, T: float, steps: int = 4096,
     flow.  ``steps`` must be an int >= 1, ``T`` and ``omega`` finite and
     ``m`` finite and positive; anything else raises ValueError.
     """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ValueError(f"steps must be an int, got {steps!r}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    require_int(steps, "steps", 1)
     for name, value in (("T", T), ("omega", omega), ("m", m)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aniso, bridge, classdyn, fockeng, landau
-from .coupling import Coupling
+from .coupling import Coupling, _to_float
 from .fockeng import FockBasis
 from .landau import LandauExtension, RotatingFrame
 from .phasealg.verify import suite_algebra
@@ -524,7 +524,7 @@ def cmd_landau(args, config: RunConfig) -> int:
         "command": "landau",
         "source": source,
         "phase": result.phase,
-        "omega": None if result.omega is None else float(result.omega),
+        "omega": None if result.omega is None else _to_float(result.omega, "omega"),
     }
     if isinstance(result.g, Fraction):
         payload["g_num"] = result.g.numerator

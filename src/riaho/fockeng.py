@@ -27,6 +27,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .phasealg.catalog import hidden_shift, is_true_integral
+from .phasealg.exact import require_int
 from .phasealg.poly import krawtchouk_rows
 from .reports import CheckRow, VerificationReport
 
@@ -76,8 +77,7 @@ class FockBasis:
     cutoff: int
 
     def __post_init__(self):
-        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, int) or self.cutoff < 1:
-            raise ValueError("cutoff must be a positive integer")
+        require_int(self.cutoff, "cutoff", 1)
 
     @property
     def dim(self) -> int:
@@ -123,10 +123,10 @@ class InteriorMask:
     total: int | None = None
 
     def __post_init__(self):
-        if any(type(v) is not int or v < 0 for v in (self.margin1, self.margin2)):
-            raise ValueError("margins must be non-negative integers")
-        if self.total is not None and (type(self.total) is not int or self.total < 0):
-            raise ValueError(f"total {self.total!r} is not a non-negative integer")
+        require_int(self.margin1, "margin1")
+        require_int(self.margin2, "margin2")
+        if self.total is not None:
+            require_int(self.total, "total")
         if self.margin1 > self.basis.cutoff or self.margin2 > self.basis.cutoff:
             raise ValueError("margin exceeds cutoff, interior is empty")
 
@@ -187,8 +187,7 @@ def _lowering(total: int, mode: int) -> np.ndarray:
 
 def ladder(basis: FockBasis, mode: int, direction: str) -> np.ndarray:
     """Raising ("+") or lowering ("-") operator for mode 1 or 2."""
-    if mode not in (1, 2):
-        raise ValueError("mode must be 1 or 2")
+    require_int(mode, "mode", 1, 2)
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
     lowering = _assemble(basis, lambda total: _lowering(total, mode), -1)
@@ -217,16 +216,13 @@ def _diagonal(basis: FockBasis, value, label: str) -> np.ndarray:
 
 
 def number_operator(basis: FockBasis, mode: int) -> np.ndarray:
-    if mode not in (1, 2):
-        raise ValueError("mode must be 1 or 2")
+    require_int(mode, "mode", 1, 2)
     return _diagonal(basis, lambda n1, n2: float(n1 if mode == 1 else n2), f"n{mode}")
 
 
 def exact_energy(coupling: Coupling, n1: int, n2: int) -> Fraction:
     """Level of state (n1, n2) in units of hbar*omega, exactly."""
-    if n1 < 0 or n2 < 0:
-        raise ValueError("quantum numbers must be non-negative")
-    return coupling.ell1 * n1 + coupling.ell2 * n2 + 1
+    return coupling.ell1 * require_int(n1, "n1") + coupling.ell2 * require_int(n2, "n2") + 1
 
 
 def _integer_weights(w1: Fraction, w2: Fraction) -> tuple[int, int, int]:
@@ -348,11 +344,11 @@ def _resonant_shift(coupling: Coupling, kind: str, s1: int, s2: int) -> tuple[in
 def _hidden_entries(basis: FockBasis, kind: str, s1: int, s2: int):
     """(rows, cols, values) of the '+' hidden ladder: column (n1, n2) holds the
     :func:`hidden_coefficient` at row (n1, n2) + ``hidden_shift`` when that lies on the grid."""
-    d1, d2 = hidden_shift(kind, s1, s2)
+    (d1, d2), label = hidden_shift(kind, s1, s2), f"{kind}+_{s1}{s2}"
     states = [(n1, n2) for n1, n2 in basis.states()
               if 0 <= n1 + d1 <= basis.cutoff and 0 <= n2 + d2 <= basis.cutoff]
     cols = np.array([basis.index(n1, n2) for n1, n2 in states], dtype=int)
-    values = np.array([hidden_coefficient(kind, s1, s2, n1, n2) for n1, n2 in states])
+    values = np.array([_amplitude((d1, d2), n1, n2, label) for n1, n2 in states])
     return cols + d1 * (basis.cutoff + 1) + d2, cols, values
 
 
@@ -391,12 +387,14 @@ def hidden_coefficient(kind: str, s1: int, s2: int, n1: int, n2: int) -> float:
     It sends (n1, n2) to (n1, n2) + Delta, Delta = :func:`hidden_shift`, with
     amplitude sqrt(prod_j max(n_j, n_j + Delta_j)! / min(n_j, n_j + Delta_j)!),
     zero when a mode number would turn negative.  An n1 or n2 that is not a
-    non-negative int (bools included), or an amplitude beyond the float
-    range, raises ValueError.
+    non-negative int, or an amplitude beyond the float range, raises ValueError.
     """
-    shift = hidden_shift(kind, s1, s2)
-    if not (type(n1) is int and type(n2) is int) or n1 < 0 or n2 < 0:  # no bools
-        raise ValueError(f"quantum numbers must be non-negative integers, got ({n1!r}, {n2!r})")
+    return _amplitude(hidden_shift(kind, s1, s2), require_int(n1, "n1"), require_int(n2, "n2"),
+                      f"{kind}+_{s1}{s2}")
+
+
+def _amplitude(shift: tuple[int, int], n1: int, n2: int, label: str) -> float:
+    """:func:`hidden_coefficient` of the ``label`` ladder, shift given and nothing checked."""
     ratio = 1
     for n, d in zip((n1, n2), shift):
         if n + d < 0:
@@ -405,7 +403,7 @@ def hidden_coefficient(kind: str, s1: int, s2: int, n1: int, n2: int) -> float:
     try:
         return math.sqrt(ratio)
     except OverflowError:
-        raise ValueError(f"amplitude of {kind}+_{s1}{s2} on ({n1}, {n2}) exceeds the "
+        raise ValueError(f"amplitude of {label} on ({n1}, {n2}) exceeds the "
                          "float range (squared amplitude above 1.8e308)") from None
 
 
@@ -610,10 +608,9 @@ def hermite_rows(n: int):
     """Rows ([x^0] H_j, ..., [x^j] H_j), j = 0..n, of the physicists' Hermite polynomials.
 
     Integer tuples from H_{j+1} = 2x H_j - 2j H_{j-1}, two rows held at a time, nothing
-    cached.  A negative n raises ValueError.
+    cached.  An n that is not an int >= 0 raises ValueError.
     """
-    if n < 0:
-        raise ValueError(f"n {n} is negative")
+    require_int(n, "n")
     prev, row = (), (1,)
     yield row
     for j in range(n):
@@ -635,8 +632,7 @@ def one_mode_bridge_unnormalized(size: int) -> tuple[np.ndarray, int]:
     with G[i, i-2a] = (-1)^a 2^(A-a) A!/a!, Hm[k, j] = [x^k] H_j from :func:`hermite_rows`
     and E = diag(2^(s//2 - ceil(j/2))).  A size that is not an int >= 1 raises ValueError.
     """
-    if type(size) is not int or size < 1:
-        raise ValueError(f"size {size!r} is not an integer >= 1")
+    require_int(size, "size", 1)
     top, index = (size - 1) // 2, np.arange(size)
     gauss = np.zeros((size, size), dtype=object)
     for a in range(top + 1):
@@ -660,8 +656,7 @@ def verify_one_mode_bridge(size: int = 11) -> list[CheckRow]:
     pulls truncated rows into YM.  Residual is exactly zero or the check fails.
     A size below 3 leaves no row to compare; it raises ValueError, as does a non-int.
     """
-    if type(size) is not int or size < 3:
-        raise ValueError(f"size {size!r} not an integer or below 3: rows 0..size-3 are empty")
+    require_int(size, "size", 3)
     m, _ = one_mode_bridge_unnormalized(size)
     up = np.eye(size, k=-1, dtype=int).astype(object)
     dn = up.T * np.arange(size, dtype=object)  # column n scaled by n
@@ -682,9 +677,7 @@ def one_mode_bridge(cutoff: int) -> np.ndarray:
     so each float entry carries only a few ulp of rounding.  A cutoff that is
     not an int in 0..98 raises ValueError: above 98, sqrt(i! j!) leaves the float range.
     """
-    if type(cutoff) is not int or not 0 <= cutoff <= 98:
-        raise ValueError(f"cutoff {cutoff!r} is not an integer in 0..98: "
-                         "sqrt(99! 99!) exceeds the float range")
+    require_int(cutoff, "cutoff", 0, 98)
     m, scale = one_mode_bridge_unnormalized(cutoff + 1)
     fact = np.array([math.factorial(n) for n in range(cutoff + 1)], dtype=object)
     odd_rows = np.where(np.arange(cutoff + 1) % 2, math.sqrt(2.0), 1.0)[:, None]

@@ -20,10 +20,11 @@ good to float tolerance otherwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coupling import Coupling, Phase
+from .coupling import Coupling, Phase, _to_float
 from .reports import CheckRow, VerificationReport
 from .phasealg.exact import coerce_real, rational_sqrt
 
@@ -44,13 +45,30 @@ CRITICAL = "critical"
 SUPERCRITICAL = "supercritical"
 
 
-def _sqrt(value):
-    """Square root, exact Fraction when the input is a rational square."""
-    if isinstance(value, Fraction):
-        root = rational_sqrt(value)
-        if root is not None:
-            return root
-    return math.sqrt(float(value))
+def _sqrt(value: Fraction, exact: bool):
+    """Square root of an exact value > 0: a Fraction when ``exact`` and the value is a
+    rational square, else a float.
+
+    A value in the normal float range gives sqrt(float(value)), as it always has; past
+    that range, either way, float(value) does not exist and the root is the correctly
+    rounded float of an integer square root.  A root outside the float range raises
+    ValueError.
+    """
+    if exact and (root := rational_sqrt(value)) is not None:
+        return root
+    if sys.float_info.min <= value <= sys.float_info.max:
+        return math.sqrt(float(value))
+    n, d = value.numerator, value.denominator
+    k = max(0, 60 - (n.bit_length() - d.bit_length()) // 2)  # 2^k root has >= 59 bits
+    q, rem = divmod(n << 2 * k, d)
+    r = math.isqrt(q)
+    try:  # (r + 1/2) / 2^k rounds as the root in (r, r + 1) / 2^k does
+        root = (2 * r + (r * r != q or rem != 0)) / 2 ** (k + 1)
+    except OverflowError:
+        root = math.inf
+    if not 0.0 < root < math.inf:
+        raise ValueError("omega lies outside the float range")
+    return root
 
 
 @dataclass(frozen=True)
@@ -124,20 +142,30 @@ def landau_to_g(ext: LandauExtension) -> PhaseResult:
     omega = sqrt(omegaB^2 + Lambda) and g = omegaB/omega (so the defining
     relation |Lambda| = |1 - g^2| omega^2 holds and sign g = sign omegaB);
     equality is critical; below it supercritical with |omega| reported.
+    omegaB^2 + Lambda is formed exactly, on the binary values of float
+    inputs, so it never overflows; a float omega or g outside the float
+    range raises ValueError.
     """
-    s = ext.omegaB * ext.omegaB + ext.Lambda
+    return _to_g(ext.omegaB, Fraction(ext.Lambda), ext.is_exact)
+
+
+def _to_g(omegaB, Lambda: Fraction, exact: bool) -> PhaseResult:
+    """:func:`landau_to_g` with Lambda exact; ``exact`` tells whether the inputs were."""
+    s = Fraction(omegaB) ** 2 + Lambda
     if s < 0:
-        return PhaseResult(phase=SUPERCRITICAL, omega=_sqrt(-s))
+        return PhaseResult(phase=SUPERCRITICAL, omega=_sqrt(-s, exact))
     if s == 0:
         return PhaseResult(phase=CRITICAL)
-    omega = _sqrt(s)
-    if isinstance(omega, Fraction) and isinstance(ext.omegaB, Fraction):
-        g = ext.omegaB / omega
+    omega = _sqrt(s, exact)
+    if isinstance(omega, Fraction):
+        g = omegaB / omega
     else:
-        g = float(ext.omegaB) / float(omega)
-    if ext.Lambda > 0:
+        g = _to_float(omegaB, "omegaB") / omega
+        if not math.isfinite(g) or (g == 0) != (omegaB == 0):
+            raise ValueError(f"g = omegaB/omega lies outside the float range (omega = {omega})")
+    if Lambda > 0:
         phase = Phase.EUCLIDEAN
-    elif ext.Lambda == 0:
+    elif Lambda == 0:
         phase = Phase.LANDAU
     else:
         phase = Phase.MINKOWSKIAN
@@ -171,9 +199,12 @@ def rotating_frame_to_g(frame: RotatingFrame) -> PhaseResult:
     Identifies omegaB with Omega and the effective quadratic strength with
     k/m - Omega^2, so g = Omega/sqrt(k/m) with the sign of Omega; k = 0
     with Omega != 0 lands exactly on the critical case (free particle in a
-    rotating frame), and supercritical never occurs since k >= 0.
+    rotating frame), and supercritical never occurs since k >= 0.  k/m -
+    Omega^2 is formed exactly, as in :func:`landau_to_g`.
     """
-    return landau_to_g(LandauExtension(frame.Omega, frame.k / frame.m - frame.Omega * frame.Omega))
+    exact = all(isinstance(v, Fraction) for v in (frame.k, frame.m, frame.Omega))
+    return _to_g(frame.Omega, Fraction(frame.k) / Fraction(frame.m) - Fraction(frame.Omega) ** 2,
+                 exact)
 
 
 def classify(Lambda, omegaB) -> str:

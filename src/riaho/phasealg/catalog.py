@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..coupling import Coupling
-from .exact import ExactComplex
+from .exact import ExactComplex, require_int
 from .poly import CIRCULAR, Params, PhasePoly
 
 __all__ = [
@@ -86,15 +86,13 @@ def catalog(coupling, params=None) -> dict:
 def hidden_shift(kind: str, s1: int, s2: int) -> tuple[int, int]:
     """Mode-number shift of the '+' ladder: (s1, -s2) for L, (s1, s2) for J.
 
-    The one validator of kind and orders (ints but not bools, non-negative,
+    The one validator of kind and orders (ints >= 0 by :func:`require_int`,
     not both zero).
     """
     if kind not in ("L", "J"):
         raise ValueError(f"kind must be 'L' or 'J', got {kind!r}")
-    if not (type(s1) is int and type(s2) is int):  # isinstance would let bools in
-        raise ValueError(f"orders must be integers, got ({s1!r}, {s2!r})")
-    if s1 < 0 or s2 < 0 or (s1 == 0 and s2 == 0):
-        raise ValueError("orders must be non-negative and not both zero")
+    if (require_int(s1, "s1"), require_int(s2, "s2")) == (0, 0):
+        raise ValueError("orders must not both be zero")
     return (s1, -s2) if kind == "L" else (s1, s2)
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isfinite, isqrt, lcm, sqrt as _fsqrt
 
-__all__ = ["ExactComplex", "coerce_real", "rational_sqrt", "ring_sqrt"]
+__all__ = ["ExactComplex", "coerce_real", "rational_sqrt", "require_int", "ring_sqrt"]
 
 _SQRT2 = _fsqrt(2.0)
 _new_object = object.__new__
@@ -61,6 +61,19 @@ def coerce_real(value, name: str):
     if not isfinite(value):
         raise ValueError(f"{name} must be finite")
     return value
+
+
+def require_int(value, name: str, lo: int = 0, hi: int | None = None) -> int:
+    """``value`` when it is a Python int with lo <= value <= hi (hi None: no upper end).
+
+    The one integer-argument rule for every count, size, mode and quantum number:
+    Python ints only.  A bool, float, string or numpy integer raises ValueError naming
+    ``name`` and the value, as does an int out of range; the CLI turns it into exit 2.
+    """
+    if type(value) is int and lo <= value and (hi is None or value <= hi):
+        return value
+    bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    raise ValueError(f"{name} {value!r} is not an integer {bounds}")
 
 
 def rational_sqrt(q: Fraction):

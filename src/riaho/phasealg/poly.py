@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .exact import ExactComplex, ring_sqrt
+from .exact import ExactComplex, require_int, ring_sqrt
 
 __all__ = [
     "CANONICAL", "CIRCULAR", "CANONICAL_VARS", "CIRCULAR_VARS",
@@ -247,8 +247,7 @@ class PhasePoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
+        require_int(n, "power")
         out = PhasePoly.constant(1, self.basis, self.params)
         for _ in range(n):
             out = out * self
@@ -369,7 +368,9 @@ def krawtchouk_rows(n: int) -> tuple:
     """Integer kernel of degree n: row r holds the coefficients of x^0 .. x^n in
     G = (1 - x)^r (1 + x)^(n - r), i.e. of s^(n-m) t^m in (s + t)^(n-r) (s - t)^r,
     from (m+1) K_m+1 = (n - 2r) K_m - (n - m + 1) K_m-1, as (1 - x^2) G' = (n - 2r - n x) G.
+    An n that is not an int >= 0 raises ValueError.
     """
+    require_int(n, "n")
     cols = [[1] * (n + 1), [n - 2 * r for r in range(n + 1)]]
     for m in range(1, n):
         cols.append([((n - 2 * r) * k1 - (n - m + 1) * k0) // (m + 1)

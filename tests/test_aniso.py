@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from riaho.aniso import (
     FrequencyPair,
+    RescaleMap,
     aniso_cbt_apply,
     aniso_proportionality,
     closure_period,
@@ -662,5 +663,15 @@ class TestRescaleMap:
     @pytest.mark.parametrize("cutoff", [-1, -5])
     def test_composite_rejects_empty_grid(self, cutoff):
         # cutoff -1 sorted two empty lists and passed
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="not an integer >= 0"):
             composite_spectrum_check(Coupling(Fraction(1, 3)), cutoff=cutoff)
+
+    @pytest.mark.parametrize("g", [-3, Fraction(-5, 2), -2])
+    def test_composite_fails_when_the_swap_is_dropped(self, monkeypatch, g):
+        # multisets over a square grid are swap-symmetric; a state-by-state comparison is not
+        assert composite_spectrum_check(g).passed
+        signed_form = RescaleMap.signed_form
+        monkeypatch.setattr(RescaleMap, "signed_form", lambda self: (*signed_form(self)[:2], False))
+        row = composite_spectrum_check(g)
+        assert not row.passed
+        assert row.check_id == "composite-spectrum" and row.residual is None

@@ -1,4 +1,6 @@
 """Command-line interface: outputs, exit codes, config layering, reports."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -610,15 +612,26 @@ class TestLandau:
         file_payload = json.loads((tmp_path / "phase.json").read_text())
         assert file_payload == self.payload(capsys)
 
+    @pytest.mark.parametrize("omega_b, omega", [(str(10**300), 1e300), ("1e200", 1e200)],
+                             ids=["10^300", "1e200"])
+    def test_omega_b_past_the_root_of_the_float_range(self, tmp_path, capsys, omega_b, omega):
+        # 10^300 ended in an OverflowError traceback; 1e200 printed "omega": Infinity
+        assert run(tmp_path, "landau", "--omega-b", omega_b, "--lambda", "1") == 0
+        got = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert (got["omega"], got["g_float"]) == (omega, 1.0)
+
     @pytest.mark.parametrize("argv", [
         ("landau",),
         ("landau", "--omega-b", "1", "--k", "1"),
         ("landau", "--omega-b", "1"),
         ("landau", "--k", "1", "--mass", "1"),
         ("landau", "--k", "-1", "--mass", "1", "--omega-cap", "0"),
+        ("landau", "--k", "1.7e308", "--mass", "5e-324", "--omega-cap", "1"),  # omega ~ 6e315
+        ("landau", "--k", str(10**300), "--mass", f"1/{10**320}", "--omega-cap", "0"),  # 10^310
     ])
-    def test_bad_inputs_exit_2(self, tmp_path, argv):
+    def test_bad_inputs_exit_2(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2
+        assert not capsys.readouterr().out
 
 
 class TestVerify:
@@ -688,6 +701,10 @@ AWKWARD = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "-1e-308", "1e400"
            "5e-324", "0", "-0", "-1", "-2/3", "1/0", "", "abc", "1/2", "3")
 TEXT = st.one_of(st.sampled_from(AWKWARD), st.text(max_size=6))
 PAIR = st.one_of(st.tuples(TEXT, TEXT).map(",".join), TEXT)
+# magnitudes up to the float range: any finite float, and integer text of up to 309 digits
+MAGNITUDE = st.one_of(TEXT, st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.integers(-(10**308), 10**308).map(str),
+                      st.integers(10**299, 10**300).map(str))
 SIZE = st.integers(-2, 64)  # small sizes only: a huge grid is slow, not malformed
 
 # command -> (required flags, optional flags), each flag -> value strategy
@@ -703,7 +720,7 @@ COMMANDS = {
     "coherent": ({"--alpha": PAIR, "--beta": PAIR}, {"--g": TEXT, "--t": TEXT, "--gamma": TEXT,
                                                      "--extent": TEXT, "--points": SIZE,
                                                      "--cutoff": SIZE}),
-    "landau": ({}, {"--omega-b": TEXT, "--lambda": TEXT}),
+    "landau": ({}, {"--omega-b": MAGNITUDE, "--lambda": MAGNITUDE}),
 }
 UNITS = {"--m": TEXT, "--omega": TEXT, "--hbar": TEXT}  # run configuration, on every command
 
@@ -725,9 +742,13 @@ def reject_constant(name):
 @settings(max_examples=50, deadline=None)
 def test_malformed_arguments_exit_cleanly(argv):
     with tempfile.TemporaryDirectory() as out:
-        assert run(Path(out), *argv) in (0, 1, 2)
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = run(Path(out), *argv)
+        assert code in (0, 1, 2)
         for path in Path(out).glob("*.json"):
             json.loads(path.read_text(), parse_constant=reject_constant)
+        if argv[0] == "landau" and code == 0:  # landau prints its JSON and writes no file
+            json.loads(stdout.getvalue(), parse_constant=reject_constant)
 
 
 # RIAHO_CONFIG lines: known keys and junk keys with awkward values.  An outdir is always a

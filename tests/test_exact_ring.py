@@ -3,10 +3,11 @@ import struct
 from fractions import Fraction as F
 from math import gcd, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from riaho.phasealg.exact import ExactComplex, rational_sqrt, ring_sqrt
+from riaho.phasealg.exact import ExactComplex, rational_sqrt, require_int, ring_sqrt
 
 
 class _FractionRing:
@@ -243,3 +244,27 @@ def test_ring_sqrt(q, root):
     assert got == root
     if root is not None:
         assert got * got == q
+
+
+@pytest.mark.parametrize("value, lo, hi", [(0, 0, None), (3, 3, None), (10**400, 1, None),
+                                           (0, 0, 98), (98, 0, 98), (-2, -5, -1)])
+def test_require_int_returns_an_int_in_range(value, lo, hi):
+    assert require_int(value, "x", lo, hi) is value
+
+
+@pytest.mark.parametrize("value, lo, hi, message", [
+    (1.5, 0, 98, "cutoff 1.5 is not an integer in 0..98"),
+    (99, 0, 98, "cutoff 99 is not an integer in 0..98"),
+    (2, 3, None, "cutoff 2 is not an integer >= 3"),
+    (-1, 0, None, "cutoff -1 is not an integer >= 0"),
+    (True, 0, None, "cutoff True is not an integer >= 0"),
+    (2.0, 0, None, "cutoff 2.0 is not an integer >= 0"),
+    ("2", 0, None, "cutoff '2' is not an integer >= 0"),
+    (None, 0, None, "cutoff None is not an integer >= 0"),
+    (F(2), 0, None, "cutoff Fraction(2, 1) is not an integer >= 0"),
+    (np.int64(2), 0, None, f"cutoff {np.int64(2)!r} is not an integer >= 0"),
+])
+def test_require_int_names_the_argument_and_the_value(value, lo, hi, message):
+    with pytest.raises(ValueError) as info:
+        require_int(value, "cutoff", lo, hi)
+    assert str(info.value) == message

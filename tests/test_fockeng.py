@@ -174,7 +174,7 @@ class TestInteriorMask:
     def test_negative_total_or_non_int_raises(self, kw):
         # total=-1 kept no state, so verify_commutes passed with residual 0.0;
         # margin1=0.5 was read as "n1 + 0.5 <= cutoff"
-        with pytest.raises(ValueError, match="non-negative integer"):
+        with pytest.raises(ValueError, match="not an integer >= 0"):
             fe.InteriorMask(fe.FockBasis(4), **kw)
 
     def test_total_zero_keeps_the_vacuum(self):
@@ -850,7 +850,7 @@ class TestOneModeBridgeExact:
     @pytest.mark.parametrize("size", [-1, 0, 1, 2])
     def test_size_without_rows_raises(self, size):
         # sizes 1 and 2 compared empty blocks and passed all three rows
-        with pytest.raises(ValueError, match="below 3"):
+        with pytest.raises(ValueError, match="not an integer >= 3"):
             fe.verify_one_mode_bridge(size)
 
     @pytest.mark.parametrize("size", [3.5, 11.0, "11", True, None])

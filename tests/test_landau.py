@@ -1,5 +1,7 @@
 """Magnetic and rotating-frame parameter maps and phase classification."""
 import math
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -241,3 +243,64 @@ class TestClassify:
         assert classify(-1 + eps, 1) == Phase.MINKOWSKIAN
         assert classify(-1, 1) == CRITICAL
         assert classify(-1 - eps, 1) == SUPERCRITICAL
+
+
+def _decimal_root(value: Fraction) -> float:
+    """Correctly rounded float of sqrt(value), by 120-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        return float((Decimal(value.numerator) / Decimal(value.denominator)).sqrt())
+
+
+class TestFloatRange:
+    def test_300_digit_integer_omega_b(self):
+        # s = 10^600 + 1 has no float: float(s) raised OverflowError
+        res = landau_to_g(LandauExtension(10**300, 1))
+        assert res.phase == Phase.EUCLIDEAN
+        assert (res.omega, res.g) == (1e300, 1.0)
+
+    def test_float_omega_b_past_the_square_root_of_the_float_range(self):
+        # omegaB * omegaB overflowed to inf: omega printed Infinity and g 0.0
+        res = landau_to_g(LandauExtension(1e200, 1))
+        assert (res.omega, res.g) == (1e200, 1.0)
+        res = landau_to_g(LandauExtension(-1e-200, 0))
+        assert res.phase == Phase.LANDAU and (res.omega, res.g) == (1e-200, -1.0)
+
+    def test_rotating_frame_goes_through_the_same_path(self):
+        # k/m = 1e600 overflowed to inf and Lambda was rejected as not finite
+        res = rotating_frame_to_g(RotatingFrame(1e300, 1e-300, 1.0))
+        assert res.phase == Phase.EUCLIDEAN
+        assert (res.omega, res.g) == (1e300, 1e-300)
+
+    @pytest.mark.parametrize("omega_b, Lambda", [
+        (3 * 10**300, 7), (Fraction(1, 10**200), Fraction(1, 10**401)),
+        (Fraction(2, 3 * 10**170), Fraction(1, 10**341)), (-(10**308), 10**300), (17 * 10**307, 10**600),
+    ], ids=["3e300", "1e-200", "2/3e-170", "-1e308", "1.7e308"])
+    def test_root_past_the_float_range_is_correctly_rounded(self, omega_b, Lambda):
+        ext = LandauExtension(omega_b, Lambda)
+        s = ext.omegaB**2 + ext.Lambda
+        assert not sys.float_info.min <= s <= sys.float_info.max
+        res = landau_to_g(ext)
+        assert res.omega == _decimal_root(s)
+        assert res.g == float(ext.omegaB) / res.omega
+
+    @given(st.fractions(max_denominator=10**12), st.fractions(max_denominator=10**12))
+    @settings(max_examples=200, deadline=None)
+    def test_root_in_the_float_range_is_the_root_of_the_rounded_value(self, omega_b, Lambda):
+        # the rounding exact inputs have always had, so their outputs keep every bit
+        s = omega_b**2 + Lambda
+        if not sys.float_info.min <= s <= sys.float_info.max:
+            return
+        res = landau_to_g(LandauExtension(omega_b, Lambda))
+        if isinstance(res.omega, float):
+            assert res.omega == math.sqrt(float(s))
+
+    @pytest.mark.parametrize("make", [
+        lambda: rotating_frame_to_g(RotatingFrame(1.7e308, 5e-324, 1.0)),  # omega ~ 6e315
+        lambda: landau_to_g(LandauExtension(1, -1 + Fraction(2, 10**700))),  # omega ~ 1e-350
+        lambda: landau_to_g(LandauExtension(-1, -1 - Fraction(2, 10**700))),  # supercritical
+        lambda: landau_to_g(LandauExtension(10**308, -(10**616) + Fraction(2, 10**10))),  # g
+    ])
+    def test_omega_or_g_outside_the_float_range_raises(self, make):
+        with pytest.raises(ValueError, match="float range"):
+            make()
