@@ -31,7 +31,7 @@ import numpy as np
 
 from .bridge import (ProportionalityReport, Units, ZPolynomial, grid_proportionality,
                      inverse_weierstrass)
-from .coupling import Coupling, _to_float
+from .coupling import Coupling
 from .fockeng import (
     FockBasis,
     InteriorMask,
@@ -52,7 +52,7 @@ from .phasealg import (
     poisson_bracket,
 )
 from .phasealg.catalog import hidden_shift
-from .phasealg.exact import coerce_real, require_int, ring_sqrt
+from .phasealg.exact import coerce_real, require_int, require_real, ring_sqrt, to_float
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -104,10 +104,10 @@ def detect_commensurability(omega1, omega2):
     1e-9 relative to the common value; a ratio outside the float range is
     not commensurate either.
     """
-    w1 = coerce_real(omega1, "frequency")
-    w2 = coerce_real(omega2, "frequency")
+    w1 = coerce_real(omega1, "omega1")
+    w2 = coerce_real(omega2, "omega2")
     if w1 <= 0 or w2 <= 0:
-        raise ValueError("frequencies must be positive")
+        raise ValueError("frequencies omega1, omega2 must be positive")
     if isinstance(w1, Fraction) and isinstance(w2, Fraction):
         ratio = w1 / w2
         return ratio.denominator, ratio.numerator
@@ -128,7 +128,7 @@ class FrequencyPair:
     The coprime labels (l1, l2) satisfy w1/w2 = l2/l1, i.e. l1*w1 == l2*w2
     (exactly for rational frequencies, to 1e-9 relative for floats).
     Integer and Fraction frequencies are kept exact; floats stay floats and
-    must be finite (ValueError otherwise).
+    must be finite; any other type raises ValueError (see ``coerce_real``).
     """
 
     omega1: Fraction | float
@@ -137,10 +137,10 @@ class FrequencyPair:
     l2: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "omega1", coerce_real(self.omega1, "frequency"))
-        object.__setattr__(self, "omega2", coerce_real(self.omega2, "frequency"))
+        object.__setattr__(self, "omega1", coerce_real(self.omega1, "omega1"))
+        object.__setattr__(self, "omega2", coerce_real(self.omega2, "omega2"))
         if self.omega1 <= 0 or self.omega2 <= 0:
-            raise ValueError("frequencies must be positive")
+            raise ValueError("frequencies omega1, omega2 must be positive")
         if (self.l1 is None) != (self.l2 is None):
             raise ValueError("give both commensurability labels or neither")
         if self.l1 is None:
@@ -172,7 +172,7 @@ class FrequencyPair:
 
     def float_omegas(self) -> tuple[float, float]:
         """(w1, w2) as floats; ValueError when one overflows or underflows to 0.0."""
-        return _to_float(self.omega1, "frequency omega1"), _to_float(self.omega2, "frequency omega2")
+        return to_float(self.omega1, "frequency omega1"), to_float(self.omega2, "frequency omega2")
 
 
 def _sign_value(sign) -> int:
@@ -193,9 +193,10 @@ def spectrum(freq: FrequencyPair, sign, n1: int, n2: int, hbar=1):
     Exact (Fraction) when the frequencies and hbar are exact rationals,
     float otherwise.  sign=+ spectra are positive; sign=- is unbounded
     below and vanishes on the diagonal n1 == n2 at equal frequencies.  An n1
-    or n2 that is not an int >= 0 raises ValueError.
+    or n2 that is not an int >= 0, or an hbar that is not a real, raises ValueError.
     """
-    return _level(freq, _sign_value(sign), require_int(n1, "n1"), require_int(n2, "n2"), hbar)
+    return _level(freq, _sign_value(sign), require_int(n1, "n1"), require_int(n2, "n2"),
+                  coerce_real(hbar, "hbar"))
 
 
 def _level(freq: FrequencyPair, sigma: int, n1: int, n2: int, hbar=1):
@@ -218,6 +219,7 @@ def signed_hamiltonian(
     float frequencies go through :func:`spectrum`.  The ladder-product
     construction is compared against this in :func:`verify_signed_spectrum`.
     """
+    hbar = require_real(hbar, "hbar")
     sigma = _sign_value(sign)
     label = f"H({'+' if sigma > 0 else '-'})"
     if not freq.is_exact:
@@ -544,9 +546,11 @@ def lissajous(A1, B1, A2, B2, freq: FrequencyPair, t):
 
     The general classical solution for both signed Hamiltonians: the
     sign=- mode only flips the momentum relation, x_i still obeys
-    x_i'' = -w_i^2 x_i, so the configuration-space curves coincide.
+    x_i'' = -w_i^2 x_i, so the configuration-space curves coincide.  An array t
+    is sampled as given; the amplitudes and a scalar t go through require_real.
     """
-    t = np.asarray(t, dtype=float)
+    A1, B1, A2, B2 = map(require_real, (A1, B1, A2, B2), ("A1", "B1", "A2", "B2"))
+    t = np.asarray(require_real(t, "t") if np.ndim(t) == 0 else t, dtype=float)
     w1, w2 = freq.float_omegas()
     x1 = A1 * np.cos(w1 * t) + B1 * np.sin(w1 * t)
     x2 = A2 * np.cos(w2 * t) + B2 * np.sin(w2 * t)
@@ -565,7 +569,7 @@ def closure_period(freq: FrequencyPair):
     """
     if not freq.commensurate:
         return None
-    return 2.0 * math.pi * _to_float(freq.l2, "label l2") / freq.float_omegas()[0]
+    return 2.0 * math.pi * to_float(freq.l2, "label l2") / freq.float_omegas()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +594,7 @@ class RescaleMap:
         return tuple(math.sqrt(w) for w in self.omegas())
 
     def omegas(self, omega: float = 1.0) -> tuple[float, float]:
-        return tuple(_to_float(w, "rescaled frequency |ell_i|") * omega for w in self.weight_sq)
+        return tuple(to_float(w, "rescaled frequency |ell_i|") * omega for w in self.weight_sq)
 
     def omega_factors(self) -> tuple[Fraction, Fraction]:
         """Exact frequency magnifications |ell_1|, |ell_2|."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .fockeng import hermite_rows, verify_one_mode_bridge, verify_quantum_bridge
-from .phasealg.exact import require_int
+from .phasealg.exact import require_int, require_real
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -64,8 +64,8 @@ class Units:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.m, self.omega, self.hbar)):
-            raise ValueError("units must be positive and finite")
+        for name in ("m", "omega", "hbar"):
+            object.__setattr__(self, name, require_real(getattr(self, name), name, positive=True))
         if not (0 < self.gauss < math.inf and 0 < self.length_sq < math.inf):
             raise ValueError("m*omega/(2*hbar) or its inverse leaves the float range")
 
@@ -374,10 +374,9 @@ def rotate(state: WaveState, gamma: float) -> WaveState:
 
     Monomial z^a zbar^b picks up e^{i gamma (a-b)}; the linear exponent
     coefficients co-rotate, the radial ones are invariant.  A gamma that is
-    not finite raises ValueError.
+    not a finite real raises ValueError.
     """
-    if not math.isfinite(gamma):
-        raise ValueError(f"rotation angle {gamma} is not finite")
+    gamma = require_real(gamma, "gamma")
     ph = complex(np.exp(1j * gamma))
     poly = ZPolynomial({(a, b): c * ph ** (a - b) for (a, b), c in state.prefactor.terms.items()})
     return replace(state, prefactor=poly, exp_z=state.exp_z * ph, exp_zbar=state.exp_zbar / ph)
@@ -604,8 +603,9 @@ def evolved_labels(alpha: complex, beta: complex, t: float, coupling: Coupling,
     """Coherent labels after time t: (alpha e^{-i omega l1 t}, beta e^{-i omega l2 t}).
 
     exp(-itH/hbar) maps Phi(alpha, beta) to this pair's state times the zero-point
-    phase e^{-i omega t}.
+    phase e^{-i omega t}.  A t that is not a finite real raises ValueError.
     """
+    t = require_real(t, "t")
     l1, l2 = coupling.float_ells()
     return (complex(alpha) * complex(np.exp(-1j * units.omega * l1 * t)),
             complex(beta) * complex(np.exp(-1j * units.omega * l2 * t)))
@@ -667,9 +667,10 @@ def coherent_checks(
     about eps*omega*max|l|*cutoff*|t|: at g = 1/3 and the suite's labels it
     reads 1.2e-12 at |t| = 1e4 and 1.4e-10 at 1e6, so it fails by design from
     |t| ~ 1e6.  A largest phase omega*(max|l|*cutoff + 1)*|t| past the float
-    range, or an ell past it, raises ValueError.
+    range, an ell past it, or a t that is not a finite real, raises ValueError.
     """
     require_int(cutoff, "cutoff", 0, 170)
+    t = require_real(t, "t")
     l1f, l2f = coupling.float_ells()
     reach = max(abs(l1f), abs(l2f)) * cutoff + 1
     if not math.isfinite(units.omega * reach * abs(t)):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .phasealg.catalog import GENERATOR_NAMES, generator
-from .phasealg.exact import require_int
+from .phasealg.exact import require_int, require_real
 from .phasealg.poly import Params
 from .reports import CheckRow, VerificationReport
 
@@ -44,8 +44,9 @@ __all__ = [
 class TrajectoryParams:
     """Two-mode orbit data: radii, phases, frequency, coupling.
 
-    Radii, phases and omega must be finite, radii non-negative and omega
-    positive; anything else raises ValueError.
+    Radii and phases must be finite reals, radii non-negative, and omega a
+    positive finite real; anything else raises ValueError.  They are stored as
+    floats.
     """
 
     R1: float
@@ -57,12 +58,10 @@ class TrajectoryParams:
 
     def __post_init__(self):
         for name in ("R1", "R2", "gamma1", "gamma2", "omega"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = require_real(getattr(self, name), name, positive=name == "omega")
+            object.__setattr__(self, name, value)
         if self.R1 < 0 or self.R2 < 0:
             raise ValueError("radii must be non-negative")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
         object.__setattr__(self, "coupling", Coupling.coerce(self.coupling))
 
 
@@ -168,15 +167,12 @@ def integrate(state0, coupling, omega: float, T: float, steps: int = 4096,
     P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  A is read off
     :func:`hamiltonian_flow_rhs` column by column and P is applied
     ``steps`` times; the truncation error of RK4 is kept, not the exact
-    flow.  ``steps`` must be an int >= 1, ``T`` and ``omega`` finite and
-    ``m`` finite and positive; anything else raises ValueError.
+    flow.  ``steps`` must be an int >= 1, ``T`` and ``omega`` finite reals and
+    ``m`` a positive finite real; anything else raises ValueError.
     """
     require_int(steps, "steps", 1)
-    for name, value in (("T", T), ("omega", omega), ("m", m)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m!r}")
+    T, omega = require_real(T, "T"), require_real(omega, "omega")
+    m = require_real(m, "m", positive=True)
     c = Coupling.coerce(coupling)
     y = state0.as_array() if isinstance(state0, PhaseState) else \
         np.asarray(state0, dtype=float).copy()
@@ -215,7 +211,9 @@ def closure_turns(coupling) -> Fraction:
 
 def closure_period(coupling, omega: float = 1.0) -> float:
     """Smallest positive orbit period, in the same time units as 1/omega;
-    inf when it exceeds the float range."""
+    inf when it exceeds the float range.  An omega that is not a positive
+    finite real raises ValueError."""
+    omega = require_real(omega, "omega", positive=True)
     try:
         return float(closure_turns(coupling)) * 2.0 * math.pi / omega
     except OverflowError:

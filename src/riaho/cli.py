@@ -30,22 +30,21 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import aniso, bridge, classdyn, fockeng, landau
-from .coupling import Coupling, _to_float
+from .coupling import Coupling
 from .fockeng import FockBasis
 from .landau import LandauExtension, RotatingFrame
+from .phasealg.exact import require_int, require_real, to_float
 from .phasealg.verify import suite_algebra
 from .reports import VerificationReport
 
 SCHEMA_VERSION = 1
-
-VERIFY_SUITES = ("algebra", "classical", "fock", "bridge", "aniso", "landau")
 
 
 class ConfigError(ValueError):
@@ -62,7 +61,8 @@ class RunConfig:
 
     The algebraic suites are exact and carry no tolerance knob; the three
     numeric tolerances cover Fock-space commutators, quadrature overlaps,
-    and trajectory cross-checks respectively.
+    and trajectory cross-checks respectively.  Units and tolerances must be
+    positive finite reals and the truncation an int >= 4, else ConfigError.
     """
 
     m: float = 1.0
@@ -76,13 +76,13 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.m, self.omega, self.hbar)):
-            raise ConfigError("units m, omega, hbar must be positive and finite")
-        if self.truncation < 4:
-            raise ConfigError("truncation must be at least 4")
-        for name in ("tol_fock", "tol_quad", "tol_traj"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite")
+        try:
+            for name in ("m", "omega", "hbar", "tol_fock", "tol_quad", "tol_traj"):
+                value = require_real(getattr(self, name), name, positive=True)
+                object.__setattr__(self, name, value)
+            require_int(self.truncation, "truncation", 4)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
 
@@ -91,17 +91,7 @@ class RunConfig:
         return bridge.Units(self.m, self.omega, self.hbar)
 
 
-_CONFIG_CASTS = {
-    "m": float,
-    "omega": float,
-    "hbar": float,
-    "truncation": int,
-    "tol_fock": float,
-    "tol_quad": float,
-    "tol_traj": float,
-    "outdir": str,
-    "format": str,
-}
+_CONFIG_CASTS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict:
@@ -410,21 +400,13 @@ def cmd_degeneracy(args, config: RunConfig) -> int:
     })
 
 
-def _require_finite(args, *names):
-    for name in names:
-        if not math.isfinite(getattr(args, name)):
-            raise ConfigError(f"{name} must be finite")
-
-
 def _square_grid(args) -> tuple:
     """ij meshgrid of --points samples per axis over [-extent, extent]."""
     if args.points < 2:
         raise ConfigError("points must be at least 2")
-    _require_finite(args, "extent")
-    if args.extent <= 0:
-        raise ConfigError("extent must be positive")
+    extent = require_real(args.extent, "extent", positive=True)
     with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
-        xs = np.linspace(-args.extent, args.extent, args.points)
+        xs = np.linspace(-extent, extent, args.points)
     return np.meshgrid(xs, xs, indexing="ij")
 
 
@@ -457,7 +439,8 @@ def cmd_coherent(args, config: RunConfig) -> int:
     beta = parse_complex(args.beta, "beta")
     g = parse_rational(args.g, "g")
     coupling = Coupling(g)
-    _require_finite(args, "t", "gamma")
+    for name in ("t", "gamma"):  # rejected before any grid sample or check is computed
+        require_real(getattr(args, name), name)
     x1, x2 = _square_grid(args)
     if args.cutoff < 4:
         raise ConfigError("cutoff must be at least 4")
@@ -524,7 +507,7 @@ def cmd_landau(args, config: RunConfig) -> int:
         "command": "landau",
         "source": source,
         "phase": result.phase,
-        "omega": None if result.omega is None else _to_float(result.omega, "omega"),
+        "omega": None if result.omega is None else to_float(result.omega, "omega"),
     }
     if isinstance(result.g, Fraction):
         payload["g_num"] = result.g.numerator
@@ -552,6 +535,7 @@ _SUITE_BUILDERS = {
     "aniso": aniso.suite_aniso,
     "landau": landau.suite_landau,
 }
+VERIFY_SUITES = tuple(_SUITE_BUILDERS)
 
 
 def cmd_verify(args, config: RunConfig) -> int:

@@ -17,10 +17,10 @@ not a finite rational.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+
+from .phasealg.exact import coerce_real, to_float
 
 __all__ = ["Coupling", "Phase"]
 
@@ -35,21 +35,8 @@ class Phase:
     ISOTROPIC_MINK = "isotropic-minkowskian"  # |g| -> inf limit (flag only)
 
 
-def _to_float(value: Fraction, name: str) -> float:
-    """float(value); ValueError naming ``name`` past the float range or on underflow to 0.0."""
-    try:
-        out = float(value)
-    except OverflowError:
-        raise ValueError(f"{name} lies outside the float range") from None
-    if out == 0.0 and value != 0:
-        raise ValueError(f"{name} underflows to 0.0 as a float")
-    return out
-
-
 def _check_exact_float(x: float) -> None:
     """Reject a float that is not exactly the rational its repr names."""
-    if not math.isfinite(x):
-        raise ValueError(f"coupling must be finite, got {x!r}")
     meant = Fraction(repr(float(x)))
     if Fraction(x) != meant:
         raise ValueError(
@@ -64,10 +51,12 @@ class Coupling:
     Parameters
     ----------
     g : Fraction
-        Coerced to an exact rational; strings like ``"2/3"``, ints and
-        floats with exact binary representation are accepted.  A float
+        Coerced to an exact rational; strings like ``"2/3"``, ints, Fractions
+        and floats with exact binary representation are accepted.  A float
         whose binary value differs from its decimal repr (``0.1``) raises
-        ValueError naming the exact alternative, as does a non-finite one.
+        ValueError naming the exact alternative; a non-finite float and any
+        other type (bool, None, complex) raise ValueError through
+        :func:`~riaho.phasealg.exact.coerce_real`.
     isotropic_mink : bool
         Marks the |g| -> infinity limit.  The stored g is then only a
         direction sign and must not be used numerically.
@@ -77,10 +66,10 @@ class Coupling:
     isotropic_mink: bool = False
 
     def __post_init__(self):
-        if isinstance(self.g, float):
-            _check_exact_float(self.g)
-        if not isinstance(self.g, Fraction):
-            object.__setattr__(self, "g", Fraction(self.g))
+        g = Fraction(self.g) if isinstance(self.g, str) else coerce_real(self.g, "coupling g")
+        if isinstance(g, float):
+            _check_exact_float(g)
+        object.__setattr__(self, "g", Fraction(g))
 
     @classmethod
     def coerce(cls, value) -> "Coupling":
@@ -127,9 +116,7 @@ class Coupling:
         if abs(self.g) == 1:
             return None
         r = abs(self.ell2 / self.ell1)
-        s1, s2 = r.numerator, r.denominator
-        d = gcd(s1, s2)
-        return (s1 // d, s2 // d)
+        return (r.numerator, r.denominator)
 
     @property
     def s1(self) -> int | None:
@@ -145,11 +132,11 @@ class Coupling:
         """g as a float; ValueError in the |g| -> inf limit or past the float range."""
         if self.isotropic_mink:
             raise ValueError("isotropic minkowskian limit has no finite g")
-        return _to_float(self.g, "coupling g")
+        return to_float(self.g, "coupling g")
 
     def float_ells(self) -> tuple[float, float]:
         """(ell1, ell2) as floats; ValueError when one lies past the float range."""
-        return _to_float(self.ell1, "mode weight ell1"), _to_float(self.ell2, "mode weight ell2")
+        return to_float(self.ell1, "mode weight ell1"), to_float(self.ell2, "mode weight ell2")
 
     def __str__(self) -> str:
         if self.isotropic_mink:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .phasealg.catalog import hidden_shift, is_true_integral
-from .phasealg.exact import require_int
+from .phasealg.exact import require_int, require_real
 from .phasealg.poly import krawtchouk_rows
 from .reports import CheckRow, VerificationReport
 
@@ -71,7 +71,8 @@ __all__ = [
 class FockBasis:
     """Two-mode number basis truncated at ``cutoff`` quanta per mode.
 
-    States are ordered row-major over (n1, n2), i.e. index = n1*(cutoff+1)+n2.
+    States are ordered row-major over (n1, n2), i.e. index = n1*(cutoff+1)+n2.  ``index``
+    and ``state`` raise ValueError for a non-int and IndexError for an int off the grid.
     """
 
     cutoff: int
@@ -84,12 +85,18 @@ class FockBasis:
         return (self.cutoff + 1) ** 2
 
     def index(self, n1: int, n2: int) -> int:
+        n1, n2 = require_int(n1, "n1", None), require_int(n2, "n2", None)
         if not (0 <= n1 <= self.cutoff and 0 <= n2 <= self.cutoff):
             raise IndexError(f"state ({n1}, {n2}) outside cutoff {self.cutoff}")
         return n1 * (self.cutoff + 1) + n2
 
+    def _indices(self, states) -> np.ndarray:
+        """Int array of the indices n1*(cutoff+1) + n2 of a list of grid states, unchecked."""
+        n = np.array(states, dtype=int).reshape(-1, 2)
+        return n[:, 0] * (self.cutoff + 1) + n[:, 1]
+
     def state(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < self.dim:
+        if not 0 <= require_int(i, "i", None) < self.dim:
             raise IndexError(f"index {i} outside basis of dimension {self.dim}")
         return divmod(i, self.cutoff + 1)
 
@@ -143,9 +150,7 @@ class InteriorMask:
         return [s for s in self.basis.states() if self.contains(*s)]
 
     def indices(self) -> np.ndarray:
-        return np.array(
-            [self.basis.index(n1, n2) for (n1, n2) in self.states()], dtype=int
-        )
+        return self.basis._indices(self.states())
 
     def restrict_columns(self, matrix: np.ndarray) -> np.ndarray:
         return np.asarray(matrix)[:, self.indices()]
@@ -239,7 +244,7 @@ def hamiltonian(
     Each level is the int quotient (a n1 + b n2 + d)/d with l1 = a/d and l2 = b/d, which
     rounds exactly as the float of its :func:`exact_energy` Fraction does.
     """
-    return np.diag(_levels(basis, coupling, hbar_omega))
+    return np.diag(_levels(basis, coupling, require_real(hbar_omega, "hbar_omega")))
 
 
 def _levels(basis: FockBasis, coupling: Coupling, hbar_omega: float = 1.0) -> np.ndarray:
@@ -250,6 +255,7 @@ def _levels(basis: FockBasis, coupling: Coupling, hbar_omega: float = 1.0) -> np
 
 def angular_momentum(basis: FockBasis, hbar: float = 1.0) -> np.ndarray:
     """Conserved angular momentum, diagonal with entries hbar*(n1 - n2)."""
+    hbar = require_real(hbar, "hbar")
     return _diagonal(basis, lambda n1, n2: hbar * float(n1 - n2), "p_phi")
 
 
@@ -347,7 +353,7 @@ def _hidden_entries(basis: FockBasis, kind: str, s1: int, s2: int):
     (d1, d2), label = hidden_shift(kind, s1, s2), f"{kind}+_{s1}{s2}"
     states = [(n1, n2) for n1, n2 in basis.states()
               if 0 <= n1 + d1 <= basis.cutoff and 0 <= n2 + d2 <= basis.cutoff]
-    cols = np.array([basis.index(n1, n2) for n1, n2 in states], dtype=int)
+    cols = basis._indices(states)
     values = np.array([_amplitude((d1, d2), n1, n2, label) for n1, n2 in states])
     return cols + d1 * (basis.cutoff + 1) + d2, cols, values
 
@@ -561,9 +567,10 @@ def rni_hamiltonian(
     H = hbar*omega*(l1 a1+ a1- + l2 a2+ a2- + 1) on the Cartesian modes, which in the
     circular modes reads hbar*omega*((l1+l2)/2 (n1+n2) + (l1-l2)/2 (b1+ b2- + b2+ b1-) + 1);
     unitarily equivalent to the rotating-oscillator Hamiltonian but lacking
-    [H, p_phi] = 0 away from g = 0.  An entry past the float range raises
-    ValueError.
+    [H, p_phi] = 0 away from g = 0.  An hbar_omega that is not a finite real, or an entry
+    past the float range, raises ValueError.
     """
+    hbar_omega = require_real(hbar_omega, "hbar_omega")
     l1, l2 = coupling.float_ells()
     with np.errstate(over="ignore", invalid="ignore"):
         mat = _assemble(basis, lambda total: _rni_block(total, l1, l2, hbar_omega), 0)

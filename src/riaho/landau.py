@@ -4,12 +4,19 @@ The coupled-rotation oscillator H_g = H_osc + g*omega*p_phi, restricted to
 |g| finite, is the same system as
 
 * a charged particle in a uniform magnetic field plus an extra quadratic
-  potential Lambda*x^2/2 per axis (omegaB = qB/2mc carries the sign of qB):
+  potential m*Lambda*x^2/2 per axis (omegaB = -qB_z/2mc, see below):
   subcritical confinement omegaB^2 + Lambda > 0 maps to (omega, g) via
   omega = sqrt(omegaB^2 + Lambda), g = omegaB/omega;
 * a plane oscillator of spring constant k >= 0 in a frame rotating at
   signed angular frequency Omega, via omegaB -> Omega, Lambda -> k/m -
   Omega^2.
+
+Orientation: with p_phi = x1 p2 - x2 p1, the g returned gives H_g exactly
+for (p - qA/c)^2/2m + m*Lambda*r^2/2 in the gauge qA/c = m*omegaB*(x2, -x1)
+(field along -z for q*omegaB > 0) and for H_osc + Omega*p_phi (frame turning
+clockwise for Omega > 0); the textbook gauge m*omegaB*(-x2, x1) and
+H_osc - Omega*p_phi give H_{-g}.  The exact check needs m*omega to be a
+rational square or twice one: (k, m, Omega) = (9, 4, 2) is out of reach.
 
 The boundary Lambda = -omegaB^2 is the critical (free-in-rotating-frame)
 case and Lambda < -omegaB^2 is supercritical; both are classification-only
@@ -24,9 +31,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coupling import Coupling, Phase, _to_float
+from .coupling import Coupling, Phase
 from .reports import CheckRow, VerificationReport
-from .phasealg.exact import coerce_real, rational_sqrt
+from .phasealg.exact import coerce_real, rational_sqrt, to_float
 
 __all__ = [
     "CRITICAL",
@@ -102,7 +109,7 @@ class RotatingFrame:
         if self.k < 0:
             raise ValueError("spring constant k must be non-negative")
         if self.m <= 0:
-            raise ValueError("mass must be positive")
+            raise ValueError("mass m must be positive")
 
 
 @dataclass(frozen=True)
@@ -160,7 +167,7 @@ def _to_g(omegaB, Lambda: Fraction, exact: bool) -> PhaseResult:
     if isinstance(omega, Fraction):
         g = omegaB / omega
     else:
-        g = _to_float(omegaB, "omegaB") / omega
+        g = to_float(omegaB, "omegaB") / omega
         if not math.isfinite(g) or (g == 0) != (omegaB == 0):
             raise ValueError(f"g = omegaB/omega lies outside the float range (omega = {omega})")
     if Lambda > 0:

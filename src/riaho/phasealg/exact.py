@@ -34,7 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isfinite, isqrt, lcm, sqrt as _fsqrt
 
-__all__ = ["ExactComplex", "coerce_real", "rational_sqrt", "require_int", "ring_sqrt"]
+__all__ = ["ExactComplex", "coerce_real", "rational_sqrt", "require_int", "require_real",
+           "ring_sqrt", "to_float"]
 
 _SQRT2 = _fsqrt(2.0)
 _new_object = object.__new__
@@ -48,32 +49,52 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def to_float(value, name: str) -> float:
+    """float(value) of an int, Fraction or float; ValueError naming ``name`` when the value
+    lies past the float range or a non-zero value underflows to 0.0."""
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} lies outside the float range") from None
+    if out == 0.0 and value != 0:
+        raise ValueError(f"{name} underflows to 0.0 as a float")
+    return out
+
+
 def coerce_real(value, name: str):
-    """Ints and Fractions stay exact; other numbers become finite floats.
-
-    A bool raises TypeError and a non-finite value ValueError.
-    """
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be a number")
-    if isinstance(value, (int, Fraction)):
+    """A real argument that may be exact: an int or Fraction as a Fraction of any size, a
+    finite float (numpy float64 too) as a float; anything else, bool, str, None, complex,
+    nan or inf among it, raises ValueError naming ``name`` and the value."""
+    if type(value) is int or isinstance(value, Fraction):
         return Fraction(value)
-    value = float(value)
-    if not isfinite(value):
-        raise ValueError(f"{name} must be finite")
-    return value
+    if isinstance(value, float) and isfinite(value):
+        return float(value)
+    raise ValueError(f"{name} {value!r} is not a finite real")
 
 
-def require_int(value, name: str, lo: int = 0, hi: int | None = None) -> int:
-    """``value`` when it is a Python int with lo <= value <= hi (hi None: no upper end).
+def require_real(value, name: str, positive: bool = False) -> float:
+    """The rule for a real argument used as a float (mass, frequency, hbar, radius, time,
+    angle, tolerance): an int, Fraction or float, through :func:`to_float`, finite and > 0
+    when ``positive``; anything else raises ValueError naming ``name`` and the value."""
+    if type(value) is int or isinstance(value, (Fraction, float)):
+        out = to_float(value, name)
+        if isfinite(out) and (out > 0 or not positive):
+            return out
+    raise ValueError(f"{name} {value!r} is not a {'positive ' if positive else ''}finite real")
+
+
+def require_int(value, name: str, lo: int | None = 0, hi: int | None = None) -> int:
+    """``value`` when it is a Python int with lo <= value <= hi (hi None: no upper end;
+    lo and hi None: any int).
 
     The one integer-argument rule for every count, size, mode and quantum number:
     Python ints only.  A bool, float, string or numpy integer raises ValueError naming
     ``name`` and the value, as does an int out of range; the CLI turns it into exit 2.
     """
-    if type(value) is int and lo <= value and (hi is None or value <= hi):
+    if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
         return value
-    bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-    raise ValueError(f"{name} {value!r} is not an integer {bounds}")
+    bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+    raise ValueError(f"{name} {value!r} is not an integer{bounds}")
 
 
 def rational_sqrt(q: Fraction):

@@ -308,7 +308,7 @@ class TestValidation:
     def test_non_finite_inputs_rejected(self, field, value):
         # NaN slips past R1 < 0 and omega <= 0, so finiteness is checked first
         kwargs = {"R1": 1.0, "R2": 0.5, **{field: value}}
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        with pytest.raises(ValueError, match=f"{field} .* is not a (positive )?finite real"):
             TrajectoryParams(**kwargs)
 
     def test_exact_coupling_beyond_float_range_raises_value_error(self):

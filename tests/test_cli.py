@@ -337,7 +337,8 @@ def test_non_finite_grid_and_angles_print_only_the_error_line(tmp_path, capsys, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(tmp_path, *argv) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {name} must be finite"]
+    value, kind = argv[-1].split("=")[-1], "a positive finite" if name == "extent" else "a finite"
+    assert capsys.readouterr().err.splitlines() == [f"error: {name} {value} is not {kind} real"]
     assert not list(tmp_path.iterdir())
 
 

@@ -129,6 +129,38 @@ def test_formerly_disagreeing_inputs_raise_value_error(call):
         call()
 
 
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+@pytest.mark.parametrize("name, call", [
+    ("n1", lambda v: fe.FockBasis(3).index(v, 0)),
+    ("n2", lambda v: fe.FockBasis(3).index(0, v)),
+    ("i", lambda v: fe.FockBasis(3).state(v)),
+])
+def test_basis_index_and_state_take_ints_only(name, call, value):
+    # index(1.5, 0) returned 6.0 and state(2.5) returned (0.0, 2.5)
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} {value!r} is not an integer"
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: b.index(-1, 0), lambda b: b.index(4, 0), lambda b: b.index(0, 4),
+    lambda b: b.state(-1), lambda b: b.state(16),
+])
+def test_basis_index_and_state_off_the_grid_raise_index_error(call):
+    with pytest.raises(IndexError):
+        call(fe.FockBasis(3))
+
+
+@pytest.mark.parametrize("mask", [
+    fe.InteriorMask(fe.FockBasis(5), 1, 2, total=6), fe.InteriorMask(fe.FockBasis(2), total=0),
+])
+def test_interior_indices_are_the_checked_indices(mask):
+    # computed on an int array, with no per-state call of FockBasis.index
+    indices = mask.indices()
+    assert indices.dtype == np.array([0]).dtype
+    assert indices.tolist() == [mask.basis.index(n1, n2) for n1, n2 in mask.states()]
+
+
 @pytest.mark.parametrize("key", [(1, 2, 3), (1,), "ab", 5])
 def test_aniso_exponents_must_be_a_pair(key):
     # a 3-tuple key used its first two entries

@@ -20,6 +20,7 @@ from riaho.landau import (
     landau_to_g,
     rotating_frame_to_g,
 )
+from riaho.phasealg import CANONICAL, CIRCULAR, Params, PhasePoly, hamiltonian
 
 
 class TestLandauToG:
@@ -304,3 +305,51 @@ class TestFloatRange:
     def test_omega_or_g_outside_the_float_range_raises(self, make):
         with pytest.raises(ValueError, match="float range"):
             make()
+
+
+class TestOrientation:
+    """The maps' sign of g, pinned by exact Hamiltonians in the canonical ring."""
+
+    @staticmethod
+    def _canonical(params):
+        return [PhasePoly.variable(name, CANONICAL, params) for name in ("x1", "x2", "p1", "p2")]
+
+    @staticmethod
+    def _circular_equals(h, g, params) -> bool:
+        return h.to_basis(CIRCULAR) == hamiltonian(Coupling(g), params)
+
+    @pytest.mark.parametrize("omega_b, lam", [
+        (Fraction(3, 5), Fraction(16, 25)), (Fraction(-3, 5), Fraction(16, 25)),
+        (Fraction(5, 4), Fraction(-9, 16)), (Fraction(1), Fraction(0)), (Fraction(-2), Fraction(0)),
+    ])
+    def test_magnetic_hamiltonian_is_h_g(self, omega_b, lam):
+        # (p - qA/c)^2/2m + m Lambda r^2/2 at m = 1, qA/c = m omegaB (x2, -x1): field along -z
+        res = landau_to_g(LandauExtension(omega_b, lam))
+        params = Params(1, res.omega)
+        x1, x2, p1, p2 = self._canonical(params)
+        trap = (lam / 2) * (x1 * x1 + x2 * x2)
+        h = ((p1 - omega_b * x2) ** 2 + (p2 + omega_b * x1) ** 2) * Fraction(1, 2) + trap
+        assert self._circular_equals(h, res.g, params)
+        # the textbook gauge qA/c = m omegaB (-x2, x1), field along +z, is H_{-g}
+        h_textbook = ((p1 + omega_b * x2) ** 2 + (p2 - omega_b * x1) ** 2) * Fraction(1, 2) + trap
+        assert self._circular_equals(h_textbook, -res.g, params)
+        assert not self._circular_equals(h_textbook, res.g, params)
+
+    @pytest.mark.parametrize("k, m, omega_cap", [(4, 1, 1), (1, 4, -1)])
+    def test_rotating_frame_hamiltonian_is_h_g(self, k, m, omega_cap):
+        # p^2/2m + k r^2/2 + Omega p_phi: a frame turning clockwise for Omega > 0
+        res = rotating_frame_to_g(RotatingFrame(Fraction(k), Fraction(m), Fraction(omega_cap)))
+        params = Params(m, res.omega)
+        x1, x2, p1, p2 = self._canonical(params)
+        h_osc = Fraction(1, 2 * m) * (p1 * p1 + p2 * p2) + Fraction(k, 2) * (x1 * x1 + x2 * x2)
+        p_phi = x1 * p2 - x2 * p1
+        assert self._circular_equals(h_osc + omega_cap * p_phi, res.g, params)
+        assert self._circular_equals(h_osc - omega_cap * p_phi, -res.g, params)
+
+    def test_conversion_out_of_reach_raises(self):
+        # omega = 3/2 at m = 4: m*omega = 6 is neither a rational square nor twice one
+        res = rotating_frame_to_g(RotatingFrame(Fraction(9), Fraction(4), Fraction(2)))
+        params = Params(4, res.omega)
+        x1, _, p1, _ = self._canonical(params)
+        with pytest.raises(ValueError, match="m\\*omega = 6"):
+            (x1 * p1).to_basis(CIRCULAR)
