@@ -16,17 +16,20 @@ from riaho import classdyn
 
 def describe(which: str):
     print(f"--- {which} gallery ---")
-    for label, params in classdyn.gallery_params(which):
+    gallery = classdyn.gallery_params(which)
+    periods = [classdyn.closure_period(p.coupling, p.omega) for _, p in gallery]
+    runs = classdyn.integrate_many(
+        [(classdyn.state_from_params(p), p.coupling, p.omega, period)
+         for (_, p), period in zip(gallery, periods)],
+        steps=2048,
+    )
+    for (label, params), period, (ts, states) in zip(gallery, periods, runs):
         c = params.coupling
-        period = classdyn.closure_period(c, params.omega)
 
         x1a, x2a = classdyn.position(params, 0.0)
         x1b, x2b = classdyn.position(params, period)
         closure = math.hypot(float(x1b) - float(x1a), float(x2b) - float(x2a))
 
-        ts, states = classdyn.integrate(
-            classdyn.state_from_params(params), c, params.omega, period, steps=2048
-        )
         x1, x2 = classdyn.position(params, ts)
         v1, v2 = classdyn.velocity(params, ts)
         gw = c.as_float() * params.omega

@@ -594,6 +594,8 @@ class RescaleMap:
         return tuple(math.sqrt(w) for w in self.omegas())
 
     def omegas(self, omega: float = 1.0) -> tuple[float, float]:
+        """Image frequencies Omega_i = |ell_i| * omega; omega must be a positive finite real."""
+        omega = require_real(omega, "omega", positive=True)
         return tuple(to_float(w, "rescaled frequency |ell_i|") * omega for w in self.weight_sq)
 
     def omega_factors(self) -> tuple[Fraction, Fraction]:

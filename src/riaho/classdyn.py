@@ -34,7 +34,7 @@ from .reports import CheckRow, VerificationReport
 __all__ = [
     "TrajectoryParams", "PhaseState", "position", "velocity", "momentum",
     "state_from_params", "hamiltonian_flow_rhs", "hamiltonian_value",
-    "integrate", "closure_turns", "closure_period", "is_cusped",
+    "integrate", "integrate_many", "closure_turns", "closure_period", "is_cusped",
     "pass_through_origin", "minkowski_radius_sq", "conserved_values",
     "ORBIT_GALLERY", "CUSP_GALLERY", "gallery_params", "suite_classical",
 ]
@@ -77,7 +77,10 @@ class PhaseState:
 
 
 def _mode_values(params: TrajectoryParams, t):
-    """(b1plus, b2minus) along the orbit; z = b1plus + b2minus."""
+    """(b1plus, b2minus) along the orbit; z = b1plus + b2minus.  A scalar t goes
+    through the real-argument rule; an array of times is used as given."""
+    if not (isinstance(t, np.ndarray) or np.ndim(t)):
+        t = require_real(t, "t")
     w = params.omega
     l1, l2 = params.coupling.float_ells()
     t = np.asarray(t, dtype=float)
@@ -87,14 +90,18 @@ def _mode_values(params: TrajectoryParams, t):
 
 
 def position(params: TrajectoryParams, t):
-    """Closed-form (x1, x2) at time(s) t."""
+    """Closed-form (x1, x2) at time(s) t.
+
+    A scalar t must be a finite real (ValueError otherwise); a numpy array or
+    a sequence of times is used as given.
+    """
     b1p, b2m = _mode_values(params, t)
     z = b1p + b2m
     return z.real, z.imag
 
 
 def velocity(params: TrajectoryParams, t):
-    """Closed-form (dx1/dt, dx2/dt)."""
+    """Closed-form (dx1/dt, dx2/dt); t as in :func:`position`."""
     w = params.omega
     b1p, b2m = _mode_values(params, t)
     l1, l2 = params.coupling.float_ells()
@@ -104,7 +111,9 @@ def velocity(params: TrajectoryParams, t):
 
 def momentum(params: TrajectoryParams, t, m: float = 1.0):
     """Closed-form canonical momenta (p1, p2); they include the rotational
-    shift p1 = m(dx1/dt + g w x2), p2 = m(dx2/dt - g w x1)."""
+    shift p1 = m(dx1/dt + g w x2), p2 = m(dx2/dt - g w x1).  t as in
+    :func:`position`; m must be a positive finite real (ValueError otherwise)."""
+    m = require_real(m, "m", positive=True)
     x1, x2 = position(params, t)
     v1, v2 = velocity(params, t)
     gw = params.coupling.as_float() * params.omega
@@ -113,7 +122,9 @@ def momentum(params: TrajectoryParams, t, m: float = 1.0):
 
 def state_from_params(params: TrajectoryParams, t: float = 0.0,
                       m: float = 1.0) -> PhaseState:
-    """Canonical state on the orbit at time t (see :func:`momentum`)."""
+    """Canonical state on the orbit at one time t (see :func:`momentum`); t must
+    be a finite real (ValueError otherwise)."""
+    t = require_real(t, "t")
     x1, x2 = position(params, t)
     p1, p2 = momentum(params, t, m)
     return PhaseState(float(x1), float(x2), float(p1), float(p2))
@@ -123,9 +134,11 @@ def hamiltonian_flow_rhs(state, coupling, omega: float, m: float = 1.0):
     """Hamilton's equations of H_g as a flat 4-vector derivative.
 
     Accepts a PhaseState or any length-4 sequence; returns ndarray
-    (dx1, dx2, dp1, dp2).
+    (dx1, dx2, dp1, dp2).  ``omega`` and ``m`` must be positive finite reals
+    (ValueError otherwise).
     """
     c = Coupling.coerce(coupling)
+    omega, m = require_real(omega, "omega", positive=True), require_real(m, "m", positive=True)
     if isinstance(state, PhaseState):
         state = state.as_array()
     x1, x2, p1, p2 = np.asarray(state, dtype=float)
@@ -144,7 +157,10 @@ def hamiltonian_flow_rhs(state, coupling, omega: float, m: float = 1.0):
 
 
 def hamiltonian_value(state, coupling, omega: float, m: float = 1.0) -> float:
+    """H_g at a PhaseState or length-4 sequence; ``omega`` and ``m`` as in
+    :func:`hamiltonian_flow_rhs`."""
     c = Coupling.coerce(coupling)
+    omega, m = require_real(omega, "omega", positive=True), require_real(m, "m", positive=True)
     if isinstance(state, PhaseState):
         state = state.as_array()
     x1, x2, p1, p2 = np.asarray(state, dtype=float)
@@ -157,36 +173,54 @@ def hamiltonian_value(state, coupling, omega: float, m: float = 1.0) -> float:
             + g * omega * (x1 * p2 - x2 * p1))
 
 
+def _rk4_step_matrix(coupling: Coupling, omega: float, h: float, m: float) -> np.ndarray:
+    """One classical RK4 step of y' = A y as the matrix
+    P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, with A read off
+    :func:`hamiltonian_flow_rhs` column by column."""
+    eye = np.eye(4)
+    hA = h * np.column_stack([hamiltonian_flow_rhs(e, coupling, omega, m) for e in eye])
+    return eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4) / 3) / 2)
+
+
+def integrate_many(problems, steps: int = 4096, m: float = 1.0) -> list:
+    """Fixed-step RK4 over [0, T] for each ``(state0, coupling, omega, T)`` in
+    ``problems``; returns one (times, states[steps+1, 4]) pair per problem, in order.
+
+    Deterministic cross-check oracle for the closed form, not a production
+    integrator.  H_g is quadratic, so Hamilton's equations are linear,
+    y' = A y, and one RK4 step is a fixed 4x4 matrix per problem.  The k step
+    matrices are stacked and all k states advance together, one batched
+    product per step; every state sees the same per-step products as when it
+    is integrated alone.  The truncation error of RK4 is kept, not the exact
+    flow.  The states are views into one shared (steps+1, k, 4) buffer.
+    ``problems`` must be non-empty, ``steps`` an int >= 1, each ``T`` a finite
+    real and each ``omega`` and ``m`` a positive finite real; anything else
+    raises ValueError.
+    """
+    require_int(steps, "steps", 1)
+    m = require_real(m, "m", positive=True)
+    if len(problems) == 0:
+        raise ValueError("problems is empty: give at least one (state0, coupling, omega, T)")
+    step = np.empty((len(problems), 4, 4))
+    out = np.empty((steps + 1, len(problems), 4))
+    times = []
+    for i, (state0, coupling, omega, T) in enumerate(problems):
+        T, omega = require_real(T, "T"), require_real(omega, "omega", positive=True)
+        out[0, i] = state0.as_array() if isinstance(state0, PhaseState) else state0
+        step[i] = _rk4_step_matrix(Coupling.coerce(coupling), omega, T / steps, m)
+        times.append(np.linspace(0.0, T, steps + 1))
+    for n in range(steps):
+        np.matmul(step, out[n, :, :, None], out=out[n + 1, :, :, None])
+    return [(ts, out[:, i]) for i, ts in enumerate(times)]
+
+
 def integrate(state0, coupling, omega: float, T: float, steps: int = 4096,
               m: float = 1.0):
     """Fixed-step RK4 over [0, T]; returns (times, states[steps+1, 4]).
 
-    Deterministic cross-check oracle for the closed form, not a production
-    integrator.  H_g is quadratic, so Hamilton's equations are linear,
-    y' = A y, and one classical RK4 step is the matrix
-    P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  A is read off
-    :func:`hamiltonian_flow_rhs` column by column and P is applied
-    ``steps`` times; the truncation error of RK4 is kept, not the exact
-    flow.  ``steps`` must be an int >= 1, ``T`` and ``omega`` finite reals and
-    ``m`` a positive finite real; anything else raises ValueError.
+    The one-problem form of :func:`integrate_many`, with the same checks.
     """
-    require_int(steps, "steps", 1)
-    T, omega = require_real(T, "T"), require_real(omega, "omega")
-    m = require_real(m, "m", positive=True)
-    c = Coupling.coerce(coupling)
-    y = state0.as_array() if isinstance(state0, PhaseState) else \
-        np.asarray(state0, dtype=float).copy()
-    h = T / steps
-    eye = np.eye(4)
-    hA = h * np.column_stack([hamiltonian_flow_rhs(e, c, omega, m) for e in eye])
-    step = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4) / 3) / 2)
-    ts = np.linspace(0.0, T, steps + 1)
-    out = np.empty((steps + 1, 4))
-    out[0] = y
-    for n in range(steps):
-        y = step @ y
-        out[n + 1] = y
-    return ts, out
+    return integrate_many([(state0, coupling, omega, T)], steps, m)[0]
 
 
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -320,10 +354,17 @@ def suite_classical(config) -> VerificationReport:
         ("orbits", pass_through_origin, "origin", {"b", "e", "h"}),
         ("cusps", is_cusped, "cusp", {"a", "d"}),
     )
+    # one batched RK4 run over both galleries, read back in gallery order
+    runs = iter(integrate_many(
+        [(state_from_params(params, 0.0), params.coupling, params.omega,
+          closure_period(params.coupling, params.omega))
+         for which, *_ in flag_specs for _, params in gallery_params(which)],
+        steps=2048))
     for which, flag_fn, flag_name, expected in flag_specs:
         flagged = set()
         for label, params in gallery_params(which):
-            period = closure_period(params.coupling, params.omega)
+            ts, states = next(runs)
+            period = ts[-1]  # each problem's times end at its own T
             scale = max(params.R1 + params.R2, 1e-300)
             x1a, x2a = position(params, 0.0)
             x1b, x2b = position(params, period)
@@ -331,8 +372,6 @@ def suite_classical(config) -> VerificationReport:
                 f"closure:{which}:{label}", "x(T) = x(0) at the closure period",
                 math.hypot(float(x1b) - float(x1a), float(x2b) - float(x2a)) / scale, 1e-9))
 
-            ts, states = integrate(state_from_params(params, 0.0), params.coupling,
-                                   params.omega, period, steps=2048)
             closed = np.stack([*position(params, ts), *momentum(params, ts)], axis=1)
             report.add(CheckRow.within(
                 f"integrate:{which}:{label}", "closed form matches fixed-step RK4",

@@ -5,13 +5,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from riaho import classdyn
 from riaho.classdyn import (CUSP_GALLERY, ORBIT_GALLERY, PhaseState,
                             TrajectoryParams, closure_period, closure_turns,
                             conserved_values, hamiltonian_flow_rhs,
-                            hamiltonian_value, integrate, is_cusped,
-                            minkowski_radius_sq, momentum,
+                            hamiltonian_value, integrate, integrate_many,
+                            is_cusped, minkowski_radius_sq, momentum,
                             pass_through_origin, position, state_from_params,
-                            velocity)
+                            suite_classical, velocity)
+from riaho.cli import RunConfig
 from riaho.coupling import Coupling
 
 
@@ -181,6 +183,93 @@ class TestPropagatorMatchesStagewise:
         _, states = integrate(state, params.coupling, params.omega, h, steps=1)
         ref = _rk4_stagewise(state, params.coupling, params.omega, h, 1)
         assert np.max(np.abs(states - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def _gallery_problem(params):
+    return (state_from_params(params), params.coupling, params.omega,
+            closure_period(params.coupling, params.omega))
+
+
+# the 15 gallery orbits, then the isotropic Minkowskian limit and g = -1
+BATCH = [_gallery_problem(p) for _, p in ORBIT_GALLERY + CUSP_GALLERY] + [
+    (PhaseState(1.0, -0.5, 0.3, 0.8), Coupling(F(1), isotropic_mink=True), 1.0, 2 * math.pi),
+    _gallery_problem(orbit("-1", R1=1.0, R2=2.0, g1=0.3, w=1.5)),
+]
+
+
+def _matrix_loop(state0, coupling, omega, T, steps, m=1.0):
+    """Reference: one problem, its step matrix applied by one product per step."""
+    c = Coupling.coerce(coupling)
+    y = state0.as_array() if isinstance(state0, PhaseState) else np.asarray(state0, dtype=float)
+    step = classdyn._rk4_step_matrix(c, omega, T / steps, m)
+    out = [y]
+    for _ in range(steps):
+        out.append(step @ out[-1])
+    return np.array(out)
+
+
+class TestIntegrateMany:
+    def test_batch_equals_each_problem_alone(self):
+        runs = integrate_many(BATCH, steps=2048)
+        assert len(runs) == len(BATCH)
+        for problem, (ts, states) in zip(BATCH, runs):
+            ts_alone, states_alone = integrate(*problem, steps=2048)
+            assert np.array_equal(ts, ts_alone) and np.array_equal(states, states_alone)
+
+    def test_batch_makes_the_per_problem_step_products(self):
+        # no shortcut powers: every state is its own matrix applied once per step
+        for problem, (_, states) in zip(BATCH, integrate_many(BATCH, steps=512, m=2.0)):
+            assert np.array_equal(states, _matrix_loop(*problem, 512, m=2.0))
+
+    def test_reversed_batch_gives_the_same_arrays(self):
+        forward = integrate_many(BATCH, steps=256)
+        backward = integrate_many(BATCH[::-1], steps=256)[::-1]
+        for (ts_f, states_f), (ts_b, states_b) in zip(forward, backward):
+            assert np.array_equal(ts_f, ts_b) and np.array_equal(states_f, states_b)
+
+    def test_times_end_at_each_problems_own_period(self):
+        for (*_, T), (ts, states) in zip(BATCH, integrate_many(BATCH, steps=64)):
+            assert len(ts) == 65 and ts[0] == 0.0 and ts[-1] == T
+            assert states.shape == (65, 4)
+
+    def test_empty_batch_names_problems(self):
+        with pytest.raises(ValueError, match="problems"):
+            integrate_many([], steps=8)
+
+    @pytest.mark.parametrize("field,value", [
+        ("T", math.nan), ("T", None), ("omega", math.inf), ("omega", 0.0), ("omega", "1"),
+    ])
+    def test_bad_third_problem_names_the_argument(self, field, value):
+        problems = list(BATCH[:5])
+        state0, coupling, omega, T = problems[2]
+        problems[2] = (state0, coupling, value if field == "omega" else omega,
+                       value if field == "T" else T)
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            integrate_many(problems, steps=8)
+
+
+INTEGRATE_IDS = [f"integrate:{which}:{label}"
+                 for which, gallery in (("orbits", ORBIT_GALLERY), ("cusps", CUSP_GALLERY))
+                 for label, _ in gallery]
+
+
+class TestSuiteClassicalBatch:
+    @pytest.mark.parametrize("index", range(15))
+    def test_perturbed_step_matrix_fails_only_its_own_row(self, monkeypatch, index):
+        # a mis-zipped batch would blame another orbit's row, or none
+        built = []
+        real = classdyn._rk4_step_matrix
+
+        def perturbed(*args):
+            step = real(*args)
+            built.append(step)
+            return step * (1 + 1e-6) if len(built) == index + 1 else step
+
+        monkeypatch.setattr(classdyn, "_rk4_step_matrix", perturbed)
+        report = suite_classical(RunConfig())
+        assert len(built) == 15
+        failed = [row.check_id for row in report.rows if not row.passed]
+        assert failed == [INTEGRATE_IDS[index]]
 
 
 class TestClosure:

@@ -66,6 +66,8 @@ ENTRY_POINTS = [
     ("s2", lambda v: hidden_shift("J", 1, v), 2, 0, None),
     ("power", lambda v: PhasePoly.variable("x1", CANONICAL) ** v, 2, 0, None),
     ("n", krawtchouk_rows, 3, 0, None),
+    ("steps", lambda v: cd.integrate_many([([1.0, 0.0, 0.0, 1.0], Coupling(0), 1.0, 1.0)], v),
+     2, 1, None),
 ]
 IDS = [f"{name}-{i}" for i, (name, *_) in enumerate(ENTRY_POINTS)]
 

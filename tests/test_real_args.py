@@ -19,6 +19,8 @@ from riaho.phasealg.exact import coerce_real, require_real, to_float
 BASIS = fe.FockBasis(2)
 FREQ = an.FrequencyPair.detect(1, 2)
 STATE = [1.0, 0.0, 0.0, 1.0]
+PROBLEM = (STATE, Coupling(F(1, 3)), 1.0, 1.0)
+ORBIT = cd.TrajectoryParams(R1=1, R2=1, coupling=Coupling(F(1, 3)))
 
 NOT_REALS = (True, None, "1", 1j, math.nan, math.inf, -math.inf)
 OUT_OF_RANGE = (10**400, F(1, 10**400))
@@ -52,7 +54,7 @@ ENTRY_POINTS = [
     ("gamma1", lambda v: cd.TrajectoryParams(R1=1, R2=1, gamma1=v), False, False),
     ("gamma2", lambda v: cd.TrajectoryParams(R1=1, R2=1, gamma2=v), False, False),
     ("omega", lambda v: cd.TrajectoryParams(R1=1, R2=1, omega=v), False, True),
-    ("omega", lambda v: cd.integrate(STATE, Coupling(0), v, 1.0, steps=4), False, False),
+    ("omega", lambda v: cd.integrate(STATE, Coupling(0), v, 1.0, steps=4), False, True),
     ("T", lambda v: cd.integrate(STATE, Coupling(0), 1.0, v, steps=4), False, False),
     ("m", lambda v: cd.integrate(STATE, Coupling(0), 1.0, 1.0, steps=4, m=v), False, True),
     ("omega", lambda v: cd.closure_period(Coupling(0), v), False, True),
@@ -67,6 +69,21 @@ ENTRY_POINTS = [
     ("hbar", lambda v: an.signed_hamiltonian(BASIS, FREQ, "-", v), False, False),
     *((name, lambda v, name=name: RunConfig(**{name: v}), False, True)
       for name in ("m", "omega", "hbar", "tol_fock", "tol_quad", "tol_traj")),
+    ("t", lambda v: cd.position(ORBIT, v), False, False),
+    ("t", lambda v: cd.velocity(ORBIT, v), False, False),
+    ("t", lambda v: cd.momentum(ORBIT, v), False, False),
+    ("m", lambda v: cd.momentum(ORBIT, 0.5, v), False, True),
+    ("t", lambda v: cd.state_from_params(ORBIT, v), False, False),
+    ("m", lambda v: cd.state_from_params(ORBIT, 0.5, v), False, True),
+    ("t", lambda v: cd.conserved_values(ORBIT, v), False, False),
+    ("omega", lambda v: cd.hamiltonian_flow_rhs(STATE, Coupling(0), v), False, True),
+    ("m", lambda v: cd.hamiltonian_flow_rhs(STATE, Coupling(0), 1.0, v), False, True),
+    ("omega", lambda v: cd.hamiltonian_value(STATE, Coupling(0), v), False, True),
+    ("m", lambda v: cd.hamiltonian_value(STATE, Coupling(0), 1.0, v), False, True),
+    ("omega", lambda v: an.rescale_map(Coupling(F(1, 3))).omegas(v), False, True),
+    ("omega", lambda v: cd.integrate_many([PROBLEM, (STATE, Coupling(0), v, 1.0)], 4), False, True),
+    ("T", lambda v: cd.integrate_many([PROBLEM, (STATE, Coupling(0), 1.0, v)], 4), False, False),
+    ("m", lambda v: cd.integrate_many([PROBLEM], 4, v), False, True),
 ]
 IDS = [f"{name}-{i}" for i, (name, *_) in enumerate(ENTRY_POINTS)]
 
@@ -132,3 +149,13 @@ def test_array_times_are_sampled_as_given():
     x1, x2 = an.lissajous(1, 0, 0, 1, FREQ, [0.0, 0.5])
     assert x1.shape == x2.shape == (2,)
     assert an.lissajous(1, 0, 0, 1, FREQ, 0.5) == (x1[1], x2[1])
+    for sample in (cd.position, cd.velocity, cd.momentum):
+        x1, x2 = sample(ORBIT, np.array([0.0, 0.5]))
+        assert x1.shape == x2.shape == (2,)
+        assert sample(ORBIT, 0.5) == (x1[1], x2[1]) == sample(ORBIT, np.array(0.5))
+
+
+def test_state_from_params_takes_one_time():
+    # an array t raised TypeError in float(x1)
+    with pytest.raises(ValueError, match=r"^t "):
+        cd.state_from_params(ORBIT, np.array([0.0, 0.5]))
