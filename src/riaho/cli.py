@@ -18,13 +18,16 @@ Configuration resolves in three layers: built-in defaults, then the
 key=value file named by the RIAHO_CONFIG environment variable, then
 command-line flags.  Dataset emission is deterministic: identical
 configuration yields byte-identical files (fixed sampling, fixed ordering,
-"%.17g" float formatting).  Exit codes: 0 success, 1 failed verification,
-2 invalid parameters or configuration.
+fixed float text).  A CSV dataset writes each float with "%.17g"; a JSON
+dataset writes Python's shortest round-trip repr, laid out as
+``json.dumps(indent=2)`` does, one cell per line.  Exit codes: 0 success,
+1 failed verification, 2 invalid parameters or configuration.
 """
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import os
@@ -223,10 +226,20 @@ def _out_stem(config: RunConfig, out: str | None, default: str) -> Path:
 
 
 def _write_text(path: Path, text: str):
-    """Write ``text`` to ``path``; ConfigError naming the path when that fails."""
+    """Write ``text`` to ``path``; ConfigError naming the path when that fails.
+
+    A write that fails part way (a full disk) removes the file it began, so
+    no truncated output is left behind.
+    """
+    opened = False
     try:
-        path.write_text(text)
+        with path.open("w") as handle:
+            opened = True
+            handle.write(text)
     except OSError as exc:
+        if opened:
+            with contextlib.suppress(OSError):
+                path.unlink()
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
@@ -234,19 +247,59 @@ def write_json_file(path: Path, payload: dict):
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
+# %-conversions of a float or int cell; float.__repr__ is what json writes
+_CSV_SPECS = {float: "%.17g", int: "%d"}
+_JSON_SPECS = {float: "%r", int: "%d"}
+
+
 def write_dataset(stem: Path, columns: list, rows: list, config: RunConfig) -> Path:
-    """Write rows either as CSV or as a columns/rows JSON document."""
-    if config.format == "csv":
+    """Write rows either as CSV or as a columns/rows JSON document.
+
+    Each row is formatted by one %-template built from its columns' cell
+    types: a float column as "%.17g" (CSV) or its repr (JSON), an int column
+    in decimal, and any other column rendered cell by cell, by ``_fmt`` (CSV)
+    or ``json.dumps`` (JSON).  The JSON text is what ``json.dumps(payload,
+    indent=2)`` writes.  A row whose width differs from ``columns``, a
+    column mixing cell types and a non-finite float raise ValueError before
+    any file is written.
+    """
+    csv = config.format == "csv"
+    specs, render = (_CSV_SPECS, _fmt) if csv else (_JSON_SPECS, json.dumps)
+    if not columns:
+        raise ValueError("a dataset needs at least one column")
+    if not set(map(len, rows)) <= {len(columns)}:
+        raise ValueError(f"every dataset row must hold {len(columns)} cells")
+    by_column, parts = [], []
+    for name, column in zip(columns, zip(*rows)):
+        kinds = set(map(type, column))
+        if len(kinds) > 1:
+            raise ValueError(f"dataset column {name!r} mixes cell types "
+                             f"{sorted(kind.__name__ for kind in kinds)}")
+        kind = kinds.pop()
+        if kind is float and not all(map(math.isfinite, column)):
+            raise ValueError(f"dataset column {name!r} holds a non-finite float")
+        if kind in specs:
+            parts.append(specs[kind])
+        else:
+            column = tuple(map(render, column))
+            parts.append("%s")
+        by_column.append(column)
+    table = zip(*by_column)  # row tuples, as % takes them
+    if csv:
         path = stem.with_name(stem.name + ".csv")
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        template = ",".join(parts)
+        lines = [",".join(columns), *[template % row for row in table]]
         _write_text(path, "\n".join(lines) + "\n")
         return path
     path = stem.with_name(stem.name + ".json")
-    write_json_file(
-        path,
-        {"schema_version": SCHEMA_VERSION, "columns": list(columns), "rows": rows},
-    )
+    text = json.dumps({"schema_version": SCHEMA_VERSION, "columns": list(columns), "rows": []},
+                      indent=2)
+    if rows:  # splice the rows into the empty list json.dumps wrote last
+        template = "[\n      " + ",\n      ".join(parts) + "\n    ]"
+        head, tail = text.rsplit("[]", 1)
+        body = ",\n    ".join([template % row for row in table])
+        text = f"{head}[\n    {body}\n  ]{tail}"
+    _write_text(path, text + "\n")
     return path
 
 

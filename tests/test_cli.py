@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, config layering, reports."""
 import contextlib
+import errno
 import io
 import json
 import math
@@ -206,6 +207,197 @@ class TestUnwritableOutput:
                    "--format", fmt) == 2
         self._assert_one_error_line(capsys, tmp_path / "levels.meta.json")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["levels.meta.json"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("failing", ["levels.{fmt}", "levels.meta.json"],
+                             ids=["dataset", "sidecar"])
+    def test_write_failing_part_way_leaves_no_file(self, tmp_path, capsys, monkeypatch, fmt,
+                                                   failing):
+        failing = tmp_path / failing.format(fmt=fmt)
+        real_open = Path.open
+
+        def open_on_full_disk(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)
+            return DiskFullAfter(handle, 40) if path == failing else handle
+
+        monkeypatch.setattr(Path, "open", open_on_full_disk)
+        assert run(tmp_path, "spectrum", "--g", "1/3", "--nmax", "2", "--out", "levels",
+                   "--format", fmt) == 2
+        self._assert_one_error_line(capsys, failing)
+        assert list(tmp_path.iterdir()) == []
+
+
+class DiskFullAfter:
+    """Text file whose first write keeps ``limit`` characters, then fails with ENOSPC."""
+
+    def __init__(self, handle, limit):
+        self.handle, self.limit = handle, limit
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: self.limit])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def old_csv(columns, rows):
+    """The CSV text of the per-cell writer: one ``_fmt`` call per cell."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def old_json(columns, rows):
+    """The JSON text of the per-cell writer: the whole document through json.dumps."""
+    payload = {"schema_version": cli.SCHEMA_VERSION, "columns": list(columns), "rows": rows}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+OLD_WRITERS = {"csv": old_csv, "json": old_json}
+
+
+def assert_written_as_before(path, columns, rows, fmt):
+    """The file holds the bytes the per-cell writer would have written to it."""
+    expected = path.with_name("expected" + path.suffix)
+    expected.write_text(OLD_WRITERS[fmt](columns, rows))  # the old writer's text-mode write
+    assert path.read_bytes() == expected.read_bytes()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1e16, 2.0**53 + 2,
+               1.7976931348623157e308]
+EDGE_INTS = [0, -7, 2**64 + 1]
+EDGE_STRINGS = ['say "hi"', "back\\slash", "café", ""]
+
+
+class TestDatasetWriter:
+    """write_dataset writes byte for byte what the per-cell writer wrote."""
+
+    def write(self, directory, fmt, columns, rows):
+        return cli.write_dataset(directory / "table", columns, rows, RunConfig(format=fmt))
+
+    TABLES = {
+        "floats": (["x"], [[v] for v in EDGE_FLOATS + [-v for v in EDGE_FLOATS]]),
+        "mixed": (["f", "i", "b", "s"],
+                  [[f, EDGE_INTS[k % 3], k % 2 == 0, EDGE_STRINGS[k % 4]]
+                   for k, f in enumerate(EDGE_FLOATS)]),
+        "ints": (["n", "m"], [[n, -n] for n in EDGE_INTS]),
+        "bools": (["flag"], [[True], [False]]),
+        "strings": (["s"], [[s] for s in EDGE_STRINGS]),
+        "one-row": (["a", "b", "c"], [[1.5, 2, "x"]]),
+        "empty": (["class_id", "E_num"], []),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_hand_picked_tables(self, tmp_path, fmt, table):
+        columns, rows = self.TABLES[table]
+        path = self.write(tmp_path, fmt, columns, rows)
+        assert path == tmp_path / f"table.{fmt}"
+        assert_written_as_before(path, columns, rows, fmt)
+
+    @given(width=st.integers(1, 5), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_float_tables(self, width, data):
+        cell = st.floats(allow_nan=False, allow_infinity=False)
+        rows = data.draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=8))
+        columns = [f"c{i}" for i in range(width)]
+        with tempfile.TemporaryDirectory() as out:
+            for fmt in ("csv", "json"):
+                path = self.write(Path(out), fmt, columns, rows)
+                assert_written_as_before(path, columns, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_is_written_as_before_or_rejected(self, tmp_path, fmt, bad):
+        columns, rows = ["t", "x"], [[0.0, 1.0], [0.5, bad]]
+        try:
+            path = self.write(tmp_path, fmt, columns, rows)
+        except ValueError:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert_written_as_before(path, columns, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("columns, rows", [
+        (["t", "x"], [[0.0, 0.5], [1, 0.25]]),      # float, then int
+        (["n", "flag"], [[1, True], [True, False]]),  # int, then bool
+        (["n"], [[3], [2.0]]),                        # int, then float
+        (["s"], [["a"], [1]]),                        # str, then int
+    ])
+    def test_column_changing_type_is_rejected(self, tmp_path, fmt, columns, rows):
+        with pytest.raises(ValueError, match=f"column {columns[0]!r} mixes"):
+            self.write(tmp_path, fmt, columns, rows)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("columns, rows", [
+        (["a", "b"], [[1.0, 2.0], [3.0]]),
+        (["a"], [[1.0, 2.0]]),
+        ([], []),
+    ])
+    def test_row_width_must_match_the_columns(self, tmp_path, fmt, columns, rows):
+        with pytest.raises(ValueError):
+            self.write(tmp_path, fmt, columns, rows)
+        assert list(tmp_path.iterdir()) == []
+
+
+DATASET_COMMANDS = {
+    "trajectory": ("--g", "2/3", "--samples", "64"),
+    "lissajous": ("--omega1", "1", "--omega2", "3", "--samples", "64"),
+    "spectrum": ("--g=-1/3", "--nmax", "4"),
+    "degeneracy": ("--g", "5/4", "--emax", "6"),
+    "eigenstate": ("--n1", "2", "--n2", "3", "--points", "9"),
+    "coherent": ("--alpha", "0.5,-0.3", "--beta", "0.2,0.6", "--t", "1", "--gamma", "0.5",
+                 "--g", "1/2", "--points", "7"),
+}
+
+
+class TestDatasetCommandBytes:
+    """Each dataset command writes the per-cell writer's bytes for the rows it hands over."""
+
+    def capture(self, monkeypatch, change=None):
+        handed = []
+        real = cli.write_dataset
+
+        def wrapper(stem, columns, rows, config):
+            if change:
+                change(rows)
+            handed.append((columns, rows))
+            return real(stem, columns, rows, config)
+
+        monkeypatch.setattr(cli, "write_dataset", wrapper)
+        return handed
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(DATASET_COMMANDS))
+    def test_file_matches_the_old_writer(self, tmp_path, monkeypatch, fmt, command):
+        handed = self.capture(monkeypatch)
+        assert run(tmp_path, command, *DATASET_COMMANDS[command], "--format", fmt) == 0
+        [(columns, rows)] = handed
+        assert rows
+        assert_written_as_before(tmp_path / f"{command}.{fmt}", columns, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, cell", [
+        ("trajectory", 1),       # float column, then an int
+        ("spectrum", True),      # int column, then a bool
+        ("degeneracy", False),   # int column, then a bool
+    ])
+    def test_mixed_column_leaves_no_files(self, tmp_path, monkeypatch, capsys, fmt, command,
+                                          cell):
+        def change(rows):
+            rows[-1][0] = cell
+
+        self.capture(monkeypatch, change)
+        assert run(tmp_path, command, *DATASET_COMMANDS[command], "--format", fmt) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "mixes" in err[0]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrajectory:
