@@ -3,8 +3,9 @@
 The bridged monomial z^n1 zbar^n2 lands on the (n1, n2) eigenfunction up
 to a constant.  This demo prints the fitted constants, shows that the
 reduced constant (the part left after stripping the known n-dependence)
-is state independent, checks orthonormality by quadrature, and verifies
-the Gaussian-smoothing identity behind the one-coordinate version.
+is state independent, checks by quadrature that the eigenfunctions are
+orthonormal, and verifies the Gaussian-smoothing identity behind the
+one-coordinate version.
 
 Run:  python3 demos/bridge_eigenfunctions.py
 """

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bridge import (ProportionalityReport, Units, ZPolynomial, grid_proportionality,
+from .bridge import (ProportionalityReport, Units, ZPolynomial, _sample, grid_proportionality,
                      inverse_weierstrass)
 from .coupling import Coupling
 from .fockeng import (
@@ -176,11 +176,10 @@ class FrequencyPair:
 
 
 def _sign_value(sign) -> int:
-    if sign in ("+", 1, +1):
-        return 1
-    if sign in ("-", -1):
-        return -1
-    raise ValueError("sign must be '+' or '-'")
+    """+1 for "+", -1 for "-"; anything else (1, -1, True and 1.0 among it) raises ValueError."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    return 1 if sign == "+" else -1
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +386,8 @@ class SeparableState:
     ``poly`` is a :class:`ZPolynomial` whose (p1, p2) exponents are those of
     x1 and x2 (a term dict is converted).  The envelope is separable by
     construction; the polynomial factorizes for monomial input but is kept
-    joint so sums of monomials stay closed.
+    joint so sums of monomials stay closed.  Rates are positive finite reals, stored as
+    floats; ``evaluate`` takes scalars through require_real and arrays as given.
     """
 
     poly: ZPolynomial
@@ -397,12 +397,12 @@ class SeparableState:
     def __post_init__(self):
         if not isinstance(self.poly, ZPolynomial):
             object.__setattr__(self, "poly", ZPolynomial(self.poly))
-        if self.rate1 <= 0 or self.rate2 <= 0:
-            raise ValueError("Gaussian rates must be positive")
+        for name in ("rate1", "rate2"):
+            object.__setattr__(self, name, require_real(getattr(self, name), name, positive=True))
 
     def evaluate(self, x1, x2):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
+        x1 = np.asarray(_sample(x1, "x1"), dtype=float)
+        x2 = np.asarray(_sample(x2, "x2"), dtype=float)
         out = self.poly.at(x1, x2) * np.exp(-self.rate1 * x1**2 - self.rate2 * x2**2)
         return out if np.ndim(out) else complex(out)
 
@@ -582,25 +582,12 @@ class RescaleMap:
 
     Carries H_g in circular modes onto the signed anisotropic oscillator
     with frequencies Omega_i = |ell_i| * omega and mode signs
-    sigma_i = sign(ell_i).  Exact weight squares are kept as Fractions.
+    sigma_i = sign(ell_i); ``weight_sq`` holds the exact magnifications |ell_i| as Fractions.
     """
 
     coupling: Coupling
     sigma: tuple[int, int]
     weight_sq: tuple[Fraction, Fraction]
-
-    @property
-    def weights(self) -> tuple[float, float]:
-        return tuple(math.sqrt(w) for w in self.omegas())
-
-    def omegas(self, omega: float = 1.0) -> tuple[float, float]:
-        """Image frequencies Omega_i = |ell_i| * omega; omega must be a positive finite real."""
-        omega = require_real(omega, "omega", positive=True)
-        return tuple(to_float(w, "rescaled frequency |ell_i|") * omega for w in self.weight_sq)
-
-    def omega_factors(self) -> tuple[Fraction, Fraction]:
-        """Exact frequency magnifications |ell_1|, |ell_2|."""
-        return self.weight_sq
 
     def signed_form(self) -> tuple[FrequencyPair, str, bool]:
         """(frequency pair, sign, swapped) of the image Hamiltonian at omega=1.
@@ -616,11 +603,6 @@ class RescaleMap:
             return pair, ("+" if s2 > 0 else "-"), False
         pair = FrequencyPair.detect(f2, f1)
         return pair, "-", True
-
-    def apply(self, x1: float, p1: float, x2: float, p2: float):
-        """Transform a classical phase-space point."""
-        w1, w2 = self.weights
-        return (x1 * w1, p1 / w1, x2 * w2, p2 / w2)
 
 
 def rescale_map(coupling) -> RescaleMap:

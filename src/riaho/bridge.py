@@ -31,7 +31,6 @@ __all__ = [
     "WaveState",
     "FREE_GENERATORS",
     "act_free",
-    "monomial_state",
     "cbt_apply",
     "apply_ladder",
     "hamiltonian_action",
@@ -41,7 +40,6 @@ __all__ = [
     "rotate",
     "wave_distance",
     "inner_product",
-    "orthonormality",
     "overlap_matrix",
     "ProportionalityReport",
     "verify_bridge_proportionality",
@@ -83,6 +81,11 @@ class Units:
 _UNIT = Units()
 
 
+def _sample(x, name: str):
+    """A coordinate to evaluate at: an array or sequence as given, a scalar by require_real."""
+    return x if isinstance(x, np.ndarray) or np.ndim(x) else require_real(x, name)
+
+
 @dataclass(frozen=True)
 class ZPolynomial:
     """Complex polynomial in (z, zbar) as a pruned term map (n1, n2) -> finite coeff."""
@@ -103,7 +106,9 @@ class ZPolynomial:
 
     @staticmethod
     def monomial(n1: int, n2: int, coeff=1.0) -> "ZPolynomial":
-        return ZPolynomial({(n1, n2): coeff})
+        """coeff z^n1 zbar^n2 (the monomial state phi_{n1,n2} at coeff 1); an n1 or n2 that
+        is not an int >= 0 raises ValueError."""
+        return ZPolynomial({(require_int(n1, "n1"), require_int(n2, "n2")): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -124,7 +129,8 @@ class ZPolynomial:
         return ZPolynomial({k: complex(factor) * c for k, c in self.terms.items()})
 
     def shift(self, d1: int, d2: int) -> "ZPolynomial":
-        """Multiply by z^d1 zbar^d2."""
+        """Multiply by z^d1 zbar^d2; a d1 or d2 that is not an int raises ValueError."""
+        d1, d2 = require_int(d1, "d1", None), require_int(d2, "d2", None)
         return ZPolynomial({(n1 + d1, n2 + d2): c for (n1, n2), c in self.terms.items()})
 
     def diff_z(self) -> "ZPolynomial":
@@ -144,14 +150,6 @@ class ZPolynomial:
         for (n1, n2), c in self.terms.items():
             total += c * u**n1 * v**n2
         return total
-
-    def evaluate(self, z: complex) -> complex:
-        return self.at(z, z.conjugate())
-
-    def conjugate(self) -> "ZPolynomial":
-        return ZPolynomial(
-            {(n2, n1): c.conjugate() for (n1, n2), c in self.terms.items()}
-        )
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -189,11 +187,6 @@ def act_free(generator: str, s: ZPolynomial, units: Units = _UNIT) -> ZPolynomia
     return ZPolynomial({key: c for key, c in out.items() if c != 0})
 
 
-def monomial_state(n1: int, n2: int) -> ZPolynomial:
-    """phi_{n1,n2} = z^n1 zbar^n2."""
-    return ZPolynomial.monomial(require_int(n1, "n1"), require_int(n2, "n2"))
-
-
 # ---------------------------------------------------------------------------
 # closed-form states
 
@@ -214,13 +207,10 @@ class WaveState:
     exp_const: complex = 0.0
     units: Units = _UNIT
 
-    @property
-    def is_physical(self) -> bool:
-        return complex(self.exp_zzbar).real < 0
-
     def evaluate(self, x1, x2):
-        """Value at (x1, x2): a complex for scalars, an array of the broadcast shape for arrays."""
-        z = np.asarray(x1) + 1j * np.asarray(x2)
+        """Value at (x1, x2): a complex for scalars (through require_real), an array of the
+        broadcast shape for arrays or sequences, sampled as given."""
+        z = np.asarray(_sample(x1, "x1")) + 1j * np.asarray(_sample(x2, "x2"))
         zb = np.conj(z)
         expo = self.exp_zzbar * z * zb + self.exp_z * z + self.exp_zbar * zb + self.exp_const
         out = self.prefactor.at(z, zb) * np.exp(expo)
@@ -441,15 +431,6 @@ def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
     return total
 
 
-def orthonormality(
-    n1: int, n2: int, l1: int, l2: int, units: Units = _UNIT, order: int = 40
-) -> complex:
-    """Quadrature overlap of eigenfunctions, int indices in [0, 6]; Kronecker delta to 1e-8."""
-    for name, idx in zip(("n1", "n2", "l1", "l2"), (n1, n2, l1, l2)):
-        require_int(idx, name, 0, 6)
-    return inner_product(eigenstate(n1, n2, units), eigenstate(l1, l2, units), order)
-
-
 def overlap_matrix(nmax: int, units: Units = _UNIT) -> np.ndarray:
     """Gram matrix of all eigenfunctions with n1, n2 <= nmax, by order-40 quadrature.
 
@@ -490,7 +471,7 @@ def verify_bridge_proportionality(n1: int, n2: int, units: Units = _UNIT) -> Pro
     dividing by (2 hbar/(m omega))^((n1+n2)/2) sqrt(n1! n2!) gives a reduced
     constant that is the same for every (n1, n2).
     """
-    bridged = cbt_apply(monomial_state(n1, n2), units)
+    bridged = cbt_apply(ZPolynomial.monomial(n1, n2), units)
     ladder_state = eigenstate(n1, n2, units)
     expected = units.length_sq ** ((n1 + n2) / 2) * math.sqrt(
         math.factorial(n1) * math.factorial(n2)
@@ -505,8 +486,11 @@ def grid_proportionality(n1: int, n2: int, phi, psi, expected) -> Proportionalit
     The grid has 21 x 21 points on [-3, 3]^2 and skips the nodal points
     |psi| <= 1e-6; it passes when max |ratio - mean| <= 1e-9 |mean|.  The
     reduced constant is the mean ratio divided by ``expected``.  ValueError
-    when no grid point clears the nodal floor.
+    when no grid point clears the nodal floor, for an n1 or n2 (the report's
+    labels) that is not an int >= 0, or an ``expected`` that is not a positive finite real.
     """
+    n1, n2 = require_int(n1, "n1"), require_int(n2, "n2")
+    expected = require_real(expected, "expected", positive=True)
     xs = np.linspace(-3.0, 3.0, 21)
     x1, x2 = np.meshgrid(xs, xs, indexing="ij")
     psi_vals = psi(x1, x2)

@@ -35,7 +35,7 @@ __all__ = [
     "TrajectoryParams", "PhaseState", "position", "velocity", "momentum",
     "state_from_params", "hamiltonian_flow_rhs", "hamiltonian_value",
     "integrate", "integrate_many", "closure_turns", "closure_period", "is_cusped",
-    "pass_through_origin", "minkowski_radius_sq", "conserved_values",
+    "pass_through_origin", "conserved_values",
     "ORBIT_GALLERY", "CUSP_GALLERY", "gallery_params", "suite_classical",
 ]
 
@@ -67,10 +67,16 @@ class TrajectoryParams:
 
 @dataclass
 class PhaseState:
+    """Canonical phase-space point of finite reals (ValueError otherwise), stored as floats."""
+
     x1: float
     x2: float
     p1: float
     p2: float
+
+    def __post_init__(self):
+        for name in ("x1", "x2", "p1", "p2"):
+            setattr(self, name, require_real(getattr(self, name), name))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.p1, self.p2], dtype=float)
@@ -270,12 +276,6 @@ def pass_through_origin(params: TrajectoryParams) -> bool:
     if params.R1 == params.R2 == 0.0:
         return True
     return math.isclose(params.R1, params.R2, rel_tol=1e-9, abs_tol=0.0)
-
-
-def minkowski_radius_sq(R1: float, R2: float, gamma1: float,
-                        gamma2: float) -> float:
-    """Squared radius of the |g| -> inf circular orbit (law of cosines)."""
-    return R1 ** 2 + R2 ** 2 + 2 * R1 * R2 * math.cos(gamma1 + gamma2)
 
 
 def conserved_values(params: TrajectoryParams, t: float = 0.0) -> dict:

@@ -58,14 +58,16 @@ class Coupling:
         other type (bool, None, complex) raise ValueError through
         :func:`~riaho.phasealg.exact.coerce_real`.
     isotropic_mink : bool
-        Marks the |g| -> infinity limit.  The stored g is then only a
-        direction sign and must not be used numerically.
+        Marks the |g| -> infinity limit; anything but a bool raises ValueError.
+        The stored g is then only a direction sign, not a number to compute with.
     """
 
     g: Fraction
     isotropic_mink: bool = False
 
     def __post_init__(self):
+        if type(self.isotropic_mink) is not bool:
+            raise ValueError(f"isotropic_mink {self.isotropic_mink!r} is not a bool")
         g = Fraction(self.g) if isinstance(self.g, str) else coerce_real(self.g, "coupling g")
         if isinstance(g, float):
             _check_exact_float(g)
@@ -117,16 +119,6 @@ class Coupling:
             return None
         r = abs(self.ell2 / self.ell1)
         return (r.numerator, r.denominator)
-
-    @property
-    def s1(self) -> int | None:
-        orders = self.mode_orders
-        return None if orders is None else orders[0]
-
-    @property
-    def s2(self) -> int | None:
-        orders = self.mode_orders
-        return None if orders is None else orders[1]
 
     def as_float(self) -> float:
         """g as a float; ValueError in the |g| -> inf limit or past the float range."""

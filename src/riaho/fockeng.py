@@ -27,7 +27,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .phasealg.catalog import hidden_shift, is_true_integral
-from .phasealg.exact import require_int, require_real
+from .phasealg.exact import coerce_real, require_int, require_real
 from .phasealg.poly import krawtchouk_rows
 from .reports import CheckRow, VerificationReport
 
@@ -36,7 +36,6 @@ __all__ = [
     "InteriorMask",
     "DegeneracyClass",
     "ladder",
-    "number_operator",
     "hamiltonian",
     "exact_energy",
     "angular_momentum",
@@ -105,11 +104,6 @@ class FockBasis:
         side = self.cutoff + 1
         return [(n1, n2) for n1 in range(side) for n2 in range(side)]
 
-    def vector(self, n1: int, n2: int) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.index(n1, n2)] = 1.0
-        return v
-
 
 @dataclass(frozen=True)
 class InteriorMask:
@@ -137,27 +131,17 @@ class InteriorMask:
         if self.margin1 > self.basis.cutoff or self.margin2 > self.basis.cutoff:
             raise ValueError("margin exceeds cutoff, interior is empty")
 
-    def contains(self, n1: int, n2: int) -> bool:
-        if n1 + self.margin1 > self.basis.cutoff:
-            return False
-        if n2 + self.margin2 > self.basis.cutoff:
-            return False
-        if self.total is not None and n1 + n2 > self.total:
-            return False
-        return True
-
     def states(self) -> list[tuple[int, int]]:
-        return [s for s in self.basis.states() if self.contains(*s)]
+        """The interior states in index order."""
+        cut, total = self.basis.cutoff, self.total
+        return [(n1, n2) for n1 in range(cut - self.margin1 + 1)
+                for n2 in range(cut - self.margin2 + 1) if total is None or n1 + n2 <= total]
 
     def indices(self) -> np.ndarray:
         return self.basis._indices(self.states())
 
     def restrict_columns(self, matrix: np.ndarray) -> np.ndarray:
         return np.asarray(matrix)[:, self.indices()]
-
-    def restrict(self, matrix: np.ndarray) -> np.ndarray:
-        idx = self.indices()
-        return np.asarray(matrix)[np.ix_(idx, idx)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +202,6 @@ def _entries(basis: FockBasis, value, label: str) -> np.ndarray:
 def _diagonal(basis: FockBasis, value, label: str) -> np.ndarray:
     """Diagonal operator with the entries of :func:`_entries`."""
     return np.diag(_entries(basis, value, label))
-
-
-def number_operator(basis: FockBasis, mode: int) -> np.ndarray:
-    require_int(mode, "mode", 1, 2)
-    return _diagonal(basis, lambda n1, n2: float(n1 if mode == 1 else n2), f"n{mode}")
 
 
 def exact_energy(coupling: Coupling, n1: int, n2: int) -> Fraction:
@@ -290,7 +269,8 @@ def degeneracy_classes(
 
     States of a level share the integer key a*n1 + b*n2 (l1 = a/d, l2 = b/d,
     d > 0); the level is (key + d)/d.  ``energy_window`` is an optional
-    inclusive (lo, hi) pair in units of hbar*omega; either end may be None.
+    inclusive (lo, hi) pair in units of hbar*omega; either end may be None, and
+    each other end goes through ``coerce_real``, so an int or Fraction end stays exact.
     States within a class ascend in n1, and ``class_id`` numbers the returned
     classes from 0 in ascending energy.  ``complete`` reads the orbit ends:
     l1, l2 > 0, the first state has n1 < s1 and the last n2 < s2.
@@ -299,6 +279,8 @@ def degeneracy_classes(
     # orders (0, 0) leave no class complete, as a non-positive weight requires
     s1, s2 = coupling.mode_orders if coupling.ell1 > 0 and coupling.ell2 > 0 else (0, 0)
     lo, hi = (None, None) if energy_window is None else energy_window
+    lo, hi = (end if end is None else coerce_real(end, f"energy_window {side}")
+              for end, side in ((lo, "lo"), (hi, "hi")))
 
     def key(n1, n2):
         return a * n1 + b * n2
@@ -436,8 +418,10 @@ def ladder_orbits(pool, step: tuple[int, int]) -> list[frozenset]:
 
     In a convex pool (the grid, or an :class:`InteriorMask`: a rectangle cut
     by n1 + n2 <= total) two states are linked exactly when they differ by a
-    whole multiple of ``step``, so the components are the cosets modulo step.
+    whole multiple of ``step``, so the components are the cosets modulo step.  A step
+    entry that is not an int raises ValueError.
     """
+    step = tuple(require_int(d, "step", None) for d in step)
     axis = 0 if step[0] else 1  # a non-zero component, e.g. step[1] for (0, -1)
 
     def coset(n1, n2):
@@ -701,7 +685,7 @@ def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:
     residuals on columns with both occupation numbers <= cutoff - margin.
     S1 and the generators keep each n's parity, so only each parity class's block is formed.
     """
-    InteriorMask(FockBasis(cutoff), margin1=margin, margin2=margin)  # ValueError on bad sizes
+    InteriorMask(FockBasis(cutoff), require_int(margin, "margin"), margin)  # checks the sizes
     s1, side = one_mode_bridge(cutoff), cutoff + 1
     up, eye = _raising(side), np.eye(side)
 

@@ -41,12 +41,16 @@ _SQRT2 = _fsqrt(2.0)
 _new_object = object.__new__
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+def _is_exact(value) -> bool:
+    return type(value) is int or isinstance(value, Fraction)  # no bool, no float
+
+
+def _as_fraction(value, name: str) -> Fraction:
+    """The rule for an exact argument: an int or Fraction as a Fraction of any size;
+    anything else, a bool, float or numpy scalar among it, raises ValueError naming ``name``."""
+    if _is_exact(value):
+        return Fraction(value)
+    raise ValueError(f"{name} {value!r} is not an int or Fraction")
 
 
 def to_float(value, name: str) -> float:
@@ -100,8 +104,10 @@ def require_int(value, name: str, lo: int | None = 0, hi: int | None = None) -> 
 def rational_sqrt(q: Fraction):
     """Exact square root of a non-negative rational, or None.
 
-    Returns a Fraction r with r*r == q when q is a perfect rational square.
+    Returns a Fraction r with r*r == q when q is a perfect rational square.  A q that is
+    not an int or Fraction raises ValueError.
     """
+    q = _as_fraction(q, "q")
     if q < 0:
         return None
     n, d = q.numerator, q.denominator
@@ -143,8 +149,8 @@ class ExactComplex:
     __slots__ = ("_c0", "_c1", "_c2", "_c3", "_d")
 
     def __init__(self, ar=0, ai=0, br=0, bi=0):
-        ar, ai = _as_fraction(ar), _as_fraction(ai)
-        br, bi = _as_fraction(br), _as_fraction(bi)
+        ar, ai = _as_fraction(ar, "ar"), _as_fraction(ai, "ai")
+        br, bi = _as_fraction(br, "br"), _as_fraction(bi, "bi")
         parts = (ar, br + bi, ai, bi - br)
         # the lcm of reduced denominators leaves the form already canonical
         d = lcm(*(p.denominator for p in parts))
@@ -172,11 +178,12 @@ class ExactComplex:
     # -- constructors -------------------------------------------------
     @classmethod
     def coerce(cls, value) -> "ExactComplex":
+        """An ExactComplex, or an int or Fraction as one; anything else raises ValueError."""
         if isinstance(value, ExactComplex):
             return value
-        if isinstance(value, (int, Fraction)):
+        if _is_exact(value):
             return _from_rational(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} to ExactComplex")
+        raise ValueError(f"value {value!r} is not an int, Fraction or ExactComplex")
 
     @classmethod
     def i(cls) -> "ExactComplex":
@@ -312,7 +319,9 @@ ExactComplex.I = ExactComplex(0, 1)
 
 
 def ring_sqrt(q: Fraction):
-    """sqrt(q) as an ExactComplex when q = r^2 or 2 r^2 (r rational), else None."""
+    """sqrt(q) as an ExactComplex when q = r^2 or 2 r^2 (r rational), else None; a q that
+    is not an int or Fraction raises ValueError."""
+    q = _as_fraction(q, "q")  # an int q would halve to a float
     root = rational_sqrt(q)
     if root is not None:
         return _from_rational(root)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .exact import ExactComplex, require_int, ring_sqrt
+from .exact import ExactComplex, _is_exact, require_int, require_real, ring_sqrt
 
 __all__ = [
     "CANONICAL", "CIRCULAR", "CANONICAL_VARS", "CIRCULAR_VARS",
@@ -56,10 +56,6 @@ _VARS = {CANONICAL: CANONICAL_VARS, CIRCULAR: CIRCULAR_VARS}
 _ZERO = Fraction(0)
 _I = ExactComplex.I
 _HALF = Fraction(1, 2)
-
-
-def _is_exact(value) -> bool:
-    return type(value) is int or isinstance(value, Fraction)  # no bool, no float
 
 
 def _checked_key(key) -> tuple:
@@ -323,9 +319,10 @@ class PhasePoly:
     def evaluate(self, point: dict, t: float = 0.0) -> complex:
         """Numeric evaluation; `point` maps this basis's variable names to
         complex values.  Time factors use the params' omega.  A power or
-        time factor outside the float range raises ValueError."""
+        time factor outside the float range, or a t that is not a finite real,
+        raises ValueError."""
         import cmath
-        w = float(self.params.omega)
+        t, w = require_real(t, "t"), float(self.params.omega)
         names = _VARS[self.basis]
         vals = [complex(point[n]) for n in names]
         total = 0j

@@ -2,10 +2,9 @@
 
 Every identity is evaluated in the exact coefficient ring, so a "pass" means
 the residual polynomial is literally zero, not small.  Each check is
-reported as :class:`BracketCheck`, serializable to
-``{identity_name, lhs, rhs, residual, pass}``.  :func:`suite_algebra`
-collects them, with the classical bridge triple, into the ``algebra``
-verify suite.
+reported as :class:`BracketCheck` (identity name, rhs label, residual
+polynomial as text, pass flag).  :func:`suite_algebra` collects them, with
+the classical bridge triple, into the ``algebra`` verify suite.
 """
 from __future__ import annotations
 
@@ -31,26 +30,18 @@ _I = ExactComplex.I
 
 @dataclass(frozen=True)
 class BracketCheck:
-    """One verified identity: lhs and rhs strings, residual, boolean."""
+    """One verified identity: its name, the rhs label, the residual as text, pass flag."""
 
     identity_name: str
-    lhs: str
     rhs: str
     residual: str
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"identity_name": self.identity_name, "lhs": self.lhs,
-                "rhs": self.rhs, "residual": self.residual,
-                "pass": self.passed}
 
-
-def _check(name: str, lhs: PhasePoly, rhs: PhasePoly,
-           rhs_label: str | None = None) -> BracketCheck:
+def _check(name: str, lhs: PhasePoly, rhs: PhasePoly, rhs_label: str) -> BracketCheck:
     residual = lhs - rhs
-    return BracketCheck(identity_name=name, lhs=str(lhs),
-                        rhs=rhs_label if rhs_label is not None else str(rhs),
-                        residual=str(residual), passed=residual.is_zero())
+    return BracketCheck(identity_name=name, rhs=rhs_label, residual=str(residual),
+                        passed=residual.is_zero())
 
 
 # Nonzero bracket table among the quadratic generators: rows are

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .phasealg.exact import require_real
+
 __all__ = ["CheckRow", "VerificationReport"]
 
 
@@ -26,7 +28,9 @@ class CheckRow:
     @classmethod
     def within(cls, check_id: str, identity: str, residual, tol: float,
                detail: str = "") -> "CheckRow":
-        """Row that passes when ``residual <= tol``; a NaN residual fails."""
+        """Row that passes when ``residual <= tol``; a NaN residual fails.  A ``tol`` that is
+        not a finite real raises ValueError."""
+        tol = require_real(tol, "tol")
         return cls(check_id=check_id, identity=identity, passed=bool(residual <= tol),
                    residual=float(residual), detail=detail)
 

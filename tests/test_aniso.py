@@ -172,6 +172,17 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(freq, "+", -1, 0)
 
+    @pytest.mark.parametrize("sign", [True, 1, 1.0, -1])
+    def test_sign_takes_only_plus_or_minus(self, sign):
+        # the integers +-1 were a second encoding: spectrum(freq, True, 1, 1) and sign=1.0 read "+"
+        freq = FrequencyPair(1, 3, 3, 1)
+        for call in (lambda: spectrum(freq, sign, 1, 1),
+                     lambda: signed_hamiltonian(FockBasis(2), freq, sign),
+                     lambda: verify_signed_spectrum(FockBasis(2), freq, sign),
+                     lambda: degeneracy_partition(FockBasis(2), freq, sign)):
+            with pytest.raises(ValueError, match=r"sign must be '\+' or '-'"):
+                call()
+
     @pytest.mark.parametrize("sign", ["+", "-"])
     @pytest.mark.parametrize("pair", [(1, 3), (3, 5)])
     def test_ladder_built_hamiltonian_matches_formula(self, pair, sign):
@@ -392,21 +403,12 @@ class TestFloatFrequencies:
         with pytest.raises(ValueError):
             so11_invariant_check(omega, cutoff=3)
 
-    def test_rescale_map_past_the_float_range(self):
-        the_map = rescale_map(Coupling(10**400))
-        with pytest.raises(ValueError, match="float range"):
-            the_map.omegas()
-        with pytest.raises(ValueError, match="float range"):
-            the_map.weights
-
     def test_rescale_map_weight_underflow(self):
         # ell2 = 10^-400 is exact and non-zero but has no float value except 0.0
         coupling = Coupling(1 - Fraction(1, 10**400))
-        the_map = rescale_map(coupling)
-        for call in (the_map.omegas, lambda: the_map.weights,
-                     lambda: the_map.apply(1.0, 1.0, 1.0, 1.0), coupling.float_ells):
-            with pytest.raises(ValueError, match="underflows to 0.0"):
-                call()
+        assert rescale_map(coupling).weight_sq[1] == Fraction(1, 10**400)
+        with pytest.raises(ValueError, match="underflows to 0.0"):
+            coupling.float_ells()
 
     def test_exact_checks_keep_working(self):
         # such pairs are accepted at construction: exact code paths never need floats
@@ -595,27 +597,22 @@ class TestLissajous:
 class TestRescaleMap:
     def test_euclidean_example(self):
         m = rescale_map(Fraction(1, 2))
-        assert m.omega_factors() == (Fraction(3, 2), Fraction(1, 2))
+        assert m.weight_sq == (Fraction(3, 2), Fraction(1, 2))
         assert m.sigma == (1, 1)
 
     def test_minkowskian_example(self):
         m = rescale_map(3)
-        assert m.omega_factors() == (Fraction(4), Fraction(2))
+        assert m.weight_sq == (Fraction(4), Fraction(2))
         assert m.sigma == (1, -1)
 
     def test_isotropic_is_identity_weights(self):
         m = rescale_map(0)
-        assert m.omega_factors() == (Fraction(1), Fraction(1))
-        assert m.weights == (1.0, 1.0)
+        assert m.weight_sq == (Fraction(1), Fraction(1))
 
     @pytest.mark.parametrize("g", [1, -1])
     def test_landau_values_rejected(self, g):
         with pytest.raises(ValueError):
             rescale_map(g)
-
-    def test_omegas_scale_with_base_frequency(self):
-        m = rescale_map(3)
-        assert m.omegas(2.0) == (8.0, 4.0)
 
     def test_signed_form_euclidean(self):
         freq, sign, swapped = rescale_map(Fraction(1, 2)).signed_form()
@@ -633,13 +630,6 @@ class TestRescaleMap:
         freq, sign, swapped = rescale_map(-3).signed_form()
         assert sign == "-" and swapped
         assert (freq.omega1, freq.omega2) == (Fraction(4), Fraction(2))
-
-    def test_point_map_and_inverse(self):
-        m = rescale_map(3)
-        x1, p1, x2, p2 = m.apply(1.0, 2.0, 3.0, 4.0)
-        w1, w2 = m.weights
-        assert (x1, p1) == (w1, 2.0 / w1)
-        assert (x2 / w2, p2 * w2) == (3.0, 4.0)
 
     @pytest.mark.parametrize("g", [Fraction(1, 2), 3, Fraction(1, 3), -3])
     def test_canonical_brackets_exact(self, g):

@@ -42,18 +42,10 @@ class TestZPolynomial:
         assert p.diff_zbar().terms == {(2, 0): 1.0}
         assert br.ZPolynomial.monomial(0, 0).diff_z().is_zero()
 
-    def test_evaluate(self):
-        p = br.ZPolynomial({(1, 1): 1.0})
-        assert p.evaluate(1 + 2j) == pytest.approx(5.0)  # z zbar = |z|^2
-
-    def test_conjugate(self):
-        p = br.ZPolynomial({(2, 0): 1j})
-        assert p.conjugate().terms == {(0, 2): -1j}
-
 
 class TestActFree:
     def test_all_rules_on_phi23(self):
-        s = br.monomial_state(2, 3)
+        s = br.ZPolynomial.monomial(2, 3)
         assert br.act_free("H", s).terms == {(1, 2): -12.0}
         assert br.act_free("K", s).terms == {(3, 4): 0.5}
         assert br.act_free("D2i", s).terms == {(2, 3): 6.0}
@@ -64,24 +56,24 @@ class TestActFree:
         assert br.act_free("XiMinus", s).terms == {(2, 4): 1.0}
 
     def test_annihilation_edges(self):
-        assert br.act_free("H", br.monomial_state(1, 0)).is_zero()
-        assert br.act_free("H", br.monomial_state(0, 5)).is_zero()
-        assert br.act_free("Pminus", br.monomial_state(0, 2)).is_zero()
-        assert br.act_free("Pplus", br.monomial_state(2, 0)).is_zero()
+        assert br.act_free("H", br.ZPolynomial.monomial(1, 0)).is_zero()
+        assert br.act_free("H", br.ZPolynomial.monomial(0, 5)).is_zero()
+        assert br.act_free("Pminus", br.ZPolynomial.monomial(0, 2)).is_zero()
+        assert br.act_free("Pplus", br.ZPolynomial.monomial(2, 0)).is_zero()
 
     def test_frozen_paper_examples(self):
-        assert br.act_free("H", br.monomial_state(1, 1)).terms == {(0, 0): -2.0}
-        assert br.act_free("D2i", br.monomial_state(0, 0)).terms == {(0, 0): 1.0}
+        assert br.act_free("H", br.ZPolynomial.monomial(1, 1)).terms == {(0, 0): -2.0}
+        assert br.act_free("D2i", br.ZPolynomial.monomial(0, 0)).terms == {(0, 0): 1.0}
 
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
-            br.act_free("X", br.monomial_state(0, 0))
+            br.act_free("X", br.ZPolynomial.monomial(0, 0))
 
     def test_units_scaling(self):
         u = br.Units(m=2.0, omega=1.0, hbar=3.0)
-        out = br.act_free("H", br.monomial_state(1, 1), u)
+        out = br.act_free("H", br.ZPolynomial.monomial(1, 1), u)
         assert out.terms == {(0, 0): -3.0}  # -(2*hbar/m) = -3
-        assert br.act_free("K", br.monomial_state(0, 0), u).terms == {(1, 1): 1.0}
+        assert br.act_free("K", br.ZPolynomial.monomial(0, 0), u).terms == {(1, 1): 1.0}
 
     def test_linearity(self):
         s = br.ZPolynomial({(1, 1): 2.0, (2, 2): -1.0})
@@ -91,30 +83,29 @@ class TestActFree:
 
 class TestCbtApply:
     def test_frozen_ground(self):
-        w = br.cbt_apply(br.monomial_state(0, 0))
+        w = br.cbt_apply(br.ZPolynomial.monomial(0, 0))
         assert w.prefactor.terms == {(0, 0): pytest.approx(SQ2)}
         assert w.exp_zzbar == -0.5
-        assert w.is_physical
 
     def test_frozen_first_excited(self):
-        w = br.cbt_apply(br.monomial_state(1, 0))
+        w = br.cbt_apply(br.ZPolynomial.monomial(1, 0))
         assert w.prefactor.terms == {(1, 0): pytest.approx(2.0)}
 
     def test_frozen_radial(self):
-        w = br.cbt_apply(br.monomial_state(1, 1))
+        w = br.cbt_apply(br.ZPolynomial.monomial(1, 1))
         assert w.prefactor.terms[(1, 1)] == pytest.approx(2 * SQ2)
         assert w.prefactor.terms[(0, 0)] == pytest.approx(-2 * SQ2)
 
     def test_linearity(self):
-        a = br.monomial_state(1, 1)
-        b = br.monomial_state(2, 0)
+        a = br.ZPolynomial.monomial(1, 1)
+        b = br.ZPolynomial.monomial(2, 0)
         combined = br.cbt_apply(br.ZPolynomial({(1, 1): 2.0, (2, 0): -3.0}))
         separate = br.cbt_apply(a).scale(2.0) + br.cbt_apply(b).scale(-3.0)
         assert br.wave_distance(combined, separate) < 1e-14
 
     def test_envelope_follows_units(self):
         u = br.Units(m=2.0, omega=3.0, hbar=1.0)
-        w = br.cbt_apply(br.monomial_state(0, 0), u)
+        w = br.cbt_apply(br.ZPolynomial.monomial(0, 0), u)
         assert w.exp_zzbar == pytest.approx(-3.0)
 
     def test_non_polynomial_rejected(self):
@@ -126,7 +117,7 @@ class TestCbtApply:
     def test_intertwining_sweep(self, n1, n2):
         # bridging the free-Hamiltonian image equals -omega*hbar times the
         # two-mode lowering action on the bridged state
-        phi = br.monomial_state(n1, n2)
+        phi = br.ZPolynomial.monomial(n1, n2)
         lhs = br.cbt_apply(br.act_free("H", phi))
         rhs = br.apply_ladder(
             br.apply_ladder(br.cbt_apply(phi), 2, "-"), 1, "-"
@@ -179,8 +170,6 @@ class TestEigenstates:
         # (1.5, 0) walked (0.5, 0) -> (0, -1) -> (0, -2) -> ... and never returned
         with pytest.raises(ValueError, match="not an integer >= 0"):
             br.eigenstate(n1, n2)
-        with pytest.raises(ValueError, match="not an integer"):
-            br.orthonormality(n1, n2, 0, 0)
 
     @pytest.mark.parametrize("mode, direction", [(1, "-"), (1, "+"), (2, "-"), (2, "+")])
     def test_ladder_rule_matches_the_four_formulas(self, mode, direction):
@@ -255,9 +244,12 @@ class TestEigenstates:
 
 class TestOrthonormality:
     def test_frozen_cases(self):
-        assert br.orthonormality(0, 0, 0, 0) == pytest.approx(1.0, abs=1e-10)
-        assert abs(br.orthonormality(1, 0, 0, 1)) < 1e-10
-        assert br.orthonormality(2, 1, 2, 1) == pytest.approx(1.0, abs=1e-8)
+        def overlap(n1, n2, l1, l2):
+            return br.inner_product(br.eigenstate(n1, n2), br.eigenstate(l1, l2))
+
+        assert overlap(0, 0, 0, 0) == pytest.approx(1.0, abs=1e-10)
+        assert abs(overlap(1, 0, 0, 1)) < 1e-10
+        assert overlap(2, 1, 2, 1) == pytest.approx(1.0, abs=1e-8)
 
     def test_negative_overlap_size_raises(self):
         # nmax = -1 raised IndexError on the empty state list
@@ -282,10 +274,6 @@ class TestOrthonormality:
         pairwise = np.array([[br.inner_product(a, b) for b in states] for a in states])
         assert np.max(np.abs(br.overlap_matrix(nmax, units) - pairwise)) <= 1e-14
 
-    def test_index_cap(self):
-        with pytest.raises(ValueError):
-            br.orthonormality(7, 0, 0, 0)
-
     def test_quadrature_rule_is_cached_read_only(self):
         nodes, weights = br._gauss_hermite(40)
         assert br._gauss_hermite(40)[0] is nodes
@@ -298,7 +286,7 @@ class TestOrthonormality:
 
     def test_insufficient_order_flagged(self):
         with pytest.raises(ValueError):
-            br.orthonormality(6, 6, 6, 6, order=10)
+            br.inner_product(br.eigenstate(6, 6), br.eigenstate(6, 6), order=10)
 
     def test_quadrature_past_the_float_range_raises(self):
         # the order-251 sum for |psi_250,0|^2 overflowed and returned nan with numpy warnings
@@ -605,8 +593,3 @@ class TestWaveState:
         grid = psi.evaluate_grid(xs, ys)
         for i in range(2):
             assert grid[i] == pytest.approx(psi.evaluate(xs[i], ys[i]))
-
-    def test_physical_flag(self):
-        assert br.ground_state().is_physical
-        w = br.WaveState(br.ZPolynomial.monomial(0, 0, 1.0), exp_zzbar=0.5)
-        assert not w.is_physical

@@ -61,13 +61,6 @@ def test_all_generators_are_dynamical_integrals(g):
         [c.identity_name for c in checks if not c.passed]
 
 
-def test_report_serialization_keys():
-    row = verify_sp4_table(F(1, 3))[0].to_dict()
-    assert set(row) == {"identity_name", "lhs", "rhs", "residual", "pass"}
-    assert row["pass"] is True
-    assert row["residual"] == "0"
-
-
 def test_linear_integrals_match_mode_frequencies():
     # beta_j^+ rotates against mode j's frequency ell_j
     g = F(1, 4)
@@ -234,6 +227,13 @@ class TestCouplingPhases:
     def test_phase_tag(self, g, phase):
         assert Coupling(g).phase == phase
 
+    @pytest.mark.parametrize("flag", ["no", 1, 0, 1.0, None])
+    def test_isotropic_mink_takes_a_bool(self, flag):
+        # Coupling(1, isotropic_mink="no") was the |g| -> inf limit and printed as inf
+        with pytest.raises(ValueError, match="is not a bool"):
+            Coupling(1, isotropic_mink=flag)
+        assert str(Coupling(1, isotropic_mink=True)) == "inf"
+
     def test_ell_sum_and_difference(self):
         c = Coupling(F(2, 7))
         assert c.ell1 + c.ell2 == 2
@@ -255,7 +255,7 @@ class TestCouplingPhases:
 
     def test_no_orders_at_landau(self):
         assert Coupling(F(1)).mode_orders is None
-        assert Coupling(F(-1)).s1 is None
+        assert Coupling(F(-1)).mode_orders is None
 
     @pytest.mark.parametrize("g", [F(1, 3), F(2, 5), F(7, 2), F(-4, 3),
                                    F(9, 7), F(-1, 6)])

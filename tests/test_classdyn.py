@@ -10,7 +10,7 @@ from riaho.classdyn import (CUSP_GALLERY, ORBIT_GALLERY, PhaseState,
                             TrajectoryParams, closure_period, closure_turns,
                             conserved_values, hamiltonian_flow_rhs,
                             hamiltonian_value, integrate, integrate_many,
-                            is_cusped, minkowski_radius_sq, momentum,
+                            is_cusped, momentum,
                             pass_through_origin, position, state_from_params,
                             suite_classical, velocity)
 from riaho.cli import RunConfig
@@ -20,6 +20,11 @@ from riaho.coupling import Coupling
 def orbit(g, R1=1.0, R2=0.0, g1=0.0, g2=0.0, w=1.0):
     return TrajectoryParams(R1=R1, R2=R2, gamma1=g1, gamma2=g2, omega=w,
                             coupling=Coupling.coerce(g))
+
+
+def minkowski_radius_sq(R1, R2, gamma1, gamma2):
+    """Squared radius of the |g| -> inf circular orbit (law of cosines)."""
+    return R1 ** 2 + R2 ** 2 + 2 * R1 * R2 * math.cos(gamma1 + gamma2)
 
 
 def _rk4_stagewise(state0, coupling, omega, T, steps, m=1.0):

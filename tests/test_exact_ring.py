@@ -230,7 +230,7 @@ def test_equality_with_rationals():
 
 
 def test_constructor_rejects_floats():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^ar 0\.5 is not an int or Fraction$"):
         ExactComplex(0.5)
 
 

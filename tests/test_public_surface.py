@@ -1,0 +1,231 @@
+"""Every parameter of riaho's public surface follows an argument rule.
+
+The census walks ``__all__`` of every riaho module that defines one and takes each public
+function, each class constructor and each public method, classmethod or staticmethod.  A
+re-export is counted once, by ``__module__`` and ``__qualname__``.  Each parameter is named
+``"<module>.<qualname>:<parameter>"``, the module relative to the riaho package, e.g.
+``"fockeng.ladder:mode"``, and must be one of:
+
+* the target of a row of ``test_int_args.ENTRY_POINTS``, ``test_real_args.ENTRY_POINTS`` or
+  ``test_real_args.EXACT_ONLY``, which feed it bad values and expect a ValueError naming it;
+* annotated with a riaho type (``Coupling``, ``FockBasis | None``, ...), which checks itself;
+* listed in ``EXEMPT`` under a one-line reason.
+
+A scalar int- or real-valued parameter gets a row, not an exemption.  Every target and every
+exemption must name a live public parameter, so deleting or renaming one forces its entries out.
+"""
+import importlib
+import inspect
+import pkgutil
+import sys
+
+import pytest
+
+import riaho
+import test_int_args
+import test_real_args
+from riaho.cli import RunConfig
+from riaho.phasealg import PhasePoly
+
+MODULES = [module for info in pkgutil.walk_packages(riaho.__path__, "riaho.")
+           for module in [importlib.import_module(info.name)] if hasattr(module, "__all__")]
+MODULES.insert(0, riaho)
+
+EXEMPT = {
+    "report text: check ids, identities, details and suite names, and rows of a report": (
+        "reports.CheckRow:check_id", "reports.CheckRow:identity", "reports.CheckRow:detail",
+        "reports.CheckRow.within:check_id", "reports.CheckRow.within:identity",
+        "reports.CheckRow.within:detail", "reports.CheckRow.exact:check_id",
+        "reports.CheckRow.exact:identity", "reports.CheckRow.exact:detail",
+        "reports.VerificationReport:suite", "reports.VerificationReport:rows",
+        "reports.VerificationReport.extend:rows",
+        "fockeng.verify_commutes:check_id", "fockeng.verify_commutes:identity",
+    ),
+    "result record or check outcome: riaho fills it from inputs it has checked": (
+        "reports.CheckRow:passed", "reports.CheckRow:residual", "reports.CheckRow:elapsed",
+        "reports.CheckRow.exact:passed",
+        "fockeng.DegeneracyClass:energy", "fockeng.DegeneracyClass:states",
+        "fockeng.DegeneracyClass:class_id", "fockeng.DegeneracyClass:complete",
+        "aniso.RescaleMap:sigma", "aniso.RescaleMap:weight_sq",
+        "bridge.ProportionalityReport:n1", "bridge.ProportionalityReport:n2",
+        "bridge.ProportionalityReport:constant", "bridge.ProportionalityReport:reduced_constant",
+        "bridge.ProportionalityReport:spread", "bridge.ProportionalityReport:points_used",
+        "bridge.ProportionalityReport:passed",
+        "bridge.WeierstrassReport:n", "bridge.WeierstrassReport:series",
+        "bridge.WeierstrassReport:scaled_hermite", "bridge.WeierstrassReport:passed",
+        "landau.PhaseResult:phase", "landau.PhaseResult:omega", "landau.PhaseResult:g",
+        "phasealg.poly.CartanForm:diagonal",
+        "phasealg.verify.BracketCheck:identity_name", "phasealg.verify.BracketCheck:rhs",
+        "phasealg.verify.BracketCheck:residual", "phasealg.verify.BracketCheck:passed",
+    ),
+    "measured residual: a nan residual fails the row by design": (
+        "reports.CheckRow.within:residual",
+    ),
+    "`Coupling.coerce`: a Coupling, or a g that `Coupling` checks": (
+        "coupling.Coupling.coerce:value",
+        "aniso.rescale_map:coupling", "aniso.rescale_canonical_check:coupling",
+        "aniso.composite_spectrum_check:coupling",
+        "classdyn.hamiltonian_flow_rhs:coupling", "classdyn.hamiltonian_value:coupling",
+        "classdyn.integrate:coupling", "classdyn.closure_turns:coupling",
+        "classdyn.closure_period:coupling", "landau.g_to_landau:coupling",
+        "phasealg.catalog.catalog:coupling", "phasealg.catalog.generator:coupling",
+        "phasealg.catalog.hamiltonian:coupling", "phasealg.catalog.hidden_integral:coupling",
+        "phasealg.catalog.is_true_integral:coupling",
+        "phasealg.verify.verify_casimirs:coupling",
+        "phasealg.verify.verify_dynamical_integrals:coupling",
+        "phasealg.verify.verify_sp4_table:coupling",
+    ),
+    "`Params.coerce`: None, a Params, or an (m, omega) pair that `Params` checks": (
+        "phasealg.poly.Params.coerce:value", "phasealg.poly.PhasePoly:params",
+        "phasealg.poly.PhasePoly.zero:params", "phasealg.poly.PhasePoly.constant:params",
+        "phasealg.poly.PhasePoly.variable:params",
+        "phasealg.catalog.angular_momentum:params", "phasealg.catalog.catalog:params",
+        "phasealg.catalog.generator:params", "phasealg.catalog.hamiltonian:params",
+        "phasealg.catalog.hidden_integral:params",
+        "phasealg.cbt.conformal_k0:params", "phasealg.cbt.dilation_id0:params",
+        "phasealg.cbt.free_hamiltonian:params",
+    ),
+    "run config: `cli.RunConfig` checks its fields": (
+        "fockeng.suite_fock:config", "aniso.suite_aniso:config", "bridge.suite_bridge:config",
+        "classdyn.suite_classical:config", "landau.suite_landau:config",
+        "phasealg.verify.suite_algebra:config",
+    ),
+    "flag: a bool, else ValueError": (
+        "coupling.Coupling:isotropic_mink",
+    ),
+    "kind: 'L' or 'J', else ValueError from `hidden_shift`": (
+        "fockeng.hidden_operator:kind", "fockeng.hidden_coefficient:kind",
+        "fockeng.hidden_orbit_partition:kind", "aniso.hidden_operator:kind",
+        "aniso.hidden_orbits:kind", "phasealg.catalog.hidden_shift:kind",
+        "phasealg.catalog.hidden_integral:kind", "phasealg.catalog.is_true_integral:kind",
+        "phasealg.catalog.true_integral_coupling:kind",
+    ),
+    "direction or sign: '+' or '-', else ValueError": (
+        "fockeng.ladder:direction", "fockeng.hidden_operator:sign", "aniso.spectrum:sign",
+        "aniso.signed_hamiltonian:sign", "aniso.verify_signed_spectrum:sign",
+        "aniso.hidden_operator:sign", "aniso.degeneracy_partition:sign",
+        "bridge.apply_ladder:direction", "phasealg.catalog.hidden_integral:sign",
+    ),
+    "name from a fixed set (generator, variable, basis, gallery), else ValueError": (
+        "bridge.act_free:generator", "classdyn.gallery_params:which",
+        "phasealg.catalog.generator:name", "phasealg.poly.PhasePoly:basis",
+        "phasealg.poly.PhasePoly.zero:basis", "phasealg.poly.PhasePoly.constant:basis",
+        "phasealg.poly.PhasePoly.variable:name", "phasealg.poly.PhasePoly.variable:basis",
+        "phasealg.poly.PhasePoly.diff:name", "phasealg.poly.PhasePoly.to_basis:basis",
+    ),
+    "numpy data (operator matrices, phase-space vectors): used as given, as array times are": (
+        "fockeng.InteriorMask.restrict_columns:matrix", "fockeng.commutator:a",
+        "fockeng.commutator:b", "fockeng.verify_commutes:a", "fockeng.verify_commutes:b",
+        "fockeng.operator_norm:matrix", "classdyn.hamiltonian_flow_rhs:state",
+        "classdyn.hamiltonian_value:state", "classdyn.integrate:state0",
+    ),
+    "state pools and callbacks of the grouping and sampling helpers": (
+        "fockeng.ladder_orbits:pool", "fockeng.level_sets:pool", "fockeng.level_sets:energy",
+        "bridge.grid_proportionality:phi", "bridge.grid_proportionality:psi",
+    ),
+    "ZPolynomial terms: int exponents >= 0 and finite complex coefficients, checked per term": (
+        "bridge.ZPolynomial:terms", "bridge.ZPolynomial.monomial:coeff",
+        "bridge.ZPolynomial.scale:factor", "bridge.WaveState.scale:factor",
+        "aniso.SeparableState.scale:factor",
+    ),
+    "complex value with no complex-argument rule yet: nan passes (coherent labels among them)": (
+        "bridge.coherent_state:alpha", "bridge.coherent_state:beta",
+        "bridge.coherent_eigenvalues:alpha", "bridge.coherent_eigenvalues:beta",
+        "bridge.evolved_labels:alpha", "bridge.evolved_labels:beta",
+        "bridge.expansion_coefficient:alpha", "bridge.expansion_coefficient:beta",
+        "bridge.coherent_checks:alpha", "bridge.coherent_checks:beta",
+        "bridge.WaveState:exp_zzbar", "bridge.WaveState:exp_z", "bridge.WaveState:exp_zbar",
+        "bridge.WaveState:exp_const", "bridge.ZPolynomial.at:u", "bridge.ZPolynomial.at:v",
+        "phasealg.poly.PhasePoly.evaluate:point",
+    ),
+    "exact term map: int exponents and an int or Fraction tag, checked per key by PhasePoly": (
+        "phasealg.poly.PhasePoly:terms",
+    ),
+    "the argument rules themselves: the value they check and how they report it": (
+        "phasealg.exact.coerce_real:value", "phasealg.exact.coerce_real:name",
+        "phasealg.exact.require_int:value", "phasealg.exact.require_int:name",
+        "phasealg.exact.require_int:lo", "phasealg.exact.require_int:hi",
+        "phasealg.exact.require_real:value", "phasealg.exact.require_real:name",
+        "phasealg.exact.require_real:positive",
+        "phasealg.exact.to_float:value", "phasealg.exact.to_float:name",
+    ),
+}
+EXEMPTIONS = [key for keys in EXEMPT.values() for key in keys]
+TARGETS = {row[0] for row in (*test_int_args.ENTRY_POINTS, *test_real_args.ENTRY_POINTS,
+                               *test_real_args.EXACT_ONLY)}
+# row targets outside the census: the run config of ``cli`` (which has no ``__all__``) and an
+# operator method
+BEYOND_CENSUS = {"cli.RunConfig": RunConfig, "phasealg.poly.PhasePoly.__pow__": PhasePoly.__pow__}
+
+
+def _callables(obj):
+    """Pairs (object that names it, callable whose signature lists it) for one name of
+    ``__all__``: a function, or a class's constructor and its public methods."""
+    if not inspect.isclass(obj):
+        return [(obj, obj)] if callable(obj) else []
+    out = [(obj, obj)]
+    for name, member in vars(obj).items():
+        function = member.__func__ if isinstance(member, (classmethod, staticmethod)) else member
+        if not name.startswith("_") and inspect.isfunction(function):
+            out.append((function, getattr(obj, name)))
+    return out
+
+
+def _is_riaho_type(annotation, module) -> bool:
+    """Whether every part of an annotation other than None names a riaho class."""
+    if isinstance(annotation, str):  # riaho modules postpone their annotations
+        kinds = [getattr(module, part.strip(), None)
+                 for part in annotation.split("|") if part.strip() != "None"]
+    else:
+        kinds = [annotation]
+    return bool(kinds) and all(
+        inspect.isclass(k) and k.__module__.split(".")[0] == "riaho" for k in kinds)
+
+
+def _census():
+    """{parameter key: is annotated with a riaho type} over the whole public surface."""
+    seen, params = set(), {}
+    for module in MODULES:
+        for owner, call in (pair for name in module.__all__
+                            for pair in _callables(getattr(module, name))):
+            if (owner.__module__, owner.__qualname__) in seen:
+                continue
+            seen.add((owner.__module__, owner.__qualname__))
+            path = f"{owner.__module__.removeprefix('riaho.')}.{owner.__qualname__}"
+            for param in inspect.signature(call).parameters.values():
+                if param.name not in ("self", "cls"):
+                    params[f"{path}:{param.name}"] = _is_riaho_type(
+                        param.annotation, sys.modules[owner.__module__])
+    return params
+
+
+CENSUS = _census()
+
+
+def test_census_walks_every_public_module():
+    assert [m.__name__ for m in MODULES] == [
+        "riaho", "riaho.aniso", "riaho.bridge", "riaho.classdyn", "riaho.coupling",
+        "riaho.fockeng", "riaho.landau", "riaho.phasealg", "riaho.phasealg.catalog",
+        "riaho.phasealg.cbt", "riaho.phasealg.exact", "riaho.phasealg.poly",
+        "riaho.phasealg.verify", "riaho.reports"]
+
+
+def test_every_public_parameter_follows_a_rule():
+    uncovered = [key for key, typed in CENSUS.items()
+                 if not typed and key not in TARGETS and key not in EXEMPTIONS]
+    assert uncovered == []
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_row_target_is_a_live_public_parameter(target):
+    path, param = target.split(":")
+    assert target in CENSUS or (
+        path in BEYOND_CENSUS and param in inspect.signature(BEYOND_CENSUS[path]).parameters)
+
+
+@pytest.mark.parametrize("key", EXEMPTIONS)
+def test_exemption_names_a_parameter_without_another_rule(key):
+    assert key in CENSUS, "not a public parameter"
+    assert not CENSUS[key], "annotated with a riaho type"
+    assert key not in TARGETS, "a row already checks it"
+    assert EXEMPTIONS.count(key) == 1, "listed twice"

@@ -14,101 +14,212 @@ from riaho import fockeng as fe
 from riaho import landau as la
 from riaho.cli import ConfigError, RunConfig
 from riaho.coupling import Coupling
-from riaho.phasealg.exact import coerce_real, require_real, to_float
+from riaho.phasealg import CIRCULAR, ExactComplex, Params, PhasePoly
+from riaho.phasealg.exact import coerce_real, rational_sqrt, require_real, ring_sqrt, to_float
+from riaho.reports import CheckRow
 
 BASIS = fe.FockBasis(2)
 FREQ = an.FrequencyPair.detect(1, 2)
 STATE = [1.0, 0.0, 0.0, 1.0]
 PROBLEM = (STATE, Coupling(F(1, 3)), 1.0, 1.0)
 ORBIT = cd.TrajectoryParams(R1=1, R2=1, coupling=Coupling(F(1, 3)))
+PSI = br.ground_state()
+SEPARABLE = an.SeparableState({(1, 0): 1.0}, 0.5, 0.5)
+POLY = PhasePoly.variable("b1+", CIRCULAR, mu=F(1))
+POINT = {"b1+": 0.5, "b1-": 0.5, "b2+": 0, "b2-": 0}
 
 NOT_REALS = (True, None, "1", 1j, math.nan, math.inf, -math.inf)
 OUT_OF_RANGE = (10**400, F(1, 10**400))
 NOT_POSITIVE = (0, -1)
 VALID = (2, F(1, 2), 0.5, np.float64(0.25))
 
-# (name in the message, call taking the value, exact, positive); an exact argument goes
-# through coerce_real, where 10**400 and 1/10**400 are valid exact values
+# (target parameter, name in the message, call taking the value, exact, positive); an exact
+# argument goes through coerce_real, where 10**400 and 1/10**400 are valid exact values
 ENTRY_POINTS = [
-    ("omega1", lambda v: an.FrequencyPair(v, 1), True, True),
-    ("omega2", lambda v: an.FrequencyPair(1, v), True, True),
-    ("omega1", lambda v: an.detect_commensurability(v, 1), True, True),
-    ("omega2", lambda v: an.detect_commensurability(1, v), True, True),
-    ("omega1", lambda v: an.so11_invariant_check(v, cutoff=4), False, True),  # used as a float
-    ("hbar", lambda v: an.spectrum(FREQ, "+", 1, 0, v), True, False),
-    ("omegaB", lambda v: la.LandauExtension(v, 1), True, False),
-    ("Lambda", lambda v: la.LandauExtension(1, v), True, False),
-    ("k", lambda v: la.RotatingFrame(v, 1, 1), True, False),
-    ("m", lambda v: la.RotatingFrame(1, v, 1), True, True),
-    ("Omega", lambda v: la.RotatingFrame(1, 1, v), True, False),
-    ("omega", lambda v: la.g_to_landau(Coupling(F(1, 2)), v), True, True),
-    ("coupling g", Coupling, True, False),
-    ("m", lambda v: br.Units(m=v), False, True),
-    ("omega", lambda v: br.Units(omega=v), False, True),
-    ("hbar", lambda v: br.Units(hbar=v), False, True),
-    ("gamma", lambda v: br.rotate(br.ground_state(), v), False, False),
-    ("t", lambda v: br.evolved_labels(0.5, 0.2j, v, Coupling(F(1, 3))), False, False),
-    ("t", lambda v: br.coherent_checks(0.5, 0.2j, v, 0.3, cutoff=4), False, False),
-    ("R1", lambda v: cd.TrajectoryParams(R1=v, R2=1), False, False),
-    ("R2", lambda v: cd.TrajectoryParams(R1=1, R2=v), False, False),
-    ("gamma1", lambda v: cd.TrajectoryParams(R1=1, R2=1, gamma1=v), False, False),
-    ("gamma2", lambda v: cd.TrajectoryParams(R1=1, R2=1, gamma2=v), False, False),
-    ("omega", lambda v: cd.TrajectoryParams(R1=1, R2=1, omega=v), False, True),
-    ("omega", lambda v: cd.integrate(STATE, Coupling(0), v, 1.0, steps=4), False, True),
-    ("T", lambda v: cd.integrate(STATE, Coupling(0), 1.0, v, steps=4), False, False),
-    ("m", lambda v: cd.integrate(STATE, Coupling(0), 1.0, 1.0, steps=4, m=v), False, True),
-    ("omega", lambda v: cd.closure_period(Coupling(0), v), False, True),
-    ("A1", lambda v: an.lissajous(v, 0, 0, 1, FREQ, 0.5), False, False),
-    ("B1", lambda v: an.lissajous(1, v, 0, 1, FREQ, 0.5), False, False),
-    ("A2", lambda v: an.lissajous(1, 0, v, 1, FREQ, 0.5), False, False),
-    ("B2", lambda v: an.lissajous(1, 0, 0, v, FREQ, 0.5), False, False),
-    ("t", lambda v: an.lissajous(1, 0, 0, 1, FREQ, v), False, False),
-    ("hbar_omega", lambda v: fe.hamiltonian(BASIS, Coupling(F(1, 3)), v), False, False),
-    ("hbar_omega", lambda v: fe.rni_hamiltonian(BASIS, Coupling(F(1, 3)), v), False, False),
-    ("hbar", lambda v: fe.angular_momentum(BASIS, v), False, False),
-    ("hbar", lambda v: an.signed_hamiltonian(BASIS, FREQ, "-", v), False, False),
-    *((name, lambda v, name=name: RunConfig(**{name: v}), False, True)
+    ("aniso.FrequencyPair:omega1", "omega1", lambda v: an.FrequencyPair(v, 1), True, True),
+    ("aniso.FrequencyPair:omega2", "omega2", lambda v: an.FrequencyPair(1, v), True, True),
+    ("aniso.FrequencyPair.detect:omega1", "omega1", lambda v: an.FrequencyPair.detect(v, 1),
+     True, True),
+    ("aniso.FrequencyPair.detect:omega2", "omega2", lambda v: an.FrequencyPair.detect(1, v),
+     True, True),
+    ("aniso.detect_commensurability:omega1", "omega1", lambda v: an.detect_commensurability(v, 1),
+     True, True),
+    ("aniso.detect_commensurability:omega2", "omega2", lambda v: an.detect_commensurability(1, v),
+     True, True),
+    # used as a float
+    ("aniso.so11_invariant_check:omega", "omega1", lambda v: an.so11_invariant_check(v, cutoff=4),
+     False, True),
+    ("aniso.spectrum:hbar", "hbar", lambda v: an.spectrum(FREQ, "+", 1, 0, v), True, False),
+    ("aniso.SeparableState:rate1", "rate1", lambda v: an.SeparableState({}, v, 1.0), False, True),
+    ("aniso.SeparableState:rate2", "rate2", lambda v: an.SeparableState({}, 1.0, v), False, True),
+    ("aniso.SeparableState.evaluate:x1", "x1", lambda v: SEPARABLE.evaluate(v, 0.5), False, False),
+    ("aniso.SeparableState.evaluate:x2", "x2", lambda v: SEPARABLE.evaluate(0.5, v), False, False),
+    ("aniso.aniso_cbt_apply:m", "m", lambda v: an.aniso_cbt_apply((1, 0), FREQ, m=v), False, True),
+    ("aniso.aniso_cbt_apply:hbar", "hbar", lambda v: an.aniso_cbt_apply((1, 0), FREQ, hbar=v),
+     False, True),
+    ("aniso.hermite_eigenstate:m", "m", lambda v: an.hermite_eigenstate(1, 0, FREQ, m=v),
+     False, True),
+    ("aniso.hermite_eigenstate:hbar", "hbar", lambda v: an.hermite_eigenstate(1, 0, FREQ, hbar=v),
+     False, True),
+    ("aniso.mode_constant:omega", "omega", lambda v: an.mode_constant(1, v), False, True),
+    ("aniso.mode_constant:m", "m", lambda v: an.mode_constant(1, 1.0, m=v), False, True),
+    ("aniso.mode_constant:hbar", "hbar", lambda v: an.mode_constant(1, 1.0, hbar=v), False, True),
+    ("aniso.aniso_proportionality:m", "m", lambda v: an.aniso_proportionality(1, 0, FREQ, m=v),
+     False, True),
+    ("aniso.aniso_proportionality:hbar", "hbar",
+     lambda v: an.aniso_proportionality(1, 0, FREQ, hbar=v), False, True),
+    ("landau.LandauExtension:omegaB", "omegaB", lambda v: la.LandauExtension(v, 1), True, False),
+    ("landau.LandauExtension:Lambda", "Lambda", lambda v: la.LandauExtension(1, v), True, False),
+    ("landau.RotatingFrame:k", "k", lambda v: la.RotatingFrame(v, 1, 1), True, False),
+    ("landau.RotatingFrame:m", "m", lambda v: la.RotatingFrame(1, v, 1), True, True),
+    ("landau.RotatingFrame:Omega", "Omega", lambda v: la.RotatingFrame(1, 1, v), True, False),
+    ("landau.g_to_landau:omega", "omega", lambda v: la.g_to_landau(Coupling(F(1, 2)), v),
+     True, True),
+    # omegaB = 0 and Lambda = 0 keep every exact root rational or in the float range
+    ("landau.classify:Lambda", "Lambda", lambda v: la.classify(v, 0), True, False),
+    ("landau.classify:omegaB", "omegaB", lambda v: la.classify(0, v), True, False),
+    ("coupling.Coupling:g", "coupling g", Coupling, True, False),
+    ("fockeng.degeneracy_classes:energy_window", "energy_window lo",
+     lambda v: fe.degeneracy_classes(Coupling(F(1, 3)), BASIS, (v, None)), True, False),
+    ("fockeng.degeneracy_classes:energy_window", "energy_window hi",
+     lambda v: fe.degeneracy_classes(Coupling(F(1, 3)), BASIS, (None, v)), True, False),
+    ("bridge.Units:m", "m", lambda v: br.Units(m=v), False, True),
+    ("bridge.Units:omega", "omega", lambda v: br.Units(omega=v), False, True),
+    ("bridge.Units:hbar", "hbar", lambda v: br.Units(hbar=v), False, True),
+    ("bridge.WaveState.evaluate:x1", "x1", lambda v: PSI.evaluate(v, 0.5), False, False),
+    ("bridge.WaveState.evaluate:x2", "x2", lambda v: PSI.evaluate(0.5, v), False, False),
+    ("bridge.rotate:gamma", "gamma", lambda v: br.rotate(PSI, v), False, False),
+    ("bridge.grid_proportionality:expected", "expected",
+     lambda v: br.grid_proportionality(0, 0, PSI.evaluate, PSI.evaluate, v), False, True),
+    ("bridge.evolved_labels:t", "t", lambda v: br.evolved_labels(0.5, 0.2j, v, Coupling(F(1, 3))),
+     False, False),
+    ("bridge.coherent_checks:t", "t", lambda v: br.coherent_checks(0.5, 0.2j, v, 0.3, cutoff=4),
+     False, False),
+    ("bridge.coherent_checks:gamma", "gamma",
+     lambda v: br.coherent_checks(0.5, 0.2j, 0.1, v, cutoff=4), False, False),
+    ("classdyn.TrajectoryParams:R1", "R1", lambda v: cd.TrajectoryParams(R1=v, R2=1), False, False),
+    ("classdyn.TrajectoryParams:R2", "R2", lambda v: cd.TrajectoryParams(R1=1, R2=v), False, False),
+    ("classdyn.TrajectoryParams:gamma1", "gamma1",
+     lambda v: cd.TrajectoryParams(R1=1, R2=1, gamma1=v), False, False),
+    ("classdyn.TrajectoryParams:gamma2", "gamma2",
+     lambda v: cd.TrajectoryParams(R1=1, R2=1, gamma2=v), False, False),
+    ("classdyn.TrajectoryParams:omega", "omega", lambda v: cd.TrajectoryParams(R1=1, R2=1, omega=v),
+     False, True),
+    ("classdyn.PhaseState:x1", "x1", lambda v: cd.PhaseState(v, 0, 0, 0), False, False),
+    ("classdyn.PhaseState:x2", "x2", lambda v: cd.PhaseState(0, v, 0, 0), False, False),
+    ("classdyn.PhaseState:p1", "p1", lambda v: cd.PhaseState(0, 0, v, 0), False, False),
+    ("classdyn.PhaseState:p2", "p2", lambda v: cd.PhaseState(0, 0, 0, v), False, False),
+    ("classdyn.integrate:omega", "omega",
+     lambda v: cd.integrate(STATE, Coupling(0), v, 1.0, steps=4), False, True),
+    ("classdyn.integrate:T", "T", lambda v: cd.integrate(STATE, Coupling(0), 1.0, v, steps=4),
+     False, False),
+    ("classdyn.integrate:m", "m",
+     lambda v: cd.integrate(STATE, Coupling(0), 1.0, 1.0, steps=4, m=v), False, True),
+    ("classdyn.closure_period:omega", "omega", lambda v: cd.closure_period(Coupling(0), v),
+     False, True),
+    ("aniso.lissajous:A1", "A1", lambda v: an.lissajous(v, 0, 0, 1, FREQ, 0.5), False, False),
+    ("aniso.lissajous:B1", "B1", lambda v: an.lissajous(1, v, 0, 1, FREQ, 0.5), False, False),
+    ("aniso.lissajous:A2", "A2", lambda v: an.lissajous(1, 0, v, 1, FREQ, 0.5), False, False),
+    ("aniso.lissajous:B2", "B2", lambda v: an.lissajous(1, 0, 0, v, FREQ, 0.5), False, False),
+    ("aniso.lissajous:t", "t", lambda v: an.lissajous(1, 0, 0, 1, FREQ, v), False, False),
+    ("fockeng.hamiltonian:hbar_omega", "hbar_omega",
+     lambda v: fe.hamiltonian(BASIS, Coupling(F(1, 3)), v), False, False),
+    ("fockeng.rni_hamiltonian:hbar_omega", "hbar_omega",
+     lambda v: fe.rni_hamiltonian(BASIS, Coupling(F(1, 3)), v), False, False),
+    ("fockeng.angular_momentum:hbar", "hbar", lambda v: fe.angular_momentum(BASIS, v),
+     False, False),
+    ("fockeng.verify_commutes:tol", "tol",
+     lambda v: fe.verify_commutes(np.eye(2), np.eye(2), tol=v), False, False),
+    ("aniso.signed_hamiltonian:hbar", "hbar", lambda v: an.signed_hamiltonian(BASIS, FREQ, "-", v),
+     False, False),
+    ("reports.CheckRow.within:tol", "tol", lambda v: CheckRow.within("c", "c = 0", 0.0, v),
+     False, False),
+    ("phasealg.poly.PhasePoly.evaluate:t", "t", lambda v: POLY.evaluate(POINT, v), False, False),
+    *((f"cli.RunConfig:{name}", name, lambda v, name=name: RunConfig(**{name: v}), False, True)
       for name in ("m", "omega", "hbar", "tol_fock", "tol_quad", "tol_traj")),
-    ("t", lambda v: cd.position(ORBIT, v), False, False),
-    ("t", lambda v: cd.velocity(ORBIT, v), False, False),
-    ("t", lambda v: cd.momentum(ORBIT, v), False, False),
-    ("m", lambda v: cd.momentum(ORBIT, 0.5, v), False, True),
-    ("t", lambda v: cd.state_from_params(ORBIT, v), False, False),
-    ("m", lambda v: cd.state_from_params(ORBIT, 0.5, v), False, True),
-    ("t", lambda v: cd.conserved_values(ORBIT, v), False, False),
-    ("omega", lambda v: cd.hamiltonian_flow_rhs(STATE, Coupling(0), v), False, True),
-    ("m", lambda v: cd.hamiltonian_flow_rhs(STATE, Coupling(0), 1.0, v), False, True),
-    ("omega", lambda v: cd.hamiltonian_value(STATE, Coupling(0), v), False, True),
-    ("m", lambda v: cd.hamiltonian_value(STATE, Coupling(0), 1.0, v), False, True),
-    ("omega", lambda v: an.rescale_map(Coupling(F(1, 3))).omegas(v), False, True),
-    ("omega", lambda v: cd.integrate_many([PROBLEM, (STATE, Coupling(0), v, 1.0)], 4), False, True),
-    ("T", lambda v: cd.integrate_many([PROBLEM, (STATE, Coupling(0), 1.0, v)], 4), False, False),
-    ("m", lambda v: cd.integrate_many([PROBLEM], 4, v), False, True),
+    ("classdyn.position:t", "t", lambda v: cd.position(ORBIT, v), False, False),
+    ("classdyn.velocity:t", "t", lambda v: cd.velocity(ORBIT, v), False, False),
+    ("classdyn.momentum:t", "t", lambda v: cd.momentum(ORBIT, v), False, False),
+    ("classdyn.momentum:m", "m", lambda v: cd.momentum(ORBIT, 0.5, v), False, True),
+    ("classdyn.state_from_params:t", "t", lambda v: cd.state_from_params(ORBIT, v), False, False),
+    ("classdyn.state_from_params:m", "m", lambda v: cd.state_from_params(ORBIT, 0.5, v),
+     False, True),
+    ("classdyn.conserved_values:t", "t", lambda v: cd.conserved_values(ORBIT, v), False, False),
+    ("classdyn.hamiltonian_flow_rhs:omega", "omega",
+     lambda v: cd.hamiltonian_flow_rhs(STATE, Coupling(0), v), False, True),
+    ("classdyn.hamiltonian_flow_rhs:m", "m",
+     lambda v: cd.hamiltonian_flow_rhs(STATE, Coupling(0), 1.0, v), False, True),
+    ("classdyn.hamiltonian_value:omega", "omega",
+     lambda v: cd.hamiltonian_value(STATE, Coupling(0), v), False, True),
+    ("classdyn.hamiltonian_value:m", "m",
+     lambda v: cd.hamiltonian_value(STATE, Coupling(0), 1.0, v), False, True),
+    ("classdyn.integrate_many:problems", "omega",
+     lambda v: cd.integrate_many([PROBLEM, (STATE, Coupling(0), v, 1.0)], 4), False, True),
+    ("classdyn.integrate_many:problems", "T",
+     lambda v: cd.integrate_many([PROBLEM, (STATE, Coupling(0), 1.0, v)], 4), False, False),
+    ("classdyn.integrate_many:m", "m", lambda v: cd.integrate_many([PROBLEM], 4, v), False, True),
 ]
-IDS = [f"{name}-{i}" for i, (name, *_) in enumerate(ENTRY_POINTS)]
+# exact-only arguments of the exact ring and its units: ints and Fractions of any size, and
+# nothing else, floats and numpy scalars included; (target, name in the message, call, positive)
+EXACT_VALID = (2, F(1, 2), *OUT_OF_RANGE)
+NOT_EXACT = NOT_REALS + (0.5, np.float64(0.25), np.int64(2))
+EXACT_ONLY = [
+    ("phasealg.poly.Params:m", "m", lambda v: Params(m=v), True),
+    ("phasealg.poly.Params:omega", "omega", lambda v: Params(omega=v), True),
+    *((f"phasealg.exact.ExactComplex:{name}", name,
+       lambda v, name=name: ExactComplex(**{name: v}), False) for name in ("ar", "ai", "br", "bi")),
+    ("phasealg.exact.ExactComplex.coerce:value", "value", ExactComplex.coerce, False),
+    ("phasealg.poly.PhasePoly.constant:value", "value", lambda v: PhasePoly.constant(v, CIRCULAR),
+     False),
+    ("phasealg.poly.PhasePoly.variable:mu", "mu", lambda v: PhasePoly.variable("b1+", CIRCULAR, mu=v),
+     False),
+    # a negative q has no rational root: None
+    ("phasealg.exact.rational_sqrt:q", "q", rational_sqrt, False),
+    ("phasealg.exact.ring_sqrt:q", "q", ring_sqrt, False),
+]
+
+# bad values that an argument gives a meaning to: a coupling string is parsed ("1" is g = 1),
+# and None leaves an end of the energy window open
+MEANINGFUL = {"coupling g": ("1",), "energy_window lo": (None,), "energy_window hi": (None,)}
+TARGETS = [target for target, *_ in ENTRY_POINTS]
+IDS = [t if TARGETS.count(t) == 1 else f"{t}({name})" for t, name, *_ in ENTRY_POINTS]
+EXACT = [(row, i) for row, i in zip(ENTRY_POINTS, IDS) if row[3]]
 
 
 @pytest.mark.parametrize("value", VALID, ids=repr)
-@pytest.mark.parametrize("name, call, exact, positive", ENTRY_POINTS, ids=IDS)
-def test_valid_real_is_accepted(name, call, exact, positive, value):
+@pytest.mark.parametrize("target, name, call, exact, positive", ENTRY_POINTS, ids=IDS)
+def test_valid_real_is_accepted(target, name, call, exact, positive, value):
     call(value)
 
 
-@pytest.mark.parametrize("name, call, exact, positive", ENTRY_POINTS, ids=IDS)
-def test_bad_value_raises_value_error_naming_the_argument(name, call, exact, positive):
+@pytest.mark.parametrize("target, name, call, exact, positive", ENTRY_POINTS, ids=IDS)
+def test_bad_value_raises_value_error_naming_the_argument(target, name, call, exact, positive):
     bad = NOT_REALS + (() if exact else OUT_OF_RANGE) + (NOT_POSITIVE if positive else ())
     for value in bad:
-        if value == "1" and call is Coupling:
-            continue  # a coupling string is parsed: "1" is g = 1
+        if value in MEANINGFUL.get(name, ()):
+            continue
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             call(value)
 
 
-@pytest.mark.parametrize("name, call, exact, positive", [e for e in ENTRY_POINTS if e[2]],
-                         ids=[i for e, i in zip(ENTRY_POINTS, IDS) if e[2]])
-def test_exact_arguments_keep_any_size(name, call, exact, positive):
+@pytest.mark.parametrize("target, name, call, exact, positive", [row for row, _ in EXACT],
+                         ids=[i for _, i in EXACT])
+def test_exact_arguments_keep_any_size(target, name, call, exact, positive):
     for value in OUT_OF_RANGE:
         call(value)
+
+
+@pytest.mark.parametrize("value", EXACT_VALID, ids=repr)
+@pytest.mark.parametrize("target, name, call, positive", EXACT_ONLY, ids=[r[0] for r in EXACT_ONLY])
+def test_exact_value_is_accepted(target, name, call, positive, value):
+    call(value)
+
+
+@pytest.mark.parametrize("target, name, call, positive", EXACT_ONLY, ids=[r[0] for r in EXACT_ONLY])
+def test_inexact_value_raises_value_error_naming_the_argument(target, name, call, positive):
+    for value in NOT_EXACT + (NOT_POSITIVE if positive else ()):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            call(value)
 
 
 @pytest.mark.parametrize("value, message", [
