@@ -22,7 +22,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .fockeng import hermite_rows, verify_one_mode_bridge, verify_quantum_bridge
-from .phasealg.exact import require_int, require_real
+from .phasealg.exact import require_complex, require_int, require_real
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -97,7 +97,11 @@ class ZPolynomial:
         for (n1, n2), coeff in self.terms.items():
             if not (type(n1) is int and type(n2) is int) or n1 < 0 or n2 < 0:  # no bools
                 raise ValueError(f"bad exponents ({n1}, {n2})")
-            c = complex(coeff)
+            try:
+                c = complex(coeff)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"coefficient {coeff!r} of z^{n1} zbar^{n2} is not a number") from None
             if not cmath.isfinite(c):
                 raise ValueError(f"coefficient of z^{n1} zbar^{n2} is not finite ({c})")
             if c != 0:
@@ -126,7 +130,12 @@ class ZPolynomial:
         return self + other.scale(-1.0)
 
     def scale(self, factor) -> "ZPolynomial":
-        return ZPolynomial({k: complex(factor) * c for k, c in self.terms.items()})
+        """factor times the polynomial; a factor that is not a number raises ValueError."""
+        try:
+            factor = complex(factor)
+        except (TypeError, ValueError):
+            raise ValueError(f"factor {factor!r} is not a number") from None
+        return ZPolynomial({k: factor * c for k, c in self.terms.items()})
 
     def shift(self, d1: int, d2: int) -> "ZPolynomial":
         """Multiply by z^d1 zbar^d2; a d1 or d2 that is not an int raises ValueError."""
@@ -569,8 +578,7 @@ def coherent_state(alpha: complex, beta: complex, units: Units = _UNIT) -> WaveS
     and sqrt(hbar/(m omega)) beta for modes 1 and 2.  Labels that are not
     finite or whose |alpha|^2 + |beta|^2 overflows raise ValueError.
     """
-    alpha = complex(alpha)
-    beta = complex(beta)
+    alpha, beta = require_complex(alpha, "alpha"), require_complex(beta, "beta")
     ratio = units.hbar / (units.m * units.omega)
     norm_log = -(ratio / 2) * _label_weight(alpha, beta)
     return replace(ground_state(units), exp_z=alpha, exp_zbar=beta,
@@ -578,8 +586,10 @@ def coherent_state(alpha: complex, beta: complex, units: Units = _UNIT) -> WaveS
 
 
 def coherent_eigenvalues(alpha: complex, beta: complex, units: Units = _UNIT):
+    """sqrt(hbar/(m omega)) (alpha, beta); a label that is not a finite number raises ValueError."""
+    alpha, beta = require_complex(alpha, "alpha"), require_complex(beta, "beta")
     root = math.sqrt(units.hbar / (units.m * units.omega))
-    return root * complex(alpha), root * complex(beta)
+    return root * alpha, root * beta
 
 
 def evolved_labels(alpha: complex, beta: complex, t: float, coupling: Coupling,
@@ -587,12 +597,14 @@ def evolved_labels(alpha: complex, beta: complex, t: float, coupling: Coupling,
     """Coherent labels after time t: (alpha e^{-i omega l1 t}, beta e^{-i omega l2 t}).
 
     exp(-itH/hbar) maps Phi(alpha, beta) to this pair's state times the zero-point
-    phase e^{-i omega t}.  A t that is not a finite real raises ValueError.
+    phase e^{-i omega t}.  A label that is not a finite number, or a t that is not a finite
+    real, raises ValueError.
     """
+    alpha, beta = require_complex(alpha, "alpha"), require_complex(beta, "beta")
     t = require_real(t, "t")
     l1, l2 = coupling.float_ells()
-    return (complex(alpha) * complex(np.exp(-1j * units.omega * l1 * t)),
-            complex(beta) * complex(np.exp(-1j * units.omega * l2 * t)))
+    return (alpha * complex(np.exp(-1j * units.omega * l1 * t)),
+            beta * complex(np.exp(-1j * units.omega * l2 * t)))
 
 
 def expansion_coefficient(
@@ -601,8 +613,8 @@ def expansion_coefficient(
     """Closed-form overlap of the coherent state with eigenstate (n1, n2).
 
     0 once the vacuum factor underflows, without forming lambda^n; ValueError
-    when lambda^n or sqrt(n1! n2!) leaves the float range, or for an n1 or n2
-    that is not an int >= 0.
+    when lambda^n or sqrt(n1! n2!) leaves the float range, for a label that is not a
+    finite number, or for an n1 or n2 that is not an int >= 0.
     """
     return _coefficients(alpha, beta, units)(require_int(n1, "n1"), require_int(n2, "n2"))
 
@@ -651,8 +663,10 @@ def coherent_checks(
     about eps*omega*max|l|*cutoff*|t|: at g = 1/3 and the suite's labels it
     reads 1.2e-12 at |t| = 1e4 and 1.4e-10 at 1e6, so it fails by design from
     |t| ~ 1e6.  A largest phase omega*(max|l|*cutoff + 1)*|t| past the float
-    range, an ell past it, or a t that is not a finite real, raises ValueError.
+    range, an ell past it, a t that is not a finite real, or a label that is not a finite
+    number, raises ValueError.
     """
+    alpha, beta = require_complex(alpha, "alpha"), require_complex(beta, "beta")
     require_int(cutoff, "cutoff", 0, 170)
     t = require_real(t, "t")
     l1f, l2f = coupling.float_ells()

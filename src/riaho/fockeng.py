@@ -586,13 +586,35 @@ def _conformal_pairs(up, dn):
     X runs over the free-particle triple H = -(a+ - a)^2/4,
     iD = (a^2 - a+^2)/4, K = (a+ + a)^2/4 and Y over the oscillator's
     -K- = -a^2/2, K0 = (2 a+ a + 1)/4, K+ = a+^2/2.  Only products, sums,
-    integer scalars and an identity of the ladders' dtype appear, so integer
-    object arrays and float arrays both work.
+    integer scalars and an identity of the ladders' dtype appear, so int64,
+    object and float ladders all work.  With the exact ladders of size s (a+|n) = |n+1),
+    a|n) = n|n-1)) every pair is nonzero only on the diagonals -2, 0 and +2 and
+    every entry obeys |entry| <= 4 (s-1)^2, far inside int64 for any s whose
+    dense s x s array fits in memory.
     """
     minus, plus, up2, dn2 = up - dn, up + dn, up @ up, dn @ dn
     return ((-(minus @ minus), -2 * dn2),
             (dn2 - up2, 2 * (up @ dn) + np.eye(len(up), dtype=up.dtype)),
             (plus @ plus, 2 * up2))
+
+
+def _band_product(m, x):
+    """m @ x for an integer matrix x, one term per nonzero diagonal of x.
+
+    The offsets d come from ``np.nonzero(x)``, so any band works; column c of the
+    product gains m[:, c - d] * x[c - d, c].  Each diagonal is turned into Python
+    ints first, so an object array m of big ints is never multiplied by an int64.
+    """
+    out = np.zeros(m.shape, dtype=object)
+    rows, cols = np.nonzero(x)
+    size = x.shape[0]
+    for d in sorted(set((cols - rows).tolist())):  # np.unique would import numpy.ma
+        coeff = np.array(np.diagonal(x, d).tolist(), dtype=object)
+        if d >= 0:
+            out[:, d:] += m[:, : size - d] * coeff
+        else:
+            out[:, : size + d] += m[:, -d:] * coeff
+    return out
 
 
 def hermite_rows(n: int):
@@ -641,20 +663,23 @@ def verify_one_mode_bridge(size: int = 11) -> list[CheckRow]:
 
     X and Y preserve parity, so the sqrt 2 row factor of S' commutes
     through them and S'X = YS' holds iff RX = YR, i.e. MX = YM for the integer
-    M = scale * R.  That identity is checked on integers (ladders a+|n) = |n+1),
-    a|n) = n|n-1)) on rows and columns 0..size-3: the raising parts of X
-    corrupt the last two columns of the truncated MX, and the lowering Y
-    pulls truncated rows into YM.  Residual is exactly zero or the check fails.
-    A size below 3 leaves no row to compare; it raises ValueError, as does a non-int.
+    M = scale * R.  The pairs come from :func:`_conformal_pairs` on int64 ladders
+    (a+|n) = |n+1), a|n) = n|n-1)), whose entries stay below 4 (size-1)^2; MX and
+    (M^T Y^T)^T are formed by :func:`_band_product` over their three nonzero
+    diagonals, on Python ints, and compared entry for entry on rows and columns
+    0..size-3: the raising parts of X corrupt the last two columns of the truncated
+    MX, and the lowering Y pulls truncated rows into YM.  Residual is exactly zero or
+    the check fails.  A size below 3 leaves no row to compare; it raises ValueError,
+    as does a non-int.
     """
     require_int(size, "size", 3)
     m, _ = one_mode_bridge_unnormalized(size)
-    up = np.eye(size, k=-1, dtype=int).astype(object)
-    dn = up.T * np.arange(size, dtype=object)  # column n scaled by n
+    up = np.eye(size, k=-1, dtype=np.int64)
+    dn = up.T * np.arange(size)  # column n scaled by n
     block = np.s_[: size - 2, : size - 2]
     return [
-        CheckRow.exact(f"bridge-one-mode-{name}", identity,
-                       np.array_equal((m @ x)[block], (y @ m)[block]))
+        CheckRow.exact(f"bridge-one-mode-{name}", identity, np.array_equal(
+            _band_product(m, x)[block], _band_product(m.T, y.T).T[block]))
         for (name, identity, _), (x, y) in zip(_BRIDGE_ROWS, _conformal_pairs(up, dn))
     ]
 

@@ -34,8 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isfinite, isqrt, lcm, sqrt as _fsqrt
 
-__all__ = ["ExactComplex", "coerce_real", "rational_sqrt", "require_int", "require_real",
-           "ring_sqrt", "to_float"]
+__all__ = ["ExactComplex", "coerce_real", "rational_sqrt", "require_complex", "require_int",
+           "require_real", "ring_sqrt", "to_float"]
 
 _SQRT2 = _fsqrt(2.0)
 _new_object = object.__new__
@@ -85,6 +85,19 @@ def require_real(value, name: str, positive: bool = False) -> float:
         if isfinite(out) and (out > 0 or not positive):
             return out
     raise ValueError(f"{name} {value!r} is not a {'positive ' if positive else ''}finite real")
+
+
+def require_complex(value, name: str) -> complex:
+    """The rule for a complex argument used as a complex float (a coherent-state label): an
+    int or Fraction through :func:`to_float`, or a float or complex, finite; anything else,
+    bool, str, None, nan or inf among it, raises ValueError naming ``name`` and the value."""
+    if type(value) is int or isinstance(value, Fraction):
+        return complex(to_float(value, name))
+    if isinstance(value, (float, complex)):
+        out = complex(value)
+        if isfinite(out.real) and isfinite(out.imag):
+            return out
+    raise ValueError(f"{name} {value!r} is not a finite complex number")
 
 
 def require_int(value, name: str, lo: int | None = 0, hi: int | None = None) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from riaho.coupling import Coupling
-from riaho import bridge as br, fockeng as fe
+from riaho import aniso as an, bridge as br, fockeng as fe
 
 F = Fraction
 SQ2 = math.sqrt(2)
@@ -28,6 +28,18 @@ class TestZPolynomial:
     def test_bad_exponents(self):
         with pytest.raises(ValueError):
             br.ZPolynomial({(-1, 0): 1.0})
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda v: br.ZPolynomial({(0, 0): v}), "coefficient"),
+        (lambda v: br.ZPolynomial({(0, 0): 1}).scale(v), "factor"),
+        (lambda v: br.ground_state().scale(v), "factor"),
+        (lambda v: an.SeparableState({(1, 0): 1.0}, 0.5, 0.5).scale(v), "factor"),
+    ], ids=["ZPolynomial", "ZPolynomial.scale", "WaveState.scale", "SeparableState.scale"])
+    @pytest.mark.parametrize("value", [None, object(), [1.0], "x"], ids=repr)
+    def test_coefficient_that_is_not_a_number_raises(self, call, message, value):
+        # None raised TypeError from complex()
+        with pytest.raises(ValueError, match=rf"^{message} .* is not a number$"):
+            call(value)
 
     def test_arithmetic(self):
         p = br.ZPolynomial.monomial(1, 0, 2.0)

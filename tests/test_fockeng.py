@@ -874,6 +874,67 @@ class TestOneModeBridgeExact:
             assert row.residual is None
 
 
+def _object_ladders(size):
+    """Reference one-mode ladders on Python-int object arrays: a+|n) = |n+1), a|n) = n|n-1)."""
+    up = np.eye(size, k=-1, dtype=int).astype(object)
+    return up, up.T * np.arange(size, dtype=object)
+
+
+class TestBandedBridgeCheck:
+    def test_band_products_match_dense_object_products(self):
+        # oracle: the dense object products m @ x and y @ m the check used to form
+        for size in range(3, 61):
+            m, _ = fe.one_mode_bridge_unnormalized(size)
+            up = np.eye(size, k=-1, dtype=np.int64)
+            fast = fe._conformal_pairs(up, up.T * np.arange(size))
+            for (x, y), (xo, yo) in zip(fast, fe._conformal_pairs(*_object_ladders(size))):
+                mx, ym = fe._band_product(m, x), fe._band_product(m.T, y.T).T
+                assert np.array_equal(mx, m @ xo), size
+                assert np.array_equal(ym, yo @ m), size
+                assert all(type(v) is int for v in mx.flat), size
+                assert all(type(v) is int for v in ym.flat), size
+
+    @pytest.mark.parametrize("size", [3, 4, 11, 31, 99])
+    def test_int64_pairs_are_banded_and_bounded(self, size):
+        up = np.eye(size, k=-1, dtype=np.int64)
+        pairs = fe._conformal_pairs(up, up.T * np.arange(size))
+        for (x, y), (xo, yo) in zip(pairs, fe._conformal_pairs(*_object_ladders(size))):
+            for got, want in ((x, xo), (y, yo)):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+                assert np.abs(got).max() <= 4 * (size - 1) ** 2
+                rows, cols = np.nonzero(got)
+                assert set((cols - rows).tolist()) <= {-2, 0, 2}
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_off_by_one_ladder_fails_every_row(self, monkeypatch, k):
+        exact = fe._conformal_pairs
+
+        def mutated(up, dn):
+            dn = dn.copy()
+            dn[k - 1, k] = k + 1
+            return exact(up, dn)
+
+        monkeypatch.setattr(fe, "_conformal_pairs", mutated)
+        rows = fe.verify_one_mode_bridge(11)
+        assert [row.check_id for row in rows] == [
+            "bridge-one-mode-H", "bridge-one-mode-iD", "bridge-one-mode-K"]
+        assert not any(row.passed for row in rows)
+
+    @pytest.mark.parametrize("offset", [-2, 0, 2])
+    def test_skipped_diagonal_fails_a_row(self, monkeypatch, offset):
+        exact = fe._band_product
+
+        def skipping(m, x):
+            x = x.copy()
+            start = max(0, -offset)
+            index = np.arange(start, len(x) - max(0, offset))
+            x[index, index + offset] = 0
+            return exact(m, x)
+
+        monkeypatch.setattr(fe, "_band_product", skipping)
+        assert not all(row.passed for row in fe.verify_one_mode_bridge(11))
+
+
 class TestQuantumBridgeFloat:
     def test_vacuum_amplitude(self):
         s = fe.one_mode_bridge(4)

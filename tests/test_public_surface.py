@@ -6,8 +6,9 @@ re-export is counted once, by ``__module__`` and ``__qualname__``.  Each paramet
 ``"<module>.<qualname>:<parameter>"``, the module relative to the riaho package, e.g.
 ``"fockeng.ladder:mode"``, and must be one of:
 
-* the target of a row of ``test_int_args.ENTRY_POINTS``, ``test_real_args.ENTRY_POINTS`` or
-  ``test_real_args.EXACT_ONLY``, which feed it bad values and expect a ValueError naming it;
+* the target of a row of ``test_int_args.ENTRY_POINTS``, ``test_real_args.ENTRY_POINTS``,
+  ``test_real_args.EXACT_ONLY`` or ``test_real_args.COMPLEX_ENTRY_POINTS``, which feed it bad
+  values and expect a ValueError naming it;
 * annotated with a riaho type (``Coupling``, ``FockBasis | None``, ...), which checks itself;
 * listed in ``EXEMPT`` under a one-line reason.
 
@@ -128,12 +129,7 @@ EXEMPT = {
         "bridge.ZPolynomial.scale:factor", "bridge.WaveState.scale:factor",
         "aniso.SeparableState.scale:factor",
     ),
-    "complex value with no complex-argument rule yet: nan passes (coherent labels among them)": (
-        "bridge.coherent_state:alpha", "bridge.coherent_state:beta",
-        "bridge.coherent_eigenvalues:alpha", "bridge.coherent_eigenvalues:beta",
-        "bridge.evolved_labels:alpha", "bridge.evolved_labels:beta",
-        "bridge.expansion_coefficient:alpha", "bridge.expansion_coefficient:beta",
-        "bridge.coherent_checks:alpha", "bridge.coherent_checks:beta",
+    "per-sample complex value (envelope exponents, evaluation points): used as given": (
         "bridge.WaveState:exp_zzbar", "bridge.WaveState:exp_z", "bridge.WaveState:exp_zbar",
         "bridge.WaveState:exp_const", "bridge.ZPolynomial.at:u", "bridge.ZPolynomial.at:v",
         "phasealg.poly.PhasePoly.evaluate:point",
@@ -143,6 +139,7 @@ EXEMPT = {
     ),
     "the argument rules themselves: the value they check and how they report it": (
         "phasealg.exact.coerce_real:value", "phasealg.exact.coerce_real:name",
+        "phasealg.exact.require_complex:value", "phasealg.exact.require_complex:name",
         "phasealg.exact.require_int:value", "phasealg.exact.require_int:name",
         "phasealg.exact.require_int:lo", "phasealg.exact.require_int:hi",
         "phasealg.exact.require_real:value", "phasealg.exact.require_real:name",
@@ -152,7 +149,7 @@ EXEMPT = {
 }
 EXEMPTIONS = [key for keys in EXEMPT.values() for key in keys]
 TARGETS = {row[0] for row in (*test_int_args.ENTRY_POINTS, *test_real_args.ENTRY_POINTS,
-                               *test_real_args.EXACT_ONLY)}
+                               *test_real_args.EXACT_ONLY, *test_real_args.COMPLEX_ENTRY_POINTS)}
 # row targets outside the census: the run config of ``cli`` (which has no ``__all__``) and an
 # operator method
 BEYOND_CENSUS = {"cli.RunConfig": RunConfig, "phasealg.poly.PhasePoly.__pow__": PhasePoly.__pow__}

@@ -15,7 +15,8 @@ from riaho import landau as la
 from riaho.cli import ConfigError, RunConfig
 from riaho.coupling import Coupling
 from riaho.phasealg import CIRCULAR, ExactComplex, Params, PhasePoly
-from riaho.phasealg.exact import coerce_real, rational_sqrt, require_real, ring_sqrt, to_float
+from riaho.phasealg.exact import (coerce_real, rational_sqrt, require_complex, require_real,
+                                   ring_sqrt, to_float)
 from riaho.reports import CheckRow
 
 BASIS = fe.FockBasis(2)
@@ -177,6 +178,25 @@ EXACT_ONLY = [
     ("phasealg.exact.rational_sqrt:q", "q", rational_sqrt, False),
     ("phasealg.exact.ring_sqrt:q", "q", ring_sqrt, False),
 ]
+# complex arguments (coherent-state labels) through require_complex: any finite number, as a
+# complex float; (target, name in the message, call taking the value)
+VALID_COMPLEX = VALID + (0.3 - 0.4j, np.complex128(-0.2j))
+NOT_COMPLEX = (True, None, "1", math.nan, math.inf, -math.inf, complex(math.nan, 0),
+               complex(0, -math.inf), *OUT_OF_RANGE)
+LABEL_CALLS = {  # each function with the other label 0.2j
+    "coherent_state": br.coherent_state,
+    "coherent_eigenvalues": br.coherent_eigenvalues,
+    "evolved_labels": lambda a, b: br.evolved_labels(a, b, 0.1, Coupling(F(1, 3))),
+    "expansion_coefficient": lambda a, b: br.expansion_coefficient(a, b, 1, 0),
+    "coherent_checks": lambda a, b: br.coherent_checks(a, b, 0.1, 0.3, cutoff=4),
+}
+COMPLEX_ENTRY_POINTS = [
+    *((f"bridge.{fn}:alpha", "alpha", lambda v, call=call: call(v, 0.2j))
+      for fn, call in LABEL_CALLS.items()),
+    *((f"bridge.{fn}:beta", "beta", lambda v, call=call: call(0.2j, v))
+      for fn, call in LABEL_CALLS.items()),
+]
+COMPLEX_IDS = [row[0] for row in COMPLEX_ENTRY_POINTS]
 
 # bad values that an argument gives a meaning to: a coupling string is parsed ("1" is g = 1),
 # and None leaves an end of the energy window open
@@ -207,6 +227,19 @@ def test_bad_value_raises_value_error_naming_the_argument(target, name, call, ex
 def test_exact_arguments_keep_any_size(target, name, call, exact, positive):
     for value in OUT_OF_RANGE:
         call(value)
+
+
+@pytest.mark.parametrize("value", VALID_COMPLEX, ids=repr)
+@pytest.mark.parametrize("target, name, call", COMPLEX_ENTRY_POINTS, ids=COMPLEX_IDS)
+def test_valid_complex_is_accepted(target, name, call, value):
+    call(value)
+
+
+@pytest.mark.parametrize("target, name, call", COMPLEX_ENTRY_POINTS, ids=COMPLEX_IDS)
+def test_bad_complex_raises_value_error_naming_the_argument(target, name, call):
+    for value in NOT_COMPLEX:
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            call(value)
 
 
 @pytest.mark.parametrize("value", EXACT_VALID, ids=repr)
@@ -245,6 +278,28 @@ def test_converted_values():
     assert type(coerce_real(np.float64(0.5), "x")) is float
     assert coerce_real(10**400, "x") == 10**400
     assert to_float(F(1, 3), "x") == 1 / 3 and to_float(0, "x") == 0.0
+
+
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "z nan is not a finite complex number"),
+    (complex(1, math.inf), "z (1+infj) is not a finite complex number"),
+    (True, "z True is not a finite complex number"),
+    ("1", "z '1' is not a finite complex number"),
+    (None, "z None is not a finite complex number"),
+    (10**400, "z lies outside the float range"),
+    (F(1, 10**400), "z underflows to 0.0 as a float"),
+])
+def test_require_complex_messages(value, message):
+    with pytest.raises(ValueError) as info:
+        require_complex(value, "z")
+    assert str(info.value) == message
+
+
+def test_converted_complex_values():
+    for value, want in ((3, 3 + 0j), (F(-1, 4), -0.25 + 0j), (0.5, 0.5 + 0j),
+                        (np.complex128(1 - 2j), 1 - 2j), (-0.0j, -0.0j)):
+        got = require_complex(value, "z")
+        assert type(got) is complex and got == want
 
 
 def test_run_config_raises_config_error():
