@@ -24,27 +24,17 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .bridge import (ProportionalityReport, Units, ZPolynomial, _sample, grid_proportionality,
-                     inverse_weierstrass)
+from .bridge import ProportionalityReport, Units, ZPolynomial, _sample, grid_proportionality
 from .coupling import Coupling
-from .fockeng import (
-    FockBasis,
-    InteriorMask,
-    _diagonal,
-    _hidden_ladder_matrix,
-    _integer_weights,
-    _orbit_row,
-    ladder,
-    ladder_orbits,
-    level_sets,
-    operator_norm,
-    verify_commutes,
-)
+from .fockeng import (FockBasis, InteriorMask, _hidden_commutator, _hidden_ladder_matrix,
+                      _integer_weights, _levels, _orbit_row, hermite_rows, ladder, ladder_orbits,
+                      level_sets, operator_norm, verify_commutes)
 from .phasealg import (
     CANONICAL,
     ExactComplex,
@@ -186,23 +176,31 @@ def _sign_value(sign) -> int:
 # signed-mode Hamiltonians and spectra
 
 
+def _signed_weights(freq: FrequencyPair, sign) -> tuple[Fraction, Fraction, Fraction]:
+    """Level weights (w1, sigma*w2, (w1 + sigma*w2)/2) of H^(sigma), exact binary values."""
+    w1, w2 = Fraction(freq.omega1), _sign_value(sign) * Fraction(freq.omega2)
+    return w1, w2, (w1 + w2) / 2
+
+
 def spectrum(freq: FrequencyPair, sign, n1: int, n2: int, hbar=1):
     """Energy hbar*(w1*n1 + sigma*w2*n2 + (w1 + sigma*w2)/2).
 
-    Exact (Fraction) when the frequencies and hbar are exact rationals,
-    float otherwise.  sign=+ spectra are positive; sign=- is unbounded
-    below and vanishes on the diagonal n1 == n2 at equal frequencies.  An n1
-    or n2 that is not an int >= 0, or an hbar that is not a real, raises ValueError.
+    Exact (Fraction) when the frequencies and hbar are exact rationals.  Otherwise the level
+    in brackets, on the frequencies' exact binary values, is rounded correctly to a float and
+    multiplied by hbar, as in :func:`signed_hamiltonian`.  sign=+ spectra are positive;
+    sign=- is unbounded below and vanishes on the diagonal n1 == n2 at equal frequencies.
+    An n1 or n2 that is not an int >= 0, an hbar that is not a real, or a float value past
+    the float range (or a non-zero level that underflows to 0.0) raises ValueError, never inf.
     """
-    return _level(freq, _sign_value(sign), require_int(n1, "n1"), require_int(n2, "n2"),
-                  coerce_real(hbar, "hbar"))
-
-
-def _level(freq: FrequencyPair, sigma: int, n1: int, n2: int, hbar=1):
-    """:func:`spectrum` at sigma = +-1, nothing checked."""
-    w1, w2 = freq.omega1, freq.omega2
-    half = Fraction(1, 2) if freq.is_exact else 0.5
-    return hbar * (w1 * n1 + sigma * w2 * n2 + (w1 + sigma * w2) * half)
+    a, b, c, d = _integer_weights(*_signed_weights(freq, sign))
+    level = Fraction(a * require_int(n1, "n1") + b * require_int(n2, "n2") + c, d)
+    hbar = coerce_real(hbar, "hbar")
+    if freq.is_exact and isinstance(hbar, Fraction):
+        return hbar * level
+    out = to_float(hbar, "hbar") * to_float(level, f"level of ({n1}, {n2})")
+    if not math.isfinite(out):
+        raise ValueError(f"hbar times the level of ({n1}, {n2}) lies outside the float range")
+    return out
 
 
 def signed_hamiltonian(
@@ -210,22 +208,15 @@ def signed_hamiltonian(
 ) -> np.ndarray:
     """Diagonal H^(sigma) with the closed-formula spectrum.
 
-    The diagonal entries are floats of the exact values, so commutators
-    with resonant ladders vanish identically (degenerate levels share the
-    same float).  For exact frequencies each entry is hbar times the int
-    quotient (2(a n1 + b n2) + a + b)/(2d), with w1 = a/d and sigma*w2 = b/d,
-    which rounds exactly as the float of the :func:`spectrum` Fraction does;
-    float frequencies go through :func:`spectrum`.  The ladder-product
-    construction is compared against this in :func:`verify_signed_spectrum`.
+    The entries are hbar times the levels of :func:`riaho.fockeng._levels` at the weights
+    (w1, sigma*w2, (w1 + sigma*w2)/2), each the correctly rounded float of its exact value,
+    so they equal :func:`spectrum` bit for bit and commutators with resonant ladders
+    vanish identically (degenerate levels share the same float).  A level past the float
+    range raises ValueError.  The ladder-product construction is compared against this in
+    :func:`verify_signed_spectrum`.
     """
     hbar = require_real(hbar, "hbar")
-    sigma = _sign_value(sign)
-    label = f"H({'+' if sigma > 0 else '-'})"
-    if not freq.is_exact:
-        return _diagonal(basis, lambda n1, n2: float(_level(freq, sigma, n1, n2, hbar)), label)
-    a, b, d = _integer_weights(freq.omega1, sigma * freq.omega2)
-    return _diagonal(basis, lambda n1, n2: hbar * ((2 * (a * n1 + b * n2) + a + b) / (2 * d)),
-                     label)
+    return np.diag(_levels(basis, _signed_weights(freq, sign), hbar, f"H({sign})"))
 
 
 def verify_signed_spectrum(basis: FockBasis, freq: FrequencyPair, sign) -> CheckRow:
@@ -310,7 +301,7 @@ def degeneracy_partition(
     """
     if not freq.is_exact:
         raise ValueError("degeneracy grouping needs exact rational frequencies")
-    a, b, _ = _integer_weights(freq.omega1, _sign_value(sign) * freq.omega2)
+    a, b, _, _ = _integer_weights(*_signed_weights(freq, sign))
     pool = basis.states() if mask is None else mask.states()
     return level_sets(pool, lambda n1, n2: a * n1 + b * n2)
 
@@ -423,6 +414,13 @@ def _float_range(fn):
     return checked
 
 
+def _weierstrass_series(n: int) -> dict:
+    """e^{-(1/4) d^2/dx^2} x^n = 2^-n H_n(x) as {p: [x^p] H_n / 2^n}, p = n, n-2, ..., each the
+    correctly rounded float of the int quotient, from :func:`riaho.fockeng.hermite_rows`."""
+    row = deque(hermite_rows(n), maxlen=1).pop()
+    return {p: row[p] / 2**n for p in range(n, -1, -2)}
+
+
 def _mode_bridge_poly(n: int, units: Units) -> dict:
     """One-coordinate bridge of x^n: grading, finite heat series, in x units.
 
@@ -431,9 +429,8 @@ def _mode_bridge_poly(n: int, units: Units) -> dict:
     dimensionless variable x/lambda, lambda^2 = hbar/(m omega).
     """
     lam_sq = units.length_sq / 2
-    series = inverse_weierstrass(n).series
     pref = 2.0**0.25 * 2.0 ** (n / 2.0)
-    return {p: pref * float(c) * lam_sq ** ((n - p) / 2.0) for p, c in series.items()}
+    return {p: pref * c * lam_sq ** ((n - p) / 2.0) for p, c in _weierstrass_series(n).items()}
 
 
 @_float_range
@@ -473,10 +470,8 @@ def aniso_cbt_apply(
 def _mode_eigen_poly(n: int, units: Units) -> dict:
     lam_sq = units.length_sq / 2
     norm = (math.pi * lam_sq) ** -0.25 / math.sqrt(2.0**n * math.factorial(n))
-    series = inverse_weierstrass(n).series
-    return {
-        p: norm * 2.0**n * float(c) * lam_sq ** (-p / 2.0) for p, c in series.items()
-    }
+    return {p: norm * 2.0**n * c * lam_sq ** (-p / 2.0)
+            for p, c in _weierstrass_series(n).items()}
 
 
 @_float_range
@@ -667,21 +662,21 @@ def composite_spectrum_check(coupling, cutoff: int = 8) -> CheckRow:
     The unitary mode change (module fockeng) and the rescaling map send
     H_g onto H^(sigma) at Omega_i = |ell_i| omega; in units of hbar*omega
     the energies ell_1 n_1 + ell_2 n_2 + 1 must reappear as the signed-mode
-    formula state by state, at (n2, n1) when the pair is swapped; every state
-    of the grid is compared.  A cutoff that is not an int >= 0 raises ValueError.
+    formula state by state, at (n2, n1) when the pair is swapped; every state of the
+    grid compares its integer numerators over one denominator.  A cutoff that is not an
+    int >= 0 raises ValueError.
     """
     require_int(cutoff, "cutoff")
     coupling = Coupling.coerce(coupling)
     if coupling.isotropic_mink:
         raise ValueError("finite rational coupling required")
-    the_map = rescale_map(coupling)
-    freq, sign, swapped = the_map.signed_form()
-    if not freq.is_exact:
-        raise ValueError("exact rational coupling required")
-    sigma, grid = _sign_value(sign), range(cutoff + 1)
-    ok = all(coupling.ell1 * n1 + coupling.ell2 * n2 + 1  # exact_energy(coupling, n1, n2)
-             == _level(freq, sigma, *((n2, n1) if swapped else (n1, n2)))
-             for n1 in grid for n2 in grid)
+    freq, sign, swapped = rescale_map(coupling).signed_form()
+    w1, w2, w0 = _signed_weights(freq, sign)
+    # E_g(n1, n2) = spectrum(freq, sign, n2, n1) when swapped: weights (sigma*w2, w1, w0)
+    a, b, c, a2, b2, c2, _ = _integer_weights(coupling.ell1, coupling.ell2, 1,
+                                              *((w2, w1) if swapped else (w1, w2)), w0)
+    grid = range(cutoff + 1)
+    ok = all(a * n1 + b * n2 + c == a2 * n1 + b2 * n2 + c2 for n1 in grid for n2 in grid)
     return CheckRow.exact(
         "composite-spectrum", "spec(H_g) = spec(H^(sigma), Omega_i=|ell_i| w) with multiplicity",
         ok, detail=f"g={coupling.g}, grid (cutoff+1)^2 = {(cutoff + 1) ** 2} states")
@@ -704,10 +699,10 @@ def suite_aniso(config) -> VerificationReport:
                 check_id=f"signed-spectrum:{w1}:{w2}:{sign}",
             ))
         for sign, kind in (("+", "L"), ("-", "J")):
-            report.add(verify_commutes(
-                signed_hamiltonian(basis, freq, sign), hidden_operator(basis, freq, kind, "+"),
-                tol=config.tol_fock, check_id=f"hidden-commutes:{kind}({w1},{w2})",
-                identity=f"[H^({sign}), {kind}+] = 0"))
+            levels = _levels(basis, _signed_weights(freq, sign), 1.0, f"H({sign})")
+            report.add(CheckRow.within(
+                f"hidden-commutes:{kind}({w1},{w2})", f"[H^({sign}), {kind}+] = 0",
+                _hidden_commutator(levels, basis, kind, freq.l1, freq.l2), config.tol_fock))
             report.add(_orbit_row(
                 f"{kind}({w1},{w2})", f"{kind} orbits = H^({sign}) degeneracy classes",
                 hidden_orbits(basis, freq, kind), degeneracy_partition(basis, freq, sign)))

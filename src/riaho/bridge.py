@@ -86,6 +86,15 @@ def _sample(x, name: str):
     return x if isinstance(x, np.ndarray) or np.ndim(x) else require_real(x, name)
 
 
+def _number(value):
+    """complex(value) of a number, numpy's among them; None for a str or bool (numpy's too),
+    which complex() would parse, and for anything else."""
+    try:
+        return None if isinstance(value, (str, bool, np.bool_)) else complex(value)
+    except (TypeError, ValueError):
+        return None
+
+
 @dataclass(frozen=True)
 class ZPolynomial:
     """Complex polynomial in (z, zbar) as a pruned term map (n1, n2) -> finite coeff."""
@@ -97,11 +106,9 @@ class ZPolynomial:
         for (n1, n2), coeff in self.terms.items():
             if not (type(n1) is int and type(n2) is int) or n1 < 0 or n2 < 0:  # no bools
                 raise ValueError(f"bad exponents ({n1}, {n2})")
-            try:
-                c = complex(coeff)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"coefficient {coeff!r} of z^{n1} zbar^{n2} is not a number") from None
+            c = _number(coeff)
+            if c is None:
+                raise ValueError(f"coefficient {coeff!r} of z^{n1} zbar^{n2} is not a number")
             if not cmath.isfinite(c):
                 raise ValueError(f"coefficient of z^{n1} zbar^{n2} is not finite ({c})")
             if c != 0:
@@ -130,12 +137,11 @@ class ZPolynomial:
         return self + other.scale(-1.0)
 
     def scale(self, factor) -> "ZPolynomial":
-        """factor times the polynomial; a factor that is not a number raises ValueError."""
-        try:
-            factor = complex(factor)
-        except (TypeError, ValueError):
-            raise ValueError(f"factor {factor!r} is not a number") from None
-        return ZPolynomial({k: factor * c for k, c in self.terms.items()})
+        """factor times the polynomial; ValueError for a factor that is not a number (str, bool)."""
+        number = _number(factor)
+        if number is None:
+            raise ValueError(f"factor {factor!r} is not a number")
+        return ZPolynomial({k: number * c for k, c in self.terms.items()})
 
     def shift(self, d1: int, d2: int) -> "ZPolynomial":
         """Multiply by z^d1 zbar^d2; a d1 or d2 that is not an int raises ValueError."""

@@ -190,52 +190,42 @@ def _finite(matrix: np.ndarray, label: str) -> np.ndarray:
     return matrix
 
 
-def _entries(basis: FockBasis, value, label: str) -> np.ndarray:
-    """Float vector of ``value(n1, n2)`` in grid order; ValueError past the float range."""
-    try:
-        diag = np.array([value(n1, n2) for (n1, n2) in basis.states()], dtype=float)
-    except OverflowError:
-        raise ValueError(f"a diagonal entry of {label} lies outside the float range") from None
-    return _finite(diag, label)
-
-
-def _diagonal(basis: FockBasis, value, label: str) -> np.ndarray:
-    """Diagonal operator with the entries of :func:`_entries`."""
-    return np.diag(_entries(basis, value, label))
-
-
 def exact_energy(coupling: Coupling, n1: int, n2: int) -> Fraction:
     """Level of state (n1, n2) in units of hbar*omega, exactly."""
     return coupling.ell1 * require_int(n1, "n1") + coupling.ell2 * require_int(n2, "n2") + 1
 
 
-def _integer_weights(w1: Fraction, w2: Fraction) -> tuple[int, int, int]:
-    """Integers (a, b, d) with w1 = a/d and w2 = b/d, d > 0 the lcm of the two denominators."""
-    d = math.lcm(w1.denominator, w2.denominator)
-    return w1.numerator * (d // w1.denominator), w2.numerator * (d // w2.denominator), d
+def _integer_weights(*weights: Fraction) -> tuple[int, ...]:
+    """Integers (a, b, ..., d) with weights = (a/d, b/d, ...), d > 0 the lcm of the denominators."""
+    d = math.lcm(*(w.denominator for w in weights))
+    return (*(w.numerator * (d // w.denominator) for w in weights), d)
 
 
-def hamiltonian(
-    basis: FockBasis, coupling: Coupling, hbar_omega: float = 1.0
-) -> np.ndarray:
+def _levels(basis: FockBasis, weights, scale: float, label: str) -> np.ndarray:
+    """Grid-order levels scale * (w1 n1 + w2 n2 + w0) of exact weights (w1, w2, w0), the one
+    two-mode level kernel: each is the int quotient (a n1 + b n2 + c)/d of
+    :func:`_integer_weights`, correctly rounded, times ``scale``.  ValueError past float range."""
+    a, b, c, d = _integer_weights(*weights)
+    try:
+        levels = np.array([scale * ((a * n1 + b * n2 + c) / d) for n1, n2 in basis.states()])
+    except OverflowError:
+        raise ValueError(f"a diagonal entry of {label} lies outside the float range") from None
+    return _finite(levels, label)
+
+
+def hamiltonian(basis: FockBasis, coupling: Coupling, hbar_omega: float = 1.0) -> np.ndarray:
     """Diagonal rotating-oscillator Hamiltonian, entries hbar*omega*(l1 n1 + l2 n2 + 1).
 
-    Each level is the int quotient (a n1 + b n2 + d)/d with l1 = a/d and l2 = b/d, which
-    rounds exactly as the float of its :func:`exact_energy` Fraction does.
+    Each level comes from :func:`_levels` with weights (l1, l2, 1), so it rounds exactly as
+    the float of its :func:`exact_energy` Fraction does.
     """
-    return np.diag(_levels(basis, coupling, require_real(hbar_omega, "hbar_omega")))
-
-
-def _levels(basis: FockBasis, coupling: Coupling, hbar_omega: float = 1.0) -> np.ndarray:
-    """Diagonal of :func:`hamiltonian` in grid order."""
-    a, b, d = _integer_weights(coupling.ell1, coupling.ell2)
-    return _entries(basis, lambda n1, n2: hbar_omega * ((a * n1 + b * n2 + d) / d), "H_g")
+    return np.diag(_levels(basis, (coupling.ell1, coupling.ell2, 1),
+                           require_real(hbar_omega, "hbar_omega"), "H_g"))
 
 
 def angular_momentum(basis: FockBasis, hbar: float = 1.0) -> np.ndarray:
     """Conserved angular momentum, diagonal with entries hbar*(n1 - n2)."""
-    hbar = require_real(hbar, "hbar")
-    return _diagonal(basis, lambda n1, n2: hbar * float(n1 - n2), "p_phi")
+    return np.diag(_levels(basis, (1, -1, 0), require_real(hbar, "hbar"), "p_phi"))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +328,15 @@ def _hidden_entries(basis: FockBasis, kind: str, s1: int, s2: int):
     cols = basis._indices(states)
     values = np.array([_amplitude((d1, d2), n1, n2, label) for n1, n2 in states])
     return cols + d1 * (basis.cutoff + 1) + d2, cols, values
+
+
+def _hidden_commutator(levels, basis: FockBasis, kind: str, s1: int, s2: int, keep=None) -> float:
+    """||[diag(levels), X]|| on the columns ``keep`` (all when None), X the '+' ladder of
+    :func:`_hidden_entries`: its entries are (h_row - h_col) x, at most one per row and per
+    column, so the spectral norm is their largest |entry|."""
+    rows, cols, values = _hidden_entries(basis, kind, s1, s2)
+    kept = slice(None) if keep is None else np.isin(cols, keep)
+    return float(np.max(np.abs((levels[rows] - levels[cols]) * values)[kept], initial=0.0))
 
 
 def _hidden_ladder_matrix(basis: FockBasis, kind: str, s1: int, s2: int, sign: str) -> np.ndarray:
@@ -747,13 +746,10 @@ def suite_fock(config) -> VerificationReport:
         a, b, _ = _integer_weights(coupling.ell1, coupling.ell2)
         mask = InteriorMask(basis, margin1=s1, margin2=s2)
         orbits = hidden_orbit_partition(basis, coupling, kind, s1, s2, mask)  # checks resonance
-        h = _levels(basis, coupling)
-        rows, cols, values = _hidden_entries(basis, kind, s1, s2)
-        # [H_g, X] has the entries (h_row - h_col) x of X.  X has at most one per row and per
-        # column, so the spectral norm of its interior columns is their largest |entry|.
-        comm = ((h[rows] - h[cols]) * values)[np.isin(cols, mask.indices())]
-        report.add(CheckRow.within(f"hidden-commutes:g={gtext}", f"[H_g, {kind}+_{s1}{s2}] = 0",
-                                   float(np.max(np.abs(comm), initial=0.0)), config.tol_fock))
+        h = _levels(basis, (coupling.ell1, coupling.ell2, 1), 1.0, "H_g")
+        report.add(CheckRow.within(
+            f"hidden-commutes:g={gtext}", f"[H_g, {kind}+_{s1}{s2}] = 0",
+            _hidden_commutator(h, basis, kind, s1, s2, mask.indices()), config.tol_fock))
         report.add(_orbit_row(
             f"g={gtext}", f"{kind}+_{s1}{s2} orbits = exact energy classes on the interior",
             orbits, level_sets(mask.states(), lambda n1, n2: a * n1 + b * n2)))
@@ -781,7 +777,8 @@ def suite_fock(config) -> VerificationReport:
             conj_resid(pairs, shift), 1e-10))
     for gtext in ("0", "1/3", "1/2", "3"):
         coupling = Coupling(Fraction(gtext))
-        ells, h = coupling.float_ells(), _levels(basis, coupling)
+        ells = coupling.float_ells()
+        h = _levels(basis, (coupling.ell1, coupling.ell2, 1), 1.0, "H_g")
         pairs = [(_rni_block(n, *ells), np.diag(h[_block(basis, n)[1]])) for n in range(top + 1)]
         report.add(CheckRow.within(
             f"unitary-hamiltonian:g={gtext}", "U H_rni U+ = H_g", conj_resid(pairs, 0), 1e-10))

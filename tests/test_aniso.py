@@ -1,12 +1,14 @@
 """Anisotropic oscillators: spectra, resonance ladders, separable bridge, rescaling."""
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riaho import aniso, bridge
 from riaho.aniso import (
     FrequencyPair,
     RescaleMap,
@@ -26,6 +28,7 @@ from riaho.aniso import (
     signed_hamiltonian,
     so11_invariant_check,
     spectrum,
+    suite_aniso,
     verify_signed_spectrum,
 )
 from riaho.coupling import Coupling
@@ -221,9 +224,36 @@ class TestSignedHamiltonianBits:
             want = [float(spectrum(freq, sign, n1, n2, hbar)) for n1, n2 in basis.states()]
             assert np.array_equal(_bits(got), _bits(want)), freq
 
+    @pytest.mark.parametrize("hbar", [1.0, 0.37])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_float_pairs_match_spectrum(self, sign, hbar):
+        # both read the kernel's correctly rounded level, then multiply by hbar
+        rng = np.random.default_rng(20261019)
+        basis = FockBasis(6)
+        for _ in range(20):
+            freq = FrequencyPair(*(float(rng.uniform(0.01, 50.0)) for _ in range(2)))
+            got = np.diag(signed_hamiltonian(basis, freq, sign, hbar))
+            want = [spectrum(freq, sign, n1, n2, hbar) for n1, n2 in basis.states()]
+            assert np.array_equal(_bits(got), _bits(want)), freq
+
     def test_level_past_the_float_range_raises(self):
         with pytest.raises(ValueError, match="float range"):
             signed_hamiltonian(FockBasis(2), FrequencyPair(10**400, 1), "+")
+
+    def test_float_pair_past_the_float_range_raises(self):
+        # the float chain returned inf for spectrum, silently
+        freq = FrequencyPair(1e308, 1e308)
+        with pytest.raises(ValueError, match="float range"):
+            spectrum(freq, "+", 5, 5)
+        with pytest.raises(ValueError, match="float range"):
+            signed_hamiltonian(FockBasis(5), freq, "+")
+
+    def test_float_level_is_correctly_rounded(self):
+        # 0.1*1 + 0.2*1 + 0.15 on the binary values; the float chain gives 0.45000000000000007
+        freq = FrequencyPair(0.1, 0.2)
+        exact = Fraction(0.1) + Fraction(0.2) + (Fraction(0.1) + Fraction(0.2)) / 2
+        assert spectrum(freq, "+", 1, 1) == float(exact) == 0.45
+        assert 0.1 * 1 + 0.2 * 1 + (0.1 + 0.2) * 0.5 != 0.45
 
 
 class TestHiddenOperators:
@@ -448,6 +478,57 @@ class TestSo11Invariant:
             so11_invariant_check(-1.0)
 
 
+def _series_bridge_poly(n, units):
+    """The per-mode bridge polynomial as read from bridge.inverse_weierstrass(n).series."""
+    lam_sq = units.length_sq / 2
+    pref = 2.0**0.25 * 2.0 ** (n / 2.0)
+    return {p: pref * float(c) * lam_sq ** ((n - p) / 2.0)
+            for p, c in bridge.inverse_weierstrass(n).series.items()}
+
+
+def _series_eigen_poly(n, units):
+    """The per-mode eigenfunction polynomial as read from inverse_weierstrass(n).series."""
+    lam_sq = units.length_sq / 2
+    norm = (math.pi * lam_sq) ** -0.25 / math.sqrt(2.0**n * math.factorial(n))
+    return {p: norm * 2.0**n * float(c) * lam_sq ** (-p / 2.0)
+            for p, c in bridge.inverse_weierstrass(n).series.items()}
+
+
+def _term_bits(state):
+    return [(key, repr(value)) for key, value in state.poly.terms.items()]
+
+
+class TestHermiteRowCoefficients:
+    """The bridge coefficients h / 2^n from hermite_rows equal the old .series read bit for bit."""
+
+    UNITS = [(1.0, 1.0), (0.7, 1.9)]
+    PAIRS = [FrequencyPair(1, Fraction(3, 2)), FrequencyPair(0.8, 2.3)]
+
+    @pytest.mark.parametrize("m, hbar", UNITS)
+    @pytest.mark.parametrize("freq", PAIRS, ids=["exact", "float"])
+    def test_per_mode_polynomials(self, freq, m, hbar):
+        for w in freq.float_omegas():
+            units = bridge.Units(m, w, hbar)
+            for n in range(31):
+                for new, old in ((aniso._mode_bridge_poly, _series_bridge_poly),
+                                 (aniso._mode_eigen_poly, _series_eigen_poly)):
+                    got, want = new(n, units), old(n, units)
+                    assert [(p, repr(c)) for p, c in got.items()] == \
+                        [(p, repr(c)) for p, c in want.items()], (n, new.__name__)
+
+    @pytest.mark.parametrize("m, hbar", UNITS)
+    @pytest.mark.parametrize("freq", PAIRS, ids=["exact", "float"])
+    def test_states_are_bit_identical(self, monkeypatch, freq, m, hbar):
+        pairs = [(n, 30 - n) for n in range(31)]
+        got = [(_term_bits(aniso_cbt_apply(pair, freq, m, hbar)),
+                _term_bits(hermite_eigenstate(*pair, freq, m, hbar))) for pair in pairs]
+        monkeypatch.setattr(aniso, "_mode_bridge_poly", _series_bridge_poly)
+        monkeypatch.setattr(aniso, "_mode_eigen_poly", _series_eigen_poly)
+        want = [(_term_bits(aniso_cbt_apply(pair, freq, m, hbar)),
+                 _term_bits(hermite_eigenstate(*pair, freq, m, hbar))) for pair in pairs]
+        assert got == want
+
+
 class TestAnisoBridge:
     def setup_method(self):
         self.f12 = FrequencyPair(1, 2, 2, 1)
@@ -667,3 +748,37 @@ class TestRescaleMap:
         row = composite_spectrum_check(g)
         assert not row.passed
         assert row.check_id == "composite-spectrum" and row.residual is None
+
+    @staticmethod
+    def _composite_rows():
+        report = suite_aniso(SimpleNamespace(tol_fock=1e-12))
+        return {row.check_id: row.passed for row in report.rows
+                if row.check_id.startswith("composite-spectrum")}
+
+    def test_suite_rows_fail_when_the_modes_are_swapped_without_the_flag(self, monkeypatch):
+        # the suite's couplings have l1 > 0 and are never swapped; listing the pair the
+        # other way round while ignoring the swap (flag False) breaks the transport
+        assert self._composite_rows() == dict.fromkeys(
+            ("composite-spectrum:g=1/3", "composite-spectrum:g=1/2", "composite-spectrum:g=3"),
+            True)
+
+        def unflagged(the_map):
+            f1, f2 = the_map.weight_sq
+            return FrequencyPair.detect(f2, f1), signed_form(the_map)[1], False
+
+        signed_form = RescaleMap.signed_form
+        monkeypatch.setattr(RescaleMap, "signed_form", unflagged)
+        rows = self._composite_rows()
+        assert not rows["composite-spectrum:g=3"]
+        assert not any(rows.values())
+
+    def test_suite_rows_fail_when_sigma_flips(self, monkeypatch):
+        signed_form = RescaleMap.signed_form
+
+        def flipped(the_map):
+            freq, sign, swapped = signed_form(the_map)
+            return freq, "-" if sign == "+" else "+", swapped
+
+        monkeypatch.setattr(RescaleMap, "signed_form", flipped)
+        rows = self._composite_rows()
+        assert len(rows) == 3 and not any(rows.values())

@@ -35,11 +35,18 @@ class TestZPolynomial:
         (lambda v: br.ground_state().scale(v), "factor"),
         (lambda v: an.SeparableState({(1, 0): 1.0}, 0.5, 0.5).scale(v), "factor"),
     ], ids=["ZPolynomial", "ZPolynomial.scale", "WaveState.scale", "SeparableState.scale"])
-    @pytest.mark.parametrize("value", [None, object(), [1.0], "x"], ids=repr)
+    @pytest.mark.parametrize("value", [None, object(), [1.0], "x", "1+2j", "2", True, False,
+                                       np.True_, np.False_], ids=repr)
     def test_coefficient_that_is_not_a_number_raises(self, call, message, value):
-        # None raised TypeError from complex()
+        # None raised TypeError from complex(); complex() parsed "1+2j", "2" and the bools
         with pytest.raises(ValueError, match=rf"^{message} .* is not a number$"):
             call(value)
+
+    @pytest.mark.parametrize("value", [3, 2.5, 1 - 2j, np.int64(3), np.float64(2.5),
+                                       np.float32(0.5), np.complex128(1 - 2j)], ids=repr)
+    def test_numbers_are_accepted(self, value):
+        assert br.ZPolynomial({(0, 0): value}).terms == {(0, 0): complex(value)}
+        assert br.ZPolynomial({(1, 0): 1}).scale(value).terms == {(1, 0): complex(value)}
 
     def test_arithmetic(self):
         p = br.ZPolynomial.monomial(1, 0, 2.0)

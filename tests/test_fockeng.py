@@ -233,6 +233,95 @@ class TestNonFiniteEntries:
                 build(fe.FockBasis(2))
 
 
+def _chain_level(w1, w2, sigma, n1, n2, hbar):
+    """The float chain aniso once used for float frequencies, for contrast with the kernel."""
+    return hbar * (w1 * n1 + sigma * w2 * n2 + (w1 + sigma * w2) * 0.5)
+
+
+class TestLevelKernel:
+    """fockeng._levels is hbar times the correctly rounded exact level, bit for bit."""
+
+    @staticmethod
+    def _weight_sets(rng):
+        """(exact weights, float frequencies and sign or None) of H_g and of H^(sigma)."""
+        couplings = [Coupling(1), Coupling(-1), Coupling(1, isotropic_mink=True),
+                     Coupling(-1, isotropic_mink=True)]
+        couplings += [Coupling(F(int(rng.integers(-99, 100)), int(rng.integers(1, 50))))
+                      for _ in range(8)]
+        out = [((c.ell1, c.ell2, 1), None) for c in couplings]
+        for _ in range(12):
+            exact = aniso.FrequencyPair(F(int(rng.integers(1, 10**6)), int(rng.integers(1, 999))),
+                                        F(int(rng.integers(1, 10**6)), int(rng.integers(1, 999))))
+            floats = aniso.FrequencyPair(*(float(rng.uniform(0.01, 50.0)) for _ in range(2)))
+            for freq in (exact, floats):
+                for sigma in (1, -1):
+                    w1, w2 = F(freq.omega1), sigma * F(freq.omega2)
+                    chain = None if freq.is_exact else (freq.omega1, freq.omega2, sigma)
+                    out.append(((w1, w2, (w1 + w2) / 2), chain))
+        return out
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.37])
+    def test_seeded_sweep(self, hbar):
+        basis = fe.FockBasis(9)
+        chain_differs = 0
+        for weights, chain in self._weight_sets(np.random.default_rng(20261019)):
+            got = fe._levels(basis, weights, hbar, "H")
+            w1, w2, w0 = weights
+            want = [hbar * float(w1 * n1 + w2 * n2 + w0) for n1, n2 in basis.states()]
+            assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64)), weights
+            if chain is not None:
+                old = [_chain_level(*chain, n1, n2, hbar) for n1, n2 in basis.states()]
+                chain_differs += int(np.sum(got != np.array(old)))
+        # the sweep reaches float pairs where the old chain missed the rounded level
+        assert chain_differs > 0
+
+    def test_zero_point_weight_is_explicit(self):
+        # at isotropic_mink l1 + l2 = 0 while H_g keeps the constant 1
+        c = Coupling(1, isotropic_mink=True)
+        assert c.ell1 + c.ell2 == 0
+        h = fe._levels(fe.FockBasis(2), (c.ell1, c.ell2, 1), 1.0, "H_g")
+        assert h[0] == 1.0 and np.array_equal(np.diag(fe.hamiltonian(fe.FockBasis(2), c)), h)
+
+
+class TestHiddenCommutatorNotVacuous:
+    """One resonant state's level scaled by 1 + 1e-6 fails its hidden-commutes row."""
+
+    @staticmethod
+    def _scaled(monkeypatch, module, state):
+        exact = module._levels
+
+        def scaled(basis, weights, scale, label):
+            levels = exact(basis, weights, scale, label).copy()
+            levels[basis.index(*state)] *= 1 + 1e-6
+            return levels
+
+        monkeypatch.setattr(module, "_levels", scaled)
+
+    @pytest.mark.parametrize("check_id, state", [
+        ("hidden-commutes:g=1/3", (0, 2)),  # L+_12 sends (0, 2) to (1, 0)
+        ("hidden-commutes:g=3", (0, 0)),    # J+_12 sends (0, 0) to (1, 2)
+    ])
+    def test_suite_fock(self, monkeypatch, check_id, state):
+        config = SimpleNamespace(truncation=12, tol_fock=1e-12)
+        assert all(row.passed for row in fe.suite_fock(config).rows)
+        self._scaled(monkeypatch, fe, state)
+        row = {row.check_id: row for row in fe.suite_fock(config).rows}[check_id]
+        assert not row.passed and row.residual > 1e-7
+
+    @pytest.mark.parametrize("check_id, state", [
+        ("hidden-commutes:L(1,3)", (0, 1)),  # L+ = (a1+)^3 a2- sends (0, 1) to (3, 0)
+        ("hidden-commutes:J(1,3)", (0, 0)),
+        ("hidden-commutes:L(3,5)", (0, 3)),  # (a1+)^5 (a2-)^3
+        ("hidden-commutes:J(3,5)", (0, 0)),
+    ])
+    def test_suite_aniso(self, monkeypatch, check_id, state):
+        config = SimpleNamespace(tol_fock=1e-12)
+        assert all(row.passed for row in aniso.suite_aniso(config).rows)
+        self._scaled(monkeypatch, aniso, state)
+        row = {row.check_id: row for row in aniso.suite_aniso(config).rows}[check_id]
+        assert not row.passed and row.residual > 1e-7
+
+
 class TestDegeneracy:
     def test_resonant_pair(self):
         cls = {k.energy: k for k in fe.degeneracy_classes(Coupling(F(1, 3)), fe.FockBasis(6))}
