@@ -30,7 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bridge import ProportionalityReport, Units, ZPolynomial, _sample, grid_proportionality
+from .bridge import (ProportionalityReport, Units, ZPolynomial, _number, _sample,
+                     grid_proportionality)
 from .coupling import Coupling
 from .fockeng import (FockBasis, InteriorMask, _hidden_commutator, _hidden_ladder_matrix,
                       _integer_weights, _levels, _orbit_row, hermite_rows, ladder, ladder_orbits,
@@ -444,7 +445,8 @@ def aniso_cbt_apply(
     grading rescale, the finite heat series at its own frequency, and the
     Gaussian e^{-m w_i x_i^2 / 2 hbar}; a monomial lands on a multiple of
     the product Hermite function psi_n1(x1) psi_n2(x2).  Units that are not
-    positive and finite, or a coefficient past the float range, raise ValueError.
+    positive and finite, a coefficient that is not a number (a str, bool or None
+    among them), or a coefficient past the float range, raise ValueError.
     """
     if isinstance(phi, tuple) and len(phi) == 2:
         phi = {phi: 1.0}
@@ -456,7 +458,9 @@ def aniso_cbt_apply(
         if not (isinstance(key, tuple) and len(key) == 2):
             raise ValueError(f"exponents {key!r} are not a pair")
         n1, n2 = require_int(key[0], "exponent n1"), require_int(key[1], "exponent n2")
-        c = complex(coeff)
+        c = _number(coeff)
+        if c is None:
+            raise ValueError(f"coefficient {coeff!r} of x1^{n1} x2^{n2} is not a number")
         if c == 0:
             continue
         poly1 = _mode_bridge_poly(n1, u1)

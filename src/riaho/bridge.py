@@ -29,7 +29,6 @@ __all__ = [
     "Units",
     "ZPolynomial",
     "WaveState",
-    "FREE_GENERATORS",
     "act_free",
     "cbt_apply",
     "apply_ladder",
@@ -160,14 +159,26 @@ class ZPolynomial:
 
     def at(self, u, v):
         """Sum of c u^n1 v^n2 (the value at z = u, zbar = v); scalars or broadcast arrays."""
-        shape = np.broadcast(u, v).shape
-        total = np.zeros(shape, dtype=complex) if shape else 0j  # scalars stay Python complex
-        for (n1, n2), c in self.terms.items():
-            total += c * u**n1 * v**n2
-        return total
+        return _values_at((self,), u, v)[0]
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
+
+
+def _values_at(polys, u, v) -> list:
+    """[p.at(u, v) for p in polys], with each power u**k and v**k formed once for all of them
+    and only for the exponents present; each term is still c * u**n1 * v**n2, summed in the
+    terms' order, so every value is the same to the bit as a term-by-term sum."""
+    u_pow = {n1: u**n1 for n1 in {n1 for p in polys for n1, _ in p.terms}}
+    v_pow = {n2: v**n2 for n2 in {n2 for p in polys for _, n2 in p.terms}}
+    shape = np.broadcast(u, v).shape
+    values = []
+    for p in polys:
+        total = np.zeros(shape, dtype=complex) if shape else 0j  # scalars stay Python complex
+        for (n1, n2), c in p.terms.items():
+            total += c * u_pow[n1] * v_pow[n2]
+        values.append(total)
+    return values
 
 
 # generator -> (index shift, coefficient(n1, n2, m, hbar)) of its action on phi_{n1,n2}
@@ -181,7 +192,6 @@ _FREE_ACTIONS = {
     "XiPlus": ((1, 0), lambda n1, n2, m, hbar: m),
     "XiMinus": ((0, 1), lambda n1, n2, m, hbar: m),
 }
-FREE_GENERATORS = tuple(_FREE_ACTIONS)
 
 
 def act_free(generator: str, s: ZPolynomial, units: Units = _UNIT) -> ZPolynomial:
@@ -227,11 +237,18 @@ class WaveState:
         broadcast shape for arrays or sequences, sampled as given."""
         z = np.asarray(_sample(x1, "x1")) + 1j * np.asarray(_sample(x2, "x2"))
         zb = np.conj(z)
-        expo = self.exp_zzbar * z * zb + self.exp_z * z + self.exp_zbar * zb + self.exp_const
-        out = self.prefactor.at(z, zb) * np.exp(expo)
+        out = self.prefactor.at(z, zb) * self._envelope(z, zb)
         return out if np.ndim(out) else complex(out)
 
     evaluate_grid = evaluate
+
+    def _envelope(self, z, zb):
+        """The Gaussian factor exp(exp_zzbar*z*zbar + exp_z*z + exp_zbar*zbar + exp_const)."""
+        expo = self.exp_zzbar * z * zb + self.exp_z * z + self.exp_zbar * zb + self.exp_const
+        return np.exp(expo)
+
+    def _exponents(self) -> tuple:
+        return self.exp_zzbar, self.exp_z, self.exp_zbar, self.exp_const
 
     def __add__(self, other: "WaveState") -> "WaveState":
         if not isinstance(other, WaveState):
@@ -254,8 +271,7 @@ class WaveState:
 
 def _envelope_gap(a: WaveState, b: WaveState) -> float:
     """Largest gap between the four exponent coefficients of a and b; nan if any gap is nan."""
-    names = ("exp_zzbar", "exp_z", "exp_zbar", "exp_const")
-    return float(np.max([abs(getattr(a, name) - getattr(b, name)) for name in names]))
+    return float(np.max([abs(x - y) for x, y in zip(a._exponents(), b._exponents())]))
 
 
 def wave_distance(a: WaveState, b: WaveState) -> float:
@@ -460,7 +476,8 @@ def overlap_matrix(nmax: int, units: Units = _UNIT) -> np.ndarray:
         for n2 in range(nmax + 1)
     ]
     z, zb, weight, lam = _quadrature_grid(states[-1], states[-1], 40)  # the highest degree
-    prefactors = np.stack([s.prefactor.at(z, zb).ravel() for s in states], axis=1)
+    prefactors = np.stack(
+        [p.ravel() for p in _values_at([s.prefactor for s in states], z, zb)], axis=1)
     return prefactors.conj().T @ (weight.reshape(-1, 1) * prefactors) / lam
 
 
@@ -642,6 +659,43 @@ def _coefficients(alpha: complex, beta: complex, units: Units):
     return coefficient
 
 
+def _evolved_expansion(alpha: complex, beta: complex, t: float, ells: tuple[float, float],
+                       units: Units, cutoff: int, x1: np.ndarray, x2: np.ndarray):
+    """(sum of c_{n1,n2} e^{-i omega (l1 n1 + l2 n2 + 1) t} psi_{n1,n2} at the sample arrays
+    (x1, x2), sum of |c_{n1,n2}|^2) over n1 + n2 <= cutoff, in (n1, n2) order.
+
+    A term with |c| < 1e-18 is left out of the sum but counted in the weight.  The kept
+    eigenstates must share one Gaussian envelope (ValueError otherwise): it and the powers
+    of z and zbar are formed once, and each term is added as coeff * phase * (prefactor *
+    envelope), the same bits as coeff * phase * psi_{n1,n2}.evaluate(x1, x2).
+    """
+    l1, l2 = ells
+    coefficient = _coefficients(alpha, beta, units)
+    weight = 0.0  # sum of |c|^2 over the cutoff triangle, skipped terms included
+    terms = []  # (coefficient, level phase, eigenstate) of each kept term
+    for n1 in range(cutoff + 1):
+        for n2 in range(cutoff + 1 - n1):
+            coeff = coefficient(n1, n2)
+            weight += abs(coeff) ** 2
+            if abs(coeff) < 1e-18:
+                continue
+            phase = np.exp(-1j * units.omega * (l1 * n1 + l2 * n2 + 1) * t)
+            terms.append((coeff, phase, eigenstate(n1, n2, units)))
+    evolved = np.zeros(x1.shape, dtype=complex)
+    if not terms:
+        return evolved, weight
+    shared = terms[0][2]
+    if any(state._exponents() != shared._exponents() for _, _, state in terms):
+        raise ValueError("the eigenstates of the expansion do not share one envelope")
+    z = x1 + 1j * x2
+    zb = np.conj(z)
+    envelope = shared._envelope(z, zb)
+    values = _values_at([state.prefactor for _, _, state in terms], z, zb)
+    for (coeff, phase, _), value in zip(terms, values):
+        evolved += coeff * phase * (value * envelope)
+    return evolved, weight
+
+
 def coherent_checks(
     alpha: complex,
     beta: complex,
@@ -693,23 +747,12 @@ def coherent_checks(
                                    f"b{mode}- Phi = lambda{mode} Phi", resid, 1e-10))
 
     # time evolution via the eigenstate expansion, on 9 sample points
-    omega = units.omega
     target = coherent_state(*evolved_labels(alpha, beta, t, coupling, units), units)
     x1, x2 = np.meshgrid((-1.1, 0.3, 0.9), (-0.7, 0.2, 1.3), indexing="ij")
-    evolved = np.zeros(x1.shape, dtype=complex)
-    weight = 0.0  # sum of |c|^2 over the cutoff triangle, skipped terms included
-    coefficient = _coefficients(alpha, beta, units)
-    for n1 in range(cutoff + 1):
-        for n2 in range(cutoff + 1 - n1):
-            coeff = coefficient(n1, n2)
-            weight += abs(coeff) ** 2
-            if abs(coeff) < 1e-18:
-                continue
-            phase = np.exp(-1j * omega * (l1f * n1 + l2f * n2 + 1) * t)
-            evolved += coeff * phase * eigenstate(n1, n2, units).evaluate(x1, x2)
+    evolved, weight = _evolved_expansion(alpha, beta, t, (l1f, l2f), units, cutoff, x1, x2)
     # the expansion carries the zero-point phase exp(-i omega t) on top of
     # the label map, since every level includes the +1
-    closed = np.exp(-1j * omega * t) * target.evaluate(x1, x2)
+    closed = np.exp(-1j * units.omega * t) * target.evaluate(x1, x2)
     scale = max(np.max(np.abs(closed)), 1e-300)
     report.add(CheckRow.within(
         "coherent-evolution",

@@ -95,23 +95,32 @@ def _mode_values(params: TrajectoryParams, t):
     return b1p, b2m
 
 
+def _path(params: TrajectoryParams, t):
+    """(z, dz/dt) along the orbit from one evaluation of the modes; t as in :func:`position`."""
+    b1p, b2m = _mode_values(params, t)
+    l1, l2 = params.coupling.float_ells()
+    return b1p + b2m, 1j * params.omega * (l1 * b1p - l2 * b2m)
+
+
+def _momenta(params: TrajectoryParams, z, zdot, m: float):
+    """Canonical momenta (p1, p2) at the points z with velocities zdot."""
+    gw = params.coupling.as_float() * params.omega
+    return m * (zdot.real + gw * z.imag), m * (zdot.imag - gw * z.real)
+
+
 def position(params: TrajectoryParams, t):
     """Closed-form (x1, x2) at time(s) t.
 
     A scalar t must be a finite real (ValueError otherwise); a numpy array or
     a sequence of times is used as given.
     """
-    b1p, b2m = _mode_values(params, t)
-    z = b1p + b2m
+    z, _ = _path(params, t)
     return z.real, z.imag
 
 
 def velocity(params: TrajectoryParams, t):
     """Closed-form (dx1/dt, dx2/dt); t as in :func:`position`."""
-    w = params.omega
-    b1p, b2m = _mode_values(params, t)
-    l1, l2 = params.coupling.float_ells()
-    zdot = 1j * w * (l1 * b1p - l2 * b2m)
+    _, zdot = _path(params, t)
     return zdot.real, zdot.imag
 
 
@@ -120,10 +129,7 @@ def momentum(params: TrajectoryParams, t, m: float = 1.0):
     shift p1 = m(dx1/dt + g w x2), p2 = m(dx2/dt - g w x1).  t as in
     :func:`position`; m must be a positive finite real (ValueError otherwise)."""
     m = require_real(m, "m", positive=True)
-    x1, x2 = position(params, t)
-    v1, v2 = velocity(params, t)
-    gw = params.coupling.as_float() * params.omega
-    return m * (v1 + gw * x2), m * (v2 - gw * x1)
+    return _momenta(params, *_path(params, t), m)
 
 
 def state_from_params(params: TrajectoryParams, t: float = 0.0,
@@ -372,7 +378,8 @@ def suite_classical(config) -> VerificationReport:
                 f"closure:{which}:{label}", "x(T) = x(0) at the closure period",
                 math.hypot(float(x1b) - float(x1a), float(x2b) - float(x2a)) / scale, 1e-9))
 
-            closed = np.stack([*position(params, ts), *momentum(params, ts)], axis=1)
+            z, zdot = _path(params, ts)
+            closed = np.stack([z.real, z.imag, *_momenta(params, z, zdot, 1.0)], axis=1)
             report.add(CheckRow.within(
                 f"integrate:{which}:{label}", "closed form matches fixed-step RK4",
                 np.max(np.abs(states - closed)) / scale, config.tol_traj))

@@ -204,13 +204,17 @@ def _integer_weights(*weights: Fraction) -> tuple[int, ...]:
 def _levels(basis: FockBasis, weights, scale: float, label: str) -> np.ndarray:
     """Grid-order levels scale * (w1 n1 + w2 n2 + w0) of exact weights (w1, w2, w0), the one
     two-mode level kernel: each is the int quotient (a n1 + b n2 + c)/d of
-    :func:`_integer_weights`, correctly rounded, times ``scale``.  ValueError past float range."""
+    :func:`_integer_weights`, correctly rounded, times ``scale``.  ValueError past the float
+    range, or when a non-zero quotient underflows to 0.0; a level that is exactly 0 stays 0.0."""
     a, b, c, d = _integer_weights(*weights)
+    numerators = [a * n1 + b * n2 + c for n1, n2 in basis.states()]
     try:
-        levels = np.array([scale * ((a * n1 + b * n2 + c) / d) for n1, n2 in basis.states()])
+        quotients = [num / d for num in numerators]
     except OverflowError:
         raise ValueError(f"a diagonal entry of {label} lies outside the float range") from None
-    return _finite(levels, label)
+    if any(q == 0.0 and num for num, q in zip(numerators, quotients)):
+        raise ValueError(f"a non-zero diagonal entry of {label} underflows to 0.0 as a float")
+    return _finite(np.array([scale * q for q in quotients]), label)
 
 
 def hamiltonian(basis: FockBasis, coupling: Coupling, hbar_omega: float = 1.0) -> np.ndarray:

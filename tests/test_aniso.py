@@ -597,6 +597,13 @@ class TestAnisoBridge:
         with pytest.raises(ValueError):
             aniso_cbt_apply({(-1, 0): 1.0}, self.f12)
 
+    @pytest.mark.parametrize("coeff", ["2", True, None], ids=repr)
+    def test_coefficient_that_is_not_a_number_raises(self, coeff):
+        # complex() read "2" as 2 and True as 1, and None raised TypeError
+        message = rf"^coefficient {coeff!r} of x1\^1 x2\^0 is not a number$"
+        with pytest.raises(ValueError, match=message):
+            aniso_cbt_apply({(1, 0): coeff}, self.f12)
+
     def test_eigenstate_matches_explicit_formula(self):
         freq = FrequencyPair(2, 3)
         m, hbar = 1.5, 0.7

@@ -612,3 +612,159 @@ class TestWaveState:
         grid = psi.evaluate_grid(xs, ys)
         for i in range(2):
             assert grid[i] == pytest.approx(psi.evaluate(xs[i], ys[i]))
+
+
+# ---------------------------------------------------------------------------
+# one power table and one envelope per sample grid
+
+
+def _at_term_by_term(poly, u, v):
+    """ZPolynomial.at as first written: u**n1 and v**n2 formed afresh for every term."""
+    shape = np.broadcast(u, v).shape
+    total = np.zeros(shape, dtype=complex) if shape else 0j
+    for (n1, n2), c in poly.terms.items():
+        total += c * u**n1 * v**n2
+    return total
+
+
+def _evaluate_as_first_written(state, x1, x2):
+    """WaveState.evaluate on arrays as first written: its own z, envelope and powers."""
+    z = np.asarray(x1) + 1j * np.asarray(x2)
+    zb = np.conj(z)
+    expo = state.exp_zzbar * z * zb + state.exp_z * z + state.exp_zbar * zb + state.exp_const
+    return _at_term_by_term(state.prefactor, z, zb) * np.exp(expo)
+
+
+def _expansion_by_evaluate(alpha, beta, t, coupling, units, cutoff, x1, x2):
+    """The coherent expansion summed with one evaluation per eigenstate."""
+    l1, l2 = coupling.float_ells()
+    evolved = np.zeros(x1.shape, dtype=complex)
+    weight = 0.0
+    for n1 in range(cutoff + 1):
+        for n2 in range(cutoff + 1 - n1):
+            coeff = br.expansion_coefficient(alpha, beta, n1, n2, units)
+            weight += abs(coeff) ** 2
+            if abs(coeff) < 1e-18:
+                continue
+            phase = np.exp(-1j * units.omega * (l1 * n1 + l2 * n2 + 1) * t)
+            evolved += coeff * phase * _evaluate_as_first_written(
+                br.eigenstate(n1, n2, units), x1, x2)
+    return evolved, weight
+
+
+# (alpha, beta, t, coupling, units, cutoff): the bridge suite's call, the CI's coherent
+# command at the CLI's default cutoff and at the largest one, README's example, and the
+# labels whose evolution row fails at cutoff 170
+EXPANSION_CASES = [
+    (0.8 - 0.5j, 0.4 + 0.7j, 0.9, Coupling(F(1, 2)), br.Units(), 24),
+    (0.5 - 0.3j, 0.2 + 0.6j, 1.0, Coupling(F(1, 2)), br.Units(), 30),
+    (0.5 - 0.3j, 0.2 + 0.6j, 1.0, Coupling(F(1, 2)), br.Units(), 170),
+    (0.9 - 0.2j, -0.3 + 0.6j, 1.7, Coupling(0), br.Units(), 30),
+    (0.8 - 0.5j, 0.4 + 0.7j, 0.9, Coupling(F(1, 3)), br.Units(2.0, 0.5, 3.0), 24),
+    (8.0, 1 - 1j, 2.3, Coupling(F(2, 3)), br.Units(), 170),
+]
+
+
+class TestSharedGridEvaluation:
+    SAMPLES = np.meshgrid((-1.1, 0.3, 0.9), (-0.7, 0.2, 1.3), indexing="ij")
+
+    @pytest.mark.parametrize("alpha, beta, t, coupling, units, cutoff", EXPANSION_CASES)
+    def test_expansion_is_bit_identical_to_evaluate_per_state(
+            self, alpha, beta, t, coupling, units, cutoff):
+        x1, x2 = self.SAMPLES
+        got, weight = br._evolved_expansion(alpha, beta, t, coupling.float_ells(), units,
+                                            cutoff, x1, x2)
+        want, want_weight = _expansion_by_evaluate(alpha, beta, t, coupling, units, cutoff,
+                                                   x1, x2)
+        assert got.tobytes() == want.tobytes()
+        assert weight == want_weight
+
+    def test_expansion_with_every_term_skipped_is_zero(self):
+        # the vacuum factor underflows, so no eigenstate is kept and none is built
+        x1, x2 = self.SAMPLES
+        evolved, weight = br._evolved_expansion(1e100, 0, 0.5, (1.0, 1.0), br.Units(), 4, x1, x2)
+        assert not evolved.any() and weight == 0.0
+
+    @pytest.mark.parametrize("nmax", [3, 4])
+    def test_overlap_matrix_matches_column_by_column(self, nmax):
+        states = [br.eigenstate(n1, n2) for n1 in range(nmax + 1) for n2 in range(nmax + 1)]
+        z, zb, weight, lam = br._quadrature_grid(states[-1], states[-1], 40)
+        columns = np.stack([s.prefactor.at(z, zb).ravel() for s in states], axis=1)
+        want = columns.conj().T @ (weight.reshape(-1, 1) * columns) / lam
+        assert br.overlap_matrix(nmax).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("poly", [
+        br.ZPolynomial({(3, 1): 1.5 - 0.25j, (0, 0): 2.0, (1, 3): -0.5j, (3, 0): 0.125}),
+        br.eigenstate(7, 4).prefactor,
+        br.eigenstate(0, 30).prefactor,
+        br.ZPolynomial({}),
+    ], ids=["mixed", "eigen-7-4", "eigen-0-30", "zero"])
+    def test_at_is_unchanged(self, poly):
+        xs = np.linspace(-1.3, 1.1, 7)
+        z = xs[:, None] + 1j * xs[None, :]
+        for u, v in ((z, np.conj(z)), (0.3 - 0.7j, 0.3 + 0.7j), (2, -1), (z[:1], 0.5)):
+            got, want = poly.at(u, v), _at_term_by_term(poly, u, v)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert type(poly.at(0.3 - 0.7j, 0.3 + 0.7j)) is complex
+
+    @pytest.mark.parametrize("state", [
+        br.eigenstate(6, 2), br.coherent_state(0.4 - 0.1j, 0.2j),
+        br.rotate(br.eigenstate(3, 5, br.Units(2.0, 0.5, 3.0)), 0.7)],
+        ids=["eigenstate", "coherent", "rotated"])
+    def test_evaluate_is_unchanged(self, state):
+        x1, x2 = self.SAMPLES
+        want = _evaluate_as_first_written(state, x1, x2)
+        assert state.evaluate(x1, x2).tobytes() == want.tobytes()
+
+    def test_values_share_one_power_table(self):
+        polys = [br.eigenstate(n1, n2).prefactor for n1, n2 in ((0, 0), (5, 2), (1, 6))]
+        z = np.array([0.4 - 0.2j, -1.0 + 0.5j])
+        values = br._values_at(polys, z, np.conj(z))
+        for poly, value in zip(polys, values):
+            assert value.tobytes() == _at_term_by_term(poly, z, np.conj(z)).tobytes()
+
+
+class TestCoherentEvolutionNotVacuous:
+    """Mutants of the expansion that the coherent-evolution row must catch."""
+
+    ARGS = (0.8 - 0.5j, 0.4 + 0.7j)
+    KWARGS = dict(t=0.9, gamma=2.1, coupling=Coupling(F(1, 2)), cutoff=24)
+
+    def _evolution_row(self):
+        rows = {r.check_id: r for r in br.coherent_checks(*self.ARGS, **self.KWARGS).rows}
+        return rows["coherent-evolution"]
+
+    def test_unmutated_passes(self):
+        assert self._evolution_row().passed
+
+    def test_one_scaled_term_fails(self, monkeypatch):
+        exact = br.eigenstate
+
+        def scaled(n1, n2, units=br.Units()):
+            state = exact(n1, n2, units)
+            return state.scale(1 + 1e-6) if (n1, n2) == (1, 0) else state
+
+        monkeypatch.setattr(br, "eigenstate", scaled)
+        assert not self._evolution_row().passed
+
+    def test_swapped_level_weights_fail(self, monkeypatch):
+        exact = br._evolved_expansion
+
+        def swapped(alpha, beta, t, ells, *rest):
+            return exact(alpha, beta, t, ells[::-1], *rest)
+
+        monkeypatch.setattr(br, "_evolved_expansion", swapped)
+        assert not self._evolution_row().passed
+
+    @pytest.mark.parametrize("name, value", [("exp_zzbar", -0.5 + 1e-9), ("exp_const", 1e-9)])
+    def test_eigenstate_with_another_envelope_raises(self, monkeypatch, name, value):
+        exact = br.eigenstate
+
+        def moved(n1, n2, units=br.Units()):
+            state = exact(n1, n2, units)
+            return dataclasses.replace(state, **{name: value}) if (n1, n2) == (2, 3) else state
+
+        monkeypatch.setattr(br, "eigenstate", moved)
+        with pytest.raises(ValueError, match="share one envelope"):
+            br.coherent_checks(*self.ARGS, **self.KWARGS)

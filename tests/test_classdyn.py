@@ -424,3 +424,62 @@ class TestMomentum:
         assert np.array_equal(p2, 2.0 * (v2 - gw * x1))
         s = state_from_params(p, ts[3], m=2.0)
         assert (s.p1, s.p2) == (p1[3], p2[3])
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestOneModeEvaluation:
+    """classdyn._path evaluates the modes once; position, velocity, momentum and the
+    suite's stacked closed form read it and keep their arithmetic to the bit."""
+
+    PARAMS = [orbit("2/3", R1=1.0, R2=2.0, g1=0.3, g2=-0.2, w=1.5), orbit("-5/4", R1=0.5, R2=3.0),
+              orbit("1", R1=1.0, R2=0.7, g2=0.4), orbit("3", R1=1.0, R2=2.0, g1=-1.1)]
+
+    @staticmethod
+    def _per_call(params, t, m):
+        """The closed forms as first written, each from its own _mode_values call."""
+        w = params.omega
+        l1, l2 = params.coupling.float_ells()
+        b1p, b2m = classdyn._mode_values(params, t)
+        z = b1p + b2m
+        b1p, b2m = classdyn._mode_values(params, t)
+        zdot = 1j * w * (l1 * b1p - l2 * b2m)
+        gw = params.coupling.as_float() * params.omega
+        return z.real, z.imag, zdot.real, zdot.imag, m * (zdot.real + gw * z.imag), \
+            m * (zdot.imag - gw * z.real)
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("t", [0.0, 1.7, -3, np.linspace(0.0, 9.0, 2049), [0.5, 2.5]],
+                             ids=["zero", "float", "int", "array", "list"])
+    def test_path_matches_each_closed_form(self, index, t):
+        params = self.PARAMS[index]
+        z, zdot = classdyn._path(params, t)
+        x1, x2, v1, v2, p1, p2 = self._per_call(params, t, 2.0)
+        assert _bits(z.real, z.imag) == _bits(*position(params, t)) == _bits(x1, x2)
+        assert _bits(zdot.real, zdot.imag) == _bits(*velocity(params, t)) == _bits(v1, v2)
+        assert _bits(*classdyn._momenta(params, z, zdot, 2.0)) == _bits(*momentum(params, t, 2.0))
+        assert _bits(*momentum(params, t, 2.0)) == _bits(p1, p2)
+
+    @pytest.mark.parametrize("which", ["orbits", "cusps"])
+    def test_suite_closed_form_matches_position_and_momentum(self, which):
+        for _, params in classdyn.gallery_params(which):
+            ts = np.linspace(0.0, closure_period(params.coupling, params.omega), 2049)
+            z, zdot = classdyn._path(params, ts)
+            stacked = np.stack([z.real, z.imag, *classdyn._momenta(params, z, zdot, 1.0)], axis=1)
+            want = np.stack([*position(params, ts), *momentum(params, ts)], axis=1)
+            assert stacked.tobytes() == want.tobytes()
+
+    def test_one_mode_evaluation_per_orbit_in_the_suite(self, monkeypatch):
+        calls = []
+        real = classdyn._mode_values
+
+        def counted(params, t):
+            calls.append(np.ndim(t))
+            return real(params, t)
+
+        monkeypatch.setattr(classdyn, "_mode_values", counted)
+        assert suite_classical(RunConfig()).passed
+        # one array evaluation per orbit; the scalar ones are the start states and closures
+        assert calls.count(1) == len(ORBIT_GALLERY) + len(CUSP_GALLERY)

@@ -283,6 +283,41 @@ class TestLevelKernel:
         assert h[0] == 1.0 and np.array_equal(np.diag(fe.hamiltonian(fe.FockBasis(2), c)), h)
 
 
+class TestLevelUnderflow:
+    """A non-zero level whose correctly rounded float is 0.0 raises, as spectrum does; a level
+    that is exactly zero stays 0.0."""
+
+    def test_hamiltonian(self):
+        # ell1 = 1 + g = -1 + 10^-400, so the level of (1, 0) is 10^-400
+        c = Coupling(F(-2) + F(1, 10**400))
+        with pytest.raises(ValueError, match="non-zero diagonal entry of H_g underflows to 0.0"):
+            fe.hamiltonian(fe.FockBasis(1), c)
+        # at g = -2 that level is exactly 0
+        h = np.diag(fe.hamiltonian(fe.FockBasis(1), Coupling(-2)))
+        assert h[fe.FockBasis(1).index(1, 0)] == 0.0
+
+    def test_angular_momentum(self):
+        # integer weights never underflow; n1 = n2 is exactly 0 and stays +0.0
+        basis = fe.FockBasis(3)
+        for hbar in (1.0, 5e-324):
+            levels = np.diag(fe.angular_momentum(basis, hbar))
+            for (n1, n2), level in zip(basis.states(), levels):
+                assert (level == 0.0) == (n1 == n2)
+                assert math.copysign(1.0, level) == (-1.0 if n1 < n2 else 1.0)
+
+    def test_signed_hamiltonian(self):
+        # w1 = 5e-324, w2 = 1e-323: the H(-) level of (0, 0) is -2.5e-324, below the least float
+        freq = aniso.FrequencyPair(5e-324, 1e-323)
+        with pytest.raises(ValueError, match="underflows to 0.0"):
+            aniso.spectrum(freq, "-", 0, 0)
+        with pytest.raises(ValueError, match=r"non-zero diagonal entry of H\(-\) underflows"):
+            aniso.signed_hamiltonian(fe.FockBasis(1), freq, "-")
+        # equal frequencies put the exact zeros of H(-) on n1 = n2
+        equal = aniso.FrequencyPair(3, 3)
+        levels = np.diag(aniso.signed_hamiltonian(fe.FockBasis(2), equal, "-"))
+        assert [n1 == n2 for n1, n2 in fe.FockBasis(2).states()] == list(levels == 0.0)
+
+
 class TestHiddenCommutatorNotVacuous:
     """One resonant state's level scaled by 1 + 1e-6 fails its hidden-commutes row."""
 
