@@ -183,7 +183,7 @@ def _values_at(polys, u, v) -> list:
 
 # generator -> (index shift, coefficient(n1, n2, m, hbar)) of its action on phi_{n1,n2}
 _FREE_ACTIONS = {
-    "H": ((-1, -1), lambda n1, n2, m, hbar: -(2 * hbar / m) * n1 * n2),
+    "H": ((-1, -1), lambda n1, n2, m, hbar: -(2 * hbar * hbar / m) * n1 * n2),
     "K": ((1, 1), lambda n1, n2, m, hbar: m / 2),
     "D2i": ((0, 0), lambda n1, n2, m, hbar: hbar * (n1 + n2 + 1)),
     "Pphi": ((0, 0), lambda n1, n2, m, hbar: hbar * (n1 - n2)),
@@ -197,7 +197,7 @@ _FREE_ACTIONS = {
 def act_free(generator: str, s: ZPolynomial, units: Units = _UNIT) -> ZPolynomial:
     """Free-particle generator action on polynomials of (z, zbar).
 
-    Per monomial phi_{n1,n2}: H -> -(2*hbar/m) n1 n2 phi_{n1-1,n2-1},
+    Per monomial phi_{n1,n2}: H = -(hbar^2/2m) 4 d_z d_zbar -> -(2*hbar^2/m) n1 n2 phi_{n1-1,n2-1},
     K -> (m/2) phi_{n1+1,n2+1}, 2iD -> hbar (n1+n2+1) phi,
     p_phi -> hbar (n1-n2) phi, and the first-order momentum and boost shifts
     p-: -2i hbar n1 phi_{n1-1,n2}, p+: -2i hbar n2 phi_{n1,n2-1},

@@ -136,10 +136,9 @@ def state_from_params(params: TrajectoryParams, t: float = 0.0,
                       m: float = 1.0) -> PhaseState:
     """Canonical state on the orbit at one time t (see :func:`momentum`); t must
     be a finite real (ValueError otherwise)."""
-    t = require_real(t, "t")
-    x1, x2 = position(params, t)
-    p1, p2 = momentum(params, t, m)
-    return PhaseState(float(x1), float(x2), float(p1), float(p2))
+    t, m = require_real(t, "t"), require_real(m, "m", positive=True)
+    z, zdot = _path(params, t)  # the modes once, for both position and momenta
+    return PhaseState(float(z.real), float(z.imag), *map(float, _momenta(params, z, zdot, m)))
 
 
 def hamiltonian_flow_rhs(state, coupling, omega: float, m: float = 1.0):

@@ -33,7 +33,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -94,7 +94,29 @@ class RunConfig:
         return bridge.Units(self.m, self.omega, self.hbar)
 
 
-_CONFIG_CASTS = {f.name: type(f.default) for f in fields(RunConfig)}
+# run setting -> help text of its flag; each command offers the flags its handler reads
+_SETTINGS = {
+    "m": "particle mass (default 1)",
+    "omega": "trap frequency (default 1)",
+    "hbar": "Planck constant (default 1)",
+    "truncation": "Fock grid cutoff per mode, >= 4 (default 12)",
+    "tol_fock": "operator commutator tolerance (default 1e-12)",
+    "tol_quad": "quadrature overlap tolerance (default 1e-8)",
+    "tol_traj": "trajectory cross-check tolerance (default 1e-6)",
+    "outdir": "directory for output files (default .)",
+    "format": "dataset format, csv or json (default csv)",
+}
+
+
+def _parse_setting(key: str, text: str):
+    """A run setting from its flag or RIAHO_CONFIG text: an int for truncation, the text
+    for outdir and format, :func:`parse_real` (so 'num/den' too) for units and tolerances."""
+    if key == "truncation":
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"truncation must be an integer, got {text!r}") from None
+    return text if key in ("outdir", "format") else parse_real(text, key)
 
 
 def load_config_file(path: str) -> dict:
@@ -112,25 +134,25 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_CASTS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = _CONFIG_CASTS[key](value.strip())
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value.strip()!r}")
+            values[key] = _parse_setting(key, value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then RIAHO_CONFIG file, then flags; validated at the end."""
+    """Defaults, then RIAHO_CONFIG file, then the command's flags; validated at the end."""
     values: dict = {}
     path = os.environ.get("RIAHO_CONFIG")
     if path:
         values.update(load_config_file(path))
-    for key in _CONFIG_CASTS:
+    for key in _SETTINGS:
         flag = getattr(args, f"cfg_{key}", None)
         if flag is not None:
-            values[key] = flag
+            values[key] = _parse_setting(key, flag)
     return RunConfig(**values)
 
 
@@ -589,6 +611,11 @@ _SUITE_BUILDERS = {
     "landau": landau.suite_landau,
 }
 VERIFY_SUITES = tuple(_SUITE_BUILDERS)
+# suite -> the run settings it reads; verify <suite> refuses the flag of any other
+_SUITE_SETTINGS = {
+    "algebra": (), "classical": ("tol_traj",), "fock": ("truncation", "tol_fock"),
+    "bridge": ("m", "omega", "hbar", "tol_quad"), "aniso": ("tol_fock",), "landau": (),
+}
 
 
 def cmd_verify(args, config: RunConfig) -> int:
@@ -598,6 +625,11 @@ def cmd_verify(args, config: RunConfig) -> int:
         for name in VERIFY_SUITES:
             report.extend(_SUITE_BUILDERS[name](config).rows)
     else:
+        unread = [key for key in _SETTINGS if getattr(args, f"cfg_{key}", None) is not None
+                  and key not in (*_SUITE_SETTINGS[suite], "outdir")]
+        if unread:
+            raise ConfigError(f"verify {suite} does not read "
+                              + ", ".join("--" + key.replace("_", "-") for key in unread))
         report = _SUITE_BUILDERS[suite](config)
 
     stem = _out_stem(config, args.out, f"verify_{suite}")
@@ -623,40 +655,28 @@ def _exit_code(report: VerificationReport) -> int:
 # argument plumbing
 
 
-def _config_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("run configuration")
-    group.add_argument("--m", dest="cfg_m", type=float, default=None,
-                       help="particle mass (default 1)")
-    group.add_argument("--omega", dest="cfg_omega", type=float, default=None,
-                       help="trap frequency (default 1)")
-    group.add_argument("--hbar", dest="cfg_hbar", type=float, default=None,
-                       help="Planck constant (default 1)")
-    group.add_argument("--truncation", dest="cfg_truncation", type=int, default=None,
-                       help="Fock grid cutoff per mode, >= 4 (default 12)")
-    group.add_argument("--tol-fock", dest="cfg_tol_fock", type=float, default=None,
-                       help="operator commutator tolerance (default 1e-12)")
-    group.add_argument("--tol-quad", dest="cfg_tol_quad", type=float, default=None,
-                       help="quadrature overlap tolerance (default 1e-8)")
-    group.add_argument("--tol-traj", dest="cfg_tol_traj", type=float, default=None,
-                       help="trajectory cross-check tolerance (default 1e-6)")
-    group.add_argument("--outdir", dest="cfg_outdir", default=None,
-                       help="directory for output files (default .)")
-    group.add_argument("--format", dest="cfg_format", choices=("csv", "json"),
-                       default=None, help="dataset format (default csv)")
-    return parent
+def _command(sub, name: str, handler, summary: str, *settings: str) -> argparse.ArgumentParser:
+    """Subcommand ``name`` run by ``handler``, with --outdir and the flags of the run settings
+    its handler reads; the flag of a setting is its name with "-" for "_".  A flag is never
+    abbreviated, so a setting a command does not read cannot pass for another flag (--m for
+    landau's --mass)."""
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
+    p.set_defaults(handler=handler)
+    group = p.add_argument_group("run configuration")
+    for key in (*settings, "outdir"):
+        group.add_argument("--" + key.replace("_", "-"), dest=f"cfg_{key}", help=_SETTINGS[key])
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parent = _config_parent()
     parser = argparse.ArgumentParser(
         prog="riaho",
         description="Rotationally invariant anisotropic oscillator datasets and checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("trajectory", parents=[parent],
-                       help="closed-form orbit over one closure period")
+    p = _command(sub, "trajectory", cmd_trajectory, "closed-form orbit over one closure period",
+                 "m", "omega", "format")
     p.add_argument("--g", required=True, help="coupling, exact rational like 2/3")
     p.add_argument("--r1", type=float, default=1.0, help="mode-1 radius")
     p.add_argument("--r2", type=float, default=1.0, help="mode-2 radius")
@@ -666,10 +686,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, default=None,
                    help="override time window instead of the closure period")
     p.add_argument("--out", default=None, help="output stem (default trajectory)")
-    p.set_defaults(handler=cmd_trajectory)
 
-    p = sub.add_parser("lissajous", parents=[parent],
-                       help="two-frequency configuration curve")
+    p = _command(sub, "lissajous", cmd_lissajous, "two-frequency configuration curve", "format")
     p.add_argument("--omega1", required=True, help="first frequency (rational or float)")
     p.add_argument("--omega2", required=True, help="second frequency (rational or float)")
     p.add_argument("--a1", type=float, default=1.0, help="cos amplitude, mode 1")
@@ -680,34 +698,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, default=None,
                    help="time window, required when frequencies are incommensurate")
     p.add_argument("--out", default=None, help="output stem (default lissajous)")
-    p.set_defaults(handler=cmd_lissajous)
 
-    p = sub.add_parser("spectrum", parents=[parent],
-                       help="exact-rational energy table")
+    p = _command(sub, "spectrum", cmd_spectrum, "exact-rational energy table",
+                 "hbar", "omega", "format")  # hbar and omega go to the sidecar
     p.add_argument("--g", required=True, help="coupling, exact rational like 1/3")
     p.add_argument("--nmax", type=int, default=8, help="per-mode grid cutoff")
     p.add_argument("--out", default=None, help="output stem (default spectrum)")
-    p.set_defaults(handler=cmd_spectrum)
 
-    p = sub.add_parser("degeneracy", parents=[parent],
-                       help="energy classes with completeness flags")
+    p = _command(sub, "degeneracy", cmd_degeneracy, "energy classes with completeness flags",
+                 "truncation", "format")
     p.add_argument("--g", required=True, help="coupling, exact rational like 1/3")
     p.add_argument("--emax", required=True,
                    help="inclusive energy bound in units of hbar*omega (rational)")
     p.add_argument("--out", default=None, help="output stem (default degeneracy)")
-    p.set_defaults(handler=cmd_degeneracy)
 
-    p = sub.add_parser("eigenstate", parents=[parent],
-                       help="wavefunction samples for one (n1, n2)")
+    p = _command(sub, "eigenstate", cmd_eigenstate, "wavefunction samples for one (n1, n2)",
+                 "m", "omega", "hbar", "tol_quad", "format")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--extent", type=float, default=3.0, help="grid half-width")
     p.add_argument("--points", type=int, default=41, help="grid points per axis")
     p.add_argument("--out", default=None, help="output stem (default eigenstate)")
-    p.set_defaults(handler=cmd_eigenstate)
 
-    p = sub.add_parser("coherent", parents=[parent],
-                       help="coherent state with evolved and rotated images")
+    p = _command(sub, "coherent", cmd_coherent, "coherent state with evolved and rotated images",
+                 "m", "omega", "hbar", "format")
     p.add_argument("--alpha", required=True, help="label, 're,im' pair")
     p.add_argument("--beta", required=True, help="label, 're,im' pair")
     p.add_argument("--t", type=float, default=0.0,
@@ -720,10 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=30,
                    help="eigenstate expansion cutoff for the consistency checks")
     p.add_argument("--out", default=None, help="output stem (default coherent)")
-    p.set_defaults(handler=cmd_coherent)
 
-    p = sub.add_parser("landau", parents=[parent],
-                       help="phase classification of equivalent realizations")
+    p = _command(sub, "landau", cmd_landau, "phase classification of equivalent realizations")
     p.add_argument("--omega-b", dest="omega_b", default=None,
                    help="half cyclotron frequency, sign carried")
     p.add_argument("--lambda", dest="lam", default=None,
@@ -733,14 +745,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-cap", dest="omega_cap", default=None,
                    help="signed rotation rate (rotating frame)")
     p.add_argument("--out", default=None, help="optional output stem")
-    p.set_defaults(handler=cmd_landau)
 
-    p = sub.add_parser("verify", parents=[parent],
-                       help="run an identity check suite and write a JSON report")
+    p = _command(sub, "verify", cmd_verify, "run an identity check suite and write a JSON report",
+                 "m", "omega", "hbar", "truncation", "tol_fock", "tol_quad", "tol_traj")
     p.add_argument("suite", nargs="?", default="all",
                    choices=VERIFY_SUITES + ("all",))
     p.add_argument("--out", default=None, help="report stem (default verify_<suite>)")
-    p.set_defaults(handler=cmd_verify)
     return parser
 
 

@@ -91,7 +91,7 @@ class TestActFree:
     def test_units_scaling(self):
         u = br.Units(m=2.0, omega=1.0, hbar=3.0)
         out = br.act_free("H", br.ZPolynomial.monomial(1, 1), u)
-        assert out.terms == {(0, 0): -3.0}  # -(2*hbar/m) = -3
+        assert out.terms == {(0, 0): -9.0}  # -(2*hbar^2/m) = -9
         assert br.act_free("K", br.ZPolynomial.monomial(0, 0), u).terms == {(1, 1): 1.0}
 
     def test_linearity(self):
@@ -344,6 +344,16 @@ class TestProportionality:
         assert r.passed
         assert r.spread <= 1e-9
         assert 0 < r.points_used <= 441
+
+    @pytest.mark.parametrize("hbar", [0.5, 2.0])
+    def test_grid_constancy_off_unit_hbar(self, hbar):
+        # the bridge's free Hamiltonian -(hbar^2/2m) 4 d_z d_zbar carries hbar squared
+        units = br.Units(m=2.0, omega=0.75, hbar=hbar)
+        reports = [br.verify_bridge_proportionality(n1, n2, units)
+                   for n1, n2 in [(0, 0), (1, 0), (1, 1), (2, 1), (3, 3)]]
+        assert all(r.passed and r.spread <= 1e-9 for r in reports), [r.spread for r in reports]
+        base = reports[0].reduced_constant
+        assert all(abs(r.reduced_constant / base - 1) <= 1e-9 for r in reports)
 
     def test_nodal_exclusion(self):
         # the (1,0) state vanishes at the origin, which is a grid point

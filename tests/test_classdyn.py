@@ -462,6 +462,19 @@ class TestOneModeEvaluation:
         assert _bits(*classdyn._momenta(params, z, zdot, 2.0)) == _bits(*momentum(params, t, 2.0))
         assert _bits(*momentum(params, t, 2.0)) == _bits(p1, p2)
 
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("t", [0.0, 1.7, -3])
+    @pytest.mark.parametrize("m", [1.0, 2.5])
+    def test_state_from_params_evaluates_the_modes_once(self, monkeypatch, index, t, m):
+        params = self.PARAMS[index]
+        want = [float(v) for v in (*position(params, t), *momentum(params, t, m))]
+        calls = []
+        real = classdyn._mode_values
+        monkeypatch.setattr(classdyn, "_mode_values", lambda *a: calls.append(a) or real(*a))
+        state = state_from_params(params, t, m)
+        assert _bits(state.as_array()) == _bits(np.array(want))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("which", ["orbits", "cusps"])
     def test_suite_closed_form_matches_position_and_momentum(self, which):
         for _, params in classdyn.gallery_params(which):
@@ -482,4 +495,8 @@ class TestOneModeEvaluation:
         monkeypatch.setattr(classdyn, "_mode_values", counted)
         assert suite_classical(RunConfig()).passed
         # one array evaluation per orbit; the scalar ones are the start states and closures
-        assert calls.count(1) == len(ORBIT_GALLERY) + len(CUSP_GALLERY)
+        orbits = len(ORBIT_GALLERY) + len(CUSP_GALLERY)
+        assert calls.count(1) == orbits
+        # one per start state and two per closure check; a start state read through
+        # position and momentum apart would add one per orbit
+        assert calls.count(0) == 3 * orbits

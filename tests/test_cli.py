@@ -1,4 +1,5 @@
 """Command-line interface: outputs, exit codes, config layering, reports."""
+import argparse
 import contextlib
 import errno
 import io
@@ -152,7 +153,7 @@ class TestRunConfig:
         assert run(tmp_path, "verify", "landau") == 2
 
     def test_invalid_truncation_flag_exits_2(self, tmp_path):
-        assert run(tmp_path, "verify", "landau", "--truncation", "2") == 2
+        assert run(tmp_path, "verify", "fock", "--truncation", "2") == 2
 
     def test_unknown_subcommand_exits_2(self, tmp_path):
         assert main(["no-such-command"]) == 2
@@ -164,6 +165,142 @@ class TestRunConfig:
         assert run(tmp_path, "verify", "landau") == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot read config file {cfg}")
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+# command -> the run settings its handler reads; every command also takes --outdir
+READS = {
+    "trajectory": ("m", "omega", "format"),
+    "lissajous": ("format",),
+    "spectrum": ("hbar", "omega", "format"),
+    "degeneracy": ("truncation", "format"),
+    "eigenstate": ("m", "omega", "hbar", "tol_quad", "format"),
+    "coherent": ("m", "omega", "hbar", "format"),
+    "landau": (),
+    "verify": ("m", "omega", "hbar", "truncation", "tol_fock", "tol_quad", "tol_traj"),
+}
+# verify suite -> the run settings it reads
+SUITE_READS = {"algebra": (), "classical": ("tol_traj",), "fock": ("truncation", "tol_fock"),
+               "bridge": ("m", "omega", "hbar", "tol_quad"), "aniso": ("tol_fock",), "landau": ()}
+# an accepted value of each setting other than outdir
+SETTING_VALUES = {"m": "2", "omega": "3/2", "hbar": "1/2", "truncation": "10", "tol_fock": "1e-11",
+                  "tol_quad": "1e-7", "tol_traj": "1e-5", "format": "json"}
+# a small run of each command that writes a file
+COMMAND_ARGV = {
+    "trajectory": ("--g", "2/3", "--samples", "16"),
+    "lissajous": ("--omega1", "1", "--omega2", "3", "--samples", "16"),
+    "spectrum": ("--g", "1/3", "--nmax", "2"),
+    "degeneracy": ("--g", "1/3", "--emax", "3"),
+    "eigenstate": ("--n1", "1", "--n2", "0", "--points", "5"),
+    "coherent": ("--alpha", "0.5,0", "--beta", "0,0.5", "--points", "5"),
+    "landau": ("--omega-b", "1", "--lambda", "1", "--out", "phase"),
+    "verify": ("all",),
+}
+# (argv, the settings its handler reads) for every command and every verify suite
+HANDLER_ROWS = [((c, *COMMAND_ARGV[c]), READS[c]) for c in sorted(READS)] + [
+    (("verify", suite), keys) for suite, keys in sorted(SUITE_READS.items())]
+
+
+class TestRunSettings:
+    """Each command offers the run settings its handler reads; verify <suite> those its suite
+    reads.  A flag and a RIAHO_CONFIG line parse a setting's text by one rule."""
+
+    def test_parser_offers_each_command_its_row(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        offered = {name: {a.dest for a in p._actions if a.dest.startswith("cfg_")}
+                   for name, p in sub.choices.items()}
+        assert offered == {c: {f"cfg_{k}" for k in (*keys, "outdir")} for c, keys in READS.items()}
+        assert sum(map(len, offered.values())) == 33
+
+    @pytest.mark.parametrize("argv, reads", HANDLER_ROWS,
+                             ids=[" ".join(argv[:2]) for argv, _ in HANDLER_ROWS])
+    def test_each_handler_reads_exactly_its_row(self, tmp_path, monkeypatch, argv, reads):
+        # the tables above are what the code reads, so a refused flag had no effect
+        read = set()
+        real = cli.resolve_config
+
+        class Recording:
+            def __init__(self, config):
+                self.config = config
+
+            def __getattr__(self, name):
+                read.update(("m", "omega", "hbar") if name == "units" else (name,))
+                return getattr(self.config, name)
+
+        monkeypatch.setattr(cli, "resolve_config", lambda args: Recording(real(args)))
+        assert run(tmp_path, *argv) == 0
+        assert read == {*reads, "outdir"}
+
+    @pytest.mark.parametrize("key", [*SETTING_VALUES, "outdir"])
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_command_takes_only_the_settings_it_reads(self, tmp_path, capsys, command, key):
+        value = str(tmp_path) if key == "outdir" else SETTING_VALUES[key]
+        code = run(tmp_path, command, *COMMAND_ARGV[command], flag(key), value)
+        if key in READS[command] or key == "outdir":
+            assert code == 0
+            assert list(tmp_path.iterdir())
+        else:
+            assert code == 2
+            assert f"unrecognized arguments: {flag(key)}" in capsys.readouterr().err
+            assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key", READS["verify"])
+    @pytest.mark.parametrize("suite", sorted(SUITE_READS))
+    def test_verify_suite_refuses_the_settings_it_does_not_read(self, tmp_path, capsys, suite,
+                                                                key):
+        code = run(tmp_path, "verify", suite, flag(key), SETTING_VALUES[key])
+        if key in SUITE_READS[suite]:
+            assert code == 0
+        else:
+            assert code == 2
+            assert capsys.readouterr().err == f"error: verify {suite} does not read {flag(key)}\n"
+            assert not list(tmp_path.iterdir())
+
+    def test_config_file_keys_stay_global(self, tmp_path, monkeypatch):
+        # a line that the command does not read is ignored, as it always was
+        assert run(tmp_path, "verify", "algebra", "--out", "flagless") == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m=3\nomega=1/2\ntruncation=20\nformat=json\n")
+        monkeypatch.setenv("RIAHO_CONFIG", str(cfg))
+        assert run(tmp_path, "verify", "algebra", "--out", "configured") == 0
+        reports = [json.loads((tmp_path / f"{stem}.json").read_text())
+                   for stem in ("flagless", "configured")]
+        for report in reports:
+            for row in report["checks"]:
+                row.pop("elapsed")
+        assert reports[0] == reports[1]
+
+    def test_rational_setting_in_flag_and_config_file(self, tmp_path, monkeypatch):
+        def trajectory(stem, *argv):
+            assert run(tmp_path, "trajectory", "--g", "2/3", "--samples", "64", "--out", stem,
+                       *argv) == 0
+            meta = (tmp_path / f"{stem}.meta.json").read_text().replace(f'"{stem}.csv"', "")
+            return (tmp_path / f"{stem}.csv").read_bytes(), meta
+
+        want = trajectory("decimal", "--omega", "0.7142857142857143")
+        assert trajectory("flag", "--omega", "5/7") == want
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega=5/7\n")
+        monkeypatch.setenv("RIAHO_CONFIG", str(cfg))
+        assert trajectory("file") == want
+
+    @pytest.mark.parametrize("key, text", [("omega", "5/0"), ("hbar", "x"), ("truncation", "12.5"),
+                                           ("tol_fock", "nan"), ("m", "1e400")])
+    def test_bad_setting_text_is_named_from_flag_and_file(self, tmp_path, monkeypatch, capsys,
+                                                          key, text):
+        assert run(tmp_path, "verify", f"{flag(key)}={text}") == 2
+        from_flag = capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={text}\n")
+        monkeypatch.setenv("RIAHO_CONFIG", str(cfg))
+        assert run(tmp_path, "verify") == 2
+        from_file = capsys.readouterr().err
+        assert key in from_flag and from_file == from_flag.replace("error: ", f"error: {cfg}:1: ")
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestUnwritableOutput:
@@ -915,14 +1052,15 @@ COMMANDS = {
                                                      "--cutoff": SIZE}),
     "landau": ({}, {"--omega-b": MAGNITUDE, "--lambda": MAGNITUDE}),
 }
-UNITS = {"--m": TEXT, "--omega": TEXT, "--hbar": TEXT}  # run configuration, on every command
+# run settings by the command's row of READS; a truncation stays small, as a size does
+SETTING_TEXT = {"truncation": SIZE, "format": st.sampled_from(["csv", "json"]) | TEXT}
 
 
 @st.composite
 def malformed_argv(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     required, optional = COMMANDS[command]
-    optional = optional | UNITS
+    optional = optional | {flag(key): SETTING_TEXT.get(key, TEXT) for key in READS[command]}
     flags = [*required, *(f for f in optional if draw(st.booleans()))]
     return [command, *(f"{flag}={draw((required | optional)[flag])}" for flag in flags)]
 
@@ -952,7 +1090,7 @@ OUTDIR = st.one_of(st.sampled_from(["", "new", "new/sub", "a-file", "a-file/sub"
 JUNK_KEYS = st.one_of(st.sampled_from(["bogus", "", "M", "#m", "outdir x"]), st.text(max_size=4))
 CONFIG_LINE = st.one_of(
     st.just("outdir").flatmap(lambda key: OUTDIR.map(lambda value: f"{key}={value}")),
-    st.tuples(st.sampled_from(sorted(set(cli._CONFIG_CASTS) - {"outdir"})) | JUNK_KEYS,
+    st.tuples(st.sampled_from(sorted(set(cli._SETTINGS) - {"outdir"})) | JUNK_KEYS,
               TEXT | OUTDIR).map("=".join),
 )
 
