@@ -27,7 +27,10 @@ The constructor and the read-only ``ar/ai/br/bi`` properties speak the
 (A, B) coordinates; the arithmetic runs on the integers.  A product is a
 negacyclic length-4 convolution (zeta^4 = -1) and one gcd; the inverse is
 the product of the Galois conjugates zeta -> zeta^3, zeta^5, zeta^7 over the
-rational norm; complex conjugation is zeta -> zeta^7.
+rational norm; complex conjugation is zeta -> zeta^7.  Kernels that sum many
+products (the Poisson bracket, the basis-change pair step) stay on the
+integers: :func:`_numerators` puts a batch over one denominator,
+:func:`_convolve` multiplies numerators, and each sum is reduced once.
 """
 from __future__ import annotations
 
@@ -53,6 +56,12 @@ def _as_fraction(value, name: str) -> Fraction:
     raise ValueError(f"{name} {value!r} is not an int or Fraction")
 
 
+def _shown(value) -> str:
+    """A rejected value as the argument rules print it: a Fraction in its str form
+    (-1/2, as typed on the command line), anything else by repr, so a str keeps its quotes."""
+    return str(value) if isinstance(value, Fraction) else repr(value)
+
+
 def to_float(value, name: str) -> float:
     """float(value) of an int, Fraction or float; ValueError naming ``name`` when the value
     lies past the float range or a non-zero value underflows to 0.0."""
@@ -73,7 +82,7 @@ def coerce_real(value, name: str):
         return Fraction(value)
     if isinstance(value, float) and isfinite(value):
         return float(value)
-    raise ValueError(f"{name} {value!r} is not a finite real")
+    raise ValueError(f"{name} {_shown(value)} is not a finite real")
 
 
 def require_real(value, name: str, positive: bool = False) -> float:
@@ -84,7 +93,8 @@ def require_real(value, name: str, positive: bool = False) -> float:
         out = to_float(value, name)
         if isfinite(out) and (out > 0 or not positive):
             return out
-    raise ValueError(f"{name} {value!r} is not a {'positive ' if positive else ''}finite real")
+    sign = "positive " if positive else ""
+    raise ValueError(f"{name} {_shown(value)} is not a {sign}finite real")
 
 
 def require_complex(value, name: str) -> complex:
@@ -97,7 +107,7 @@ def require_complex(value, name: str) -> complex:
         out = complex(value)
         if isfinite(out.real) and isfinite(out.imag):
             return out
-    raise ValueError(f"{name} {value!r} is not a finite complex number")
+    raise ValueError(f"{name} {_shown(value)} is not a finite complex number")
 
 
 def require_int(value, name: str, lo: int | None = 0, hi: int | None = None) -> int:
@@ -111,7 +121,7 @@ def require_int(value, name: str, lo: int | None = 0, hi: int | None = None) -> 
     if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
         return value
     bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
-    raise ValueError(f"{name} {value!r} is not an integer{bounds}")
+    raise ValueError(f"{name} {_shown(value)} is not an integer{bounds}")
 
 
 def rational_sqrt(q: Fraction):
@@ -150,6 +160,35 @@ def _make(c0, c1, c2, c3, d):
     z._c3 = c3
     z._d = d
     return z
+
+
+def _numerators(values) -> tuple:
+    """The integer form of a batch of elements, for kernels that accumulate many
+    products and reduce once: ([(c0, c1, c2, c3), ...], d) with element k equal
+    to (c0 + c1 z + c2 z^2 + c3 z^3)/d and d the lcm of their denominators.
+    Sums of such tuples (times ints, through :func:`_convolve`, :func:`_powers_of_i`)
+    stay over a known denominator; ``_make(*numerators, d)`` reduces one result."""
+    values = list(values)
+    d = lcm(*(v._d for v in values))
+    return [(v._c0 * (s := d // v._d), v._c1 * s, v._c2 * s, v._c3 * s)
+            for v in values], d
+
+
+def _convolve(a, b) -> tuple:
+    """Numerators of a product: the negacyclic convolution (z^4 = -1) of two
+    numerator 4-tuples, whose denominator is the product of theirs."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
+
+
+def _powers_of_i(c) -> tuple:
+    """(c, i c, -c, -i c) as numerator tuples: i = z^2 shifts the coefficients two places."""
+    c0, c1, c2, c3 = c
+    return c, (-c2, -c3, c0, c1), (-c0, -c1, -c2, -c3), (c2, c3, -c0, -c1)
 
 
 def _from_rational(x) -> "ExactComplex":
@@ -263,13 +302,8 @@ class ExactComplex:
             if not isinstance(other, Fraction):
                 return NotImplemented
             other = _from_rational(other)
-        a0, a1, a2, a3 = self._c0, self._c1, self._c2, self._c3
-        b0, b1, b2, b3 = other._c0, other._c1, other._c2, other._c3
-        # negacyclic convolution: z^4 = -1
-        return _make(a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
-                     a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
-                     a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
-                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+        return _make(*_convolve((self._c0, self._c1, self._c2, self._c3),
+                                (other._c0, other._c1, other._c2, other._c3)),
                      self._d * other._d)
 
     __rmul__ = __mul__

@@ -17,7 +17,8 @@ so "A is an integral" is the exact statement ``total_time_derivative(A, H)
 == 0`` in the ring, with no floating point involved.
 
 Brackets are generated by {x_i, p_j} = delta_ij, equivalently
-{b_i^-, b_j^+} = -i delta_ij, and extended as a biderivation.  Basis
+{b_i^-, b_j^+} = -i delta_ij, and extended as a biderivation, in one pass
+over term pairs on integer numerators (:func:`poisson_bracket`).  Basis
 conversion uses d = sqrt(m*omega)/2 and is exact for unit systems in which
 m*omega is a rational square or twice one (the default m = omega = 1 in
 particular).
@@ -28,7 +29,8 @@ and pibar = 2id (b2+ - b1-), so canonical -> circular maps (x1, x2) -> (w, wbar)
 (p1, p2) -> (pi, pibar), (w, pi) -> (b1+, b2-), (wbar, pibar) -> (b2+, b1-), and
 the inverse maps (b1+, b2-) -> (d w, iq pi), (b1-, b2+) -> (d wbar, iq pibar),
 then those to (x1, x2) and (p1, p2).  Each step expands (s + t)^a (s - t)^b
-with the integer rows of :func:`krawtchouk_rows`.
+with the integer rows of :func:`krawtchouk_rows`, summing integer numerators
+and reducing each output coefficient once.
 """
 from __future__ import annotations
 
@@ -36,7 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .exact import ExactComplex, _is_exact, require_int, require_real, ring_sqrt
+from .exact import (ExactComplex, _convolve, _is_exact, _make as _element, _numerators,
+                    _powers_of_i, require_int, require_real, ring_sqrt)
 
 __all__ = [
     "CANONICAL", "CIRCULAR", "CANONICAL_VARS", "CIRCULAR_VARS",
@@ -375,33 +378,64 @@ def krawtchouk_rows(n: int) -> tuple:
     return tuple(zip(*cols[: n + 1]))
 
 
+def _accumulate(sums: dict, key, k: int, c: tuple):
+    """sums[key] += k c on numerator 4-lists, a key entering on first sight."""
+    acc = sums.get(key)
+    if acc is None:
+        sums[key] = [k * c[0], k * c[1], k * c[2], k * c[3]]
+    else:
+        acc[0] += k * c[0]
+        acc[1] += k * c[1]
+        acc[2] += k * c[2]
+        acc[3] += k * c[3]
+
+
 def _pair_step(terms: dict, i: int, j: int, s_slot: int, t_slot: int,
                alpha: ExactComplex, beta: ExactComplex, phase: bool) -> dict:
     """Substitute v_i = alpha (s + t), v_j = beta (s - t) into {exponent 4-tuple:
     coefficient}, the exponents of s and t going to slots s_slot, t_slot (i and j).
-    With `phase`, t = i u and the result is in u (u^m gains i^m).  A term costs
-    one scalar power product, an output coefficient one ExactComplex times an int.
+    With `phase`, t = i u and the result is in u (u^m gains i^m).
+
+    Integer form: the coefficients go over one lcm denominator, the power
+    products alpha^a beta^b (one per (a, b) present) over another, and a term's
+    c = coeff alpha^a beta^b is their numerator product.  Each output key sums
+    the numerators of c times its Krawtchouk entry (times i^m with `phase`), and
+    a surviving key is reduced once.  Keys keep their first-seen order.
     """
-    apow, bpow = [ExactComplex.ONE], [ExactComplex.ONE]
-    out = {}
-    for key, coeff in terms.items():
+    apow, bpow, scale = [ExactComplex.ONE], [ExactComplex.ONE], {}
+    for key in terms:
+        a, b = key[i], key[j]
+        if (a, b) not in scale:
+            while len(apow) <= a:
+                apow.append(apow[-1] * alpha)
+            while len(bpow) <= b:
+                bpow.append(bpow[-1] * beta)
+            scale[a, b] = apow[a] * bpow[b]
+    coeffs, d = _numerators(terms.values())
+    factors, d_scale = _numerators(scale.values())
+    factors = dict(zip(scale, factors))
+    d *= d_scale
+    sums = {}
+    for key, c in zip(terms, coeffs):
         a, b = key[i], key[j]
         n = a + b
-        while len(apow) <= a:
-            apow.append(apow[-1] * alpha)
-        while len(bpow) <= b:
-            bpow.append(bpow[-1] * beta)
-        c = coeff * (apow[a] * bpow[b])
-        coeffs = (c, c * _I) if phase else (c, c)
+        c = _convolve(c, factors[a, b])
+        turns = _powers_of_i(c) if phase else (c, c, c, c)
         e = list(key)
         for m, kernel in enumerate(krawtchouk_rows(n)[b]):
             if not kernel:
                 continue
             e[s_slot], e[t_slot] = n - m, m
-            new = tuple(e)
-            prod = coeffs[m & 1] * (-kernel if phase and m & 2 else kernel)
-            out[new] = out[new] + prod if new in out else prod
-    return _drop_zeros(out)
+            _accumulate(sums, tuple(e), kernel, turns[m & 3])
+    return _drop_zeros({key: _element(*acc, d) for key, acc in sums.items()})
+
+
+# per basis, the slot pairs (u, v) of the bracket {A,B} = sum dA/du dB/dv - dA/dv dB/du
+# (before the circular factor -i) and the exponent each product of the pair loses
+_BRACKET_SLOTS = {
+    CANONICAL: ((0, 2, (1, 0, 1, 0)), (1, 3, (0, 1, 0, 1))),  # (x_i, p_i)
+    CIRCULAR: ((1, 0, (1, 1, 0, 0)), (3, 2, (0, 0, 1, 1))),   # (b_i-, b_i+)
+}
 
 
 def poisson_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
@@ -409,17 +443,35 @@ def poisson_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
 
     canonical: {A,B} = sum_i dA/dx_i dB/dp_i - dA/dp_i dB/dx_i
     circular:  {A,B} = -i sum_i (dA/db_i^- dB/db_i^+ - dA/db_i^+ dB/db_i^-)
+
+    One pass over term pairs (k1, c1) x (k2, c2): both products of a slot pair
+    (u, v) land on the monomial k1 + k2 - e_u - e_v, time tag mu1 + mu2, with the
+    factor n = k1[u] k2[v] - k1[v] k2[u].  A pair with n = 0 for both slot pairs
+    is skipped; otherwise c1 c2 is formed once, on integer numerators over the
+    lcm denominators of A's and of B's coefficients, and n c1 c2 is added.  Each
+    output term is reduced once, after the circular -i.
     """
     a._compat(b)
-    if a.basis == CANONICAL:
-        out = PhasePoly.zero(a.basis, a.params)
-        for x, p in (("x1", "p1"), ("x2", "p2")):
-            out = out + a.diff(x) * b.diff(p) - a.diff(p) * b.diff(x)
-        return out
-    out = PhasePoly.zero(a.basis, a.params)
-    for lo, hi in (("b1-", "b1+"), ("b2-", "b2+")):
-        out = out + a.diff(lo) * b.diff(hi) - a.diff(hi) * b.diff(lo)
-    return out * (-_I)
+    slots = _BRACKET_SLOTS[a.basis]
+    left, da = _numerators(a.terms.values())
+    right, db = _numerators(b.terms.values())
+    right = list(zip(b.terms, right))
+    sums = {}
+    for k1, x in zip(a.terms, left):
+        for k2, y in right:
+            prod = None
+            for u, v, (f0, f1, f2, f3) in slots:
+                n = k1[u] * k2[v] - k1[v] * k2[u]
+                if not n:
+                    continue
+                if prod is None:
+                    prod, mu = _convolve(x, y), k1[4] + k2[4]
+                _accumulate(sums, (k1[0] + k2[0] - f0, k1[1] + k2[1] - f1,
+                                   k1[2] + k2[2] - f2, k1[3] + k2[3] - f3, mu), n, prod)
+    turn = 3 if a.basis == CIRCULAR else 0  # -i = i^3
+    d = da * db
+    return _make(a.basis, {key: _element(*_powers_of_i(acc)[turn], d)
+                           for key, acc in sums.items()}, a.params)
 
 
 def total_time_derivative(a: PhasePoly, h: PhasePoly) -> PhasePoly:

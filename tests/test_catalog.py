@@ -149,6 +149,30 @@ class TestHiddenIntegrals:
             assert abs(br.evaluate(pt) - want) < 1e-12
 
 
+class TestHiddenPairClosedForm:
+    """{X+, X-} of a hidden pair in closed form, an oracle that no bracket code wrote:
+    with X+- = (b1^+-)^s1 (b2^-+)^s2 (L) or (b1^+-)^s1 (b2^+-)^s2 (J) and
+    {b_i^-, b_i^+} = -i, the brackets are N1^(s1-1) N2^(s2-1) times
+    -i (s2^2 N1 - s1^2 N2) for L and +i (s2^2 N1 + s1^2 N2) for J."""
+
+    @staticmethod
+    def closed_form(kind, s1, s2):
+        sign = -1 if kind == "L" else 1
+        return {(s1, s2 - 1): ExactComplex(0, sign * s2 * s2),
+                (s1 - 1, s2): ExactComplex(0, s1 * s1)}
+
+    @pytest.mark.parametrize("g", [F(1, 3), F(3), F(-2, 5)])
+    @pytest.mark.parametrize("kind", ["L", "J"])
+    @pytest.mark.parametrize("s1", [1, 2, 3])
+    @pytest.mark.parametrize("s2", [1, 2, 3])
+    def test_bracket_of_the_pair_is_the_closed_form(self, g, kind, s1, s2):
+        plus = hidden_integral(g, kind, s1, s2, "+")
+        minus = hidden_integral(g, kind, s1, s2, "-")
+        cf = reduce_to_cartan(poisson_bracket(plus, minus))
+        assert cf.is_pure
+        assert cf.diagonal == self.closed_form(kind, s1, s2)
+
+
 class TestHiddenShift:
     def test_shift_per_kind(self):
         assert hidden_shift("L", 1, 2) == (1, -2)

@@ -671,6 +671,18 @@ def test_non_finite_grid_and_angles_print_only_the_error_line(tmp_path, capsys, 
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, line", [
+    # printed m Fraction(-1, 2) and omega Fraction(0, 1)
+    (("verify", "--m=-1/2"), "error: m -1/2 is not a positive finite real"),
+    (("trajectory", "--g", "1/2", "--omega=0/3"), "error: omega 0 is not a positive finite real"),
+    (("verify", "bridge", "--hbar=-3/4"), "error: hbar -3/4 is not a positive finite real"),
+])
+def test_rejected_rational_prints_as_typed(tmp_path, capsys, argv, line):
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not list(tmp_path.iterdir())
+
+
 class TestLissajous:
     def test_closure_for_one_three(self, tmp_path):
         assert run(tmp_path, "lissajous", "--omega1", "1", "--omega2", "3",

@@ -15,8 +15,8 @@ from riaho import landau as la
 from riaho.cli import ConfigError, RunConfig
 from riaho.coupling import Coupling
 from riaho.phasealg import CIRCULAR, ExactComplex, Params, PhasePoly
-from riaho.phasealg.exact import (coerce_real, rational_sqrt, require_complex, require_real,
-                                   ring_sqrt, to_float)
+from riaho.phasealg.exact import (coerce_real, rational_sqrt, require_complex, require_int,
+                                   require_real, ring_sqrt, to_float)
 from riaho.reports import CheckRow
 
 BASIS = fe.FockBasis(2)
@@ -300,6 +300,24 @@ def test_converted_complex_values():
                         (np.complex128(1 - 2j), 1 - 2j), (-0.0j, -0.0j)):
         got = require_complex(value, "z")
         assert type(got) is complex and got == want
+
+
+@pytest.mark.parametrize("check, value, message", [
+    # a Fraction printed as Fraction(-1, 2) and Fraction(0, 1)
+    (lambda v: require_real(v, "m", True), F(-1, 2), "m -1/2 is not a positive finite real"),
+    (lambda v: require_real(v, "omega", True), F(0), "omega 0 is not a positive finite real"),
+    (lambda v: require_int(v, "n"), F(1, 2), "n 1/2 is not an integer >= 0"),
+    (lambda v: require_int(v, "n", 1, 3), F(4), "n 4 is not an integer in 1..3"),
+    # anything else keeps its repr, a str its quotes
+    (lambda v: coerce_real(v, "x"), "1/2", "x '1/2' is not a finite real"),
+    (lambda v: require_int(v, "n"), 2.0, "n 2.0 is not an integer >= 0"),
+    (lambda v: require_complex(v, "alpha"), "1", "alpha '1' is not a finite complex number"),
+    (lambda v: require_real(v, "t"), None, "t None is not a finite real"),
+])
+def test_rejected_values_print_as_typed(check, value, message):
+    with pytest.raises(ValueError) as info:
+        check(value)
+    assert str(info.value) == message
 
 
 def test_run_config_raises_config_error():
