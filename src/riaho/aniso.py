@@ -22,6 +22,7 @@ w2*T are then the coprime multiples 2*pi*l2 and 2*pi*l1 of a full turn).
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections import deque
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bridge import (ProportionalityReport, Units, ZPolynomial, _number, _sample,
+from .bridge import (ProportionalityReport, Units, ZPolynomial, _heat_series, _number, _sample,
                      grid_proportionality)
 from .coupling import Coupling
 from .fockeng import (FockBasis, InteriorMask, _hidden_commutator, _hidden_ladder_matrix,
@@ -415,25 +416,6 @@ def _float_range(fn):
     return checked
 
 
-def _weierstrass_series(n: int) -> dict:
-    """e^{-(1/4) d^2/dx^2} x^n = 2^-n H_n(x) as {p: [x^p] H_n / 2^n}, p = n, n-2, ..., each the
-    correctly rounded float of the int quotient, from :func:`riaho.fockeng.hermite_rows`."""
-    row = deque(hermite_rows(n), maxlen=1).pop()
-    return {p: row[p] / 2**n for p in range(n, -1, -2)}
-
-
-def _mode_bridge_poly(n: int, units: Units) -> dict:
-    """One-coordinate bridge of x^n: grading, finite heat series, in x units.
-
-    The grading rescale contributes 2^((n + 1/2)/2); the heat factor
-    e^{d^2-operator} reduces to the exact inverse-Weierstrass series in the
-    dimensionless variable x/lambda, lambda^2 = hbar/(m omega).
-    """
-    lam_sq = units.length_sq / 2
-    pref = 2.0**0.25 * 2.0 ** (n / 2.0)
-    return {p: pref * c * lam_sq ** ((n - p) / 2.0) for p, c in _weierstrass_series(n).items()}
-
-
 @_float_range
 def aniso_cbt_apply(
     phi, freq: FrequencyPair, m: float = 1.0, hbar: float = 1.0
@@ -441,19 +423,19 @@ def aniso_cbt_apply(
     """Bridge a polynomial in (x1, x2) through the per-coordinate composition.
 
     ``phi`` is a monomial exponent pair (n1, n2) or a dict mapping such
-    pairs to coefficients.  Each coordinate passes independently through
-    grading rescale, the finite heat series at its own frequency, and the
-    Gaussian e^{-m w_i x_i^2 / 2 hbar}; a monomial lands on a multiple of
-    the product Hermite function psi_n1(x1) psi_n2(x2).  Units that are not
-    positive and finite, a coefficient that is not a number (a str, bool or None
-    among them), or a coefficient past the float range, raise ValueError.
+    pairs to coefficients.  As :func:`riaho.bridge.cbt_apply`: the grading
+    2^((n1+n2+1)/2), the heat series of sum_i -(lam_i^2/4) d^2/dx_i^2 with
+    lam_i^2 = hbar/(m w_i), then the Gaussians e^{-m w_i x_i^2 / 2 hbar}; a monomial
+    lands on a multiple of psi_n1(x1) psi_n2(x2).  Units that are not positive and
+    finite, a coefficient that is not a number (a str, bool or None among them),
+    or a coefficient past the float range, raise ValueError.
     """
     if isinstance(phi, tuple) and len(phi) == 2:
         phi = {phi: 1.0}
     if not isinstance(phi, dict):
         raise ValueError("input must be a monomial pair or exponent-to-coefficient dict")
     u1, u2 = (Units(m, w, hbar) for w in freq.float_omegas())
-    joint: dict = {}
+    graded = {}
     for key, coeff in phi.items():
         if not (isinstance(key, tuple) and len(key) == 2):
             raise ValueError(f"exponents {key!r} are not a pair")
@@ -461,21 +443,31 @@ def aniso_cbt_apply(
         c = _number(coeff)
         if c is None:
             raise ValueError(f"coefficient {coeff!r} of x1^{n1} x2^{n2} is not a number")
-        if c == 0:
-            continue
-        poly1 = _mode_bridge_poly(n1, u1)
-        poly2 = _mode_bridge_poly(n2, u2)
-        for p1, c1 in poly1.items():
-            for p2, c2 in poly2.items():
-                joint[(p1, p2)] = joint.get((p1, p2), 0j) + c * c1 * c2
-    return SeparableState(joint, u1.gauss, u2.gauss)
+        if c != 0:
+            graded[(n1, n2)] = c * 2.0 ** ((n1 + n2 + 1) / 2)
+    heat1, heat2 = -u1.length_sq / 8, -u2.length_sq / 8  # -lam_i^2/4, lam_i^2 = length_sq/2
+
+    def step(term: ZPolynomial, k: int) -> ZPolynomial:
+        out: dict = {}
+        for (p1, p2), c in term.terms.items():
+            for key, weight in (((p1 - 2, p2), heat1 * p1 * (p1 - 1)),
+                                ((p1, p2 - 2), heat2 * p2 * (p2 - 1))):
+                if weight:
+                    out[key] = out.get(key, 0j) + weight * c / k
+        if not all(map(cmath.isfinite, out.values())):
+            raise OverflowError
+        return ZPolynomial(out)
+
+    return SeparableState(_heat_series(ZPolynomial(graded), step), u1.gauss, u2.gauss)
 
 
 def _mode_eigen_poly(n: int, units: Units) -> dict:
+    """psi_n's polynomial in x units from the last row of :func:`riaho.fockeng.hermite_rows`,
+    each [x^p] H_n / 2^n the correctly rounded float of the int quotient."""
+    row = deque(hermite_rows(n), maxlen=1).pop()
     lam_sq = units.length_sq / 2
     norm = (math.pi * lam_sq) ** -0.25 / math.sqrt(2.0**n * math.factorial(n))
-    return {p: norm * 2.0**n * c * lam_sq ** (-p / 2.0)
-            for p, c in _weierstrass_series(n).items()}
+    return {p: norm * 2.0**n * (row[p] / 2**n) * lam_sq ** (-p / 2.0) for p in range(n, -1, -2)}
 
 
 @_float_range

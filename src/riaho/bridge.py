@@ -298,15 +298,23 @@ def cbt_apply(s: ZPolynomial, units: Units = _UNIT) -> WaveState:
     graded = ZPolynomial(
         {key: c * 2.0 ** ((key[0] + key[1] + 1) / 2) for key, c in s.terms.items()}
     )
-    total = graded
-    term = graded
-    k = 1
     denom = 2 * units.hbar * units.omega
+    series = _heat_series(
+        graded, lambda term, k: act_free("H", term, units).scale(1.0 / (denom * k)))
+    return WaveState(series, exp_zzbar=-units.gauss, units=units)
+
+
+def _heat_series(graded: ZPolynomial, step) -> ZPolynomial:
+    """e^X graded = sum_k term_k, term_0 = graded, term_k = step(term_{k-1}, k) = X term_{k-1}/k,
+    summed until a term vanishes: X lowers the degree, as the free H of :func:`cbt_apply` and
+    the per-coordinate second derivatives of :func:`riaho.aniso.aniso_cbt_apply` do."""
+    total = term = graded
+    k = 1
     while not term.is_zero():
-        term = act_free("H", term, units).scale(1.0 / (denom * k))
+        term = step(term, k)
         total = total + term
         k += 1
-    return WaveState(total, exp_zzbar=-units.gauss, units=units)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +448,16 @@ def _quadrature_grid(a: WaveState, b: WaveState, order: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def inner_product(a: WaveState, b: WaveState, order: int = 40) -> complex:
+def inner_product(a: WaveState, b: WaveState) -> complex:
     """2D Gauss-Hermite quadrature of conj(a) * b.
 
     The combined envelope must decay; nodes are rescaled so the quadratic part matches the
     Gauss-Hermite weight exactly, and any residual linear exponent rides along as part of the
-    integrand.  A sum past the float range, or an order that is not an int >= 1, raises ValueError.
+    integrand.  The order max(40, (deg a + deg b)//2 + 1) integrates the prefactors' product
+    exactly.  A sum past the float range raises ValueError.
     """
-    z, zb, weight, lam = _quadrature_grid(a, b, require_int(order, "order", 1))
+    order = max(40, (a.prefactor.degree() + b.prefactor.degree()) // 2 + 1)
+    z, zb, weight, lam = _quadrature_grid(a, b, order)
     # polynomial parts and the leftover (linear + constant) exponent
     pa = np.conj(a.prefactor.at(z, zb))
     pb = b.prefactor.at(z, zb)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .phasealg.catalog import GENERATOR_NAMES, generator
-from .phasealg.exact import require_int, require_real
+from .phasealg.exact import require_int, require_real, to_float
 from .phasealg.poly import Params
 from .reports import CheckRow, VerificationReport
 
@@ -141,55 +141,50 @@ def state_from_params(params: TrajectoryParams, t: float = 0.0,
     return PhaseState(float(z.real), float(z.imag), *map(float, _momenta(params, z, zdot, m)))
 
 
-def hamiltonian_flow_rhs(state, coupling, omega: float, m: float = 1.0):
-    """Hamilton's equations of H_g as a flat 4-vector derivative.
+# S of the canonical form: S A y is the gradient of H_g when A y is its flow
+_SYMPLECTIC = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
 
-    Accepts a PhaseState or any length-4 sequence; returns ndarray
-    (dx1, dx2, dp1, dp2).  ``omega`` and ``m`` must be positive finite reals
-    (ValueError otherwise).
-    """
+
+def _generator(coupling, omega: float, m: float) -> np.ndarray:
+    """The 4x4 matrix A of Hamilton's equations y' = A y, y = (x1, x2, p1, p2), of
+    H_g = s*H_osc + c*omega*p_phi with s = (ell1 + ell2)/2 and c = (ell1 - ell2)/2 taken
+    exactly from the coupling: (1, g) at finite g, (0, +-1) in the |g| -> inf limit.
+    ``omega`` and ``m`` must be positive finite reals, and c and m*omega^2 floats."""
     c = Coupling.coerce(coupling)
     omega, m = require_real(omega, "omega", positive=True), require_real(m, "m", positive=True)
-    if isinstance(state, PhaseState):
-        state = state.as_array()
-    x1, x2, p1, p2 = np.asarray(state, dtype=float)
-    if c.isotropic_mink:
-        # H = eps*w*p_phi: pure rotation of both x and p
-        eps = 1.0 if c.g >= 0 else -1.0
-        ew = eps * omega
-        return np.array([-ew * x2, ew * x1, -ew * p2, ew * p1])
-    g = c.as_float()
-    return np.array([
-        p1 / m - g * omega * x2,
-        p2 / m + g * omega * x1,
-        -m * omega ** 2 * x1 - g * omega * p2,
-        -m * omega ** 2 * x2 + g * omega * p1,
-    ])
+    s = float((c.ell1 + c.ell2) / 2)  # 1, or 0 in the |g| -> inf limit
+    rot = to_float((c.ell1 - c.ell2) / 2, "coupling g") * omega
+    try:
+        spring = s * m * omega ** 2
+    except OverflowError:
+        raise ValueError(f"m*omega^2 at omega {omega!r} leaves the float range") from None
+    return np.array([[0.0, -rot, s / m, 0.0], [rot, 0.0, 0.0, s / m],
+                     [-spring, 0.0, 0.0, -rot], [0.0, -spring, rot, 0.0]])
+
+
+def _state_vector(state) -> np.ndarray:
+    return state.as_array() if isinstance(state, PhaseState) else np.asarray(state, dtype=float)
+
+
+def hamiltonian_flow_rhs(state, coupling, omega: float, m: float = 1.0):
+    """Hamilton's equations of H_g as the 4-vector A y = (dx1, dx2, dp1, dp2) at a PhaseState
+    or length-4 sequence y; ``omega`` and ``m`` must be positive finite reals (ValueError
+    otherwise)."""
+    return _generator(coupling, omega, m) @ _state_vector(state)
 
 
 def hamiltonian_value(state, coupling, omega: float, m: float = 1.0) -> float:
-    """H_g at a PhaseState or length-4 sequence; ``omega`` and ``m`` as in
-    :func:`hamiltonian_flow_rhs`."""
-    c = Coupling.coerce(coupling)
-    omega, m = require_real(omega, "omega", positive=True), require_real(m, "m", positive=True)
-    if isinstance(state, PhaseState):
-        state = state.as_array()
-    x1, x2, p1, p2 = np.asarray(state, dtype=float)
-    if c.isotropic_mink:
-        eps = 1.0 if c.g >= 0 else -1.0
-        return eps * omega * (x1 * p2 - x2 * p1)
-    g = c.as_float()
-    return ((p1 ** 2 + p2 ** 2) / (2 * m)
-            + m * omega ** 2 * (x1 ** 2 + x2 ** 2) / 2
-            + g * omega * (x1 * p2 - x2 * p1))
+    """H_g = y.(S A y)/2 at a PhaseState or length-4 sequence y, S = [[0, -I], [I, 0]];
+    ``omega`` and ``m`` as in :func:`hamiltonian_flow_rhs`."""
+    y = _state_vector(state)
+    return float(y @ _SYMPLECTIC @ _generator(coupling, omega, m) @ y) / 2
 
 
 def _rk4_step_matrix(coupling: Coupling, omega: float, h: float, m: float) -> np.ndarray:
     """One classical RK4 step of y' = A y as the matrix
-    P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, with A read off
-    :func:`hamiltonian_flow_rhs` column by column."""
+    P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, A from :func:`_generator`."""
     eye = np.eye(4)
-    hA = h * np.column_stack([hamiltonian_flow_rhs(e, coupling, omega, m) for e in eye])
+    hA = h * _generator(coupling, omega, m)
     return eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4) / 3) / 2)
 
 
@@ -217,7 +212,7 @@ def integrate_many(problems, steps: int = 4096, m: float = 1.0) -> list:
     times = []
     for i, (state0, coupling, omega, T) in enumerate(problems):
         T, omega = require_real(T, "T"), require_real(omega, "omega", positive=True)
-        out[0, i] = state0.as_array() if isinstance(state0, PhaseState) else state0
+        out[0, i] = _state_vector(state0)
         step[i] = _rk4_step_matrix(Coupling.coerce(coupling), omega, T / steps, m)
         times.append(np.linspace(0.0, T, steps + 1))
     for n in range(steps):

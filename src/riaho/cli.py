@@ -491,7 +491,7 @@ def cmd_eigenstate(args, config: RunConfig) -> int:
     x1, x2 = _square_grid(args)
     units = config.units
     psi = bridge.eigenstate(args.n1, args.n2, units)
-    norm = bridge.inner_product(psi, psi, order=max(40, args.n1 + args.n2 + 1)).real
+    norm = bridge.inner_product(psi, psi).real
     if not abs(norm - 1.0) <= config.tol_quad:  # the prefactor cancels at the outer nodes
         raise ConfigError(f"eigenstate norm {norm!r} is off from 1 by more than tol_quad")
     with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples

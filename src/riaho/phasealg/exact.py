@@ -57,7 +57,7 @@ def _as_fraction(value, name: str) -> Fraction:
 
 
 def _shown(value) -> str:
-    """A rejected value as the argument rules print it: a Fraction in its str form
+    """A rejected value as the real and complex rules print it: a Fraction in its str form
     (-1/2, as typed on the command line), anything else by repr, so a str keeps its quotes."""
     return str(value) if isinstance(value, Fraction) else repr(value)
 
@@ -115,13 +115,14 @@ def require_int(value, name: str, lo: int | None = 0, hi: int | None = None) -> 
     lo and hi None: any int).
 
     The one integer-argument rule for every count, size, mode and quantum number:
-    Python ints only.  A bool, float, string or numpy integer raises ValueError naming
-    ``name`` and the value, as does an int out of range; the CLI turns it into exit 2.
+    Python ints only.  A bool, float, string, Fraction or numpy integer raises ValueError
+    naming ``name`` and the value's repr (Fraction(2, 1), never a bare 2), as does an int out
+    of range; the CLI turns it into exit 2.
     """
     if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
         return value
     bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
-    raise ValueError(f"{name} {_shown(value)} is not an integer{bounds}")
+    raise ValueError(f"{name} {value!r} is not an integer{bounds}")
 
 
 def rational_sqrt(q: Fraction):

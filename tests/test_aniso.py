@@ -478,14 +478,6 @@ class TestSo11Invariant:
             so11_invariant_check(-1.0)
 
 
-def _series_bridge_poly(n, units):
-    """The per-mode bridge polynomial as read from bridge.inverse_weierstrass(n).series."""
-    lam_sq = units.length_sq / 2
-    pref = 2.0**0.25 * 2.0 ** (n / 2.0)
-    return {p: pref * float(c) * lam_sq ** ((n - p) / 2.0)
-            for p, c in bridge.inverse_weierstrass(n).series.items()}
-
-
 def _series_eigen_poly(n, units):
     """The per-mode eigenfunction polynomial as read from inverse_weierstrass(n).series."""
     lam_sq = units.length_sq / 2
@@ -499,34 +491,74 @@ def _term_bits(state):
 
 
 class TestHermiteRowCoefficients:
-    """The bridge coefficients h / 2^n from hermite_rows equal the old .series read bit for bit."""
+    """The bridge's heat series against the exact inverse-Weierstrass series, and the
+    eigenfunction coefficients h / 2^n from hermite_rows against the .series read bit for bit."""
 
     UNITS = [(1.0, 1.0), (0.7, 1.9)]
     PAIRS = [FrequencyPair(1, Fraction(3, 2)), FrequencyPair(0.8, 2.3)]
 
     @pytest.mark.parametrize("m, hbar", UNITS)
     @pytest.mark.parametrize("freq", PAIRS, ids=["exact", "float"])
-    def test_per_mode_polynomials(self, freq, m, hbar):
-        for w in freq.float_omegas():
-            units = bridge.Units(m, w, hbar)
-            for n in range(31):
-                for new, old in ((aniso._mode_bridge_poly, _series_bridge_poly),
-                                 (aniso._mode_eigen_poly, _series_eigen_poly)):
-                    got, want = new(n, units), old(n, units)
-                    assert [(p, repr(c)) for p, c in got.items()] == \
-                        [(p, repr(c)) for p, c in want.items()], (n, new.__name__)
+    def test_bridge_matches_the_exact_series(self, freq, m, hbar):
+        # 2^((n1+n2+1)/2) prod_i [eta^p_i] e^{-(1/4) d^2} eta^n_i lam_i^(n_i - p_i)
+        lam_sq = [bridge.Units(m, w, hbar).length_sq / 2 for w in freq.float_omegas()]
+        for n1 in range(31):
+            n2 = 30 - n1
+            series = [bridge.inverse_weierstrass(n).series for n in (n1, n2)]
+            want = {(p1, p2): 2.0 ** 15.5 * float(c1) * lam_sq[0] ** ((n1 - p1) / 2)
+                    * float(c2) * lam_sq[1] ** ((n2 - p2) / 2)
+                    for p1, c1 in series[0].items() for p2, c2 in series[1].items()}
+            got = aniso_cbt_apply((n1, n2), freq, m, hbar).poly.terms
+            assert got.keys() == want.keys()
+            assert max(abs(got[key] / want[key] - 1) for key in want) <= 1e-14, n1
 
     @pytest.mark.parametrize("m, hbar", UNITS)
     @pytest.mark.parametrize("freq", PAIRS, ids=["exact", "float"])
-    def test_states_are_bit_identical(self, monkeypatch, freq, m, hbar):
+    def test_per_mode_eigen_polynomials(self, freq, m, hbar):
+        for w in freq.float_omegas():
+            units = bridge.Units(m, w, hbar)
+            for n in range(31):
+                got, want = aniso._mode_eigen_poly(n, units), _series_eigen_poly(n, units)
+                assert [(p, repr(c)) for p, c in got.items()] == \
+                    [(p, repr(c)) for p, c in want.items()], n
+
+    @pytest.mark.parametrize("m, hbar", UNITS)
+    @pytest.mark.parametrize("freq", PAIRS, ids=["exact", "float"])
+    def test_eigenstates_are_bit_identical(self, monkeypatch, freq, m, hbar):
         pairs = [(n, 30 - n) for n in range(31)]
-        got = [(_term_bits(aniso_cbt_apply(pair, freq, m, hbar)),
-                _term_bits(hermite_eigenstate(*pair, freq, m, hbar))) for pair in pairs]
-        monkeypatch.setattr(aniso, "_mode_bridge_poly", _series_bridge_poly)
+        got = [_term_bits(hermite_eigenstate(*pair, freq, m, hbar)) for pair in pairs]
         monkeypatch.setattr(aniso, "_mode_eigen_poly", _series_eigen_poly)
-        want = [(_term_bits(aniso_cbt_apply(pair, freq, m, hbar)),
-                 _term_bits(hermite_eigenstate(*pair, freq, m, hbar))) for pair in pairs]
+        want = [_term_bits(hermite_eigenstate(*pair, freq, m, hbar)) for pair in pairs]
         assert got == want
+
+
+class TestBridgeOraclesSeeMutants:
+    """Each bridge and its eigenfunction oracle are built apart, so a fault on one side fails."""
+
+    F12 = FrequencyPair(1, 2, 2, 1)
+
+    def test_scaled_eigen_hermite_row_fails(self, monkeypatch):
+        # the bridge read these rows too, so both sides moved together and the check passed
+        real = aniso.hermite_rows
+
+        def scaled(n):
+            for row in real(n):
+                yield tuple(1.3 * c if p < len(row) - 1 else c for p, c in enumerate(row))
+
+        monkeypatch.setattr(aniso, "hermite_rows", scaled)
+        assert not aniso_proportionality(2, 1, self.F12).passed
+
+    def test_perturbed_heat_series_step_fails_both_bridges(self, monkeypatch):
+        assert aniso._heat_series is bridge._heat_series  # one kernel for both bridges
+        real = bridge._heat_series
+
+        def perturbed(graded, step):
+            return real(graded, lambda term, k: step(term, k).scale(1.3))
+
+        for module in (bridge, aniso):
+            monkeypatch.setattr(module, "_heat_series", perturbed)
+        assert not bridge.verify_bridge_proportionality(2, 1).passed
+        assert not aniso_proportionality(2, 1, self.F12).passed
 
 
 class TestAnisoBridge:

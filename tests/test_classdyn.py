@@ -83,6 +83,14 @@ class TestFlowField:
         rhs = hamiltonian_flow_rhs(PhaseState(0, 0, 0, 0), "1/2", 1.0)
         assert np.all(rhs == 0)
 
+    @pytest.mark.parametrize("call", [hamiltonian_flow_rhs, hamiltonian_value,
+                                      lambda s, c, w: integrate(s, c, w, 1.0, steps=1)],
+                             ids=["flow_rhs", "hamiltonian_value", "integrate"])
+    def test_omega_squared_past_the_float_range_raises(self, call):
+        # m*omega^2 = 1e400 raised OverflowError from the float power
+        with pytest.raises(ValueError, match="m\\*omega\\^2 .* leaves the float range"):
+            call([1.0, 0.0, 0.0, 1.0], "1/2", 1e200)
+
     def test_isotropic_field(self):
         rhs = hamiltonian_flow_rhs(PhaseState(1.0, 0.0, 0.0, 2.0), "0", 1.0)
         assert np.allclose(rhs, [0.0, 2.0, -1.0, 0.0])

@@ -261,7 +261,7 @@ def test_require_int_returns_an_int_in_range(value, lo, hi):
     (2.0, 0, None, "cutoff 2.0 is not an integer >= 0"),
     ("2", 0, None, "cutoff '2' is not an integer >= 0"),
     (None, 0, None, "cutoff None is not an integer >= 0"),
-    (F(2), 0, None, "cutoff 2 is not an integer >= 0"),  # a Fraction prints in its str form
+    (F(2), 0, None, "cutoff Fraction(2, 1) is not an integer >= 0"),  # not a bare 2
     (np.int64(2), 0, None, f"cutoff {np.int64(2)!r} is not an integer >= 0"),
 ])
 def test_require_int_names_the_argument_and_the_value(value, lo, hi, message):

@@ -75,8 +75,6 @@ ENTRY_POINTS = [
     ("bridge.eigenstate:n1", "n1", lambda v: br.eigenstate(v, 0), 1, 0, None),
     ("bridge.eigenstate:n2", "n2", lambda v: br.eigenstate(0, v), 1, 0, None),
     ("bridge.overlap_matrix:nmax", "nmax", br.overlap_matrix, 1, 0, None),
-    ("bridge.inner_product:order", "order", lambda v: br.inner_product(PSI, PSI, order=v),
-     4, 1, None),
     ("bridge.verify_bridge_proportionality:n1", "n1",
      lambda v: br.verify_bridge_proportionality(v, 0), 1, 0, None),
     ("bridge.verify_bridge_proportionality:n2", "n2",

@@ -306,8 +306,9 @@ def test_converted_complex_values():
     # a Fraction printed as Fraction(-1, 2) and Fraction(0, 1)
     (lambda v: require_real(v, "m", True), F(-1, 2), "m -1/2 is not a positive finite real"),
     (lambda v: require_real(v, "omega", True), F(0), "omega 0 is not a positive finite real"),
-    (lambda v: require_int(v, "n"), F(1, 2), "n 1/2 is not an integer >= 0"),
-    (lambda v: require_int(v, "n", 1, 3), F(4), "n 4 is not an integer in 1..3"),
+    # the integer rule prints a Fraction by repr: "n 4 is not an integer" contradicts itself
+    (lambda v: require_int(v, "n"), F(1, 2), "n Fraction(1, 2) is not an integer >= 0"),
+    (lambda v: require_int(v, "n", 1, 3), F(4), "n Fraction(4, 1) is not an integer in 1..3"),
     # anything else keeps its repr, a str its quotes
     (lambda v: coerce_real(v, "x"), "1/2", "x '1/2' is not a finite real"),
     (lambda v: require_int(v, "n"), 2.0, "n 2.0 is not an integer >= 0"),
