@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -149,7 +148,8 @@ def _generator(coupling, omega: float, m: float) -> np.ndarray:
     """The 4x4 matrix A of Hamilton's equations y' = A y, y = (x1, x2, p1, p2), of
     H_g = s*H_osc + c*omega*p_phi with s = (ell1 + ell2)/2 and c = (ell1 - ell2)/2 taken
     exactly from the coupling: (1, g) at finite g, (0, +-1) in the |g| -> inf limit.
-    ``omega`` and ``m`` must be positive finite reals, and c and m*omega^2 floats."""
+    ``omega`` and ``m`` must be positive finite reals, and c, m*omega^2 and every entry of A
+    floats; an entry past the float range (c*omega or s/m) raises ValueError."""
     c = Coupling.coerce(coupling)
     omega, m = require_real(omega, "omega", positive=True), require_real(m, "m", positive=True)
     s = float((c.ell1 + c.ell2) / 2)  # 1, or 0 in the |g| -> inf limit
@@ -158,8 +158,11 @@ def _generator(coupling, omega: float, m: float) -> np.ndarray:
         spring = s * m * omega ** 2
     except OverflowError:
         raise ValueError(f"m*omega^2 at omega {omega!r} leaves the float range") from None
-    return np.array([[0.0, -rot, s / m, 0.0], [rot, 0.0, 0.0, s / m],
-                     [-spring, 0.0, 0.0, -rot], [0.0, -spring, rot, 0.0]])
+    a = np.array([[0.0, -rot, s / m, 0.0], [rot, 0.0, 0.0, s / m],
+                  [-spring, 0.0, 0.0, -rot], [0.0, -spring, rot, 0.0]])
+    if not np.isfinite(a).all():
+        raise ValueError(f"g*omega or 1/m at omega {omega!r}, m {m!r} leaves the float range")
+    return a
 
 
 def _state_vector(state) -> np.ndarray:
@@ -229,24 +232,18 @@ def integrate(state0, coupling, omega: float, T: float, steps: int = 4096,
     return integrate_many([(state0, coupling, omega, T)], steps, m)[0]
 
 
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(gcd(a.numerator, b.numerator),
-                    (a.denominator * b.denominator)
-                    // gcd(a.denominator, b.denominator))
-
-
 def closure_turns(coupling) -> Fraction:
     """Closure period in units of 2*pi/omega, as an exact rational.
 
-    Smallest T with w*ell_i*T in 2*pi*Z for every nonzero ell_i; the
-    frozen mode of the |g| = 1 case only shifts the center and is skipped.
+    Smallest T with w*ell_i*T in 2*pi*Z for every nonzero ell_i: s2/|ell1| from the
+    coprime mode orders (s1*ell1 = +-s2*ell2), or 1/2 at |g| = 1, where the frozen
+    mode only shifts the center.
     """
     c = Coupling.coerce(coupling)
-    ells = [abs(l) for l in (c.ell1, c.ell2) if l != 0]
-    f = ells[0]
-    for l in ells[1:]:
-        f = _fraction_gcd(f, l)
-    return 1 / f
+    orders = c.mode_orders
+    if orders is None:
+        return Fraction(1, 2)
+    return orders[1] / abs(c.ell1)
 
 
 def closure_period(coupling, omega: float = 1.0) -> float:

@@ -15,8 +15,9 @@ Orientation: with p_phi = x1 p2 - x2 p1, the g returned gives H_g exactly
 for (p - qA/c)^2/2m + m*Lambda*r^2/2 in the gauge qA/c = m*omegaB*(x2, -x1)
 (field along -z for q*omegaB > 0) and for H_osc + Omega*p_phi (frame turning
 clockwise for Omega > 0); the textbook gauge m*omegaB*(-x2, x1) and
-H_osc - Omega*p_phi give H_{-g}.  The exact check needs m*omega to be a
-rational square or twice one: (k, m, Omega) = (9, 4, 2) is out of reach.
+H_osc - Omega*p_phi give H_{-g}.  Both Hamiltonians are quadratic, so the
+exact check in the circular basis holds at any rational (m, omega), as at
+(k, m, Omega) = (9, 4, 2), where m*omega = 6.
 
 The boundary Lambda = -omegaB^2 is the critical (free-in-rotating-frame)
 case and Lambda < -omegaB^2 is supercritical; both are classification-only

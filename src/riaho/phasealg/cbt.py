@@ -8,7 +8,7 @@ acting on time-independent canonical polynomials.  Each factor is exact:
 
 * T_D0(-ln 2) is the grading rescale x -> sqrt2*x, p -> p/sqrt2, i.e. a
   monomial of x-degree a and p-degree b picks up 2^((a-b)/2), an element
-  of Q[sqrt2].
+  of Q[sqrt2]: the dilation that also changes units in ``to_basis``.
 * T_H(delta) f = sum_k delta^k/k! {H, .}^k f with H = p^2/2m; the bracket
   lowers total x-degree so the series terminates on polynomials.
 * T_K0(beta) likewise with K0 = m x^2/2, lowering p-degree.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import ExactComplex
-from .poly import CANONICAL, Params, PhasePoly, poisson_bracket
+from .poly import CANONICAL, Params, PhasePoly, _dilate, poisson_bracket
 
 __all__ = [
     "free_hamiltonian", "conformal_k0", "dilation_id0",
@@ -58,18 +58,11 @@ def dilation_id0(params=None) -> PhasePoly:
 
 
 def grading_rescale(a: PhasePoly) -> PhasePoly:
-    """T_D0(-ln 2): multiply each monomial by 2^((xdeg - pdeg)/2)."""
+    """T_D0(-ln 2): the dilation x -> sqrt2*x, p -> p/sqrt2, so each monomial
+    gains 2^((xdeg - pdeg)/2); the same map as a change of units (:func:`_dilate`)."""
     if a.basis != CANONICAL:
         raise ValueError("grading rescale is defined on the canonical basis")
-    out = {}
-    for key, coeff in a.terms.items():
-        diff = key[0] + key[1] - key[2] - key[3]
-        half, odd = divmod(diff, 2)
-        factor = ExactComplex(Fraction(2) ** half)
-        if odd:
-            factor = factor * ExactComplex.sqrt2()
-        out[key] = coeff * factor
-    return PhasePoly(a.basis, out, a.params)
+    return _dilate(a, 2)
 
 
 def generator_flow(a: PhasePoly, gen: PhasePoly, param: ExactComplex) -> PhasePoly:

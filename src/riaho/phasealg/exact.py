@@ -3,10 +3,11 @@
 Coefficients of phase-space polynomials live in the ring of complex numbers
 A + B*sqrt2 with A, B Gaussian rationals.  This is the smallest ring closed
 under every operation the symmetry-algebra engine performs: Poisson brackets
-keep coefficients Gaussian rational, the circular<->canonical mode conversion
-introduces d = sqrt(m*omega)/2 (rational, or rational*sqrt2, for the unit
-systems supported), and the grading flow of the conformal bridge introduces
-half-integer powers of 2.
+keep coefficients Gaussian rational, and the one dilation x -> lam x,
+p -> p/lam behind both the change of units (lam^2 = m*omega) and the grading
+flow of the conformal bridge (lam^2 = 2) scales x^a p^b by lam^(a-b), which
+leaves the ring only for odd a - b when lam^2 is neither a rational square
+nor twice one.
 
 That ring is the 8th cyclotomic field Q(zeta): zeta^4 = -1, i = zeta^2 and
 sqrt2 = zeta - zeta^3.  zeta is the e^{+-i pi/4} phase that the

@@ -19,18 +19,14 @@ so "A is an integral" is the exact statement ``total_time_derivative(A, H)
 Brackets are generated by {x_i, p_j} = delta_ij, equivalently
 {b_i^-, b_j^+} = -i delta_ij, and extended as a biderivation, in one pass
 over term pairs on integer numerators (:func:`poisson_bracket`).  Basis
-conversion uses d = sqrt(m*omega)/2 and is exact for unit systems in which
-m*omega is a rational square or twice one (the default m = omega = 1 in
-particular).
-
-The conversion is four pair transforms.  With q = 1/(4d), w = x1 + i x2 and
-pi = p1 + i p2: w = 2q (b1+ + b2-), pi = 2id (b1+ - b2-), wbar = 2q (b1- + b2+)
-and pibar = 2id (b2+ - b1-), so canonical -> circular maps (x1, x2) -> (w, wbar),
-(p1, p2) -> (pi, pibar), (w, pi) -> (b1+, b2-), (wbar, pibar) -> (b2+, b1-), and
-the inverse maps (b1+, b2-) -> (d w, iq pi), (b1-, b2+) -> (d wbar, iq pibar),
-then those to (x1, x2) and (p1, p2).  Each step expands (s + t)^a (s - t)^b
-with the integer rows of :func:`krawtchouk_rows`, summing integer numerators
-and reducing each output coefficient once.
+conversion is four pair transforms at unit scale, m*omega = 1: with
+w = x1 + i x2 and pi = p1 + i p2, w = b1+ + b2-, pi = i (b1+ - b2-),
+wbar = b1- + b2+ and pibar = i (b2+ - b1-).  Each step expands
+(s + t)^a (s - t)^b with the integer rows of :func:`krawtchouk_rows`, summing
+integer numerators and reducing each output coefficient once.  The units enter as
+one dilation x -> sqrt(m*omega) x, p -> p/sqrt(m*omega) (:func:`_dilate`, also the
+bridge's T_D0): a term of even total degree converts at any rational (m, omega),
+one of odd degree needs m*omega to be a rational square or twice one.
 """
 from __future__ import annotations
 
@@ -107,20 +103,6 @@ class Params:
             return value
         m, omega = value
         return cls(m, omega)
-
-    def conversion_factor(self) -> ExactComplex:
-        """d = sqrt(m*omega)/2 as a ring element.
-
-        Exact when m*omega is q^2 or 2*q^2 for rational q; raises otherwise
-        since the conversion would leave the coefficient ring.
-        """
-        mw = self.m * self.omega
-        root = ring_sqrt(mw)
-        if root is not None:
-            return root * Fraction(1, 2)
-        raise ValueError(
-            f"m*omega = {mw} is neither a rational square nor twice one; "
-            "exact mode conversion is unavailable for these units")
 
 
 class PhasePoly:
@@ -286,37 +268,28 @@ class PhasePoly:
     def to_basis(self, basis: str) -> "PhasePoly":
         """The same polynomial in the other variable set, by four pair steps.
 
-        Canonical -> circular: x1 = (w + wbar)/2, x2 = -i/2 (w - wbar), the same
-        for (p1, p2) -> (pi, pibar); then w = 2q (b1+ + b2-), pi = 2id (b1+ - b2-),
-        wbar = 2q (b2+ + b1-), pibar = 2id (b2+ - b1-), with q = 1/(4d).
-        Circular -> canonical, with S = d w and T = iq pi: b2- = S + T, b1+ = S - T,
-        b1- = Sbar + Tbar, b2+ = Sbar - Tbar; then S, Sbar = d (x1 +- i x2) and
-        T, Tbar = iq (p1 +- i p2).  Units outside the ring raise ValueError.
+        The steps run at m*omega = 1 (``_TO_CIRCULAR``, ``_TO_CANONICAL``):
+        x1 = (w + wbar)/2, x2 = -i/2 (w - wbar), likewise (p1, p2) -> (pi, pibar), then
+        w = b1+ + b2-, pi = i (b1+ - b2-), wbar = b2+ + b1-, pibar = i (b2+ - b1-); back,
+        b2-, b1+ = S +- T and b1-, b2+ = Sbar +- Tbar with S, Sbar = (x1 +- i x2)/2 and
+        T, Tbar = i (p1 +- i p2)/2.  The units are one dilation on the canonical side
+        (:func:`_dilate`, lam^2 = 1/(m*omega) before the steps, m*omega after); an
+        odd-degree term it takes out of the ring raises ValueError naming it.
         """
         if basis == self.basis:
             return self
         if basis not in _VARS:
             raise ValueError(f"unknown basis {basis!r}")
-        d = self.params.conversion_factor()
-        # _pair_step arguments (i, j, s_slot, t_slot, alpha, beta, phase)
-        if basis == CIRCULAR:  # x1 x2 p1 p2 -> w wbar pibar pi -> b1+ b1- b2+ b2-
-            half, neg_half_i = ExactComplex.coerce(_HALF), -_I * _HALF
-            q2, id2 = d.inverse() * _HALF, _I * d * 2
-            steps = ((0, 1, 0, 1, half, neg_half_i, False), (2, 3, 3, 2, half, neg_half_i, False),
-                     (0, 3, 0, 3, q2, id2, False), (1, 2, 2, 1, q2, id2, False))
-        else:  # b1+ b1- b2+ b2- -> S Sbar Tbar T -> x1 x2 p1 p2
-            one, iq = ExactComplex.ONE, _I * d.inverse() * Fraction(1, 4)
-            steps = ((3, 0, 0, 3, one, one, False), (1, 2, 1, 2, one, one, False),
-                     (0, 1, 0, 1, d, d, True), (3, 2, 2, 3, iq, iq, True))
+        mw, to_circular = self.params.m * self.params.omega, basis == CIRCULAR
         by_mu: dict = {}  # the steps run on exponent-only keys, one time tag at a time
-        for key, coeff in self.terms.items():
+        for key, coeff in _dilate(self, 1 / mw if to_circular else 1).terms.items():
             by_mu.setdefault(key[4], {})[key[:4]] = coeff
         out = {}
         for mu, terms in by_mu.items():
-            for step in steps:
+            for step in _TO_CIRCULAR if to_circular else _TO_CANONICAL:
                 terms = _pair_step(terms, *step)
             out.update({(*e, mu): c for e, c in terms.items()})
-        return _make(basis, out, self.params)
+        return _dilate(_make(basis, out, self.params), 1 if to_circular else mw)
 
     # -- numerics ------------------------------------------------------------
     def evaluate(self, point: dict, t: float = 0.0) -> complex:
@@ -428,6 +401,40 @@ def _pair_step(terms: dict, i: int, j: int, s_slot: int, t_slot: int,
             e[s_slot], e[t_slot] = n - m, m
             _accumulate(sums, tuple(e), kernel, turns[m & 3])
     return _drop_zeros({key: _element(*acc, d) for key, acc in sums.items()})
+
+
+# _pair_step arguments (i, j, s_slot, t_slot, alpha, beta, phase) at m*omega = 1
+_ONE, _HALF_C, _HALF_I = ExactComplex.ONE, ExactComplex(_HALF), ExactComplex(0, _HALF)
+_TO_CIRCULAR = (  # x1 x2 p1 p2 -> w wbar pibar pi -> b1+ b1- b2+ b2-
+    (0, 1, 0, 1, _HALF_C, -_HALF_I, False), (2, 3, 3, 2, _HALF_C, -_HALF_I, False),
+    (0, 3, 0, 3, _ONE, _I, False), (1, 2, 2, 1, _ONE, _I, False))
+_TO_CANONICAL = (  # b1+ b1- b2+ b2- -> S Sbar Tbar T -> x1 x2 p1 p2
+    (3, 0, 0, 3, _ONE, _ONE, False), (1, 2, 1, 2, _ONE, _ONE, False),
+    (0, 1, 0, 1, _HALF_C, _HALF_C, True), (3, 2, 2, 3, _HALF_I, _HALF_I, True))
+
+
+def _dilate(a: PhasePoly, lam_sq) -> PhasePoly:
+    """x -> lam x, p -> p/lam on a canonical polynomial, lam^2 = lam_sq rational > 0: a
+    term x^a p^b gains lam^(a-b).  It is the change of units (lam^2 = m*omega or its
+    inverse) and the bridge's T_D0(-ln 2) (lam^2 = 2).  lam (:func:`ring_sqrt`) is
+    needed only for odd a - b; a term that needs it outside Q(zeta) raises ValueError."""
+    lam_sq = Fraction(lam_sq)
+    if lam_sq == 1:
+        return a
+    factors, out = {}, {}
+    for key, coeff in a.terms.items():
+        k = key[0] + key[1] - key[2] - key[3]
+        if k not in factors:
+            factors[k] = ExactComplex(lam_sq ** (k // 2))
+            if k % 2:
+                root = ring_sqrt(lam_sq)
+                if root is None:
+                    raise ValueError(f"term {_make(a.basis, {key: coeff}, a.params)} scales by "
+                                     f"sqrt({lam_sq})^{k}, which leaves Q(zeta): {lam_sq} is "
+                                     "neither a rational square nor twice one")
+                factors[k] = factors[k] * root
+        out[key] = coeff * factors[k]
+    return _make(a.basis, out, a.params)
 
 
 # per basis, the slot pairs (u, v) of the bracket {A,B} = sum dA/du dB/dv - dA/dv dB/du

@@ -91,6 +91,18 @@ class TestFlowField:
         with pytest.raises(ValueError, match="m\\*omega\\^2 .* leaves the float range"):
             call([1.0, 0.0, 0.0, 1.0], "1/2", 1e200)
 
+    @pytest.mark.parametrize("call", [hamiltonian_flow_rhs, hamiltonian_value,
+                                      lambda s, c, w, m: integrate(s, c, w, 1.0, steps=1, m=m)],
+                             ids=["flow_rhs", "hamiltonian_value", "integrate"])
+    @pytest.mark.parametrize("coupling, omega, m", [
+        (Coupling(10**300), 1e10, 1.0),  # g*omega = 1e310 was inf, then nan in A y
+        ("1/2", 1.0, 1e-310),            # 1/m = 1e310 was inf the same silent way
+    ], ids=["g_omega", "inverse_mass"])
+    def test_generator_entry_past_the_float_range_raises(self, call, coupling, omega, m):
+        with np.errstate(all="raise"):  # raised before any numpy product is formed
+            with pytest.raises(ValueError, match="leaves the float range"):
+                call([1.0, 0.0, 0.0, 1.0], coupling, omega, m)
+
     def test_isotropic_field(self):
         rhs = hamiltonian_flow_rhs(PhaseState(1.0, 0.0, 0.0, 2.0), "0", 1.0)
         assert np.allclose(rhs, [0.0, 2.0, -1.0, 0.0])
@@ -303,6 +315,23 @@ class TestClosure:
     def test_isotropic_mink_period(self):
         c = Coupling(F(1), isotropic_mink=True)
         assert math.isclose(closure_period(c, 1.0), 2 * math.pi)
+
+    @staticmethod
+    def _gcd_turns(c: Coupling) -> F:
+        """Oracle: 1/gcd of the nonzero |ell_i|, the gcd of two rationals taken as
+        gcd of the numerators over lcm of the denominators."""
+        ells = [abs(l) for l in (c.ell1, c.ell2) if l != 0]
+        f = ells[0]
+        for l in ells[1:]:
+            f = F(math.gcd(f.numerator, l.numerator), math.lcm(f.denominator, l.denominator))
+        return 1 / f
+
+    def test_mode_orders_rule_matches_the_gcd_of_the_weights(self):
+        couplings = [Coupling(F(p, q)) for p in range(-30, 31) for q in range(1, 13)]
+        couplings += [Coupling(F(1), isotropic_mink=True), Coupling(F(-1), isotropic_mink=True)]
+        assert len(couplings) == 732 + 2
+        for c in couplings:
+            assert closure_turns(c) == self._gcd_turns(c), c
 
     @pytest.mark.parametrize("label,params", ORBIT_GALLERY + CUSP_GALLERY)
     def test_orbit_returns_after_closure(self, label, params):

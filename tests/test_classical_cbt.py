@@ -13,8 +13,9 @@ def circ(poly):
     return poly.to_basis(CIRCULAR)
 
 
+# the last two have m*omega = 6 and 3/5: the quadratic triple converts at any rational units
 @pytest.mark.parametrize("m,w", [(F(1), F(1)), (F(1), F(4)), (F(2), F(1)),
-                                 (F(1), F(2))])
+                                 (F(1), F(2)), (F(4), F(3, 2)), (F(3, 5), F(1))])
 class TestBridgeTriple:
     def test_free_hamiltonian_maps_to_lowering_pair(self, m, w):
         params = Params(m, w)
@@ -42,6 +43,9 @@ def test_grading_rescale_scales_by_half_degree_difference():
     assert grading_rescale(p1) == s2.inverse() * p1
     assert grading_rescale(x1 * p1) == x1 * p1
     assert grading_rescale(x1 ** 2) == 2 * x1 ** 2
+    assert grading_rescale(p1 ** 3 * x1) == F(1, 2) * p1 ** 3 * x1
+    with pytest.raises(ValueError, match="canonical"):
+        grading_rescale(generator("J0", 0))
 
 
 def test_flow_is_exact_exponential_on_linear_generator():

@@ -321,6 +321,7 @@ class TestOrientation:
     @pytest.mark.parametrize("omega_b, lam", [
         (Fraction(3, 5), Fraction(16, 25)), (Fraction(-3, 5), Fraction(16, 25)),
         (Fraction(5, 4), Fraction(-9, 16)), (Fraction(1), Fraction(0)), (Fraction(-2), Fraction(0)),
+        (Fraction(1, 2), Fraction(2)),  # omega = m*omega = 3/2: neither a square nor twice one
     ])
     def test_magnetic_hamiltonian_is_h_g(self, omega_b, lam):
         # (p - qA/c)^2/2m + m Lambda r^2/2 at m = 1, qA/c = m omegaB (x2, -x1): field along -z
@@ -335,21 +336,25 @@ class TestOrientation:
         assert self._circular_equals(h_textbook, -res.g, params)
         assert not self._circular_equals(h_textbook, res.g, params)
 
-    @pytest.mark.parametrize("k, m, omega_cap", [(4, 1, 1), (1, 4, -1)])
-    def test_rotating_frame_hamiltonian_is_h_g(self, k, m, omega_cap):
+    def _assert_rotating_frame_is_h_g(self, k, m, omega_cap):
         # p^2/2m + k r^2/2 + Omega p_phi: a frame turning clockwise for Omega > 0
         res = rotating_frame_to_g(RotatingFrame(Fraction(k), Fraction(m), Fraction(omega_cap)))
         params = Params(m, res.omega)
         x1, x2, p1, p2 = self._canonical(params)
-        h_osc = Fraction(1, 2 * m) * (p1 * p1 + p2 * p2) + Fraction(k, 2) * (x1 * x1 + x2 * x2)
+        h_osc = Fraction(1, 2) / m * (p1 * p1 + p2 * p2) + Fraction(k, 2) * (x1 * x1 + x2 * x2)
         p_phi = x1 * p2 - x2 * p1
         assert self._circular_equals(h_osc + omega_cap * p_phi, res.g, params)
         assert self._circular_equals(h_osc - omega_cap * p_phi, -res.g, params)
 
-    def test_conversion_out_of_reach_raises(self):
-        # omega = 3/2 at m = 4: m*omega = 6 is neither a rational square nor twice one
-        res = rotating_frame_to_g(RotatingFrame(Fraction(9), Fraction(4), Fraction(2)))
-        params = Params(4, res.omega)
-        x1, _, p1, _ = self._canonical(params)
-        with pytest.raises(ValueError, match="m\\*omega = 6"):
-            (x1 * p1).to_basis(CIRCULAR)
+    # (9, 4, 2): omega = 3/2, so m*omega = 6 is neither a rational square nor twice one
+    @pytest.mark.parametrize("k, m, omega_cap", [(4, 1, 1), (1, 4, -1), (9, 4, 2)])
+    def test_rotating_frame_hamiltonian_is_h_g(self, k, m, omega_cap):
+        self._assert_rotating_frame_is_h_g(k, m, omega_cap)
+
+    @pytest.mark.parametrize("k", [Fraction(9), Fraction(2, 3), Fraction(5, 7)], ids=str)
+    @pytest.mark.parametrize("omega", [Fraction(3, 2), Fraction(2), Fraction(1, 3)], ids=str)
+    def test_rotating_frame_sweep(self, k, omega):
+        # m = k/omega^2, so k/m is the rational square omega^2; Omega spans both signs,
+        # the Euclidean and Minkowskian phases and both Landau boundaries g = +-1
+        for omega_cap in (-3 * omega, -omega, Fraction(-1, 5), Fraction(2, 7), omega, 4):
+            self._assert_rotating_frame_is_h_g(k, k / omega ** 2, omega_cap)

@@ -10,8 +10,9 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
 from riaho.phasealg import (CANONICAL, CIRCULAR, ExactComplex, Params,
-                            PhasePoly, poisson_bracket, reduce_to_cartan,
-                            total_time_derivative)
+                            PhasePoly, angular_momentum, hamiltonian, poisson_bracket,
+                            reduce_to_cartan, total_time_derivative)
+from riaho.phasealg.exact import ring_sqrt
 from riaho.phasealg.poly import krawtchouk_rows
 from test_phasealg_properties import canonical_polys, circular_polys
 
@@ -92,12 +93,67 @@ def test_conversion_round_trip(m, w):
 
 
 def test_conversion_unavailable_units():
-    # m*omega = 3: neither a rational square nor twice one
+    # m*omega = 3: neither a rational square nor twice one, so the odd-degree x1 has no image
     p = PhasePoly.variable("x1", CANONICAL, params=(F(3), F(1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="x1"):
         p.to_basis(CIRCULAR)
-    with pytest.raises(ValueError):
-        Params(3, 1).conversion_factor()
+
+
+# (m, omega) with m*omega = 6, 3/5 and 7/2: neither a rational square nor twice one
+OFF_RING_UNITS = [Params(4, F(3, 2)), Params(F(3, 5), 1), Params(7, F(1, 2))]
+
+
+def _even_poly(rng, basis, params):
+    """Four terms of even total degree <= 12, random exponents, coefficients and time tags."""
+    terms = {}
+    for _ in range(4):
+        e = [0, 0, 0, 0]
+        for _ in range(2 * rng.randint(0, 6)):
+            e[rng.randrange(4)] += 1
+        terms[(*e, rng.choice([F(0), F(1), F(-2), F(1, 3)]))] = ExactComplex(
+            F(rng.randint(-3, 3)), F(rng.randint(-3, 3)), F(rng.randint(-2, 2), 2),
+            F(rng.randint(-1, 1), 3))
+    return PhasePoly(basis, terms, params)
+
+
+@pytest.mark.parametrize("params", OFF_RING_UNITS, ids=str)
+class TestEvenDegreeAtAnyRationalUnits:
+    """Terms of even total degree convert at any rational (m, omega)."""
+
+    @staticmethod
+    def _round_trips(p):
+        other = CIRCULAR if p.basis == CANONICAL else CANONICAL
+        there = p.to_basis(other)
+        assert there.params == p.params and there.to_basis(p.basis) == p
+
+    def test_h_g_p_phi_and_products_round_trip(self, params):
+        h, h3, p_phi = hamiltonian(F(1, 3), params), hamiltonian(3, params), angular_momentum(params)
+        for p in (h, p_phi, h * p_phi, h * h3, p_phi * p_phi * h3):
+            self._round_trips(p)
+
+    def test_h_g_is_the_textbook_canonical_form(self, params):
+        # p^2/2m + m w^2 x^2/2 + g w p_phi, written out in the canonical ring
+        m, w, g = params.m, params.omega, F(1, 3)
+        x1, x2, p1, p2 = (PhasePoly.variable(n, CANONICAL, params) for n in ("x1", "x2", "p1", "p2"))
+        want = ((p1 * p1 + p2 * p2) * (1 / (2 * m)) + (x1 * x1 + x2 * x2) * (m * w * w / 2)
+                + (x1 * p2 - x2 * p1) * (g * w))
+        assert hamiltonian(g, params).to_basis(CANONICAL) == want
+        assert want.to_basis(CIRCULAR) == hamiltonian(g, params)
+
+    @pytest.mark.parametrize("basis", [CANONICAL, CIRCULAR])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_even_degree_polys_round_trip(self, params, basis, seed):
+        self._round_trips(_even_poly(random.Random(f"{seed}/{params}"), basis, params))
+
+    def test_odd_degree_canonical_term_raises_naming_it(self, params):
+        x1, p2 = (PhasePoly.variable(n, CANONICAL, params) for n in ("x1", "p2"))
+        with pytest.raises(ValueError, match=r"x1\*p2\^2"):
+            (x1 * x1 + x1 * p2 * p2).to_basis(CIRCULAR)
+
+    def test_odd_degree_circular_term_raises_naming_its_image(self, params):
+        b = PhasePoly.variable("b1+", CIRCULAR, params)
+        with pytest.raises(ValueError, match=r"term .*(x1|x2|p1|p2).* leaves Q\(zeta\)"):
+            (b * b + b).to_basis(CANONICAL)
 
 
 def test_to_basis_rejects_unknown_basis():
@@ -188,8 +244,9 @@ def _product(a: dict, b: dict) -> dict:
 
 def _conversion_images(src: str, params: Params) -> list:
     """Degree-1 images of the src variables, in src variable order, as
-    {other-basis exponent 4-tuple: coefficient} dicts."""
-    d = params.conversion_factor()
+    {other-basis exponent 4-tuple: coefficient} dicts, with d = sqrt(m*omega)/2 and
+    q = 1/(4d) taken here from the units (which must put d in the ring)."""
+    d = ring_sqrt(params.m * params.omega) * F(1, 2)
     q = F(1, 4) * d.inverse()
     i = ExactComplex.I
     if src == CANONICAL:  # onto b1+, b1-, b2+, b2-

@@ -4,7 +4,10 @@
 ``_pair_step`` accumulates integer numerators per output key.  The derivative-product
 bracket and the per-term pair step they replaced stay here as oracles: a seeded
 sweep holds the new kernels ``==`` to them (and ``to_basis`` to their key order),
-and two kernel mutants must fail named ``verify algebra`` rows.
+and two kernel mutants must fail named ``verify algebra`` rows.  ``to_basis`` runs
+its pair steps at unit scale and changes units with one dilation, ``_dilate``; the
+steps with d = sqrt(m*omega)/2 threaded through them stay here as the oracle for
+every unit pair where d is in the ring, and a sign-flipped dilation must fail.
 """
 import random
 from fractions import Fraction as F
@@ -14,9 +17,11 @@ import pytest
 from riaho.cli import RunConfig
 from riaho.phasealg import (CANONICAL, CIRCULAR, ExactComplex, Params, PhasePoly,
                             poisson_bracket, total_time_derivative)
-from riaho.phasealg import poly
+from riaho.phasealg import cbt, poly
+from riaho.phasealg.exact import ring_sqrt
 from riaho.phasealg.poly import _drop_zeros, krawtchouk_rows
 from riaho.phasealg.verify import suite_algebra
+from test_phase_poly import substituted
 
 I = ExactComplex.I
 MUS = (F(0), F(0), F(1, 2), F(-2, 3), F(3))
@@ -100,7 +105,34 @@ def to_basis_per_term(p, basis, monkeypatch):
         return p.to_basis(basis)
 
 
+def to_basis_with_d(p, basis):
+    """to_basis as first written: the four pair steps carry d = sqrt(m*omega)/2 and
+    q = 1/(4d), so it needs m*omega to be a rational square or twice one."""
+    d = ring_sqrt(p.params.m * p.params.omega) * F(1, 2)
+    if basis == CIRCULAR:
+        half, neg_half_i = ExactComplex(F(1, 2)), ExactComplex(0, F(-1, 2))
+        q2, id2 = d.inverse() * F(1, 2), I * d * 2
+        steps = ((0, 1, 0, 1, half, neg_half_i, False), (2, 3, 3, 2, half, neg_half_i, False),
+                 (0, 3, 0, 3, q2, id2, False), (1, 2, 2, 1, q2, id2, False))
+    else:
+        one, iq = ExactComplex.ONE, I * d.inverse() * F(1, 4)
+        steps = ((3, 0, 0, 3, one, one, False), (1, 2, 1, 2, one, one, False),
+                 (0, 1, 0, 1, d, d, True), (3, 2, 2, 3, iq, iq, True))
+    by_mu = {}
+    for key, coeff in p.terms.items():
+        by_mu.setdefault(key[4], {})[key[:4]] = coeff
+    out = {}
+    for mu, terms in by_mu.items():
+        for step in steps:
+            terms = poly._pair_step(terms, *step)
+        out.update({(*e, mu): c for e, c in terms.items()})
+    return PhasePoly(basis, out, p.params)
+
+
 SEEDS = range(40)
+# every kind of unit pair the d-threaded steps reach: m*omega = 1, a square, twice a square
+PARITY_UNITS = UNITS + (Params(F(3, 5), F(5, 3)), Params(8, 1), Params(F(1, 3), F(3, 2)),
+                        Params(F(2, 7), F(7, 8)))
 
 
 class TestAgainstFirstWrittenKernels:
@@ -118,6 +150,20 @@ class TestAgainstFirstWrittenKernels:
         explicit = {key: c * (I * (key[4] * a.params.omega)) for key, c in a.terms.items()}
         assert total_time_derivative(a, h) == (
             bracket_by_derivatives(a, h) + PhasePoly(CIRCULAR, explicit, a.params))
+
+    @pytest.mark.parametrize("basis", [CANONICAL, CIRCULAR])
+    @pytest.mark.parametrize("params", PARITY_UNITS, ids=str)
+    def test_to_basis_equals_d_threaded_steps_term_for_term(self, params, basis):
+        # the dilation changes no conversion the d-threaded steps could make: same
+        # terms, same key order, same coefficient reprs, up to degree 12
+        other = CIRCULAR if basis == CANONICAL else CANONICAL
+        rng = random.Random(f"{params}/{basis}")
+        for _ in range(6):
+            p = random_poly(rng, basis, params, rng.randint(1, 6), 12)
+            got, want = p.to_basis(other), to_basis_with_d(p, other)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            assert [repr(c) for c in got.terms.values()] == [repr(c) for c in want.terms.values()]
 
     @pytest.mark.parametrize("basis", [CANONICAL, CIRCULAR])
     @pytest.mark.parametrize("seed", SEEDS)
@@ -178,3 +224,28 @@ class TestKernelMutants:
                                                                        wrong_denominator):
         p, _ = sweep_polys(seed, CANONICAL)
         assert p.to_basis(CIRCULAR).to_basis(CANONICAL) != p
+
+    @pytest.fixture
+    def flipped_dilation(self, monkeypatch):
+        """_dilate with the exponent's sign flipped: lam^(b-a) for lam^(a-b), in both
+        the unit change and the bridge's T_D0."""
+        exact = poly._dilate
+
+        def flipped(a, lam_sq):
+            return exact(a, 1 / F(lam_sq))
+
+        monkeypatch.setattr(poly, "_dilate", flipped)
+        monkeypatch.setattr(cbt, "_dilate", flipped)
+
+    def test_flipped_dilation_fails_the_bridge_rows(self, flipped_dilation):
+        # T_D0 is the grading x -> sqrt2 x; iD0 = x.p has x-degree = p-degree and passes
+        assert failed_algebra_rows() == ["cbt-H", "cbt-K0"]
+
+    @pytest.mark.parametrize("basis", [CANONICAL, CIRCULAR])
+    @pytest.mark.parametrize("seed", range(3, 8))
+    def test_flipped_dilation_fails_the_substitution_oracle(self, seed, basis,
+                                                              flipped_dilation):
+        # at m*omega = 4 the unit change scales x^a p^b by 2^(b-a) instead of 2^(a-b)
+        other = CIRCULAR if basis == CANONICAL else CANONICAL
+        p = random_poly(random.Random(seed), basis, Params(1, 4), 3, 6)
+        assert p.to_basis(other) != substituted(p, other)
