@@ -350,7 +350,8 @@ def so11_invariant_check(omega=1.0, cutoff: int = 10) -> VerificationReport:
     report = VerificationReport(suite="so11-invariant")
     report.add(CheckRow.within("so11-quadrature-form", "x1 p2 + x2 p1 = i hbar (J+ - J-)",
                                operator_norm(x1 @ p2 + x2 @ p1 - l11), 1e-12))
-    report.add(verify_commutes(hminus, l11, mask,
+    # L11 links states of equal n1 - n2, whose levels are one float, so the residual is 0
+    report.add(verify_commutes(hminus, l11, mask, tol=0.0,
                                check_id="so11-invariance", identity="[H(-), L11] = 0"))
     # shifted grading generator used in the invariance statement
     j0_shift = (hosc - w * np.eye(basis.dim)) / (2.0 * w)
@@ -681,7 +682,7 @@ def composite_spectrum_check(coupling, cutoff: int = 8) -> CheckRow:
 def suite_aniso(config) -> VerificationReport:
     """Signed two-frequency engine: spectra, hidden pairs, Lissajous, rescaling.
 
-    Reads ``config.tol_fock``.
+    Reads no run setting.
     """
     report = VerificationReport(suite="aniso")
     report.extend(so11_invariant_check(omega=1.0, cutoff=8).rows)
@@ -696,9 +697,10 @@ def suite_aniso(config) -> VerificationReport:
             ))
         for sign, kind in (("+", "L"), ("-", "J")):
             levels = _levels(basis, _signed_weights(freq, sign), 1.0, f"H({sign})")
+            # the ladder links only states of one level, and _levels gives those one float
             report.add(CheckRow.within(
                 f"hidden-commutes:{kind}({w1},{w2})", f"[H^({sign}), {kind}+] = 0",
-                _hidden_commutator(levels, basis, kind, freq.l1, freq.l2), config.tol_fock))
+                _hidden_commutator(levels, basis, kind, freq.l1, freq.l2), 0.0))
             report.add(_orbit_row(
                 f"{kind}({w1},{w2})", f"{kind} orbits = H^({sign}) degeneracy classes",
                 hidden_orbits(basis, freq, kind), degeneracy_partition(basis, freq, sign)))

@@ -78,6 +78,7 @@ class Units:
 
 
 _UNIT = Units()
+_QUAD_TOL = 1e-8  # how far a quadrature norm or overlap may stray from its exact value
 
 
 def _sample(x, name: str):
@@ -788,7 +789,7 @@ def coherent_checks(
 def suite_bridge(config) -> VerificationReport:
     """Bridge eigenfunctions, overlaps, Weierstrass identity, coherent states.
 
-    Reads ``config.units`` and ``config.tol_quad``.
+    Reads ``config.units``.
     """
     report = VerificationReport(suite="bridge")
     report.extend(verify_one_mode_bridge(size=11))
@@ -813,7 +814,7 @@ def suite_bridge(config) -> VerificationReport:
     overlap = overlap_matrix(3, units)
     report.add(CheckRow.within(
         "overlap-identity", "eigenfunction Gram matrix = identity by quadrature",
-        np.max(np.abs(overlap - np.eye(overlap.shape[0]))), config.tol_quad))
+        np.max(np.abs(overlap - np.eye(overlap.shape[0]))), _QUAD_TOL))
 
     report.add(CheckRow(
         check_id="inverse-weierstrass",

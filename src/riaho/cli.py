@@ -60,27 +60,22 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Shared run settings: units, truncation, tolerances, output routing.
+    """Shared run settings: units, truncation, output routing.
 
-    The algebraic suites are exact and carry no tolerance knob; the three
-    numeric tolerances cover Fock-space commutators, quadrature overlaps,
-    and trajectory cross-checks respectively.  Units and tolerances must be
-    positive finite reals and the truncation an int >= 4, else ConfigError.
+    No check tolerance is a run setting; each is fixed where its row is built.  Units
+    must be positive finite reals and the truncation an int >= 4, else ConfigError.
     """
 
     m: float = 1.0
     omega: float = 1.0
     hbar: float = 1.0
     truncation: int = 12
-    tol_fock: float = 1e-12
-    tol_quad: float = 1e-8
-    tol_traj: float = 1e-6
     outdir: str = "."
     format: str = "csv"
 
     def __post_init__(self):
         try:
-            for name in ("m", "omega", "hbar", "tol_fock", "tol_quad", "tol_traj"):
+            for name in ("m", "omega", "hbar"):
                 value = require_real(getattr(self, name), name, positive=True)
                 object.__setattr__(self, name, value)
             require_int(self.truncation, "truncation", 4)
@@ -100,9 +95,6 @@ _SETTINGS = {
     "omega": "trap frequency (default 1)",
     "hbar": "Planck constant (default 1)",
     "truncation": "Fock grid cutoff per mode, >= 4 (default 12)",
-    "tol_fock": "operator commutator tolerance (default 1e-12)",
-    "tol_quad": "quadrature overlap tolerance (default 1e-8)",
-    "tol_traj": "trajectory cross-check tolerance (default 1e-6)",
     "outdir": "directory for output files (default .)",
     "format": "dataset format, csv or json (default csv)",
 }
@@ -110,7 +102,7 @@ _SETTINGS = {
 
 def _parse_setting(key: str, text: str):
     """A run setting from its flag or RIAHO_CONFIG text: an int for truncation, the text
-    for outdir and format, :func:`parse_real` (so 'num/den' too) for units and tolerances."""
+    for outdir and format, :func:`parse_real` (so 'num/den' too) for units."""
     if key == "truncation":
         try:
             return int(text)
@@ -492,8 +484,8 @@ def cmd_eigenstate(args, config: RunConfig) -> int:
     units = config.units
     psi = bridge.eigenstate(args.n1, args.n2, units)
     norm = bridge.inner_product(psi, psi).real
-    if not abs(norm - 1.0) <= config.tol_quad:  # the prefactor cancels at the outer nodes
-        raise ConfigError(f"eigenstate norm {norm!r} is off from 1 by more than tol_quad")
+    if not abs(norm - 1.0) <= bridge._QUAD_TOL:  # the prefactor cancels at the outer nodes
+        raise ConfigError(f"eigenstate norm {norm!r} is off from 1 by more than {bridge._QUAD_TOL}")
     with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
         values = psi.evaluate(x1, x2)
     rows = _float_rows(x1, x2, values.real, values.imag)
@@ -612,10 +604,8 @@ _SUITE_BUILDERS = {
 }
 VERIFY_SUITES = tuple(_SUITE_BUILDERS)
 # suite -> the run settings it reads; verify <suite> refuses the flag of any other
-_SUITE_SETTINGS = {
-    "algebra": (), "classical": ("tol_traj",), "fock": ("truncation", "tol_fock"),
-    "bridge": ("m", "omega", "hbar", "tol_quad"), "aniso": ("tol_fock",), "landau": (),
-}
+_SUITE_SETTINGS = {"algebra": (), "classical": (), "fock": ("truncation",),
+                   "bridge": ("m", "omega", "hbar"), "aniso": (), "landau": ()}
 
 
 def cmd_verify(args, config: RunConfig) -> int:
@@ -713,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output stem (default degeneracy)")
 
     p = _command(sub, "eigenstate", cmd_eigenstate, "wavefunction samples for one (n1, n2)",
-                 "m", "omega", "hbar", "tol_quad", "format")
+                 "m", "omega", "hbar", "format")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--extent", type=float, default=3.0, help="grid half-width")
@@ -747,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="optional output stem")
 
     p = _command(sub, "verify", cmd_verify, "run an identity check suite and write a JSON report",
-                 "m", "omega", "hbar", "truncation", "tol_fock", "tol_quad", "tol_traj")
+                 "m", "omega", "hbar", "truncation")
     p.add_argument("suite", nargs="?", default="all",
                    choices=VERIFY_SUITES + ("all",))
     p.add_argument("--out", default=None, help="report stem (default verify_<suite>)")

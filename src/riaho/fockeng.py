@@ -740,7 +740,7 @@ def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:
 def suite_fock(config) -> VerificationReport:
     """Hidden integrals, degeneracy orbits, and the Cartesian/circular unitary.
 
-    Reads ``config.truncation`` and ``config.tol_fock``.  Every check is evaluated on the
+    Reads ``config.truncation``.  Every check is evaluated on the
     blocks of N = n1 + n2; no grid-sized matrix is formed.
     """
     report = VerificationReport(suite="fock")
@@ -751,9 +751,10 @@ def suite_fock(config) -> VerificationReport:
         mask = InteriorMask(basis, margin1=s1, margin2=s2)
         orbits = hidden_orbit_partition(basis, coupling, kind, s1, s2, mask)  # checks resonance
         h = _levels(basis, (coupling.ell1, coupling.ell2, 1), 1.0, "H_g")
+        # the ladder links only states of one level, and _levels gives those one float
         report.add(CheckRow.within(
             f"hidden-commutes:g={gtext}", f"[H_g, {kind}+_{s1}{s2}] = 0",
-            _hidden_commutator(h, basis, kind, s1, s2, mask.indices()), config.tol_fock))
+            _hidden_commutator(h, basis, kind, s1, s2, mask.indices()), 0.0))
         report.add(_orbit_row(
             f"g={gtext}", f"{kind}+_{s1}{s2} orbits = exact energy classes on the interior",
             orbits, level_sets(mask.states(), lambda n1, n2: a * n1 + b * n2)))

@@ -274,13 +274,18 @@ class PhasePoly:
         b2-, b1+ = S +- T and b1-, b2+ = Sbar +- Tbar with S, Sbar = (x1 +- i x2)/2 and
         T, Tbar = i (p1 +- i p2)/2.  The units are one dilation on the canonical side
         (:func:`_dilate`, lam^2 = 1/(m*omega) before the steps, m*omega after); an
-        odd-degree term it takes out of the ring raises ValueError naming it.
+        odd-degree term that leaves the ring raises ValueError naming it, before any step.
         """
         if basis == self.basis:
             return self
         if basis not in _VARS:
             raise ValueError(f"unknown basis {basis!r}")
         mw, to_circular = self.params.m * self.params.omega, basis == CIRCULAR
+        if not to_circular and mw != 1 and ring_sqrt(mw) is None:  # odd degree stays odd
+            if (odd := next((k for k in self.terms if sum(k[:4]) % 2), None)) is not None:
+                term = _make(self.basis, {odd: self.terms[odd]}, self.params)
+                raise ValueError(f"term {term} has odd degree, so its image needs sqrt({mw}), "
+                                 "which leaves Q(zeta)")
         by_mu: dict = {}  # the steps run on exponent-only keys, one time tag at a time
         for key, coeff in _dilate(self, 1 / mw if to_circular else 1).terms.items():
             by_mu.setdefault(key[4], {})[key[:4]] = coeff

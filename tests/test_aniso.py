@@ -33,6 +33,7 @@ from riaho.aniso import (
 )
 from riaho.coupling import Coupling
 from riaho.fockeng import FockBasis, InteriorMask, hidden_coefficient
+from test_fockeng import _mutate_level
 
 
 class TestFrequencyPair:
@@ -447,8 +448,10 @@ class TestFloatFrequencies:
 
 
 class TestSo11Invariant:
-    def test_report_passes(self):
-        report = so11_invariant_check(1.0, cutoff=9)
+    @pytest.mark.parametrize("omega", [1.0, 0.3, 7.0])
+    def test_report_passes(self, omega):
+        # so11-invariance and diagonal-pair pass only at residual 0.0
+        report = so11_invariant_check(omega, cutoff=9)
         assert report.passed
         for row in report.rows:
             assert row.residual <= 1e-12
@@ -476,6 +479,13 @@ class TestSo11Invariant:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             so11_invariant_check(-1.0)
+
+    def test_one_ulp_level_fails_invariance(self, monkeypatch):
+        # L11 links (2, 1) to (3, 2) and (1, 0); its H(-) level moved by one ulp breaks that
+        _mutate_level(monkeypatch, aniso, (2, 1), "one-ulp", label="H(-)")
+        rows = {row.check_id: row for row in so11_invariant_check(1.0, cutoff=8).rows}
+        assert not rows["so11-invariance"].passed and rows["so11-invariance"].residual > 0.0
+        assert rows["diagonal-pair"].passed
 
 
 def _series_eigen_poly(n, units):
@@ -790,7 +800,7 @@ class TestRescaleMap:
 
     @staticmethod
     def _composite_rows():
-        report = suite_aniso(SimpleNamespace(tol_fock=1e-12))
+        report = suite_aniso(SimpleNamespace())
         return {row.check_id: row.passed for row in report.rows
                 if row.check_id.startswith("composite-spectrum")}
 

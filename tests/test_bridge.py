@@ -443,7 +443,7 @@ class TestHermiteRows:
         monkeypatch.setattr(fe, "hermite_rows", _mutant_rows(step))
         monkeypatch.setattr(br, "hermite_rows", _mutant_rows(step))
         rows = {row.check_id: row for row in br.suite_bridge(
-            SimpleNamespace(units=br.Units(), tol_quad=1e-8)).rows}
+            SimpleNamespace(units=br.Units())).rows}
         for check_id in ("inverse-weierstrass", "bridge-one-mode-H", "bridge-one-mode-iD",
                          "bridge-one-mode-K"):
             assert not rows[check_id].passed, check_id

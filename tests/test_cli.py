@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, config layering, reports."""
 import argparse
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -94,27 +95,27 @@ class TestRunConfig:
     def test_defaults(self):
         config = RunConfig()
         assert config.truncation == 12
-        assert config.tol_fock == 1e-12
-        assert config.tol_quad == 1e-8
-        assert config.tol_traj == 1e-6
         assert config.format == "csv"
+
+    def test_holds_no_tolerance(self):
+        # each check tolerance is fixed where its row is built, none is a run setting
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "m", "omega", "hbar", "truncation", "outdir", "format"]
 
     @pytest.mark.parametrize("kwargs", [
         {"truncation": 3},
-        {"tol_fock": 0.0},
-        {"tol_traj": -1e-6},
+        {"hbar": -1.0},
         {"m": 0.0},
         {"format": "xml"},
         # NaN passes every "<= 0" test, so finiteness is checked explicitly
-        {"hbar": math.nan}, {"m": math.inf}, {"omega": math.nan},
-        {"tol_fock": math.nan}, {"tol_quad": math.inf}, {"tol_traj": math.nan},
+        {"hbar": math.nan}, {"m": math.inf}, {"omega": math.nan}, {"omega": math.inf},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
     @pytest.mark.parametrize("argv", [
-        ("verify", "aniso", "--tol-fock", "nan"),
+        ("verify", "bridge", "--omega", "nan"),
         ("spectrum", "--g", "1/3", "--hbar", "nan"),
     ])
     def test_non_finite_flag_exits_2_without_output(self, tmp_path, argv):
@@ -123,9 +124,22 @@ class TestRunConfig:
 
     def test_non_finite_config_file_value_exits_2(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("tol_quad=inf\n")
+        cfg.write_text("hbar=inf\n")
         monkeypatch.setenv("RIAHO_CONFIG", str(cfg))
         assert run(tmp_path, "verify", "bridge") == 2
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_tolerance_flag_exits_2(self, tmp_path, capsys):
+        assert run(tmp_path, "verify", "fock", "--tol-fock", "1") == 2
+        assert "unrecognized arguments: --tol-fock" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_tolerance_config_line_exits_2(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol_quad=1\n")
+        monkeypatch.setenv("RIAHO_CONFIG", str(cfg))
+        assert run(tmp_path, "eigenstate", "--n1", "1", "--n2", "1") == 2
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key 'tol_quad'\n"
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_config_file_layering(self, tmp_path, monkeypatch):
@@ -177,17 +191,16 @@ READS = {
     "lissajous": ("format",),
     "spectrum": ("hbar", "omega", "format"),
     "degeneracy": ("truncation", "format"),
-    "eigenstate": ("m", "omega", "hbar", "tol_quad", "format"),
+    "eigenstate": ("m", "omega", "hbar", "format"),
     "coherent": ("m", "omega", "hbar", "format"),
     "landau": (),
-    "verify": ("m", "omega", "hbar", "truncation", "tol_fock", "tol_quad", "tol_traj"),
+    "verify": ("m", "omega", "hbar", "truncation"),
 }
 # verify suite -> the run settings it reads
-SUITE_READS = {"algebra": (), "classical": ("tol_traj",), "fock": ("truncation", "tol_fock"),
-               "bridge": ("m", "omega", "hbar", "tol_quad"), "aniso": ("tol_fock",), "landau": ()}
+SUITE_READS = {"algebra": (), "classical": (), "fock": ("truncation",),
+               "bridge": ("m", "omega", "hbar"), "aniso": (), "landau": ()}
 # an accepted value of each setting other than outdir
-SETTING_VALUES = {"m": "2", "omega": "3/2", "hbar": "1/2", "truncation": "10", "tol_fock": "1e-11",
-                  "tol_quad": "1e-7", "tol_traj": "1e-5", "format": "json"}
+SETTING_VALUES = {"m": "2", "omega": "3/2", "hbar": "1/2", "truncation": "10", "format": "json"}
 # a small run of each command that writes a file
 COMMAND_ARGV = {
     "trajectory": ("--g", "2/3", "--samples", "16"),
@@ -214,7 +227,7 @@ class TestRunSettings:
         offered = {name: {a.dest for a in p._actions if a.dest.startswith("cfg_")}
                    for name, p in sub.choices.items()}
         assert offered == {c: {f"cfg_{k}" for k in (*keys, "outdir")} for c, keys in READS.items()}
-        assert sum(map(len, offered.values())) == 33
+        assert sum(map(len, offered.values())) == 29
 
     @pytest.mark.parametrize("argv, reads", HANDLER_ROWS,
                              ids=[" ".join(argv[:2]) for argv, _ in HANDLER_ROWS])
@@ -289,7 +302,7 @@ class TestRunSettings:
         assert trajectory("file") == want
 
     @pytest.mark.parametrize("key, text", [("omega", "5/0"), ("hbar", "x"), ("truncation", "12.5"),
-                                           ("tol_fock", "nan"), ("m", "1e400")])
+                                           ("omega", "nan"), ("m", "1e400")])
     def test_bad_setting_text_is_named_from_flag_and_file(self, tmp_path, monkeypatch, capsys,
                                                           key, text):
         assert run(tmp_path, "verify", f"{flag(key)}={text}") == 2
@@ -796,12 +809,13 @@ class TestEigenstate:
         assert read_meta(tmp_path, "eig")["norm_quadrature"] == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("n1, n2", [("30", "30"), ("45", "45")])
-    def test_norm_off_by_more_than_tol_quad_exits_2(self, tmp_path, capsys, n1, n2):
+    def test_norm_off_by_more_than_its_tolerance_exits_2(self, tmp_path, capsys, n1, n2):
         # the prefactor cancels at the outer quadrature nodes: the norm reads 1.00097 at
         # (30, 30) and 3.9e9 at (45, 45), so neither the norm nor the samples are trustworthy
         assert run(tmp_path, "eigenstate", "--n1", n1, "--n2", n2, "--points", "5") == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "tol_quad" in err[0]
+        assert len(err) == 1 and err[0].startswith("error: eigenstate norm ")
+        assert err[0].endswith(" is off from 1 by more than 1e-08")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("n1", ["250", "400", "1000"])

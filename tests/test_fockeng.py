@@ -318,30 +318,41 @@ class TestLevelUnderflow:
         assert [n1 == n2 for n1, n2 in fe.FockBasis(2).states()] == list(levels == 0.0)
 
 
+# a resonant state's level scaled by 1 + 1e-6, or moved by one ulp
+LEVEL_MUTANTS = {"scaled": lambda level: level * (1 + 1e-6),
+                 "one-ulp": lambda level: np.nextafter(level, np.inf)}
+
+
+def _mutate_level(monkeypatch, module, state, mutant, label=None):
+    """Patch ``module._levels`` so the level of ``state`` (of the operator ``label``, or of
+    every operator) goes through ``LEVEL_MUTANTS[mutant]``."""
+    exact = module._levels
+
+    def mutated(basis, weights, scale, name):
+        levels = exact(basis, weights, scale, name).copy()
+        if label in (None, name):
+            i = basis.index(*state)
+            levels[i] = LEVEL_MUTANTS[mutant](levels[i])
+        return levels
+
+    monkeypatch.setattr(module, "_levels", mutated)
+
+
+@pytest.mark.parametrize("mutant", sorted(LEVEL_MUTANTS))
 class TestHiddenCommutatorNotVacuous:
-    """One resonant state's level scaled by 1 + 1e-6 fails its hidden-commutes row."""
-
-    @staticmethod
-    def _scaled(monkeypatch, module, state):
-        exact = module._levels
-
-        def scaled(basis, weights, scale, label):
-            levels = exact(basis, weights, scale, label).copy()
-            levels[basis.index(*state)] *= 1 + 1e-6
-            return levels
-
-        monkeypatch.setattr(module, "_levels", scaled)
+    """One resonant state's level scaled by 1 + 1e-6, or moved by one ulp, fails its
+    hidden-commutes row, which is held to 0."""
 
     @pytest.mark.parametrize("check_id, state", [
         ("hidden-commutes:g=1/3", (0, 2)),  # L+_12 sends (0, 2) to (1, 0)
         ("hidden-commutes:g=3", (0, 0)),    # J+_12 sends (0, 0) to (1, 2)
     ])
-    def test_suite_fock(self, monkeypatch, check_id, state):
-        config = SimpleNamespace(truncation=12, tol_fock=1e-12)
+    def test_suite_fock(self, monkeypatch, mutant, check_id, state):
+        config = SimpleNamespace(truncation=12)
         assert all(row.passed for row in fe.suite_fock(config).rows)
-        self._scaled(monkeypatch, fe, state)
+        _mutate_level(monkeypatch, fe, state, mutant)
         row = {row.check_id: row for row in fe.suite_fock(config).rows}[check_id]
-        assert not row.passed and row.residual > 1e-7
+        assert not row.passed and row.residual > (1e-7 if mutant == "scaled" else 0.0)
 
     @pytest.mark.parametrize("check_id, state", [
         ("hidden-commutes:L(1,3)", (0, 1)),  # L+ = (a1+)^3 a2- sends (0, 1) to (3, 0)
@@ -349,12 +360,26 @@ class TestHiddenCommutatorNotVacuous:
         ("hidden-commutes:L(3,5)", (0, 3)),  # (a1+)^5 (a2-)^3
         ("hidden-commutes:J(3,5)", (0, 0)),
     ])
-    def test_suite_aniso(self, monkeypatch, check_id, state):
-        config = SimpleNamespace(tol_fock=1e-12)
+    def test_suite_aniso(self, monkeypatch, mutant, check_id, state):
+        config = SimpleNamespace()
         assert all(row.passed for row in aniso.suite_aniso(config).rows)
-        self._scaled(monkeypatch, aniso, state)
+        _mutate_level(monkeypatch, aniso, state, mutant)
         row = {row.check_id: row for row in aniso.suite_aniso(config).rows}[check_id]
-        assert not row.passed and row.residual > 1e-7
+        assert not row.passed and row.residual > (1e-7 if mutant == "scaled" else 0.0)
+
+
+def test_hidden_commutator_is_exactly_zero_at_every_small_rational_coupling():
+    # the ladder links states of one level only, and _levels rounds each level once, so
+    # the residual is exactly 0.0 at every resonant coupling, not just at the suite's two
+    couplings = {Coupling(Fraction(p, q)) for q in range(1, 8) for p in range(-12, 13)}
+    couplings = sorted((c for c in couplings if abs(c.g) != 1), key=lambda c: c.g)
+    assert len(couplings) == 113
+    basis = fe.FockBasis(30)
+    for c in couplings:
+        s1, s2 = c.mode_orders
+        kind = "J" if c.phase == "minkowskian" else "L"
+        h = fe._levels(basis, (c.ell1, c.ell2, 1), 1.0, "H_g")
+        assert fe._hidden_commutator(h, basis, kind, s1, s2) == 0.0, c
 
 
 class TestDegeneracy:
@@ -1108,7 +1133,7 @@ def _dense_unitary_rows(basis, u):
 class TestSuiteFockAgainstDenseProducts:
     def suite(self, cutoff):
         return {row.check_id: row for row in fe.suite_fock(
-            SimpleNamespace(truncation=cutoff, tol_fock=1e-12)).rows}
+            SimpleNamespace(truncation=cutoff)).rows}
 
     @pytest.mark.parametrize("cutoff", [6, 12])
     def test_perturbed_unitary_block_residuals(self, monkeypatch, cutoff):

@@ -137,7 +137,7 @@ ENTRY_POINTS = [
      False, False),
     ("phasealg.poly.PhasePoly.evaluate:t", "t", lambda v: POLY.evaluate(POINT, v), False, False),
     *((f"cli.RunConfig:{name}", name, lambda v, name=name: RunConfig(**{name: v}), False, True)
-      for name in ("m", "omega", "hbar", "tol_fock", "tol_quad", "tol_traj")),
+      for name in ("m", "omega", "hbar")),
     ("classdyn.position:t", "t", lambda v: cd.position(ORBIT, v), False, False),
     ("classdyn.velocity:t", "t", lambda v: cd.velocity(ORBIT, v), False, False),
     ("classdyn.momentum:t", "t", lambda v: cd.momentum(ORBIT, v), False, False),
