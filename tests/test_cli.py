@@ -109,6 +109,7 @@ class TestRunConfig:
         {"format": "xml"},
         # NaN passes every "<= 0" test, so finiteness is checked explicitly
         {"hbar": math.nan}, {"m": math.inf}, {"omega": math.nan}, {"omega": math.inf},
+        {"omega": -2.0}, {"hbar": 0.0}, {"m": -math.inf},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -129,17 +130,23 @@ class TestRunConfig:
         assert run(tmp_path, "verify", "bridge") == 2
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("key", ["tol_fock", "tol_quad", "tol_traj"])
+    def test_tolerance_keyword_is_refused(self, key):
+        with pytest.raises(TypeError, match=key):
+            RunConfig(**{key: 1e-8})
+
     def test_tolerance_flag_exits_2(self, tmp_path, capsys):
         assert run(tmp_path, "verify", "fock", "--tol-fock", "1") == 2
         assert "unrecognized arguments: --tol-fock" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_tolerance_config_line_exits_2(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("key", ["tol_fock", "tol_quad", "tol_traj"])
+    def test_tolerance_config_line_exits_2(self, tmp_path, monkeypatch, capsys, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("tol_quad=1\n")
+        cfg.write_text(f"{key}=1\n")
         monkeypatch.setenv("RIAHO_CONFIG", str(cfg))
         assert run(tmp_path, "eigenstate", "--n1", "1", "--n2", "1") == 2
-        assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key 'tol_quad'\n"
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key '{key}'\n"
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_config_file_layering(self, tmp_path, monkeypatch):
@@ -201,6 +208,8 @@ SUITE_READS = {"algebra": (), "classical": (), "fock": ("truncation",),
                "bridge": ("m", "omega", "hbar"), "aniso": (), "landau": ()}
 # an accepted value of each setting other than outdir
 SETTING_VALUES = {"m": "2", "omega": "3/2", "hbar": "1/2", "truncation": "10", "format": "json"}
+# a value of each former check-tolerance flag, which no command offers
+TOLERANCE_VALUES = {"tol_fock": "1e-11", "tol_quad": "1e-7", "tol_traj": "1e-5"}
 # a small run of each command that writes a file
 COMMAND_ARGV = {
     "trajectory": ("--g", "2/3", "--samples", "16"),
@@ -248,10 +257,10 @@ class TestRunSettings:
         assert run(tmp_path, *argv) == 0
         assert read == {*reads, "outdir"}
 
-    @pytest.mark.parametrize("key", [*SETTING_VALUES, "outdir"])
+    @pytest.mark.parametrize("key", [*SETTING_VALUES, "outdir", *TOLERANCE_VALUES])
     @pytest.mark.parametrize("command", sorted(READS))
     def test_command_takes_only_the_settings_it_reads(self, tmp_path, capsys, command, key):
-        value = str(tmp_path) if key == "outdir" else SETTING_VALUES[key]
+        value = str(tmp_path) if key == "outdir" else {**SETTING_VALUES, **TOLERANCE_VALUES}[key]
         code = run(tmp_path, command, *COMMAND_ARGV[command], flag(key), value)
         if key in READS[command] or key == "outdir":
             assert code == 0
@@ -261,16 +270,21 @@ class TestRunSettings:
             assert f"unrecognized arguments: {flag(key)}" in capsys.readouterr().err
             assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("key", READS["verify"])
+    @pytest.mark.parametrize("key", [*READS["verify"], *TOLERANCE_VALUES])
     @pytest.mark.parametrize("suite", sorted(SUITE_READS))
     def test_verify_suite_refuses_the_settings_it_does_not_read(self, tmp_path, capsys, suite,
                                                                 key):
-        code = run(tmp_path, "verify", suite, flag(key), SETTING_VALUES[key])
+        value = {**SETTING_VALUES, **TOLERANCE_VALUES}[key]
+        code = run(tmp_path, "verify", suite, flag(key), value)
         if key in SUITE_READS[suite]:
             assert code == 0
         else:
             assert code == 2
-            assert capsys.readouterr().err == f"error: verify {suite} does not read {flag(key)}\n"
+            err = capsys.readouterr().err
+            if key in TOLERANCE_VALUES:  # refused by the parser, before any suite is chosen
+                assert f"unrecognized arguments: {flag(key)}" in err
+            else:
+                assert err == f"error: verify {suite} does not read {flag(key)}\n"
             assert not list(tmp_path.iterdir())
 
     def test_config_file_keys_stay_global(self, tmp_path, monkeypatch):
