@@ -44,7 +44,8 @@ from .phasealg import (
     poisson_bracket,
 )
 from .phasealg.catalog import hidden_shift
-from .phasealg.exact import coerce_real, require_int, require_real, ring_sqrt, to_float
+from .phasealg.exact import (coerce_real, require_choice, require_int, require_real, ring_sqrt,
+                             to_float)
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -169,9 +170,7 @@ class FrequencyPair:
 
 def _sign_value(sign) -> int:
     """+1 for "+", -1 for "-"; anything else (1, -1, True and 1.0 among it) raises ValueError."""
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return 1 if sign == "+" else -1
+    return 1 if require_choice(sign, "sign", ("+", "-")) == "+" else -1
 
 
 # ---------------------------------------------------------------------------

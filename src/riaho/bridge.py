@@ -22,7 +22,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .fockeng import hermite_rows, verify_one_mode_bridge, verify_quantum_bridge
-from .phasealg.exact import require_complex, require_int, require_real
+from .phasealg.exact import require_choice, require_complex, require_int, require_real
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -205,9 +205,7 @@ def act_free(generator: str, s: ZPolynomial, units: Units = _UNIT) -> ZPolynomia
     xi+: m phi_{n1+1,n2}, xi-: m phi_{n1,n2+1}.  A lowering shift carries
     the vanishing factor n_i, so no term leaves the non-negative indices.
     """
-    if generator not in _FREE_ACTIONS:
-        raise ValueError(f"unknown generator {generator!r}")
-    (d1, d2), coeff = _FREE_ACTIONS[generator]
+    (d1, d2), coeff = _FREE_ACTIONS[require_choice(generator, "generator", _FREE_ACTIONS)]
     out = {(n1 + d1, n2 + d2): coeff(n1, n2, units.m, units.hbar) * c
            for (n1, n2), c in s.terms.items()}
     return ZPolynomial({key: c for key, c in out.items() if c != 0})
@@ -332,8 +330,7 @@ def apply_ladder(state: WaveState, mode: int, direction: str) -> WaveState:
     d/dzbar, and the derivative enters with + for lowering, - for raising.
     """
     require_int(mode, "mode", 1, 2)
-    if direction not in ("+", "-"):
-        raise ValueError("direction must be '+' or '-'")
+    require_choice(direction, "direction", ("+", "-"))
     u = state.units
     amp = math.sqrt(u.m * u.omega / (4 * u.hbar))
     c = u.length_sq if direction == "-" else -u.length_sq

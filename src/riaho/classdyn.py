@@ -26,7 +26,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .phasealg.catalog import GENERATOR_NAMES, generator
-from .phasealg.exact import require_int, require_real, to_float
+from .phasealg.exact import require_choice, require_int, require_real, to_float
 from .phasealg.poly import Params
 from .reports import CheckRow, VerificationReport
 
@@ -334,11 +334,8 @@ CUSP_GALLERY = (
 def gallery_params(which: str = "orbits") -> tuple:
     """Named fixtures: 'orbits' for the regime gallery, 'cusps' for the
     large-ratio set."""
-    if which == "orbits":
-        return ORBIT_GALLERY
-    if which == "cusps":
-        return CUSP_GALLERY
-    raise ValueError(f"unknown gallery {which!r}")
+    galleries = {"orbits": ORBIT_GALLERY, "cusps": CUSP_GALLERY}
+    return galleries[require_choice(which, "gallery", galleries)]
 
 
 def suite_classical(config) -> VerificationReport:

@@ -43,7 +43,7 @@ from . import aniso, bridge, classdyn, fockeng, landau
 from .coupling import Coupling
 from .fockeng import FockBasis
 from .landau import LandauExtension, RotatingFrame
-from .phasealg.exact import require_int, require_real, to_float
+from .phasealg.exact import require_choice, require_int, require_real, to_float
 from .phasealg.verify import suite_algebra
 from .reports import VerificationReport
 
@@ -79,10 +79,9 @@ class RunConfig:
                 value = require_real(getattr(self, name), name, positive=True)
                 object.__setattr__(self, name, value)
             require_int(self.truncation, "truncation", 4)
+            require_choice(self.format, "format", ("csv", "json"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.format not in ("csv", "json"):
-            raise ConfigError("format must be 'csv' or 'json'")
 
     @property
     def units(self) -> bridge.Units:

@@ -52,7 +52,8 @@ class Coupling:
     ----------
     g : Fraction
         Coerced to an exact rational; strings like ``"2/3"``, ints, Fractions
-        and floats with exact binary representation are accepted.  A float
+        and floats with exact binary representation are accepted.  A string that
+        names no rational (``"1/0"``) raises ValueError naming ``coupling g``.  A float
         whose binary value differs from its decimal repr (``0.1``) raises
         ValueError naming the exact alternative; a non-finite float and any
         other type (bool, None, complex) raise ValueError through
@@ -68,7 +69,13 @@ class Coupling:
     def __post_init__(self):
         if type(self.isotropic_mink) is not bool:
             raise ValueError(f"isotropic_mink {self.isotropic_mink!r} is not a bool")
-        g = Fraction(self.g) if isinstance(self.g, str) else coerce_real(self.g, "coupling g")
+        if not isinstance(self.g, str):
+            g = coerce_real(self.g, "coupling g")
+        else:
+            try:
+                g = Fraction(self.g)
+            except (ValueError, ZeroDivisionError):  # "x", "1/0"
+                raise ValueError(f"coupling g {self.g!r} is not a rational") from None
         if isinstance(g, float):
             _check_exact_float(g)
         object.__setattr__(self, "g", Fraction(g))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .phasealg.catalog import hidden_shift, is_true_integral
-from .phasealg.exact import coerce_real, require_int, require_real
+from .phasealg.exact import coerce_real, require_choice, require_int, require_real
 from .phasealg.poly import krawtchouk_rows
 from .reports import CheckRow, VerificationReport
 
@@ -177,8 +177,7 @@ def _lowering(total: int, mode: int) -> np.ndarray:
 def ladder(basis: FockBasis, mode: int, direction: str) -> np.ndarray:
     """Raising ("+") or lowering ("-") operator for mode 1 or 2."""
     require_int(mode, "mode", 1, 2)
-    if direction not in ("+", "-"):
-        raise ValueError("direction must be '+' or '-'")
+    require_choice(direction, "direction", ("+", "-"))
     lowering = _assemble(basis, lambda total: _lowering(total, mode), -1)
     return lowering if direction == "-" else lowering.T
 
@@ -263,7 +262,7 @@ def degeneracy_classes(
 
     States of a level share the integer key a*n1 + b*n2 (l1 = a/d, l2 = b/d,
     d > 0); the level is (key + d)/d.  ``energy_window`` is an optional
-    inclusive (lo, hi) pair in units of hbar*omega; either end may be None, and
+    inclusive (lo, hi) pair in units of hbar*omega (else ValueError); either end may be None, and
     each other end goes through ``coerce_real``, so an int or Fraction end stays exact.
     States within a class ascend in n1, and ``class_id`` numbers the returned
     classes from 0 in ascending energy.  ``complete`` reads the orbit ends:
@@ -272,7 +271,10 @@ def degeneracy_classes(
     a, b, d = _integer_weights(coupling.ell1, coupling.ell2)
     # orders (0, 0) leave no class complete, as a non-positive weight requires
     s1, s2 = coupling.mode_orders if coupling.ell1 > 0 and coupling.ell2 > 0 else (0, 0)
-    lo, hi = (None, None) if energy_window is None else energy_window
+    try:
+        lo, hi = (None, None) if energy_window is None else energy_window
+    except (TypeError, ValueError):  # 5, (1, 2, 3)
+        raise ValueError(f"energy_window {energy_window!r} is not a (lo, hi) pair") from None
     lo, hi = (end if end is None else coerce_real(end, f"energy_window {side}")
               for end, side in ((lo, "lo"), (hi, "hi")))
 
@@ -345,8 +347,7 @@ def _hidden_commutator(levels, basis: FockBasis, kind: str, s1: int, s2: int, ke
 
 def _hidden_ladder_matrix(basis: FockBasis, kind: str, s1: int, s2: int, sign: str) -> np.ndarray:
     """Dense (b1+)^Delta1 (b2+-)^|Delta2| from :func:`_hidden_entries`; its adjoint for sign "-"."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
+    require_choice(sign, "sign", ("+", "-"))
     rows, cols, values = _hidden_entries(basis, kind, s1, s2)
     mat = np.zeros((basis.dim, basis.dim))
     mat[rows, cols] = values

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..coupling import Coupling
-from .exact import ExactComplex, require_int
+from .exact import ExactComplex, require_choice, require_int
 from .poly import CIRCULAR, Params, PhasePoly
 
 __all__ = [
@@ -70,9 +70,7 @@ def generator(name: str, coupling, params=None) -> PhasePoly:
     """One catalog generator with its exact time-frequency tag."""
     c = Coupling.coerce(coupling)
     params = Params.coerce(params)
-    if name not in GENERATOR_NAMES:
-        raise ValueError(f"unknown generator {name!r}")
-    if name in ("J0", "L2"):  # (N1 +- N2)/2
+    if require_choice(name, "generator", GENERATOR_NAMES) in ("J0", "L2"):  # (N1 +- N2)/2
         coeff2 = _HALF if name == "J0" else -_HALF
         return _mono((1, 1, 0, 0), _HALF, 0, params) + _mono((0, 0, 1, 1), coeff2, 0, params)
     return hidden_integral(c, *_LADDERS[name[:-1]], name[-1], params)
@@ -89,8 +87,7 @@ def hidden_shift(kind: str, s1: int, s2: int) -> tuple[int, int]:
     The one validator of kind and orders (ints >= 0 by :func:`require_int`,
     not both zero).
     """
-    if kind not in ("L", "J"):
-        raise ValueError(f"kind must be 'L' or 'J', got {kind!r}")
+    require_choice(kind, "kind", ("L", "J"))
     if (require_int(s1, "s1"), require_int(s2, "s2")) == (0, 0):
         raise ValueError("orders must not both be zero")
     return (s1, -s2) if kind == "L" else (s1, s2)
@@ -104,8 +101,7 @@ def hidden_integral(coupling, kind: str, s1: int, s2: int, sign: str = "+",
     has mu = -Delta.ell; sign "-" gives the complex conjugate (mu flips).
     """
     d1, d2 = hidden_shift(kind, s1, s2)
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    require_choice(sign, "sign", ("+", "-"))
     c = Coupling.coerce(coupling)
     e = (max(d1, 0), max(-d1, 0), max(d2, 0), max(-d2, 0))
     out = _mono(e, 1, -(d1 * c.ell1 + d2 * c.ell2), Params.coerce(params))

@@ -38,8 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isfinite, isqrt, lcm, sqrt as _fsqrt
 
-__all__ = ["ExactComplex", "coerce_real", "rational_sqrt", "require_complex", "require_int",
-           "require_real", "ring_sqrt", "to_float"]
+__all__ = ["ExactComplex", "coerce_real", "rational_sqrt", "require_choice", "require_complex",
+           "require_int", "require_real", "ring_sqrt", "to_float"]
 
 _SQRT2 = _fsqrt(2.0)
 _new_object = object.__new__
@@ -124,6 +124,19 @@ def require_int(value, name: str, lo: int | None = 0, hi: int | None = None) -> 
         return value
     bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
     raise ValueError(f"{name} {value!r} is not an integer{bounds}")
+
+
+def require_choice(value, name: str, choices) -> str:
+    """``value`` when it is a Python str among ``choices`` (a tuple, or a dict by its keys).
+
+    The one rule for every sign, direction, kind, basis, variable, generator, gallery and
+    format name: Python strs only, tested before membership, so no lookup or elementwise ==
+    runs on a list or numpy array.  Anything else, np.str_, 1, True and None among it, raises
+    ValueError naming ``name``, the value's repr and the choices; the CLI turns it into exit 2.
+    """
+    if type(value) is str and value in choices:
+        return value
+    raise ValueError(f"{name} {value!r} is not one of {', '.join(map(repr, choices))}")
 
 
 def rational_sqrt(q: Fraction):
@@ -238,10 +251,6 @@ class ExactComplex:
         if _is_exact(value):
             return _from_rational(value)
         raise ValueError(f"value {value!r} is not an int, Fraction or ExactComplex")
-
-    @classmethod
-    def i(cls) -> "ExactComplex":
-        return cls(0, 1)
 
     @classmethod
     def sqrt2(cls) -> "ExactComplex":

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 
 from .exact import (ExactComplex, _convolve, _is_exact, _make as _element, _numerators,
-                    _powers_of_i, require_int, require_real, ring_sqrt)
+                    _powers_of_i, require_choice, require_int, require_real, ring_sqrt)
 
 __all__ = [
     "CANONICAL", "CIRCULAR", "CANONICAL_VARS", "CIRCULAR_VARS",
@@ -116,9 +116,7 @@ class PhasePoly:
     __slots__ = ("basis", "params", "terms")
 
     def __init__(self, basis: str, terms: dict | None = None, params=None):
-        if basis not in _VARS:
-            raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
+        self.basis = require_choice(basis, "basis", _VARS)
         self.params = Params.coerce(params)
         clean, seen = {}, set()
         for raw, coeff in (terms or {}).items():
@@ -144,11 +142,9 @@ class PhasePoly:
     @classmethod
     def variable(cls, name: str, basis: str, params=None,
                  mu: Fraction = _ZERO) -> "PhasePoly":
-        names = _VARS[basis]
-        if name not in names:
-            raise ValueError(f"{name!r} is not a {basis} variable")
+        names = _VARS[require_choice(basis, "basis", _VARS)]
         e = [0, 0, 0, 0]
-        e[names.index(name)] = 1
+        e[names.index(require_choice(name, "variable", names))] = 1
         return cls(basis, {(*e, mu): ExactComplex.ONE}, params)
 
     # -- inspection -------------------------------------------------------
@@ -251,7 +247,7 @@ class PhasePoly:
 
     def diff(self, name: str) -> "PhasePoly":
         """Formal partial derivative with respect to one variable."""
-        i = _VARS[self.basis].index(name)
+        i = _VARS[self.basis].index(require_choice(name, "variable", _VARS[self.basis]))
         out = {}
         for key, coeff in self.terms.items():
             if key[i] == 0:
@@ -276,10 +272,8 @@ class PhasePoly:
         (:func:`_dilate`, lam^2 = 1/(m*omega) before the steps, m*omega after); an
         odd-degree term that leaves the ring raises ValueError naming it, before any step.
         """
-        if basis == self.basis:
+        if require_choice(basis, "basis", _VARS) == self.basis:
             return self
-        if basis not in _VARS:
-            raise ValueError(f"unknown basis {basis!r}")
         mw, to_circular = self.params.m * self.params.omega, basis == CIRCULAR
         if not to_circular and mw != 1 and ring_sqrt(mw) is None:  # odd degree stays odd
             if (odd := next((k for k in self.terms if sum(k[:4]) % 2), None)) is not None:

@@ -184,7 +184,7 @@ class TestSpectrum:
                      lambda: signed_hamiltonian(FockBasis(2), freq, sign),
                      lambda: verify_signed_spectrum(FockBasis(2), freq, sign),
                      lambda: degeneracy_partition(FockBasis(2), freq, sign)):
-            with pytest.raises(ValueError, match=r"sign must be '\+' or '-'"):
+            with pytest.raises(ValueError, match=rf"^sign {sign!r} is not one of '\+', '-'$"):
                 call()
 
     @pytest.mark.parametrize("sign", ["+", "-"])

@@ -425,6 +425,12 @@ class TestDegeneracy:
         assert [k.energy for k in classes] == [F(2), F(3)]
         assert classes[0].class_id == 0
 
+    @pytest.mark.parametrize("window", [5, 2.5, (1, 2, 3), (1,)], ids=repr)
+    def test_energy_window_that_is_no_pair_raises(self, window):
+        with pytest.raises(ValueError) as info:
+            fe.degeneracy_classes(Coupling(0), fe.FockBasis(3), energy_window=window)
+        assert str(info.value) == f"energy_window {window!r} is not a (lo, hi) pair"
+
     def test_energy_window_compares_exactly(self):
         # E = 2 + 10^-17 rounds to 2.0 as a float but lies above the window
         g = F(1, 10**17)

@@ -7,13 +7,14 @@ re-export is counted once, by ``__module__`` and ``__qualname__``.  Each paramet
 ``"fockeng.ladder:mode"``, and must be one of:
 
 * the target of a row of ``test_int_args.ENTRY_POINTS``, ``test_real_args.ENTRY_POINTS``,
-  ``test_real_args.EXACT_ONLY`` or ``test_real_args.COMPLEX_ENTRY_POINTS``, which feed it bad
-  values and expect a ValueError naming it;
+  ``test_real_args.EXACT_ONLY``, ``test_real_args.COMPLEX_ENTRY_POINTS`` or
+  ``test_choice_args.ENTRY_POINTS``, which feed it bad values and expect a ValueError naming it;
 * annotated with a riaho type (``Coupling``, ``FockBasis | None``, ...), which checks itself;
 * listed in ``EXEMPT`` under a one-line reason.
 
-A scalar int- or real-valued parameter gets a row, not an exemption.  Every target and every
-exemption must name a live public parameter, so deleting or renaming one forces its entries out.
+A scalar int- or real-valued parameter, and a name from a fixed set, gets a row, not an
+exemption.  Every target and every exemption must name a live public parameter, so deleting or
+renaming one forces its entries out.
 """
 import importlib
 import inspect
@@ -23,6 +24,7 @@ import sys
 import pytest
 
 import riaho
+import test_choice_args
 import test_int_args
 import test_real_args
 from riaho.cli import RunConfig
@@ -94,26 +96,6 @@ EXEMPT = {
     "flag: a bool, else ValueError": (
         "coupling.Coupling:isotropic_mink",
     ),
-    "kind: 'L' or 'J', else ValueError from `hidden_shift`": (
-        "fockeng.hidden_operator:kind", "fockeng.hidden_coefficient:kind",
-        "fockeng.hidden_orbit_partition:kind", "aniso.hidden_operator:kind",
-        "aniso.hidden_orbits:kind", "phasealg.catalog.hidden_shift:kind",
-        "phasealg.catalog.hidden_integral:kind", "phasealg.catalog.is_true_integral:kind",
-        "phasealg.catalog.true_integral_coupling:kind",
-    ),
-    "direction or sign: '+' or '-', else ValueError": (
-        "fockeng.ladder:direction", "fockeng.hidden_operator:sign", "aniso.spectrum:sign",
-        "aniso.signed_hamiltonian:sign", "aniso.verify_signed_spectrum:sign",
-        "aniso.hidden_operator:sign", "aniso.degeneracy_partition:sign",
-        "bridge.apply_ladder:direction", "phasealg.catalog.hidden_integral:sign",
-    ),
-    "name from a fixed set (generator, variable, basis, gallery), else ValueError": (
-        "bridge.act_free:generator", "classdyn.gallery_params:which",
-        "phasealg.catalog.generator:name", "phasealg.poly.PhasePoly:basis",
-        "phasealg.poly.PhasePoly.zero:basis", "phasealg.poly.PhasePoly.constant:basis",
-        "phasealg.poly.PhasePoly.variable:name", "phasealg.poly.PhasePoly.variable:basis",
-        "phasealg.poly.PhasePoly.diff:name", "phasealg.poly.PhasePoly.to_basis:basis",
-    ),
     "numpy data (operator matrices, phase-space vectors): used as given, as array times are": (
         "fockeng.InteriorMask.restrict_columns:matrix", "fockeng.commutator:a",
         "fockeng.commutator:b", "fockeng.verify_commutes:a", "fockeng.verify_commutes:b",
@@ -139,6 +121,8 @@ EXEMPT = {
     ),
     "the argument rules themselves: the value they check and how they report it": (
         "phasealg.exact.coerce_real:value", "phasealg.exact.coerce_real:name",
+        "phasealg.exact.require_choice:value", "phasealg.exact.require_choice:name",
+        "phasealg.exact.require_choice:choices",
         "phasealg.exact.require_complex:value", "phasealg.exact.require_complex:name",
         "phasealg.exact.require_int:value", "phasealg.exact.require_int:name",
         "phasealg.exact.require_int:lo", "phasealg.exact.require_int:hi",
@@ -149,7 +133,8 @@ EXEMPT = {
 }
 EXEMPTIONS = [key for keys in EXEMPT.values() for key in keys]
 TARGETS = {row[0] for row in (*test_int_args.ENTRY_POINTS, *test_real_args.ENTRY_POINTS,
-                               *test_real_args.EXACT_ONLY, *test_real_args.COMPLEX_ENTRY_POINTS)}
+                               *test_real_args.EXACT_ONLY, *test_real_args.COMPLEX_ENTRY_POINTS,
+                               *test_choice_args.ENTRY_POINTS)}
 # row targets outside the census: the run config of ``cli`` (which has no ``__all__``) and an
 # operator method
 BEYOND_CENSUS = {"cli.RunConfig": RunConfig, "phasealg.poly.PhasePoly.__pow__": PhasePoly.__pow__}

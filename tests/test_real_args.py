@@ -201,6 +201,8 @@ COMPLEX_IDS = [row[0] for row in COMPLEX_ENTRY_POINTS]
 # bad values that an argument gives a meaning to: a coupling string is parsed ("1" is g = 1),
 # and None leaves an end of the energy window open
 MEANINGFUL = {"coupling g": ("1",), "energy_window lo": (None,), "energy_window hi": (None,)}
+# and bad strings of an argument that parses them: a coupling string that names no rational
+UNPARSED = {"coupling g": ("1/0", "x")}
 TARGETS = [target for target, *_ in ENTRY_POINTS]
 IDS = [t if TARGETS.count(t) == 1 else f"{t}({name})" for t, name, *_ in ENTRY_POINTS]
 EXACT = [(row, i) for row, i in zip(ENTRY_POINTS, IDS) if row[3]]
@@ -214,7 +216,8 @@ def test_valid_real_is_accepted(target, name, call, exact, positive, value):
 
 @pytest.mark.parametrize("target, name, call, exact, positive", ENTRY_POINTS, ids=IDS)
 def test_bad_value_raises_value_error_naming_the_argument(target, name, call, exact, positive):
-    bad = NOT_REALS + (() if exact else OUT_OF_RANGE) + (NOT_POSITIVE if positive else ())
+    bad = (NOT_REALS + (() if exact else OUT_OF_RANGE) + (NOT_POSITIVE if positive else ())
+           + UNPARSED.get(name, ()))
     for value in bad:
         if value in MEANINGFUL.get(name, ()):
             continue
