@@ -102,6 +102,8 @@ class ZPolynomial:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.terms, dict):
+            raise ValueError(f"terms {self.terms!r} is not a dict")
         clean = {}
         for (n1, n2), coeff in self.terms.items():
             if not (type(n1) is int and type(n2) is int) or n1 < 0 or n2 < 0:  # no bools

@@ -423,7 +423,8 @@ def ladder_orbits(pool, step: tuple[int, int]) -> list[frozenset]:
     In a convex pool (the grid, or an :class:`InteriorMask`: a rectangle cut
     by n1 + n2 <= total) two states are linked exactly when they differ by a
     whole multiple of ``step``, so the components are the cosets modulo step.  A step
-    entry that is not an int raises ValueError.
+    entry that is not an int, or a pool that is not an iterable of (n1, n2) pairs
+    (:func:`level_sets`), raises ValueError.
     """
     step = tuple(require_int(d, "step", None) for d in step)
     axis = 0 if step[0] else 1  # a non-zero component, e.g. step[1] for (0, -1)
@@ -436,7 +437,12 @@ def ladder_orbits(pool, step: tuple[int, int]) -> list[frozenset]:
 
 
 def level_sets(pool, energy) -> list[frozenset]:
-    """States of ``pool`` grouped by exact ``energy(n1, n2)``, sorted by minimal state."""
+    """States of ``pool`` grouped by exact ``energy(n1, n2)``, sorted by minimal state.
+    A pool that is not an iterable of (n1, n2) pairs raises ValueError."""
+    try:
+        pool = [(n1, n2) for n1, n2 in pool]
+    except (TypeError, ValueError):
+        raise ValueError(f"pool {pool!r} is not an iterable of (n1, n2) states") from None
     levels: dict = {}
     for n1, n2 in pool:
         levels.setdefault(energy(n1, n2), set()).add((n1, n2))
@@ -647,19 +653,23 @@ def one_mode_bridge_unnormalized(size: int) -> tuple[np.ndarray, int]:
     R[i, j] = 2^(-ceil(j/2)) sum_a (-1)^a/(2^a a!) [x^(i-2a)] H_j, and R[0, 0] = 1.
     With s = size and A = (s-1)//2, scale = 2^(s-1) A! and M = G Hm E, integer object arrays
     with G[i, i-2a] = (-1)^a 2^(A-a) A!/a!, Hm[k, j] = [x^k] H_j from :func:`hermite_rows`
-    and E = diag(2^(s//2 - ceil(j/2))).  A size that is not an int >= 1 raises ValueError.
+    and E = diag(2^(s//2 - ceil(j/2))).  G Hm is formed one column at a time on Python ints:
+    column j sums G's A + 1 nonzero diagonals, diagonal a moving H_j's coefficients (of x^k,
+    k = j mod 2) down by 2a.  A size that is not an int >= 1 raises ValueError.
     """
     require_int(size, "size", 1)
-    top, index = (size - 1) // 2, np.arange(size)
-    gauss = np.zeros((size, size), dtype=object)
-    for a in range(top + 1):
-        gauss[index[2 * a:], index[: size - 2 * a]] = (
-            (-1) ** a * 2 ** (top - a) * (math.factorial(top) // math.factorial(a)))
-    hermite = np.zeros((size, size), dtype=object)
+    top, columns = (size - 1) // 2, []
+    gauss = [(-1) ** a * 2 ** (top - a) * (math.factorial(top) // math.factorial(a))
+             for a in range(top + 1)]
     for j, row in enumerate(hermite_rows(size - 1)):
-        hermite[: j + 1, j] = row
-    grading = np.array([2 ** (size // 2 - (j + 1) // 2) for j in range(size)], dtype=object)
-    return gauss @ hermite * grading, 2 ** (size - 1) * math.factorial(top)
+        coeffs, half = row[j % 2::2], [0] * ((size - j % 2 + 1) // 2)  # rows i = j (mod 2)
+        for a, g in enumerate(gauss):
+            for t, h in enumerate(coeffs[: len(half) - a], a):
+                half[t] += g * h
+        column = [0] * size
+        column[j % 2::2] = [c * 2 ** (size // 2 - (j + 1) // 2) for c in half]
+        columns.append(column)
+    return np.array(columns, dtype=object).T, 2 ** (size - 1) * math.factorial(top)
 
 
 def verify_one_mode_bridge(size: int = 11) -> list[CheckRow]:

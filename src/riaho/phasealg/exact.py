@@ -29,9 +29,9 @@ The constructor and the read-only ``ar/ai/br/bi`` properties speak the
 negacyclic length-4 convolution (zeta^4 = -1) and one gcd; the inverse is
 the product of the Galois conjugates zeta -> zeta^3, zeta^5, zeta^7 over the
 rational norm; complex conjugation is zeta -> zeta^7.  Kernels that sum many
-products (the Poisson bracket, the basis-change pair step) stay on the
-integers: :func:`_numerators` puts a batch over one denominator,
-:func:`_convolve` multiplies numerators, and each sum is reduced once.
+products (the Poisson bracket, the four chained basis-change pair steps) stay
+on the integers: :func:`_numerators` puts a batch over one denominator,
+:func:`_convolve` multiplies numerators, and each final sum is reduced once.
 """
 from __future__ import annotations
 

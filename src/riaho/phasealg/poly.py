@@ -6,10 +6,10 @@ sets:
 * canonical: ``x1, x2, p1, p2``
 * circular:  ``b1+, b1-, b2+, b2-`` (classical circular ladder modes)
 
-Each monomial additionally carries an exact rational "time frequency" mu:
-the physical object represented is ``coeff * monomial * exp(i*mu*omega*t)``.
-This is how explicitly time-dependent integrals of motion are encoded; the
-total time derivative along the flow of a Hamiltonian H is
+Each monomial additionally carries an exact rational "time frequency" mu, an int when
+integral, else a Fraction: the physical object represented is
+``coeff * monomial * exp(i*mu*omega*t)``.  This is how explicitly time-dependent integrals
+of motion are encoded; the total time derivative along the flow of a Hamiltonian H is
 
     dA/dt = {A, H} + i*mu*omega*A   (termwise in mu),
 
@@ -21,11 +21,11 @@ Brackets are generated by {x_i, p_j} = delta_ij, equivalently
 over term pairs on integer numerators (:func:`poisson_bracket`).  Basis
 conversion is four pair transforms at unit scale, m*omega = 1: with
 w = x1 + i x2 and pi = p1 + i p2, w = b1+ + b2-, pi = i (b1+ - b2-),
-wbar = b1- + b2+ and pibar = i (b2+ - b1-).  Each step expands
-(s + t)^a (s - t)^b with the integer rows of :func:`krawtchouk_rows`, summing
-integer numerators and reducing each output coefficient once.  The units enter as
-one dilation x -> sqrt(m*omega) x, p -> p/sqrt(m*omega) (:func:`_dilate`, also the
-bridge's T_D0): a term of even total degree converts at any rational (m, omega),
+wbar = b1- + b2+ and pibar = i (b2+ - b1-).  Each step expands (s + t)^a (s - t)^b with
+the integer rows of :func:`krawtchouk_rows`; the four run on integer numerators over one
+running denominator, and each output coefficient is reduced once, after the last.  The
+units enter as one dilation x -> sqrt(m*omega) x, p -> p/sqrt(m*omega) (:func:`_dilate`,
+also the bridge's T_D0): a term of even total degree converts at any rational (m, omega),
 one of odd degree needs m*omega to be a rational square or twice one.
 """
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .exact import (ExactComplex, _convolve, _is_exact, _make as _element, _numerators,
                     _powers_of_i, require_choice, require_int, require_real, ring_sqrt)
@@ -52,20 +53,24 @@ CIRCULAR_VARS = ("b1+", "b1-", "b2+", "b2-")
 
 _VARS = {CANONICAL: CANONICAL_VARS, CIRCULAR: CIRCULAR_VARS}
 
-_ZERO = Fraction(0)
 _I = ExactComplex.I
 _HALF = Fraction(1, 2)
 
 
 def _checked_key(key) -> tuple:
-    """(e1, e2, e3, e4, mu) from a 4- or 5-entry key: int exponents >= 0 and
-    an int or Fraction mu (0 when left out); anything else raises ValueError."""
+    """(e1, e2, e3, e4, mu) from a 4- or 5-entry key: int exponents >= 0 and an int or
+    Fraction mu (0 when left out, kept by :func:`_tag`); anything else raises ValueError."""
     if len(key) not in (4, 5):
         raise ValueError(f"a term key is (e1, e2, e3, e4[, mu]), got {key!r}")
-    mu = key[4] if len(key) == 5 else _ZERO
+    mu = key[4] if len(key) == 5 else 0
     if not all(type(v) is int and v >= 0 for v in key[:4]) or not _is_exact(mu):
         raise ValueError(f"a term key needs int exponents >= 0 and an exact mu, got {key!r}")
-    return (*key[:4], Fraction(mu))
+    return (*key[:4], mu if type(mu) is int else _tag(Fraction(mu)))
+
+
+def _tag(mu):
+    """mu as keys hold it: an int when integral (it hashes for free), else a Fraction."""
+    return mu.numerator if mu.denominator == 1 else mu
 
 
 def _drop_zeros(terms: dict) -> dict:
@@ -98,19 +103,23 @@ class Params:
     @classmethod
     def coerce(cls, value) -> "Params":
         if value is None:
-            return cls()
+            return _UNIT
         if isinstance(value, Params):
             return value
         m, omega = value
         return cls(m, omega)
 
 
+_UNIT = Params()  # m = omega = 1, shared: Params is frozen
+
+
 class PhasePoly:
     """Polynomial over Q(i)[sqrt2] with per-term exact time frequency.
 
     `terms` maps (e1, e2, e3, e4[, mu]) to coefficients: int exponents >= 0 in
-    the basis's variable order and an int or Fraction mu; other keys, and two keys
-    that name one term (a 4-entry key and its 5-entry form with mu = 0), raise ValueError.
+    the basis's variable order and an int or Fraction mu; other keys, two keys that name
+    one term (a 4-entry key and its 5-entry form with mu = 0), and a map that is not a
+    dict raise ValueError.
     """
 
     __slots__ = ("basis", "params", "terms")
@@ -118,6 +127,8 @@ class PhasePoly:
     def __init__(self, basis: str, terms: dict | None = None, params=None):
         self.basis = require_choice(basis, "basis", _VARS)
         self.params = Params.coerce(params)
+        if terms is not None and not isinstance(terms, dict):
+            raise ValueError(f"terms {terms!r} is not a dict")
         clean, seen = {}, set()
         for raw, coeff in (terms or {}).items():
             key = _checked_key(raw)
@@ -136,12 +147,12 @@ class PhasePoly:
 
     @classmethod
     def constant(cls, value, basis: str, params=None) -> "PhasePoly":
-        return cls(basis, {(0, 0, 0, 0, _ZERO): ExactComplex.coerce(value)},
+        return cls(basis, {(0, 0, 0, 0, 0): ExactComplex.coerce(value)},
                    params)
 
     @classmethod
     def variable(cls, name: str, basis: str, params=None,
-                 mu: Fraction = _ZERO) -> "PhasePoly":
+                 mu: Fraction = 0) -> "PhasePoly":
         names = _VARS[require_choice(basis, "basis", _VARS)]
         e = [0, 0, 0, 0]
         e[names.index(require_choice(name, "variable", names))] = 1
@@ -170,7 +181,7 @@ class PhasePoly:
         """Drop the exp(i mu w t) tags (evaluate the time factors at t=0)."""
         out = {}
         for key, coeff in self.terms.items():
-            k0 = (*key[:4], _ZERO)
+            k0 = (*key[:4], 0)
             out[k0] = out.get(k0, ExactComplex.ZERO) + coeff
         return _make(self.basis, out, self.params)
 
@@ -178,7 +189,7 @@ class PhasePoly:
     def _compat(self, other: "PhasePoly"):
         if self.basis != other.basis:
             raise ValueError("basis mismatch")
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise ValueError("params mismatch")
 
     def __add__(self, other):
@@ -213,7 +224,7 @@ class PhasePoly:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2],
-                       k1[3] + k2[3], k1[4] + k2[4])
+                       k1[3] + k2[3], _tag(k1[4] + k2[4]))
                 prod = c1 * c2
                 if key in out:
                     out[key] = out[key] + prod
@@ -285,20 +296,24 @@ class PhasePoly:
             by_mu.setdefault(key[4], {})[key[:4]] = coeff
         out = {}
         for mu, terms in by_mu.items():
+            nums, d = _numerators(terms.values())
+            nums = dict(zip(terms, nums))
             for step in _TO_CIRCULAR if to_circular else _TO_CANONICAL:
-                terms = _pair_step(terms, *step)
-            out.update({(*e, mu): c for e, c in terms.items()})
+                nums, d = _pair_step(nums, d, *step)
+            out.update({(*e, mu): _element(*c, d) for e, c in nums.items()})
         return _dilate(_make(basis, out, self.params), 1 if to_circular else mw)
 
     # -- numerics ------------------------------------------------------------
     def evaluate(self, point: dict, t: float = 0.0) -> complex:
         """Numeric evaluation; `point` maps this basis's variable names to
-        complex values.  Time factors use the params' omega.  A power or
-        time factor outside the float range, or a t that is not a finite real,
-        raises ValueError."""
+        complex values.  Time factors use the params' omega.  A variable missing
+        from `point`, a power or time factor outside the float range, or a t that
+        is not a finite real raises ValueError."""
         import cmath
         t, w = require_real(t, "t"), float(self.params.omega)
         names = _VARS[self.basis]
+        if (missing := next((n for n in names if n not in point), None)) is not None:
+            raise ValueError(f"point {point!r} gives no value for variable {missing!r}")
         vals = [complex(point[n]) for n in names]
         total = 0j
         try:
@@ -362,33 +377,33 @@ def _accumulate(sums: dict, key, k: int, c: tuple):
         acc[3] += k * c[3]
 
 
-def _pair_step(terms: dict, i: int, j: int, s_slot: int, t_slot: int,
-               alpha: ExactComplex, beta: ExactComplex, phase: bool) -> dict:
+def _pair_step(nums: dict, d: int, i: int, j: int, s_slot: int, t_slot: int,
+               alpha: ExactComplex, beta: ExactComplex, phase: bool) -> tuple[dict, int]:
     """Substitute v_i = alpha (s + t), v_j = beta (s - t) into {exponent 4-tuple:
-    coefficient}, the exponents of s and t going to slots s_slot, t_slot (i and j).
-    With `phase`, t = i u and the result is in u (u^m gains i^m).
+    numerator 4-tuple} over the denominator d, the exponents of s and t going to slots
+    s_slot, t_slot (i and j).  With `phase`, t = i u and the result is in u (u^m gains i^m).
 
-    Integer form: the coefficients go over one lcm denominator, the power
-    products alpha^a beta^b (one per (a, b) present) over another, and a term's
-    c = coeff alpha^a beta^b is their numerator product.  Each output key sums
-    the numerators of c times its Krawtchouk entry (times i^m with `phase`), and
-    a surviving key is reduced once.  Keys keep their first-seen order.
+    Integer form: the power products alpha^a beta^b (one per (a, b) present), convolved on
+    numerators, go over one lcm denominator d'; each output key sums a term's numerators
+    times theirs times its Krawtchouk entry (times i^m with `phase`).  The sums, zero ones
+    dropped, are over d d' and unreduced: :meth:`PhasePoly.to_basis` chains its four steps
+    on one running denominator and reduces each output coefficient once.  Keys keep their
+    first-seen order.
     """
-    apow, bpow, scale = [ExactComplex.ONE], [ExactComplex.ONE], {}
-    for key in terms:
+    ((alpha,), da), ((beta,), db) = _numerators((alpha,)), _numerators((beta,))
+    apow, bpow, scale = [(1, 0, 0, 0)], [(1, 0, 0, 0)], {}
+    for key in nums:
         a, b = key[i], key[j]
         if (a, b) not in scale:
             while len(apow) <= a:
-                apow.append(apow[-1] * alpha)
+                apow.append(_convolve(apow[-1], alpha))
             while len(bpow) <= b:
-                bpow.append(bpow[-1] * beta)
-            scale[a, b] = apow[a] * bpow[b]
-    coeffs, d = _numerators(terms.values())
-    factors, d_scale = _numerators(scale.values())
-    factors = dict(zip(scale, factors))
-    d *= d_scale
+                bpow.append(_convolve(bpow[-1], beta))
+            scale[a, b] = _convolve(apow[a], bpow[b]), da ** a * db ** b
+    d_scale = lcm(*(d for _, d in scale.values()))
+    factors = {ab: tuple(x * (d_scale // d) for x in c) for ab, (c, d) in scale.items()}
     sums = {}
-    for key, c in zip(terms, coeffs):
+    for key, c in nums.items():
         a, b = key[i], key[j]
         n = a + b
         c = _convolve(c, factors[a, b])
@@ -399,7 +414,7 @@ def _pair_step(terms: dict, i: int, j: int, s_slot: int, t_slot: int,
                 continue
             e[s_slot], e[t_slot] = n - m, m
             _accumulate(sums, tuple(e), kernel, turns[m & 3])
-    return _drop_zeros({key: _element(*acc, d) for key, acc in sums.items()})
+    return {key: acc for key, acc in sums.items() if any(acc)}, d * d_scale
 
 
 # _pair_step arguments (i, j, s_slot, t_slot, alpha, beta, phase) at m*omega = 1
@@ -471,7 +486,7 @@ def poisson_bracket(a: PhasePoly, b: PhasePoly) -> PhasePoly:
                 if not n:
                     continue
                 if prod is None:
-                    prod, mu = _convolve(x, y), k1[4] + k2[4]
+                    prod, mu = _convolve(x, y), _tag(k1[4] + k2[4])
                 _accumulate(sums, (k1[0] + k2[0] - f0, k1[1] + k2[1] - f1,
                                    k1[2] + k2[2] - f2, k1[3] + k2[3] - f3, mu), n, prod)
     turn = 3 if a.basis == CIRCULAR else 0  # -i = i^3

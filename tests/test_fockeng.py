@@ -932,6 +932,21 @@ def _triple_sum_bridge(size):
     return r
 
 
+def _dense_bridge(size):
+    """M = G Hm E as first written: dense object arrays G (the Gaussian's 2a-th
+    subdiagonals), Hm (column j the Hermite row of H_j) and E, multiplied out."""
+    top, index = (size - 1) // 2, np.arange(size)
+    gauss = np.zeros((size, size), dtype=object)
+    for a in range(top + 1):
+        gauss[index[2 * a:], index[: size - 2 * a]] = (
+            (-1) ** a * 2 ** (top - a) * (math.factorial(top) // math.factorial(a)))
+    hermite = np.zeros((size, size), dtype=object)
+    for j, row in enumerate(fe.hermite_rows(size - 1)):
+        hermite[: j + 1, j] = row
+    grading = np.array([2 ** (size // 2 - (j + 1) // 2) for j in range(size)], dtype=object)
+    return gauss @ hermite * grading, 2 ** (size - 1) * math.factorial(top)
+
+
 @pytest.fixture(scope="module")
 def reference_bridge_99():
     # entries do not depend on the size, so smaller sizes are leading blocks
@@ -962,6 +977,15 @@ class TestOneModeBridgeExact:
         for size in range(1, 61):
             m, scale = fe.one_mode_bridge_unnormalized(size)
             assert np.array_equal(m, oracle[:size, :size] * scale), size
+
+    def test_column_form_equals_dense_product(self):
+        # one column at a time over G's nonzero diagonals, entry for entry the dense G Hm E
+        for size in range(1, 61):
+            m, scale = fe.one_mode_bridge_unnormalized(size)
+            dense, dense_scale = _dense_bridge(size)
+            assert m.shape == dense.shape == (size, size) and scale == dense_scale
+            assert all(type(v) is int for v in m.flat), size
+            assert m.tolist() == dense.tolist(), size
 
     def test_parity_factored_matches_reference(self, reference_bridge_99):
         sqrt2 = ExactComplex.sqrt2()

@@ -345,6 +345,45 @@ def test_term_keys_take_int_or_fraction_mu():
     assert PhasePoly.variable("b1+", CIRCULAR, mu=-2).frequencies() == {F(-2)}
 
 
+class TestTimeTags:
+    """Keys hold an integral time tag as an int and any other as a Fraction; 2 and F(2)
+    compare and hash alike, so the form shows in no lookup, equality or printout."""
+
+    @pytest.mark.parametrize("tags", [(F(2), 2), (2, F(2)), (F(-6, 3), -2)])
+    def test_int_and_fraction_tag_name_one_term(self, tags):
+        # equal keys with equal hashes: a dict holds one of them, with the last value
+        terms = {(1, 0, 0, 0, tags[0]): 1, (1, 0, 0, 0, tags[1]): 3}
+        assert len(terms) == 1
+        p = PhasePoly(CIRCULAR, terms)
+        assert p.terms == {(1, 0, 0, 0, tags[1]): 3} and type(next(iter(p.terms))[4]) is int
+        # spelled as distinct keys, a 4-entry key and its tag-0 form, both raise
+        with pytest.raises(ValueError, match="same term"):
+            PhasePoly(CIRCULAR, {(1, 0, 0, 0): 1, (1, 0, 0, 0, F(0)): 1})
+
+    def test_integral_tags_are_stored_as_ints(self):
+        p = PhasePoly(CIRCULAR, {(1, 0, 0, 0, F(4, 2)): 1, (0, 1, 0, 0, F(1, 3)): 1,
+                                 (0, 0, 1, 0): 1, (0, 0, 0, 1, F(0)): 1})
+        assert [type(key[4]) for key in p.terms] == [int, F, int, int]
+        assert p.terms[(1, 0, 0, 0, F(2))] == 1 and p.terms[(0, 0, 1, 0, 0)] == 1
+
+    def test_fraction_tags_summing_to_an_int_land_on_the_int_key(self):
+        # 2/3 + 4/3 is Fraction(2); the product keys it as the int 2
+        a = PhasePoly.variable("b1+", CIRCULAR, mu=F(2, 3))
+        b = PhasePoly.variable("b1-", CIRCULAR, mu=F(4, 3))
+        same = PhasePoly(CIRCULAR, {(1, 1, 0, 0, 2): 1})
+        for product in (a * b, b * a):
+            (key,) = product.terms
+            assert key == (1, 1, 0, 0, 2) and type(key[4]) is int
+            assert product == same and (product - same).is_zero()
+            assert product.frequencies() == {2} == {F(2)}
+            assert str(product) == str(same) == "(1)*b1+*b1-*E[2]"
+        bracket = poisson_bracket(a, b)  # {b1+, b1-} = i, tag 2
+        (key,) = bracket.terms
+        assert type(key[4]) is int
+        assert (bracket - PhasePoly(CIRCULAR, {(0, 0, 0, 0, 2): ExactComplex.I})).is_zero()
+        assert str(bracket) == "(1i)*E[2]"
+
+
 @pytest.mark.parametrize("m,w", [(0, 3), (-1, -4), (F(1), 0), (F(1, 2), F(-1)),
                                  (0.5, 2), (1, 1.0), (True, 1), ("1", 1)])
 def test_params_reject_unusable_units(m, w):

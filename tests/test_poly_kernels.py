@@ -1,13 +1,15 @@
 """The two exact-algebra kernels of phasealg.poly against the forms they replaced.
 
-``poisson_bracket`` is one pass over term pairs on integer numerators and
-``_pair_step`` accumulates integer numerators per output key.  The derivative-product
-bracket and the per-term pair step they replaced stay here as oracles: a seeded
-sweep holds the new kernels ``==`` to them (and ``to_basis`` to their key order),
-and two kernel mutants must fail named ``verify algebra`` rows.  ``to_basis`` runs
-its pair steps at unit scale and changes units with one dilation, ``_dilate``; the
-steps with d = sqrt(m*omega)/2 threaded through them stay here as the oracle for
-every unit pair where d is in the ring, and a sign-flipped dilation must fail.
+``poisson_bracket`` is one pass over term pairs on integer numerators, and ``to_basis``
+chains four ``_pair_step`` calls on integer numerators over one running denominator,
+reducing each output coefficient once.  The derivative-product bracket and the per-term
+pair step, one reduced ExactComplex per kernel entry, stay here as oracles: a seeded sweep
+holds the bracket ``==`` to them, and ``to_basis`` to the per-term steps run over this
+file's own step tables (``==``, key order and coefficient ``repr``); two kernel mutants must
+fail named ``verify algebra`` rows.  ``to_basis`` runs its pair steps at unit scale and
+changes units with one dilation, ``_dilate``; the per-term steps with d = sqrt(m*omega)/2
+threaded through them stay here as the oracle for every unit pair where d is in the ring,
+and a sign-flipped dilation must fail.  Neither oracle calls ``_pair_step``.
 """
 import random
 from fractions import Fraction as F
@@ -99,34 +101,59 @@ def sweep_polys(seed, basis):
                  for _ in range(2))
 
 
-def to_basis_per_term(p, basis, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(poly, "_pair_step", pair_step_per_term)
-        return p.to_basis(basis)
+# to_basis's unit-scale step tables, (i, j, s_slot, t_slot, alpha, beta, phase), written out
+# here: x1 x2 p1 p2 -> w wbar pibar pi -> b1+ b1- b2+ b2-, and b1+ b1- b2+ b2- -> S Sbar Tbar T
+# -> x1 x2 p1 p2
+HALF, HALF_I, ONE = ExactComplex(F(1, 2)), ExactComplex(0, F(1, 2)), ExactComplex.ONE
+UNIT_STEPS = {
+    CIRCULAR: ((0, 1, 0, 1, HALF, -HALF_I, False), (2, 3, 3, 2, HALF, -HALF_I, False),
+               (0, 3, 0, 3, ONE, I, False), (1, 2, 2, 1, ONE, I, False)),
+    CANONICAL: ((3, 0, 0, 3, ONE, ONE, False), (1, 2, 1, 2, ONE, ONE, False),
+                (0, 1, 0, 1, HALF, HALF, True), (3, 2, 2, 3, HALF_I, HALF_I, True)),
+}
 
 
-def to_basis_with_d(p, basis):
-    """to_basis as first written: the four pair steps carry d = sqrt(m*omega)/2 and
-    q = 1/(4d), so it needs m*omega to be a rational square or twice one."""
-    d = ring_sqrt(p.params.m * p.params.omega) * F(1, 2)
-    if basis == CIRCULAR:
-        half, neg_half_i = ExactComplex(F(1, 2)), ExactComplex(0, F(-1, 2))
-        q2, id2 = d.inverse() * F(1, 2), I * d * 2
-        steps = ((0, 1, 0, 1, half, neg_half_i, False), (2, 3, 3, 2, half, neg_half_i, False),
-                 (0, 3, 0, 3, q2, id2, False), (1, 2, 2, 1, q2, id2, False))
-    else:
-        one, iq = ExactComplex.ONE, I * d.inverse() * F(1, 4)
-        steps = ((3, 0, 0, 3, one, one, False), (1, 2, 1, 2, one, one, False),
-                 (0, 1, 0, 1, d, d, True), (3, 2, 2, 3, iq, iq, True))
+def per_term_steps(p, basis, steps):
+    """p's terms through ``steps`` by pair_step_per_term, one time tag at a time."""
     by_mu = {}
     for key, coeff in p.terms.items():
         by_mu.setdefault(key[4], {})[key[:4]] = coeff
     out = {}
     for mu, terms in by_mu.items():
         for step in steps:
-            terms = poly._pair_step(terms, *step)
+            terms = pair_step_per_term(terms, *step)
         out.update({(*e, mu): c for e, c in terms.items()})
     return PhasePoly(basis, out, p.params)
+
+
+def to_basis_per_term(p, basis):
+    """to_basis with the per-term steps: the unit-scale tables between the same dilations."""
+    mw = p.params.m * p.params.omega
+    if basis == CIRCULAR:
+        return per_term_steps(poly._dilate(p, 1 / mw), basis, UNIT_STEPS[basis])
+    return poly._dilate(per_term_steps(p, basis, UNIT_STEPS[basis]), mw)
+
+
+def to_basis_with_d(p, basis):
+    """to_basis as first written: the four per-term pair steps carry d = sqrt(m*omega)/2
+    and q = 1/(4d), so it needs m*omega to be a rational square or twice one."""
+    d = ring_sqrt(p.params.m * p.params.omega) * F(1, 2)
+    if basis == CIRCULAR:
+        q2, id2 = d.inverse() * F(1, 2), I * d * 2
+        steps = ((0, 1, 0, 1, HALF, -HALF_I, False), (2, 3, 3, 2, HALF, -HALF_I, False),
+                 (0, 3, 0, 3, q2, id2, False), (1, 2, 2, 1, q2, id2, False))
+    else:
+        iq = I * d.inverse() * F(1, 4)
+        steps = ((3, 0, 0, 3, ONE, ONE, False), (1, 2, 1, 2, ONE, ONE, False),
+                 (0, 1, 0, 1, d, d, True), (3, 2, 2, 3, iq, iq, True))
+    return per_term_steps(p, basis, steps)
+
+
+def assert_same_terms(got, want):
+    """``==``, the same key order and the same coefficient reprs."""
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    assert [repr(c) for c in got.terms.values()] == [repr(c) for c in want.terms.values()]
 
 
 SEEDS = range(40)
@@ -160,19 +187,25 @@ class TestAgainstFirstWrittenKernels:
         rng = random.Random(f"{params}/{basis}")
         for _ in range(6):
             p = random_poly(rng, basis, params, rng.randint(1, 6), 12)
-            got, want = p.to_basis(other), to_basis_with_d(p, other)
-            assert got == want
-            assert list(got.terms) == list(want.terms)
-            assert [repr(c) for c in got.terms.values()] == [repr(c) for c in want.terms.values()]
+            assert_same_terms(p.to_basis(other), to_basis_with_d(p, other))
 
     @pytest.mark.parametrize("basis", [CANONICAL, CIRCULAR])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_to_basis_equals_per_term_steps_in_key_order(self, seed, basis, monkeypatch):
+    def test_to_basis_equals_per_term_steps_in_key_order(self, seed, basis):
         other = CIRCULAR if basis == CANONICAL else CANONICAL
         for p in sweep_polys(seed, basis):
-            got, want = p.to_basis(other), to_basis_per_term(p, other, monkeypatch)
-            assert got == want
-            assert list(got.terms) == list(want.terms)
+            assert_same_terms(p.to_basis(other), to_basis_per_term(p, other))
+
+    def test_oracles_run_without_the_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an oracle called _pair_step")
+
+        p = random_poly(random.Random(0), CANONICAL, Params(1, 4), 4, 6)
+        want = p.to_basis(CIRCULAR)
+        monkeypatch.setattr(poly, "_pair_step", refuse)
+        assert_same_terms(to_basis_per_term(p, CIRCULAR), want)
+        assert_same_terms(to_basis_with_d(p, CIRCULAR), want)
+        assert to_basis_per_term(want, CANONICAL) == p
 
     def test_sweep_reaches_degree_six_sqrt2_and_i(self):
         polys = [p for seed in SEEDS for basis in (CANONICAL, CIRCULAR)
@@ -200,17 +233,16 @@ class TestKernelMutants:
 
     @pytest.fixture
     def wrong_denominator(self, monkeypatch):
-        """_pair_step with the last numerator of each batch scaled to 2d instead of d."""
-        exact_numerators, exact_step = poly._numerators, poly._pair_step
-
-        def scaled_wrong(values):
-            nums, d = exact_numerators(values)
-            return nums[:-1] + [tuple(2 * c for c in nums[-1])], d
+        """_pair_step with the last numerator of its output batch doubled: that term is
+        over d/2 instead of the running d for the rest of the chain."""
+        exact_step = poly._pair_step
 
         def step(*args):
-            with monkeypatch.context() as patch:
-                patch.setattr(poly, "_numerators", scaled_wrong)
-                return exact_step(*args)
+            nums, d = exact_step(*args)
+            if nums:
+                last = next(reversed(nums))
+                nums[last] = [2 * c for c in nums[last]]
+            return nums, d
 
         monkeypatch.setattr(poly, "_pair_step", step)
 

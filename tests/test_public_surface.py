@@ -10,7 +10,9 @@ re-export is counted once, by ``__module__`` and ``__qualname__``.  Each paramet
   ``test_real_args.EXACT_ONLY``, ``test_real_args.COMPLEX_ENTRY_POINTS`` or
   ``test_choice_args.ENTRY_POINTS``, which feed it bad values and expect a ValueError naming it;
 * annotated with a riaho type (``Coupling``, ``FockBasis | None``, ...), which checks itself;
-* listed in ``EXEMPT`` under a one-line reason.
+* listed in ``EXEMPT`` under a one-line reason.  A term map, state pool or evaluation point
+  whose reason says its container is checked has ``CHECKED_SHAPES`` rows, which feed it a
+  wrong container and expect the ValueError naming it.
 
 A scalar int- or real-valued parameter, and a name from a fixed set, gets a row, not an
 exemption.  Every target and every exemption must name a live public parameter, so deleting or
@@ -27,8 +29,10 @@ import riaho
 import test_choice_args
 import test_int_args
 import test_real_args
+from riaho.bridge import ZPolynomial
 from riaho.cli import RunConfig
-from riaho.phasealg import PhasePoly
+from riaho.fockeng import ladder_orbits, level_sets
+from riaho.phasealg import CANONICAL, CIRCULAR, PhasePoly
 
 MODULES = [module for info in pkgutil.walk_packages(riaho.__path__, "riaho.")
            for module in [importlib.import_module(info.name)] if hasattr(module, "__all__")]
@@ -102,21 +106,32 @@ EXEMPT = {
         "fockeng.operator_norm:matrix", "classdyn.hamiltonian_flow_rhs:state",
         "classdyn.hamiltonian_value:state", "classdyn.integrate:state0",
     ),
-    "state pools and callbacks of the grouping and sampling helpers": (
-        "fockeng.ladder_orbits:pool", "fockeng.level_sets:pool", "fockeng.level_sets:energy",
+    "state pool: an iterable of (n1, n2) pairs, else ValueError (a `CHECKED_SHAPES` row)": (
+        "fockeng.ladder_orbits:pool", "fockeng.level_sets:pool",
+    ),
+    "callbacks of the grouping and sampling helpers: called as given": (
+        "fockeng.level_sets:energy",
         "bridge.grid_proportionality:phi", "bridge.grid_proportionality:psi",
     ),
-    "ZPolynomial terms: int exponents >= 0 and finite complex coefficients, checked per term": (
-        "bridge.ZPolynomial:terms", "bridge.ZPolynomial.monomial:coeff",
+    "ZPolynomial term map: a dict, else ValueError (a `CHECKED_SHAPES` row), then int "
+    "exponents >= 0 and finite complex coefficients, checked per term": (
+        "bridge.ZPolynomial:terms",
+    ),
+    "ZPolynomial coefficients and factors: finite complex numbers, checked per term": (
+        "bridge.ZPolynomial.monomial:coeff",
         "bridge.ZPolynomial.scale:factor", "bridge.WaveState.scale:factor",
         "aniso.SeparableState.scale:factor",
     ),
     "per-sample complex value (envelope exponents, evaluation points): used as given": (
         "bridge.WaveState:exp_zzbar", "bridge.WaveState:exp_z", "bridge.WaveState:exp_zbar",
         "bridge.WaveState:exp_const", "bridge.ZPolynomial.at:u", "bridge.ZPolynomial.at:v",
+    ),
+    "evaluation point: a value for each of the basis's four variables, else ValueError naming "
+    "the missing one (a `CHECKED_SHAPES` row); each value used as a complex": (
         "phasealg.poly.PhasePoly.evaluate:point",
     ),
-    "exact term map: int exponents and an int or Fraction tag, checked per key by PhasePoly": (
+    "exact term map: None or a dict, else ValueError (a `CHECKED_SHAPES` row), then int "
+    "exponents and an int or Fraction tag, checked per key by PhasePoly": (
         "phasealg.poly.PhasePoly:terms",
     ),
     "the argument rules themselves: the value they check and how they report it": (
@@ -132,6 +147,27 @@ EXEMPT = {
     ),
 }
 EXEMPTIONS = [key for keys in EXEMPT.values() for key in keys]
+# exemptions whose container is checked: (parameter, call with a wrong container, message)
+CHECKED_SHAPES = [
+    ("phasealg.poly.PhasePoly:terms", lambda: PhasePoly(CANONICAL, [1, 2]),
+     "terms [1, 2] is not a dict"),
+    ("phasealg.poly.PhasePoly:terms", lambda: PhasePoly(CANONICAL, ((1, 0, 0, 0), 1)),
+     "terms ((1, 0, 0, 0), 1) is not a dict"),
+    ("bridge.ZPolynomial:terms", lambda: ZPolynomial([1]), "terms [1] is not a dict"),
+    ("bridge.ZPolynomial:terms", lambda: ZPolynomial("ab"), "terms 'ab' is not a dict"),
+    ("fockeng.ladder_orbits:pool", lambda: ladder_orbits(5, (1, -1)),
+     "pool 5 is not an iterable of (n1, n2) states"),
+    ("fockeng.ladder_orbits:pool", lambda: ladder_orbits([(0, 1, 2)], (1, -1)),
+     "pool [(0, 1, 2)] is not an iterable of (n1, n2) states"),
+    ("fockeng.level_sets:pool", lambda: level_sets([3], lambda n1, n2: 0),
+     "pool [3] is not an iterable of (n1, n2) states"),
+    ("phasealg.poly.PhasePoly.evaluate:point",
+     lambda: PhasePoly.variable("x1", CANONICAL).evaluate({"x1": 1}),
+     "point {'x1': 1} gives no value for variable 'x2'"),
+    ("phasealg.poly.PhasePoly.evaluate:point",
+     lambda: PhasePoly.variable("b1+", CIRCULAR).evaluate({"b1+": 1, "b1-": 1, "b2-": 1}),
+     "point {'b1+': 1, 'b1-': 1, 'b2-': 1} gives no value for variable 'b2+'"),
+]
 TARGETS = {row[0] for row in (*test_int_args.ENTRY_POINTS, *test_real_args.ENTRY_POINTS,
                                *test_real_args.EXACT_ONLY, *test_real_args.COMPLEX_ENTRY_POINTS,
                                *test_choice_args.ENTRY_POINTS)}
@@ -211,3 +247,13 @@ def test_exemption_names_a_parameter_without_another_rule(key):
     assert not CENSUS[key], "annotated with a riaho type"
     assert key not in TARGETS, "a row already checks it"
     assert EXEMPTIONS.count(key) == 1, "listed twice"
+
+
+@pytest.mark.parametrize("key, call, message", CHECKED_SHAPES,
+                         ids=[f"{row[0]}#{i}" for i, row in enumerate(CHECKED_SHAPES)])
+def test_checked_exemption_refuses_a_wrong_container(key, call, message):
+    # these raised AttributeError, TypeError or KeyError before
+    assert key in EXEMPTIONS
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
