@@ -477,7 +477,9 @@ def overlap_matrix(nmax: int, units: Units = _UNIT) -> np.ndarray:
 
     The eigenfunctions share one Gaussian envelope and no linear exponent, so with P the
     prefactors on the node grid and W the weights the Gram matrix is P^H (W P) / lam.
-    An nmax that is not a non-negative int raises ValueError.
+    The order-40 rule integrates degree <= 79 exactly and the highest product has degree
+    4 nmax, so nmax is at most 19; nmax 20 and above raise ValueError ("quadrature order
+    40 insufficient"), as does an nmax that is not a non-negative int.
     """
     require_int(nmax, "nmax")
     states = [

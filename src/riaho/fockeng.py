@@ -464,17 +464,14 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(matrix) -> float:
-    """Spectral norm of a matrix, or of the direct sum of a list of blocks (0 for none):
-    the largest block norm, in one call on the blocks zero-padded to one shape."""
+    """Spectral norm of a matrix, or of the direct sum of a list of blocks: the largest
+    singular value over the blocks, each taken at its own shape; an empty block (a zero
+    side) and an empty list add nothing, so blocks with no entry give 0.  A nan norm (from
+    an inf entry) propagates."""
     if isinstance(matrix, np.ndarray):
         return float(np.linalg.norm(matrix, 2))
-    if not matrix:
-        return 0.0
-    shape = np.max([block.shape for block in matrix], axis=0)
-    stack = np.zeros((len(matrix), *shape), np.result_type(*matrix))
-    for layer, block in zip(stack, matrix):
-        layer[: block.shape[0], : block.shape[1]] = block
-    return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2))))
+    return float(np.max([np.linalg.svd(block, compute_uv=False)[0] for block in matrix
+                         if block.size], initial=0.0))
 
 
 def verify_commutes(
@@ -722,14 +719,18 @@ def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:
     operator as (m (x) 1 + 1 (x) m)/4 from the one-mode pairs, and verifies
     S H_free = -J_- S, S iD = J_0 S, S K = J_+ S with operator-norm
     residuals on columns with both occupation numbers <= cutoff - margin.
-    S1 and the generators keep each n's parity, so only each parity class's block is formed.
+    S1 and the generators keep each n's parity, so only each parity class's block is formed,
+    and its two S parts, (kept rows, all columns) and (all rows, kept columns), once for all
+    three rows.  Each Kronecker part is one broadcast product, entry for entry np.kron's.
     """
     InteriorMask(FockBasis(cutoff), require_int(margin, "margin"), margin)  # checks the sizes
     s1, side = one_mode_bridge(cutoff), cutoff + 1
     up, eye = _raising(side), np.eye(side)
 
     def part(one, other, rows, cols):  # the (rows, cols) part of one (x) other
-        return np.kron(one[np.ix_(rows[0], cols[0])], other[np.ix_(rows[1], cols[1])])
+        a, b = one[np.ix_(rows[0], cols[0])], other[np.ix_(rows[1], cols[1])]
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+            a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
     def two_mode(one, rows, cols):  # the (rows, cols) part of (one (x) 1 + 1 (x) one)/4
         return (part(one, eye, rows, cols) + part(eye, one, rows, cols)) / 4
@@ -737,12 +738,13 @@ def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:
     # per parity class (n1, n2 mod 2): all its levels (summed over), then the kept ones
     classes = [[(np.arange(p1, end, 2), np.arange(p2, end, 2)) for end in (side, side - margin)]
                for p1 in (0, 1) for p2 in (0, 1)]
+    s_parts = [(part(s1, s1, kept, every), part(s1, s1, every, kept)) for every, kept in classes]
     checks = []
     for (name, _, identity), (x, y) in zip(_BRIDGE_ROWS, _conformal_pairs(up, up.T)):
         sx, diff = [], []
-        for every, kept in classes:
-            sx.append(part(s1, s1, kept, every) @ two_mode(x, every, kept))
-            diff.append(sx[-1] - two_mode(y, kept, every) @ part(s1, s1, every, kept))
+        for (every, kept), (s_left, s_right) in zip(classes, s_parts):
+            sx.append(s_left @ two_mode(x, every, kept))
+            diff.append(sx[-1] - two_mode(y, kept, every) @ s_right)
         resid = operator_norm(diff) / max(operator_norm(sx), 1.0)
         checks.append(CheckRow.within(f"bridge-two-mode-{name}", identity, resid, 1e-10))
     return checks
@@ -756,16 +758,18 @@ def suite_fock(config) -> VerificationReport:
     """
     report = VerificationReport(suite="fock")
     basis = FockBasis(config.truncation)
+    couplings = {gtext: Coupling(Fraction(gtext)) for gtext in ("0", "1/3", "1/2", "3")}
+    levels = {gtext: _levels(basis, (c.ell1, c.ell2, 1), 1.0, "H_g")
+              for gtext, c in couplings.items()}
     for gtext, kind, s1, s2 in (("1/3", "L", 1, 2), ("3", "J", 1, 2)):
-        coupling = Coupling(Fraction(gtext))
+        coupling = couplings[gtext]
         a, b, _ = _integer_weights(coupling.ell1, coupling.ell2)
         mask = InteriorMask(basis, margin1=s1, margin2=s2)
         orbits = hidden_orbit_partition(basis, coupling, kind, s1, s2, mask)  # checks resonance
-        h = _levels(basis, (coupling.ell1, coupling.ell2, 1), 1.0, "H_g")
         # the ladder links only states of one level, and _levels gives those one float
         report.add(CheckRow.within(
             f"hidden-commutes:g={gtext}", f"[H_g, {kind}+_{s1}{s2}] = 0",
-            _hidden_commutator(h, basis, kind, s1, s2, mask.indices()), 0.0))
+            _hidden_commutator(levels[gtext], basis, kind, s1, s2, mask.indices()), 0.0))
         report.add(_orbit_row(
             f"g={gtext}", f"{kind}+_{s1}{s2} orbits = exact energy classes on the interior",
             orbits, level_sets(mask.states(), lambda n1, n2: a * n1 + b * n2)))
@@ -773,12 +777,13 @@ def suite_fock(config) -> VerificationReport:
     # Columns N <= cutoff - 2 (the total-number interior); rows reach N = cutoff - 1.
     top = basis.cutoff - 2
     u = [_unitary_block(total) for total in range(top + 2)]
+    u_adj = [block.conj().T for block in u]
     low = [None] + [(_lowering(total, 1), _lowering(total, 2)) for total in range(1, top + 2)]
     cart = [None] + [_cartesian(*pair) for pair in low[1:]]
 
     def conj_resid(pairs, shift):
         # ||(U M U+ - T)[:, N <= cutoff - 2]||_2, a direct sum of the (M, T) blocks N -> N + shift
-        return operator_norm([u[n + shift] @ m @ u[n].conj().T - t
+        return operator_norm([u[n + shift] @ m @ u_adj[n] - t
                               for n, (m, t) in enumerate(pairs, start=max(0, -shift))])
 
     for mode, direction in ((1, "-"), (2, "-"), (1, "+"), (2, "+")):
@@ -791,10 +796,8 @@ def suite_fock(config) -> VerificationReport:
         report.add(CheckRow.within(
             f"unitary-mode:{name}", f"U {name} U+ = e^{{{direction}i pi/4}} b{mode}{direction}",
             conj_resid(pairs, shift), 1e-10))
-    for gtext in ("0", "1/3", "1/2", "3"):
-        coupling = Coupling(Fraction(gtext))
-        ells = coupling.float_ells()
-        h = _levels(basis, (coupling.ell1, coupling.ell2, 1), 1.0, "H_g")
+    for gtext, coupling in couplings.items():
+        ells, h = coupling.float_ells(), levels[gtext]
         pairs = [(_rni_block(n, *ells), np.diag(h[_block(basis, n)[1]])) for n in range(top + 1)]
         report.add(CheckRow.within(
             f"unitary-hamiltonian:g={gtext}", "U H_rni U+ = H_g", conj_resid(pairs, 0), 1e-10))

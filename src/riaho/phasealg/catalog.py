@@ -78,7 +78,8 @@ def generator(name: str, coupling, params=None) -> PhasePoly:
 
 def catalog(coupling, params=None) -> dict:
     """All named generators for one coupling, keyed by name."""
-    return {n: generator(n, coupling, params) for n in GENERATOR_NAMES}
+    c, params = Coupling.coerce(coupling), Params.coerce(params)  # once for all 14
+    return {n: generator(n, c, params) for n in GENERATOR_NAMES}
 
 
 def hidden_shift(kind: str, s1: int, s2: int) -> tuple[int, int]:

@@ -61,6 +61,23 @@ def test_all_generators_are_dynamical_integrals(g):
         [c.identity_name for c in checks if not c.passed]
 
 
+@pytest.mark.parametrize("g,built", [("1/3", 1), (F(-3, 5), 1), (2, 1), (Coupling(3), 0)])
+def test_catalog_coerces_the_coupling_once(monkeypatch, g, built):
+    # each of the 14 generators used to coerce the raw g again: 14 Couplings per catalog
+    made = []
+    post_init = Coupling.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Coupling, "__post_init__", counted)
+    cat = catalog(g)
+    assert len(made) == built
+    monkeypatch.undo()
+    assert cat == {name: generator(name, g) for name in cat}
+
+
 def test_linear_integrals_match_mode_frequencies():
     # beta_j^+ rotates against mode j's frequency ell_j
     g = F(1, 4)

@@ -16,6 +16,7 @@ from riaho.coupling import Coupling
 from riaho.phasealg.catalog import hidden_shift
 from riaho.phasealg.exact import ExactComplex
 from riaho import aniso, fockeng as fe
+from riaho.reports import CheckRow
 
 F = Fraction
 
@@ -1250,6 +1251,53 @@ def _dense_bridge_residuals(s1, margin):
     return out
 
 
+def _padded_stack_norm(blocks):
+    """Reference direct-sum norm: one stacked SVD of the blocks zero-padded to one shape."""
+    if not blocks:
+        return 0.0
+    shape = np.max([block.shape for block in blocks], axis=0)
+    stack = np.zeros((len(blocks), *shape), np.result_type(*blocks))
+    for layer, block in zip(stack, blocks):
+        layer[: block.shape[0], : block.shape[1]] = block
+    return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2))))
+
+
+def _kron_loop_bridge_rows(cutoff, margin):
+    """Reference bridge-two-mode-* rows: every Kronecker part, S's among them, rebuilt by
+    np.kron for each row, and the direct sums normed by :func:`_padded_stack_norm`."""
+    s1, side = fe.one_mode_bridge(cutoff), cutoff + 1
+    up, eye = fe._raising(side), np.eye(side)
+
+    def part(one, other, rows, cols):
+        return np.kron(one[np.ix_(rows[0], cols[0])], other[np.ix_(rows[1], cols[1])])
+
+    def two_mode(one, rows, cols):
+        return (part(one, eye, rows, cols) + part(eye, one, rows, cols)) / 4
+
+    classes = [[(np.arange(p1, end, 2), np.arange(p2, end, 2)) for end in (side, side - margin)]
+               for p1 in (0, 1) for p2 in (0, 1)]
+    rows = []
+    for (name, _, identity), (x, y) in zip(fe._BRIDGE_ROWS, fe._conformal_pairs(up, up.T)):
+        sx, diff = [], []
+        for every, kept in classes:
+            sx.append(part(s1, s1, kept, every) @ two_mode(x, every, kept))
+            diff.append(sx[-1] - two_mode(y, kept, every) @ part(s1, s1, every, kept))
+        resid = _padded_stack_norm(diff) / max(_padded_stack_norm(sx), 1.0)
+        rows.append(CheckRow.within(f"bridge-two-mode-{name}", identity, resid, 1e-10))
+    return rows
+
+
+class TestQuantumBridgeAgainstKronLoop:
+    @pytest.mark.parametrize("margin", range(4))
+    @pytest.mark.parametrize("cutoff", [4, 7, 10, 16, 24])
+    def test_rows_equal_per_row_kron_loop(self, cutoff, margin):
+        got, want = fe.verify_quantum_bridge(cutoff, margin), _kron_loop_bridge_rows(cutoff, margin)
+        assert [(r.check_id, r.identity, r.passed) for r in got] == [
+            (r.check_id, r.identity, r.passed) for r in want]
+        for row, ref in zip(got, want):
+            assert row.residual == pytest.approx(ref.residual, rel=1e-13, abs=0.0), row.check_id
+
+
 class TestQuantumBridgeAgainstDenseProducts:
     @pytest.mark.parametrize("cutoff,margin,entry", [
         (10, 3, (2, 0)), (10, 3, (3, 5)), (10, 3, (6, 6)), (16, 3, (9, 13)), (9, 0, (8, 8))])
@@ -1354,3 +1402,30 @@ class TestOperatorNormOfBlocks:
         blocks = [np.diag([3.0, -1.0]), np.array([[0.5]]), np.zeros((0, 3))]
         assert fe.operator_norm(blocks) == pytest.approx(3.0, rel=1e-15)
         assert fe.operator_norm([]) == 0.0
+
+    @pytest.mark.parametrize("shapes", [
+        ((3, 0), (2, 2)), ((0, 3), (4, 1)), ((3, 0), (0, 3), (1, 5), (0, 0)), ((5, 3), (0, 7))])
+    @pytest.mark.parametrize("dtypes", [(float,), (complex,), (float, complex)])
+    def test_empty_and_mixed_blocks_match_padded_stack(self, shapes, dtypes):
+        rng = np.random.default_rng(11)
+        blocks = []
+        for k, shape in enumerate(shapes):
+            block = rng.normal(size=shape)
+            blocks.append(block + 1j * rng.normal(size=shape)
+                          if dtypes[k % len(dtypes)] is complex else block)
+        got = fe.operator_norm(blocks)
+        assert type(got) is float and got > 0.0
+        assert got == pytest.approx(_padded_stack_norm(blocks), rel=1e-13)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_inf_block_gives_nan_wherever_it_stands(self, position):
+        # a nan block norm after a finite one must not be dropped by the maximum
+        blocks = [np.eye(2), 3.0 * np.eye(3)]
+        blocks.insert(position, np.array([[np.inf]]))
+        assert math.isnan(_padded_stack_norm(blocks))
+        assert math.isnan(fe.operator_norm(blocks))
+
+    @pytest.mark.parametrize("shapes", [[(3, 0)], [(0, 3)], [(3, 0), (0, 3), (0, 0)]])
+    def test_only_empty_blocks_is_zero(self, shapes):
+        blocks = [np.zeros(shape) for shape in shapes] + [np.zeros((0, 2), complex)]
+        assert fe.operator_norm(blocks) == 0.0 == _padded_stack_norm(blocks)
