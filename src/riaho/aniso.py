@@ -23,7 +23,6 @@ w2*T are then the coprime multiples 2*pi*l2 and 2*pi*l1 of a full turn).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -31,8 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bridge import (ProportionalityReport, Units, ZPolynomial, _heat_series, _number, _sample,
-                     grid_proportionality)
+from .bridge import (ProportionalityReport, Units, ZPolynomial, _float_range, _graded_series,
+                     _number, grid_proportionality)
 from .coupling import Coupling
 from .fockeng import (FockBasis, InteriorMask, _hidden_commutator, _hidden_ladder_matrix,
                       _integer_weights, _levels, _orbit_row, hermite_rows, ladder, ladder_orbits,
@@ -44,8 +43,8 @@ from .phasealg import (
     poisson_bracket,
 )
 from .phasealg.catalog import hidden_shift
-from .phasealg.exact import (coerce_real, require_choice, require_int, require_real, ring_sqrt,
-                             to_float)
+from .phasealg.exact import (_sample, coerce_real, require_choice, require_int, require_real,
+                             ring_sqrt, to_float)
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -403,19 +402,6 @@ class SeparableState:
         return SeparableState(self.poly.scale(factor), self.rate1, self.rate2)
 
 
-def _float_range(fn):
-    """``fn`` with an OverflowError of its float arithmetic turned into ValueError."""
-
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except OverflowError:
-            raise ValueError(f"{fn.__name__}: a coefficient leaves the float range") from None
-
-    return checked
-
-
 @_float_range
 def aniso_cbt_apply(
     phi, freq: FrequencyPair, m: float = 1.0, hbar: float = 1.0
@@ -423,8 +409,8 @@ def aniso_cbt_apply(
     """Bridge a polynomial in (x1, x2) through the per-coordinate composition.
 
     ``phi`` is a monomial exponent pair (n1, n2) or a dict mapping such
-    pairs to coefficients.  As :func:`riaho.bridge.cbt_apply`: the grading
-    2^((n1+n2+1)/2), the heat series of sum_i -(lam_i^2/4) d^2/dx_i^2 with
+    pairs to coefficients.  As :func:`riaho.bridge.cbt_apply` (one :func:`_graded_series`): the
+    grading 2^((n1+n2+1)/2), the heat series of sum_i -(lam_i^2/4) d^2/dx_i^2 with
     lam_i^2 = hbar/(m w_i), then the Gaussians e^{-m w_i x_i^2 / 2 hbar}; a monomial
     lands on a multiple of psi_n1(x1) psi_n2(x2).  Units that are not positive and
     finite, a coefficient that is not a number (a str, bool or None among them),
@@ -435,7 +421,7 @@ def aniso_cbt_apply(
     if not isinstance(phi, dict):
         raise ValueError("input must be a monomial pair or exponent-to-coefficient dict")
     u1, u2 = (Units(m, w, hbar) for w in freq.float_omegas())
-    graded = {}
+    terms = {}
     for key, coeff in phi.items():
         if not (isinstance(key, tuple) and len(key) == 2):
             raise ValueError(f"exponents {key!r} are not a pair")
@@ -444,7 +430,7 @@ def aniso_cbt_apply(
         if c is None:
             raise ValueError(f"coefficient {coeff!r} of x1^{n1} x2^{n2} is not a number")
         if c != 0:
-            graded[(n1, n2)] = c * 2.0 ** ((n1 + n2 + 1) / 2)
+            terms[(n1, n2)] = c
     heat1, heat2 = -u1.length_sq / 8, -u2.length_sq / 8  # -lam_i^2/4, lam_i^2 = length_sq/2
 
     def step(term: ZPolynomial, k: int) -> ZPolynomial:
@@ -458,7 +444,7 @@ def aniso_cbt_apply(
             raise OverflowError
         return ZPolynomial(out)
 
-    return SeparableState(_heat_series(ZPolynomial(graded), step), u1.gauss, u2.gauss)
+    return SeparableState(_graded_series(terms, step), u1.gauss, u2.gauss)
 
 
 def _mode_eigen_poly(n: int, units: Units) -> dict:
@@ -541,7 +527,7 @@ def lissajous(A1, B1, A2, B2, freq: FrequencyPair, t):
     is sampled as given; the amplitudes and a scalar t go through require_real.
     """
     A1, B1, A2, B2 = map(require_real, (A1, B1, A2, B2), ("A1", "B1", "A2", "B2"))
-    t = np.asarray(require_real(t, "t") if np.ndim(t) == 0 else t, dtype=float)
+    t = np.asarray(_sample(t, "t"), dtype=float)
     w1, w2 = freq.float_omegas()
     x1 = A1 * np.cos(w1 * t) + B1 * np.sin(w1 * t)
     x2 = A2 * np.cos(w2 * t) + B2 * np.sin(w2 * t)

@@ -12,6 +12,7 @@ Complex coordinates: z = x1 + i x2, zbar = x1 - i x2.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,8 @@ import numpy as np
 
 from .coupling import Coupling
 from .fockeng import hermite_rows, verify_one_mode_bridge, verify_quantum_bridge
-from .phasealg.exact import require_choice, require_complex, require_int, require_real
+from .phasealg.cbt import _exp_series
+from .phasealg.exact import _sample, require_choice, require_complex, require_int, require_real
 from .reports import CheckRow, VerificationReport
 
 __all__ = [
@@ -81,11 +83,6 @@ _UNIT = Units()
 _QUAD_TOL = 1e-8  # how far a quadrature norm or overlap may stray from its exact value
 
 
-def _sample(x, name: str):
-    """A coordinate to evaluate at: an array or sequence as given, a scalar by require_real."""
-    return x if isinstance(x, np.ndarray) or np.ndim(x) else require_real(x, name)
-
-
 def _number(value):
     """complex(value) of a number, numpy's among them; None for a str or bool (numpy's too),
     which complex() would parse, and for anything else."""
@@ -105,7 +102,11 @@ class ZPolynomial:
         if not isinstance(self.terms, dict):
             raise ValueError(f"terms {self.terms!r} is not a dict")
         clean = {}
-        for (n1, n2), coeff in self.terms.items():
+        for key, coeff in self.terms.items():
+            try:
+                n1, n2 = key
+            except (TypeError, ValueError):  # not a sequence, or not a pair
+                raise ValueError(f"bad exponents {key!r}") from None
             if not (type(n1) is int and type(n2) is int) or n1 < 0 or n2 < 0:  # no bools
                 raise ValueError(f"bad exponents ({n1}, {n2})")
             c = _number(coeff)
@@ -286,36 +287,42 @@ def wave_distance(a: WaveState, b: WaveState) -> float:
 # the bridge map
 
 
+def _float_range(fn):
+    """``fn`` with an OverflowError of its float arithmetic turned into ValueError."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError:
+            raise ValueError(f"{fn.__name__}: a coefficient leaves the float range") from None
+
+    return checked
+
+
+def _graded_series(terms: dict, step) -> ZPolynomial:
+    """e^X of the terms (n1, n2) -> c each graded by 2^((n1+n2+1)/2), by the one series kernel
+    :func:`riaho.phasealg.cbt._exp_series`; a grading past the float range raises OverflowError."""
+    graded = ZPolynomial({key: c * 2.0 ** ((key[0] + key[1] + 1) / 2) for key, c in terms.items()})
+    return _exp_series(graded, step)
+
+
+@_float_range
 def cbt_apply(s: ZPolynomial, units: Units = _UNIT) -> WaveState:
     """Bridge a polynomial of (z, zbar) to a normalizable closed form.
 
     Composition, right to left: the dilation factor rescales each monomial
     by 2^((n1+n2+1)/2); the free-Hamiltonian exponential series terminates
     because H lowers both indices; the conformal factor multiplies by the
-    Gaussian exp(-(m*omega/2*hbar) z zbar).
+    Gaussian exp(-(m*omega/2*hbar) z zbar).  The grading and series are :func:`_graded_series`,
+    as in :func:`riaho.aniso.aniso_cbt_apply`; a coefficient past the float range raises ValueError.
     """
     if not isinstance(s, ZPolynomial):
         raise ValueError("bridge input must be a ZPolynomial")
-    graded = ZPolynomial(
-        {key: c * 2.0 ** ((key[0] + key[1] + 1) / 2) for key, c in s.terms.items()}
-    )
     denom = 2 * units.hbar * units.omega
-    series = _heat_series(
-        graded, lambda term, k: act_free("H", term, units).scale(1.0 / (denom * k)))
+    series = _graded_series(
+        s.terms, lambda term, k: act_free("H", term, units).scale(1.0 / (denom * k)))
     return WaveState(series, exp_zzbar=-units.gauss, units=units)
-
-
-def _heat_series(graded: ZPolynomial, step) -> ZPolynomial:
-    """e^X graded = sum_k term_k, term_0 = graded, term_k = step(term_{k-1}, k) = X term_{k-1}/k,
-    summed until a term vanishes: X lowers the degree, as the free H of :func:`cbt_apply` and
-    the per-coordinate second derivatives of :func:`riaho.aniso.aniso_cbt_apply` do."""
-    total = term = graded
-    k = 1
-    while not term.is_zero():
-        term = step(term, k)
-        total = total + term
-        k += 1
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +515,13 @@ class ProportionalityReport:
     passed: bool
 
 
+@_float_range
 def verify_bridge_proportionality(n1: int, n2: int, units: Units = _UNIT) -> ProportionalityReport:
     """Pointwise ratio of the bridged monomial to the ladder eigenfunction.
 
     The ratio must be grid-constant (see :func:`grid_proportionality`);
     dividing by (2 hbar/(m omega))^((n1+n2)/2) sqrt(n1! n2!) gives a reduced
-    constant that is the same for every (n1, n2).
+    constant that is the same for every (n1, n2).  A divisor past the float range raises ValueError.
     """
     bridged = cbt_apply(ZPolynomial.monomial(n1, n2), units)
     ladder_state = eigenstate(n1, n2, units)

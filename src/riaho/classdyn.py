@@ -26,7 +26,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .phasealg.catalog import GENERATOR_NAMES, generator
-from .phasealg.exact import require_choice, require_int, require_real, to_float
+from .phasealg.exact import _sample, require_choice, require_int, require_real, to_float
 from .phasealg.poly import Params
 from .reports import CheckRow, VerificationReport
 
@@ -84,11 +84,9 @@ class PhaseState:
 def _mode_values(params: TrajectoryParams, t):
     """(b1plus, b2minus) along the orbit; z = b1plus + b2minus.  A scalar t goes
     through the real-argument rule; an array of times is used as given."""
-    if not (isinstance(t, np.ndarray) or np.ndim(t)):
-        t = require_real(t, "t")
+    t = np.asarray(_sample(t, "t"), dtype=float)
     w = params.omega
     l1, l2 = params.coupling.float_ells()
-    t = np.asarray(t, dtype=float)
     b1p = params.R1 * np.exp(1j * (params.gamma1 + w * l1 * t))
     b2m = params.R2 * np.exp(-1j * (params.gamma2 + w * l2 * t))
     return b1p, b2m

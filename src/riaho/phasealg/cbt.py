@@ -10,7 +10,8 @@ acting on time-independent canonical polynomials.  Each factor is exact:
   monomial of x-degree a and p-degree b picks up 2^((a-b)/2), an element
   of Q[sqrt2]: the dilation that also changes units in ``to_basis``.
 * T_H(delta) f = sum_k delta^k/k! {H, .}^k f with H = p^2/2m; the bracket
-  lowers total x-degree so the series terminates on polynomials.
+  lowers total x-degree so the series terminates on polynomials.  The sum is
+  :func:`_exp_series`, the one series kernel, which both wavefunction bridges share.
 * T_K0(beta) likewise with K0 = m x^2/2, lowering p-degree.
 
 The composite sends the conformal sl(2,R) triple of the free particle onto
@@ -65,22 +66,24 @@ def grading_rescale(a: PhasePoly) -> PhasePoly:
     return _dilate(a, 2)
 
 
-def generator_flow(a: PhasePoly, gen: PhasePoly, param: ExactComplex) -> PhasePoly:
-    """sum_k param^k/k! {gen, .}^k a, requiring the series to terminate."""
-    out = a
-    cur = a
-    scale = ExactComplex.ONE
-    k = 0
-    bound = a.degree() + 1
-    while True:
-        cur = poisson_bracket(gen, cur)
-        if cur.is_zero():
-            return out
-        k += 1
+def _exp_series(start, step):
+    """e^X start = sum_k term_k, term_0 = start, term_k = step(term_{k-1}, k) = X term_{k-1}/k,
+    summed until a term vanishes (a PhasePoly or a :class:`riaho.bridge.ZPolynomial`); a
+    non-zero term k > degree(start) + 1 raises ValueError: the series does not terminate."""
+    total = term = start
+    bound = start.degree() + 1
+    k = 1
+    while not (term := step(term, k)).is_zero():
         if k > bound:
             raise ValueError("flow series does not terminate on this input")
-        scale = scale * param * Fraction(1, k)
-        out = out + cur * scale
+        total = total + term
+        k += 1
+    return total
+
+
+def generator_flow(a: PhasePoly, gen: PhasePoly, param: ExactComplex) -> PhasePoly:
+    """sum_k param^k/k! {gen, .}^k a, requiring the series to terminate."""
+    return _exp_series(a, lambda term, k: poisson_bracket(gen, term) * (param * Fraction(1, k)))
 
 
 def classical_cbt(a: PhasePoly) -> PhasePoly:

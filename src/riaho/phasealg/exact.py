@@ -98,6 +98,13 @@ def require_real(value, name: str, positive: bool = False) -> float:
     raise ValueError(f"{name} {_shown(value)} is not a {sign}finite real")
 
 
+def _sample(value, name: str):
+    """The rule for a time or coordinate to evaluate at: a numpy array (0-d too) or a
+    sequence is used as given, a scalar goes through :func:`require_real`."""
+    import numpy as np  # here, so the exact algebra imports without numpy
+    return value if isinstance(value, np.ndarray) or np.ndim(value) else require_real(value, name)
+
+
 def require_complex(value, name: str) -> complex:
     """The rule for a complex argument used as a complex float (a coherent-state label): an
     int or Fraction through :func:`to_float`, or a float or complex, finite; anything else,
@@ -344,11 +351,17 @@ class ExactComplex:
     def to_complex(self) -> complex:
         # int / int is correctly rounded, as float() of the reduced Fraction
         d, d2 = self._d, 2 * self._d
-        return complex(self._c0 / d + _SQRT2 * ((self._c1 - self._c3) / d2),
-                       self._c2 / d + _SQRT2 * ((self._c1 + self._c3) / d2))
+        try:
+            return complex(self._c0 / d + _SQRT2 * ((self._c1 - self._c3) / d2),
+                           self._c2 / d + _SQRT2 * ((self._c1 + self._c3) / d2))
+        except OverflowError:
+            raise ValueError("an exact value lies outside the float range") from None
 
     def __abs__(self) -> float:
-        return abs(self.to_complex())
+        try:
+            return abs(self.to_complex())  # a ValueError of to_complex passes through
+        except OverflowError:
+            raise ValueError("an exact value lies outside the float range") from None
 
     def __repr__(self) -> str:
         ar, ai, br, bi = self.ar, self.ai, self.br, self.bi

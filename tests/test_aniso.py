@@ -33,6 +33,8 @@ from riaho.aniso import (
 )
 from riaho.coupling import Coupling
 from riaho.fockeng import FockBasis, InteriorMask, hidden_coefficient
+from riaho.phasealg import cbt
+from riaho.phasealg.verify import suite_algebra
 from test_fockeng import _mutate_level
 
 
@@ -558,15 +560,22 @@ class TestBridgeOraclesSeeMutants:
         monkeypatch.setattr(aniso, "hermite_rows", scaled)
         assert not aniso_proportionality(2, 1, self.F12).passed
 
-    def test_perturbed_heat_series_step_fails_both_bridges(self, monkeypatch):
-        assert aniso._heat_series is bridge._heat_series  # one kernel for both bridges
-        real = bridge._heat_series
+    def test_perturbed_series_kernel_fails_every_bridge(self, monkeypatch):
+        # one kernel sums the classical flows and both wavefunction bridges' heat series
+        assert bridge._exp_series is cbt._exp_series
+        real = cbt._exp_series
 
-        def perturbed(graded, step):
-            return real(graded, lambda term, k: step(term, k).scale(1.3))
+        def perturbed(start, step):
+            def scaled(term, k):
+                out = step(term, k)  # a ZPolynomial scales by a float, a PhasePoly exactly
+                return (out.scale(1.3) if isinstance(out, bridge.ZPolynomial)
+                        else out * Fraction(13, 10))
+            return real(start, scaled)
 
-        for module in (bridge, aniso):
-            monkeypatch.setattr(module, "_heat_series", perturbed)
+        for module in (cbt, bridge):
+            monkeypatch.setattr(module, "_exp_series", perturbed)
+        rows = [row for row in suite_algebra(None).rows if row.check_id.startswith("cbt-")]
+        assert rows and not all(row.passed for row in rows)
         assert not bridge.verify_bridge_proportionality(2, 1).passed
         assert not aniso_proportionality(2, 1, self.F12).passed
 

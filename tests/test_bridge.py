@@ -131,6 +131,11 @@ class TestCbtApply:
         with pytest.raises(ValueError):
             br.cbt_apply("z*zbar")
 
+    def test_grading_past_the_float_range_raises(self):
+        # 2.0 ** 1024 raised a raw OverflowError
+        with pytest.raises(ValueError, match="float range"):
+            br.cbt_apply(br.ZPolynomial.monomial(2047, 0))
+
     @pytest.mark.parametrize("n1", range(5))
     @pytest.mark.parametrize("n2", range(5))
     def test_intertwining_sweep(self, n1, n2):
@@ -355,6 +360,11 @@ class TestProportionality:
         assert all(r.passed and r.spread <= 1e-9 for r in reports), [r.spread for r in reports]
         base = reports[0].reduced_constant
         assert all(abs(r.reduced_constant / base - 1) <= 1e-9 for r in reports)
+
+    def test_divisor_past_the_float_range_raises(self):
+        # sqrt(171!) raised a raw OverflowError
+        with pytest.raises(ValueError, match="float range"):
+            br.verify_bridge_proportionality(171, 0)
 
     def test_nodal_exclusion(self):
         # the (1,0) state vanishes at the origin, which is a grid point

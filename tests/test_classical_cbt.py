@@ -59,6 +59,14 @@ def test_flow_is_exact_exponential_on_linear_generator():
     assert flowed == shifted
 
 
+def test_flow_that_does_not_terminate_raises():
+    # {x1 p1, .} keeps x1 at degree 1, so every term of the series is non-zero
+    x1 = PhasePoly.variable("x1", CANONICAL)
+    p1 = PhasePoly.variable("p1", CANONICAL)
+    with pytest.raises(ValueError, match="does not terminate"):
+        generator_flow(x1, x1 * p1, ExactComplex(1))
+
+
 def test_bridge_rejects_circular_input():
     h = generator("J0", 0)
     with pytest.raises(ValueError):

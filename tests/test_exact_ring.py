@@ -127,6 +127,23 @@ def test_to_complex():
     assert abs(w - (1 + 2 ** 0.5 + 1j)) < 1e-15
 
 
+_HUGE = ExactComplex(10**400)
+_PAST_ABS = ExactComplex(F(15 * 10**307), F(15 * 10**307))  # both parts are floats, |z| is not
+
+
+@pytest.mark.parametrize("convert, value", [
+    (ExactComplex.to_complex, _HUGE),  # int / int raised a raw OverflowError
+    (ExactComplex.to_complex, ExactComplex(0, 0, 0, -10**400)),
+    (abs, _HUGE),
+    (abs, _PAST_ABS),                  # abs() of the finite complex raised OverflowError
+])
+def test_float_conversion_past_the_float_range_raises(convert, value):
+    if value is _PAST_ABS:  # abs() fails past the range, not to_complex
+        assert value.to_complex() == complex(1.5e308, 1.5e308)
+    with pytest.raises(ValueError, match="outside the float range"):
+        convert(value)
+
+
 @pytest.mark.parametrize("q,root", [
     (F(4), F(2)), (F(9, 4), F(3, 2)), (F(0), F(0)), (F(1), F(1)),
     (F(2), None), (F(-1), None), (F(3, 2), None), (F(49, 36), F(7, 6)),

@@ -320,9 +320,12 @@ def test_krawtchouk_rows_expand_pair_products(n):
     (1, 0, 0, 0, 0.1),         # a float mu would carry a 2^-55 denominator
     (-1, 0, 0, 0),
     (True, 0, 0, 0),
+    5,                         # not a sequence: len() or key[:4] raised TypeError
+    None,
+    frozenset({1, 2, 3, 4}),
 ])
 def test_bad_term_key_raises(key):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="term key"):
         PhasePoly(CANONICAL, {key: 1})
 
 

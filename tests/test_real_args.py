@@ -337,6 +337,8 @@ def test_array_times_are_sampled_as_given():
     x1, x2 = an.lissajous(1, 0, 0, 1, FREQ, [0.0, 0.5])
     assert x1.shape == x2.shape == (2,)
     assert an.lissajous(1, 0, 0, 1, FREQ, 0.5) == (x1[1], x2[1])
+    # a 0-d array is an array: np.array(0.5) was refused as "not a finite real"
+    assert an.lissajous(1, 0, 0, 1, FREQ, np.array(0.5)) == (x1[1], x2[1])
     for sample in (cd.position, cd.velocity, cd.momentum):
         x1, x2 = sample(ORBIT, np.array([0.0, 0.5]))
         assert x1.shape == x2.shape == (2,)
