@@ -103,10 +103,9 @@ class ZPolynomial:
             raise ValueError(f"terms {self.terms!r} is not a dict")
         clean = {}
         for key, coeff in self.terms.items():
-            try:
-                n1, n2 = key
-            except (TypeError, ValueError):  # not a sequence, or not a pair
-                raise ValueError(f"bad exponents {key!r}") from None
+            if type(key) is not tuple or len(key) != 2:  # a set or range unpacked as a pair
+                raise ValueError(f"bad exponents {key!r}")
+            n1, n2 = key
             if not (type(n1) is int and type(n2) is int) or n1 < 0 or n2 < 0:  # no bools
                 raise ValueError(f"bad exponents ({n1}, {n2})")
             c = _number(coeff)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import json
 import math
 import os
@@ -215,12 +216,13 @@ def _frac_dict(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
-def _float_rows(*columns) -> list:
-    """Rows of Python floats from equally shaped arrays, one row per element in C order."""
-    table = np.stack(columns, axis=-1).reshape(-1, len(columns))
-    if not np.isfinite(table).all():
+def _float_columns(*samples) -> list:
+    """Equally shaped sample arrays as raveled float64 columns, one cell per element in C
+    order; ConfigError when any sample is not finite."""
+    columns = [np.ravel(sample) for sample in samples]
+    if not all(np.isfinite(column).all() for column in columns):
         raise ConfigError("the samples leave the float range for these parameters")
-    return table.tolist()
+    return columns
 
 
 def _out_stem(config: RunConfig, out: str | None, default: str) -> Path:
@@ -260,54 +262,69 @@ def write_json_file(path: Path, payload: dict):
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-# %-conversions of a float or int cell; float.__repr__ is what json writes
-_CSV_SPECS = {float: "%.17g", int: "%d"}
-_JSON_SPECS = {float: "%r", int: "%d"}
-
-
-def write_dataset(stem: Path, columns: list, rows: list, config: RunConfig) -> Path:
-    """Write rows either as CSV or as a columns/rows JSON document.
-
-    Each row is formatted by one %-template built from its columns' cell
-    types: a float column as "%.17g" (CSV) or its repr (JSON), an int column
-    in decimal, and any other column rendered cell by cell, by ``_fmt`` (CSV)
-    or ``json.dumps`` (JSON).  The JSON text is what ``json.dumps(payload,
-    indent=2)`` writes.  A row whose width differs from ``columns``, a
-    column mixing cell types and a non-finite float raise ValueError before
-    any file is written.
-    """
-    csv = config.format == "csv"
-    specs, render = (_CSV_SPECS, _fmt) if csv else (_JSON_SPECS, json.dumps)
-    if not columns:
-        raise ValueError("a dataset needs at least one column")
-    if not set(map(len, rows)) <= {len(columns)}:
-        raise ValueError(f"every dataset row must hold {len(columns)} cells")
-    by_column, parts = [], []
-    for name, column in zip(columns, zip(*rows)):
+def _column_cells(name: str, column, csv: bool) -> tuple:
+    """The row-template part of one dataset column and the cells it fills, by the rules
+    of :func:`write_dataset`."""
+    if not isinstance(column, np.ndarray):
         kinds = set(map(type, column))
         if len(kinds) > 1:
             raise ValueError(f"dataset column {name!r} mixes cell types "
                              f"{sorted(kind.__name__ for kind in kinds)}")
-        kind = kinds.pop()
-        if kind is float and not all(map(math.isfinite, column)):
-            raise ValueError(f"dataset column {name!r} holds a non-finite float")
-        if kind in specs:
-            parts.append(specs[kind])
-        else:
-            column = tuple(map(render, column))
-            parts.append("%s")
-        by_column.append(column)
-    table = zip(*by_column)  # row tuples, as % takes them
+        if kinds == {int}:
+            return "%d", column
+        if kinds != {float}:
+            return "%s", list(map(_fmt if csv else json.dumps, column))
+        column = np.array(column)
+    if column.dtype != np.float64 or column.ndim != 1:
+        raise ValueError(f"dataset column {name!r} is a {column.ndim}-d {column.dtype} array, "
+                         "not a 1-d float64 one")
+    if not np.isfinite(column).all():
+        raise ValueError(f"dataset column {name!r} holds a non-finite float")
+    spec = "%.17g" if csv else "%r"  # float.__repr__ is what json writes
+    # the int64 view keeps -0.0 apart from 0.0
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    if 2 * len(distinct) > len(column):  # splicing mostly distinct texts costs more than it saves
+        return spec, column.tolist()
+    texts = np.array([spec % v for v in distinct.view(np.float64).tolist()], dtype=object)
+    return "%s", texts[inverse].tolist()
+
+
+def write_dataset(stem: Path, header: list, columns: list, config: RunConfig) -> Path:
+    """Write equal-length columns under ``header`` either as CSV or as a columns/rows JSON
+    document, and return the path written.
+
+    A column is a 1-d float64 array (the sampling commands) or a list of cells of one type
+    (spectrum, degeneracy).  Each row is formatted by one %-template built from its
+    columns: a float column as "%.17g" (CSV) or its repr (JSON), an int column in decimal,
+    and any other column rendered cell by cell, by ``_fmt`` (CSV) or ``json.dumps`` (JSON).
+    A float column with at most half as many distinct values as cells (a meshgrid axis)
+    converts each distinct value once, keeping -0.0 apart from 0.0, and fills its cells
+    with those texts; the bytes are the same either way.  The JSON text is what
+    ``json.dumps(payload, indent=2)`` writes.  No columns, a header whose length differs
+    from the columns', columns of unequal length, a list column mixing cell types, an
+    array that is not 1-d float64 and a non-finite float raise ValueError before any file
+    is written.
+    """
+    csv = config.format == "csv"
+    if not columns:
+        raise ValueError("a dataset needs at least one column")
+    if len(header) != len(columns):
+        raise ValueError(f"a dataset of {len(header)} named columns got {len(columns)}")
+    if len(set(map(len, columns))) > 1:
+        raise ValueError("the dataset columns differ in length")
+    parts, cells = zip(*[_column_cells(name, column, csv)
+                         for name, column in zip(header, columns)])
+    table = zip(*cells)  # row tuples, as % takes them
     if csv:
         path = stem.with_name(stem.name + ".csv")
         template = ",".join(parts)
-        lines = [",".join(columns), *[template % row for row in table]]
+        lines = [",".join(header), *[template % row for row in table]]
         _write_text(path, "\n".join(lines) + "\n")
         return path
     path = stem.with_name(stem.name + ".json")
-    text = json.dumps({"schema_version": SCHEMA_VERSION, "columns": list(columns), "rows": []},
+    text = json.dumps({"schema_version": SCHEMA_VERSION, "columns": list(header), "rows": []},
                       indent=2)
-    if rows:  # splice the rows into the empty list json.dumps wrote last
+    if len(columns[0]):  # splice the rows into the empty list json.dumps wrote last
         template = "[\n      " + ",\n      ".join(parts) + "\n    ]"
         head, tail = text.rsplit("[]", 1)
         body = ",\n    ".join([template % row for row in table])
@@ -317,15 +334,16 @@ def write_dataset(stem: Path, columns: list, rows: list, config: RunConfig) -> P
 
 
 def emit_dataset(
-    config: RunConfig, out: str | None, command: str, columns: list, rows: list, meta: dict
+    config: RunConfig, out: str | None, command: str, header: list, columns: list, meta: dict
 ) -> int:
-    """Write the dataset and a sidecar: schema_version, command, meta, columns, dataset."""
+    """Write the dataset (``header`` over ``columns``, as :func:`write_dataset` takes them)
+    and a sidecar: schema_version, command, meta, columns (the header), dataset."""
     stem = _out_stem(config, out, command)
-    data_path = write_dataset(stem, columns, rows, config)
+    data_path = write_dataset(stem, header, columns, config)
     sidecar = stem.with_name(stem.name + ".meta.json")
     try:
         write_json_file(sidecar, {"schema_version": SCHEMA_VERSION, "command": command, **meta,
-                                  "columns": columns, "dataset": data_path.name})
+                                  "columns": header, "dataset": data_path.name})
     except ConfigError:  # leave no dataset without its sidecar
         data_path.unlink()
         raise
@@ -369,12 +387,12 @@ def cmd_trajectory(args, config: RunConfig) -> int:
         omega=config.omega, coupling=coupling,
     )
     conserved = classdyn.conserved_values(params)
-    with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
+    with np.errstate(over="ignore", invalid="ignore"):  # _float_columns rejects inf and nan
         ts, window = _sample_times(args, classdyn.closure_period(coupling, config.omega))
         x1, x2 = classdyn.position(params, ts)
         p1, p2 = classdyn.momentum(params, ts, config.m)
-    rows = _float_rows(ts, x1, x2, p1, p2)
-    return emit_dataset(config, args.out, "trajectory", ["t", "x1", "x2", "p1", "p2"], rows, {
+    columns = _float_columns(ts, x1, x2, p1, p2)
+    return emit_dataset(config, args.out, "trajectory", ["t", "x1", "x2", "p1", "p2"], columns, {
         "g": _frac_dict(g),
         "ell1": _frac_dict(coupling.ell1),
         "ell2": _frac_dict(coupling.ell2),
@@ -395,12 +413,12 @@ def cmd_lissajous(args, config: RunConfig) -> int:
     w1 = parse_real(args.omega1, "omega1")
     w2 = parse_real(args.omega2, "omega2")
     freq = aniso.FrequencyPair.detect(w1, w2)
-    with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
+    with np.errstate(over="ignore", invalid="ignore"):  # _float_columns rejects inf and nan
         ts, window = _sample_times(args, aniso.closure_period(freq))
         x1, x2 = aniso.lissajous(args.a1, args.b1, args.a2, args.b2, freq, ts)
-    rows = _float_rows(ts, x1, x2)
+    columns = _float_columns(ts, x1, x2)
 
-    return emit_dataset(config, args.out, "lissajous", ["t", "x1", "x2"], rows, {
+    return emit_dataset(config, args.out, "lissajous", ["t", "x1", "x2"], columns, {
         "omega1": float(freq.omega1),
         "omega2": float(freq.omega2),
         "exact_frequencies": freq.is_exact,
@@ -422,16 +440,16 @@ def cmd_spectrum(args, config: RunConfig) -> int:
         raise ConfigError("nmax must be at least 1")
     basis = FockBasis(args.nmax)
     rows_dicts = fockeng.spectrum_rows(coupling, basis)
-    columns = ["n1", "n2", "E_exact_num", "E_exact_den", "class_id"]
-    rows = [[r[c] for c in columns] for r in rows_dicts]
+    header = ["n1", "n2", "E_exact_num", "E_exact_den", "class_id"]
+    columns = [[r[c] for r in rows_dicts] for c in header]
 
-    return emit_dataset(config, args.out, "spectrum", columns, rows, {
+    return emit_dataset(config, args.out, "spectrum", header, columns, {
         "g": _frac_dict(g),
         "nmax": args.nmax,
         "energy_unit": "hbar*omega",
         "hbar": config.hbar,
         "omega": config.omega,
-        "states": len(rows),
+        "states": len(rows_dicts),
         "classes": 1 + max(r["class_id"] for r in rows_dicts),
     })
 
@@ -445,16 +463,16 @@ def cmd_degeneracy(args, config: RunConfig) -> int:
     # a level with a non-positive mode weight repeats along a lattice
     # direction, so every populated class is infinite there
     infinite = coupling.ell1 <= 0 or coupling.ell2 <= 0
-    columns = ["class_id", "E_num", "E_den", "multiplicity", "complete", "infinite", "states"]
-    rows = []
-    for cls in classes:
-        states = ";".join(f"{n1}:{n2}" for n1, n2 in cls.states)
-        rows.append(
-            [cls.class_id, cls.energy.numerator, cls.energy.denominator,
-             len(cls.states), cls.complete, infinite, states]
-        )
+    header = ["class_id", "E_num", "E_den", "multiplicity", "complete", "infinite", "states"]
+    columns = [[cls.class_id for cls in classes],
+               [cls.energy.numerator for cls in classes],
+               [cls.energy.denominator for cls in classes],
+               [len(cls.states) for cls in classes],
+               [cls.complete for cls in classes],
+               [infinite] * len(classes),
+               [";".join(f"{n1}:{n2}" for n1, n2 in cls.states) for cls in classes]]
 
-    return emit_dataset(config, args.out, "degeneracy", columns, rows, {
+    return emit_dataset(config, args.out, "degeneracy", header, columns, {
         "g": _frac_dict(g),
         "emax": _frac_dict(emax),
         "energy_unit": "hbar*omega",
@@ -471,7 +489,7 @@ def _square_grid(args) -> tuple:
     if args.points < 2:
         raise ConfigError("points must be at least 2")
     extent = require_real(args.extent, "extent", positive=True)
-    with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
+    with np.errstate(over="ignore", invalid="ignore"):  # _float_columns rejects inf and nan
         xs = np.linspace(-extent, extent, args.points)
     return np.meshgrid(xs, xs, indexing="ij")
 
@@ -485,10 +503,11 @@ def cmd_eigenstate(args, config: RunConfig) -> int:
     norm = bridge.inner_product(psi, psi).real
     if not abs(norm - 1.0) <= bridge._QUAD_TOL:  # the prefactor cancels at the outer nodes
         raise ConfigError(f"eigenstate norm {norm!r} is off from 1 by more than {bridge._QUAD_TOL}")
-    with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
+    with np.errstate(over="ignore", invalid="ignore"):  # _float_columns rejects inf and nan
         values = psi.evaluate(x1, x2)
-    rows = _float_rows(x1, x2, values.real, values.imag)
-    return emit_dataset(config, args.out, "eigenstate", ["x1", "x2", "re_psi", "im_psi"], rows, {
+    columns = _float_columns(x1, x2, values.real, values.imag)
+    header = ["x1", "x2", "re_psi", "im_psi"]
+    return emit_dataset(config, args.out, "eigenstate", header, columns, {
         "n1": args.n1,
         "n2": args.n2,
         "m": config.m,
@@ -521,15 +540,16 @@ def cmd_coherent(args, config: RunConfig) -> int:
     zero_point = complex(np.exp(-1j * units.omega * args.t))
     rotated = bridge.rotate(state, args.gamma)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # _float_rows rejects non-finite samples
+    with np.errstate(over="ignore", invalid="ignore"):  # _float_columns rejects inf and nan
         base = state.evaluate(x1, x2)
         evo = zero_point * evolved.evaluate(x1, x2)
         rot = rotated.evaluate(x1, x2)
-    rows = _float_rows(x1, x2, base.real, base.imag, evo.real, evo.imag, rot.real, rot.imag)
-    columns = ["x1", "x2", "re_phi", "im_phi", "re_evolved", "im_evolved",
-               "re_rotated", "im_rotated"]
+    columns = _float_columns(x1, x2, base.real, base.imag, evo.real, evo.imag,
+                             rot.real, rot.imag)
+    header = ["x1", "x2", "re_phi", "im_phi", "re_evolved", "im_evolved",
+              "re_rotated", "im_rotated"]
     lam1, lam2 = bridge.coherent_eigenvalues(alpha, beta, units)
-    emit_dataset(config, args.out, "coherent", columns, rows, {
+    emit_dataset(config, args.out, "coherent", header, columns, {
         "alpha": _pair(alpha),
         "beta": _pair(beta),
         "t": args.t,
@@ -743,10 +763,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built by the first :func:`main` call, which parsing
+    leaves unchanged; not at import, which commands that never parse would pay for."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code or 0)
     try:

@@ -260,21 +260,6 @@ class PhasePoly:
             out[k] = out.get(k, ExactComplex.ZERO) + coeff.conjugate()
         return _make(self.basis, out, self.params)
 
-    def diff(self, name: str) -> "PhasePoly":
-        """Formal partial derivative with respect to one variable."""
-        i = _VARS[self.basis].index(require_choice(name, "variable", _VARS[self.basis]))
-        out = {}
-        for key, coeff in self.terms.items():
-            if key[i] == 0:
-                continue
-            e = list(key[:4])
-            n = e[i]
-            e[i] = n - 1
-            k = (*e, key[4])
-            add = coeff * n
-            out[k] = out.get(k, ExactComplex.ZERO) + add
-        return _make(self.basis, out, self.params)
-
     # -- basis conversion ---------------------------------------------------
     def to_basis(self, basis: str) -> "PhasePoly":
         """The same polynomial in the other variable set, by four pair steps.

@@ -438,11 +438,26 @@ EDGE_INTS = [0, -7, 2**64 + 1]
 EDGE_STRINGS = ['say "hi"', "back\\slash", "café", ""]
 
 
-class TestDatasetWriter:
-    """write_dataset writes byte for byte what the per-cell writer wrote."""
+def columns_of(header, rows):
+    """The columns of a row table, one list per name of ``header``."""
+    return [[row[i] for row in rows] for i in range(len(header))]
 
-    def write(self, directory, fmt, columns, rows):
-        return cli.write_dataset(directory / "table", columns, rows, RunConfig(format=fmt))
+
+def rows_of(columns):
+    """The rows of equal-length columns, float arrays as Python floats."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return [list(row) for row in zip(*cells)]
+
+
+_AXIS = np.linspace(-3.0, 3.0, 9)
+_X1, _X2 = np.meshgrid(_AXIS, _AXIS, indexing="ij")
+
+
+class TestDatasetWriter:
+    """write_dataset writes byte for byte what the per-cell writer wrote for the same rows."""
+
+    def write(self, directory, fmt, header, columns):
+        return cli.write_dataset(directory / "table", header, columns, RunConfig(format=fmt))
 
     TABLES = {
         "floats": (["x"], [[v] for v in EDGE_FLOATS + [-v for v in EDGE_FLOATS]]),
@@ -459,54 +474,98 @@ class TestDatasetWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("table", sorted(TABLES))
     def test_hand_picked_tables(self, tmp_path, fmt, table):
-        columns, rows = self.TABLES[table]
-        path = self.write(tmp_path, fmt, columns, rows)
+        header, rows = self.TABLES[table]
+        path = self.write(tmp_path, fmt, header, columns_of(header, rows))
         assert path == tmp_path / f"table.{fmt}"
-        assert_written_as_before(path, columns, rows, fmt)
+        assert_written_as_before(path, header, rows, fmt)
 
-    @given(width=st.integers(1, 5), data=st.data())
+    # float-array columns, as the sampling commands hand them over
+    ARRAY_TABLES = {
+        # x1 repeats each axis value 9 times in a row, x2 cycles through the axis
+        "meshgrid axes": (["x1", "x2", "psi"],
+                          [_X1.ravel(), _X2.ravel(), np.exp(-_X1 * _X2).ravel()]),
+        "signed zeros": (["z", "t"], [np.array([0.0, -0.0, -0.0, 0.0] * 10 + [-0.0]),
+                                      np.arange(41) / 7]),
+        "one-row": (["x", "y", "n"], [np.array([-0.0]), np.array([2.0**53 + 2]), [3]]),
+        "empty": (["x", "y", "n"], [np.zeros(0), np.zeros(0), []]),
+        "beside list columns": (["t", "n", "s"], [np.array([0.5, 0.5, 1e-300]), [1, 2, 3],
+                                                  ["a", "b", "c"]]),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("table", sorted(ARRAY_TABLES))
+    def test_float_array_tables(self, tmp_path, fmt, table):
+        header, columns = self.ARRAY_TABLES[table]
+        path = self.write(tmp_path, fmt, header, columns)
+        assert_written_as_before(path, header, rows_of(columns), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column, part", [
+        ([0.1, 0.1, -2.5, -2.5, 1e300, 1e300], "%s"),  # 2 * distinct == n: texts spliced in
+        ([0.1, 0.1, -2.5, -2.5, 1 / 3], None),          # 2 * distinct == n + 1: the float spec
+        ([0.0, -0.0, 0.0, -0.0], "%s"),                 # -0.0 and 0.0 are two distinct values
+        ([0.0, -0.0, 5e-324], None),
+    ])
+    def test_distinct_value_threshold(self, tmp_path, fmt, column, part):
+        csv = fmt == "csv"
+        for cells in (column, np.array(column)):
+            spec, _ = cli._column_cells("x", cells, csv)
+            assert spec == (part or ("%.17g" if csv else "%r"))
+            path = self.write(tmp_path, fmt, ["x"], [cells])
+            assert_written_as_before(path, ["x"], [[v] for v in column], fmt)
+
+    @given(width=st.integers(1, 5), arrays=st.booleans(), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_random_float_tables(self, width, data):
+    def test_random_float_tables(self, width, arrays, data):
         cell = st.floats(allow_nan=False, allow_infinity=False)
         rows = data.draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=8))
-        columns = [f"c{i}" for i in range(width)]
+        header = [f"c{i}" for i in range(width)]
+        columns = columns_of(header, rows)
+        if arrays:
+            columns = [np.array(c, dtype=np.float64) for c in columns]
         with tempfile.TemporaryDirectory() as out:
             for fmt in ("csv", "json"):
-                path = self.write(Path(out), fmt, columns, rows)
-                assert_written_as_before(path, columns, rows, fmt)
+                path = self.write(Path(out), fmt, header, columns)
+                assert_written_as_before(path, header, rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("array", [False, True])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_float_is_written_as_before_or_rejected(self, tmp_path, fmt, bad):
-        columns, rows = ["t", "x"], [[0.0, 1.0], [0.5, bad]]
-        try:
-            path = self.write(tmp_path, fmt, columns, rows)
-        except ValueError:
-            assert list(tmp_path.iterdir()) == []
-        else:
-            assert_written_as_before(path, columns, rows, fmt)
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("columns, rows", [
-        (["t", "x"], [[0.0, 0.5], [1, 0.25]]),      # float, then int
-        (["n", "flag"], [[1, True], [True, False]]),  # int, then bool
-        (["n"], [[3], [2.0]]),                        # int, then float
-        (["s"], [["a"], [1]]),                        # str, then int
-    ])
-    def test_column_changing_type_is_rejected(self, tmp_path, fmt, columns, rows):
-        with pytest.raises(ValueError, match=f"column {columns[0]!r} mixes"):
-            self.write(tmp_path, fmt, columns, rows)
+    def test_non_finite_float_is_rejected(self, tmp_path, fmt, array, bad):
+        column = [0.0, 0.5, bad]
+        columns = [[0.0, 0.5, 1.0], np.array(column) if array else column]
+        with pytest.raises(ValueError, match="column 'x' holds a non-finite float"):
+            self.write(tmp_path, fmt, ["t", "x"], columns)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("columns, rows", [
-        (["a", "b"], [[1.0, 2.0], [3.0]]),
-        (["a"], [[1.0, 2.0]]),
-        ([], []),
+    @pytest.mark.parametrize("header, columns", [
+        (["t", "x"], [[0.0, 1], [0.5, 0.25]]),        # float, then int
+        (["n", "flag"], [[1, True], [True, False]]),  # int, then bool
+        (["n"], [[3, 2.0]]),                          # int, then float
+        (["s"], [["a", 1]]),                          # str, then int
+        # a list column beside float arrays: a trajectory table whose last t is an int
+        (["t", "x1", "x2"], [[0.0, 0.5, 1], np.zeros(3), np.ones(3)]),
     ])
-    def test_row_width_must_match_the_columns(self, tmp_path, fmt, columns, rows):
-        with pytest.raises(ValueError):
-            self.write(tmp_path, fmt, columns, rows)
+    def test_column_changing_type_is_rejected(self, tmp_path, fmt, header, columns):
+        with pytest.raises(ValueError, match=f"column {header[0]!r} mixes"):
+            self.write(tmp_path, fmt, header, columns)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("header, columns, message", [
+        (["a", "b"], [[1.0, 3.0], [2.0]], "differ in length"),
+        (["a", "b"], [np.zeros(2), np.zeros(3)], "differ in length"),
+        (["a"], [[1.0], [2.0]], "1 named columns got 2"),
+        (["a", "b"], [[1.0]], "2 named columns got 1"),
+        ([], [], "at least one column"),
+        (["a"], [np.zeros((2, 2))], "column 'a' is a 2-d float64 array"),
+        (["a"], [np.arange(3)], "column 'a' is a 1-d int64 array"),
+    ])
+    def test_columns_must_match_the_header_and_each_other(self, tmp_path, fmt, header, columns,
+                                                           message):
+        with pytest.raises(ValueError, match=message):
+            self.write(tmp_path, fmt, header, columns)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -519,20 +578,22 @@ DATASET_COMMANDS = {
     "coherent": ("--alpha", "0.5,-0.3", "--beta", "0.2,0.6", "--t", "1", "--gamma", "0.5",
                  "--g", "1/2", "--points", "7"),
 }
+# the commands that sample floats hand over float64 arrays, the others lists
+SAMPLING_COMMANDS = {"trajectory", "lissajous", "eigenstate", "coherent"}
 
 
 class TestDatasetCommandBytes:
-    """Each dataset command writes the per-cell writer's bytes for the rows it hands over."""
+    """Each dataset command writes the per-cell writer's bytes for the columns it hands over."""
 
     def capture(self, monkeypatch, change=None):
         handed = []
         real = cli.write_dataset
 
-        def wrapper(stem, columns, rows, config):
+        def wrapper(stem, header, columns, config):
             if change:
-                change(rows)
-            handed.append((columns, rows))
-            return real(stem, columns, rows, config)
+                change(columns)
+            handed.append((header, columns))
+            return real(stem, header, columns, config)
 
         monkeypatch.setattr(cli, "write_dataset", wrapper)
         return handed
@@ -542,26 +603,67 @@ class TestDatasetCommandBytes:
     def test_file_matches_the_old_writer(self, tmp_path, monkeypatch, fmt, command):
         handed = self.capture(monkeypatch)
         assert run(tmp_path, command, *DATASET_COMMANDS[command], "--format", fmt) == 0
-        [(columns, rows)] = handed
+        [(header, columns)] = handed
+        assert {isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns} == {
+            command in SAMPLING_COMMANDS}
+        rows = rows_of(columns)
         assert rows
-        assert_written_as_before(tmp_path / f"{command}.{fmt}", columns, rows, fmt)
+        assert_written_as_before(tmp_path / f"{command}.{fmt}", header, rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command, cell", [
-        ("trajectory", 1),       # float column, then an int
         ("spectrum", True),      # int column, then a bool
         ("degeneracy", False),   # int column, then a bool
     ])
     def test_mixed_column_leaves_no_files(self, tmp_path, monkeypatch, capsys, fmt, command,
                                           cell):
-        def change(rows):
-            rows[-1][0] = cell
+        def change(columns):
+            columns[0][-1] = cell
 
         self.capture(monkeypatch, change)
         assert run(tmp_path, command, *DATASET_COMMANDS[command], "--format", fmt) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "mixes" in err[0]
         assert list(tmp_path.iterdir()) == []
+
+
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it; no call leaves state in it."""
+
+    def test_two_calls_build_the_parser_once(self, tmp_path, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(None)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        assert run(tmp_path, "spectrum", "--g", "1/3", "--nmax", "2") == 0
+        assert run(tmp_path, "degeneracy", "--g", "1/3", "--emax", "2") == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("first, code", [
+        (("--g", "1/3", "--out", "a", "--nmax", "x"), 2),  # usage error, from argparse
+        (("--g", "1/0", "--out", "a", "--nmax", "3"), 2),  # ValueError, from the handler
+        (("--g", "1/3", "--out", "a", "--nmax", "3"), 0),  # a run writing a.csv
+    ])
+    def test_a_call_leaves_the_next_clean(self, tmp_path, capsys, first, code):
+        assert run(tmp_path, "spectrum", *first) == code
+        assert run(tmp_path, "spectrum", "--g", "1/2") == 0
+        _, rows = read_csv(tmp_path / "spectrum.csv")
+        assert len(rows) == 9 * 9  # the default nmax 8, not the first call's
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["spectrum.csv", "spectrum.meta.json"]
+            + (["a.csv", "a.meta.json"] if code == 0 else []))
+        assert read_meta(tmp_path, "spectrum")["g"] == {"num": 1, "den": 2}
+
+    def test_help_is_what_a_fresh_parser_prints(self, capsys):
+        expected = cli.build_parser().format_help()
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            assert capsys.readouterr().out == expected
 
 
 class TestTrajectory:

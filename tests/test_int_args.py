@@ -234,10 +234,12 @@ def test_aniso_exponents_must_be_a_pair(key):
         an.aniso_cbt_apply({key: 1.0}, FREQ)
 
 
-@pytest.mark.parametrize("key", [(True, 0), (0, 1.0), (0, -1), 5, (1,), (1, 2, 3)])
+@pytest.mark.parametrize("key", [(True, 0), (0, 1.0), (0, -1), 5, (1,), (1, 2, 3),
+                                 frozenset({3, 1}), range(2, 4)])
 def test_zpolynomial_exponents_are_ints(key):
     # the per-term check keeps its inline type test; isinstance let bools in; a key that
-    # is not a pair raised TypeError or an unpacking error that named nothing
+    # is not a pair raised TypeError or an unpacking error that named nothing; a set or a
+    # range unpacked as the pair (1, 3) or (2, 3)
     with pytest.raises(ValueError, match="bad exponents"):
         br.ZPolynomial({key: 1.0})
 

@@ -31,16 +31,29 @@ MUS = (F(0), F(0), F(1, 2), F(-2, 3), F(3))
 UNITS = (Params(), Params(1, 4), Params(2, 1), Params(F(1, 2), 1), Params(9, 2))
 
 
+def derivative(p, name):
+    """The formal partial derivative of ``p`` with respect to one of its basis variables."""
+    i = poly._VARS[p.basis].index(name)
+    out = {}
+    for key, coeff in p.terms.items():
+        n = key[i]
+        if n:
+            k = (*key[:i], n - 1, *key[i + 1:])
+            out[k] = out.get(k, ExactComplex.ZERO) + coeff * n
+    return poly._make(p.basis, out, p.params)
+
+
 def bracket_by_derivatives(a, b):
     """The bracket as first written: eight derivatives, four products and their sums."""
+    d = derivative
     if a.basis == CANONICAL:
         out = PhasePoly.zero(a.basis, a.params)
         for x, p in (("x1", "p1"), ("x2", "p2")):
-            out = out + a.diff(x) * b.diff(p) - a.diff(p) * b.diff(x)
+            out = out + d(a, x) * d(b, p) - d(a, p) * d(b, x)
         return out
     out = PhasePoly.zero(a.basis, a.params)
     for lo, hi in (("b1-", "b1+"), ("b2-", "b2+")):
-        out = out + a.diff(lo) * b.diff(hi) - a.diff(hi) * b.diff(lo)
+        out = out + d(a, lo) * d(b, hi) - d(a, hi) * d(b, lo)
     return out * (-I)
 
 
