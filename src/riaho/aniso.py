@@ -34,8 +34,8 @@ from .bridge import (ProportionalityReport, Units, ZPolynomial, _float_range, _g
                      _number, grid_proportionality)
 from .coupling import Coupling
 from .fockeng import (FockBasis, InteriorMask, _hidden_commutator, _hidden_ladder_matrix,
-                      _integer_weights, _levels, _orbit_row, hermite_rows, ladder, ladder_orbits,
-                      level_sets, operator_norm, verify_commutes)
+                      _integer_weights, _levels, commutator, hermite_rows, ladder, ladder_orbits,
+                      level_sets, operator_norm)
 from .phasealg import (
     CANONICAL,
     ExactComplex,
@@ -45,7 +45,7 @@ from .phasealg import (
 from .phasealg.catalog import hidden_shift
 from .phasealg.exact import (_sample, coerce_real, require_choice, require_int, require_real,
                              ring_sqrt, to_float)
-from .reports import CheckRow, VerificationReport
+from .reports import CheckRow, VerificationReport, check
 
 __all__ = [
     "FrequencyPair",
@@ -231,12 +231,8 @@ def verify_signed_spectrum(basis: FockBasis, freq: FrequencyPair, sign) -> Check
     num1 = ladder(basis, 1, "+") @ ladder(basis, 1, "-")
     num2 = ladder(basis, 2, "+") @ ladder(basis, 2, "-")
     built = w1 * num1 + sigma * w2 * num2 + 0.5 * (w1 + sigma * w2) * np.eye(basis.dim)
-    return CheckRow.within(
-        "signed-spectrum",
-        "diag(H^(sigma)) = hbar*(w1 n1 + sigma w2 n2 + (w1+sigma w2)/2)",
-        operator_norm(built - signed_hamiltonian(basis, freq, sign)), 1e-12,
-        detail=f"sign={sign}, cutoff={basis.cutoff}",
-    )
+    return check("signed-spectrum", operator_norm(built - signed_hamiltonian(basis, freq, sign)),
+                 f"sign={sign}, cutoff={basis.cutoff}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,24 +342,20 @@ def so11_invariant_check(omega=1.0, cutoff: int = 10) -> VerificationReport:
 
     mask = InteriorMask(basis, margin1=1, margin2=1)
     report = VerificationReport(suite="so11-invariant")
-    report.add(CheckRow.within("so11-quadrature-form", "x1 p2 + x2 p1 = i hbar (J+ - J-)",
-                               operator_norm(x1 @ p2 + x2 @ p1 - l11), 1e-12))
+    report.add(check("so11-quadrature-form", operator_norm(x1 @ p2 + x2 @ p1 - l11)))
     # L11 links states of equal n1 - n2, whose levels are one float, so the residual is 0
-    report.add(verify_commutes(hminus, l11, mask, tol=0.0,
-                               check_id="so11-invariance", identity="[H(-), L11] = 0"))
+    report.add(check("so11-invariance",
+                     operator_norm(mask.restrict_columns(commutator(hminus, l11)))))
     # shifted grading generator used in the invariance statement
     j0_shift = (hosc - w * np.eye(basis.dim)) / (2.0 * w)
-    for name, mat, sgn, s in (("raise", jplus, +1, "+"), ("lower", jminus, -1, "-")):
-        report.add(CheckRow.within(
-            f"sl2-{name}", f"[J0, J{s}] = {s}J{s}",
-            operator_norm(j0_shift @ mat - mat @ j0_shift - sgn * mat), 1e-12))
-    report.add(CheckRow.within(
-        "sl2-ladder-bracket", "[J-, J+] = H_osc/(hbar w) = 2 J0 + 1",
+    for name, mat, sgn in (("raise", jplus, +1), ("lower", jminus, -1)):
+        report.add(check(f"sl2-{name}", operator_norm(j0_shift @ mat - mat @ j0_shift - sgn * mat)))
+    report.add(check(
+        "sl2-ladder-bracket",
         operator_norm(mask.restrict_columns(jminus @ jplus - jplus @ jminus - hosc / w)),
-        1e-12, detail="closes on the unshifted grading H_osc/(2 hbar w)"))
+        "closes on the unshifted grading H_osc/(2 hbar w)"))
     # the two diagonals commute exactly, so the residual must be exactly 0
-    report.add(verify_commutes(hminus, hosc, tol=0.0,
-                               check_id="diagonal-pair", identity="[H(-), H_osc] = 0"))
+    report.add(check("diagonal-pair", operator_norm(commutator(hminus, hosc))))
     return report
 
 
@@ -634,8 +626,7 @@ def rescale_canonical_check(coupling) -> CheckRow:
                 expected = canon.get((i, j), zero)
                 if poisson_bracket(prim[i], prim[j]) != expected:
                     ok = False
-    return CheckRow.exact("rescale-canonical",
-                          "{x_i', p_j'} = delta_ij, {x', x'} = {p', p'} = 0", ok, detail)
+    return check("rescale-canonical", ok, detail)
 
 
 def composite_spectrum_check(coupling, cutoff: int = 8) -> CheckRow:
@@ -659,9 +650,8 @@ def composite_spectrum_check(coupling, cutoff: int = 8) -> CheckRow:
                                               *((w2, w1) if swapped else (w1, w2)), w0)
     grid = range(cutoff + 1)
     ok = all(a * n1 + b * n2 + c == a2 * n1 + b2 * n2 + c2 for n1 in grid for n2 in grid)
-    return CheckRow.exact(
-        "composite-spectrum", "spec(H_g) = spec(H^(sigma), Omega_i=|ell_i| w) with multiplicity",
-        ok, detail=f"g={coupling.g}, grid (cutoff+1)^2 = {(cutoff + 1) ** 2} states")
+    return check("composite-spectrum", ok,
+                 f"g={coupling.g}, grid (cutoff+1)^2 = {(cutoff + 1) ** 2} states")
 
 
 def suite_aniso(config) -> VerificationReport:
@@ -683,21 +673,22 @@ def suite_aniso(config) -> VerificationReport:
         for sign, kind in (("+", "L"), ("-", "J")):
             levels = _levels(basis, _signed_weights(freq, sign), 1.0, f"H({sign})")
             # the ladder links only states of one level, and _levels gives those one float
-            report.add(CheckRow.within(
-                f"hidden-commutes:{kind}({w1},{w2})", f"[H^({sign}), {kind}+] = 0",
-                _hidden_commutator(levels, basis, kind, freq.l1, freq.l2), 0.0))
-            report.add(_orbit_row(
-                f"{kind}({w1},{w2})", f"{kind} orbits = H^({sign}) degeneracy classes",
-                hidden_orbits(basis, freq, kind), degeneracy_partition(basis, freq, sign)))
+            report.add(check(f"hidden-commutes:{kind}({w1},{w2})",
+                             _hidden_commutator(levels, basis, kind, freq.l1, freq.l2),
+                             h=f"H^({sign})", x=f"{kind}+"))
+            orbits = hidden_orbits(basis, freq, kind)
+            report.add(check(f"orbits-match-degeneracy:{kind}({w1},{w2})",
+                             orbits == degeneracy_partition(basis, freq, sign),
+                             f"{len(orbits)} orbits", x=kind,
+                             classes=f"H^({sign}) degeneracy classes"))
 
     for w1, w2 in ((1, 3), (1, 4), (3, 5)):
         freq = FrequencyPair.detect(Fraction(w1), Fraction(w2))
         period = closure_period(freq)
         a0 = lissajous(1.0, 0.3, 0.7, 1.0, freq, 0.0)
         a1 = lissajous(1.0, 0.3, 0.7, 1.0, freq, period)
-        report.add(CheckRow.within(
-            f"lissajous-closure:{w1}:{w2}", "curve closes at 2 pi l2 / omega1",
-            math.hypot(a1[0] - a0[0], a1[1] - a0[1]) / 2.0, 1e-9))
+        report.add(check(f"lissajous-closure:{w1}:{w2}",
+                         math.hypot(a1[0] - a0[0], a1[1] - a0[1]) / 2.0))
 
     for gtext in ("1/3", "1/2", "3"):
         coupling = Coupling(Fraction(gtext))

@@ -25,7 +25,7 @@ from .coupling import Coupling
 from .fockeng import hermite_rows, verify_one_mode_bridge, verify_quantum_bridge
 from .phasealg.cbt import _exp_series
 from .phasealg.exact import _sample, require_choice, require_complex, require_int, require_real
-from .reports import CheckRow, VerificationReport
+from .reports import FAMILIES, VerificationReport, check
 
 __all__ = [
     "Units",
@@ -80,7 +80,7 @@ class Units:
 
 
 _UNIT = Units()
-_QUAD_TOL = 1e-8  # how far a quadrature norm or overlap may stray from its exact value
+_QUAD_TOL = FAMILIES["overlap-identity"].tol  # the most a quadrature norm or overlap may stray
 
 
 def _number(value):
@@ -534,11 +534,11 @@ def verify_bridge_proportionality(n1: int, n2: int, units: Units = _UNIT) -> Pro
 def grid_proportionality(n1: int, n2: int, phi, psi, expected) -> ProportionalityReport:
     """Grid-constancy of phi/psi, both evaluated on meshgrid arrays.
 
-    The grid has 21 x 21 points on [-3, 3]^2 and skips the nodal points
-    |psi| <= 1e-6; it passes when max |ratio - mean| <= 1e-9 |mean|.  The
-    reduced constant is the mean ratio divided by ``expected``.  ValueError
-    when no grid point clears the nodal floor, for an n1 or n2 (the report's
-    labels) that is not an int >= 0, or an ``expected`` that is not a positive finite real.
+    The grid has 21 x 21 points on [-3, 3]^2 and skips the nodal points |psi| <= 1e-6; it
+    passes when max |ratio - mean| <= tol |mean|, tol the ``proportionality`` family's in
+    :data:`riaho.reports.FAMILIES`.  The reduced constant is the mean ratio divided by
+    ``expected``.  ValueError when no grid point clears the nodal floor, for an n1 or n2 (the
+    report's labels) that is not an int >= 0, or an ``expected`` that is not a positive finite real.
     """
     n1, n2 = require_int(n1, "n1"), require_int(n2, "n2")
     expected = require_real(expected, "expected", positive=True)
@@ -559,7 +559,7 @@ def grid_proportionality(n1: int, n2: int, phi, psi, expected) -> Proportionalit
         reduced_constant=complex(mean / expected),
         spread=spread,
         points_used=int(np.count_nonzero(keep)),
-        passed=bool(spread <= 1e-9),
+        passed=bool(spread <= FAMILIES["proportionality"].tol),
     )
 
 
@@ -762,8 +762,7 @@ def coherent_checks(
         resid = math.sqrt(abs(inner_product(resid_state, resid_state).real)) / max(
             norm, 1e-300
         )
-        report.add(CheckRow.within(f"coherent-eigenvalue-b{mode}",
-                                   f"b{mode}- Phi = lambda{mode} Phi", resid, 1e-10))
+        report.add(check(f"coherent-eigenvalue-b{mode}", resid))
 
     # time evolution via the eigenstate expansion, on 9 sample points
     target = coherent_state(*evolved_labels(alpha, beta, t, coupling, units), units)
@@ -773,24 +772,17 @@ def coherent_checks(
     # the label map, since every level includes the +1
     closed = np.exp(-1j * units.omega * t) * target.evaluate(x1, x2)
     scale = max(np.max(np.abs(closed)), 1e-300)
-    report.add(CheckRow.within(
-        "coherent-evolution",
-        "exp(-itH/hbar) Phi(a,b) = Phi(a e^{-i w l1 t}, b e^{-i w l2 t})",
-        np.max(np.abs(evolved - closed)) / scale, 1e-10))
+    report.add(check("coherent-evolution", np.max(np.abs(evolved - closed)) / scale))
     # the coefficients are normalized, so a weight short of 1 is expansion
     # lost past the cutoff or to underflow, which the evolution row cannot see
-    report.add(CheckRow.within("coherent-truncation",
-                               "retained expansion weight = 1 within 1e-10",
-                               abs(1.0 - weight), 1e-10))
+    report.add(check("coherent-truncation", abs(1.0 - weight)))
 
     # rotation as an exact label map
     rotated = rotate(state, gamma)
     target_rot = coherent_state(
         alpha * np.exp(1j * gamma), beta * np.exp(-1j * gamma), units
     )
-    report.add(CheckRow.within("coherent-rotation",
-                               "R(gamma) Phi(a,b) = Phi(a e^{i gamma}, b e^{-i gamma})",
-                               wave_distance(rotated, target_rot), 1e-12))
+    report.add(check("coherent-rotation", wave_distance(rotated, target_rot)))
     return report
 
 
@@ -808,27 +800,14 @@ def suite_bridge(config) -> VerificationReport:
     for n1, n2 in ((0, 0), (1, 0), (2, 1), (3, 3)):
         rep = verify_bridge_proportionality(n1, n2, units)
         reduced.append(rep.reduced_constant)
-        report.add(CheckRow(
-            check_id=f"proportionality:{n1}{n2}",
-            identity="bridged monomial is grid-proportional to the eigenfunction",
-            passed=rep.passed,
-            residual=rep.spread,
-        ))
+        report.add(check(f"proportionality:{n1}{n2}", rep.spread))
     base = reduced[0]
-    report.add(CheckRow.within(
-        "reduced-constant", "reduced proportionality constant is state-independent",
-        max(abs(c - base) / abs(base) for c in reduced), 1e-9))
+    report.add(check("reduced-constant", max(abs(c - base) / abs(base) for c in reduced)))
 
     overlap = overlap_matrix(3, units)
-    report.add(CheckRow.within(
-        "overlap-identity", "eigenfunction Gram matrix = identity by quadrature",
-        np.max(np.abs(overlap - np.eye(overlap.shape[0]))), _QUAD_TOL))
+    report.add(check("overlap-identity", np.max(np.abs(overlap - np.eye(overlap.shape[0])))))
 
-    report.add(CheckRow(
-        check_id="inverse-weierstrass",
-        identity="exp(-(1/4) d^2) eta^n = 2^-n H_n(eta) exactly for n <= 10",
-        passed=all(inverse_weierstrass(n).passed for n in range(11)),
-    ))
+    report.add(check("inverse-weierstrass", all(inverse_weierstrass(n).passed for n in range(11))))
 
     coherent = coherent_checks(
         complex(0.8, -0.5), complex(0.4, 0.7), t=0.9, gamma=2.1,

@@ -28,7 +28,7 @@ from .coupling import Coupling
 from .phasealg.catalog import GENERATOR_NAMES, generator
 from .phasealg.exact import _sample, require_choice, require_int, require_real, to_float
 from .phasealg.poly import Params
-from .reports import CheckRow, VerificationReport
+from .reports import VerificationReport, check
 
 __all__ = [
     "TrajectoryParams", "PhaseState", "position", "velocity", "momentum",
@@ -360,21 +360,14 @@ def suite_classical(config) -> VerificationReport:
             scale = max(params.R1 + params.R2, 1e-300)
             x1a, x2a = position(params, 0.0)
             x1b, x2b = position(params, period)
-            report.add(CheckRow.within(
-                f"closure:{which}:{label}", "x(T) = x(0) at the closure period",
-                math.hypot(float(x1b) - float(x1a), float(x2b) - float(x2a)) / scale, 1e-9))
+            report.add(check(f"closure:{which}:{label}", math.hypot(
+                float(x1b) - float(x1a), float(x2b) - float(x2a)) / scale))
 
             z, zdot = _path(params, ts)
             closed = np.stack([z.real, z.imag, *_momenta(params, z, zdot, 1.0)], axis=1)
-            report.add(CheckRow.within(
-                f"integrate:{which}:{label}", "closed form matches fixed-step RK4",
-                np.max(np.abs(states - closed)) / scale, 1e-6))
+            report.add(check(f"integrate:{which}:{label}", np.max(np.abs(states - closed)) / scale))
             if flag_fn(params):
                 flagged.add(label)
-        report.add(CheckRow(
-            check_id=f"{flag_name}-flags:{which}",
-            identity=f"{flag_name} flags match {sorted(expected)}",
-            passed=flagged == expected,
-            detail=f"flagged {sorted(flagged)}",
-        ))
+        report.add(check(f"{flag_name}-flags:{which}", flagged == expected,
+                         f"flagged {sorted(flagged)}", expected=sorted(expected)))
     return report

@@ -270,11 +270,16 @@ def _column_cells(name: str, column, csv: bool) -> tuple:
         if len(kinds) > 1:
             raise ValueError(f"dataset column {name!r} mixes cell types "
                              f"{sorted(kind.__name__ for kind in kinds)}")
-        if kinds == {int}:
+        kind = kinds.pop() if kinds else type(None)
+        if kind is int or issubclass(kind, np.integer):
             return "%d", column
-        if kinds != {float}:
-            return "%s", list(map(_fmt if csv else json.dumps, column))
-        column = np.array(column)
+        if kind is not float and not issubclass(kind, np.floating):
+            try:
+                return "%s", list(map(_fmt if csv else json.dumps, column))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"dataset column {name!r} has a cell the "
+                                 f"{'csv' if csv else 'json'} format cannot write: {exc}") from None
+        column = np.array(column, dtype=np.float64)
     if column.dtype != np.float64 or column.ndim != 1:
         raise ValueError(f"dataset column {name!r} is a {column.ndim}-d {column.dtype} array, "
                          "not a 1-d float64 one")
@@ -295,15 +300,16 @@ def write_dataset(stem: Path, header: list, columns: list, config: RunConfig) ->
 
     A column is a 1-d float64 array (the sampling commands) or a list of cells of one type
     (spectrum, degeneracy).  Each row is formatted by one %-template built from its
-    columns: a float column as "%.17g" (CSV) or its repr (JSON), an int column in decimal,
-    and any other column rendered cell by cell, by ``_fmt`` (CSV) or ``json.dumps`` (JSON).
+    columns: a float column (Python or numpy floats, taken as float64) as "%.17g" (CSV) or
+    its repr (JSON), an int column (Python or numpy ints) in decimal, and any other column
+    rendered cell by cell, by ``_fmt`` (CSV) or ``json.dumps`` (JSON).
     A float column with at most half as many distinct values as cells (a meshgrid axis)
     converts each distinct value once, keeping -0.0 apart from 0.0, and fills its cells
     with those texts; the bytes are the same either way.  The JSON text is what
     ``json.dumps(payload, indent=2)`` writes.  No columns, a header whose length differs
-    from the columns', columns of unequal length, a list column mixing cell types, an
-    array that is not 1-d float64 and a non-finite float raise ValueError before any file
-    is written.
+    from the columns', columns of unequal length, a list column mixing cell types or
+    holding a cell the format cannot write, an array that is not 1-d float64 and a
+    non-finite float raise ValueError before any file is written.
     """
     csv = config.format == "csv"
     if not columns:

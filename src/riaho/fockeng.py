@@ -29,7 +29,7 @@ from .coupling import Coupling
 from .phasealg.catalog import hidden_shift, is_true_integral
 from .phasealg.exact import coerce_real, require_choice, require_int, require_real
 from .phasealg.poly import krawtchouk_rows
-from .reports import CheckRow, VerificationReport
+from .reports import CheckRow, VerificationReport, check
 
 __all__ = [
     "FockBasis",
@@ -449,12 +449,6 @@ def level_sets(pool, energy) -> list[frozenset]:
     return sorted((frozenset(s) for s in levels.values()), key=min)
 
 
-def _orbit_row(tag: str, identity: str, orbits: list, classes: list) -> CheckRow:
-    """Row ``orbits-match-degeneracy:<tag>``: the ladder orbits are the level classes."""
-    return CheckRow(check_id=f"orbits-match-degeneracy:{tag}", identity=identity,
-                    passed=orbits == classes, detail=f"{len(orbits)} orbits")
-
-
 # ---------------------------------------------------------------------------
 # commutators and norms
 
@@ -474,19 +468,13 @@ def operator_norm(matrix) -> float:
                          if block.size], initial=0.0))
 
 
-def verify_commutes(
-    a: np.ndarray,
-    b: np.ndarray,
-    mask: InteriorMask | None = None,
-    tol: float = 1e-12,
-    check_id: str = "commutator",
-    identity: str = "[A, B] = 0",
-) -> CheckRow:
+def verify_commutes(a: np.ndarray, b: np.ndarray, mask: InteriorMask | None = None,
+                    tol: float = 1e-12) -> CheckRow:
     """Check [a, b] = 0 on interior columns, returning a report row."""
     comm = commutator(a, b)
     if mask is not None:
         comm = mask.restrict_columns(comm)
-    return CheckRow.within(check_id, identity, operator_norm(comm), tol)
+    return CheckRow.within("commutator", "[A, B] = 0", operator_norm(comm), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +567,8 @@ def _rni_block(total: int, l1: float, l2: float, hbar_omega: float = 1.0) -> np.
 # one-mode oscillator bridge, exact and floating
 
 
-# check-id suffix and identity of each _conformal_pairs pair: one mode, two modes
-_BRIDGE_ROWS = (
-    ("H", "S H = -K_- S", "S H_free = -J_- S"),
-    ("iD", "S iD = K_0 S", "S iD = J_0 S"),
-    ("K", "S K = K_+ S", "S K = J_+ S"),
-)
+# check-id suffix of each _conformal_pairs pair, after bridge-one-mode- or bridge-two-mode-
+_BRIDGE_ROWS = ("H", "iD", "K")
 
 
 def _conformal_pairs(up, dn):
@@ -689,9 +673,9 @@ def verify_one_mode_bridge(size: int = 11) -> list[CheckRow]:
     dn = up.T * np.arange(size)  # column n scaled by n
     block = np.s_[: size - 2, : size - 2]
     return [
-        CheckRow.exact(f"bridge-one-mode-{name}", identity, np.array_equal(
+        check(f"bridge-one-mode-{name}", np.array_equal(
             _band_product(m, x)[block], _band_product(m.T, y.T).T[block]))
-        for (name, identity, _), (x, y) in zip(_BRIDGE_ROWS, _conformal_pairs(up, dn))
+        for name, (x, y) in zip(_BRIDGE_ROWS, _conformal_pairs(up, dn))
     ]
 
 
@@ -740,13 +724,13 @@ def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:
                for p1 in (0, 1) for p2 in (0, 1)]
     s_parts = [(part(s1, s1, kept, every), part(s1, s1, every, kept)) for every, kept in classes]
     checks = []
-    for (name, _, identity), (x, y) in zip(_BRIDGE_ROWS, _conformal_pairs(up, up.T)):
+    for name, (x, y) in zip(_BRIDGE_ROWS, _conformal_pairs(up, up.T)):
         sx, diff = [], []
         for (every, kept), (s_left, s_right) in zip(classes, s_parts):
             sx.append(s_left @ two_mode(x, every, kept))
             diff.append(sx[-1] - two_mode(y, kept, every) @ s_right)
         resid = operator_norm(diff) / max(operator_norm(sx), 1.0)
-        checks.append(CheckRow.within(f"bridge-two-mode-{name}", identity, resid, 1e-10))
+        checks.append(check(f"bridge-two-mode-{name}", resid))
     return checks
 
 
@@ -767,12 +751,11 @@ def suite_fock(config) -> VerificationReport:
         mask = InteriorMask(basis, margin1=s1, margin2=s2)
         orbits = hidden_orbit_partition(basis, coupling, kind, s1, s2, mask)  # checks resonance
         # the ladder links only states of one level, and _levels gives those one float
-        report.add(CheckRow.within(
-            f"hidden-commutes:g={gtext}", f"[H_g, {kind}+_{s1}{s2}] = 0",
-            _hidden_commutator(levels[gtext], basis, kind, s1, s2, mask.indices()), 0.0))
-        report.add(_orbit_row(
-            f"g={gtext}", f"{kind}+_{s1}{s2} orbits = exact energy classes on the interior",
-            orbits, level_sets(mask.states(), lambda n1, n2: a * n1 + b * n2)))
+        report.add(check(f"hidden-commutes:g={gtext}", _hidden_commutator(
+            levels[gtext], basis, kind, s1, s2, mask.indices()), h="H_g", x=f"{kind}+_{s1}{s2}"))
+        report.add(check(f"orbits-match-degeneracy:g={gtext}", orbits == level_sets(
+            mask.states(), lambda n1, n2: a * n1 + b * n2), f"{len(orbits)} orbits",
+            x=f"{kind}+_{s1}{s2}", classes="exact energy classes on the interior"))
 
     # Columns N <= cutoff - 2 (the total-number interior); rows reach N = cutoff - 1.
     top = basis.cutoff - 2
@@ -793,12 +776,10 @@ def suite_fock(config) -> VerificationReport:
             pairs = [(cart[n][k], phase * low[n][k]) for n in range(1, top + 1)]
         else:  # the adjoints of the lowering blocks N + 1 -> N
             pairs = [(cart[n][k].conj().T, phase * low[n][k].T) for n in range(1, top + 2)]
-        report.add(CheckRow.within(
-            f"unitary-mode:{name}", f"U {name} U+ = e^{{{direction}i pi/4}} b{mode}{direction}",
-            conj_resid(pairs, shift), 1e-10))
+        report.add(check(f"unitary-mode:{name}", conj_resid(pairs, shift),
+                         mode=mode, sign=direction))
     for gtext, coupling in couplings.items():
         ells, h = coupling.float_ells(), levels[gtext]
         pairs = [(_rni_block(n, *ells), np.diag(h[_block(basis, n)[1]])) for n in range(top + 1)]
-        report.add(CheckRow.within(
-            f"unitary-hamiltonian:g={gtext}", "U H_rni U+ = H_g", conj_resid(pairs, 0), 1e-10))
+        report.add(check(f"unitary-hamiltonian:g={gtext}", conj_resid(pairs, 0)))
     return report

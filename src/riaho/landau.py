@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coupling import Coupling, Phase
-from .reports import CheckRow, VerificationReport
+from .reports import VerificationReport, check
 from .phasealg.exact import coerce_real, rational_sqrt, to_float
 
 __all__ = [
@@ -225,15 +225,6 @@ def classify(Lambda, omegaB) -> str:
     return landau_to_g(LandauExtension(omegaB, Lambda)).phase
 
 
-def _phase_row(check_id: str, result: PhaseResult, phase, g) -> CheckRow:
-    return CheckRow(
-        check_id=check_id,
-        identity=f"phase = {phase}" + ("" if g is None else f", g = {g}"),
-        passed=result.phase == phase and result.g == g,
-        detail=f"got {result.phase}, g = {result.g}",
-    )
-
-
 def suite_landau(config) -> VerificationReport:
     """Parameter-map round trips, phase boundaries, rotating-frame table.
 
@@ -244,12 +235,8 @@ def suite_landau(config) -> VerificationReport:
         g, w = Fraction(gtext), Fraction(wtext)
         result = landau_to_g(g_to_landau(Coupling(g), w))
         passed = result.g == g and result.omega == w
-        report.add(CheckRow(
-            check_id=f"roundtrip:g={gtext},omega={wtext}",
-            identity="landau_to_g(g_to_landau(g, w)) = (g, w) exactly",
-            passed=passed,
-            residual=0.0 if passed else float(abs(result.g - g) + abs(result.omega - w)),
-        ))
+        report.add(check(f"roundtrip:g={gtext},omega={wtext}", passed,
+                         "" if passed else f"got g = {result.g}, omega = {result.omega}"))
 
     boundary = (
         ("boundary-landau:+", LandauExtension(Fraction(3), Fraction(0)), Phase.LANDAU, Fraction(1)),
@@ -257,9 +244,6 @@ def suite_landau(config) -> VerificationReport:
          Phase.LANDAU, Fraction(-1)),
         ("boundary-critical", LandauExtension(Fraction(2), Fraction(-4)), CRITICAL, None),
     )
-    for check_id, ext, phase, g in boundary:
-        report.add(_phase_row(check_id, landau_to_g(ext), phase, g))
-
     probes = (
         ("4", "1", "1", Phase.EUCLIDEAN, Fraction(1, 2)),
         ("1", "1", "1", Phase.LANDAU, Fraction(1)),
@@ -271,8 +255,12 @@ def suite_landau(config) -> VerificationReport:
         ("0", "1", "2", CRITICAL, None),
         ("0", "1", "0", CRITICAL, None),
     )
-    for k, mass, Omega, phase, g in probes:
-        frame = RotatingFrame(Fraction(k), Fraction(mass), Fraction(Omega))
-        report.add(_phase_row(f"rotating-frame:k={k},m={mass},Omega={Omega}",
-                              rotating_frame_to_g(frame), phase, g))
+    phases = [(check_id, landau_to_g(ext), phase, g) for check_id, ext, phase, g in boundary] + [
+        (f"rotating-frame:k={k},m={mass},Omega={Omega}",
+         rotating_frame_to_g(RotatingFrame(Fraction(k), Fraction(mass), Fraction(Omega))), phase, g)
+        for k, mass, Omega, phase, g in probes]
+    for check_id, result, phase, g in phases:
+        report.add(check(check_id, result.phase == phase and result.g == g,
+                         f"got {result.phase}, g = {result.g}",
+                         phase=phase, g="" if g is None else f", g = {g}"))
     return report

@@ -58,15 +58,12 @@ _HALF = Fraction(1, 2)
 
 
 def _checked_key(key) -> tuple:
-    """(e1, e2, e3, e4, mu) from a 4- or 5-entry key: int exponents >= 0 and an int or
-    Fraction mu (0 when left out, kept by :func:`_tag`); anything else raises ValueError."""
-    try:
-        size, exps = len(key), key[:4]
-    except TypeError:  # not a sequence
-        size = None
-    if size not in (4, 5):
+    """(e1, e2, e3, e4, mu) from a 4- or 5-entry tuple key: int exponents >= 0 and an int or
+    Fraction mu (0 when left out, kept by :func:`_tag`); anything else, a range or another
+    sequence among them, raises ValueError."""
+    if type(key) is not tuple or len(key) not in (4, 5):
         raise ValueError(f"a term key is (e1, e2, e3, e4[, mu]), got {key!r}")
-    mu = key[4] if size == 5 else 0
+    exps, mu = key[:4], key[4] if len(key) == 5 else 0
     if not all(type(v) is int and v >= 0 for v in exps) or not _is_exact(mu):
         raise ValueError(f"a term key needs int exponents >= 0 and an exact mu, got {key!r}")
     return (*exps, mu if type(mu) is int else _tag(Fraction(mu)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..coupling import Coupling
-from ..reports import CheckRow, VerificationReport
+from ..reports import VerificationReport, check
 from .catalog import GENERATOR_NAMES, catalog, generator, hamiltonian
 from .cbt import classical_cbt, conformal_k0, dilation_id0, free_hamiltonian
 from .exact import ExactComplex
@@ -139,15 +139,6 @@ def verify_dynamical_integrals(coupling) -> list[BracketCheck]:
     return checks
 
 
-def _bracket_row(prefix: str, chk: BracketCheck) -> CheckRow:
-    return CheckRow(
-        check_id=f"{prefix}:{chk.identity_name}",
-        identity=f"{chk.identity_name} = {chk.rhs}",
-        passed=chk.passed,
-        detail="" if chk.passed else f"residual polynomial {chk.residual}",
-    )
-
-
 def suite_algebra(config) -> VerificationReport:
     """Exact symbolic checks: bracket table, Casimirs, integrals, bridge triple.
 
@@ -155,29 +146,25 @@ def suite_algebra(config) -> VerificationReport:
     """
     report = VerificationReport(suite="algebra")
     g = Fraction(1, 3)
-    for chk in verify_sp4_table(g):
-        report.add(_bracket_row("sp4", chk))
-    for chk in verify_casimirs(g):
-        report.add(_bracket_row("casimir", chk))
-    for label, gv in (("g=1/3", g), ("g=3", Fraction(3))):
-        for chk in verify_dynamical_integrals(gv):
-            report.add(_bracket_row(f"integral[{label}]", chk))
+    for prefix, checks in (("sp4", verify_sp4_table(g)), ("casimir", verify_casimirs(g)),
+                           ("integral[g=1/3]", verify_dynamical_integrals(g)),
+                           ("integral[g=3]", verify_dynamical_integrals(Fraction(3)))):
+        for chk in checks:
+            report.add(check(f"{prefix}:{chk.identity_name}", chk.passed,
+                             "" if chk.passed else f"residual polynomial {chk.residual}",
+                             lhs=chk.identity_name, rhs=chk.rhs))
 
     params = Params()
     w = params.omega
     triple = (
-        ("cbt-H", "T(H) = -w J-",
-         classical_cbt(free_hamiltonian(params)).to_basis(CIRCULAR),
+        ("cbt-H", classical_cbt(free_hamiltonian(params)).to_basis(CIRCULAR),
          (-w) * generator("J-", 0, params).at_time_zero()),
-        ("cbt-iD0", "T(iD0) = J0",
-         classical_cbt(dilation_id0(params)).to_basis(CIRCULAR),
+        ("cbt-iD0", classical_cbt(dilation_id0(params)).to_basis(CIRCULAR),
          generator("J0", 0, params)),
-        ("cbt-K0", "T(K0) = J+/w",
-         classical_cbt(conformal_k0(params)).to_basis(CIRCULAR),
+        ("cbt-K0", classical_cbt(conformal_k0(params)).to_basis(CIRCULAR),
          (Fraction(1) / w) * generator("J+", 0, params).at_time_zero()),
     )
-    for check_id, identity, got, want in triple:
+    for check_id, got, want in triple:
         passed = got == want
-        report.add(CheckRow(check_id=check_id, identity=identity, passed=passed,
-                            detail="" if passed else f"difference {got - want}"))
+        report.add(check(check_id, passed, "" if passed else f"difference {got - want}"))
     return report

@@ -450,6 +450,8 @@ def rows_of(columns):
 
 
 _AXIS = np.linspace(-3.0, 3.0, 9)
+_CIRCULAR = []
+_CIRCULAR.append(_CIRCULAR)
 _X1, _X2 = np.meshgrid(_AXIS, _AXIS, indexing="ij")
 
 
@@ -536,6 +538,39 @@ class TestDatasetWriter:
         columns = [[0.0, 0.5, 1.0], np.array(column) if array else column]
         with pytest.raises(ValueError, match="column 'x' holds a non-finite float"):
             self.write(tmp_path, fmt, ["t", "x"], columns)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.uint64])
+    def test_numpy_int_column_writes_as_python_ints(self, tmp_path, fmt, kind):
+        # a json list column of np.int64 cells raised TypeError
+        ints, header = [0, 3, 200, 7, 3], ["n", "s"]
+        path = self.write(tmp_path, fmt, header, [[kind(n) for n in ints], list("abcde")])
+        assert_written_as_before(path, header, [[n, c] for n, c in zip(ints, "abcde")], fmt)
+        numpy_bytes = path.read_bytes()
+        assert self.write(tmp_path, fmt, header, [ints, list("abcde")]).read_bytes() == numpy_bytes
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind", [np.float64, np.float32])
+    def test_numpy_float_column_writes_as_python_floats(self, tmp_path, fmt, kind):
+        cells = [kind(v) for v in (0.1, -0.0, 1 / 3, 0.1, 2.5e-8)]
+        path = self.write(tmp_path, fmt, ["x"], [cells])
+        assert_written_as_before(path, ["x"], [[float(c)] for c in cells], fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [np.float64("nan"), np.float32("inf")])
+    def test_non_finite_numpy_float_cell_is_rejected(self, tmp_path, fmt, bad):
+        # a list of np.float64 cells skipped the finiteness check: json got NaN, csv nan
+        with pytest.raises(ValueError, match="column 'x' holds a non-finite float"):
+            self.write(tmp_path, fmt, ["x"], [[type(bad)(0.5), bad]])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("cell", [1j, object(), {1, 2}, b"x", _CIRCULAR])
+    def test_cell_the_format_cannot_write_is_rejected(self, tmp_path, fmt, cell):
+        # json.dumps raised TypeError (ValueError for the list that holds itself)
+        with pytest.raises(ValueError, match=f"column 'c' has a cell the {fmt} format"):
+            self.write(tmp_path, fmt, ["n", "c"], [[1, 2], [cell, cell]])
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -16,7 +16,7 @@ from riaho.coupling import Coupling
 from riaho.phasealg.catalog import hidden_shift
 from riaho.phasealg.exact import ExactComplex
 from riaho import aniso, fockeng as fe
-from riaho.reports import CheckRow
+from riaho.reports import check
 
 F = Fraction
 
@@ -1277,13 +1277,13 @@ def _kron_loop_bridge_rows(cutoff, margin):
     classes = [[(np.arange(p1, end, 2), np.arange(p2, end, 2)) for end in (side, side - margin)]
                for p1 in (0, 1) for p2 in (0, 1)]
     rows = []
-    for (name, _, identity), (x, y) in zip(fe._BRIDGE_ROWS, fe._conformal_pairs(up, up.T)):
+    for name, (x, y) in zip(fe._BRIDGE_ROWS, fe._conformal_pairs(up, up.T)):
         sx, diff = [], []
         for every, kept in classes:
             sx.append(part(s1, s1, kept, every) @ two_mode(x, every, kept))
             diff.append(sx[-1] - two_mode(y, kept, every) @ part(s1, s1, every, kept))
         resid = _padded_stack_norm(diff) / max(_padded_stack_norm(sx), 1.0)
-        rows.append(CheckRow.within(f"bridge-two-mode-{name}", identity, resid, 1e-10))
+        rows.append(check(f"bridge-two-mode-{name}", resid))
     return rows
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from riaho.cli import main
+from riaho.reports import FAMILIES, _family
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -25,8 +26,8 @@ DATASETS = {
     "degeneracy_g3": ["degeneracy", "--g", "3", "--emax", "2"],
 }
 
-# exact checks that report 0.0 rather than None when they pass
-EXACT_PREFIXES = ("bridge-one-mode-", "rescale-canonical", "composite-spectrum", "roundtrip:")
+# the check families decided in exact arithmetic, whether they report None or 0.0 on a pass
+EXACT_FAMILIES = {name for name, family in FAMILIES.items() if family.tol is None}
 
 
 def emit(outdir: Path, stem: str, fmt: str) -> list:
@@ -43,7 +44,7 @@ def verify_summary(outdir: Path) -> dict:
         "exact_residuals": [
             [c["check_id"], c["residual"]]
             for c in checks
-            if c["residual"] is None or c["check_id"].startswith(EXACT_PREFIXES)
+            if _family(c["check_id"]) in EXACT_FAMILIES
         ],
     }
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riaho import landau as landau_mod
 from riaho.coupling import Coupling, Phase
 from riaho.landau import (
     CRITICAL,
@@ -358,3 +359,26 @@ class TestOrientation:
         # the Euclidean and Minkowskian phases and both Landau boundaries g = +-1
         for omega_cap in (-3 * omega, -omega, Fraction(-1, 5), Fraction(2, 7), omega, 4):
             self._assert_rotating_frame_is_h_g(k, k / omega ** 2, omega_cap)
+
+
+class TestSuiteRows:
+    def test_failed_maps_report_what_they_got(self, monkeypatch):
+        # a map whose g is off by one fails every row that reads landau_to_g: the roundtrip
+        # rows report no residual, as every exact row does, and name the result in the detail
+        real = landau_mod.landau_to_g
+
+        def off_by_one(ext):
+            res = real(ext)
+            return res if res.g is None else PhaseResult(res.phase, res.omega, res.g + 1)
+
+        monkeypatch.setattr(landau_mod, "landau_to_g", off_by_one)
+        rows = {row.check_id: row for row in landau_mod.suite_landau(None).rows}
+        roundtrip = rows["roundtrip:g=1/2,omega=1"]
+        assert (roundtrip.passed, roundtrip.residual, roundtrip.detail) == (
+            False, None, "got g = 3/2, omega = 1")
+        assert [r.check_id for r in rows.values() if not r.passed] == [
+            *(f"roundtrip:g={g},omega={w}"
+              for g, w in (("1/2", "1"), ("3", "2"), ("-2/3", "5/7"), ("1", "3"), ("0", "2"))),
+            "boundary-landau:+", "boundary-landau:-"]
+        assert rows["boundary-landau:+"].identity == "phase = landau, g = 1"
+        assert rows["boundary-landau:+"].detail == "got landau, g = 2"

@@ -323,6 +323,8 @@ def test_krawtchouk_rows_expand_pair_products(n):
     5,                         # not a sequence: len() or key[:4] raised TypeError
     None,
     frozenset({1, 2, 3, 4}),
+    range(0, 4),               # a range read as (0, 1, 2, 3) and a 5-entry one as mu = 5
+    range(1, 6),
 ])
 def test_bad_term_key_raises(key):
     with pytest.raises(ValueError, match="term key"):

@@ -42,15 +42,13 @@ EXEMPT = {
     "report text: check ids, identities, details and suite names, and rows of a report": (
         "reports.CheckRow:check_id", "reports.CheckRow:identity", "reports.CheckRow:detail",
         "reports.CheckRow.within:check_id", "reports.CheckRow.within:identity",
-        "reports.CheckRow.within:detail", "reports.CheckRow.exact:check_id",
-        "reports.CheckRow.exact:identity", "reports.CheckRow.exact:detail",
+        "reports.CheckRow.within:detail", "reports.check:check_id", "reports.check:detail",
+        "reports.check:fields",
         "reports.VerificationReport:suite", "reports.VerificationReport:rows",
         "reports.VerificationReport.extend:rows",
-        "fockeng.verify_commutes:check_id", "fockeng.verify_commutes:identity",
     ),
     "result record or check outcome: riaho fills it from inputs it has checked": (
         "reports.CheckRow:passed", "reports.CheckRow:residual", "reports.CheckRow:elapsed",
-        "reports.CheckRow.exact:passed",
         "fockeng.DegeneracyClass:energy", "fockeng.DegeneracyClass:states",
         "fockeng.DegeneracyClass:class_id", "fockeng.DegeneracyClass:complete",
         "aniso.RescaleMap:sigma", "aniso.RescaleMap:weight_sq",
@@ -65,8 +63,9 @@ EXEMPT = {
         "phasealg.verify.BracketCheck:identity_name", "phasealg.verify.BracketCheck:rhs",
         "phasealg.verify.BracketCheck:residual", "phasealg.verify.BracketCheck:passed",
     ),
-    "measured residual: a nan residual fails the row by design": (
-        "reports.CheckRow.within:residual",
+    "measured residual (a nan residual fails the row by design), or an exact family's bool, "
+    "else ValueError": (
+        "reports.CheckRow.within:residual", "reports.check:outcome",
     ),
     "`Coupling.coerce`: a Coupling, or a g that `Coupling` checks": (
         "coupling.Coupling.coerce:value",
