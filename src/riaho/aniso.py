@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -220,7 +220,8 @@ def signed_hamiltonian(
 
 
 def verify_signed_spectrum(basis: FockBasis, freq: FrequencyPair, sign) -> CheckRow:
-    """H^(sigma) assembled from ladder products matches the closed formula, at hbar = 1.
+    """H^(sigma) assembled from ladder products matches the closed formula, at hbar = 1:
+    row ``signed-spectrum:{omega1}:{omega2}:{sign}``.
 
     Number operators built as a+ a- are exact on the whole grid (lowering
     first never leaves the truncation), so no interior mask is needed; the
@@ -231,7 +232,8 @@ def verify_signed_spectrum(basis: FockBasis, freq: FrequencyPair, sign) -> Check
     num1 = ladder(basis, 1, "+") @ ladder(basis, 1, "-")
     num2 = ladder(basis, 2, "+") @ ladder(basis, 2, "-")
     built = w1 * num1 + sigma * w2 * num2 + 0.5 * (w1 + sigma * w2) * np.eye(basis.dim)
-    return check("signed-spectrum", operator_norm(built - signed_hamiltonian(basis, freq, sign)),
+    return check(f"signed-spectrum:{freq.omega1}:{freq.omega2}:{sign}",
+                 operator_norm(built - signed_hamiltonian(basis, freq, sign)),
                  f"sign={sign}, cutoff={basis.cutoff}")
 
 
@@ -588,7 +590,7 @@ def rescale_map(coupling) -> RescaleMap:
 
 
 def rescale_canonical_check(coupling) -> CheckRow:
-    """Symbolic canonical-bracket table for the rescaling map.
+    """Symbolic canonical-bracket table for the rescaling map: row ``rescale-canonical:g={g}``.
 
     Builds x_i' = w_i x_i, p_i' = p_i / w_i as exact phase-space polynomials
     and verifies every canonical bracket {x_i', x_j'} = {p_i', p_j'} = 0,
@@ -626,11 +628,12 @@ def rescale_canonical_check(coupling) -> CheckRow:
                 expected = canon.get((i, j), zero)
                 if poisson_bracket(prim[i], prim[j]) != expected:
                     ok = False
-    return check("rescale-canonical", ok, detail)
+    return check(f"rescale-canonical:g={the_map.coupling.g}", ok, detail)
 
 
 def composite_spectrum_check(coupling, cutoff: int = 8) -> CheckRow:
-    """Exact spectrum transport from H_g to the signed anisotropic image.
+    """Exact spectrum transport from H_g to the signed anisotropic image: row
+    ``composite-spectrum:g={g}``.
 
     The unitary mode change (module fockeng) and the rescaling map send
     H_g onto H^(sigma) at Omega_i = |ell_i| omega; in units of hbar*omega
@@ -650,7 +653,7 @@ def composite_spectrum_check(coupling, cutoff: int = 8) -> CheckRow:
                                               *((w2, w1) if swapped else (w1, w2)), w0)
     grid = range(cutoff + 1)
     ok = all(a * n1 + b * n2 + c == a2 * n1 + b2 * n2 + c2 for n1 in grid for n2 in grid)
-    return check("composite-spectrum", ok,
+    return check(f"composite-spectrum:g={coupling.g}", ok,
                  f"g={coupling.g}, grid (cutoff+1)^2 = {(cutoff + 1) ** 2} states")
 
 
@@ -666,10 +669,7 @@ def suite_aniso(config) -> VerificationReport:
     for w1, w2 in ((1, 3), (3, 5)):
         freq = FrequencyPair.detect(Fraction(w1), Fraction(w2))
         for sign in ("+", "-"):
-            report.add(replace(
-                verify_signed_spectrum(basis, freq, sign),
-                check_id=f"signed-spectrum:{w1}:{w2}:{sign}",
-            ))
+            report.add(verify_signed_spectrum(basis, freq, sign))
         for sign, kind in (("+", "L"), ("-", "J")):
             levels = _levels(basis, _signed_weights(freq, sign), 1.0, f"H({sign})")
             # the ladder links only states of one level, and _levels gives those one float
@@ -690,10 +690,7 @@ def suite_aniso(config) -> VerificationReport:
         report.add(check(f"lissajous-closure:{w1}:{w2}",
                          math.hypot(a1[0] - a0[0], a1[1] - a0[1]) / 2.0))
 
-    for gtext in ("1/3", "1/2", "3"):
-        coupling = Coupling(Fraction(gtext))
-        report.add(replace(
-            rescale_canonical_check(coupling), check_id=f"rescale-canonical:g={gtext}"))
-        report.add(replace(
-            composite_spectrum_check(coupling), check_id=f"composite-spectrum:g={gtext}"))
+    for coupling in map(Coupling, ("1/3", "1/2", "3")):
+        report.add(rescale_canonical_check(coupling))
+        report.add(composite_spectrum_check(coupling))
     return report

@@ -468,13 +468,12 @@ def operator_norm(matrix) -> float:
                          if block.size], initial=0.0))
 
 
-def verify_commutes(a: np.ndarray, b: np.ndarray, mask: InteriorMask | None = None,
-                    tol: float = 1e-12) -> CheckRow:
-    """Check [a, b] = 0 on interior columns, returning a report row."""
+def verify_commutes(a: np.ndarray, b: np.ndarray, mask: InteriorMask | None = None) -> CheckRow:
+    """Check [a, b] = 0 on interior columns to the fixed 1e-12, returning a report row."""
     comm = commutator(a, b)
     if mask is not None:
         comm = mask.restrict_columns(comm)
-    return CheckRow.within("commutator", "[A, B] = 0", operator_norm(comm), tol)
+    return CheckRow.within("commutator", "[A, B] = 0", operator_norm(comm), 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def test_criterion_05_spectrum_and_degeneracy():
         mask = InteriorMask(basis, margin1=s1, margin2=s2)
         for sign in ("+", "-"):
             op = fockeng.hidden_operator(basis, c, kind, s1, s2, sign)
-            row = fockeng.verify_commutes(h, op, mask, tol=1e-12)
+            row = fockeng.verify_commutes(h, op, mask)
             worst = max(worst, row.residual)
             if not row.passed:
                 ok = False

@@ -805,7 +805,7 @@ class TestRescaleMap:
         monkeypatch.setattr(RescaleMap, "signed_form", lambda self: (*signed_form(self)[:2], False))
         row = composite_spectrum_check(g)
         assert not row.passed
-        assert row.check_id == "composite-spectrum" and row.residual is None
+        assert row.check_id == f"composite-spectrum:g={Fraction(g)}" and row.residual is None
 
     @staticmethod
     def _composite_rows():
@@ -829,6 +829,25 @@ class TestRescaleMap:
         rows = self._composite_rows()
         assert not rows["composite-spectrum:g=3"]
         assert not any(rows.values())
+
+    def test_direct_calls_return_the_suite_rows(self):
+        # each check builds its row under the id verify all reports, so a direct call at the
+        # suite's inputs returns the suite's row unchanged
+        basis = FockBasis(8)
+        rows = [verify_signed_spectrum(basis, FrequencyPair.detect(Fraction(w1), Fraction(w2)),
+                                       sign)
+                for w1, w2 in ((1, 3), (3, 5)) for sign in ("+", "-")]
+        for g in (Fraction(1, 3), Fraction(1, 2), Fraction(3)):
+            rows += [rescale_canonical_check(g), composite_spectrum_check(g)]
+        suite = {row.check_id: row for row in suite_aniso(None).rows}
+        assert [row.check_id for row in rows] == [
+            "signed-spectrum:1:3:+", "signed-spectrum:1:3:-",
+            "signed-spectrum:3:5:+", "signed-spectrum:3:5:-",
+            "rescale-canonical:g=1/3", "composite-spectrum:g=1/3",
+            "rescale-canonical:g=1/2", "composite-spectrum:g=1/2",
+            "rescale-canonical:g=3", "composite-spectrum:g=3",
+        ]
+        assert all(row == suite[row.check_id] for row in rows)
 
     def test_suite_rows_fail_when_sigma_flips(self, monkeypatch):
         signed_form = RescaleMap.signed_form

@@ -574,8 +574,18 @@ class TestHiddenOperators:
         ]:
             c = Coupling(g)
             x = fe.hidden_operator(b, c, kind, s1, s2)
-            row = fe.verify_commutes(fe.hamiltonian(b, c), x, tol=1e-12)
+            row = fe.verify_commutes(fe.hamiltonian(b, c), x)
             assert row.passed and row.residual <= 1e-12
+
+    def test_commutes_holds_to_a_fixed_1e_12(self):
+        # [diag(0, 1), b] = -b, whose norm is its one entry: 1e-12 passes, the next float fails
+        a = np.diag([0.0, 1.0])
+        row = fe.verify_commutes(a, np.array([[0.0, 1e-12], [0.0, 0.0]]))
+        assert row.passed and row.residual == 1e-12
+        assert row.check_id == "commutator" and row.identity == "[A, B] = 0"
+        above = np.nextafter(1e-12, 1)
+        row = fe.verify_commutes(a, np.array([[0.0, above], [0.0, 0.0]]))
+        assert not row.passed and row.residual == above
 
     def test_resonance_mismatch_raises(self):
         b = fe.FockBasis(4)

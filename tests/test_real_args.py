@@ -129,8 +129,6 @@ ENTRY_POINTS = [
      lambda v: fe.rni_hamiltonian(BASIS, Coupling(F(1, 3)), v), False, False),
     ("fockeng.angular_momentum:hbar", "hbar", lambda v: fe.angular_momentum(BASIS, v),
      False, False),
-    ("fockeng.verify_commutes:tol", "tol",
-     lambda v: fe.verify_commutes(np.eye(2), np.eye(2), tol=v), False, False),
     ("aniso.signed_hamiltonian:hbar", "hbar", lambda v: an.signed_hamiltonian(BASIS, FREQ, "-", v),
      False, False),
     ("reports.CheckRow.within:tol", "tol", lambda v: CheckRow.within("c", "c = 0", 0.0, v),
