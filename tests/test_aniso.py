@@ -733,6 +733,27 @@ class TestLissajous:
             lissajous(1, 0, 0, 1, freq, 0.5)
 
 
+def _signed_at_suite_inputs(w1, w2, sign):
+    return verify_signed_spectrum(FockBasis(8), FrequencyPair.detect(Fraction(w1), Fraction(w2)),
+                                  sign)
+
+
+# each aniso row of the three claim families, keyed by its id, with the direct call at
+# suite_aniso's inputs that should return it
+SUITE_CALLS = {
+    "signed-spectrum:1:3:+": lambda: _signed_at_suite_inputs(1, 3, "+"),
+    "signed-spectrum:1:3:-": lambda: _signed_at_suite_inputs(1, 3, "-"),
+    "signed-spectrum:3:5:+": lambda: _signed_at_suite_inputs(3, 5, "+"),
+    "signed-spectrum:3:5:-": lambda: _signed_at_suite_inputs(3, 5, "-"),
+    "rescale-canonical:g=1/3": lambda: rescale_canonical_check(Fraction(1, 3)),
+    "rescale-canonical:g=1/2": lambda: rescale_canonical_check(Fraction(1, 2)),
+    "rescale-canonical:g=3": lambda: rescale_canonical_check(Fraction(3)),
+    "composite-spectrum:g=1/3": lambda: composite_spectrum_check(Fraction(1, 3)),
+    "composite-spectrum:g=1/2": lambda: composite_spectrum_check(Fraction(1, 2)),
+    "composite-spectrum:g=3": lambda: composite_spectrum_check(Fraction(3)),
+}
+
+
 class TestRescaleMap:
     def test_euclidean_example(self):
         m = rescale_map(Fraction(1, 2))
@@ -830,24 +851,20 @@ class TestRescaleMap:
         assert not rows["composite-spectrum:g=3"]
         assert not any(rows.values())
 
-    def test_direct_calls_return_the_suite_rows(self):
+    @pytest.fixture(scope="class")
+    def suite_rows(self):
+        return {row.check_id: row for row in suite_aniso(None).rows}
+
+    @pytest.mark.parametrize("check_id", list(SUITE_CALLS))
+    def test_direct_call_returns_the_suite_row(self, suite_rows, check_id):
         # each check builds its row under the id verify all reports, so a direct call at the
         # suite's inputs returns the suite's row unchanged
-        basis = FockBasis(8)
-        rows = [verify_signed_spectrum(basis, FrequencyPair.detect(Fraction(w1), Fraction(w2)),
-                                       sign)
-                for w1, w2 in ((1, 3), (3, 5)) for sign in ("+", "-")]
-        for g in (Fraction(1, 3), Fraction(1, 2), Fraction(3)):
-            rows += [rescale_canonical_check(g), composite_spectrum_check(g)]
-        suite = {row.check_id: row for row in suite_aniso(None).rows}
-        assert [row.check_id for row in rows] == [
-            "signed-spectrum:1:3:+", "signed-spectrum:1:3:-",
-            "signed-spectrum:3:5:+", "signed-spectrum:3:5:-",
-            "rescale-canonical:g=1/3", "composite-spectrum:g=1/3",
-            "rescale-canonical:g=1/2", "composite-spectrum:g=1/2",
-            "rescale-canonical:g=3", "composite-spectrum:g=3",
-        ]
-        assert all(row == suite[row.check_id] for row in rows)
+        row = SUITE_CALLS[check_id]()
+        assert row.check_id == check_id and row == suite_rows[check_id]
+
+    def test_direct_calls_cover_the_suite_rows(self, suite_rows):
+        families = ("signed-spectrum:", "rescale-canonical:", "composite-spectrum:")
+        assert sorted(i for i in suite_rows if i.startswith(families)) == sorted(SUITE_CALLS)
 
     def test_suite_rows_fail_when_sigma_flips(self, monkeypatch):
         signed_form = RescaleMap.signed_form
