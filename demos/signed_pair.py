@@ -41,7 +41,7 @@ def main():
               f"ladder-built spectrum residual {row.residual:.1e}")
 
     print("\nso(1,1) invariant at equal frequencies (sign -):")
-    for chk in aniso.so11_invariant_check(omega=1.0, cutoff=8).rows:
+    for chk in aniso.so11_invariant_check(cutoff=8).rows:
         res = "exact" if chk.residual in (None, 0.0) else f"{chk.residual:.1e}"
         print(f"  {chk.check_id:>22}: {res}  {'ok' if chk.passed else 'FAIL'}")
 

@@ -47,7 +47,6 @@ __all__ = [
     "ladder_orbits",
     "level_sets",
     "commutator",
-    "verify_commutes",
     "operator_norm",
     "cartesian_modes",
     "su2_generators",
@@ -412,7 +411,11 @@ def hidden_orbit_partition(
     Two states are linked when the '+' operator maps one to the other with
     both endpoints on the grid (or inside ``mask`` when given).  Returns
     the connected components as frozensets, sorted by their minimal state.
+    A mask over another basis raises ValueError.
     """
+    if mask is not None and mask.basis != basis:
+        raise ValueError(f"mask is over cutoff {mask.basis.cutoff}, the basis over cutoff "
+                         f"{basis.cutoff}")
     step = _resonant_shift(coupling, kind, s1, s2)
     return ladder_orbits(basis.states() if mask is None else mask.states(), step)
 
@@ -466,14 +469,6 @@ def operator_norm(matrix) -> float:
         return float(np.linalg.norm(matrix, 2))
     return float(np.max([np.linalg.svd(block, compute_uv=False)[0] for block in matrix
                          if block.size], initial=0.0))
-
-
-def verify_commutes(a: np.ndarray, b: np.ndarray, mask: InteriorMask | None = None) -> CheckRow:
-    """Check [a, b] = 0 on interior columns to the fixed 1e-12, returning a report row."""
-    comm = commutator(a, b)
-    if mask is not None:
-        comm = mask.restrict_columns(comm)
-    return CheckRow.within("commutator", "[A, B] = 0", operator_norm(comm), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -695,19 +690,19 @@ def one_mode_bridge(cutoff: int) -> np.ndarray:
     return 2.0**0.25 * ring * np.sqrt(np.outer(fact, fact).astype(float))
 
 
-def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:
+def verify_quantum_bridge(cutoff: int = 10) -> list[CheckRow]:
     """Intertwining checks for the two-mode bridge, floating point.
 
     Builds S = S1 (x) S1 on the Cartesian product grid, each two-mode
     operator as (m (x) 1 + 1 (x) m)/4 from the one-mode pairs, and verifies
     S H_free = -J_- S, S iD = J_0 S, S K = J_+ S with operator-norm
-    residuals on columns with both occupation numbers <= cutoff - margin.
+    residuals on columns with both occupation numbers <= cutoff - 3: the margin is fixed at 3.
     S1 and the generators keep each n's parity, so only each parity class's block is formed,
     and its two S parts, (kept rows, all columns) and (all rows, kept columns), once for all
     three rows.  Each Kronecker part is one broadcast product, entry for entry np.kron's.
+    A cutoff that is not an int in 3..98 raises ValueError.
     """
-    InteriorMask(FockBasis(cutoff), require_int(margin, "margin"), margin)  # checks the sizes
-    s1, side = one_mode_bridge(cutoff), cutoff + 1
+    s1, side = one_mode_bridge(require_int(cutoff, "cutoff", 3, 98)), cutoff + 1
     up, eye = _raising(side), np.eye(side)
 
     def part(one, other, rows, cols):  # the (rows, cols) part of one (x) other
@@ -718,8 +713,8 @@ def verify_quantum_bridge(cutoff: int = 10, margin: int = 3) -> list[CheckRow]:
     def two_mode(one, rows, cols):  # the (rows, cols) part of (one (x) 1 + 1 (x) one)/4
         return (part(one, eye, rows, cols) + part(eye, one, rows, cols)) / 4
 
-    # per parity class (n1, n2 mod 2): all its levels (summed over), then the kept ones
-    classes = [[(np.arange(p1, end, 2), np.arange(p2, end, 2)) for end in (side, side - margin)]
+    # per parity class (n1, n2 mod 2): all its levels (summed over), then the kept n <= cutoff - 3
+    classes = [[(np.arange(p1, end, 2), np.arange(p2, end, 2)) for end in (side, side - 3)]
                for p1 in (0, 1) for p2 in (0, 1)]
     s_parts = [(part(s1, s1, kept, every), part(s1, s1, every, kept)) for every, kept in classes]
     checks = []

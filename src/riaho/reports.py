@@ -4,9 +4,9 @@ A report is a named list of check rows; each row records the identity
 tested, pass/fail status, a numeric residual where one makes sense (None
 for exact symbolic checks, which either pass with residual 0 or carry the
 offending polynomial in `detail`), and wall time.  Serialization matches
-the JSON schema shipped under ``riaho/schemas``.  Every suite row is built by
-:func:`check` from :data:`FAMILIES`, the one table of each check family's identity,
-tolerance and exactness.
+the JSON schema shipped under ``riaho/schemas``.  :func:`check` is the only row
+constructor: it builds every row from :data:`FAMILIES`, the one table of each check
+family's identity, tolerance and exactness, and alone decides whether a row passes.
 """
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-from .phasealg.exact import require_real
 
 __all__ = ["CheckRow", "VerificationReport", "FAMILIES", "check"]
 
@@ -28,15 +26,6 @@ class CheckRow:
     residual: float | None = None
     elapsed: float = 0.0
     detail: str = ""
-
-    @classmethod
-    def within(cls, check_id: str, identity: str, residual, tol: float,
-               detail: str = "") -> "CheckRow":
-        """Row that passes when ``residual <= tol``; a NaN residual fails.  A ``tol`` that is
-        not a finite real raises ValueError."""
-        tol = require_real(tol, "tol")
-        return cls(check_id=check_id, identity=identity, passed=bool(residual <= tol),
-                   residual=float(residual), detail=detail)
 
     @property
     def status(self) -> str:
@@ -129,7 +118,8 @@ def check(check_id: str, outcome, detail: str = "", **fields) -> CheckRow:
     if family.tol is None:
         return CheckRow(check_id, identity, outcome, family.on_pass if outcome else None,
                         detail=detail)
-    return CheckRow.within(check_id, identity, outcome, family.tol, detail)
+    return CheckRow(check_id, identity, bool(outcome <= family.tol), float(outcome),
+                    detail=detail)
 
 
 @dataclass

@@ -574,18 +574,7 @@ class TestHiddenOperators:
         ]:
             c = Coupling(g)
             x = fe.hidden_operator(b, c, kind, s1, s2)
-            row = fe.verify_commutes(fe.hamiltonian(b, c), x)
-            assert row.passed and row.residual <= 1e-12
-
-    def test_commutes_holds_to_a_fixed_1e_12(self):
-        # [diag(0, 1), b] = -b, whose norm is its one entry: 1e-12 passes, the next float fails
-        a = np.diag([0.0, 1.0])
-        row = fe.verify_commutes(a, np.array([[0.0, 1e-12], [0.0, 0.0]]))
-        assert row.passed and row.residual == 1e-12
-        assert row.check_id == "commutator" and row.identity == "[A, B] = 0"
-        above = np.nextafter(1e-12, 1)
-        row = fe.verify_commutes(a, np.array([[0.0, above], [0.0, 0.0]]))
-        assert not row.passed and row.residual == above
+            assert fe.operator_norm(fe.commutator(fe.hamiltonian(b, c), x)) <= 1e-12
 
     def test_resonance_mismatch_raises(self):
         b = fe.FockBasis(4)
@@ -672,6 +661,12 @@ class TestOrbitStructure:
         b = fe.FockBasis(4)
         with pytest.raises(ValueError):
             fe.hidden_orbit_partition(b, Coupling(F(1, 3)), "J", 1, 2)
+
+    def test_mask_over_another_basis_raises(self):
+        # a cutoff-10 mask on the cutoff-4 grid returned orbits holding (9, 8), off the grid
+        mask = fe.InteriorMask(fe.FockBasis(10), margin1=1, margin2=2)
+        with pytest.raises(ValueError, match="mask is over cutoff 10, the basis over cutoff 4"):
+            fe.hidden_orbit_partition(fe.FockBasis(4), Coupling(F(1, 3)), "L", 1, 2, mask)
 
 
 def _bfs_orbits(pool, step):
@@ -1145,7 +1140,7 @@ class TestQuantumBridgeFloat:
             fe.one_mode_bridge(cutoff)
 
     def test_two_mode_intertwining(self):
-        for row in fe.verify_quantum_bridge(10, margin=3):
+        for row in fe.verify_quantum_bridge(10):
             assert row.passed, row.check_id
             assert row.residual <= 1e-10
 
@@ -1212,11 +1207,12 @@ class TestSuiteFockAgainstDenseProducts:
             c = Coupling(F(gtext))
             other = "J" if kind == "L" else "L"
             ladder = _state_by_state_hidden_ladder(b, other, 1, 2)
-            dense = fe.verify_commutes(fe.hamiltonian(b, c), ladder,
-                                       fe.InteriorMask(b, margin1=1, margin2=2))
+            mask = fe.InteriorMask(b, margin1=1, margin2=2)
+            dense = fe.operator_norm(mask.restrict_columns(fe.commutator(fe.hamiltonian(b, c),
+                                                                         ladder)))
             got = rows[f"hidden-commutes:g={gtext}"]
-            assert dense.residual > 1
-            assert got.residual == pytest.approx(dense.residual, rel=1e-12)
+            assert dense > 1
+            assert got.residual == pytest.approx(dense, rel=1e-12)
             assert not got.passed
 
     @pytest.mark.parametrize("cutoff", [4, 9])
@@ -1246,12 +1242,13 @@ def _state_by_state_hidden_ladder(basis, kind, s1, s2):
     return mat
 
 
-def _dense_bridge_residuals(s1, margin):
-    """Reference: each bridge-two-mode-* residual from the dense S = S1 (x) S1 on the whole grid."""
+def _dense_bridge_residuals(s1):
+    """Reference: each bridge-two-mode-* residual from the dense S = S1 (x) S1 on the whole grid,
+    its columns kept at margin 3."""
     cutoff = len(s1) - 1
     s = np.kron(s1, s1)
     up, eye = fe._raising(cutoff + 1), np.eye(cutoff + 1)
-    keep = fe.InteriorMask(fe.FockBasis(cutoff), margin1=margin, margin2=margin).indices()
+    keep = fe.InteriorMask(fe.FockBasis(cutoff), margin1=3, margin2=3).indices()
     grid = np.ix_(keep, keep)
     out = []
     for pair in fe._conformal_pairs(up, up.T):
@@ -1272,9 +1269,9 @@ def _padded_stack_norm(blocks):
     return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2))))
 
 
-def _kron_loop_bridge_rows(cutoff, margin):
-    """Reference bridge-two-mode-* rows: every Kronecker part, S's among them, rebuilt by
-    np.kron for each row, and the direct sums normed by :func:`_padded_stack_norm`."""
+def _kron_loop_bridge_rows(cutoff):
+    """Reference bridge-two-mode-* rows at margin 3: every Kronecker part, S's among them,
+    rebuilt by np.kron for each row, and the direct sums normed by :func:`_padded_stack_norm`."""
     s1, side = fe.one_mode_bridge(cutoff), cutoff + 1
     up, eye = fe._raising(side), np.eye(side)
 
@@ -1284,7 +1281,7 @@ def _kron_loop_bridge_rows(cutoff, margin):
     def two_mode(one, rows, cols):
         return (part(one, eye, rows, cols) + part(eye, one, rows, cols)) / 4
 
-    classes = [[(np.arange(p1, end, 2), np.arange(p2, end, 2)) for end in (side, side - margin)]
+    classes = [[(np.arange(p1, end, 2), np.arange(p2, end, 2)) for end in (side, side - 3)]
                for p1 in (0, 1) for p2 in (0, 1)]
     rows = []
     for name, (x, y) in zip(fe._BRIDGE_ROWS, fe._conformal_pairs(up, up.T)):
@@ -1298,10 +1295,9 @@ def _kron_loop_bridge_rows(cutoff, margin):
 
 
 class TestQuantumBridgeAgainstKronLoop:
-    @pytest.mark.parametrize("margin", range(4))
-    @pytest.mark.parametrize("cutoff", [4, 7, 10, 16, 24])
-    def test_rows_equal_per_row_kron_loop(self, cutoff, margin):
-        got, want = fe.verify_quantum_bridge(cutoff, margin), _kron_loop_bridge_rows(cutoff, margin)
+    @pytest.mark.parametrize("cutoff", range(3, 25))
+    def test_rows_equal_per_row_kron_loop(self, cutoff):
+        got, want = fe.verify_quantum_bridge(cutoff), _kron_loop_bridge_rows(cutoff)
         assert [(r.check_id, r.identity, r.passed) for r in got] == [
             (r.check_id, r.identity, r.passed) for r in want]
         for row, ref in zip(got, want):
@@ -1309,10 +1305,9 @@ class TestQuantumBridgeAgainstKronLoop:
 
 
 class TestQuantumBridgeAgainstDenseProducts:
-    @pytest.mark.parametrize("cutoff,margin,entry", [
-        (10, 3, (2, 0)), (10, 3, (3, 5)), (10, 3, (6, 6)), (16, 3, (9, 13)), (9, 0, (8, 8))])
-    def test_perturbed_bridge_entry_matches_dense_residual(self, monkeypatch, cutoff, margin,
-                                                           entry):
+    @pytest.mark.parametrize("cutoff,entry", [
+        (10, (2, 0)), (10, (3, 5)), (10, (6, 6)), (16, (9, 13)), (9, (6, 8))])
+    def test_perturbed_bridge_entry_matches_dense_residual(self, monkeypatch, cutoff, entry):
         # a parity-preserving entry of S1 scaled by 1 + 1e-6 keeps the parity blocks valid;
         # the rows must then read the dense grid residual, far above rounding
         exact = fe.one_mode_bridge
@@ -1323,8 +1318,8 @@ class TestQuantumBridgeAgainstDenseProducts:
             return s1
 
         monkeypatch.setattr(fe, "one_mode_bridge", perturbed)
-        rows = fe.verify_quantum_bridge(cutoff, margin)
-        wants = _dense_bridge_residuals(perturbed(cutoff), margin)
+        rows = fe.verify_quantum_bridge(cutoff)
+        wants = _dense_bridge_residuals(perturbed(cutoff))
         assert [row.check_id for row in rows] == [
             "bridge-two-mode-H", "bridge-two-mode-iD", "bridge-two-mode-K"]
         for row, want in zip(rows, wants):
@@ -1332,10 +1327,11 @@ class TestQuantumBridgeAgainstDenseProducts:
             assert row.residual == pytest.approx(want, rel=1e-9), row.check_id
             assert not row.passed, row.check_id
 
-    @pytest.mark.parametrize("cutoff,margin", [(5, 6), (5, -1), (0, 0)])
-    def test_bad_sizes_raise(self, cutoff, margin):
-        with pytest.raises(ValueError):
-            fe.verify_quantum_bridge(cutoff, margin)
+    @pytest.mark.parametrize("cutoff", [-1, 0, 2, 99])
+    def test_cutoff_outside_the_fixed_margin_range_raises(self, cutoff):
+        # the margin is 3, and one_mode_bridge holds up to cutoff 98
+        with pytest.raises(ValueError, match=f"cutoff {cutoff} is not an integer in 3..98"):
+            fe.verify_quantum_bridge(cutoff)
 
 
 def _kron_ladder(basis, mode, direction):

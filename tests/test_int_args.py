@@ -61,10 +61,7 @@ ENTRY_POINTS = [
      4, 1, None),
     ("fockeng.verify_one_mode_bridge:size", "size", fe.verify_one_mode_bridge, 3, 3, None),
     ("fockeng.one_mode_bridge:cutoff", "cutoff", fe.one_mode_bridge, 4, 0, 98),
-    ("fockeng.verify_quantum_bridge:cutoff", "cutoff", lambda v: fe.verify_quantum_bridge(v, 0),
-     2, 1, None),
-    ("fockeng.verify_quantum_bridge:margin", "margin", lambda v: fe.verify_quantum_bridge(4, v),
-     1, 0, None),
+    ("fockeng.verify_quantum_bridge:cutoff", "cutoff", fe.verify_quantum_bridge, 3, 3, 98),
     ("bridge.ZPolynomial.monomial:n1", "n1", lambda v: br.ZPolynomial.monomial(v, 0), 1, 0, None),
     ("bridge.ZPolynomial.monomial:n2", "n2", lambda v: br.ZPolynomial.monomial(0, v), 1, 0, None),
     ("bridge.ZPolynomial.shift:d1", "d1", lambda v: br.ZPolynomial({(1, 1): 1.0}).shift(v, 0),
@@ -94,8 +91,7 @@ ENTRY_POINTS = [
     ("aniso.FrequencyPair:l2", "l2", lambda v: an.FrequencyPair(3, 1, 1, v), 3, 1, None),
     ("aniso.spectrum:n1", "n1", lambda v: an.spectrum(FREQ, "+", v, 0), 2, 0, None),
     ("aniso.spectrum:n2", "n2", lambda v: an.spectrum(FREQ_FLOAT, "-", 0, v), 2, 0, None),
-    ("aniso.so11_invariant_check:cutoff", "cutoff", lambda v: an.so11_invariant_check(1.0, v),
-     2, 1, None),
+    ("aniso.so11_invariant_check:cutoff", "cutoff", an.so11_invariant_check, 2, 1, None),
     ("aniso.aniso_cbt_apply:phi", "exponent n1", lambda v: an.aniso_cbt_apply({(v, 0): 1.0}, FREQ),
      2, 0, None),
     ("aniso.aniso_cbt_apply:phi", "exponent n2", lambda v: an.aniso_cbt_apply({(0, v): 1.0}, FREQ),
@@ -107,8 +103,6 @@ ENTRY_POINTS = [
      lambda v: an.aniso_proportionality(v, 0, FREQ), 1, 0, None),
     ("aniso.aniso_proportionality:n2", "exponent n2",
      lambda v: an.aniso_proportionality(0, v, FREQ), 1, 0, None),
-    ("aniso.composite_spectrum_check:cutoff", "cutoff",
-     lambda v: an.composite_spectrum_check(G13, cutoff=v), 2, 0, None),
     ("classdyn.integrate:steps", "steps",
      lambda v: cd.integrate([1.0, 0.0, 0.0, 1.0], Coupling(0), 1.0, 1.0, steps=v), 2, 1, None),
     ("classdyn.integrate_many:steps", "steps",
@@ -166,7 +160,6 @@ def test_out_of_range_raises_value_error_naming_the_argument(target, name, call,
     lambda: fe.exact_energy(Coupling(F(1, 3)), 1.5, 0),
     lambda: fe.exact_energy(Coupling(F(1, 3)), True, 0),
     lambda: an.spectrum(an.FrequencyPair(1, 3), "+", 1.5, 0),
-    lambda: an.composite_spectrum_check(Coupling(F(1, 3)), cutoff=True),
     lambda: br.ZPolynomial.monomial(True, 0),
     lambda: an.aniso_cbt_apply({(True, 0): 1.0}, FREQ),
     lambda: fe.ladder(fe.FockBasis(2), True, "+"),
@@ -177,7 +170,6 @@ def test_out_of_range_raises_value_error_naming_the_argument(target, name, call,
     lambda: an.hermite_eigenstate(1.5, 0, FREQ),
     lambda: an.mode_constant(1.5, 1.0),
     lambda: br.expansion_coefficient(0.5, 0.2j, 1.5, 0),
-    lambda: an.composite_spectrum_check(Coupling(F(1, 3)), cutoff=1.5),
     lambda: br.coherent_checks(0.5, 0.2j, 0.1, 0.3, cutoff=1.5),
     lambda: PhasePoly.variable("x1", CANONICAL) ** 1.5,
     lambda: fe.ladder(fe.FockBasis(2), 1.0, "+"),

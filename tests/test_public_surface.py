@@ -41,8 +41,7 @@ MODULES.insert(0, riaho)
 EXEMPT = {
     "report text: check ids, identities, details and suite names, and rows of a report": (
         "reports.CheckRow:check_id", "reports.CheckRow:identity", "reports.CheckRow:detail",
-        "reports.CheckRow.within:check_id", "reports.CheckRow.within:identity",
-        "reports.CheckRow.within:detail", "reports.check:check_id", "reports.check:detail",
+        "reports.check:check_id", "reports.check:detail",
         "reports.check:fields",
         "reports.VerificationReport:suite", "reports.VerificationReport:rows",
         "reports.VerificationReport.extend:rows",
@@ -65,7 +64,7 @@ EXEMPT = {
     ),
     "measured residual (a nan residual fails the row by design), or an exact family's bool, "
     "else ValueError": (
-        "reports.CheckRow.within:residual", "reports.check:outcome",
+        "reports.check:outcome",
     ),
     "`Coupling.coerce`: a Coupling, or a g that `Coupling` checks": (
         "coupling.Coupling.coerce:value",
@@ -101,8 +100,7 @@ EXEMPT = {
     ),
     "numpy data (operator matrices, phase-space vectors): used as given, as array times are": (
         "fockeng.InteriorMask.restrict_columns:matrix", "fockeng.commutator:a",
-        "fockeng.commutator:b", "fockeng.verify_commutes:a", "fockeng.verify_commutes:b",
-        "fockeng.operator_norm:matrix", "classdyn.hamiltonian_flow_rhs:state",
+        "fockeng.commutator:b", "fockeng.operator_norm:matrix", "classdyn.hamiltonian_flow_rhs:state",
         "classdyn.hamiltonian_value:state", "classdyn.integrate:state0",
     ),
     "state pool: an iterable of (n1, n2) pairs, else ValueError (a `CHECKED_SHAPES` row)": (

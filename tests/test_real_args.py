@@ -17,7 +17,6 @@ from riaho.coupling import Coupling
 from riaho.phasealg import CIRCULAR, ExactComplex, Params, PhasePoly
 from riaho.phasealg.exact import (coerce_real, rational_sqrt, require_complex, require_int,
                                    require_real, ring_sqrt, to_float)
-from riaho.reports import CheckRow
 
 BASIS = fe.FockBasis(2)
 FREQ = an.FrequencyPair.detect(1, 2)
@@ -47,9 +46,6 @@ ENTRY_POINTS = [
      True, True),
     ("aniso.detect_commensurability:omega2", "omega2", lambda v: an.detect_commensurability(1, v),
      True, True),
-    # used as a float
-    ("aniso.so11_invariant_check:omega", "omega1", lambda v: an.so11_invariant_check(v, cutoff=4),
-     False, True),
     ("aniso.spectrum:hbar", "hbar", lambda v: an.spectrum(FREQ, "+", 1, 0, v), True, False),
     ("aniso.SeparableState:rate1", "rate1", lambda v: an.SeparableState({}, v, 1.0), False, True),
     ("aniso.SeparableState:rate2", "rate2", lambda v: an.SeparableState({}, 1.0, v), False, True),
@@ -130,8 +126,6 @@ ENTRY_POINTS = [
     ("fockeng.angular_momentum:hbar", "hbar", lambda v: fe.angular_momentum(BASIS, v),
      False, False),
     ("aniso.signed_hamiltonian:hbar", "hbar", lambda v: an.signed_hamiltonian(BASIS, FREQ, "-", v),
-     False, False),
-    ("reports.CheckRow.within:tol", "tol", lambda v: CheckRow.within("c", "c = 0", 0.0, v),
      False, False),
     ("phasealg.poly.PhasePoly.evaluate:t", "t", lambda v: POLY.evaluate(POINT, v), False, False),
     *((f"cli.RunConfig:{name}", name, lambda v, name=name: RunConfig(**{name: v}), False, True)

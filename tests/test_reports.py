@@ -1,38 +1,85 @@
 """Check rows: the tolerance rule every numeric check uses, the table of check families and
 the one constructor that builds each suite row from it."""
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riaho
 from riaho.cli import main
-from riaho.reports import FAMILIES, CheckRow, _family, check
+from riaho.reports import FAMILIES, _family, check
+
+# a measured family at tol 1e-10, and one at tol 0.0; neither identity takes a field
+MEASURED_ID, ZERO_TOL_ID = "unitary-hamiltonian:g=0", "so11-invariance"
 
 
-class TestWithin:
+class TestTolerance:
     def test_residual_at_tolerance_passes(self):
-        row = CheckRow.within("c", "a = b", 1e-10, 1e-10)
+        row = check(MEASURED_ID, 1e-10)
         assert row.passed and row.status == "pass"
 
-    def test_residual_above_tolerance_fails(self):
-        assert not CheckRow.within("c", "a = b", 2e-10, 1e-10).passed
+    def test_next_float_above_tolerance_fails(self):
+        assert not check(MEASURED_ID, np.nextafter(1e-10, 1)).passed
 
     @pytest.mark.parametrize("residual", [math.nan, np.float64("nan")])
     def test_nan_residual_fails(self, residual):
-        row = CheckRow.within("c", "a = b", residual, 1e-10)
+        row = check(MEASURED_ID, residual)
         assert row.passed is False
         assert math.isnan(row.residual)
 
     def test_zero_tolerance_demands_exact_zero(self):
-        assert CheckRow.within("c", "a = b", 0.0, 0.0).passed
-        assert not CheckRow.within("c", "a = b", 5e-324, 0.0).passed
+        assert check(ZERO_TOL_ID, 0.0).passed
+        assert not check(ZERO_TOL_ID, 5e-324).passed
 
     def test_residual_stored_as_python_float(self):
-        row = CheckRow.within("c", "a = b", np.float64(3e-11), 1e-10, detail="d")
+        row = check(MEASURED_ID, np.float64(3e-11), "d")
         assert type(row.residual) is float and type(row.passed) is bool
-        assert row.to_dict() == {"check_id": "c", "identity": "a = b", "status": "pass",
-                                 "residual": 3e-11, "elapsed": 0.0, "detail": "d"}
+        assert row.to_dict() == {"check_id": MEASURED_ID, "identity": "U H_rni U+ = H_g",
+                                 "status": "pass", "residual": 3e-11, "elapsed": 0.0,
+                                 "detail": "d"}
+
+
+def _row_constructions(tree):
+    """(enclosing function, line) of each call that builds a CheckRow: CheckRow(...), a
+    CheckRow classmethod, or cls(...) inside the class body."""
+    found = []
+
+    def walk(node, func, in_row_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name, in_row_class)
+            elif isinstance(child, ast.ClassDef):
+                walk(child, func, child.name == "CheckRow")
+            else:
+                if isinstance(child, ast.Call):
+                    f = child.func
+                    if (isinstance(f, ast.Name) and (f.id == "CheckRow" or in_row_class
+                                                     and f.id == "cls")
+                            or isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                            and f.value.id == "CheckRow"):
+                        found.append((func, child.lineno))
+                walk(child, func, in_row_class)
+
+    walk(tree, None, False)
+    return found
+
+
+def test_check_is_the_only_row_constructor():
+    # a second constructor could build a row that passes by a rule FAMILIES does not hold
+    root = Path(riaho.__file__).parent
+    outside = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        name = path.relative_to(root).as_posix()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert all(a.name != "CheckRow" or a.asname is None for a in node.names), name
+        outside += [(name, func, line) for func, line in _row_constructions(tree)
+                    if (name, func) != ("reports.py", "check")]
+    assert outside == []
 
 
 # each measured family's tolerance, as the literal its rows were built with before the table
