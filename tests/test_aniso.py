@@ -434,12 +434,21 @@ class TestFloatFrequencies:
 
 
 class TestSo11Invariant:
-    def test_report_passes(self):
+    @pytest.mark.parametrize("cutoff", [1, 4, 9, 10])
+    def test_report_passes(self, cutoff):
         # so11-invariance and diagonal-pair pass only at residual 0.0
-        report = so11_invariant_check(cutoff=9)
+        report = so11_invariant_check(cutoff=cutoff)
         assert report.passed
         for row in report.rows:
             assert row.residual <= 1e-12
+
+    @pytest.mark.parametrize("omega", [1.0, 0.3, 7.0, Fraction(1, 2),
+                                       FrequencyPair.detect(Fraction(3, 2), Fraction(3, 2)),
+                                       FrequencyPair.detect(1, 2)])
+    def test_a_frequency_is_no_longer_taken(self, omega):
+        # the checks run at omega = 1; a frequency in the first place is refused as a cutoff
+        with pytest.raises(ValueError, match="cutoff"):
+            so11_invariant_check(omega)
 
     def test_expected_rows_present(self):
         report = so11_invariant_check(cutoff=6)
@@ -785,12 +794,21 @@ class TestRescaleMap:
         with pytest.raises(ValueError, match="a rescaling weight vanishes"):
             rescale_canonical_check(Coupling(g))
 
+    @pytest.mark.parametrize("g", [Fraction(1, 2), 3, -3, 0, Fraction(-5, 2), Fraction(7, 2),
+                                   0.25])
+    def test_canonical_row_of_a_finite_coupling_names_its_g(self, g):
+        # the id is built from str(coupling), which for a finite g is its exact value
+        row = rescale_canonical_check(g)
+        assert row.check_id == f"rescale-canonical:g={Coupling(g).g}"
+        assert row.check_id == f"rescale-canonical:g={Fraction(g)}"
+
     def test_canonical_check_uses_exact_ring_when_possible(self):
         assert "exact" in rescale_canonical_check(3).detail
         assert "witness" in rescale_canonical_check(Fraction(1, 2)).detail
 
     @pytest.mark.parametrize(
-        "g", [Fraction(1, 2), 3, Fraction(1, 3), Fraction(5, 3), -3]
+        "g", [Fraction(1, 2), 3, Fraction(1, 3), Fraction(5, 3), -3, 0, 2, -2, Fraction(3, 2),
+              Fraction(-1, 2), Fraction(-1, 3), Fraction(-5, 3)]
     )
     def test_composite_spectrum_transport(self, g):
         row = composite_spectrum_check(g)

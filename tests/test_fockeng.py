@@ -644,10 +644,12 @@ class TestOrbitStructure:
         classes = {frozenset(k.states) for k in fe.degeneracy_classes(c, b)}
         assert orbits == classes
 
-    def test_masked_orbits(self):
+    @pytest.mark.parametrize("margin1, margin2, total",
+                             [(1, 2, None), (0, 0, None), (3, 1, None), (2, 2, 6), (0, 3, 4)])
+    def test_masked_orbits(self, margin1, margin2, total):
         b = fe.FockBasis(8)
         c = Coupling(F(1, 3))
-        mask = fe.InteriorMask(b, margin1=1, margin2=2)
+        mask = fe.InteriorMask(b, margin1=margin1, margin2=margin2, total=total)
         orbits = set(fe.hidden_orbit_partition(b, c, "L", 1, 2, mask=mask))
         pool = set(mask.states())
         classes = {
@@ -662,11 +664,13 @@ class TestOrbitStructure:
         with pytest.raises(ValueError):
             fe.hidden_orbit_partition(b, Coupling(F(1, 3)), "J", 1, 2)
 
-    def test_mask_over_another_basis_raises(self):
+    @pytest.mark.parametrize("mask_cutoff, cutoff", [(10, 4), (4, 10), (8, 9)])
+    def test_mask_over_another_basis_raises(self, mask_cutoff, cutoff):
         # a cutoff-10 mask on the cutoff-4 grid returned orbits holding (9, 8), off the grid
-        mask = fe.InteriorMask(fe.FockBasis(10), margin1=1, margin2=2)
-        with pytest.raises(ValueError, match="mask is over cutoff 10, the basis over cutoff 4"):
-            fe.hidden_orbit_partition(fe.FockBasis(4), Coupling(F(1, 3)), "L", 1, 2, mask)
+        mask = fe.InteriorMask(fe.FockBasis(mask_cutoff), margin1=1, margin2=2)
+        with pytest.raises(ValueError, match=f"mask is over cutoff {mask_cutoff}, the basis "
+                                             f"over cutoff {cutoff}"):
+            fe.hidden_orbit_partition(fe.FockBasis(cutoff), Coupling(F(1, 3)), "L", 1, 2, mask)
 
 
 def _bfs_orbits(pool, step):

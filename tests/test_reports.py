@@ -3,6 +3,7 @@ the one constructor that builds each suite row from it."""
 import ast
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,21 +31,31 @@ class TestTolerance:
         assert row.passed is False
         assert math.isnan(row.residual)
 
-    def test_zero_tolerance_demands_exact_zero(self):
-        assert check(ZERO_TOL_ID, 0.0).passed
-        assert not check(ZERO_TOL_ID, 5e-324).passed
+    @pytest.mark.parametrize("check_id", [ZERO_TOL_ID, "diagonal-pair", "hidden-commutes:g=3"])
+    def test_zero_tolerance_demands_exact_zero(self, check_id):
+        assert check(check_id, 0.0, h="H", x="X").passed
+        assert not check(check_id, 5e-324, h="H", x="X").passed
 
-    def test_residual_stored_as_python_float(self):
-        row = check(MEASURED_ID, np.float64(3e-11), "d")
+    @pytest.mark.parametrize("residual, stored", [
+        (np.float64(3e-11), 3e-11), (np.float32(2.0**-40), 2.0**-40),
+        (Fraction(3, 10**11), 3e-11), (0, 0.0), (np.int64(0), 0.0)])
+    def test_residual_stored_as_python_float(self, residual, stored):
+        row = check(MEASURED_ID, residual, "d")
         assert type(row.residual) is float and type(row.passed) is bool
         assert row.to_dict() == {"check_id": MEASURED_ID, "identity": "U H_rni U+ = H_g",
-                                 "status": "pass", "residual": 3e-11, "elapsed": 0.0,
+                                 "status": "pass", "residual": stored, "elapsed": 0.0,
                                  "detail": "d"}
 
 
+def _names_row(node):
+    """Whether ``node`` is the name CheckRow, bare or as a module attribute."""
+    return (isinstance(node, ast.Name) and node.id == "CheckRow"
+            or isinstance(node, ast.Attribute) and node.attr == "CheckRow")
+
+
 def _row_constructions(tree):
-    """(enclosing function, line) of each call that builds a CheckRow: CheckRow(...), a
-    CheckRow classmethod, or cls(...) inside the class body."""
+    """(enclosing function, line) of each call that builds a CheckRow: CheckRow(...) or
+    module.CheckRow(...), a CheckRow classmethod, or cls(...) inside the class body."""
     found = []
 
     def walk(node, func, in_row_class):
@@ -56,10 +67,8 @@ def _row_constructions(tree):
             else:
                 if isinstance(child, ast.Call):
                     f = child.func
-                    if (isinstance(f, ast.Name) and (f.id == "CheckRow" or in_row_class
-                                                     and f.id == "cls")
-                            or isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
-                            and f.value.id == "CheckRow"):
+                    if (_names_row(f) or isinstance(f, ast.Attribute) and _names_row(f.value)
+                            or in_row_class and isinstance(f, ast.Name) and f.id == "cls"):
                         found.append((func, child.lineno))
                 walk(child, func, in_row_class)
 
@@ -80,6 +89,22 @@ def test_check_is_the_only_row_constructor():
         outside += [(name, func, line) for func, line in _row_constructions(tree)
                     if (name, func) != ("reports.py", "check")]
     assert outside == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("CheckRow('c', 'c = 0', True)", [(None, 1)]),
+    ("def f():\n    return CheckRow('c', 'c = 0', True)", [("f", 2)]),
+    ("def f():\n    return CheckRow.within('c', 'c = 0', 0.0, 1e-9)", [("f", 2)]),
+    ("def f():\n    return reports.CheckRow('c', 'c = 0', True)", [("f", 2)]),
+    ("def f():\n    return riaho.reports.CheckRow.within('c', 'c = 0', 0.0, 1e-9)", [("f", 2)]),
+    ("class CheckRow:\n    @classmethod\n    def ok(cls):\n        return cls('c', 'c', True)",
+     [("ok", 4)]),
+    ("class Other:\n    @classmethod\n    def make(cls):\n        return cls()", []),
+    ("def f(row):\n    return isinstance(row, CheckRow) and row.passed", []),
+])
+def test_each_way_to_build_a_row_is_found(source, found):
+    # the walk above must see every construction form, or it passes on a second constructor
+    assert _row_constructions(ast.parse(source)) == found
 
 
 # each measured family's tolerance, as the literal its rows were built with before the table
