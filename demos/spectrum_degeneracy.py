@@ -17,7 +17,7 @@ from riaho.fockeng import FockBasis, InteriorMask
 def show_classes(gtext: str, emax):
     coupling = Coupling(F(gtext))
     basis = FockBasis(12)
-    classes = fockeng.degeneracy_classes(coupling, basis, energy_window=(None, emax))
+    classes = fockeng.degeneracy_classes(coupling, basis, emax)
     print(f"g = {gtext}: levels up to E = {emax}")
     for cls in classes:
         members = " ".join(f"({n1},{n2})" for n1, n2 in cls.states)
@@ -36,7 +36,7 @@ def main():
     for gtext, kind, s1, s2 in (("1/3", "L", 1, 2), ("3", "J", 1, 2)):
         coupling = Coupling(F(gtext))
         mask = InteriorMask(basis, margin1=s1, margin2=s2)
-        orbits = fockeng.hidden_orbit_partition(basis, coupling, kind, s1, s2, mask)
+        orbits = fockeng.hidden_orbit_partition(mask, coupling, kind, s1, s2)
         groups: dict = {}
         for n1, n2 in mask.states():
             groups.setdefault(fockeng.exact_energy(coupling, n1, n2), []).append((n1, n2))

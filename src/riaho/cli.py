@@ -465,7 +465,7 @@ def cmd_degeneracy(args, config: RunConfig) -> int:
     coupling = Coupling(g)
     emax = parse_rational(args.emax, "emax")
     basis = FockBasis(config.truncation)
-    classes = fockeng.degeneracy_classes(coupling, basis, energy_window=(None, emax))
+    classes = fockeng.degeneracy_classes(coupling, basis, emax)
     # a level with a non-positive mode weight repeats along a lattice
     # direction, so every populated class is infinite there
     infinite = coupling.ell1 <= 0 or coupling.ell2 <= 0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coupling import Coupling
 from .phasealg.catalog import hidden_shift, is_true_integral
-from .phasealg.exact import coerce_real, require_choice, require_int, require_real
+from .phasealg.exact import coerce_real, require_choice, require_int
 from .phasealg.poly import krawtchouk_rows
 from .reports import CheckRow, VerificationReport, check
 
@@ -199,11 +199,11 @@ def _integer_weights(*weights: Fraction) -> tuple[int, ...]:
     return (*(w.numerator * (d // w.denominator) for w in weights), d)
 
 
-def _levels(basis: FockBasis, weights, scale: float, label: str) -> np.ndarray:
-    """Grid-order levels scale * (w1 n1 + w2 n2 + w0) of exact weights (w1, w2, w0), the one
-    two-mode level kernel: each is the int quotient (a n1 + b n2 + c)/d of
-    :func:`_integer_weights`, correctly rounded, times ``scale``.  ValueError past the float
-    range, or when a non-zero quotient underflows to 0.0; a level that is exactly 0 stays 0.0."""
+def _levels(basis: FockBasis, weights, label: str) -> np.ndarray:
+    """Grid-order levels w1 n1 + w2 n2 + w0 of exact weights (w1, w2, w0), the one two-mode
+    level kernel: each is the int quotient (a n1 + b n2 + c)/d of :func:`_integer_weights`,
+    correctly rounded.  ValueError past the float range, or when a non-zero quotient
+    underflows to 0.0; a level that is exactly 0 stays 0.0."""
     a, b, c, d = _integer_weights(*weights)
     numerators = [a * n1 + b * n2 + c for n1, n2 in basis.states()]
     try:
@@ -212,22 +212,21 @@ def _levels(basis: FockBasis, weights, scale: float, label: str) -> np.ndarray:
         raise ValueError(f"a diagonal entry of {label} lies outside the float range") from None
     if any(q == 0.0 and num for num, q in zip(numerators, quotients)):
         raise ValueError(f"a non-zero diagonal entry of {label} underflows to 0.0 as a float")
-    return _finite(np.array([scale * q for q in quotients]), label)
+    return np.array(quotients)
 
 
-def hamiltonian(basis: FockBasis, coupling: Coupling, hbar_omega: float = 1.0) -> np.ndarray:
-    """Diagonal rotating-oscillator Hamiltonian, entries hbar*omega*(l1 n1 + l2 n2 + 1).
+def hamiltonian(basis: FockBasis, coupling: Coupling) -> np.ndarray:
+    """Diagonal rotating-oscillator Hamiltonian in units of hbar*omega, entries l1 n1 + l2 n2 + 1.
 
     Each level comes from :func:`_levels` with weights (l1, l2, 1), so it rounds exactly as
     the float of its :func:`exact_energy` Fraction does.
     """
-    return np.diag(_levels(basis, (coupling.ell1, coupling.ell2, 1),
-                           require_real(hbar_omega, "hbar_omega"), "H_g"))
+    return np.diag(_levels(basis, (coupling.ell1, coupling.ell2, 1), "H_g"))
 
 
-def angular_momentum(basis: FockBasis, hbar: float = 1.0) -> np.ndarray:
-    """Conserved angular momentum, diagonal with entries hbar*(n1 - n2)."""
-    return np.diag(_levels(basis, (1, -1, 0), require_real(hbar, "hbar"), "p_phi"))
+def angular_momentum(basis: FockBasis) -> np.ndarray:
+    """Conserved angular momentum in units of hbar, diagonal with entries n1 - n2."""
+    return np.diag(_levels(basis, (1, -1, 0), "p_phi"))
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +251,12 @@ class DegeneracyClass:
     complete: bool
 
 
-def degeneracy_classes(
-    coupling: Coupling,
-    basis: FockBasis,
-    energy_window: tuple | None = None,
-) -> list[DegeneracyClass]:
-    """Group grid states into exact-energy classes, ascending in energy.
+def degeneracy_classes(coupling: Coupling, basis: FockBasis, emax=None) -> list[DegeneracyClass]:
+    """Group grid states into exact-energy classes, ascending in energy, in units of hbar*omega.
 
     States of a level share the integer key a*n1 + b*n2 (l1 = a/d, l2 = b/d,
-    d > 0); the level is (key + d)/d.  ``energy_window`` is an optional
-    inclusive (lo, hi) pair in units of hbar*omega (else ValueError); either end may be None, and
-    each other end goes through ``coerce_real``, so an int or Fraction end stays exact.
+    d > 0); the level is (key + d)/d.  ``emax``, when not None, is an inclusive upper
+    bound on the level; it goes through ``coerce_real``, so an int or Fraction stays exact.
     States within a class ascend in n1, and ``class_id`` numbers the returned
     classes from 0 in ascending energy.  ``complete`` reads the orbit ends:
     l1, l2 > 0, the first state has n1 < s1 and the last n2 < s2.
@@ -270,12 +264,7 @@ def degeneracy_classes(
     a, b, d = _integer_weights(coupling.ell1, coupling.ell2)
     # orders (0, 0) leave no class complete, as a non-positive weight requires
     s1, s2 = coupling.mode_orders if coupling.ell1 > 0 and coupling.ell2 > 0 else (0, 0)
-    try:
-        lo, hi = (None, None) if energy_window is None else energy_window
-    except (TypeError, ValueError):  # 5, (1, 2, 3)
-        raise ValueError(f"energy_window {energy_window!r} is not a (lo, hi) pair") from None
-    lo, hi = (end if end is None else coerce_real(end, f"energy_window {side}")
-              for end, side in ((lo, "lo"), (hi, "hi")))
+    emax = emax if emax is None else coerce_real(emax, "emax")
 
     def key(n1, n2):
         return a * n1 + b * n2
@@ -284,7 +273,7 @@ def degeneracy_classes(
     for group in sorted(level_sets(basis.states(), key), key=lambda group: key(*min(group))):
         states = tuple(sorted(group))
         energy = Fraction(key(*states[0]) + d, d)
-        if (lo is not None and energy < lo) or (hi is not None and energy > hi):
+        if emax is not None and energy > emax:
             continue
         out.append(DegeneracyClass(energy=energy, states=states, class_id=len(out),
                                    complete=states[0][0] < s1 and states[-1][1] < s2))
@@ -399,25 +388,21 @@ def _amplitude(shift: tuple[int, int], n1: int, n2: int, label: str) -> float:
 
 
 def hidden_orbit_partition(
-    basis: FockBasis,
+    pool: FockBasis | InteriorMask,
     coupling: Coupling,
     kind: str,
     s1: int,
     s2: int,
-    mask: InteriorMask | None = None,
 ) -> list[frozenset]:
-    """Orbits of grid states under the hidden ladder pair and its adjoint.
+    """Orbits of the states of ``pool`` under the hidden ladder pair and its adjoint.
 
-    Two states are linked when the '+' operator maps one to the other with
-    both endpoints on the grid (or inside ``mask`` when given).  Returns
-    the connected components as frozensets, sorted by their minimal state.
-    A mask over another basis raises ValueError.
+    ``pool`` is the whole grid (a :class:`FockBasis`) or an :class:`InteriorMask`, whose
+    ``states()`` are partitioned.  Two states are linked when the '+' operator maps one to
+    the other with both endpoints in the pool.  Returns the connected components as
+    frozensets, sorted by their minimal state.
     """
-    if mask is not None and mask.basis != basis:
-        raise ValueError(f"mask is over cutoff {mask.basis.cutoff}, the basis over cutoff "
-                         f"{basis.cutoff}")
     step = _resonant_shift(coupling, kind, s1, s2)
-    return ladder_orbits(basis.states() if mask is None else mask.states(), step)
+    return ladder_orbits(pool.states(), step)
 
 
 def ladder_orbits(pool, step: tuple[int, int]) -> list[frozenset]:
@@ -532,29 +517,25 @@ def _unitary_block(total: int) -> np.ndarray:
     return np.array(krawtchouk_rows(total), dtype=object).T.astype(float) * scale * phase
 
 
-def rni_hamiltonian(
-    basis: FockBasis, coupling: Coupling, hbar_omega: float = 1.0
-) -> np.ndarray:
-    """Rotationally non-invariant anisotropic form of the same spectrum.
+def rni_hamiltonian(basis: FockBasis, coupling: Coupling) -> np.ndarray:
+    """Rotationally non-invariant anisotropic form of the same spectrum, in units of hbar*omega.
 
-    H = hbar*omega*(l1 a1+ a1- + l2 a2+ a2- + 1) on the Cartesian modes, which in the
-    circular modes reads hbar*omega*((l1+l2)/2 (n1+n2) + (l1-l2)/2 (b1+ b2- + b2+ b1-) + 1);
-    unitarily equivalent to the rotating-oscillator Hamiltonian but lacking
-    [H, p_phi] = 0 away from g = 0.  An hbar_omega that is not a finite real, or an entry
-    past the float range, raises ValueError.
+    H = l1 a1+ a1- + l2 a2+ a2- + 1 on the Cartesian modes, which in the circular modes reads
+    (l1+l2)/2 (n1+n2) + (l1-l2)/2 (b1+ b2- + b2+ b1-) + 1; unitarily equivalent to the
+    rotating-oscillator Hamiltonian but lacking [H, p_phi] = 0 away from g = 0.  An entry
+    past the float range raises ValueError.
     """
-    hbar_omega = require_real(hbar_omega, "hbar_omega")
     l1, l2 = coupling.float_ells()
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = _assemble(basis, lambda total: _rni_block(total, l1, l2, hbar_omega), 0)
+        mat = _assemble(basis, lambda total: _rni_block(total, l1, l2), 0)
     return _finite(mat, "H_rni")
 
 
-def _rni_block(total: int, l1: float, l2: float, hbar_omega: float = 1.0) -> np.ndarray:
+def _rni_block(total: int, l1: float, l2: float) -> np.ndarray:
     """Block N = total of :func:`rni_hamiltonian`; b1+ b2- is sqrt(m+1) sqrt(N-m) at [m+1, m]."""
     hop = (l1 - l2) / 2 * (np.sqrt(np.arange(1.0, total + 1)) * np.sqrt(np.arange(total, 0.0, -1)))
     level = np.full(total + 1, (l1 + l2) / 2 * total + 1)
-    return hbar_omega * (np.diag(hop, -1) + np.diag(hop, 1) + np.diag(level))
+    return np.diag(hop, -1) + np.diag(hop, 1) + np.diag(level)
 
 
 # ---------------------------------------------------------------------------
@@ -737,13 +718,13 @@ def suite_fock(config) -> VerificationReport:
     report = VerificationReport(suite="fock")
     basis = FockBasis(config.truncation)
     couplings = {gtext: Coupling(Fraction(gtext)) for gtext in ("0", "1/3", "1/2", "3")}
-    levels = {gtext: _levels(basis, (c.ell1, c.ell2, 1), 1.0, "H_g")
+    levels = {gtext: _levels(basis, (c.ell1, c.ell2, 1), "H_g")
               for gtext, c in couplings.items()}
     for gtext, kind, s1, s2 in (("1/3", "L", 1, 2), ("3", "J", 1, 2)):
         coupling = couplings[gtext]
         a, b, _ = _integer_weights(coupling.ell1, coupling.ell2)
         mask = InteriorMask(basis, margin1=s1, margin2=s2)
-        orbits = hidden_orbit_partition(basis, coupling, kind, s1, s2, mask)  # checks resonance
+        orbits = hidden_orbit_partition(mask, coupling, kind, s1, s2)  # checks resonance
         # the ladder links only states of one level, and _levels gives those one float
         report.add(check(f"hidden-commutes:g={gtext}", _hidden_commutator(
             levels[gtext], basis, kind, s1, s2, mask.indices()), h="H_g", x=f"{kind}+_{s1}{s2}"))

@@ -82,7 +82,6 @@ FAMILIES = {
     "so11-invariance": _Family("[H(-), L11] = 0", 0.0),
     "sl2-raise": _Family("[J0, J+] = +J+", 1e-12), "sl2-lower": _Family("[J0, J-] = -J-", 1e-12),
     "sl2-ladder-bracket": _Family("[J-, J+] = H_osc/(hbar w) = 2 J0 + 1", 1e-12),
-    "diagonal-pair": _Family("[H(-), H_osc] = 0", 0.0),
     "signed-spectrum": _Family(
         "diag(H^(sigma)) = hbar*(w1 n1 + sigma w2 n2 + (w1+sigma w2)/2)", 1e-12),
     "lissajous-closure": _Family("curve closes at 2 pi l2 / omega1", 1e-9),

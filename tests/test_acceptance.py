@@ -175,7 +175,7 @@ def test_criterion_05_spectrum_and_degeneracy():
             if not residual <= 1e-12:
                 ok = False
                 details.append(f"[H_g, {kind}{sign}] g={gtext}")
-        orbits = fockeng.hidden_orbit_partition(basis, c, kind, s1, s2, mask)
+        orbits = fockeng.hidden_orbit_partition(mask, c, kind, s1, s2)
         groups = {}
         for n1, n2 in mask.states():
             groups.setdefault(fockeng.exact_energy(c, n1, n2), []).append((n1, n2))

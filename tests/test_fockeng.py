@@ -198,49 +198,39 @@ class TestSpectrum:
             i = b.index(n1, n2)
             assert h[i, i] == pytest.approx(float(fe.exact_energy(c, n1, n2)))
 
-    def test_hbar_omega_scaling(self):
-        b = fe.FockBasis(3)
-        h1 = fe.hamiltonian(b, Coupling(F(1, 2)), hbar_omega=1.0)
-        h2 = fe.hamiltonian(b, Coupling(F(1, 2)), hbar_omega=2.5)
-        assert fe.operator_norm(h2 - 2.5 * h1) < 1e-14
-
     def test_angular_momentum_conserved(self):
         b = fe.FockBasis(6)
         for g in (0, F(1, 3), 3):
             comm = fe.commutator(fe.hamiltonian(b, Coupling(F(g))), fe.angular_momentum(b))
             assert fe.operator_norm(comm) == 0.0
 
-    def test_angular_momentum_values(self):
-        b = fe.FockBasis(3)
-        pphi = fe.angular_momentum(b, hbar=1.0)
-        assert pphi[b.index(3, 1), b.index(3, 1)] == 2
+    @pytest.mark.parametrize("cutoff", [1, 3, 6, 9])
+    def test_angular_momentum_values(self, cutoff):
+        # in units of hbar, the entry of (n1, n2) is n1 - n2
+        b = fe.FockBasis(cutoff)
+        pphi = fe.angular_momentum(b)
+        assert np.array_equal(pphi, np.diag([float(n1 - n2) for n1, n2 in b.states()]))
 
 
 class TestNonFiniteEntries:
     """An operator whose float entries leave the float range raises ValueError, not inf or nan."""
 
-    @pytest.mark.parametrize("build", [
-        lambda b: fe.hamiltonian(b, Coupling(F(1, 3)), 1e308),
-        lambda b: fe.hamiltonian(b, Coupling(0), float("nan")),
-        lambda b: fe.angular_momentum(b, 1e308),
-        lambda b: fe.angular_momentum(b, float("nan")),
-        lambda b: fe.rni_hamiltonian(b, Coupling(10**308)),
-        lambda b: fe.rni_hamiltonian(b, Coupling(1), float("inf")),
-    ])
-    def test_rejected_without_warnings(self, build):
+    @pytest.mark.parametrize("g", [10**308, -10**308, F(3, 2) * 10**308])
+    def test_rejected_without_warnings(self, g):
+        # l1 - l2 = 2g overflows the hopping of H_rni
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="not (a )?finite"):
-                build(fe.FockBasis(2))
+            with pytest.raises(ValueError, match="an entry of H_rni is not finite"):
+                fe.rni_hamiltonian(fe.FockBasis(2), Coupling(g))
 
 
-def _chain_level(w1, w2, sigma, n1, n2, hbar):
+def _chain_level(w1, w2, sigma, n1, n2):
     """The float chain aniso once used for float frequencies, for contrast with the kernel."""
-    return hbar * (w1 * n1 + sigma * w2 * n2 + (w1 + sigma * w2) * 0.5)
+    return w1 * n1 + sigma * w2 * n2 + (w1 + sigma * w2) * 0.5
 
 
 class TestLevelKernel:
-    """fockeng._levels is hbar times the correctly rounded exact level, bit for bit."""
+    """fockeng._levels is the correctly rounded exact level, bit for bit."""
 
     @staticmethod
     def _weight_sets(rng):
@@ -261,17 +251,17 @@ class TestLevelKernel:
                     out.append(((w1, w2, (w1 + w2) / 2), chain))
         return out
 
-    @pytest.mark.parametrize("hbar", [1.0, 0.37])
-    def test_seeded_sweep(self, hbar):
+    @pytest.mark.parametrize("seed", [20261019, 7, 401])
+    def test_seeded_sweep(self, seed):
         basis = fe.FockBasis(9)
         chain_differs = 0
-        for weights, chain in self._weight_sets(np.random.default_rng(20261019)):
-            got = fe._levels(basis, weights, hbar, "H")
+        for weights, chain in self._weight_sets(np.random.default_rng(seed)):
+            got = fe._levels(basis, weights, "H")
             w1, w2, w0 = weights
-            want = [hbar * float(w1 * n1 + w2 * n2 + w0) for n1, n2 in basis.states()]
+            want = [float(w1 * n1 + w2 * n2 + w0) for n1, n2 in basis.states()]
             assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64)), weights
             if chain is not None:
-                old = [_chain_level(*chain, n1, n2, hbar) for n1, n2 in basis.states()]
+                old = [_chain_level(*chain, n1, n2) for n1, n2 in basis.states()]
                 chain_differs += int(np.sum(got != np.array(old)))
         # the sweep reaches float pairs where the old chain missed the rounded level
         assert chain_differs > 0
@@ -280,7 +270,7 @@ class TestLevelKernel:
         # at isotropic_mink l1 + l2 = 0 while H_g keeps the constant 1
         c = Coupling(1, isotropic_mink=True)
         assert c.ell1 + c.ell2 == 0
-        h = fe._levels(fe.FockBasis(2), (c.ell1, c.ell2, 1), 1.0, "H_g")
+        h = fe._levels(fe.FockBasis(2), (c.ell1, c.ell2, 1), "H_g")
         assert h[0] == 1.0 and np.array_equal(np.diag(fe.hamiltonian(fe.FockBasis(2), c)), h)
 
 
@@ -300,11 +290,10 @@ class TestLevelUnderflow:
     def test_angular_momentum(self):
         # integer weights never underflow; n1 = n2 is exactly 0 and stays +0.0
         basis = fe.FockBasis(3)
-        for hbar in (1.0, 5e-324):
-            levels = np.diag(fe.angular_momentum(basis, hbar))
-            for (n1, n2), level in zip(basis.states(), levels):
-                assert (level == 0.0) == (n1 == n2)
-                assert math.copysign(1.0, level) == (-1.0 if n1 < n2 else 1.0)
+        levels = np.diag(fe.angular_momentum(basis))
+        for (n1, n2), level in zip(basis.states(), levels):
+            assert (level == 0.0) == (n1 == n2)
+            assert math.copysign(1.0, level) == (-1.0 if n1 < n2 else 1.0)
 
     def test_signed_hamiltonian(self):
         # w1 = 5e-324, w2 = 1e-323: the H(-) level of (0, 0) is -2.5e-324, below the least float
@@ -329,8 +318,8 @@ def _mutate_level(monkeypatch, module, state, mutant, label=None):
     every operator) goes through ``LEVEL_MUTANTS[mutant]``."""
     exact = module._levels
 
-    def mutated(basis, weights, scale, name):
-        levels = exact(basis, weights, scale, name).copy()
+    def mutated(basis, weights, name):
+        levels = exact(basis, weights, name).copy()
         if label in (None, name):
             i = basis.index(*state)
             levels[i] = LEVEL_MUTANTS[mutant](levels[i])
@@ -379,7 +368,7 @@ def test_hidden_commutator_is_exactly_zero_at_every_small_rational_coupling():
     for c in couplings:
         s1, s2 = c.mode_orders
         kind = "J" if c.phase == "minkowskian" else "L"
-        h = fe._levels(basis, (c.ell1, c.ell2, 1), 1.0, "H_g")
+        h = fe._levels(basis, (c.ell1, c.ell2, 1), "H_g")
         assert fe._hidden_commutator(h, basis, kind, s1, s2) == 0.0, c
 
 
@@ -421,21 +410,20 @@ class TestDegeneracy:
         energies = [k.energy for k in classes]
         assert energies == sorted(energies)
 
-    def test_energy_window(self):
-        classes = fe.degeneracy_classes(Coupling(0), fe.FockBasis(6), energy_window=(2, 3))
-        assert [k.energy for k in classes] == [F(2), F(3)]
-        assert classes[0].class_id == 0
+    def test_emax(self):
+        classes = fe.degeneracy_classes(Coupling(0), fe.FockBasis(6), emax=3)
+        assert [k.energy for k in classes] == [F(1), F(2), F(3)]
+        assert [k.class_id for k in classes] == [0, 1, 2]
 
-    @pytest.mark.parametrize("window", [5, 2.5, (1, 2, 3), (1,)], ids=repr)
-    def test_energy_window_that_is_no_pair_raises(self, window):
-        with pytest.raises(ValueError) as info:
-            fe.degeneracy_classes(Coupling(0), fe.FockBasis(3), energy_window=window)
-        assert str(info.value) == f"energy_window {window!r} is not a (lo, hi) pair"
+    @pytest.mark.parametrize("window", [(None, 3), (1, 2)], ids=repr)
+    def test_a_window_pair_is_no_emax(self, window):
+        with pytest.raises(ValueError, match=r"^emax .* is not a finite real$"):
+            fe.degeneracy_classes(Coupling(0), fe.FockBasis(3), window)
 
-    def test_energy_window_compares_exactly(self):
-        # E = 2 + 10^-17 rounds to 2.0 as a float but lies above the window
+    def test_emax_compares_exactly(self):
+        # E = 2 + 10^-17 rounds to 2.0 as a float but lies above emax
         g = F(1, 10**17)
-        classes = fe.degeneracy_classes(Coupling(g), fe.FockBasis(4), energy_window=(None, 2))
+        classes = fe.degeneracy_classes(Coupling(g), fe.FockBasis(4), emax=2)
         assert classes[-1].energy == 2 - g
         assert all(k.energy <= 2 for k in classes)
 
@@ -467,15 +455,14 @@ def _level_is_complete(coupling, energy, cutoff):
     return True
 
 
-def _reference_classes(coupling, basis, energy_window=None):
+def _reference_classes(coupling, basis, emax=None):
     """Oracle: one exact_energy Fraction per state, grouped in a dict, completeness by search."""
     groups = {}
     for n1, n2 in basis.states():
         groups.setdefault(fe.exact_energy(coupling, n1, n2), []).append((n1, n2))
-    lo, hi = (None, None) if energy_window is None else energy_window
     out = []
     for energy in sorted(groups):
-        if (lo is not None and energy < lo) or (hi is not None and energy > hi):
+        if emax is not None and energy > emax:
             continue
         out.append(fe.DegeneracyClass(energy, tuple(sorted(groups[energy])), len(out),
                                       _level_is_complete(coupling, energy, basis.cutoff)))
@@ -489,24 +476,33 @@ SWEEP = sorted({F(p, q) for p in range(-20, 21) for q in range(1, 9)})
 class TestDegeneracyOracle:
     """degeneracy_classes (integer keys, orbit-end completeness) against the Fraction oracle."""
 
-    @pytest.mark.parametrize("window", [None, (F(3, 2), F(9, 2))])
+    @pytest.mark.parametrize("emax", [None, 3, F(9, 2), 2.75, F(31, 7)], ids=repr)
     @pytest.mark.parametrize("cutoff", [1, 2, 3, 5, 8])
-    def test_rational_sweep(self, cutoff, window):
+    def test_rational_sweep(self, cutoff, emax):
         basis = fe.FockBasis(cutoff)
         for g in SWEEP:
             coupling = Coupling(g)
-            assert fe.degeneracy_classes(coupling, basis, window) == _reference_classes(
-                coupling, basis, window), g
+            assert fe.degeneracy_classes(coupling, basis, emax) == _reference_classes(
+                coupling, basis, emax), g
 
-    @pytest.mark.parametrize("window", [None, (0, 2), (F(5, 2), None)])
+    # the levels of these couplings are integers, so 5/2 and 2.25 fall between two of them
+    @pytest.mark.parametrize("emax", [None, 2, F(5, 2), 2.25, 0], ids=repr)
     @pytest.mark.parametrize("coupling", [
         Coupling(1), Coupling(-1), Coupling(1, isotropic_mink=True),
         Coupling(-1, isotropic_mink=True)])
-    def test_special_couplings(self, coupling, window):
+    def test_special_couplings(self, coupling, emax):
         basis = fe.FockBasis(6)
-        got = fe.degeneracy_classes(coupling, basis, window)
-        assert got == _reference_classes(coupling, basis, window)
+        got = fe.degeneracy_classes(coupling, basis, emax)
+        assert got == _reference_classes(coupling, basis, emax)
         assert not any(k.complete for k in got)
+
+    @pytest.mark.parametrize("g", [F(1, 3), F(1, 2), 3, 0])
+    def test_positional_fractional_emax(self, g):
+        # the third positional argument is the inclusive upper bound
+        coupling, basis = Coupling(g), fe.FockBasis(6)
+        got = fe.degeneracy_classes(coupling, basis, F(7, 2))
+        assert got == _reference_classes(coupling, basis, F(7, 2))
+        assert got and all(k.energy <= F(7, 2) for k in got)
 
 
 class TestHiddenOperators:
@@ -650,7 +646,7 @@ class TestOrbitStructure:
         b = fe.FockBasis(8)
         c = Coupling(F(1, 3))
         mask = fe.InteriorMask(b, margin1=margin1, margin2=margin2, total=total)
-        orbits = set(fe.hidden_orbit_partition(b, c, "L", 1, 2, mask=mask))
+        orbits = set(fe.hidden_orbit_partition(mask, c, "L", 1, 2))
         pool = set(mask.states())
         classes = {
             frozenset(set(k.states) & pool)
@@ -664,13 +660,14 @@ class TestOrbitStructure:
         with pytest.raises(ValueError):
             fe.hidden_orbit_partition(b, Coupling(F(1, 3)), "J", 1, 2)
 
-    @pytest.mark.parametrize("mask_cutoff, cutoff", [(10, 4), (4, 10), (8, 9)])
-    def test_mask_over_another_basis_raises(self, mask_cutoff, cutoff):
-        # a cutoff-10 mask on the cutoff-4 grid returned orbits holding (9, 8), off the grid
-        mask = fe.InteriorMask(fe.FockBasis(mask_cutoff), margin1=1, margin2=2)
-        with pytest.raises(ValueError, match=f"mask is over cutoff {mask_cutoff}, the basis "
-                                             f"over cutoff {cutoff}"):
-            fe.hidden_orbit_partition(fe.FockBasis(cutoff), Coupling(F(1, 3)), "L", 1, 2, mask)
+    @pytest.mark.parametrize(
+        "g,kind,s1,s2",
+        [(F(1, 3), "L", 1, 2), (F(3), "J", 1, 2), (F(1, 2), "L", 1, 3)],
+    )
+    def test_marginless_mask_equals_whole_grid(self, g, kind, s1, s2):
+        b, c = fe.FockBasis(8), Coupling(g)
+        assert (fe.hidden_orbit_partition(fe.InteriorMask(b), c, kind, s1, s2)
+                == fe.hidden_orbit_partition(b, c, kind, s1, s2))
 
 
 def _bfs_orbits(pool, step):
@@ -794,6 +791,19 @@ class TestUnitaryBridge:
 
 
 class TestRniHamiltonian:
+    @pytest.mark.parametrize("cutoff", [3, 7])
+    @pytest.mark.parametrize("g", [0, F(1, 3), F(1, 2), 3, F(-2, 5), 1], ids=str)
+    def test_blocks_carry_the_levels_in_units_of_hbar_omega(self, g, cutoff):
+        # each block N <= cutoff lies whole on the grid, so its eigenvalues are the levels
+        # l1 n1 + l2 n2 + 1 of its states
+        b, c = fe.FockBasis(cutoff), Coupling(F(g))
+        h = fe.rni_hamiltonian(b, c)
+        for total in range(cutoff + 1):
+            idx = [b.index(n1, total - n1) for n1 in range(total + 1)]
+            got = np.linalg.eigvalsh(h[np.ix_(idx, idx)])
+            want = sorted(float(fe.exact_energy(c, n1, total - n1)) for n1 in range(total + 1))
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13), total
+
     def test_breaks_rotational_symmetry(self):
         b = fe.FockBasis(10)
         mask = fe.InteriorMask(b, total=b.cutoff - 2)
@@ -809,12 +819,6 @@ class TestRniHamiltonian:
             fe.rni_hamiltonian(b, Coupling(0)), fe.angular_momentum(b)
         )
         assert fe.operator_norm(mask.restrict_columns(comm)) < 1e-12
-
-    def test_hbar_omega_scaling(self):
-        b = fe.FockBasis(4)
-        h1 = fe.rni_hamiltonian(b, Coupling(F(1, 3)), hbar_omega=1.0)
-        h3 = fe.rni_hamiltonian(b, Coupling(F(1, 3)), hbar_omega=3.0)
-        assert fe.operator_norm(h3 - 3.0 * h1) < 1e-13
 
 
 def _cartesian_rni_hamiltonian(basis, coupling):
@@ -1352,34 +1356,34 @@ def _kron_cartesian_modes(basis):
     return {"a1-": a1m, "a1+": a1m.T, "a2-": a2m, "a2+": a2m.conj().T}
 
 
-def _kron_rni_hamiltonian(basis, coupling, hbar_omega=1.0):
+def _kron_rni_hamiltonian(basis, coupling):
     """Reference: the hopping b1+ b2- + b2+ b1- as krons of one-mode ladders."""
     l1, l2 = coupling.float_ells()
     up, n = fe._raising(basis.cutoff + 1), np.arange(basis.cutoff + 1)
     total = np.add.outer(n, n).ravel()
     mat = (l1 - l2) / 2 * (np.kron(up, up.T) + np.kron(up.T, up))
-    return hbar_omega * (mat + np.diag((l1 + l2) / 2 * total + 1))
+    return mat + np.diag((l1 + l2) / 2 * total + 1)
 
 
-def _diag_hamiltonian(basis, coupling, hbar_omega=1.0):
+def _diag_hamiltonian(basis, coupling):
     """Reference: np.diag of the exact levels (a n1 + b n2 + d)/d, one grid state at a time."""
     a, b, d = fe._integer_weights(coupling.ell1, coupling.ell2)
-    return np.diag([hbar_omega * ((a * n1 + b * n2 + d) / d) for n1, n2 in basis.states()])
+    return np.diag([(a * n1 + b * n2 + d) / d for n1, n2 in basis.states()])
 
 
 _COUPLINGS = (Coupling(0), Coupling(F(1, 3)), Coupling(3), Coupling(F(-1, 2)),
-              Coupling(1, isotropic_mink=True))
+              Coupling(1, isotropic_mink=True), Coupling(F(2, 7)), Coupling(-5),
+              Coupling(F(-13, 11)), Coupling(-1, isotropic_mink=True), Coupling(1))
 
 # _BUILDERS name -> [(block assembly, kron / np.diag reference)]
 _KRON_ORACLES = {
     "ladder": [(lambda b, m=m, d=d: fe.ladder(b, m, d), lambda b, m=m, d=d: _kron_ladder(b, m, d))
                for m in (1, 2) for d in ("+", "-")],
-    "hamiltonian": [(lambda b, c=c, w=w: fe.hamiltonian(b, c, w),
-                     lambda b, c=c, w=w: _diag_hamiltonian(b, c, w))
-                    for c in _COUPLINGS for w in (1.0, 2.5)],
-    "rni_hamiltonian": [(lambda b, c=c, w=w: fe.rni_hamiltonian(b, c, w),
-                         lambda b, c=c, w=w: _kron_rni_hamiltonian(b, c, w))
-                        for c in _COUPLINGS for w in (1.0, 2.5)],
+    "hamiltonian": [(lambda b, c=c: fe.hamiltonian(b, c), lambda b, c=c: _diag_hamiltonian(b, c))
+                    for c in _COUPLINGS],
+    "rni_hamiltonian": [(lambda b, c=c: fe.rni_hamiltonian(b, c),
+                         lambda b, c=c: _kron_rni_hamiltonian(b, c))
+                        for c in _COUPLINGS],
     **{f"cartesian_modes:{name}": [(lambda b, name=name: fe.cartesian_modes(b)[name],
                                     lambda b, name=name: _kron_cartesian_modes(b)[name])]
        for name in ("a1-", "a1+", "a2-", "a2+")},

@@ -46,7 +46,6 @@ ENTRY_POINTS = [
      True, True),
     ("aniso.detect_commensurability:omega2", "omega2", lambda v: an.detect_commensurability(1, v),
      True, True),
-    ("aniso.spectrum:hbar", "hbar", lambda v: an.spectrum(FREQ, "+", 1, 0, v), True, False),
     ("aniso.SeparableState:rate1", "rate1", lambda v: an.SeparableState({}, v, 1.0), False, True),
     ("aniso.SeparableState:rate2", "rate2", lambda v: an.SeparableState({}, 1.0, v), False, True),
     ("aniso.SeparableState.evaluate:x1", "x1", lambda v: SEPARABLE.evaluate(v, 0.5), False, False),
@@ -76,10 +75,8 @@ ENTRY_POINTS = [
     ("landau.classify:Lambda", "Lambda", lambda v: la.classify(v, 0), True, False),
     ("landau.classify:omegaB", "omegaB", lambda v: la.classify(0, v), True, False),
     ("coupling.Coupling:g", "coupling g", Coupling, True, False),
-    ("fockeng.degeneracy_classes:energy_window", "energy_window lo",
-     lambda v: fe.degeneracy_classes(Coupling(F(1, 3)), BASIS, (v, None)), True, False),
-    ("fockeng.degeneracy_classes:energy_window", "energy_window hi",
-     lambda v: fe.degeneracy_classes(Coupling(F(1, 3)), BASIS, (None, v)), True, False),
+    ("fockeng.degeneracy_classes:emax", "emax",
+     lambda v: fe.degeneracy_classes(Coupling(F(1, 3)), BASIS, v), True, False),
     ("bridge.Units:m", "m", lambda v: br.Units(m=v), False, True),
     ("bridge.Units:omega", "omega", lambda v: br.Units(omega=v), False, True),
     ("bridge.Units:hbar", "hbar", lambda v: br.Units(hbar=v), False, True),
@@ -119,14 +116,6 @@ ENTRY_POINTS = [
     ("aniso.lissajous:A2", "A2", lambda v: an.lissajous(1, 0, v, 1, FREQ, 0.5), False, False),
     ("aniso.lissajous:B2", "B2", lambda v: an.lissajous(1, 0, 0, v, FREQ, 0.5), False, False),
     ("aniso.lissajous:t", "t", lambda v: an.lissajous(1, 0, 0, 1, FREQ, v), False, False),
-    ("fockeng.hamiltonian:hbar_omega", "hbar_omega",
-     lambda v: fe.hamiltonian(BASIS, Coupling(F(1, 3)), v), False, False),
-    ("fockeng.rni_hamiltonian:hbar_omega", "hbar_omega",
-     lambda v: fe.rni_hamiltonian(BASIS, Coupling(F(1, 3)), v), False, False),
-    ("fockeng.angular_momentum:hbar", "hbar", lambda v: fe.angular_momentum(BASIS, v),
-     False, False),
-    ("aniso.signed_hamiltonian:hbar", "hbar", lambda v: an.signed_hamiltonian(BASIS, FREQ, "-", v),
-     False, False),
     ("phasealg.poly.PhasePoly.evaluate:t", "t", lambda v: POLY.evaluate(POINT, v), False, False),
     *((f"cli.RunConfig:{name}", name, lambda v, name=name: RunConfig(**{name: v}), False, True)
       for name in ("m", "omega", "hbar")),
@@ -191,8 +180,8 @@ COMPLEX_ENTRY_POINTS = [
 COMPLEX_IDS = [row[0] for row in COMPLEX_ENTRY_POINTS]
 
 # bad values that an argument gives a meaning to: a coupling string is parsed ("1" is g = 1),
-# and None leaves an end of the energy window open
-MEANINGFUL = {"coupling g": ("1",), "energy_window lo": (None,), "energy_window hi": (None,)}
+# and None leaves emax unbounded
+MEANINGFUL = {"coupling g": ("1",), "emax": (None,)}
 # and bad strings of an argument that parses them: a coupling string that names no rational
 UNPARSED = {"coupling g": ("1/0", "x")}
 TARGETS = [target for target, *_ in ENTRY_POINTS]

@@ -31,7 +31,7 @@ class TestTolerance:
         assert row.passed is False
         assert math.isnan(row.residual)
 
-    @pytest.mark.parametrize("check_id", [ZERO_TOL_ID, "diagonal-pair", "hidden-commutes:g=3"])
+    @pytest.mark.parametrize("check_id", [ZERO_TOL_ID, "hidden-commutes:g=3"])
     def test_zero_tolerance_demands_exact_zero(self, check_id):
         assert check(check_id, 0.0, h="H", x="X").passed
         assert not check(check_id, 5e-324, h="H", x="X").passed
@@ -115,7 +115,7 @@ MEASURED = {
     "overlap-identity": 1e-8, "coherent-eigenvalue-b1": 1e-10, "coherent-eigenvalue-b2": 1e-10,
     "coherent-evolution": 1e-10, "coherent-truncation": 1e-10, "coherent-rotation": 1e-12,
     "so11-quadrature-form": 1e-12, "so11-invariance": 0.0, "sl2-raise": 1e-12,
-    "sl2-lower": 1e-12, "sl2-ladder-bracket": 1e-12, "diagonal-pair": 0.0,
+    "sl2-lower": 1e-12, "sl2-ladder-bracket": 1e-12,
     "signed-spectrum": 1e-12, "lissajous-closure": 1e-9,
 }
 # each exact family's residual on a pass: None, or 0.0 for the six that reported it so
@@ -140,7 +140,7 @@ class TestFamilies:
     def test_verify_all_emits_exactly_the_families(self, tmp_path):
         assert main(["verify", "all", "--out", "all", "--outdir", str(tmp_path)]) == 0
         rows = json.loads((tmp_path / "all.json").read_text())["checks"]
-        assert len(rows) == 170
+        assert len(rows) == 169
         assert {_family(row["check_id"]) for row in rows} == set(FAMILIES)
 
 
