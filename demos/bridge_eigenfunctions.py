@@ -12,6 +12,7 @@ Run:  python3 demos/bridge_eigenfunctions.py
 import numpy as np
 
 from riaho import bridge
+from riaho.reports import check
 
 
 def main():
@@ -19,8 +20,9 @@ def main():
     print("  (n1,n2)   constant        reduced     spread")
     for n1, n2 in ((0, 0), (1, 0), (0, 2), (2, 1), (3, 3)):
         rep = bridge.verify_bridge_proportionality(n1, n2)
+        row = check(f"proportionality:{n1}{n2}", rep.spread)
         print(f"  ({n1},{n2})    {rep.constant:11.6f}  {rep.reduced_constant:11.6f}"
-              f"  {rep.spread:.1e}  {'ok' if rep.passed else 'FAIL'}")
+              f"  {rep.spread:.1e}  {'ok' if row.passed else 'FAIL'}")
 
     gram = bridge.overlap_matrix(3)
     resid = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))

@@ -5,7 +5,8 @@ ordinary anisotropic oscillators H^(sigma) = hbar*(w1*n1 + sigma*w2*n2 +
 (w1+sigma*w2)/2) once the circular modes are rescaled mode by mode.  This
 module covers that side of the story:
 
-* ``FrequencyPair`` with exact or detected commensurability l1*w1 == l2*w2,
+* ``FrequencyPair``, whose coprime labels l1*w1 == l2*w2 the frequencies fix: the
+  lowest terms of w1/w2 when exact, a denominator-64 fit held to 1e-9 when float,
 * signed-mode Hamiltonians and their exact spectra,
 * hidden ladder operators L (sign +) and J (sign -) at commensurable
   frequencies, and the matching degeneracy-orbit structure,
@@ -14,7 +15,8 @@ module covers that side of the story:
   Hermite functions,
 * Lissajous trajectories and their closure period,
 * the anisotropic rescaling map that identifies the rotationally invariant
-  Hamiltonian with a signed-mode oscillator at Omega_i = |ell_i|*omega.
+  Hamiltonian with a signed-mode oscillator at Omega_i = |ell_i|*omega and
+  sigma_i = sign(ell_i), both read from the coupling g alone.
 
 Convention note: with l1*w1 == l2*w2 and coprime (l1, l2), the minimal
 closure time of a Lissajous figure is T = 2*pi*l2/w1 = 2*pi*l1/w2 (w1*T and
@@ -25,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +51,6 @@ from .reports import CheckRow, VerificationReport, check
 
 __all__ = [
     "FrequencyPair",
-    "detect_commensurability",
     "spectrum",
     "signed_hamiltonian",
     "verify_signed_spectrum",
@@ -65,7 +66,6 @@ __all__ = [
     "lissajous",
     "closure_period",
     "RescaleMap",
-    "rescale_map",
     "rescale_canonical_check",
     "composite_spectrum_check",
     "suite_aniso",
@@ -86,69 +86,45 @@ def _float_resonant(l1: int, l2: int, w1, w2) -> bool:
     return abs(lhs - rhs) <= Fraction(1, 10**9) * max(lhs, rhs)
 
 
-def detect_commensurability(omega1, omega2):
-    """Coprime (l1, l2) with l1*w1 == l2*w2, or None.
-
-    Exact rational frequencies always have a rational ratio, so detection
-    never fails for them (and no denominator cap applies).  Float inputs are
-    rationalized by continued fractions with denominators capped at 64 and
-    accepted only when the resonance mismatch |l1*w1 - l2*w2| stays within
-    1e-9 relative to the common value; a ratio outside the float range is
-    not commensurate either.
-    """
-    w1 = coerce_real(omega1, "omega1")
-    w2 = coerce_real(omega2, "omega2")
-    if w1 <= 0 or w2 <= 0:
-        raise ValueError("frequencies omega1, omega2 must be positive")
-    if isinstance(w1, Fraction) and isinstance(w2, Fraction):
-        ratio = w1 / w2
-        return ratio.denominator, ratio.numerator
-    try:
-        ratio = Fraction(float(w1) / float(w2)).limit_denominator(64)
-    except OverflowError:
-        return None
-    if ratio <= 0:
-        return None
-    l1, l2 = ratio.denominator, ratio.numerator
-    return (l1, l2) if _float_resonant(l1, l2, w1, w2) else None
-
-
 @dataclass(frozen=True)
 class FrequencyPair:
-    """Pair of positive mode frequencies with optional commensurability.
+    """Pair of positive mode frequencies, with the commensurability labels they fix.
 
-    The coprime labels (l1, l2) satisfy w1/w2 = l2/l1, i.e. l1*w1 == l2*w2
-    (exactly for rational frequencies, to 1e-9 relative for floats).
-    Integer and Fraction frequencies are kept exact; floats stay floats and
-    must be finite; any other type raises ValueError (see ``coerce_real``).
+    The labels are derived, never given: coprime (l1, l2) with w1/w2 = l2/l1, i.e.
+    l1*w1 == l2*w2, or None when no such pair exists.  Exact frequencies always resonate:
+    the labels are the denominator and numerator of w1/w2 (no cap).  Float frequencies are
+    rationalized by ``limit_denominator(64)`` of the float ratio, and the labels are kept only
+    when the resonance holds to 1e-9 relative (:func:`_float_resonant`); a ratio past the
+    float range does not resonate.  Integer and Fraction frequencies are kept exact; floats
+    stay floats and must be finite; any other type raises ValueError (see ``coerce_real``).
     """
 
     omega1: Fraction | float
     omega2: Fraction | float
-    l1: int | None = None
-    l2: int | None = None
+    l1: int | None = field(init=False)
+    l2: int | None = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "omega1", coerce_real(self.omega1, "omega1"))
-        object.__setattr__(self, "omega2", coerce_real(self.omega2, "omega2"))
-        if self.omega1 <= 0 or self.omega2 <= 0:
+        w1, w2 = coerce_real(self.omega1, "omega1"), coerce_real(self.omega2, "omega2")
+        if w1 <= 0 or w2 <= 0:
             raise ValueError("frequencies omega1, omega2 must be positive")
-        if (self.l1 is None) != (self.l2 is None):
-            raise ValueError("give both commensurability labels or neither")
-        if self.l1 is None:
-            return
-        l1, l2 = require_int(self.l1, "l1", 1), require_int(self.l2, "l2", 1)
-        if math.gcd(l1, l2) != 1:
-            raise ValueError("commensurability labels must be coprime")
-        if not (l1 * self.omega1 == l2 * self.omega2 if self.is_exact
-                else _float_resonant(l1, l2, self.omega1, self.omega2)):
-            raise ValueError("labels do not satisfy l1*w1 == l2*w2")
+        if isinstance(w1, Fraction) and isinstance(w2, Fraction):
+            ratio = w1 / w2
+        else:
+            try:
+                ratio = Fraction(float(w1) / float(w2)).limit_denominator(64)
+            except (OverflowError, ZeroDivisionError):  # the ratio lies past the float range
+                ratio = None
+            if ratio and not _float_resonant(ratio.denominator, ratio.numerator, w1, w2):
+                ratio = None
+        labels = (ratio.denominator, ratio.numerator) if ratio else (None, None)
+        for name, value in zip(("omega1", "omega2", "l1", "l2"), (w1, w2, *labels)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def detect(cls, omega1, omega2):
-        """Pair with labels filled in when :func:`detect_commensurability` finds a resonance."""
-        labels = detect_commensurability(omega1, omega2) or (None, None)
-        return cls(omega1, omega2, *labels)
+        """``FrequencyPair(omega1, omega2)``; kept as a name perfbench's tracer wraps."""
+        return cls(omega1, omega2)
 
     @property
     def is_exact(self) -> bool:
@@ -229,9 +205,10 @@ def verify_signed_spectrum(basis: FockBasis, freq: FrequencyPair, sign) -> Check
 
 
 def _require_labels(freq: FrequencyPair) -> tuple[int, int]:
+    """(l1, l2); only a float pair that does not resonate has none."""
     if not freq.commensurate:
         raise ValueError(
-            "frequencies carry no commensurability labels; "
+            f"float frequencies {freq.omega1}, {freq.omega2} do not resonate; "
             "hidden ladder operators need l1*w1 == l2*w2"
         )
     return freq.l1, freq.l2
@@ -296,7 +273,7 @@ def so11_invariant_check(cutoff: int = 10) -> VerificationReport:
     the checks run at omega = 1.  A cutoff that is not an int >= 1 raises ValueError.
     """
     basis = FockBasis(cutoff)
-    freq = FrequencyPair(1, 1, 1, 1)
+    freq = FrequencyPair(1, 1)
     hminus = signed_hamiltonian(basis, freq, "-")
     hosc = signed_hamiltonian(basis, freq, "+")
     up1, dn1 = ladder(basis, 1, "+"), ladder(basis, 1, "-")
@@ -518,14 +495,28 @@ def closure_period(freq: FrequencyPair):
 class RescaleMap:
     """Mode-by-mode canonical rescaling x_i' = sqrt|ell_i| x_i, p_i' = p_i/sqrt|ell_i|.
 
-    Carries H_g in circular modes onto the signed anisotropic oscillator
-    with frequencies Omega_i = |ell_i| * omega and mode signs
-    sigma_i = sign(ell_i); ``weight_sq`` holds the exact magnifications |ell_i| as Fractions.
+    Carries H_g in circular modes onto the signed anisotropic oscillator with frequencies
+    Omega_i = |ell_i| * omega and mode signs sigma_i = sign(ell_i).  The coupling fixes the
+    map: ``sigma`` and ``weight_sq`` (the exact magnifications |ell_i| as Fractions) are read
+    from its ell_i.  ``coupling`` goes through ``Coupling.coerce``; a Landau coupling, where
+    an ell_i is 0 and a mode is frozen, raises ValueError.
     """
 
     coupling: Coupling
-    sigma: tuple[int, int]
-    weight_sq: tuple[Fraction, Fraction]
+
+    def __post_init__(self):
+        coupling = Coupling.coerce(self.coupling)
+        if coupling.ell1 == 0 or coupling.ell2 == 0:
+            raise ValueError("Landau coupling: a rescaling weight vanishes")
+        object.__setattr__(self, "coupling", coupling)
+
+    @property
+    def sigma(self) -> tuple[int, int]:
+        return tuple(1 if ell > 0 else -1 for ell in (self.coupling.ell1, self.coupling.ell2))
+
+    @property
+    def weight_sq(self) -> tuple[Fraction, Fraction]:
+        return abs(self.coupling.ell1), abs(self.coupling.ell2)
 
     def signed_form(self) -> tuple[FrequencyPair, str, bool]:
         """(frequency pair, sign, swapped) of the image Hamiltonian at omega=1.
@@ -543,19 +534,6 @@ class RescaleMap:
         return pair, "-", True
 
 
-def rescale_map(coupling) -> RescaleMap:
-    """Rescaling data for coupling g; Landau values have a frozen mode."""
-    coupling = Coupling.coerce(coupling)
-    ell1, ell2 = coupling.ell1, coupling.ell2
-    if ell1 == 0 or ell2 == 0:
-        raise ValueError("Landau coupling: a rescaling weight vanishes")
-    return RescaleMap(
-        coupling=coupling,
-        sigma=(1 if ell1 > 0 else -1, 1 if ell2 > 0 else -1),
-        weight_sq=(abs(ell1), abs(ell2)),
-    )
-
-
 def rescale_canonical_check(coupling) -> CheckRow:
     """Symbolic canonical-bracket table for the rescaling map: row ``rescale-canonical:g={g}``.
 
@@ -566,7 +544,7 @@ def rescale_canonical_check(coupling) -> CheckRow:
     run over generic rational witness weights, which decides the same
     identity because every bracket is w-independent: {w x, p/w} = {x, p}.
     """
-    the_map = rescale_map(coupling)
+    the_map = RescaleMap(coupling)
     exact1 = ring_sqrt(the_map.weight_sq[0])
     exact2 = ring_sqrt(the_map.weight_sq[1])
     if exact1 is not None and exact2 is not None:
@@ -611,7 +589,7 @@ def composite_spectrum_check(coupling) -> CheckRow:
     coupling = Coupling.coerce(coupling)
     if coupling.isotropic_mink:
         raise ValueError("finite rational coupling required")
-    freq, sign, swapped = rescale_map(coupling).signed_form()
+    freq, sign, swapped = RescaleMap(coupling).signed_form()
     w1, w2, w0 = _signed_weights(freq, sign)
     # E_g(n1, n2) = spectrum(freq, sign, n2, n1) when swapped: weights (sigma*w2, w1, w0)
     a, b, c, a2, b2, c2, _ = _integer_weights(coupling.ell1, coupling.ell2, 1,

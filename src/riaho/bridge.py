@@ -511,7 +511,6 @@ class ProportionalityReport:
     reduced_constant: complex
     spread: float
     points_used: int
-    passed: bool
 
 
 @_float_range
@@ -534,9 +533,9 @@ def verify_bridge_proportionality(n1: int, n2: int, units: Units = _UNIT) -> Pro
 def grid_proportionality(n1: int, n2: int, phi, psi, expected) -> ProportionalityReport:
     """Grid-constancy of phi/psi, both evaluated on meshgrid arrays.
 
-    The grid has 21 x 21 points on [-3, 3]^2 and skips the nodal points |psi| <= 1e-6; it
-    passes when max |ratio - mean| <= tol |mean|, tol the ``proportionality`` family's in
-    :data:`riaho.reports.FAMILIES`.  The reduced constant is the mean ratio divided by
+    The grid has 21 x 21 points on [-3, 3]^2 and skips the nodal points |psi| <= 1e-6; the
+    spread is max |ratio - mean| / |mean|, which ``check("proportionality:...", spread)``
+    holds to its family's tolerance.  The reduced constant is the mean ratio divided by
     ``expected``.  ValueError when no grid point clears the nodal floor, for an n1 or n2 (the
     report's labels) that is not an int >= 0, or an ``expected`` that is not a positive finite real.
     """
@@ -559,7 +558,6 @@ def grid_proportionality(n1: int, n2: int, phi, psi, expected) -> Proportionalit
         reduced_constant=complex(mean / expected),
         spread=spread,
         points_used=int(np.count_nonzero(keep)),
-        passed=bool(spread <= FAMILIES["proportionality"].tol),
     )
 
 

@@ -6,7 +6,9 @@ for exact symbolic checks, which either pass with residual 0 or carry the
 offending polynomial in `detail`), and wall time.  Serialization matches
 the JSON schema shipped under ``riaho/schemas``.  :func:`check` is the only row
 constructor: it builds every row from :data:`FAMILIES`, the one table of each check
-family's identity, tolerance and exactness, and alone decides whether a row passes.
+family's identity, tolerance and exactness.  It alone applies a tolerance: a measured
+family's row passes when its residual is within the family's tol.  An exact family's
+outcome is the bool its check function computes, with no tolerance anywhere.
 """
 from __future__ import annotations
 

@@ -18,6 +18,7 @@ from riaho.phasealg import (Params, classical_cbt, conformal_k0, dilation_id0,
                             free_hamiltonian, generator, is_true_integral,
                             verify_casimirs, verify_sp4_table)
 from riaho.phasealg.poly import CIRCULAR
+from riaho.reports import check
 
 
 def _report(num: int, description: str, ok: bool, detail: str = ""):
@@ -239,7 +240,7 @@ def test_criterion_07_bridge_eigenfunctions():
         for n2 in range(6):
             rep = bridge.verify_bridge_proportionality(n1, n2)
             worst_spread = max(worst_spread, rep.spread)
-            if not rep.passed:
+            if not check(f"proportionality:{n1}{n2}", rep.spread).passed:
                 ok = False
                 details.append(f"spread ({n1},{n2})")
             reduced[(n1, n2)] = rep.reduced_constant

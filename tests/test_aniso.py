@@ -17,14 +17,12 @@ from riaho.aniso import (
     closure_period,
     composite_spectrum_check,
     degeneracy_partition,
-    detect_commensurability,
     hermite_eigenstate,
     hidden_operator,
     hidden_orbits,
     lissajous,
     mode_constant,
     rescale_canonical_check,
-    rescale_map,
     signed_hamiltonian,
     so11_invariant_check,
     spectrum,
@@ -35,6 +33,7 @@ from riaho.coupling import Coupling
 from riaho.fockeng import FockBasis, hidden_coefficient
 from riaho.phasealg import cbt
 from riaho.phasealg.verify import suite_algebra
+from test_bridge import _proportional
 from test_fockeng import _mutate_level
 
 
@@ -59,14 +58,11 @@ class TestFrequencyPair:
         scaled = FrequencyPair.detect(2 * math.pi, 6 * math.pi)
         assert (scaled.l1, scaled.l2) == (3, 1)
 
-    def test_detected_float_labels_pass_the_constructor(self):
-        # detection and the label check share one tolerance; at a relative
-        # mismatch of 1e-10 the constructor used to reject the detected labels
-        fp = FrequencyPair.detect(1.0, 3.0000000003)
+    def test_float_labels_hold_to_one_part_in_1e9(self):
+        # a relative mismatch of 1e-10 resonates, one of 3e-6 does not
+        fp = FrequencyPair(1.0, 3.0000000003)
         assert (fp.l1, fp.l2) == (3, 1)
-        assert FrequencyPair(1.0, 3.0000000003, 3, 1).commensurate
-        with pytest.raises(ValueError, match="labels do not satisfy"):
-            FrequencyPair(1.0, 3.00001, 3, 1)
+        assert not FrequencyPair(1.0, 3.00001).commensurate
 
     def test_detection_near_the_top_of_the_float_range(self):
         # l_i * w_i overflowed to inf, inf - inf is nan, and a nan mismatch
@@ -74,9 +70,6 @@ class TestFrequencyPair:
         assert not FrequencyPair.detect(1.5e308, 1.5e308 / math.sqrt(2)).commensurate
         fp = FrequencyPair.detect(1.7e308, 0.6e308)
         assert (fp.l1, fp.l2) == (6, 17)
-        # a label past the float range raised OverflowError in l2 * float(w2)
-        with pytest.raises(ValueError, match="labels do not satisfy"):
-            FrequencyPair(1.0, 1e-300, 1, 10**400)
 
     def test_float_detection_rejects_irrational(self):
         fp = FrequencyPair.detect(1.0, math.sqrt(2))
@@ -85,7 +78,7 @@ class TestFrequencyPair:
 
     def test_float_detection_denominator_cap(self):
         # ratio 1/97 needs l1 = 97 > 64, so the float path must give up
-        assert detect_commensurability(1.0, 97.0) is None
+        assert not FrequencyPair(1.0, 97.0).commensurate
 
     def test_positive_frequencies_required(self):
         with pytest.raises(ValueError):
@@ -103,25 +96,76 @@ class TestFrequencyPair:
 
     def test_overflowing_float_ratio_is_not_commensurate(self):
         # 1e308 / 1e-308 is inf as a float; it used to raise OverflowError
-        assert detect_commensurability(1e308, 1e-308) is None
-        assert detect_commensurability(1e-308, 1e308) is None
+        assert not FrequencyPair(1e308, 1e-308).commensurate
+        assert not FrequencyPair(1e-308, 1e308).commensurate
         assert not FrequencyPair.detect(1e308, 1e-308).commensurate
 
-    def test_labels_must_come_in_pairs(self):
-        with pytest.raises(ValueError):
-            FrequencyPair(1, 3, l1=3)
+    @pytest.mark.parametrize("pair", [(1.0, Fraction(1, 10**400)), (Fraction(10**400), 1.0),
+                                      (5e-324, Fraction(1, 10**400))], ids=str)
+    def test_mixed_pair_whose_ratio_leaves_the_float_range_is_not_commensurate(self, pair):
+        # Fraction(1, 10**400) is 0.0 as a float, so the float ratio has no value
+        assert not FrequencyPair(*pair).commensurate
+        assert not FrequencyPair.detect(*pair).commensurate
 
-    def test_labels_must_be_coprime(self):
-        with pytest.raises(ValueError):
-            FrequencyPair(1, 3, 6, 2)
+    def test_exact_pairs_are_labelled_at_construction(self):
+        # an exact pair always resonates, so the constructor labels it
+        assert (FrequencyPair(1, 3).l1, FrequencyPair(1, 3).l2) == (3, 1)
+        assert FrequencyPair(Fraction(3, 2), Fraction(1, 2)).commensurate
 
-    def test_labels_must_be_resonant(self):
-        with pytest.raises(ValueError):
-            FrequencyPair(1, 3, 1, 1)
-        with pytest.raises(ValueError):
-            FrequencyPair(1.0, 3.0001, 3, 1)
-        # within float tolerance is fine
-        FrequencyPair(1.0, 3.0 * (1 + 1e-15), 3, 1)
+    def test_labels_are_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            FrequencyPair(1, 3, 3, 1)
+        with pytest.raises(TypeError):
+            FrequencyPair(1, 3, l1=3, l2=1)
+
+    @staticmethod
+    def _sweep_pairs(seed):
+        """Seeded exact, float and mixed pairs, with the edge cases of each kind."""
+        rng = np.random.default_rng(seed)
+        big, small = Fraction(10**400), Fraction(1, 10**400)
+        exact = [(big, 1), (small, 1), (1, small), (big, small), (small, big), (big, big),
+                 (Fraction(10**30 + 1, 3), 7)]
+        for _ in range(40):
+            num = [int(rng.integers(1, 10**6)) * 10 ** int(rng.integers(0, 30)) for _ in range(2)]
+            den = [int(rng.integers(1, 10**6)) for _ in range(2)]
+            exact.append((Fraction(num[0], den[0]), Fraction(num[1], den[1])))
+        floats = [(1.0, 3.0000000003), (1.0, 3.00001), (1.0, math.sqrt(2)), (1.0, 97.0),
+                  (1e308, 1e-308), (1e-308, 1e308), (1.7e308, 0.6e308), (5e-324, 1.0),
+                  (1.0, small), (big, 1.0)]
+        for _ in range(40):
+            w = float(rng.lognormal(0.0, 3.0))
+            l1, l2 = (int(v) for v in rng.integers(1, 65, size=2))
+            drift = 1 + float(rng.choice([0.0, 1e-12, 1e-10, 1e-8, 1e-3]))
+            floats += [(w, w * l1 / l2 * drift), (w, float(rng.lognormal(0.0, 3.0)))]
+        return exact, floats
+
+    @staticmethod
+    def _resonance_exists(w1, w2) -> bool:
+        """Some l1 <= 64 with a whole l2 >= 1 resonates, and the float ratio is finite."""
+        try:
+            if not math.isfinite(float(w1) / float(w2)):
+                return False
+        except (OverflowError, ZeroDivisionError):
+            return False
+        ratio = Fraction(w1) / Fraction(w2)
+        return any(l2 >= 1 and aniso._float_resonant(l1, l2, w1, w2)
+                   for l1 in range(1, 65) for l2 in [round(l1 * ratio)])
+
+    @pytest.mark.parametrize("seed", [20261021, 7, 41])
+    def test_derived_labels_over_a_seeded_sweep(self, seed):
+        exact, floats = self._sweep_pairs(seed)
+        for w1, w2 in exact + floats:
+            fp = FrequencyPair(w1, w2)
+            assert FrequencyPair.detect(w1, w2) == fp
+            if fp.is_exact:
+                assert fp.commensurate and fp.l1 * fp.omega1 == fp.l2 * fp.omega2, (w1, w2)
+            else:
+                assert fp.commensurate == self._resonance_exists(w1, w2), (w1, w2)
+            if fp.commensurate:
+                assert math.gcd(fp.l1, fp.l2) == 1 and min(fp.l1, fp.l2) >= 1, (w1, w2)
+                assert fp.is_exact or aniso._float_resonant(fp.l1, fp.l2, w1, w2), (w1, w2)
+            else:
+                assert fp.l1 is None and fp.l2 is None
 
     @given(
         l1=st.integers(min_value=1, max_value=12),
@@ -149,7 +193,7 @@ class TestSpectrum:
 
     def test_minus_sign_single_quantum(self):
         w = Fraction(5, 4)
-        freq = FrequencyPair(w, w, 1, 1)
+        freq = FrequencyPair(w, w)
         assert spectrum(freq, "-", 0, 1) == -w
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5])
@@ -158,7 +202,7 @@ class TestSpectrum:
         assert spectrum(freq, "-", n, n) == 0
 
     def test_minus_sign_unbounded_below(self):
-        freq = FrequencyPair(1, 3, 3, 1)
+        freq = FrequencyPair(1, 3)
         assert spectrum(freq, "-", 0, 5) < spectrum(freq, "-", 0, 1) < 0
 
     def test_float_frequencies_give_floats(self):
@@ -185,7 +229,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("sign", [True, 1, 1.0, -1])
     def test_sign_takes_only_plus_or_minus(self, sign):
         # the integers +-1 were a second encoding: spectrum(freq, True, 1, 1) and sign=1.0 read "+"
-        freq = FrequencyPair(1, 3, 3, 1)
+        freq = FrequencyPair(1, 3)
         for call in (lambda: spectrum(freq, sign, 1, 1),
                      lambda: signed_hamiltonian(FockBasis(2), freq, sign),
                      lambda: verify_signed_spectrum(FockBasis(2), freq, sign),
@@ -266,10 +310,10 @@ class TestSignedHamiltonianBits:
 class TestHiddenOperators:
     def setup_method(self):
         self.basis = FockBasis(8)
-        self.f13 = FrequencyPair(1, 3, 3, 1)
+        self.f13 = FrequencyPair(1, 3)
 
     def test_j_one_one_maps_ground_to_diagonal(self):
-        freq = FrequencyPair(1, 1, 1, 1)
+        freq = FrequencyPair(1, 1)
         op = hidden_operator(self.basis, freq, "J")
         amp = op[self.basis.index(1, 1), self.basis.index(0, 0)]
         assert amp == 1.0
@@ -313,9 +357,13 @@ class TestHiddenOperators:
         assert np.array_equal(minus, plus.conj().T)
 
     def test_requires_commensurability(self):
+        # only a float pair that does not resonate has no labels
         loose = FrequencyPair(1.0, math.sqrt(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^float frequencies 1\.0, 1\.4142135623730951 do "
+                                             r"not resonate; hidden ladder"):
             hidden_operator(self.basis, loose, "L")
+        with pytest.raises(ValueError, match="do not resonate"):
+            hidden_orbits(self.basis, loose, "J")
 
     def test_kind_and_sign_validation(self):
         with pytest.raises(ValueError):
@@ -351,16 +399,16 @@ class TestOrbitsMatchDegeneracy:
 
     def test_partition_requires_exact_frequencies(self):
         basis = FockBasis(4)
-        freq = FrequencyPair(1.0, 3.0, 3, 1)
+        freq = FrequencyPair(1.0, 3.0)
         with pytest.raises(ValueError):
             degeneracy_partition(basis, freq, "+")
 
 
 # exact frequencies that FrequencyPair accepts but no float can hold
-HUGE = FrequencyPair(10**400, 10**400, 1, 1)
+HUGE = FrequencyPair(10**400, 10**400)
 OVER = FrequencyPair(10**400, Fraction(1, 2))
 UNDER = FrequencyPair(1, Fraction(1, 10**400))
-TINY = FrequencyPair(Fraction(1, 10**400), Fraction(1, 10**400), 1, 1)
+TINY = FrequencyPair(Fraction(1, 10**400), Fraction(1, 10**400))
 # the per-coordinate bridge calls also take a mode order n and the units m, hbar
 FLOAT_CALLS = {
     "verify_signed_spectrum": lambda f: verify_signed_spectrum(FockBasis(2), f, "+"),
@@ -421,13 +469,13 @@ class TestFloatFrequencies:
             closure_period(freq)
 
     def test_closure_period_past_the_float_range_is_inf(self):
-        freq = FrequencyPair(Fraction(1, 10**308), Fraction(1, 10**308), 1, 1)
+        freq = FrequencyPair(Fraction(1, 10**308), Fraction(1, 10**308))
         assert closure_period(freq) == math.inf
 
     def test_rescale_map_weight_underflow(self):
         # ell2 = 10^-400 is exact and non-zero but has no float value except 0.0
         coupling = Coupling(1 - Fraction(1, 10**400))
-        assert rescale_map(coupling).weight_sq[1] == Fraction(1, 10**400)
+        assert RescaleMap(coupling).weight_sq[1] == Fraction(1, 10**400)
         with pytest.raises(ValueError, match="underflows to 0.0"):
             coupling.float_ells()
 
@@ -529,7 +577,7 @@ class TestHermiteRowCoefficients:
 class TestBridgeOraclesSeeMutants:
     """Each bridge and its eigenfunction oracle are built apart, so a fault on one side fails."""
 
-    F12 = FrequencyPair(1, 2, 2, 1)
+    F12 = FrequencyPair(1, 2)
 
     def test_scaled_eigen_hermite_row_fails(self, monkeypatch):
         # the bridge read these rows too, so both sides moved together and the check passed
@@ -540,7 +588,7 @@ class TestBridgeOraclesSeeMutants:
                 yield tuple(1.3 * c if p < len(row) - 1 else c for p, c in enumerate(row))
 
         monkeypatch.setattr(aniso, "hermite_rows", scaled)
-        assert not aniso_proportionality(2, 1, self.F12).passed
+        assert not _proportional(aniso_proportionality(2, 1, self.F12))
 
     def test_perturbed_series_kernel_fails_every_bridge(self, monkeypatch):
         # one kernel sums the classical flows and both wavefunction bridges' heat series
@@ -558,13 +606,13 @@ class TestBridgeOraclesSeeMutants:
             monkeypatch.setattr(module, "_exp_series", perturbed)
         rows = [row for row in suite_algebra(None).rows if row.check_id.startswith("cbt-")]
         assert rows and not all(row.passed for row in rows)
-        assert not bridge.verify_bridge_proportionality(2, 1).passed
-        assert not aniso_proportionality(2, 1, self.F12).passed
+        assert not _proportional(bridge.verify_bridge_proportionality(2, 1))
+        assert not _proportional(aniso_proportionality(2, 1, self.F12))
 
 
 class TestAnisoBridge:
     def setup_method(self):
-        self.f12 = FrequencyPair(1, 2, 2, 1)
+        self.f12 = FrequencyPair(1, 2)
 
     def test_ground_monomial(self):
         state = aniso_cbt_apply((0, 0), self.f12)
@@ -580,7 +628,7 @@ class TestAnisoBridge:
         assert state.poly.terms[(1, 0)] == pytest.approx(2.0)
 
     def test_quadratic_monomial_produces_hermite_pair(self):
-        freq = FrequencyPair(1, 1, 1, 1)
+        freq = FrequencyPair(1, 1)
         state = aniso_cbt_apply((2, 0), freq)
         # 2^(1/4)*2*(x^2 - 1/2) times the 2^(1/4) ground factor
         assert state.poly.terms[(2, 0)] == pytest.approx(2 ** 1.5)
@@ -589,18 +637,18 @@ class TestAnisoBridge:
     @pytest.mark.parametrize("n1,n2", [(0, 0), (1, 0), (2, 1), (3, 3)])
     def test_proportional_to_product_eigenfunction(self, n1, n2):
         report = aniso_proportionality(n1, n2, self.f12)
-        assert report.passed
+        assert _proportional(report)
         assert report.spread <= 1e-9
         assert report.reduced_constant == pytest.approx(1.0, abs=1e-12)
 
     def test_proportionality_with_general_units(self):
         report = aniso_proportionality(2, 1, FrequencyPair(1.5, 0.5), m=2.0, hbar=3.0)
-        assert report.passed
+        assert _proportional(report)
         assert report.reduced_constant == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_frequency_constant_matches_circular_bridge(self):
         # at w1 = w2 = 1 the per-mode product reduces to sqrt(2 pi n1! n2!)
-        freq = FrequencyPair(1, 1, 1, 1)
+        freq = FrequencyPair(1, 1)
         report = aniso_proportionality(0, 0, freq)
         assert report.constant == pytest.approx(math.sqrt(2 * math.pi), rel=1e-12)
         report = aniso_proportionality(2, 1, freq)
@@ -746,38 +794,60 @@ SUITE_CALLS = {
 
 class TestRescaleMap:
     def test_euclidean_example(self):
-        m = rescale_map(Fraction(1, 2))
+        m = RescaleMap(Fraction(1, 2))
         assert m.weight_sq == (Fraction(3, 2), Fraction(1, 2))
         assert m.sigma == (1, 1)
 
     def test_minkowskian_example(self):
-        m = rescale_map(3)
+        m = RescaleMap(3)
         assert m.weight_sq == (Fraction(4), Fraction(2))
         assert m.sigma == (1, -1)
 
     def test_isotropic_is_identity_weights(self):
-        m = rescale_map(0)
+        m = RescaleMap(0)
         assert m.weight_sq == (Fraction(1), Fraction(1))
 
-    @pytest.mark.parametrize("g", [1, -1])
+    @pytest.mark.parametrize("g", [1, -1, "1", Fraction(-1)])
     def test_landau_values_rejected(self, g):
-        with pytest.raises(ValueError):
-            rescale_map(g)
+        with pytest.raises(ValueError, match="^Landau coupling: a rescaling weight vanishes$"):
+            RescaleMap(g)
+
+    SWEEP = sorted({Fraction(p, q) for q in range(1, 6) for p in range(-7, 8)} - {1, -1})
+
+    @pytest.mark.parametrize("coupling", [*map(Coupling, SWEEP),
+                                          Coupling(1, isotropic_mink=True),
+                                          Coupling(-1, isotropic_mink=True)], ids=str)
+    def test_signs_and_weights_come_from_the_coupling(self, coupling):
+        the_map = RescaleMap(coupling)
+        assert the_map.coupling is coupling
+        ells = (coupling.ell1, coupling.ell2)
+        assert all(s * w == ell for s, w, ell in zip(the_map.sigma, the_map.weight_sq, ells))
+        assert all(type(w) is Fraction and w > 0 for w in the_map.weight_sq)
+        if not coupling.isotropic_mink:
+            assert RescaleMap(coupling.g) == the_map == RescaleMap(str(coupling.g))
+
+    def test_a_g_and_its_coupling_give_one_map(self):
+        assert RescaleMap("1/3") == RescaleMap(Coupling("1/3"))
+        assert RescaleMap("1/3").coupling == Coupling(Fraction(1, 3))
+
+    def test_signs_and_weights_are_not_inputs(self):
+        with pytest.raises(TypeError):
+            RescaleMap(Coupling(3), (1, 1), (Fraction(4), Fraction(2)))
 
     def test_signed_form_euclidean(self):
-        freq, sign, swapped = rescale_map(Fraction(1, 2)).signed_form()
+        freq, sign, swapped = RescaleMap(Fraction(1, 2)).signed_form()
         assert sign == "+" and not swapped
         assert (freq.omega1, freq.omega2) == (Fraction(3, 2), Fraction(1, 2))
         assert (freq.l1, freq.l2) == (1, 3)
 
     def test_signed_form_minkowskian(self):
-        freq, sign, swapped = rescale_map(3).signed_form()
+        freq, sign, swapped = RescaleMap(3).signed_form()
         assert sign == "-" and not swapped
         assert (freq.omega1, freq.omega2) == (Fraction(4), Fraction(2))
         assert (freq.l1, freq.l2) == (1, 2)
 
     def test_signed_form_negative_leading_weight(self):
-        freq, sign, swapped = rescale_map(-3).signed_form()
+        freq, sign, swapped = RescaleMap(-3).signed_form()
         assert sign == "-" and swapped
         assert (freq.omega1, freq.omega2) == (Fraction(4), Fraction(2))
 

@@ -15,6 +15,7 @@ import pytest
 
 from riaho.coupling import Coupling
 from riaho import aniso as an, bridge as br, fockeng as fe
+from riaho.reports import check
 
 F = Fraction
 SQ2 = math.sqrt(2)
@@ -327,11 +328,16 @@ class TestOrthonormality:
             br.inner_product(grow, grow)
 
 
+def _proportional(rep) -> bool:
+    """The verdict of the suite's row on a proportionality report."""
+    return check(f"proportionality:{rep.n1}{rep.n2}", rep.spread).passed
+
+
 class TestProportionality:
     def test_reduced_constant_matches_ground(self):
         r00 = br.verify_bridge_proportionality(0, 0)
         r10 = br.verify_bridge_proportionality(1, 0)
-        assert r00.passed and r10.passed
+        assert _proportional(r00) and _proportional(r10)
         ratio = r10.reduced_constant / r00.reduced_constant
         assert abs(ratio - 1) < 1e-9
 
@@ -347,7 +353,7 @@ class TestProportionality:
     @pytest.mark.parametrize("n1,n2", [(2, 0), (0, 2), (2, 1), (3, 3)])
     def test_grid_constancy(self, n1, n2):
         r = br.verify_bridge_proportionality(n1, n2)
-        assert r.passed
+        assert _proportional(r)
         assert r.spread <= 1e-9
         assert 0 < r.points_used <= 441
 
@@ -357,7 +363,8 @@ class TestProportionality:
         units = br.Units(m=2.0, omega=0.75, hbar=hbar)
         reports = [br.verify_bridge_proportionality(n1, n2, units)
                    for n1, n2 in [(0, 0), (1, 0), (1, 1), (2, 1), (3, 3)]]
-        assert all(r.passed and r.spread <= 1e-9 for r in reports), [r.spread for r in reports]
+        assert all(_proportional(r) and r.spread <= 1e-9 for r in reports), \
+            [r.spread for r in reports]
         base = reports[0].reduced_constant
         assert all(abs(r.reduced_constant / base - 1) <= 1e-9 for r in reports)
 

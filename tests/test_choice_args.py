@@ -20,7 +20,7 @@ from riaho.phasealg.exact import require_choice
 
 G13 = Coupling(F(1, 3))
 BASIS = fe.FockBasis(2)
-FREQ = an.FrequencyPair(1, 3, 3, 1)
+FREQ = an.FrequencyPair(1, 3)
 PSI = br.ground_state()
 X1 = PhasePoly.variable("x1", CANONICAL)
 SIGNS = ("+", "-")

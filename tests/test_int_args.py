@@ -87,8 +87,6 @@ ENTRY_POINTS = [
      2, 0, None),
     ("bridge.coherent_checks:cutoff", "cutoff",
      lambda v: br.coherent_checks(0.5, 0.2j, 0.1, 0.3, cutoff=v), 2, 0, 170),
-    ("aniso.FrequencyPair:l1", "l1", lambda v: an.FrequencyPair(3, 1, v, 3), 1, 1, None),
-    ("aniso.FrequencyPair:l2", "l2", lambda v: an.FrequencyPair(3, 1, 1, v), 3, 1, None),
     ("aniso.spectrum:n1", "n1", lambda v: an.spectrum(FREQ, "+", v, 0), 2, 0, None),
     ("aniso.spectrum:n2", "n2", lambda v: an.spectrum(FREQ_FLOAT, "-", 0, v), 2, 0, None),
     ("aniso.so11_invariant_check:cutoff", "cutoff", an.so11_invariant_check, 2, 1, None),
@@ -153,10 +151,7 @@ def test_out_of_range_raises_value_error_naming_the_argument(target, name, call,
 
 
 @pytest.mark.parametrize("call", [
-    # silently accepted before: a truncated label, a string label, a bool label
-    lambda: an.FrequencyPair(3, 1, 1.9, 3),
-    lambda: an.FrequencyPair(3, 1, "1", "3"),
-    lambda: an.FrequencyPair(3, 1, True, 3),
+    # silently accepted before
     lambda: fe.exact_energy(Coupling(F(1, 3)), 1.5, 0),
     lambda: fe.exact_energy(Coupling(F(1, 3)), True, 0),
     lambda: an.spectrum(an.FrequencyPair(1, 3), "+", 1.5, 0),

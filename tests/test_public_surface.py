@@ -50,11 +50,9 @@ EXEMPT = {
         "reports.CheckRow:passed", "reports.CheckRow:residual", "reports.CheckRow:elapsed",
         "fockeng.DegeneracyClass:energy", "fockeng.DegeneracyClass:states",
         "fockeng.DegeneracyClass:class_id", "fockeng.DegeneracyClass:complete",
-        "aniso.RescaleMap:sigma", "aniso.RescaleMap:weight_sq",
         "bridge.ProportionalityReport:n1", "bridge.ProportionalityReport:n2",
         "bridge.ProportionalityReport:constant", "bridge.ProportionalityReport:reduced_constant",
         "bridge.ProportionalityReport:spread", "bridge.ProportionalityReport:points_used",
-        "bridge.ProportionalityReport:passed",
         "bridge.WeierstrassReport:n", "bridge.WeierstrassReport:series",
         "bridge.WeierstrassReport:scaled_hermite", "bridge.WeierstrassReport:passed",
         "landau.PhaseResult:phase", "landau.PhaseResult:omega", "landau.PhaseResult:g",
@@ -68,7 +66,7 @@ EXEMPT = {
     ),
     "`Coupling.coerce`: a Coupling, or a g that `Coupling` checks": (
         "coupling.Coupling.coerce:value",
-        "aniso.rescale_map:coupling", "aniso.rescale_canonical_check:coupling",
+        "aniso.rescale_canonical_check:coupling",
         "aniso.composite_spectrum_check:coupling",
         "classdyn.hamiltonian_flow_rhs:coupling", "classdyn.hamiltonian_value:coupling",
         "classdyn.integrate:coupling", "classdyn.closure_turns:coupling",

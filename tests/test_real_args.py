@@ -42,10 +42,6 @@ ENTRY_POINTS = [
      True, True),
     ("aniso.FrequencyPair.detect:omega2", "omega2", lambda v: an.FrequencyPair.detect(1, v),
      True, True),
-    ("aniso.detect_commensurability:omega1", "omega1", lambda v: an.detect_commensurability(v, 1),
-     True, True),
-    ("aniso.detect_commensurability:omega2", "omega2", lambda v: an.detect_commensurability(1, v),
-     True, True),
     ("aniso.SeparableState:rate1", "rate1", lambda v: an.SeparableState({}, v, 1.0), False, True),
     ("aniso.SeparableState:rate2", "rate2", lambda v: an.SeparableState({}, 1.0, v), False, True),
     ("aniso.SeparableState.evaluate:x1", "x1", lambda v: SEPARABLE.evaluate(v, 0.5), False, False),

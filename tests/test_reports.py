@@ -107,6 +107,47 @@ def test_each_way_to_build_a_row_is_found(source, found):
     assert _row_constructions(ast.parse(source)) == found
 
 
+def _family_reads(tree) -> list:
+    """(module-level name the statement assigns, or None, line) of each read of FAMILIES."""
+    found = []
+    for stmt in tree.body:
+        assigned = (stmt.targets[0].id if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                    and isinstance(stmt.targets[0], ast.Name) else None)
+        found += [(assigned, node.lineno) for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name) and node.id == "FAMILIES"
+                  or isinstance(node, ast.Attribute) and node.attr == "FAMILIES"]
+    return found
+
+
+# the one read of the table outside reports.py: the quadrature bound of a gate that refuses a
+# dataset and builds no row
+FAMILY_READS_ALLOWED = {("bridge.py", "_QUAD_TOL")}
+
+
+def test_only_reports_reads_the_family_table():
+    # a module that applies a family's tol itself decides a verdict beside check
+    root = Path(riaho.__file__).parent
+    outside = []
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        if name != "reports.py":
+            outside += [(name, assigned, line)
+                        for assigned, line in _family_reads(ast.parse(path.read_text(), name))
+                        if (name, assigned) not in FAMILY_READS_ALLOWED]
+    assert outside == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("_QUAD_TOL = FAMILIES['overlap-identity'].tol", [("_QUAD_TOL", 1)]),
+    ("def f(spread):\n    return spread <= FAMILIES['proportionality'].tol", [(None, 2)]),
+    ("def f():\n    return reports.FAMILIES.get('closure')", [(None, 2)]),
+    ("x, y = FAMILIES['a'], 1", [(None, 1)]),
+    ("from .reports import FAMILIES, check", []),
+])
+def test_each_way_to_read_the_family_table_is_found(source, found):
+    assert _family_reads(ast.parse(source)) == found
+
+
 # each measured family's tolerance, as the literal its rows were built with before the table
 MEASURED = {
     "closure": 1e-9, "integrate": 1e-6, "hidden-commutes": 0.0, "unitary-mode": 1e-10,
