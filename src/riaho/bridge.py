@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -168,13 +169,30 @@ class ZPolynomial:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
 
-def _values_at(polys, u, v) -> list:
+def _values_at(polys, u, v):
     """[p.at(u, v) for p in polys], with each power u**k and v**k formed once for all of them
-    and only for the exponents present; each term is still c * u**n1 * v**n2, summed in the
-    terms' order, so every value is the same to the bit as a term-by-term sum."""
+    and only for the exponents present; each term is still c * u**n1 * v**n2, summed from zero
+    in the terms' order, so every value is the same to the bit as a term-by-term sum.
+
+    On an array sample with fewer points than polynomials, term r of every polynomial that has
+    one is formed in one stacked product (longest first, so those are a prefix: no term is
+    padded) and the values come back as one array.  Scalars keep Python's complex arithmetic,
+    whose bits numpy's array products need not match."""
     u_pow = {n1: u**n1 for n1 in {n1 for p in polys for n1, _ in p.terms}}
     v_pow = {n2: v**n2 for n2 in {n2 for p in polys for _, n2 in p.terms}}
     shape = np.broadcast(u, v).shape
+    if shape and len(polys) > math.prod(shape):
+        row = [{n: i for i, n in enumerate(pw)} for pw in (u_pow, v_pow)]
+        u_all, v_all = (np.array([np.broadcast_to(w, shape) for w in pw.values()])
+                        for pw in (u_pow, v_pow))
+        order = sorted(range(len(polys)), key=lambda i: -len(polys[i].terms))
+        total = np.zeros((len(polys), *shape), dtype=complex)
+        for rank in zip_longest(*(polys[i].terms.items() for i in order)):
+            keys, coeffs = zip(*rank[:len(rank) - rank.count(None)])
+            total[:len(keys)] += (np.array(coeffs).reshape(-1, *(1,) * len(shape))
+                                  * u_all[[row[0][n1] for n1, _ in keys]]
+                                  * v_all[[row[1][n2] for _, n2 in keys]])
+        return total[np.argsort(order)]
     values = []
     for p in polys:
         total = np.zeros(shape, dtype=complex) if shape else 0j  # scalars stay Python complex
@@ -683,8 +701,8 @@ def _evolved_expansion(alpha: complex, beta: complex, t: float, ells: tuple[floa
 
     A term with |c| < 1e-18 is left out of the sum but counted in the weight.  The kept
     eigenstates must share one Gaussian envelope (ValueError otherwise): it and the powers
-    of z and zbar are formed once, and each term is added as coeff * phase * (prefactor *
-    envelope), the same bits as coeff * phase * psi_{n1,n2}.evaluate(x1, x2).
+    of z and zbar are formed once, each term is coeff * phase * (prefactor * envelope), the
+    bits of coeff * phase * psi_{n1,n2}.evaluate(x1, x2), and one np.add.accumulate sums them.
     """
     l1, l2 = ells
     coefficient = _coefficients(alpha, beta, units)
@@ -707,10 +725,10 @@ def _evolved_expansion(alpha: complex, beta: complex, t: float, ells: tuple[floa
     z = x1 + 1j * x2
     zb = np.conj(z)
     envelope = shared._envelope(z, zb)
-    values = _values_at([state.prefactor for _, _, state in terms], z, zb)
-    for (coeff, phase, _), value in zip(terms, values):
-        evolved += coeff * phase * (value * envelope)
-    return evolved, weight
+    values = np.asarray(_values_at([state.prefactor for _, _, state in terms], z, zb))
+    factors = np.array([coeff * phase for coeff, phase, _ in terms]).reshape(-1, *(1,) * x1.ndim)
+    rows = np.concatenate([evolved[None], factors * (values * envelope)])
+    return np.add.accumulate(rows)[-1], weight  # summed in order, from the zero row
 
 
 def coherent_checks(

@@ -199,7 +199,7 @@ def integrate_many(problems, steps: int = 4096, m: float = 1.0) -> list:
     matrices are stacked and all k states advance together, one batched
     product per step; every state sees the same per-step products as when it
     is integrated alone.  The truncation error of RK4 is kept, not the exact
-    flow.  The states are views into one shared (steps+1, k, 4) buffer.
+    flow.  The states are views into one shared (steps+1, k, 4, 1) buffer.
     ``problems`` must be non-empty, ``steps`` an int >= 1, each ``T`` a finite
     real and each ``omega`` and ``m`` a positive finite real; anything else
     raises ValueError.
@@ -209,16 +209,16 @@ def integrate_many(problems, steps: int = 4096, m: float = 1.0) -> list:
     if len(problems) == 0:
         raise ValueError("problems is empty: give at least one (state0, coupling, omega, T)")
     step = np.empty((len(problems), 4, 4))
-    out = np.empty((steps + 1, len(problems), 4))
+    out = np.empty((steps + 1, len(problems), 4, 1))  # column vectors, as matmul takes them
     times = []
     for i, (state0, coupling, omega, T) in enumerate(problems):
         T, omega = require_real(T, "T"), require_real(omega, "omega", positive=True)
-        out[0, i] = _state_vector(state0)
+        out[0, i, :, 0] = _state_vector(state0)
         step[i] = _rk4_step_matrix(Coupling.coerce(coupling), omega, T / steps, m)
         times.append(np.linspace(0.0, T, steps + 1))
-    for n in range(steps):
-        np.matmul(step, out[n, :, :, None], out=out[n + 1, :, :, None])
-    return [(ts, out[:, i]) for i, ts in enumerate(times)]
+    for now, after in zip(out[:-1], out[1:]):
+        np.matmul(step, now, out=after)
+    return [(ts, out[:, i, :, 0]) for i, ts in enumerate(times)]
 
 
 def integrate(state0, coupling, omega: float, T: float, steps: int = 4096,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .phasealg.exact import coerce_real, to_float
 
@@ -86,14 +87,15 @@ class Coupling:
             return value
         return cls(value)
 
-    @property
+    # the weights depend only on the frozen fields, so each is derived once per instance
+    @cached_property
     def ell1(self) -> Fraction:
         # the |g| -> inf limit (after w -> w/|g|) has weights (+-1, -+1)
         if self.isotropic_mink:
             return Fraction(1 if self.g >= 0 else -1)
         return 1 + self.g
 
-    @property
+    @cached_property
     def ell2(self) -> Fraction:
         if self.isotropic_mink:
             return Fraction(-1 if self.g >= 0 else 1)
@@ -134,7 +136,11 @@ class Coupling:
         return to_float(self.g, "coupling g")
 
     def float_ells(self) -> tuple[float, float]:
-        """(ell1, ell2) as floats; ValueError when one lies past the float range."""
+        """(ell1, ell2) as floats; ValueError, on every call, when one lies past the float range."""
+        return self._float_ells
+
+    @cached_property
+    def _float_ells(self) -> tuple[float, float]:
         return to_float(self.ell1, "mode weight ell1"), to_float(self.ell2, "mode weight ell2")
 
     def __str__(self) -> str:

@@ -174,10 +174,12 @@ def _lowering(total: int, mode: int) -> np.ndarray:
 
 
 def ladder(basis: FockBasis, mode: int, direction: str) -> np.ndarray:
-    """Raising ("+") or lowering ("-") operator for mode 1 or 2."""
+    """Raising ("+") or lowering ("-") operator for mode 1 or 2: the one-mode lowering
+    diag(sqrt(1..cutoff), 1) (x) 1 in the mode's slot, the bits of the per-block assembly."""
     require_int(mode, "mode", 1, 2)
     require_choice(direction, "direction", ("+", "-"))
-    lowering = _assemble(basis, lambda total: _lowering(total, mode), -1)
+    one, eye = _raising(basis.cutoff + 1).T, np.eye(basis.cutoff + 1)
+    lowering = np.kron(one, eye) if mode == 1 else np.kron(eye, one)
     return lowering if direction == "-" else lowering.T
 
 

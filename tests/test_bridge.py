@@ -753,6 +753,108 @@ class TestSharedGridEvaluation:
             assert value.tobytes() == _at_term_by_term(poly, z, np.conj(z)).tobytes()
 
 
+def _values_term_by_term(polys, u, v):
+    """bridge._values_at before stacking: one shared power table, each polynomial's terms
+    added one by one."""
+    u_pow = {n1: u**n1 for n1 in {n1 for p in polys for n1, _ in p.terms}}
+    v_pow = {n2: v**n2 for n2 in {n2 for p in polys for _, n2 in p.terms}}
+    values = []
+    for p in polys:
+        total = np.zeros(np.broadcast(u, v).shape, dtype=complex)
+        for (n1, n2), c in p.terms.items():
+            total += c * u_pow[n1] * v_pow[n2]
+        values.append(total)
+    return values
+
+
+def _expansion_term_by_term(alpha, beta, t, ells, units, cutoff, x1, x2):
+    """bridge._evolved_expansion before stacking: one += per kept term."""
+    l1, l2 = ells
+    weight, terms = 0.0, []
+    for n1 in range(cutoff + 1):
+        for n2 in range(cutoff + 1 - n1):
+            coeff = br.expansion_coefficient(alpha, beta, n1, n2, units)
+            weight += abs(coeff) ** 2
+            if abs(coeff) >= 1e-18:
+                phase = np.exp(-1j * units.omega * (l1 * n1 + l2 * n2 + 1) * t)
+                terms.append((coeff, phase, br.eigenstate(n1, n2, units)))
+    evolved = np.zeros(x1.shape, dtype=complex)
+    z = x1 + 1j * x2
+    envelope = terms[0][2]._envelope(z, np.conj(z))
+    values = _values_term_by_term([state.prefactor for *_, state in terms], z, np.conj(z))
+    for (coeff, phase, _), value in zip(terms, values):
+        evolved += coeff * phase * (value * envelope)
+    return evolved, weight
+
+
+def _seeded_polys(seed, count=40):
+    """ZPolynomials with 0 to 8 terms in random (unsorted) order; some coefficients carry a
+    signed zero part."""
+    rng = np.random.default_rng(seed)
+    polys = []
+    for _ in range(count):
+        size = int(rng.integers(0, 9))
+        keys = rng.integers(0, 12, size=(size, 2))
+        parts = rng.normal(size=(size, 2)) * (rng.random((size, 2)) < 0.8)  # zeros among them
+        parts[:, 0] *= np.where(rng.random(size) < 0.5, -1.0, 1.0)  # -0.0 among the zeros
+        polys.append(br.ZPolynomial({(int(n1), int(n2)): complex(re, im) if re or im else 1.0
+                                     for (n1, n2), (re, im) in zip(keys, parts)}))
+    return polys
+
+
+class TestStackedEvaluation:
+    """_values_at on more polynomials than sample points forms term r of all of them at once."""
+
+    POINTS = np.array([0.4 - 0.2j, -1.0 + 0.5j, 0.0, complex(-0.0, 0.7), 1.2, -0.3 - 0.0j,
+                       0.9j, -0.6 + 1.1j, 0.25 + 0.25j]).reshape(3, 3)
+    SAMPLES = {
+        "scalar": (0.3 - 0.7j, 0.3 + 0.7j),
+        "1-point": (POINTS.ravel()[:1], np.conj(POINTS.ravel()[:1])),
+        "9-point": (POINTS, np.conj(POINTS)),
+        "broadcast": (POINTS[:, :1], POINTS[:1, :]),
+    }
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("sample", SAMPLES)
+    def test_bit_identical_to_one_polynomial_at_a_time(self, seed, sample):
+        u, v = self.SAMPLES[sample]
+        polys = _seeded_polys(seed)
+        got = br._values_at(polys, u, v)
+        if sample == "scalar":  # Python complex arithmetic, one polynomial at a time
+            assert all(type(value) is complex for value in got)
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == (40, *np.broadcast(u, v).shape)
+        want = np.array([p.at(u, v) for p in polys], dtype=complex)
+        assert np.array(got).tobytes() == want.tobytes()  # signed zeros count
+
+    @pytest.mark.parametrize("big", [
+        {(400, 0): 1.0},
+        {(0, 0): 1.0, (1, 1): 2.0, (400, 0): 0.5, (2, 3): -1j, (3, 0): 0.25},
+    ], ids=["alone", "longest"])
+    def test_an_overflowing_power_reaches_only_its_polynomial(self, big):
+        u = np.array([10.0 + 0j, 0.5 - 0.5j])
+        polys = [br.ZPolynomial(big), *_seeded_polys(7, count=8)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = br._values_at(polys, u, np.conj(u))
+        assert not np.isfinite(got[0, 0])
+        assert np.isfinite(got[1:]).all()
+        want = np.array([p.at(u, np.conj(u)) for p in polys[1:]])
+        assert got[1:].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cutoff", [4, 24, 60])
+    @pytest.mark.parametrize("alpha, beta, t, coupling, units", [
+        (0.8 - 0.5j, 0.4 + 0.7j, 0.9, Coupling(F(1, 2)), br.Units()),
+        (0.9 - 0.2j, -0.3 + 0.6j, 1.7, Coupling(F(-1, 3)), br.Units(2.0, 0.5, 3.0)),
+    ])
+    def test_expansion_is_bit_identical_to_the_term_by_term_sum(
+            self, alpha, beta, t, coupling, units, cutoff):
+        x1, x2 = TestSharedGridEvaluation.SAMPLES
+        args = (alpha, beta, t, coupling.float_ells(), units, cutoff, x1, x2)
+        got, weight = br._evolved_expansion(*args)
+        want, want_weight = _expansion_term_by_term(*args)
+        assert got.tobytes() == want.tobytes() and weight == want_weight
+
+
 class TestCoherentEvolutionNotVacuous:
     """Mutants of the expansion that the coherent-evolution row must catch."""
 

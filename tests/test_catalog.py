@@ -1,4 +1,6 @@
 """Generator catalog: bracket table, Casimirs, hidden integral families."""
+import dataclasses
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -293,6 +295,39 @@ class TestCouplingPhases:
             assert g == F(s2 - s1, s1 + s2)
         else:
             assert g == F(s1 + s2, s2 - s1)
+
+    def test_weights_are_derived_once(self):
+        c = Coupling(F(2, 7))
+        assert c.ell1 is c.ell1 and c.ell2 is c.ell2 and c.float_ells() is c.float_ells()
+
+    def test_reading_the_weights_leaves_the_dataclass_as_it_was(self):
+        read, fresh = Coupling(F(-2, 7)), Coupling(F(-2, 7))
+        assert read.ell1 == F(5, 7) and read.float_ells() == (5 / 7, 9 / 7)
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        assert repr(read) == "Coupling(g=Fraction(-2, 7), isotropic_mink=False)"
+        assert [f.name for f in dataclasses.fields(read)] == ["g", "isotropic_mink"]
+        moved = dataclasses.replace(read, g=F(1, 3))
+        assert (moved.ell1, moved.ell2, moved.float_ells()) == (F(4, 3), F(2, 3), (4 / 3, 2 / 3))
+        for c in (read, fresh):
+            copy = pickle.loads(pickle.dumps(c))
+            assert copy == c and hash(copy) == hash(c) and repr(copy) == repr(c)
+            assert (copy.ell1, copy.ell2, copy.float_ells()) == (F(5, 7), F(9, 7), (5 / 7, 9 / 7))
+
+    def test_a_float_range_failure_is_raised_on_every_read(self):
+        c = Coupling(F(10**400))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="mode weight ell1 lies outside the float range"):
+                c.float_ells()
+        assert c.ell1 == 1 + F(10**400)
+
+    @pytest.mark.parametrize("g,weights", [
+        (F(0), (1, -1)), (F(1), (1, -1)), (F(7, 2), (1, -1)),
+        (F(-1), (-1, 1)), (F(-7, 2), (-1, 1)),
+    ])
+    def test_isotropic_mink_weights(self, g, weights):
+        c = Coupling(g, isotropic_mink=True)
+        assert (c.ell1, c.ell2) == weights and type(c.ell1) is type(c.ell2) is F
+        assert c.float_ells() == weights and type(c.float_ells()[0]) is float
 
     def test_no_orders_at_landau(self):
         assert Coupling(F(1)).mode_orders is None

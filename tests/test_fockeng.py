@@ -134,6 +134,16 @@ class TestLadders:
                 ref[b.index(*tgt), b.index(n1, n2)] = math.sqrt(n + 1 if step > 0 else n)
         assert np.array_equal(fe.ladder(b, mode, direction), ref)
 
+    @pytest.mark.parametrize("cutoff", range(1, 21))
+    def test_kronecker_product_is_the_block_assembly(self, cutoff):
+        b = fe.FockBasis(cutoff)
+        for mode in (1, 2):
+            lowering = fe._assemble(b, lambda total: fe._lowering(total, mode), -1)
+            for direction, want in (("-", lowering), ("+", lowering.T)):
+                got = fe.ladder(b, mode, direction)
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                                 want.tobytes())
+
 
 class TestInteriorMask:
     def test_margins(self):
