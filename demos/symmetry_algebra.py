@@ -17,11 +17,11 @@ from riaho.phasealg import (is_true_integral, verify_casimirs,
 def main():
     for g in (F(1, 3), F(3)):
         checks = verify_sp4_table(g)
-        bad = [c.identity_name for c in checks if not c.passed]
+        bad = [c.check_id for c in checks if not c.passed]
         print(f"g = {g}: bracket table {len(checks)} identities, "
               f"{'all exact' if not bad else 'FAILED ' + ', '.join(bad)}")
         for c in verify_casimirs(g):
-            print(f"  {c.identity_name}: {'exact' if c.passed else c.residual}")
+            print(f"  {c.check_id.removeprefix('casimir:')}: {'exact' if c.passed else c.detail}")
 
     print()
     print("hidden ladder combinations (orders s1, s2 up to 3):")

@@ -61,7 +61,7 @@ class Coupling:
         :func:`~riaho.phasealg.exact.coerce_real`.
     isotropic_mink : bool
         Marks the |g| -> infinity limit; anything but a bool raises ValueError.
-        The stored g is then only a direction sign, not a number to compute with.
+        The stored g is then only the direction sign, 1 for g >= 0 and -1 below.
     """
 
     g: Fraction
@@ -79,6 +79,8 @@ class Coupling:
                 raise ValueError(f"coupling g {self.g!r} is not a rational") from None
         if isinstance(g, float):
             _check_exact_float(g)
+        if self.isotropic_mink:
+            g = 1 if g >= 0 else -1
         object.__setattr__(self, "g", Fraction(g))
 
     @classmethod
@@ -90,16 +92,12 @@ class Coupling:
     # the weights depend only on the frozen fields, so each is derived once per instance
     @cached_property
     def ell1(self) -> Fraction:
-        # the |g| -> inf limit (after w -> w/|g|) has weights (+-1, -+1)
-        if self.isotropic_mink:
-            return Fraction(1 if self.g >= 0 else -1)
-        return 1 + self.g
+        # the |g| -> inf limit (after w -> w/|g|) has weights (sign g, -sign g)
+        return self.g if self.isotropic_mink else 1 + self.g
 
     @cached_property
     def ell2(self) -> Fraction:
-        if self.isotropic_mink:
-            return Fraction(-1 if self.g >= 0 else 1)
-        return 1 - self.g
+        return -self.g if self.isotropic_mink else 1 - self.g
 
     @property
     def phase(self) -> str:
@@ -145,5 +143,5 @@ class Coupling:
 
     def __str__(self) -> str:
         if self.isotropic_mink:
-            return "inf" if self.g >= 0 else "-inf"
+            return "inf" if self.g > 0 else "-inf"
         return str(self.g)

@@ -57,6 +57,7 @@ __all__ = [
     "one_mode_bridge",
     "verify_one_mode_bridge",
     "verify_quantum_bridge",
+    "verify_hidden_ladder",
     "suite_fock",
 ]
 
@@ -711,6 +712,29 @@ def verify_quantum_bridge(cutoff: int = 10) -> list[CheckRow]:
     return checks
 
 
+def verify_hidden_ladder(basis: FockBasis, coupling: Coupling) -> list[CheckRow]:
+    """The ``hidden-commutes`` and ``orbits-match-degeneracy`` rows of one coupling: the '+'
+    ladder of orders ``coupling.mode_orders``, kind L when l1 l2 > 0 and J when l1 l2 < 0,
+    commutes with H_g and its orbits are the level sets on the columns of margins (s1, s2).
+    |g| = 1 has no hidden ladder: ValueError naming the coupling."""
+    if coupling.mode_orders is None:
+        raise ValueError(f"coupling {coupling} has no hidden ladder (|g| = 1)")
+    (s1, s2), kind = coupling.mode_orders, "L" if coupling.ell1 * coupling.ell2 > 0 else "J"
+    a, b, _ = _integer_weights(coupling.ell1, coupling.ell2)
+    mask = InteriorMask(basis, margin1=s1, margin2=s2)
+    orbits = hidden_orbit_partition(mask, coupling, kind, s1, s2)  # checks resonance
+    # the ladder links only states of one level, and _levels gives those one float
+    levels = _levels(basis, (coupling.ell1, coupling.ell2, 1), "H_g")
+    x = f"{kind}+_{s1}{s2}"
+    return [
+        check(f"hidden-commutes:g={coupling}", _hidden_commutator(
+            levels, basis, kind, s1, s2, mask.indices()), h="H_g", x=x),
+        check(f"orbits-match-degeneracy:g={coupling}", orbits == level_sets(
+            mask.states(), lambda n1, n2: a * n1 + b * n2), f"{len(orbits)} orbits",
+            x=x, classes="exact energy classes on the interior"),
+    ]
+
+
 def suite_fock(config) -> VerificationReport:
     """Hidden integrals, degeneracy orbits, and the Cartesian/circular unitary.
 
@@ -719,20 +743,8 @@ def suite_fock(config) -> VerificationReport:
     """
     report = VerificationReport(suite="fock")
     basis = FockBasis(config.truncation)
-    couplings = {gtext: Coupling(Fraction(gtext)) for gtext in ("0", "1/3", "1/2", "3")}
-    levels = {gtext: _levels(basis, (c.ell1, c.ell2, 1), "H_g")
-              for gtext, c in couplings.items()}
-    for gtext, kind, s1, s2 in (("1/3", "L", 1, 2), ("3", "J", 1, 2)):
-        coupling = couplings[gtext]
-        a, b, _ = _integer_weights(coupling.ell1, coupling.ell2)
-        mask = InteriorMask(basis, margin1=s1, margin2=s2)
-        orbits = hidden_orbit_partition(mask, coupling, kind, s1, s2)  # checks resonance
-        # the ladder links only states of one level, and _levels gives those one float
-        report.add(check(f"hidden-commutes:g={gtext}", _hidden_commutator(
-            levels[gtext], basis, kind, s1, s2, mask.indices()), h="H_g", x=f"{kind}+_{s1}{s2}"))
-        report.add(check(f"orbits-match-degeneracy:g={gtext}", orbits == level_sets(
-            mask.states(), lambda n1, n2: a * n1 + b * n2), f"{len(orbits)} orbits",
-            x=f"{kind}+_{s1}{s2}", classes="exact energy classes on the interior"))
+    for g in (Fraction(1, 3), Fraction(3)):
+        report.extend(verify_hidden_ladder(basis, Coupling(g)))
 
     # Columns N <= cutoff - 2 (the total-number interior); rows reach N = cutoff - 1.
     top = basis.cutoff - 2
@@ -755,8 +767,8 @@ def suite_fock(config) -> VerificationReport:
             pairs = [(cart[n][k].conj().T, phase * low[n][k].T) for n in range(1, top + 2)]
         report.add(check(f"unitary-mode:{name}", conj_resid(pairs, shift),
                          mode=mode, sign=direction))
-    for gtext, coupling in couplings.items():
-        ells, h = coupling.float_ells(), levels[gtext]
+    for coupling in map(Coupling, (0, Fraction(1, 3), Fraction(1, 2), 3)):
+        ells, h = coupling.float_ells(), _levels(basis, (coupling.ell1, coupling.ell2, 1), "H_g")
         pairs = [(_rni_block(n, *ells), np.diag(h[_block(basis, n)[1]])) for n in range(top + 1)]
-        report.add(check(f"unitary-hamiltonian:g={gtext}", conj_resid(pairs, 0)))
+        report.add(check(f"unitary-hamiltonian:g={coupling}", conj_resid(pairs, 0)))
     return report

@@ -8,8 +8,8 @@ from .catalog import (GENERATOR_NAMES, angular_momentum, catalog, generator,
                       true_integral_coupling)
 from .cbt import (classical_cbt, conformal_k0, dilation_id0, free_hamiltonian,
                   generator_flow, grading_rescale)
-from .verify import (SP4_TABLE, BracketCheck, verify_casimirs,
-                     verify_dynamical_integrals, verify_sp4_table)
+from .verify import (SP4_TABLE, verify_casimirs, verify_dynamical_integrals,
+                     verify_sp4_table)
 
 __all__ = [
     "ExactComplex", "rational_sqrt",
@@ -21,6 +21,5 @@ __all__ = [
     "true_integral_coupling",
     "classical_cbt", "conformal_k0", "dilation_id0", "free_hamiltonian",
     "generator_flow", "grading_rescale",
-    "SP4_TABLE", "BracketCheck", "verify_casimirs",
-    "verify_dynamical_integrals", "verify_sp4_table",
+    "SP4_TABLE", "verify_casimirs", "verify_dynamical_integrals", "verify_sp4_table",
 ]

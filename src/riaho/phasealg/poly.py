@@ -107,8 +107,9 @@ class Params:
             return _UNIT
         if isinstance(value, Params):
             return value
-        m, omega = value
-        return cls(m, omega)
+        if not isinstance(value, (tuple, list)) or len(value) != 2:
+            raise ValueError(f"params {value!r} is not None, a Params or an (m, omega) pair")
+        return cls(*value)
 
 
 _UNIT = Params()  # m = omega = 1, shared: Params is frozen

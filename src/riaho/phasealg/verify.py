@@ -1,18 +1,18 @@
 """Structure-constant and integral checks for the circular-mode algebra.
 
 Every identity is evaluated in the exact coefficient ring, so a "pass" means
-the residual polynomial is literally zero, not small.  Each check is
-reported as :class:`BracketCheck` (identity name, rhs label, residual
-polynomial as text, pass flag).  :func:`suite_algebra` collects them, with
-the classical bridge triple, into the ``algebra`` verify suite.
+the residual polynomial is literally zero, not small.  Each check function
+returns the :class:`~riaho.reports.CheckRow` list that ``verify algebra`` reports
+for its coupling, a failing row carrying the residual polynomial in its detail;
+:func:`suite_algebra` collects them, with the classical bridge triple, into the
+``algebra`` verify suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..coupling import Coupling
-from ..reports import VerificationReport, check
+from ..reports import CheckRow, VerificationReport, check
 from .catalog import GENERATOR_NAMES, catalog, generator, hamiltonian
 from .cbt import classical_cbt, conformal_k0, dilation_id0, free_hamiltonian
 from .exact import ExactComplex
@@ -20,28 +20,19 @@ from .poly import (CIRCULAR, Params, PhasePoly, poisson_bracket,
                    total_time_derivative)
 
 __all__ = [
-    "BracketCheck", "SP4_TABLE",
-    "verify_sp4_table", "verify_casimirs", "verify_dynamical_integrals",
+    "SP4_TABLE", "verify_sp4_table", "verify_casimirs", "verify_dynamical_integrals",
     "suite_algebra",
 ]
 
 _I = ExactComplex.I
 
 
-@dataclass(frozen=True)
-class BracketCheck:
-    """One verified identity: its name, the rhs label, the residual as text, pass flag."""
-
-    identity_name: str
-    rhs: str
-    residual: str
-    passed: bool
-
-
-def _check(name: str, lhs: PhasePoly, rhs: PhasePoly, rhs_label: str) -> BracketCheck:
+def _row(prefix: str, name: str, lhs: PhasePoly, rhs: PhasePoly, rhs_label: str) -> CheckRow:
+    """Row ``prefix:name`` of the identity ``name`` = ``rhs_label``, exact: lhs - rhs is zero."""
     residual = lhs - rhs
-    return BracketCheck(identity_name=name, rhs=rhs_label, residual=str(residual),
-                        passed=residual.is_zero())
+    passed = residual.is_zero()
+    return check(f"{prefix}:{name}", passed, "" if passed else f"residual polynomial {residual}",
+                 lhs=name, rhs=rhs_label)
 
 
 # Nonzero bracket table among the quadratic generators: rows are
@@ -84,10 +75,10 @@ def _named(cat: dict, label: str) -> PhasePoly:
     return cat[label]
 
 
-def verify_sp4_table(coupling) -> list[BracketCheck]:
-    """Evaluate the full nonzero bracket table of the quadratic algebra, at m = omega = 1."""
+def verify_sp4_table(coupling) -> list[CheckRow]:
+    """The ``sp4:{A,B}`` rows: the nonzero bracket table of the quadratic algebra, m = omega = 1."""
     cat = catalog(coupling)
-    checks = []
+    rows = []
     for a, b, scale, targets in SP4_TABLE:
         lhs = poisson_bracket(cat[a], cat[b])
         rhs = PhasePoly.zero(lhs.basis, lhs.params)
@@ -95,16 +86,16 @@ def verify_sp4_table(coupling) -> list[BracketCheck]:
             rhs = rhs + _named(cat, t)
         rhs = rhs * (_I * Fraction(scale))
         label = f"{scale}*i*(" + "+".join(targets) + ")"
-        checks.append(_check("{%s,%s}" % (a, b), lhs, rhs, label))
+        rows.append(_row("sp4", "{%s,%s}" % (a, b), lhs, rhs, label))
     # commuting Cartan pair
-    checks.append(_check("{J0,L2}", poisson_bracket(cat["J0"], cat["L2"]),
-                         PhasePoly.zero(cat["J0"].basis, cat["J0"].params),
-                         "0"))
-    return checks
+    rows.append(_row("sp4", "{J0,L2}", poisson_bracket(cat["J0"], cat["L2"]),
+                     PhasePoly.zero(cat["J0"].basis, cat["J0"].params), "0"))
+    return rows
 
 
-def verify_casimirs(coupling=0) -> list[BracketCheck]:
-    """The four quadratic Casimir identities of the su(2) and sl(2,R) pieces, at m = omega = 1.
+def verify_casimirs(coupling=0) -> list[CheckRow]:
+    """The ``casimir:S1`` .. ``casimir:S4`` rows: the four quadratic Casimir identities of
+    the su(2) and sl(2,R) pieces, at m = omega = 1.
 
     S1: L2^2 + L+L- = J0^2
     S2: -J0^2 + J+J- = -L2^2
@@ -116,27 +107,25 @@ def verify_casimirs(coupling=0) -> list[BracketCheck]:
     quarter = Fraction(1, 4)
     half = Fraction(1, 2)
     zero = PhasePoly.zero(J0.basis, J0.params)
-    s1 = _check("S1", L2 * L2 + cat["L+"] * cat["L-"], J0 * J0, "J0^2")
-    s2 = _check("S2", -(J0 * J0) + cat["J+"] * cat["J-"], -(L2 * L2),
-                "-L2^2")
     m = (J0 - L2) * half
-    s3 = _check("S3", -(m * m) + quarter * cat["B2+"] * cat["B2-"], zero, "0")
     p = (J0 + L2) * half
-    s4 = _check("S4", -(p * p) + quarter * cat["B1+"] * cat["B1-"], zero, "0")
-    return [s1, s2, s3, s4]
+    return [
+        _row("casimir", "S1", L2 * L2 + cat["L+"] * cat["L-"], J0 * J0, "J0^2"),
+        _row("casimir", "S2", -(J0 * J0) + cat["J+"] * cat["J-"], -(L2 * L2), "-L2^2"),
+        _row("casimir", "S3", -(m * m) + quarter * cat["B2+"] * cat["B2-"], zero, "0"),
+        _row("casimir", "S4", -(p * p) + quarter * cat["B1+"] * cat["B1-"], zero, "0"),
+    ]
 
 
-def verify_dynamical_integrals(coupling) -> list[BracketCheck]:
-    """total_time_derivative(G, H_g) = 0 for every catalog generator, at m = omega = 1."""
+def verify_dynamical_integrals(coupling) -> list[CheckRow]:
+    """The ``integral[g={coupling}]:d/dt G`` rows: total_time_derivative(G, H_g) = 0 for every
+    catalog generator G, at m = omega = 1."""
     c = Coupling.coerce(coupling)
     h = hamiltonian(c)
-    checks = []
-    for name in GENERATOR_NAMES:
-        gen = generator(name, c)
-        lhs = total_time_derivative(gen, h)
-        checks.append(_check(f"d/dt {name}", lhs,
-                             PhasePoly.zero(h.basis, h.params), "0"))
-    return checks
+    zero = PhasePoly.zero(h.basis, h.params)
+    return [_row(f"integral[g={c}]", f"d/dt {name}",
+                 total_time_derivative(generator(name, c), h), zero, "0")
+            for name in GENERATOR_NAMES]
 
 
 def suite_algebra(config) -> VerificationReport:
@@ -145,14 +134,10 @@ def suite_algebra(config) -> VerificationReport:
     Exact throughout, so no setting of the run ``config`` applies.
     """
     report = VerificationReport(suite="algebra")
-    g = Fraction(1, 3)
-    for prefix, checks in (("sp4", verify_sp4_table(g)), ("casimir", verify_casimirs(g)),
-                           ("integral[g=1/3]", verify_dynamical_integrals(g)),
-                           ("integral[g=3]", verify_dynamical_integrals(Fraction(3)))):
-        for chk in checks:
-            report.add(check(f"{prefix}:{chk.identity_name}", chk.passed,
-                             "" if chk.passed else f"residual polynomial {chk.residual}",
-                             lhs=chk.identity_name, rhs=chk.rhs))
+    couplings = (Fraction(1, 3), Fraction(3))  # the bracket table and Casimirs run at the first
+    report.extend(verify_sp4_table(couplings[0]) + verify_casimirs(couplings[0]))
+    for g in couplings:
+        report.extend(verify_dynamical_integrals(g))
 
     params = Params()
     w = params.omega

@@ -8,7 +8,9 @@ the JSON schema shipped under ``riaho/schemas``.  :func:`check` is the only row
 constructor: it builds every row from :data:`FAMILIES`, the one table of each check
 family's identity, tolerance and exactness.  It alone applies a tolerance: a measured
 family's row passes when its residual is within the family's tol.  An exact family's
-outcome is the bool its check function computes, with no tolerance anywhere.
+outcome is the bool its check function computes, with no tolerance anywhere.  Each check
+function returns its rows under the ids ``verify all`` reports, and a suite adds them as
+returned, never re-keyed.
 """
 from __future__ import annotations
 

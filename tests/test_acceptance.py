@@ -38,7 +38,7 @@ def test_criterion_01_bracket_table_and_casimirs_exact():
     for g in (F(0), F(1, 3), F(3)):
         for chk in verify_sp4_table(g) + verify_casimirs(g):
             if not chk.passed:
-                failures.append((g, chk.identity_name))
+                failures.append((g, chk.check_id))
     _report(1, "sp(4,R) bracket table and Casimir identities exactly zero",
             not failures, f"{len(failures)} failures" if failures else "3 couplings")
 

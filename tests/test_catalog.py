@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from riaho import bridge, classdyn, fockeng, landau
+from riaho.cli import RunConfig
 from riaho.coupling import Coupling, Phase
 from riaho.fockeng import hidden_coefficient
 from riaho.phasealg.catalog import hidden_shift
@@ -16,6 +17,7 @@ from riaho.phasealg import (CIRCULAR, ExactComplex, PhasePoly,
                             total_time_derivative, true_integral_coupling,
                             verify_casimirs, verify_dynamical_integrals,
                             verify_sp4_table)
+from riaho.phasealg import verify
 
 I = ExactComplex.I
 
@@ -36,7 +38,7 @@ def test_sp4_table_all_identities(g):
     checks = verify_sp4_table(g)
     assert len(checks) == 29
     assert all(c.passed for c in checks), \
-        [c.identity_name for c in checks if not c.passed]
+        [c.check_id for c in checks if not c.passed]
 
 
 def test_selected_structure_constants():
@@ -60,7 +62,48 @@ def test_casimir_identities(g):
 def test_all_generators_are_dynamical_integrals(g):
     checks = verify_dynamical_integrals(g)
     assert all(c.passed for c in checks), \
-        [c.identity_name for c in checks if not c.passed]
+        [c.check_id for c in checks if not c.passed]
+
+
+# the check functions of verify algebra at the suite's couplings, by check id prefix
+ALGEBRA_CALLS = {
+    "sp4": lambda: verify_sp4_table(F(1, 3)),
+    "casimir": lambda: verify_casimirs(F(1, 3)),
+    "integral[g=1/3]": lambda: verify_dynamical_integrals(F(1, 3)),
+    "integral[g=3]": lambda: verify_dynamical_integrals(F(3)),
+}
+
+
+class TestAlgebraSuiteRows:
+    @pytest.fixture(scope="class")
+    def suite_rows(self):
+        return {row.check_id: row for row in verify.suite_algebra(RunConfig()).rows}
+
+    @pytest.mark.parametrize("prefix", list(ALGEBRA_CALLS))
+    def test_direct_call_returns_the_suite_row(self, suite_rows, prefix):
+        # each function builds its rows under the ids verify all reports, so a direct call
+        # at the suite's coupling returns the suite's rows unchanged: identity, status,
+        # residual and detail
+        rows = ALGEBRA_CALLS[prefix]()
+        assert rows and all(row.check_id.startswith(prefix + ":") for row in rows)
+        assert rows == [suite_rows[row.check_id] for row in rows]
+
+    def test_direct_calls_cover_the_suite_rows(self, suite_rows):
+        ids = [row.check_id for call in ALGEBRA_CALLS.values() for row in call()]
+        assert ids == [i for i in suite_rows if not i.startswith("cbt-")]
+        assert len(ids) == 29 + 4 + 2 * 14
+
+    def test_a_flipped_table_scale_fails_the_direct_row_as_in_the_suite(self, monkeypatch):
+        a, b, scale, targets = verify.SP4_TABLE[0]
+        monkeypatch.setattr(verify, "SP4_TABLE", ((a, b, -scale, targets), *verify.SP4_TABLE[1:]))
+        rows = verify_sp4_table(F(1, 3))
+        row = rows[0]
+        assert row.check_id == "sp4:{J0,J+}" and row.identity == "{J0,J+} = 1*i*(J+)"
+        assert not row.passed and row.residual is None
+        assert row.detail.startswith("residual polynomial ") and len(row.detail) > 20
+        assert all(other.passed and other.detail == "" for other in rows[1:])
+        suite_rows = {r.check_id: r for r in verify.suite_algebra(RunConfig()).rows}
+        assert rows == [suite_rows[r.check_id] for r in rows]
 
 
 @pytest.mark.parametrize("g,built", [("1/3", 1), (F(-3, 5), 1), (2, 1), (Coupling(3), 0)])
@@ -328,6 +371,19 @@ class TestCouplingPhases:
         c = Coupling(g, isotropic_mink=True)
         assert (c.ell1, c.ell2) == weights and type(c.ell1) is type(c.ell2) is F
         assert c.float_ells() == weights and type(c.float_ells()[0]) is float
+
+    @pytest.mark.parametrize("g,sign", [(F(0), 1), (F(5), 1), (F(7, 2), 1), (F(-1), -1),
+                                        (F(-5), -1)])
+    def test_isotropic_mink_keeps_only_the_sign_of_g(self, g, sign):
+        # the limit's weights and label read the sign alone, so two magnitudes of one sign
+        # are one coupling: equal, with one hash
+        c = Coupling(g, isotropic_mink=True)
+        assert c == Coupling(sign, isotropic_mink=True) == Coupling(7 * sign, isotropic_mink=True)
+        assert hash(c) == hash(Coupling(sign, isotropic_mink=True))
+        assert c.g == sign and type(c.g) is F
+        assert repr(c) == f"Coupling(g=Fraction({sign}, 1), isotropic_mink=True)"
+        assert str(c) == ("inf" if sign > 0 else "-inf")
+        assert (c.ell1, c.ell2) == (sign, -sign) and c.mode_orders == (1, 1)
 
     def test_no_orders_at_landau(self):
         assert Coupling(F(1)).mode_orders is None

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from riaho.cli import RunConfig
 from riaho.coupling import Coupling
 from riaho.phasealg.catalog import hidden_shift
 from riaho.phasealg.exact import ExactComplex
@@ -380,6 +381,44 @@ def test_hidden_commutator_is_exactly_zero_at_every_small_rational_coupling():
         kind = "J" if c.phase == "minkowskian" else "L"
         h = fe._levels(basis, (c.ell1, c.ell2, 1), "H_g")
         assert fe._hidden_commutator(h, basis, kind, s1, s2) == 0.0, c
+
+
+class TestHiddenLadderRows:
+    @pytest.fixture(scope="class")
+    def suite_rows(self):
+        return {row.check_id: row for row in fe.suite_fock(RunConfig()).rows}
+
+    @pytest.mark.parametrize("g", ["1/3", "3"])
+    def test_direct_call_returns_the_suite_row(self, suite_rows, g):
+        # the function builds both rows of one coupling under the ids verify all reports,
+        # so a direct call at the suite's basis returns the suite's rows unchanged
+        rows = fe.verify_hidden_ladder(fe.FockBasis(RunConfig().truncation), Coupling(F(g)))
+        assert [row.check_id for row in rows] == [
+            f"hidden-commutes:g={g}", f"orbits-match-degeneracy:g={g}"]
+        assert rows == [suite_rows[row.check_id] for row in rows]
+
+    def test_direct_calls_cover_the_suite_rows(self, suite_rows):
+        families = ("hidden-commutes:", "orbits-match-degeneracy:")
+        assert [i for i in suite_rows if i.startswith(families)] == [
+            "hidden-commutes:g=1/3", "orbits-match-degeneracy:g=1/3",
+            "hidden-commutes:g=3", "orbits-match-degeneracy:g=3"]
+
+    @pytest.mark.parametrize("coupling, ladder", [
+        (Coupling(0), "L+_11"), (Coupling(F(1, 3)), "L+_12"), (Coupling(F(-1, 3)), "L+_21"),
+        (Coupling(F(2, 5)), "L+_37"), (Coupling(3), "J+_12"), (Coupling(-3), "J+_21"),
+        (Coupling(F(5, 3)), "J+_14"), (Coupling(1, isotropic_mink=True), "J+_11"),
+    ], ids=str)
+    def test_orders_from_the_coupling_and_kind_from_the_weight_signs(self, coupling, ladder):
+        commutes, orbits = fe.verify_hidden_ladder(fe.FockBasis(10), coupling)
+        assert commutes.check_id == f"hidden-commutes:g={coupling}"
+        assert commutes.identity == f"[H_g, {ladder}] = 0"
+        assert orbits.identity == f"{ladder} orbits = exact energy classes on the interior"
+        assert commutes.passed and commutes.residual == 0.0 and orbits.passed
+
+    @pytest.mark.parametrize("g", [1, -1])
+    def test_no_hidden_ladder_at_unit_coupling(self, g):
+        with pytest.raises(ValueError, match=f"^coupling {g} has no hidden ladder"):
+            fe.verify_hidden_ladder(fe.FockBasis(8), Coupling(g))
 
 
 class TestDegeneracy:

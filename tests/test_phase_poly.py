@@ -404,6 +404,19 @@ def test_params_hold_fractions():
     assert p == Params(F(2), F(1, 2)) == Params.coerce((2, F(1, 2)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PhasePoly(CANONICAL, {}, 2.5), lambda: hamiltonian(F(1, 3), 5),
+    lambda: Params.coerce(True), lambda: Params.coerce([]),
+    lambda: Params.coerce((1, 2, 3)), lambda: Params.coerce({"m": 1}),
+], ids=["float", "int", "bool", "empty-list", "triple", "dict"])
+def test_params_other_than_none_a_params_or_a_pair_raise(make):
+    # a scalar raised TypeError (cannot unpack), and a container of another length (the
+    # one-key dict among them) an unpacking ValueError that named no argument
+    with pytest.raises(ValueError,
+                       match=r"^params .* is not None, a Params or an \(m, omega\) pair$"):
+        make()
+
+
 def test_conversion_preserves_brackets():
     rng = random.Random(5)
     a, b = random_poly(rng), random_poly(rng)

@@ -57,8 +57,6 @@ EXEMPT = {
         "bridge.WeierstrassReport:scaled_hermite", "bridge.WeierstrassReport:passed",
         "landau.PhaseResult:phase", "landau.PhaseResult:omega", "landau.PhaseResult:g",
         "phasealg.poly.CartanForm:diagonal",
-        "phasealg.verify.BracketCheck:identity_name", "phasealg.verify.BracketCheck:rhs",
-        "phasealg.verify.BracketCheck:residual", "phasealg.verify.BracketCheck:passed",
     ),
     "measured residual (a nan residual fails the row by design), or an exact family's bool, "
     "else ValueError": (
