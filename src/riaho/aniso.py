@@ -11,8 +11,8 @@ module covers that side of the story:
 * hidden ladder operators L (sign +) and J (sign -) at commensurable
   frequencies, and the matching degeneracy-orbit structure,
 * the so(1,1) invariant of the equal-frequency sign=- oscillator,
-* the per-coordinate bridge sending monomials x1^n1 x2^n2 to product
-  Hermite functions,
+* the per-coordinate bridge sending a ZPolynomial in (x1, x2) to a separable state,
+  each monomial x1^n1 x2^n2 to a product Hermite function,
 * Lissajous trajectories and their closure period,
 * the anisotropic rescaling map that identifies the rotationally invariant
   Hamiltonian with a signed-mode oscillator at Omega_i = |ell_i|*omega and
@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bridge import (ProportionalityReport, Units, ZPolynomial, _float_range, _graded_series,
-                     _number, grid_proportionality)
+                     grid_proportionality)
 from .coupling import Coupling
 from .fockeng import (FockBasis, InteriorMask, _hidden_commutator, _hidden_ladder_matrix,
                       _integer_weights, _levels, commutator, hermite_rows, ladder, ladder_orbits,
@@ -42,7 +42,9 @@ from .phasealg import (
     CANONICAL,
     ExactComplex,
     PhasePoly,
+    hamiltonian,
     poisson_bracket,
+    reduce_to_cartan,
 )
 from .phasealg.catalog import hidden_shift
 from .phasealg.exact import (_sample, coerce_real, require_choice, require_int, require_real,
@@ -314,7 +316,7 @@ class SeparableState:
     """Polynomial times a product Gaussian exp(-r1 x1^2 - r2 x2^2).
 
     ``poly`` is a :class:`ZPolynomial` whose (p1, p2) exponents are those of
-    x1 and x2 (a term dict is converted).  The envelope is separable by
+    x1 and x2; anything else raises ValueError.  The envelope is separable by
     construction; the polynomial factorizes for monomial input but is kept
     joint so sums of monomials stay closed.  Rates are positive finite reals, stored as
     floats; ``evaluate`` takes scalars through require_real and arrays as given.
@@ -326,7 +328,7 @@ class SeparableState:
 
     def __post_init__(self):
         if not isinstance(self.poly, ZPolynomial):
-            object.__setattr__(self, "poly", ZPolynomial(self.poly))
+            raise ValueError(f"poly {self.poly!r} is not a ZPolynomial")
         for name in ("rate1", "rate2"):
             object.__setattr__(self, name, require_real(getattr(self, name), name, positive=True))
 
@@ -342,33 +344,21 @@ class SeparableState:
 
 @_float_range
 def aniso_cbt_apply(
-    phi, freq: FrequencyPair, m: float = 1.0, hbar: float = 1.0
+    phi: ZPolynomial, freq: FrequencyPair, m: float = 1.0, hbar: float = 1.0
 ) -> SeparableState:
     """Bridge a polynomial in (x1, x2) through the per-coordinate composition.
 
-    ``phi`` is a monomial exponent pair (n1, n2) or a dict mapping such
-    pairs to coefficients.  As :func:`riaho.bridge.cbt_apply` (one :func:`_graded_series`): the
-    grading 2^((n1+n2+1)/2), the heat series of sum_i -(lam_i^2/4) d^2/dx_i^2 with
-    lam_i^2 = hbar/(m w_i), then the Gaussians e^{-m w_i x_i^2 / 2 hbar}; a monomial
-    lands on a multiple of psi_n1(x1) psi_n2(x2).  Units that are not positive and
-    finite, a coefficient that is not a number (a str, bool or None among them),
-    or a coefficient past the float range, raise ValueError.
+    ``phi`` is a :class:`ZPolynomial` whose (p1, p2) exponents are those of x1 and x2, as
+    :func:`riaho.bridge.cbt_apply` takes one over (z, zbar); anything else raises ValueError.
+    As there (one :func:`_graded_series`): the grading 2^((n1+n2+1)/2), the heat series of
+    sum_i -(lam_i^2/4) d^2/dx_i^2 with lam_i^2 = hbar/(m w_i), then the Gaussians
+    e^{-m w_i x_i^2 / 2 hbar}; a monomial lands on a multiple of psi_n1(x1) psi_n2(x2).
+    Units that are not positive and finite, or a coefficient past the float range, raise
+    ValueError.
     """
-    if isinstance(phi, tuple) and len(phi) == 2:
-        phi = {phi: 1.0}
-    if not isinstance(phi, dict):
-        raise ValueError("input must be a monomial pair or exponent-to-coefficient dict")
+    if not isinstance(phi, ZPolynomial):
+        raise ValueError(f"phi {phi!r} is not a ZPolynomial")
     u1, u2 = (Units(m, w, hbar) for w in freq.float_omegas())
-    terms = {}
-    for key, coeff in phi.items():
-        if not (isinstance(key, tuple) and len(key) == 2):
-            raise ValueError(f"exponents {key!r} are not a pair")
-        n1, n2 = require_int(key[0], "exponent n1"), require_int(key[1], "exponent n2")
-        c = _number(coeff)
-        if c is None:
-            raise ValueError(f"coefficient {coeff!r} of x1^{n1} x2^{n2} is not a number")
-        if c != 0:
-            terms[(n1, n2)] = c
     heat1, heat2 = -u1.length_sq / 8, -u2.length_sq / 8  # -lam_i^2/4, lam_i^2 = length_sq/2
 
     def step(term: ZPolynomial, k: int) -> ZPolynomial:
@@ -382,7 +372,7 @@ def aniso_cbt_apply(
             raise OverflowError
         return ZPolynomial(out)
 
-    return SeparableState(_graded_series(terms, step), u1.gauss, u2.gauss)
+    return SeparableState(_graded_series(phi.terms, step), u1.gauss, u2.gauss)
 
 
 def _mode_eigen_poly(n: int, units: Units) -> dict:
@@ -410,7 +400,7 @@ def hermite_eigenstate(
     joint = {
         (p1, p2): c1 * c2 for p1, c1 in poly1.items() for p2, c2 in poly2.items()
     }
-    return SeparableState(joint, u1.gauss, u2.gauss)
+    return SeparableState(ZPolynomial(joint), u1.gauss, u2.gauss)
 
 
 @_float_range
@@ -445,7 +435,7 @@ def aniso_proportionality(
     out the closed-form per-mode product, so it must equal 1 for every
     (n1, n2) and frequency pair.
     """
-    bridged = aniso_cbt_apply((n1, n2), freq, m, hbar)
+    bridged = aniso_cbt_apply(ZPolynomial.monomial(n1, n2), freq, m, hbar)
     eigen = hermite_eigenstate(n1, n2, freq, m, hbar)
     w1, w2 = freq.float_omegas()
     expected = mode_constant(n1, w1, m, hbar) * mode_constant(n2, w2, m, hbar)
@@ -543,6 +533,12 @@ def rescale_canonical_check(coupling) -> CheckRow:
     when they lie in the coefficient ring Q(i)[sqrt2]; otherwise the table is
     run over generic rational witness weights, which decides the same
     identity because every bracket is w-independent: {w x, p/w} = {x, p}.
+
+    The row also holds the transport the map names, mode by mode at omega = 1:
+    ell_j (w_j^2 X^2 + P^2/w_j^2)/2 = sigma_j (Omega_j^2 X^2 + P^2)/2 exactly, with ell_j
+    read off H_g by :func:`~riaho.phasealg.reduce_to_cartan`, w_j^2 and sigma_j from the
+    map, and Omega_j with its sign from :meth:`RescaleMap.signed_form`, mapped back when the
+    pair is swapped.
     """
     the_map = RescaleMap(coupling)
     exact1 = ring_sqrt(the_map.weight_sq[0])
@@ -573,6 +569,18 @@ def rescale_canonical_check(coupling) -> CheckRow:
                 expected = canon.get((i, j), zero)
                 if poisson_bracket(prim[i], prim[j]) != expected:
                     ok = False
+
+    ells = reduce_to_cartan(hamiltonian(the_map.coupling)).diagonal  # N1 at (1, 0), N2 at (0, 1)
+    freq, sign, swapped = the_map.signed_form()
+    omegas, signs = (freq.omega1, freq.omega2), (1, _sign_value(sign))
+    if swapped:
+        omegas, signs = omegas[::-1], signs[::-1]
+    for ell, (x, p), w_sq, sigma, omega, image_sign in zip(
+            (ells[1, 0], ells[0, 1]), ((x1, p1), (x2, p2)), the_map.weight_sq,
+            the_map.sigma, omegas, signs):
+        xx, pp = x * x, p * p
+        lhs = (xx * w_sq + pp * (1 / w_sq)) * (ell * Fraction(1, 2))
+        ok = ok and image_sign == sigma and lhs == (xx * omega**2 + pp) * Fraction(sigma, 2)
     return check(f"rescale-canonical:g={the_map.coupling}", ok, detail)
 
 

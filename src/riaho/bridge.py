@@ -332,7 +332,8 @@ def cbt_apply(s: ZPolynomial, units: Units = _UNIT) -> WaveState:
     by 2^((n1+n2+1)/2); the free-Hamiltonian exponential series terminates
     because H lowers both indices; the conformal factor multiplies by the
     Gaussian exp(-(m*omega/2*hbar) z zbar).  The grading and series are :func:`_graded_series`,
-    as in :func:`riaho.aniso.aniso_cbt_apply`; a coefficient past the float range raises ValueError.
+    as in :func:`riaho.aniso.aniso_cbt_apply`, which takes a ZPolynomial over (x1, x2) as this
+    takes one over (z, zbar); a coefficient past the float range raises ValueError.
     """
     if not isinstance(s, ZPolynomial):
         raise ValueError("bridge input must be a ZPolynomial")

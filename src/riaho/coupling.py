@@ -3,7 +3,8 @@
 The model Hamiltonian is H_g = H_osc + g*omega*p_phi.  In circular-mode
 variables it separates as H_g = omega*(ell1*N1 + ell2*N2) with frequency
 weights ell1 = 1+g, ell2 = 1-g, so everything about spectra, degeneracies
-and trajectory closure is controlled by the exact rational value of g.
+and trajectory closure is controlled by the exact rational value of g.  That value
+is given exact, as an int, a Fraction or a rational string; a float is refused.
 
 For rational g with |g| != 1 the frequency ratio is rational and the model
 carries hidden integrals built from coprime mode orders (s1, s2):
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .phasealg.exact import coerce_real, to_float
+from .phasealg.exact import _is_exact, to_float
 
 __all__ = ["Coupling", "Phase"]
 
@@ -36,15 +37,6 @@ class Phase:
     ISOTROPIC_MINK = "isotropic-minkowskian"  # |g| -> inf limit (flag only)
 
 
-def _check_exact_float(x: float) -> None:
-    """Reject a float that is not exactly the rational its repr names."""
-    meant = Fraction(repr(float(x)))
-    if Fraction(x) != meant:
-        raise ValueError(
-            f"float coupling {x!r} is not exact in binary; pass "
-            f'"{meant}" or Fraction({meant.numerator}, {meant.denominator})')
-
-
 @dataclass(frozen=True)
 class Coupling:
     """Exact rational anisotropy coupling g.
@@ -52,13 +44,10 @@ class Coupling:
     Parameters
     ----------
     g : Fraction
-        Coerced to an exact rational; strings like ``"2/3"``, ints, Fractions
-        and floats with exact binary representation are accepted.  A string that
-        names no rational (``"1/0"``) raises ValueError naming ``coupling g``.  A float
-        whose binary value differs from its decimal repr (``0.1``) raises
-        ValueError naming the exact alternative; a non-finite float and any
-        other type (bool, None, complex) raise ValueError through
-        :func:`~riaho.phasealg.exact.coerce_real`.
+        An int, a Fraction or a rational string such as ``"2/3"``, kept exact.  A string
+        that names no rational (``"1/0"``) raises ValueError naming ``coupling g``, and so
+        does any other type, a float (numpy's too), bool or None among it: a float is never
+        guessed at, pass ``Fraction(1, 2)`` or ``"1/2"``.
     isotropic_mink : bool
         Marks the |g| -> infinity limit; anything but a bool raises ValueError.
         The stored g is then only the direction sign, 1 for g >= 0 and -1 below.
@@ -70,15 +59,15 @@ class Coupling:
     def __post_init__(self):
         if type(self.isotropic_mink) is not bool:
             raise ValueError(f"isotropic_mink {self.isotropic_mink!r} is not a bool")
-        if not isinstance(self.g, str):
-            g = coerce_real(self.g, "coupling g")
-        else:
+        g = self.g
+        if isinstance(g, str):
             try:
-                g = Fraction(self.g)
+                g = Fraction(g)
             except (ValueError, ZeroDivisionError):  # "x", "1/0"
-                raise ValueError(f"coupling g {self.g!r} is not a rational") from None
-        if isinstance(g, float):
-            _check_exact_float(g)
+                raise ValueError(f"coupling g {g!r} is not a rational") from None
+        elif not _is_exact(g):  # the exact-argument rule of ExactComplex and rational_sqrt
+            raise ValueError(f'coupling g {g!r} is not an int or Fraction; '
+                             'pass a Fraction or "p/q"')
         if self.isotropic_mink:
             g = 1 if g >= 0 else -1
         object.__setattr__(self, "g", Fraction(g))

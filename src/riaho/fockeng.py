@@ -110,32 +110,26 @@ class InteriorMask:
     """Column selector keeping states safely away from the truncation edge.
 
     A state (n1, n2) is interior when ``n1 + margin1 <= cutoff`` and
-    ``n2 + margin2 <= cutoff``; if ``total`` is set it must additionally
-    satisfy ``n1 + n2 <= total``.  The total budget is the right notion for
-    number-conserving conjugation checks, the per-mode margins for ladder
-    compositions with a known per-mode reach.  Margins and total are
-    non-negative ints, else ValueError: a negative total keeps no state, and a
-    check over no state passes vacuously.
+    ``n2 + margin2 <= cutoff``: the per-mode margins fit ladder compositions with a known
+    per-mode reach.  Margins are ints from 0 to the cutoff, else ValueError, so the
+    interior is never empty (a check over no state would pass vacuously).
     """
 
     basis: FockBasis
     margin1: int = 0
     margin2: int = 0
-    total: int | None = None
 
     def __post_init__(self):
         require_int(self.margin1, "margin1")
         require_int(self.margin2, "margin2")
-        if self.total is not None:
-            require_int(self.total, "total")
         if self.margin1 > self.basis.cutoff or self.margin2 > self.basis.cutoff:
             raise ValueError("margin exceeds cutoff, interior is empty")
 
     def states(self) -> list[tuple[int, int]]:
         """The interior states in index order."""
-        cut, total = self.basis.cutoff, self.total
+        cut = self.basis.cutoff
         return [(n1, n2) for n1 in range(cut - self.margin1 + 1)
-                for n2 in range(cut - self.margin2 + 1) if total is None or n1 + n2 <= total]
+                for n2 in range(cut - self.margin2 + 1)]
 
     def indices(self) -> np.ndarray:
         return self.basis._indices(self.states())
@@ -411,11 +405,10 @@ def hidden_orbit_partition(
 def ladder_orbits(pool, step: tuple[int, int]) -> list[frozenset]:
     """Components of a convex ``pool`` under n -> n +/- step, sorted by minimal state.
 
-    In a convex pool (the grid, or an :class:`InteriorMask`: a rectangle cut
-    by n1 + n2 <= total) two states are linked exactly when they differ by a
-    whole multiple of ``step``, so the components are the cosets modulo step.  A step
-    entry that is not an int, or a pool that is not an iterable of (n1, n2) pairs
-    (:func:`level_sets`), raises ValueError.
+    In a convex pool (the grid, or the rectangle of an :class:`InteriorMask`) two states
+    are linked exactly when they differ by a whole multiple of ``step``, so the components
+    are the cosets modulo step.  A step entry that is not an int, or a pool that is not an
+    iterable of (n1, n2) pairs (:func:`level_sets`), raises ValueError.
     """
     step = tuple(require_int(d, "step", None) for d in step)
     axis = 0 if step[0] else 1  # a non-zero component, e.g. step[1] for (0, -1)

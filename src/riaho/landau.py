@@ -129,19 +129,6 @@ class PhaseResult:
     omega: Fraction | float | None = None
     g: Fraction | float | None = None
 
-    @property
-    def coupling(self) -> Coupling:
-        """``g`` as a Coupling; ValueError when it is None or an inexact float.
-
-        A float ``g`` from float inputs converts only when its binary value
-        is the decimal it prints as (0.5), as in ``Coupling(0.5)``: for
-        ``landau_to_g(g_to_landau(Coupling("3/10"), 1.7))`` it is a float
-        near 0.3 and this raises ValueError.  Use exact inputs for an exact g.
-        """
-        if self.g is None:
-            raise ValueError(f"{self.phase} branch carries no finite coupling")
-        return Coupling.coerce(self.g)
-
 
 def landau_to_g(ext: LandauExtension) -> PhaseResult:
     """Classify a Landau extension and extract (omega, g) when confined.

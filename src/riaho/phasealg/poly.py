@@ -7,9 +7,10 @@ sets:
 * circular:  ``b1+, b1-, b2+, b2-`` (classical circular ladder modes)
 
 Each monomial additionally carries an exact rational "time frequency" mu, an int when
-integral, else a Fraction: the physical object represented is
-``coeff * monomial * exp(i*mu*omega*t)``.  This is how explicitly time-dependent integrals
-of motion are encoded; the total time derivative along the flow of a Hamiltonian H is
+integral, else a Fraction, as the fifth entry of its term key (e1, e2, e3, e4, mu): the
+physical object represented is ``coeff * monomial * exp(i*mu*omega*t)``.  This is how
+explicitly time-dependent integrals of motion are encoded; the total time derivative along
+the flow of a Hamiltonian H is
 
     dA/dt = {A, H} + i*mu*omega*A   (termwise in mu),
 
@@ -58,12 +59,12 @@ _HALF = Fraction(1, 2)
 
 
 def _checked_key(key) -> tuple:
-    """(e1, e2, e3, e4, mu) from a 4- or 5-entry tuple key: int exponents >= 0 and an int or
-    Fraction mu (0 when left out, kept by :func:`_tag`); anything else, a range or another
-    sequence among them, raises ValueError."""
-    if type(key) is not tuple or len(key) not in (4, 5):
-        raise ValueError(f"a term key is (e1, e2, e3, e4[, mu]), got {key!r}")
-    exps, mu = key[:4], key[4] if len(key) == 5 else 0
+    """(e1, e2, e3, e4, mu) from a 5-entry tuple key: int exponents >= 0 and an int or Fraction
+    mu, kept by :func:`_tag`; anything else, a 4-entry key, a range or another sequence among
+    them, raises ValueError."""
+    if type(key) is not tuple or len(key) != 5:
+        raise ValueError(f"a term key is (e1, e2, e3, e4, mu), got {key!r}")
+    exps, mu = key[:4], key[4]
     if not all(type(v) is int and v >= 0 for v in exps) or not _is_exact(mu):
         raise ValueError(f"a term key needs int exponents >= 0 and an exact mu, got {key!r}")
     return (*exps, mu if type(mu) is int else _tag(Fraction(mu)))
@@ -118,10 +119,9 @@ _UNIT = Params()  # m = omega = 1, shared: Params is frozen
 class PhasePoly:
     """Polynomial over Q(i)[sqrt2] with per-term exact time frequency.
 
-    `terms` maps (e1, e2, e3, e4[, mu]) to coefficients: int exponents >= 0 in
-    the basis's variable order and an int or Fraction mu; other keys, two keys that name
-    one term (a 4-entry key and its 5-entry form with mu = 0), and a map that is not a
-    dict raise ValueError.
+    `terms` maps (e1, e2, e3, e4, mu) to coefficients: int exponents >= 0 in the basis's
+    variable order and an int or Fraction time tag mu; any other key (a 4-entry one among
+    them) and a map that is not a dict raise ValueError.
     """
 
     __slots__ = ("basis", "params", "terms")
@@ -131,13 +131,9 @@ class PhasePoly:
         self.params = Params.coerce(params)
         if terms is not None and not isinstance(terms, dict):
             raise ValueError(f"terms {terms!r} is not a dict")
-        clean, seen = {}, set()
+        clean = {}
         for raw, coeff in (terms or {}).items():
-            key = _checked_key(raw)
-            if key in seen:
-                raise ValueError(f"term key {raw!r} names the same term as an earlier key")
-            seen.add(key)
-            coeff = ExactComplex.coerce(coeff)
+            key, coeff = _checked_key(raw), ExactComplex.coerce(coeff)
             if not coeff.is_zero():
                 clean[key] = coeff
         self.terms = clean

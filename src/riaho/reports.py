@@ -15,7 +15,6 @@ returned, never re-keyed.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -100,7 +99,7 @@ FAMILIES = {
 
 
 def _family(check_id: str) -> str:
-    return re.split(r"[:\[]", check_id, maxsplit=1)[0]
+    return check_id.split(":", 1)[0].split("[", 1)[0]
 
 
 def check(check_id: str, outcome, detail: str = "", **fields) -> CheckRow:

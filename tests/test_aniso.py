@@ -36,6 +36,8 @@ from riaho.phasealg.verify import suite_algebra
 from test_bridge import _proportional
 from test_fockeng import _mutate_level
 
+MONO = bridge.ZPolynomial.monomial
+
 
 class TestFrequencyPair:
     def test_exact_detection(self):
@@ -412,7 +414,7 @@ TINY = FrequencyPair(Fraction(1, 10**400), Fraction(1, 10**400))
 # the per-coordinate bridge calls also take a mode order n and the units m, hbar
 FLOAT_CALLS = {
     "verify_signed_spectrum": lambda f: verify_signed_spectrum(FockBasis(2), f, "+"),
-    "aniso_cbt_apply": lambda f, n=1, **units: aniso_cbt_apply((n, 0), f, **units),
+    "aniso_cbt_apply": lambda f, n=1, **units: aniso_cbt_apply(MONO(n, 0), f, **units),
     "hermite_eigenstate": lambda f, n=1, **units: hermite_eigenstate(n, 0, f, **units),
     "aniso_proportionality": lambda f, n=1, **units: aniso_proportionality(n, 0, f, **units),
     "mode_constant": lambda f, n=1, **units: mode_constant(n, f.float_omegas()[0], **units),
@@ -550,7 +552,7 @@ class TestHermiteRowCoefficients:
             want = {(p1, p2): 2.0 ** 15.5 * float(c1) * lam_sq[0] ** ((n1 - p1) / 2)
                     * float(c2) * lam_sq[1] ** ((n2 - p2) / 2)
                     for p1, c1 in series[0].items() for p2, c2 in series[1].items()}
-            got = aniso_cbt_apply((n1, n2), freq, m, hbar).poly.terms
+            got = aniso_cbt_apply(MONO(n1, n2), freq, m, hbar).poly.terms
             assert got.keys() == want.keys()
             assert max(abs(got[key] / want[key] - 1) for key in want) <= 1e-14, n1
 
@@ -615,21 +617,21 @@ class TestAnisoBridge:
         self.f12 = FrequencyPair(1, 2)
 
     def test_ground_monomial(self):
-        state = aniso_cbt_apply((0, 0), self.f12)
+        state = aniso_cbt_apply(MONO(0, 0), self.f12)
         assert set(state.poly.terms) == {(0, 0)}
         assert state.poly.terms[(0, 0)] == pytest.approx(math.sqrt(2))
         assert state.rate1 == pytest.approx(0.5)
         assert state.rate2 == pytest.approx(1.0)
 
     def test_first_excited_monomial(self):
-        state = aniso_cbt_apply((1, 0), self.f12)
+        state = aniso_cbt_apply(MONO(1, 0), self.f12)
         # 2^(3/4) from mode 1 times 2^(1/4) from the mode-2 ground factor
         assert set(state.poly.terms) == {(1, 0)}
         assert state.poly.terms[(1, 0)] == pytest.approx(2.0)
 
     def test_quadratic_monomial_produces_hermite_pair(self):
         freq = FrequencyPair(1, 1)
-        state = aniso_cbt_apply((2, 0), freq)
+        state = aniso_cbt_apply(MONO(2, 0), freq)
         # 2^(1/4)*2*(x^2 - 1/2) times the 2^(1/4) ground factor
         assert state.poly.terms[(2, 0)] == pytest.approx(2 ** 1.5)
         assert state.poly.terms[(0, 0)] == pytest.approx(-(2 ** 0.5))
@@ -662,28 +664,26 @@ class TestAnisoBridge:
         assert mode_constant(2, 1.5, m=2.0, hbar=3.0) == pytest.approx(expected)
 
     def test_polynomial_input_is_linear(self):
-        combined = aniso_cbt_apply({(2, 0): 1.0, (0, 2): 2.0}, self.f12)
-        a = aniso_cbt_apply((2, 0), self.f12)
-        b = aniso_cbt_apply((0, 2), self.f12)
+        combined = aniso_cbt_apply(bridge.ZPolynomial({(2, 0): 1.0, (0, 2): 2.0}), self.f12)
+        a = aniso_cbt_apply(MONO(2, 0), self.f12)
+        b = aniso_cbt_apply(MONO(0, 2), self.f12)
         x1, x2 = 0.7, -0.4
         assert combined.evaluate(x1, x2) == pytest.approx(
             a.evaluate(x1, x2) + 2.0 * b.evaluate(x1, x2)
         )
 
-    def test_rejects_non_polynomial_input(self):
-        with pytest.raises(ValueError):
-            aniso_cbt_apply("x1", self.f12)
-        with pytest.raises(ValueError):
-            aniso_cbt_apply({(0.5, 0): 1.0}, self.f12)
-        with pytest.raises(ValueError):
-            aniso_cbt_apply({(-1, 0): 1.0}, self.f12)
+    @pytest.mark.parametrize("poly", [{(0, 0): 1.0}, (0, 0), None], ids=repr)
+    def test_separable_state_takes_a_zpolynomial_only(self, poly):
+        # a term dict was converted
+        with pytest.raises(ValueError, match=r"^poly .* is not a ZPolynomial$"):
+            aniso.SeparableState(poly, 1, 1)
 
-    @pytest.mark.parametrize("coeff", ["2", True, None], ids=repr)
-    def test_coefficient_that_is_not_a_number_raises(self, coeff):
-        # complex() read "2" as 2 and True as 1, and None raised TypeError
-        message = rf"^coefficient {coeff!r} of x1\^1 x2\^0 is not a number$"
-        with pytest.raises(ValueError, match=message):
-            aniso_cbt_apply({(1, 0): coeff}, self.f12)
+    @pytest.mark.parametrize("phi", ["x1", (1, 0), {(1, 0): 1.0}, None], ids=repr)
+    def test_input_that_is_not_a_zpolynomial_raises(self, phi):
+        # a pair (n1, n2) and an exponent dict were read by a parser of their own; the
+        # exponents and coefficients of a ZPolynomial are checked where it is built
+        with pytest.raises(ValueError, match=r"^phi .* is not a ZPolynomial$"):
+            aniso_cbt_apply(phi, self.f12)
 
     def test_eigenstate_matches_explicit_formula(self):
         freq = FrequencyPair(2, 3)
@@ -697,7 +697,7 @@ class TestAnisoBridge:
         assert state.evaluate(x1, x2) == pytest.approx(psi1 * psi0, rel=1e-12)
 
     def test_grid_and_scalar_evaluation_agree(self):
-        state = aniso_cbt_apply((1, 1), self.f12)
+        state = aniso_cbt_apply(MONO(1, 1), self.f12)
         xs = np.linspace(-1, 1, 5)
         grid = state.evaluate(xs[:, None], xs[None, :])
         assert grid[2, 3] == pytest.approx(state.evaluate(xs[2], xs[3]))
@@ -851,7 +851,9 @@ class TestRescaleMap:
         assert sign == "-" and swapped
         assert (freq.omega1, freq.omega2) == (Fraction(4), Fraction(2))
 
-    @pytest.mark.parametrize("g", [Fraction(1, 2), 3, Fraction(1, 3), -3])
+    # g < -1 lists the signed pair swapped; the row holds each mode's transport too
+    @pytest.mark.parametrize("g", [Fraction(1, 2), 3, Fraction(1, 3), -3, Fraction(-7, 2),
+                                   Fraction(-2, 5), Fraction(5, 3), 7])
     def test_canonical_brackets_exact(self, g):
         row = rescale_canonical_check(g)
         assert row.passed
@@ -867,12 +869,34 @@ class TestRescaleMap:
             rescale_canonical_check(Coupling(g))
 
     @pytest.mark.parametrize("g", [Fraction(1, 2), 3, -3, 0, Fraction(-5, 2), Fraction(7, 2),
-                                   0.25])
+                                   "1/4"])
     def test_canonical_row_of_a_finite_coupling_names_its_g(self, g):
         # the id is built from str(coupling), which for a finite g is its exact value
         row = rescale_canonical_check(g)
         assert row.check_id == f"rescale-canonical:g={Coupling(g).g}"
         assert row.check_id == f"rescale-canonical:g={Fraction(g)}"
+
+    SUITE_COUPLINGS = ("1/3", "1/2", "3")
+    MUTANTS = {  # a wrong magnification or mode sign; the brackets {w x, p/w} cannot see either
+        "weight 7|ell|+1": ("weight_sq", lambda m: (7 * abs(m.coupling.ell1) + 1,
+                                                    7 * abs(m.coupling.ell2) + 1)),
+        "weight (5|ell1|, |ell2|)": ("weight_sq", lambda m: (5 * abs(m.coupling.ell1),
+                                                             abs(m.coupling.ell2))),
+        "sigma flipped": ("sigma", lambda m: tuple(-1 if ell > 0 else 1
+                                                   for ell in (m.coupling.ell1, m.coupling.ell2))),
+    }
+
+    @pytest.mark.parametrize("mutant", list(MUTANTS))
+    def test_a_wrong_map_fails_every_suite_row(self, monkeypatch, mutant):
+        # the row holds ell_j (w_j^2 X^2 + P^2/w_j^2)/2 = sigma_j (Omega_j^2 X^2 + P^2)/2 too;
+        # with the bracket table alone each mutant passed all three rows
+        assert all(rescale_canonical_check(g).passed for g in self.SUITE_COUPLINGS)
+        name, mutated = self.MUTANTS[mutant]
+        monkeypatch.setattr(RescaleMap, name, property(mutated))
+        rows = [rescale_canonical_check(g) for g in self.SUITE_COUPLINGS]
+        assert [row.check_id for row in rows] == [f"rescale-canonical:g={g}"
+                                                  for g in self.SUITE_COUPLINGS]
+        assert not any(row.passed for row in rows)
 
     def test_canonical_check_uses_exact_ring_when_possible(self):
         assert "exact" in rescale_canonical_check(3).detail

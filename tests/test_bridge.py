@@ -34,7 +34,7 @@ class TestZPolynomial:
         (lambda v: br.ZPolynomial({(0, 0): v}), "coefficient"),
         (lambda v: br.ZPolynomial({(0, 0): 1}).scale(v), "factor"),
         (lambda v: br.ground_state().scale(v), "factor"),
-        (lambda v: an.SeparableState({(1, 0): 1.0}, 0.5, 0.5).scale(v), "factor"),
+        (lambda v: an.SeparableState(br.ZPolynomial.monomial(1, 0), 0.5, 0.5).scale(v), "factor"),
     ], ids=["ZPolynomial", "ZPolynomial.scale", "WaveState.scale", "SeparableState.scale"])
     @pytest.mark.parametrize("value", [None, object(), [1.0], "x", "1+2j", "2", True, False,
                                        np.True_, np.False_], ids=repr)

@@ -81,11 +81,11 @@ class TestLandauToG:
         assert isinstance(res.omega, float)
         assert res.omega == pytest.approx(math.sqrt(2))
 
-    def test_coupling_accessor(self):
+    def test_an_exact_g_is_a_coupling(self):
         res = landau_to_g(LandauExtension(1, 3))
-        assert res.coupling == Coupling(Fraction(1, 2))
-        with pytest.raises(ValueError):
-            landau_to_g(LandauExtension(0, 0)).coupling
+        assert Coupling(res.g) == Coupling(Fraction(1, 2))
+        with pytest.raises(ValueError, match="coupling g None"):
+            Coupling(landau_to_g(LandauExtension(0, 0)).g)
 
     def test_defining_relation(self):
         # |Lambda| = |1 - g^2| omega^2 on the confined branch
@@ -141,16 +141,16 @@ class TestGToLandau:
         assert res.g == pytest.approx(0.3, abs=1e-12)
         assert res.omega == pytest.approx(1.7, abs=1e-12)
 
-    def test_float_branch_coupling_raises(self):
-        # the float g near 0.3 is not exact in binary, so it is no Coupling
+    def test_float_branch_g_is_no_coupling(self):
+        # the float g near 0.3 from float inputs: a Coupling takes no float
         res = landau_to_g(g_to_landau(Coupling("3/10"), 1.7))
         assert isinstance(res.g, float)
-        with pytest.raises(ValueError, match="not exact in binary"):
-            res.coupling
+        with pytest.raises(ValueError, match="coupling g .* is not an int or Fraction"):
+            Coupling(res.g)
 
-    def test_exact_branch_coupling(self):
+    def test_exact_branch_g_is_a_coupling(self):
         res = landau_to_g(g_to_landau(Coupling("3/10"), Fraction(17, 10)))
-        assert res.coupling == Coupling(Fraction(3, 10))
+        assert Coupling(res.g) == Coupling(Fraction(3, 10))
 
     @given(
         num=st.integers(min_value=-12, max_value=12),

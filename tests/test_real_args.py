@@ -24,7 +24,8 @@ STATE = [1.0, 0.0, 0.0, 1.0]
 PROBLEM = (STATE, Coupling(F(1, 3)), 1.0, 1.0)
 ORBIT = cd.TrajectoryParams(R1=1, R2=1, coupling=Coupling(F(1, 3)))
 PSI = br.ground_state()
-SEPARABLE = an.SeparableState({(1, 0): 1.0}, 0.5, 0.5)
+X1 = br.ZPolynomial.monomial(1, 0)
+SEPARABLE = an.SeparableState(X1, 0.5, 0.5)
 POLY = PhasePoly.variable("b1+", CIRCULAR, mu=F(1))
 POINT = {"b1+": 0.5, "b1-": 0.5, "b2+": 0, "b2-": 0}
 
@@ -42,12 +43,12 @@ ENTRY_POINTS = [
      True, True),
     ("aniso.FrequencyPair.detect:omega2", "omega2", lambda v: an.FrequencyPair.detect(1, v),
      True, True),
-    ("aniso.SeparableState:rate1", "rate1", lambda v: an.SeparableState({}, v, 1.0), False, True),
-    ("aniso.SeparableState:rate2", "rate2", lambda v: an.SeparableState({}, 1.0, v), False, True),
+    ("aniso.SeparableState:rate1", "rate1", lambda v: an.SeparableState(X1, v, 1.0), False, True),
+    ("aniso.SeparableState:rate2", "rate2", lambda v: an.SeparableState(X1, 1.0, v), False, True),
     ("aniso.SeparableState.evaluate:x1", "x1", lambda v: SEPARABLE.evaluate(v, 0.5), False, False),
     ("aniso.SeparableState.evaluate:x2", "x2", lambda v: SEPARABLE.evaluate(0.5, v), False, False),
-    ("aniso.aniso_cbt_apply:m", "m", lambda v: an.aniso_cbt_apply((1, 0), FREQ, m=v), False, True),
-    ("aniso.aniso_cbt_apply:hbar", "hbar", lambda v: an.aniso_cbt_apply((1, 0), FREQ, hbar=v),
+    ("aniso.aniso_cbt_apply:m", "m", lambda v: an.aniso_cbt_apply(X1, FREQ, m=v), False, True),
+    ("aniso.aniso_cbt_apply:hbar", "hbar", lambda v: an.aniso_cbt_apply(X1, FREQ, hbar=v),
      False, True),
     ("aniso.hermite_eigenstate:m", "m", lambda v: an.hermite_eigenstate(1, 0, FREQ, m=v),
      False, True),
@@ -70,7 +71,6 @@ ENTRY_POINTS = [
     # omegaB = 0 and Lambda = 0 keep every exact root rational or in the float range
     ("landau.classify:Lambda", "Lambda", lambda v: la.classify(v, 0), True, False),
     ("landau.classify:omegaB", "omegaB", lambda v: la.classify(0, v), True, False),
-    ("coupling.Coupling:g", "coupling g", Coupling, True, False),
     ("fockeng.degeneracy_classes:emax", "emax",
      lambda v: fe.degeneracy_classes(Coupling(F(1, 3)), BASIS, v), True, False),
     ("bridge.Units:m", "m", lambda v: br.Units(m=v), False, True),
@@ -137,8 +137,9 @@ ENTRY_POINTS = [
      lambda v: cd.integrate_many([PROBLEM, (STATE, Coupling(0), 1.0, v)], 4), False, False),
     ("classdyn.integrate_many:m", "m", lambda v: cd.integrate_many([PROBLEM], 4, v), False, True),
 ]
-# exact-only arguments of the exact ring and its units: ints and Fractions of any size, and
-# nothing else, floats and numpy scalars included; (target, name in the message, call, positive)
+# exact-only arguments of the exact ring, its units and the coupling: ints and Fractions of any
+# size, and nothing else, floats and numpy scalars included (a coupling also parses a rational
+# string); (target, name in the message, call, positive)
 EXACT_VALID = (2, F(1, 2), *OUT_OF_RANGE)
 NOT_EXACT = NOT_REALS + (0.5, np.float64(0.25), np.int64(2))
 EXACT_ONLY = [
@@ -154,6 +155,7 @@ EXACT_ONLY = [
     # a negative q has no rational root: None
     ("phasealg.exact.rational_sqrt:q", "q", rational_sqrt, False),
     ("phasealg.exact.ring_sqrt:q", "q", ring_sqrt, False),
+    ("coupling.Coupling:g", "coupling g", Coupling, False),
 ]
 # complex arguments (coherent-state labels) through require_complex: any finite number, as a
 # complex float; (target, name in the message, call taking the value)
@@ -230,7 +232,9 @@ def test_exact_value_is_accepted(target, name, call, positive, value):
 
 @pytest.mark.parametrize("target, name, call, positive", EXACT_ONLY, ids=[r[0] for r in EXACT_ONLY])
 def test_inexact_value_raises_value_error_naming_the_argument(target, name, call, positive):
-    for value in NOT_EXACT + (NOT_POSITIVE if positive else ()):
+    for value in NOT_EXACT + (NOT_POSITIVE if positive else ()) + UNPARSED.get(name, ()):
+        if value in MEANINGFUL.get(name, ()):
+            continue
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             call(value)
 

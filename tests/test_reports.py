@@ -3,6 +3,7 @@ the one constructor that builds each suite row from it."""
 import ast
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -183,6 +184,17 @@ class TestFamilies:
         rows = json.loads((tmp_path / "all.json").read_text())["checks"]
         assert len(rows) == 169
         assert {_family(row["check_id"]) for row in rows} == set(FAMILIES)
+
+
+GOLDEN_IDS = [check_id for check_id, _ in json.loads(
+    (Path(__file__).parent / "golden" / "verify_all.json").read_text())["checks"]]
+
+
+@pytest.mark.parametrize("check_id", [*GOLDEN_IDS, *FAMILIES, "", ":", "[", "a[b:c]", "a:b[c]",
+                                      "integral[g=1/3]:d/dt X", "no-such-family"])
+def test_family_cuts_at_the_first_colon_or_bracket(check_id):
+    # the uncompiled re.split it replaced, kept as the oracle
+    assert _family(check_id) == re.split(r"[:\[]", check_id, maxsplit=1)[0]
 
 
 class TestCheck:
