@@ -105,10 +105,10 @@ class ZPolynomial:
         clean = {}
         for key, coeff in self.terms.items():
             if type(key) is not tuple or len(key) != 2:  # a set or range unpacked as a pair
-                raise ValueError(f"bad exponents {key!r}")
+                raise ValueError(f"terms: a term key is (n1, n2), got {key!r}")
             n1, n2 = key
             if not (type(n1) is int and type(n2) is int) or n1 < 0 or n2 < 0:  # no bools
-                raise ValueError(f"bad exponents ({n1}, {n2})")
+                raise ValueError(f"terms: a term key needs int exponents >= 0, got {key!r}")
             c = _number(coeff)
             if c is None:
                 raise ValueError(f"coefficient {coeff!r} of z^{n1} zbar^{n2} is not a number")

@@ -10,7 +10,7 @@ N = n1 + n2 or shifts it by one, and the builders assemble private per-block for
 unitary's closed form, ladders, tridiagonal H_rni, the levels of H_g, hidden-ladder
 entries) that :func:`suite_fock` reads directly, forming no grid-sized matrix.  Exact
 statements use Fractions or integers (energies, degeneracy grouping) or an integer object
-array over one known scale (the one-mode conformal bridge, from :func:`hermite_rows`), so
+array over one known scale (the one-mode conformal bridge, from the Hermite recurrence), so
 equality is never a floating-point question.
 
 Truncation corrupts matrix elements near the grid edge, so checks that
@@ -120,10 +120,10 @@ class InteriorMask:
     margin2: int = 0
 
     def __post_init__(self):
-        require_int(self.margin1, "margin1")
-        require_int(self.margin2, "margin2")
-        if self.margin1 > self.basis.cutoff or self.margin2 > self.basis.cutoff:
-            raise ValueError("margin exceeds cutoff, interior is empty")
+        for name in ("margin1", "margin2"):
+            if require_int(getattr(self, name), name) > self.basis.cutoff:
+                raise ValueError(f"{name} {getattr(self, name)} exceeds the cutoff "
+                                 f"{self.basis.cutoff}, so the interior is empty")
 
     def states(self) -> list[tuple[int, int]]:
         """The interior states in index order."""
@@ -579,17 +579,25 @@ def _band_product(m, x):
     return out
 
 
+def _hermite_step(row, prev, j: int) -> tuple:
+    """The Hermite recurrence H_{j+1} = 2x H_j - 2j H_{j-1} on coefficient sequences: entry k
+    is 2 row[k-1] - 2j prev[k], an entry past either end read as 0, and the result is as long
+    as the shorter of (0, *row) and (*prev, 0, 0).  :func:`hermite_rows` and the columns of
+    :func:`one_mode_bridge_unnormalized` both step through it."""
+    return tuple(2 * a - 2 * j * b for a, b in zip((0, *row), (*prev, 0, 0)))
+
+
 def hermite_rows(n: int):
     """Rows ([x^0] H_j, ..., [x^j] H_j), j = 0..n, of the physicists' Hermite polynomials.
 
-    Integer tuples from H_{j+1} = 2x H_j - 2j H_{j-1}, two rows held at a time, nothing
-    cached.  An n that is not an int >= 0 raises ValueError.
+    Integer tuples from H_{j+1} = 2x H_j - 2j H_{j-1} (:func:`_hermite_step`), two rows held
+    at a time, nothing cached.  An n that is not an int >= 0 raises ValueError.
     """
     require_int(n, "n")
     prev, row = (), (1,)
     yield row
     for j in range(n):
-        prev, row = row, tuple(2 * a - 2 * j * b for a, b in zip((0, *row), (*prev, 0, 0)))
+        prev, row = row, _hermite_step(row, prev, j)
         yield row
 
 
@@ -604,24 +612,26 @@ def one_mode_bridge_unnormalized(size: int) -> tuple[np.ndarray, int]:
     odd j falls on an odd row: S' = diag(sqrt2^(i mod 2)) R with
     R[i, j] = 2^(-ceil(j/2)) sum_a (-1)^a/(2^a a!) [x^(i-2a)] H_j, and R[0, 0] = 1.
     With s = size and A = (s-1)//2, scale = 2^(s-1) A! and M = G Hm E, integer object arrays
-    with G[i, i-2a] = (-1)^a 2^(A-a) A!/a!, Hm[k, j] = [x^k] H_j from :func:`hermite_rows`
-    and E = diag(2^(s//2 - ceil(j/2))).  G Hm is formed one column at a time on Python ints:
-    column j sums G's A + 1 nonzero diagonals, diagonal a moving H_j's coefficients (of x^k,
-    k = j mod 2) down by 2a.  A size that is not an int >= 1 raises ValueError.
+    with G[i, i-2a] = (-1)^a 2^(A-a) A!/a! (the truncated Gaussian 2^A A! e^(-x^2/2)),
+    Hm[k, j] = [x^k] H_j and E = diag(2^(s//2 - ceil(j/2))).  Multiplying by G commutes
+    with multiplying by x on the first s rows, so the columns T_j of G Hm obey the Hermite
+    recurrence T_{j+1}[k] = 2 T_j[k-1] - 2j T_{j-1}[k] (:func:`_hermite_step`, cut to s
+    entries) from T_0 = G's first column, the Gaussian, and T_{-1} = 0: O(s^2) Python int
+    operations.  Column j is then graded by E.  A size that is not an int >= 1 raises
+    ValueError.
     """
     require_int(size, "size", 1)
-    top, columns = (size - 1) // 2, []
-    gauss = [(-1) ** a * 2 ** (top - a) * (math.factorial(top) // math.factorial(a))
-             for a in range(top + 1)]
-    for j, row in enumerate(hermite_rows(size - 1)):
-        coeffs, half = row[j % 2::2], [0] * ((size - j % 2 + 1) // 2)  # rows i = j (mod 2)
-        for a, g in enumerate(gauss):
-            for t, h in enumerate(coeffs[: len(half) - a], a):
-                half[t] += g * h
-        column = [0] * size
-        column[j % 2::2] = [c * 2 ** (size // 2 - (j + 1) // 2) for c in half]
-        columns.append(column)
-    return np.array(columns, dtype=object).T, 2 ** (size - 1) * math.factorial(top)
+    top = (size - 1) // 2
+    gauss = [0] * size  # on the even rows
+    gauss[::2] = [(-1) ** a * 2 ** (top - a) * (math.factorial(top) // math.factorial(a))
+                  for a in range(top + 1)]
+    columns, prev = [tuple(gauss)], (0,) * size  # T_0, T_-1
+    for j in range(size - 1):
+        columns.append(_hermite_step(columns[-1], prev, j)[:size])
+        prev = columns[-2]
+    graded = [[c << (size // 2 - (j + 1) // 2) for c in column]
+              for j, column in enumerate(columns)]
+    return np.array(graded, dtype=object).T, 2 ** (size - 1) * math.factorial(top)
 
 
 def verify_one_mode_bridge(size: int = 11) -> list[CheckRow]:
@@ -634,18 +644,18 @@ def verify_one_mode_bridge(size: int = 11) -> list[CheckRow]:
     (M^T Y^T)^T are formed by :func:`_band_product` over their three nonzero
     diagonals, on Python ints, and compared entry for entry on rows and columns
     0..size-3: the raising parts of X corrupt the last two columns of the truncated
-    MX, and the lowering Y pulls truncated rows into YM.  Residual is exactly zero or
-    the check fails.  A size below 3 leaves no row to compare; it raises ValueError,
-    as does a non-int.
+    MX, and the lowering Y pulls truncated rows into YM.  Each product is formed on the
+    compared rows of M and of M^T only.  Residual is exactly zero or the check fails.  A
+    size below 3 leaves no row to compare; it raises ValueError, as does a non-int.
     """
     require_int(size, "size", 3)
     m, _ = one_mode_bridge_unnormalized(size)
     up = np.eye(size, k=-1, dtype=np.int64)
     dn = up.T * np.arange(size)  # column n scaled by n
-    block = np.s_[: size - 2, : size - 2]
+    keep = size - 2
     return [
         check(f"bridge-one-mode-{name}", np.array_equal(
-            _band_product(m, x)[block], _band_product(m.T, y.T).T[block]))
+            _band_product(m[:keep], x)[:, :keep], _band_product(m.T[:keep], y.T)[:, :keep].T))
         for name, (x, y) in zip(_BRIDGE_ROWS, _conformal_pairs(up, dn))
     ]
 

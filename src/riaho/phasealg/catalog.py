@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from ..coupling import Coupling
 from .exact import ExactComplex, require_choice, require_int
-from .poly import CIRCULAR, Params, PhasePoly
+from .poly import CIRCULAR, Params, PhasePoly, _make, _tag
 
 __all__ = [
     "hamiltonian", "angular_momentum", "generator", "catalog",
@@ -36,19 +36,40 @@ __all__ = [
     "GENERATOR_NAMES",
 ]
 
-_HALF = Fraction(1, 2)
+_HALF = ExactComplex(Fraction(1, 2))
 
 GENERATOR_NAMES = ("J0", "J+", "J-", "L2", "L+", "L-",
                    "B1+", "B1-", "B2+", "B2-",
                    "beta1+", "beta1-", "beta2+", "beta2-")
-# the ladder generators are low-order hidden ladders: name -> (kind, s1, s2)
-_LADDERS = {"J": ("J", 1, 1), "L": ("L", 1, 1), "B1": ("J", 2, 0), "B2": ("J", 0, 2),
-            "beta1": ("J", 1, 0), "beta2": ("J", 0, 1)}
+# the ladder generators are low-order hidden ladders: name -> the '+' member's mode shift
+# hidden_shift(kind, s1, s2) of J_{1,1}, L_{1,1}, J_{2,0}, J_{0,2}, J_{1,0} and J_{0,1}
+_LADDERS = {"J": (1, 1), "L": (1, -1), "B1": (2, 0), "B2": (0, 2), "beta1": (1, 0),
+            "beta2": (0, 1)}
+
+# The builders below take checked arguments and write each term key in canonical form
+# (int exponents, mu kept by _tag), so they build through _make and skip the per-key
+# checks of PhasePoly.__init__; the public functions validate their arguments once.
 
 
-def _mono(e, coeff, mu, params) -> PhasePoly:
-    return PhasePoly(CIRCULAR, {(*e, Fraction(mu)): ExactComplex.coerce(coeff)},
-                     params)
+def _number_form(c1: ExactComplex, c2: ExactComplex, params: Params) -> PhasePoly:
+    """c1 N1 + c2 N2, with N_j = b_j+ b_j- and mu = 0; a zero coefficient drops its term."""
+    return _make(CIRCULAR, {(1, 1, 0, 0, 0): c1, (0, 0, 1, 1, 0): c2}, params)
+
+
+def _ladder(c: Coupling, d1: int, d2: int, params: Params) -> PhasePoly:
+    """The monomial moving mode j by d_j quanta, a factor (b_j+)^d_j for d_j >= 0 and
+    (b_j-)^-d_j for d_j < 0, with mu = -(d1 ell1 + d2 ell2)."""
+    (n1, q1), (n2, q2) = c.ell1.as_integer_ratio(), c.ell2.as_integer_ratio()
+    mu = Fraction(-(d1 * n1 * q2 + d2 * n2 * q1), q1 * q2)  # one reduction, no Fraction arithmetic
+    e = (max(d1, 0), max(-d1, 0), max(d2, 0), max(-d2, 0))
+    return _make(CIRCULAR, {(*e, _tag(mu)): ExactComplex.ONE}, params)
+
+
+def _generator(name: str, c: Coupling, params: Params) -> PhasePoly:
+    if name in ("J0", "L2"):  # (N1 +- N2)/2
+        return _number_form(_HALF, _HALF if name == "J0" else -_HALF, params)
+    d1, d2 = _LADDERS[name[:-1]]
+    return _ladder(c, d1, d2, params) if name[-1] == "+" else _ladder(c, -d1, -d2, params)
 
 
 def hamiltonian(coupling, params=None) -> PhasePoly:
@@ -56,30 +77,25 @@ def hamiltonian(coupling, params=None) -> PhasePoly:
     c = Coupling.coerce(coupling)
     params = Params.coerce(params)
     w = params.omega
-    return (_mono((1, 1, 0, 0), w * c.ell1, 0, params)
-            + _mono((0, 0, 1, 1), w * c.ell2, 0, params))
+    return _number_form(ExactComplex.coerce(w * c.ell1), ExactComplex.coerce(w * c.ell2), params)
 
 
 def angular_momentum(params=None) -> PhasePoly:
     """p_phi = N1 - N2 (equals x1 p2 - x2 p1 in canonical variables)."""
-    params = Params.coerce(params)
-    return _mono((1, 1, 0, 0), 1, 0, params) - _mono((0, 0, 1, 1), 1, 0, params)
+    return _number_form(ExactComplex.ONE, -ExactComplex.ONE, Params.coerce(params))
 
 
 def generator(name: str, coupling, params=None) -> PhasePoly:
     """One catalog generator with its exact time-frequency tag."""
     c = Coupling.coerce(coupling)
     params = Params.coerce(params)
-    if require_choice(name, "generator", GENERATOR_NAMES) in ("J0", "L2"):  # (N1 +- N2)/2
-        coeff2 = _HALF if name == "J0" else -_HALF
-        return _mono((1, 1, 0, 0), _HALF, 0, params) + _mono((0, 0, 1, 1), coeff2, 0, params)
-    return hidden_integral(c, *_LADDERS[name[:-1]], name[-1], params)
+    return _generator(require_choice(name, "generator", GENERATOR_NAMES), c, params)
 
 
 def catalog(coupling, params=None) -> dict:
     """All named generators for one coupling, keyed by name."""
     c, params = Coupling.coerce(coupling), Params.coerce(params)  # once for all 14
-    return {n: generator(n, c, params) for n in GENERATOR_NAMES}
+    return {n: _generator(n, c, params) for n in GENERATOR_NAMES}
 
 
 def hidden_shift(kind: str, s1: int, s2: int) -> tuple[int, int]:
@@ -102,11 +118,9 @@ def hidden_integral(coupling, kind: str, s1: int, s2: int, sign: str = "+",
     has mu = -Delta.ell; sign "-" gives the complex conjugate (mu flips).
     """
     d1, d2 = hidden_shift(kind, s1, s2)
-    require_choice(sign, "sign", ("+", "-"))
-    c = Coupling.coerce(coupling)
-    e = (max(d1, 0), max(-d1, 0), max(d2, 0), max(-d2, 0))
-    out = _mono(e, 1, -(d1 * c.ell1 + d2 * c.ell2), Params.coerce(params))
-    return out.conjugate() if sign == "-" else out
+    if require_choice(sign, "sign", ("+", "-")) == "-":  # the conjugate: Delta and mu flip
+        d1, d2 = -d1, -d2
+    return _ladder(Coupling.coerce(coupling), d1, d2, Params.coerce(params))
 
 
 def is_true_integral(coupling, kind: str, s1: int, s2: int) -> bool:

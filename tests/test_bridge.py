@@ -415,15 +415,11 @@ def _hermite_coeffs(n: int) -> dict:
     return h_cur
 
 
-def _mutant_rows(step):
-    """hermite_rows with H_{j+1}[k] = step(H_j[k-1], H_{j-1}[k], j) in place of the recurrence."""
-    def rows(n):
-        prev, row = (), (1,)
-        yield row
-        for j in range(n):
-            prev, row = row, tuple(step(a, b, j) for a, b in zip((0, *row), (*prev, 0, 0)))
-            yield row
-    return rows
+def _mutant_step(step):
+    """_hermite_step with H_{j+1}[k] = step(H_j[k-1], H_{j-1}[k], j) in place of the recurrence."""
+    def mutant(row, prev, j):
+        return tuple(step(a, b, j) for a, b in zip((0, *row), (*prev, 0, 0)))
+    return mutant
 
 
 class TestHermiteRows:
@@ -456,9 +452,9 @@ class TestHermiteRows:
         lambda a, b, j: 2 * a - 2 * j * b + (j == 6),
     ], ids=["lower-coefficient", "raising-factor", "one-entry"])
     def test_mutated_recurrence_fails_the_suite_rows(self, monkeypatch, step):
-        # bridge reads hermite_rows through its own import, so both names are patched
-        monkeypatch.setattr(fe, "hermite_rows", _mutant_rows(step))
-        monkeypatch.setattr(br, "hermite_rows", _mutant_rows(step))
+        # hermite_rows (which bridge imports) and the one-mode bridge's columns both step
+        # through fockeng._hermite_step, so patching it reaches every row
+        monkeypatch.setattr(fe, "_hermite_step", _mutant_step(step))
         rows = {row.check_id: row for row in br.suite_bridge(
             SimpleNamespace(units=br.Units())).rows}
         for check_id in ("inverse-weierstrass", "bridge-one-mode-H", "bridge-one-mode-iD",

@@ -1,5 +1,6 @@
 """Generator catalog: bracket table, Casimirs, hidden integral families."""
 import dataclasses
+import importlib
 import pickle
 from fractions import Fraction as F
 
@@ -10,8 +11,8 @@ from riaho import bridge, classdyn, fockeng, landau
 from riaho.cli import RunConfig
 from riaho.coupling import Coupling, Phase
 from riaho.fockeng import hidden_coefficient
-from riaho.phasealg.catalog import hidden_shift
-from riaho.phasealg import (CIRCULAR, ExactComplex, PhasePoly,
+from riaho.phasealg.catalog import GENERATOR_NAMES, hidden_shift
+from riaho.phasealg import (CIRCULAR, ExactComplex, Params, PhasePoly,
                             angular_momentum, catalog, generator, hamiltonian,
                             hidden_integral, is_true_integral,
                             poisson_bracket, reduce_to_cartan,
@@ -21,6 +22,7 @@ from riaho.phasealg import (CIRCULAR, ExactComplex, PhasePoly,
 from riaho.phasealg import verify
 
 I = ExactComplex.I
+catalog_module = importlib.import_module("riaho.phasealg.catalog")
 
 
 def test_hamiltonian_decomposition():
@@ -132,6 +134,104 @@ def test_linear_integrals_match_mode_frequencies():
     assert b1.frequencies() == {-c.ell1}
     b2 = generator("beta2-", g)
     assert b2.frequencies() == {c.ell2}
+
+
+
+# the '+' member of each ladder generator moves mode j by Delta_j quanta (catalog table)
+_LADDER_SHIFTS = {"J": hidden_shift("J", 1, 1), "L": hidden_shift("L", 1, 1),
+                  "B1": hidden_shift("J", 2, 0), "B2": hidden_shift("J", 0, 2),
+                  "beta1": hidden_shift("J", 1, 0), "beta2": hidden_shift("J", 0, 1)}
+DIRECT_BUILD_COUPLINGS = [Coupling(g) for g in (0, F(1, 3), F(-2, 5), 3, -3, 7, 1, -1)] + [
+    Coupling(1, isotropic_mink=True), Coupling(-1, isotropic_mink=True)]
+
+
+def _validated(name, c, params):
+    """The catalog polynomial as PhasePoly(CIRCULAR, ...) builds it, checking every key and
+    coefficient, from the module docstring's table; mu goes in as a Fraction."""
+    if name == "H":
+        w = params.omega
+        return PhasePoly(CIRCULAR, {(1, 1, 0, 0, F(0)): w * c.ell1,
+                                    (0, 0, 1, 1, F(0)): w * c.ell2}, params)
+    if name in ("J0", "L2"):
+        return PhasePoly(CIRCULAR, {(1, 1, 0, 0, F(0)): F(1, 2),
+                                    (0, 0, 1, 1, F(0)): F(1 if name == "J0" else -1, 2)}, params)
+    d1, d2 = _LADDER_SHIFTS[name[:-1]]
+    if name[-1] == "-":
+        d1, d2 = -d1, -d2
+    key = (max(d1, 0), max(-d1, 0), max(d2, 0), max(-d2, 0), -(d1 * c.ell1 + d2 * c.ell2))
+    return PhasePoly(CIRCULAR, {key: 1}, params)
+
+
+class TestDirectBuild:
+    """The catalog builds its monomials on canonical keys, without PhasePoly.__init__."""
+
+    @pytest.mark.parametrize("params", [Params(1, 1), Params(2, F(3, 5))], ids=["unit", "2,3/5"])
+    @pytest.mark.parametrize("c", DIRECT_BUILD_COUPLINGS, ids=str)
+    def test_equals_the_validated_build_term_for_term(self, c, params):
+        cat = catalog(c, params)
+        built = {**cat, "H": hamiltonian(c, params)}
+        assert list(cat) == list(GENERATOR_NAMES)
+        for name, poly in built.items():
+            want = _validated(name, c, params)
+            assert poly == want and poly.params == params, name
+            assert list(poly.terms.items()) == list(want.terms.items()), name
+            for key in poly.terms:
+                mu = key[4]
+                assert type(mu) is int if mu == int(mu) else type(mu) is F, (name, key)
+                assert all(type(e) is int for e in key[:4]), (name, key)
+            if name != "H":
+                assert generator(name, c, params).terms == poly.terms, name
+
+    @pytest.mark.parametrize("c", DIRECT_BUILD_COUPLINGS, ids=str)
+    @pytest.mark.parametrize("kind,s1,s2", [("L", 1, 2), ("J", 3, 1), ("L", 0, 2), ("J", 2, 0)])
+    def test_hidden_integral_pair_is_conjugate(self, c, kind, s1, s2):
+        # the '-' member is built with Delta flipped, no longer as the '+' member's conjugate
+        plus = hidden_integral(c, kind, s1, s2, "+")
+        minus = hidden_integral(c, kind, s1, s2, "-")
+        assert list(minus.terms.items()) == list(plus.conjugate().terms.items())
+        assert [type(k[4]) for k in minus.terms] == [type(k[4]) for k in plus.conjugate().terms]
+
+
+# verify_sp4_table, verify_casimirs and verify_dynamical_integrals at g = 1/3 with the N1
+# coefficient of every catalog number form doubled (J0, L2 and H): the failing rows and
+# their details, as the code that decided each row by (lhs - rhs).is_zero() wrote them
+DOUBLED_N1_DETAILS = {
+    "sp4:{J0,J+}": "residual polynomial (-1/2i)*b1+*b2+*E[-2]",
+    "sp4:{J0,J-}": "residual polynomial (1/2i)*b1-*b2-*E[2]",
+    "sp4:{J-,J+}": "residual polynomial (1i)*b1+*b1-",
+    "sp4:{L2,L+}": "residual polynomial (-1/2i)*b1+*b2-*E[-2/3]",
+    "sp4:{L2,L-}": "residual polynomial (1/2i)*b1-*b2+*E[2/3]",
+    "sp4:{L+,L-}": "residual polynomial (1i)*b1+*b1-",
+    "sp4:{J0,B1+}": "residual polynomial (-1i)*b1+^2*E[-8/3]",
+    "sp4:{J0,B1-}": "residual polynomial (1i)*b1-^2*E[8/3]",
+    "sp4:{L2,B1+}": "residual polynomial (-1i)*b1+^2*E[-8/3]",
+    "sp4:{L2,B1-}": "residual polynomial (1i)*b1-^2*E[8/3]",
+    "sp4:{B1-,B1+}": "residual polynomial (4i)*b1+*b1-",
+    "casimir:S1": "residual polynomial (-1)*b1+*b1-*b2+*b2-",
+    "casimir:S2": "residual polynomial (-1)*b1+*b1-*b2+*b2-",
+    "casimir:S4": "residual polynomial (-3/4)*b1+^2*b1-^2",
+    "integral[g=1/3]:d/dt J+": "residual polynomial (4/3i)*b1+*b2+*E[-2]",
+    "integral[g=1/3]:d/dt J-": "residual polynomial (-4/3i)*b1-*b2-*E[2]",
+    "integral[g=1/3]:d/dt L+": "residual polynomial (4/3i)*b1+*b2-*E[-2/3]",
+    "integral[g=1/3]:d/dt L-": "residual polynomial (-4/3i)*b1-*b2+*E[2/3]",
+    "integral[g=1/3]:d/dt B1+": "residual polynomial (8/3i)*b1+^2*E[-8/3]",
+    "integral[g=1/3]:d/dt B1-": "residual polynomial (-8/3i)*b1-^2*E[8/3]",
+    "integral[g=1/3]:d/dt beta1+": "residual polynomial (4/3i)*b1+*E[-4/3]",
+    "integral[g=1/3]:d/dt beta1-": "residual polynomial (-4/3i)*b1-*E[4/3]",
+}
+
+
+def test_a_doubled_catalog_coefficient_fails_rows_with_the_residual_detail(monkeypatch):
+    # rows are decided by lhs == rhs; the residual is formed only for a failing row's detail
+    number_form = catalog_module._number_form
+    monkeypatch.setattr(catalog_module, "_number_form",
+                        lambda c1, c2, params: number_form(c1 * 2, c2, params))
+    g = F(1, 3)
+    rows = verify_sp4_table(g) + verify_casimirs(g) + verify_dynamical_integrals(g)
+    failed = {row.check_id: row.detail for row in rows if not row.passed}
+    assert failed == DOUBLED_N1_DETAILS
+    assert {i.split(":")[0] for i in failed} == {"sp4", "casimir", "integral[g=1/3]"}
+    assert all(row.detail == "" for row in rows if row.passed)
 
 
 class TestHiddenIntegrals:

@@ -164,11 +164,15 @@ class TestInteriorMask:
         assert m.restrict_columns(mat).shape == (16, 9)
 
     def test_validation(self):
+        # a margin past the cutoff named neither the margin nor its value
         b = fe.FockBasis(3)
-        with pytest.raises(ValueError):
-            fe.InteriorMask(b, margin1=-1)
-        with pytest.raises(ValueError):
-            fe.InteriorMask(b, margin2=4)
+        for name in ("margin1", "margin2"):
+            with pytest.raises(ValueError, match=f"^{name} -1 is not an integer >= 0$"):
+                fe.InteriorMask(b, **{name: -1})
+            with pytest.raises(ValueError,
+                               match=f"^{name} 4 exceeds the cutoff 3, so the interior is empty$"):
+                fe.InteriorMask(b, **{name: 4})
+            assert fe.InteriorMask(b, **{name: 3}).states()  # a margin equal to the cutoff is kept
 
     @pytest.mark.parametrize("kw", [{"margin1": 0.5}, {"margin2": 1.0}, {"margin1": True},
                                     {"margin2": -1}])

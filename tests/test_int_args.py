@@ -211,6 +211,18 @@ def test_zpolynomial_exponents_are_ints(key):
     # the per-term check keeps its inline type test; isinstance let bools in; a key that
     # is not a pair raised TypeError or an unpacking error that named nothing; a set or a
     # range unpacked as the pair (1, 3) or (2, 3)
-    with pytest.raises(ValueError, match="bad exponents"):
+    with pytest.raises(ValueError, match="^terms: a term key "):
         br.ZPolynomial({key: 1.0})
+
+
+@pytest.mark.parametrize("key,rule", [
+    ((1,), "is (n1, n2)"), ((0, -1), "needs int exponents >= 0"),
+    ((True, 0), "needs int exponents >= 0"), (range(2, 4), "is (n1, n2)"),
+])
+def test_zpolynomial_bad_key_names_terms_and_the_key(key, rule):
+    # the error said "bad exponents ...", naming no argument; it now reads as PhasePoly's
+    # "a term key is ..." and shows the key as given
+    with pytest.raises(ValueError) as err:
+        br.ZPolynomial({key: 1.0})
+    assert str(err.value) == f"terms: a term key {rule}, got {key!r}"
 

@@ -1,6 +1,7 @@
 """Structural properties of the bracket on randomly generated polynomials."""
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from riaho.phasealg import (CANONICAL, CIRCULAR, ExactComplex, PhasePoly,
@@ -76,3 +77,28 @@ def test_conversion_respects_conjugation(a):
     lhs = a.conjugate().to_basis(CIRCULAR)
     rhs = a.to_basis(CIRCULAR).conjugate()
     assert (lhs - rhs).is_zero()
+
+
+def _shift_mu(a, key, by):
+    """a with the term at `key` moved to time tag mu + by, every other term kept."""
+    term = PhasePoly(a.basis, {key: a.terms[key]}, a.params)
+    moved = PhasePoly(a.basis, {(*key[:4], key[4] + by): a.terms[key]}, a.params)
+    return a - term + moved
+
+
+@given(circular_polys, circular_polys, st.sampled_from([F(1), F(-1, 3)]))
+def test_equality_agrees_with_a_zero_difference(a, b, by):
+    # the verify rows decide lhs == rhs and form lhs - rhs only for a failing row's detail
+    same = (a + b) - b  # equal to a, built by other operations
+    pairs = [(a, b), (a, same), (a, a * 1), (same, a.conjugate().conjugate())]
+    pairs += [(a, _shift_mu(a, key, by)) for key in a.terms]  # differ only in one mu
+    for x, y in pairs:
+        assert (x == y) == (x - y).is_zero()
+        assert (y == x) == (x == y)
+    assert all(x == y for x, y in pairs[1:4])
+    assert not any(x == y for x, y in pairs[4:])
+    # pairs that differ only in params are unequal, and their difference is refused
+    other = PhasePoly(a.basis, a.terms, (2, F(3, 5)))
+    assert a != other and other != a
+    with pytest.raises(ValueError, match="params mismatch"):
+        a - other
